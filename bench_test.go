@@ -389,27 +389,6 @@ func BenchmarkEngineDayAppendInstrumented(b *testing.B) {
 	}
 }
 
-// benchmarkEngineDayAppendSharded is BenchmarkEngineDayAppend on the
-// intra-day sharded path: the visit accumulation partitioned across N
-// per-shard tiles on the persistent worker pool, merged in shard-index
-// order. allocs/op should read 0 (pinned by the traffic alloc tests).
-// On a single-core runner the numbers show the sharding overhead near
-// zero; the speedup needs cores.
-func benchmarkEngineDayAppendSharded(b *testing.B, shards int) {
-	r := benchResults(b)
-	day := timegrid.SimDay(timegrid.StudyDayOffset + 30)
-	var cells []traffic.CellDay
-	cells = r.Dataset.Engine.DayAppendSharded(cells, day, benchDay, shards)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cells = r.Dataset.Engine.DayAppendSharded(cells[:0], day, benchDay, shards)
-	}
-}
-
-func BenchmarkEngineDayAppendSharded2(b *testing.B) { benchmarkEngineDayAppendSharded(b, 2) }
-func BenchmarkEngineDayAppendSharded4(b *testing.B) { benchmarkEngineDayAppendSharded(b, 4) }
-
 func BenchmarkDayMetrics(b *testing.B) {
 	r := benchResults(b)
 	topo := r.Dataset.Topology

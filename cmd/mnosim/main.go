@@ -52,10 +52,10 @@ import (
 
 func main() {
 	var (
-		out   = flag.String("out", "data", "output directory")
-		users = flag.Int("users", popsim.ScaleSmall, "synthetic native smartphone users")
-		seed  = flag.Uint64("seed", 42, "master random seed")
-		scen  = flag.String("scenario", "", "behavioural scenario: registry name or JSON spec file (empty: the calibrated default)")
+		out    = flag.String("out", "data", "output directory")
+		users  = flag.Int("users", popsim.ScaleSmall, "synthetic native smartphone users")
+		seed   = flag.Uint64("seed", 42, "master random seed")
+		scen   = flag.String("scenario", "", "behavioural scenario: registry name or JSON spec file (empty: the calibrated default)")
 		raw    = flag.Bool("raw", false, "also export raw per-visit traces and a sample signalling feed (large)")
 		format = flag.String("format", feeds.FormatCSV, "raw feed encoding: csv or col (columnar binary, faster to replay)")
 		pf     = prof.Flags()

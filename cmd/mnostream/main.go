@@ -28,10 +28,7 @@
 // running shard tasks, -shards the logical partitions. Summaries do not
 // depend on -workers, and the figure-grade pipeline behind
 // experiments.RunStreaming is bit-identical to the serial pipeline at
-// any of these settings. -engineshards additionally parallelizes the
-// KPI engine *within* each inline day (traffic.Engine.DayAppendSharded):
-// records stay a pure function of the stack and the shard count, but
-// differ from the serial engine in float association (≤1e-9 relative).
+// any of these settings.
 //
 // In inline mode -scenario selects the behavioural scenario (a registry
 // name — see `mnosweep -list` — or a JSON spec file). In -feeds mode the
@@ -57,7 +54,7 @@
 //
 //	mnostream [-feeds DIR] [-lenient] [-partial FILE] [-users N] [-seed S]
 //	          [-scenario NAME|FILE.json]
-//	          [-workers W] [-shards K] [-engineshards E] [-days D]
+//	          [-workers W] [-shards K] [-days D]
 //	          [-fault SPEC] [-metrics ADDR] [-metrics-out FILE]
 //	          [-cpuprofile F] [-memprofile F]
 package main
@@ -86,15 +83,14 @@ import (
 
 func main() {
 	var (
-		feedDir   = flag.String("feeds", "", "feed directory to replay (empty: run the simulator inline)")
-		lenient   = flag.Bool("lenient", false, "skip corrupt feed rows (reported on stderr) instead of failing the replay")
-		users     = flag.Int("users", popsim.ScaleSmall, "synthetic native smartphone users (must match the feed's value in -feeds mode)")
-		seed      = flag.Uint64("seed", 42, "master random seed (must match the feed's value in -feeds mode)")
-		scen      = flag.String("scenario", "", "behavioural scenario for inline mode: registry name or JSON spec file (empty: the calibrated default)")
-		workers   = flag.Int("workers", 0, "worker goroutines (0: GOMAXPROCS)")
-		shards    = flag.Int("shards", 0, "logical shards (0: default)")
-		engShards = flag.Int("engineshards", 0, "intra-day KPI accumulation shards in inline mode (<=1: serial engine; sharded records differ from serial only in float association, <=1e-9 relative)")
-		days      = flag.Int("days", timegrid.SimDays, "days to stream in inline mode")
+		feedDir    = flag.String("feeds", "", "feed directory to replay (empty: run the simulator inline)")
+		lenient    = flag.Bool("lenient", false, "skip corrupt feed rows (reported on stderr) instead of failing the replay")
+		users      = flag.Int("users", popsim.ScaleSmall, "synthetic native smartphone users (must match the feed's value in -feeds mode)")
+		seed       = flag.Uint64("seed", 42, "master random seed (must match the feed's value in -feeds mode)")
+		scen       = flag.String("scenario", "", "behavioural scenario for inline mode: registry name or JSON spec file (empty: the calibrated default)")
+		workers    = flag.Int("workers", 0, "worker goroutines (0: GOMAXPROCS)")
+		shards     = flag.Int("shards", 0, "logical shards (0: default)")
+		days       = flag.Int("days", timegrid.SimDays, "days to stream in inline mode")
 		noSig      = flag.Bool("nosignaling", false, "skip control-plane generation in inline mode")
 		faultSpec  = flag.String("fault", "", "deterministic fault injection spec: site:kind:key[:delay][,...] (see internal/fault)")
 		partialOut = flag.String("partial", "", "write the replay's mergeable partial (internal/partial JSON) to FILE; -feeds mode only — merge shard partials with feedmerge")
@@ -106,17 +102,17 @@ func main() {
 	defer stop()
 
 	err := of.Run(func() error {
-		return run(ctx, *feedDir, *lenient, *users, *seed, *scen, *workers, *shards, *engShards, *days, !*noSig, *faultSpec, *partialOut, of.Registry())
+		return run(ctx, *feedDir, *lenient, *users, *seed, *scen, *workers, *shards, *days, !*noSig, *faultSpec, *partialOut, of.Registry())
 	})
 	cli.Exit("mnostream", err)
 }
 
-func run(ctx context.Context, feedDir string, lenient bool, users int, seed uint64, scenName string, workers, shards, engShards, days int, withSignaling bool, faultSpec, partialOut string, reg *obs.Registry) error {
+func run(ctx context.Context, feedDir string, lenient bool, users int, seed uint64, scenName string, workers, shards, days int, withSignaling bool, faultSpec, partialOut string, reg *obs.Registry) error {
 	fi, err := fault.ParseSpec(faultSpec)
 	if err != nil {
 		return cli.Usagef("%w", err)
 	}
-	scfg := stream.Config{Workers: workers, Shards: shards, EngineShards: engShards, Metrics: reg, Fault: fi}.WithDefaults()
+	scfg := stream.Config{Workers: workers, Shards: shards, Metrics: reg, Fault: fi}.WithDefaults()
 
 	cfg := experiments.DefaultConfig()
 	cfg.TargetUsers = users
@@ -125,9 +121,6 @@ func run(ctx context.Context, feedDir string, lenient bool, users int, seed uint
 		cfg.SkipKPI = true // KPI records come from the feed, if at all
 		if scenName != "" {
 			return cli.Usagef("-scenario only applies to inline mode; the feed in %s was generated under its own scenario", feedDir)
-		}
-		if engShards > 1 {
-			return cli.Usagef("-engineshards only applies to inline mode; the feed in %s carries prebuilt KPI records", feedDir)
 		}
 	} else if scenName != "" {
 		s, err := scenario.Load(scenName)

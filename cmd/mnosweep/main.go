@@ -18,18 +18,16 @@
 // "Copy-on-divergence sweeps".
 //
 // -parallel N executes up to N scenario runs concurrently
-// (experiments.RunSweepParallel): output is bit-identical to the serial
-// sweep, re-sequenced to the input order. A parallel sweep usually
-// wants -workers 1, since each concurrent run drives its own streaming
-// engine. -baseline NAME additionally prints a differential table —
-// every scenario's per-day KPI and mobility series against the named
-// run: absolute and percent mean deltas plus trough/peak day shifts.
+// (experiments.RunSweepParallel): output is bit-identical at every N,
+// re-sequenced to the input order. -workers and -shards size the
+// streaming engine of each run, and only -share-prefix=false sweeps (or
+// single-scenario ones) run that engine: under the default -share-prefix
+// every run executes the fork-tree executor's serial day loop, so both
+// flags have no effect there.
 //
-// -engineshards E parallelizes the KPI engine *within* each simulated
-// day (traffic.Engine.DayAppendSharded), the right axis when sweeping
-// few scenarios on many cores. Sharded KPI values are deterministic in
-// E but differ from the serial engine in float association (≤1e-9
-// relative per value); mobility columns are unaffected.
+// -baseline NAME additionally prints a differential table — every
+// scenario's per-day KPI and mobility series against the named run:
+// absolute and percent mean deltas plus trough/peak day shifts.
 //
 // Reliability (see RELIABILITY.md): scenario runs fail independently —
 // a poisoned run is reported and the table is printed for the rest
@@ -51,7 +49,7 @@
 // Usage:
 //
 //	mnosweep [-list] [-scenarios NAMES|all] [-users N] [-seed S] [-nokpi]
-//	         [-workers W] [-shards K] [-engineshards E] [-parallel P]
+//	         [-workers W] [-shards K] [-parallel P]
 //	         [-share-prefix=BOOL]
 //	         [-baseline NAME] [-journal FILE] [-resume] [-fault SPEC]
 //	         [-metrics ADDR] [-metrics-out FILE]
@@ -83,9 +81,8 @@ func main() {
 		users       = flag.Int("users", 4000, "synthetic native smartphone users")
 		seed        = flag.Uint64("seed", 42, "master random seed (shared by every scenario: paired draws)")
 		noKPI       = flag.Bool("nokpi", false, "skip the traffic engine (mobility headlines only, ~3× faster)")
-		workers     = flag.Int("workers", 0, "worker goroutines per run (0: GOMAXPROCS)")
-		shards      = flag.Int("shards", 0, "logical shards (0: default)")
-		engShards   = flag.Int("engineshards", 0, "intra-day KPI accumulation shards (<=1: serial engine; sharded KPI values differ from serial only in float association, <=1e-9 relative)")
+		workers     = flag.Int("workers", 0, "worker goroutines per run (0: GOMAXPROCS); no effect under -share-prefix, whose runs use a serial day loop")
+		shards      = flag.Int("shards", 0, "logical shards per run (0: default); no effect under -share-prefix, whose runs use a serial day loop")
 		parallel    = flag.Int("parallel", 1, "concurrent scenario runs (1: serial; output is identical either way)")
 		sharePrefix = flag.Bool("share-prefix", true, "simulate shared scenario prefixes once and fork at the divergence day (bit-identical output; =false re-simulates every scenario from day 0)")
 		baseline    = flag.String("baseline", "", "scenario name to difference every other run against (prints the delta table)")
@@ -105,7 +102,7 @@ func main() {
 	defer stop()
 
 	err := of.Run(func() error {
-		return run(ctx, *names, *users, *seed, *noKPI, *workers, *shards, *engShards, *parallel, *sharePrefix, *baseline, *journalPath, *resume, *faultSpec, of.Registry())
+		return run(ctx, *names, *users, *seed, *noKPI, *workers, *shards, *parallel, *sharePrefix, *baseline, *journalPath, *resume, *faultSpec, of.Registry())
 	})
 	cli.Exit("mnosweep", err)
 }
@@ -152,7 +149,7 @@ func resolve(names string) ([]experiments.SweepScenario, error) {
 	return out, nil
 }
 
-func run(ctx context.Context, names string, users int, seed uint64, noKPI bool, workers, shards, engShards, parallel int, sharePrefix bool, baseline, journalPath string, resume bool, faultSpec string, reg *obs.Registry) error {
+func run(ctx context.Context, names string, users int, seed uint64, noKPI bool, workers, shards, parallel int, sharePrefix bool, baseline, journalPath string, resume bool, faultSpec string, reg *obs.Registry) error {
 	scens, err := resolve(names)
 	if err != nil {
 		return err
@@ -188,7 +185,7 @@ func run(ctx context.Context, names string, users int, seed uint64, noKPI bool, 
 	cfg.TargetUsers = users
 	cfg.Seed = seed
 	cfg.SkipKPI = noKPI
-	scfg := stream.Config{Workers: workers, Shards: shards, EngineShards: engShards, Metrics: reg, Fault: fi}
+	scfg := stream.Config{Workers: workers, Shards: shards, Metrics: reg, Fault: fi}
 
 	// Journal bookkeeping: open (or resume) before any work, so a crash
 	// at any later point leaves a loadable file behind.

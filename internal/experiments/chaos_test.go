@@ -221,8 +221,8 @@ func TestSweepIsolatesPoisonedRun(t *testing.T) {
 	assertNoBufferAbuse(t, dr)
 }
 
-// TestSweepSerialPathIsolatesPoisonedRun pins the same isolation on the
-// parallel<=1 path.
+// TestSweepSerialPathIsolatesPoisonedRun pins the same isolation at
+// parallel 1, where one worker runs every scenario in turn.
 func TestSweepSerialPathIsolatesPoisonedRun(t *testing.T) {
 	cfg := sweepConfig()
 	scens := sweepScenarios(t, scenario.DefaultCovid, scenario.NoPandemic)

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/obs"
@@ -60,38 +62,55 @@ func TestStreamingInstrumentedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSweepParallelInstrumented pins the sweep-level metrics: every
-// scenario run is counted, timed and queue-stamped exactly once, and the
+// TestSweepParallelInstrumented pins the sweep-level metrics at every
+// worker count, with and without shared prefixes: every scenario run is
+// counted once, every day loop is timed and queue-stamped once, and the
 // world-builds gauge records the shared-dataset guarantee (builds do not
-// scale with runs).
+// scale with runs). A rider shares its host's day loop, so the shared
+// sweep below times two loops for its three runs (voice-surge rides
+// default-covid).
 func TestSweepParallelInstrumented(t *testing.T) {
 	cfg := streamingTestConfig()
 	cfg.SkipKPI = true
 	scens := sweepScenarios(t, scenario.DefaultCovid, scenario.NoPandemic, scenario.VoiceSurge)
 	w := NewWorld(cfg)
 
-	reg := obs.New()
-	before := WorldBuildCount()
-	runs := mustSweepParallel(t, w, cfg, stream.Config{Workers: 1, Metrics: reg}, scens, 2)
-	if len(runs) != len(scens) {
-		t.Fatalf("got %d runs, want %d", len(runs), len(scens))
-	}
+	for _, tc := range []struct {
+		parallel int
+		shared   bool
+		loops    int64
+	}{
+		{1, false, 3}, {2, false, 3},
+		{1, true, 2}, {2, true, 2},
+	} {
+		t.Run(fmt.Sprintf("parallel=%d/shared=%v", tc.parallel, tc.shared), func(t *testing.T) {
+			reg := obs.New()
+			before := WorldBuildCount()
+			runs, err := RunSweepParallelOpts(context.Background(), w, cfg, stream.Config{Workers: 1, Metrics: reg}, scens,
+				SweepOptions{Parallel: tc.parallel, SharePrefix: tc.shared})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(runs) != len(scens) {
+				t.Fatalf("got %d runs, want %d", len(runs), len(scens))
+			}
 
-	s := reg.Snapshot()
-	n := int64(len(scens))
-	if got := s.Counters["sweep.runs"]; got != n {
-		t.Errorf("sweep.runs = %d, want %d", got, n)
-	}
-	if got := s.Histograms["sweep.run_ns"].Count; got != n {
-		t.Errorf("sweep.run_ns count = %d, want %d", got, n)
-	}
-	if got := s.Histograms["sweep.queue_wait_ns"].Count; got != n {
-		t.Errorf("sweep.queue_wait_ns count = %d, want %d", got, n)
-	}
-	if got := s.Gauges["sweep.world_builds"]; got != WorldBuildCount() {
-		t.Errorf("sweep.world_builds = %d, want %d (current WorldBuildCount)", got, WorldBuildCount())
-	}
-	if extra := WorldBuildCount() - before; extra != 0 {
-		t.Errorf("instrumented sweep built %d extra worlds, want 0", extra)
+			s := reg.Snapshot()
+			if got, want := s.Counters["sweep.runs"], int64(len(scens)); got != want {
+				t.Errorf("sweep.runs = %d, want %d", got, want)
+			}
+			if got := s.Histograms["sweep.run_ns"].Count; got != tc.loops {
+				t.Errorf("sweep.run_ns count = %d, want %d (one per day loop)", got, tc.loops)
+			}
+			if got := s.Histograms["sweep.queue_wait_ns"].Count; got != tc.loops {
+				t.Errorf("sweep.queue_wait_ns count = %d, want %d (one per day loop)", got, tc.loops)
+			}
+			if got, ok := s.Gauges["sweep.world_builds"]; !ok || got != WorldBuildCount() {
+				t.Errorf("sweep.world_builds = %d (present %v), want %d (current WorldBuildCount)", got, ok, WorldBuildCount())
+			}
+			if extra := WorldBuildCount() - before; extra != 0 {
+				t.Errorf("instrumented sweep built %d extra worlds, want 0", extra)
+			}
+		})
 	}
 }

@@ -323,11 +323,7 @@ func runPrefixScenario(ctx context.Context, w *World, cfg Config, scfg stream.Co
 		r.Mobility.ConsumeDay(day, traces)
 		r.Matrix.ConsumeDay(day, traces)
 		if d.Engine != nil {
-			if scfg.EngineShards > 1 {
-				cells = d.Engine.DayAppendSharded(cells[:0], day, traces, scfg.EngineShards)
-			} else {
-				cells = d.Engine.DayAppend(cells[:0], day, traces)
-			}
+			cells = d.Engine.DayAppend(cells[:0], day, traces)
 			r.KPI.ConsumeDay(day, cells)
 		}
 		for k := range rs {
@@ -335,11 +331,7 @@ func runPrefixScenario(ctx context.Context, w *World, cfg Config, scfg stream.Co
 			if !rd.attached || rd.err != nil || rd.d.Engine == nil {
 				continue
 			}
-			if scfg.EngineShards > 1 {
-				rd.cells = rd.d.Engine.DayAppendSharded(rd.cells[:0], day, traces, scfg.EngineShards)
-			} else {
-				rd.cells = rd.d.Engine.DayAppend(rd.cells[:0], day, traces)
-			}
+			rd.cells = rd.d.Engine.DayAppend(rd.cells[:0], day, traces)
 			rd.r.KPI.ConsumeDay(day, rd.cells)
 		}
 	}
@@ -448,29 +440,21 @@ func (s *ckStore) take(i int) *Checkpoint {
 // the unshared path (asserted by TestSharedPrefixSweepMatchesUnshared
 // under -race).
 //
-// With opt.Parallel > 1 the fork tree is executed by a worker pool over
-// a ready queue: a scenario becomes ready when its parent run has
-// completed (roots are ready immediately). Scheduling order cannot
+// The fork tree is executed by a pool of parallel workers over a ready
+// queue: a scenario becomes ready when its parent run has completed
+// (roots are ready immediately). Scheduling order cannot
 // influence results — every run is deterministic in (world, scenario,
 // start checkpoint) and checkpoints are deterministic in (world,
 // parent scenario, day) — so the output is bit-identical at any worker
 // count. A failed or cancelled parent yields no checkpoints; its
 // children fall back to standalone day-0 runs, preserving the per-run
 // failure isolation of RunSweep.
-func runSweepShared(ctx context.Context, w *World, cfg Config, scfg stream.Config, scens []SweepScenario, opt SweepOptions, notify func(int, SweepRun)) ([]SweepRun, error) {
+func runSweepShared(ctx context.Context, w *World, cfg Config, scfg stream.Config, scens []SweepScenario, parallel int, notify func(int, SweepRun)) ([]SweepRun, error) {
 	scfg = scfg.WithDefaults()
 	homes := w.Homes()
 	plan := planPrefix(scens)
 	store := newCkStore(&plan)
 	out := make([]SweepRun, len(scens))
-
-	parallel := opt.Parallel
-	if parallel > len(scens) {
-		parallel = len(scens)
-	}
-	if parallel < 1 {
-		parallel = 1
-	}
 	m := newSweepMetrics(scfg.Metrics, parallel)
 
 	pool := &enginePool{}
@@ -540,19 +524,10 @@ func runSweepShared(ctx context.Context, w *World, cfg Config, scfg stream.Confi
 		return done
 	}
 
-	if parallel <= 1 || len(scens) <= 1 {
-		for i := range scens {
-			if plan.rider[i] {
-				continue // settled inside its host's run
-			}
-			execute(i)
-		}
-		return out, sweepErr(out)
-	}
-
-	// Parallel: ready queue over the fork tree. The channel holds every
-	// index at most once (each has one parent), so len(scens) capacity
-	// never blocks a producer; the final completion closes it.
+	// Ready queue over the fork tree. The channel holds every index at
+	// most once (each has one parent), so len(scens) capacity never
+	// blocks a producer; the final completion closes it. Riders are
+	// settled inside their host's run and never queued.
 	ready := make(chan int, len(scens))
 	for i := range scens {
 		if !plan.rider[i] && (plan.parent[i] < 0 || plan.forkDay[i] <= 0) {

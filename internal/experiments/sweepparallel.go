@@ -117,8 +117,8 @@ func (ws *sweepWorker) instantiate(w *World, cfg Config) *Dataset {
 
 // SweepOptions tunes RunSweepParallelOpts beyond the worker count.
 type SweepOptions struct {
-	// Parallel is the worker count; <= 1 runs the serial path (with the
-	// same per-run isolation and OnRun hook).
+	// Parallel is the worker count, clamped to [1, len(scens)]. Every
+	// count runs the same worker-pool loop.
 	Parallel int
 	// OnRun, when non-nil, observes every finished run — including
 	// failed ones — as soon as its slot completes, before the sweep
@@ -170,11 +170,10 @@ type SweepOptions struct {
 // way; callers that want to replay KPI generation for one run should
 // Instantiate a fresh stack for that scenario.
 //
-// parallel <= 1 (or a single scenario) degrades to the serial runner.
-// Note the total goroutine budget multiplies: each of the parallel
-// scenario runs drives its own streaming engine with scfg.Workers
-// workers, so sweeps that set parallel > 1 usually want scfg.Workers =
-// 1 (see PERFORMANCE.md, "Parallel sweeps").
+// parallel < 1 counts as 1. Note the total goroutine budget multiplies:
+// each of the parallel scenario runs drives its own streaming engine
+// with scfg.Workers workers, so sweeps that set parallel > 1 usually
+// want scfg.Workers = 1 (see PERFORMANCE.md, "Parallel sweeps").
 func RunSweepParallel(ctx context.Context, w *World, cfg Config, scfg stream.Config, scens []SweepScenario, parallel int) ([]SweepRun, error) {
 	return RunSweepParallelOpts(ctx, w, cfg, scfg, scens, SweepOptions{Parallel: parallel})
 }
@@ -182,10 +181,12 @@ func RunSweepParallel(ctx context.Context, w *World, cfg Config, scfg stream.Con
 // RunSweepParallelOpts is RunSweepParallel with the full option set
 // (per-run completion hook for journaling).
 func RunSweepParallelOpts(ctx context.Context, w *World, cfg Config, scfg stream.Config, scens []SweepScenario, opt SweepOptions) ([]SweepRun, error) {
-	parallel := opt.Parallel
-	if parallel > len(scens) {
-		parallel = len(scens)
+	if len(scens) == 0 {
+		// Nothing to run. runSweepShared's ready queue closes on the last
+		// completion, so it must never see an empty list.
+		return nil, nil
 	}
+	parallel := min(max(opt.Parallel, 1), len(scens))
 
 	var onRunMu sync.Mutex
 	notify := func(i int, run SweepRun) {
@@ -198,26 +199,7 @@ func RunSweepParallelOpts(ctx context.Context, w *World, cfg Config, scfg stream
 	}
 
 	if opt.SharePrefix && len(scens) > 1 {
-		return runSweepShared(ctx, w, cfg, scfg, scens, opt, notify)
-	}
-
-	if parallel <= 1 || len(scens) <= 1 {
-		homes := w.Homes()
-		out := make([]SweepRun, len(scens))
-		var ws *sweepWorker
-		for i, sc := range scens {
-			if ws == nil {
-				ws = newSweepWorker(scfg)
-			}
-			out[i] = runScenario(ctx, w, cfg, scfg, sc, i, homes, ws)
-			if out[i].Err != nil {
-				ws = nil // reused state may be poisoned; rebuild
-			} else if out[i].Results != nil {
-				out[i].Results.Dataset.Engine = nil
-			}
-			notify(i, out[i])
-		}
-		return out, sweepErr(out)
+		return runSweepShared(ctx, w, cfg, scfg, scens, parallel, notify)
 	}
 
 	// The February pass is world-cached and scenario-invariant; force it

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -90,8 +91,9 @@ func TestParallelSweepMatchesSerialKPI(t *testing.T) {
 	}
 }
 
-// TestParallelSweepDegradesToSerial pins the fallback contract:
-// parallel <= 1 and single-scenario sweeps take the serial path.
+// TestParallelSweepDegradesToSerial pins the clamping contract: a
+// worker count above the scenario count runs a single-scenario sweep on
+// one worker.
 func TestParallelSweepDegradesToSerial(t *testing.T) {
 	cfg := sweepConfig()
 	scens := sweepScenarios(t, scenario.DefaultCovid)
@@ -102,5 +104,17 @@ func TestParallelSweepDegradesToSerial(t *testing.T) {
 	}
 	if len(runs[0].Headlines) == 0 {
 		t.Fatal("degraded run has no headlines")
+	}
+}
+
+// TestParallelSweepEmpty pins the empty-sweep contract: no scenarios, no
+// runs, no error, at any worker count and sharing mode.
+func TestParallelSweepEmpty(t *testing.T) {
+	for _, shared := range []bool{false, true} {
+		runs, err := RunSweepParallelOpts(context.Background(), nil, Config{}, stream.Config{}, nil,
+			SweepOptions{Parallel: 2, SharePrefix: shared})
+		if err != nil || len(runs) != 0 {
+			t.Fatalf("shared=%v: got %d runs, err %v; want none", shared, len(runs), err)
+		}
 	}
 }

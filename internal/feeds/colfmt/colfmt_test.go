@@ -329,7 +329,7 @@ func TestCorruptBlockLenient(t *testing.T) {
 			b[offs[0]+blockHeaderSize+plen-1] |= 0x80
 			recrc(b, offs[0])
 		}},
-		{"header bit flip", func(b []byte) { b[offs[0]+4] ^= 0x01 }},          // caught by CRC, skip to next block
+		{"header bit flip", func(b []byte) { b[offs[0]+4] ^= 0x01 }},               // caught by CRC, skip to next block
 		{"header count blown up resync", func(b []byte) { b[offs[0]+11] ^= 0x40 }}, // bounds reject; resync via payload length
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -2,9 +2,9 @@
 // counters and gauges, a fixed-bucket log2 latency histogram with
 // per-worker shards merged on read (mergeable, like stream.QSketch), a
 // named Registry, and a Span helper for stage timing. It exists so the
-// three parallelism axes of the pipeline — stream workers, sweep runs,
-// engine shards — can be *seen* at runtime instead of inferred from
-// end-of-run wall clock.
+// two parallelism axes of the pipeline — stream workers and sweep runs —
+// can be *seen* at runtime instead of inferred from end-of-run wall
+// clock.
 //
 // Design rules, in the repo's idiom:
 //

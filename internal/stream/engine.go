@@ -35,17 +35,6 @@ type Config struct {
 	// Buffer is the number of extra day batches a source may compute
 	// ahead of consumption (backpressure window). <= 0 means 2.
 	Buffer int
-	// EngineShards, when > 1, makes KPI day production run
-	// traffic.Engine.DayAppendSharded with this shard count: the visit
-	// accumulation of each day is partitioned across EngineShards
-	// accumulator tiles and merged deterministically, so a
-	// single-scenario run scales within a day, not just across days.
-	// The records are a pure function of (stack, day, EngineShards) —
-	// invariant to Workers — but differ from the serial engine in
-	// floating-point association (≤1e-9 relative per KPI; see
-	// traffic.Engine.DayAppendSharded). <= 1 keeps the bit-identical
-	// serial DayAppend.
-	EngineShards int
 	// Metrics, when non-nil, instruments everything built from this
 	// config — the engine's stage timings and per-shard record counts,
 	// the source's worker busy/idle and re-sequencing stalls, the buffer

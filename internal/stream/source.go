@@ -229,7 +229,7 @@ func (s *SimSource) failure() error {
 // produceDay computes one day into a pooled store. Panics are recovered
 // into a *WorkerPanic and the store is recycled on every failure path,
 // so a poisoned day can neither crash the process nor leak its buffer.
-func (s *SimSource) produceDay(sim *mobsim.Simulator, eng *traffic.Engine, day timegrid.SimDay, cfg Config) (b DayBatch, err error) {
+func (s *SimSource) produceDay(sim *mobsim.Simulator, eng *traffic.Engine, day timegrid.SimDay) (b DayBatch, err error) {
 	res := s.pool.get()
 	defer func() {
 		if v := recover(); v != nil {
@@ -245,11 +245,7 @@ func (s *SimSource) produceDay(sim *mobsim.Simulator, eng *traffic.Engine, day t
 	}
 	b = DayBatch{Day: day, Traces: sim.DayInto(res.buf, day), Owner: res, Gen: res.curGen()}
 	if eng != nil {
-		if cfg.EngineShards > 1 {
-			res.cells = eng.DayAppendSharded(res.cells[:0], day, b.Traces, cfg.EngineShards)
-		} else {
-			res.cells = eng.DayAppend(res.cells[:0], day, b.Traces)
-		}
+		res.cells = eng.DayAppend(res.cells[:0], day, b.Traces)
 		b.Cells = res.cells
 	}
 	return b, nil
@@ -318,7 +314,7 @@ func (s *SimSource) run(ctx context.Context, sim *mobsim.Simulator, eng *traffic
 					t1 = time.Now()
 					m.idle.Add(int64(t1.Sub(t0)))
 				}
-				b, err := s.produceDay(sim, eng, day, cfg)
+				b, err := s.produceDay(sim, eng, day)
 				if err != nil {
 					s.fail(err)
 					return

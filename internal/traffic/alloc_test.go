@@ -37,36 +37,6 @@ func TestDayAppendSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestDayAppendShardedSteadyStateAllocs pins the sharded path to the
-// same zero-allocation guarantee: once the per-shard tiles, the wait
-// group and the process-wide worker pool exist (first call), a sharded
-// day performs no heap allocation — tasks travel to the persistent
-// workers as channel sends of value structs, never as spawned closures.
-func TestDayAppendShardedSteadyStateAllocs(t *testing.T) {
-	_, sim, _ := fixture(t)
-	eng := fixEng.Clone() // private tiles; the shared fixture engine stays serial-only
-	days := []timegrid.SimDay{
-		timegrid.SimDay(timegrid.StudyDayOffset + 3),
-		timegrid.SimDay(timegrid.StudyDayOffset + 30),
-	}
-	traces := make([][]mobsim.DayTrace, len(days))
-	for i, day := range days {
-		traces[i] = sim.Day(day)
-	}
-	var cells []CellDay
-	for i, day := range days {
-		cells = eng.DayAppendSharded(cells[:0], day, traces[i], 2) // warm
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(6, func() {
-		cells = eng.DayAppendSharded(cells[:0], days[i%len(days)], traces[i%len(days)], 2)
-		i++
-	})
-	if allocs > 0 {
-		t.Errorf("DayAppendSharded allocates %.1f times per day in steady state, want 0", allocs)
-	}
-}
-
 // TestDayAppendMatchesDay asserts the scratch-reusing path is
 // bit-identical to the allocating wrapper.
 func TestDayAppendMatchesDay(t *testing.T) {

@@ -1,10 +1,8 @@
 package traffic
 
 import (
-	"fmt"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/census"
 	"repro/internal/mobsim"
@@ -51,11 +49,6 @@ type accTile struct {
 	stamp   []uint64
 	epoch   uint64
 	touched []int32
-
-	// tab is the per-user hour-factor scratch of whoever accumulates
-	// into this tile; it lives here so every shard worker hoists into
-	// private storage.
-	tab hourTables
 }
 
 // hourTables holds the per-user-day invariant products hoisted out of
@@ -141,19 +134,10 @@ type Engine struct {
 	// fixed broadband is weaker and WiFi offload correspondingly so.
 	towerRural []bool
 
-	// tile is the canonical accumulator grid: the serial path
-	// accumulates straight into it, the sharded path merges its
-	// per-shard tiles into it in shard-index order.
+	// tile is the accumulator grid the day's demand folds into.
 	tile accTile
-	// dayF holds the day prologue for the duration of one Day*, on the
-	// engine so the sharded dispatch can hand workers a stable pointer
-	// without a per-day heap escape.
-	dayF dayFactors
-
-	// sharded-path scratch, allocated on first DayAppendSharded: one
-	// accumulator tile per shard plus the dispatch wait group.
-	tiles   []accTile
-	shardWG *sync.WaitGroup
+	// tab is the per-user hour-factor scratch of the accumulation.
+	tab hourTables
 
 	// hv stages the ≤24 hourly values of each metric while one cell's
 	// records are reduced to their daily medians (hvN counts the staged
@@ -179,18 +163,11 @@ type Engine struct {
 }
 
 // engineObs bundles the engine's metric handles, resolved once by
-// Instrument so the day loop never touches the registry. Per-shard visit
-// counters are created lazily under the mutex the first time a shard
-// index appears (shard counts are a call-site choice, not known at
-// instrument time); steady-state lookups only lock and index.
+// Instrument so the day loop never touches the registry.
 type engineObs struct {
-	reg     *obs.Registry
-	dayNs   *obs.Histogram // traffic.day_ns: whole DayAppend[Sharded] latency
-	mergeNs *obs.Histogram // traffic.shard_merge_ns: sharded-path tile merge
-	visits  *obs.Counter   // traffic.visits: visit records accumulated
-
-	mu          sync.Mutex
-	shardVisits []*obs.Counter // traffic.shard.NN.visits
+	reg    *obs.Registry
+	dayNs  *obs.Histogram // traffic.day_ns: whole DayAppend latency
+	visits *obs.Counter   // traffic.visits: visit records accumulated
 }
 
 func (o *engineObs) day() *obs.Histogram {
@@ -200,36 +177,11 @@ func (o *engineObs) day() *obs.Histogram {
 	return o.dayNs
 }
 
-func (o *engineObs) merge() *obs.Histogram {
-	if o == nil {
-		return nil
-	}
-	return o.mergeNs
-}
-
 func (o *engineObs) total() *obs.Counter {
 	if o == nil {
 		return nil
 	}
 	return o.visits
-}
-
-// shardCounter returns the visit counter of shard s, creating the
-// counters up through s on first sight (the only allocating path; after
-// that the lookup is a lock and an index, so the sharded day stays
-// allocation-free at steady state).
-func (o *engineObs) shardCounter(s int) *obs.Counter {
-	if o == nil {
-		return nil
-	}
-	o.mu.Lock()
-	for len(o.shardVisits) <= s {
-		o.shardVisits = append(o.shardVisits,
-			o.reg.Counter(fmt.Sprintf("traffic.shard.%02d.visits", len(o.shardVisits))))
-	}
-	c := o.shardVisits[s]
-	o.mu.Unlock()
-	return c
 }
 
 // Instrument resolves the engine's metric handles from r and returns the
@@ -245,10 +197,9 @@ func (e *Engine) Instrument(r *obs.Registry) *Engine {
 		return e
 	}
 	e.obs = &engineObs{
-		reg:     r,
-		dayNs:   r.Histogram("traffic.day_ns", 1),
-		mergeNs: r.Histogram("traffic.shard_merge_ns", 1),
-		visits:  r.Counter("traffic.visits"),
+		reg:    r,
+		dayNs:  r.Histogram("traffic.day_ns", 1),
+		visits: r.Counter("traffic.visits"),
 	}
 	return e
 }
@@ -287,8 +238,6 @@ func (e *Engine) Params() Params { return e.params }
 func (e *Engine) Clone() *Engine {
 	c := *e
 	c.tile = newAccTile(len(e.tile.acc))
-	c.tiles = nil
-	c.shardWG = nil
 	c.weights = nil
 	c.hvN = [NumMetrics]int{}
 	return &c
@@ -344,16 +293,15 @@ func (e *Engine) Day(day timegrid.SimDay, traces []mobsim.DayTrace) []CellDay {
 // Day's.
 func (e *Engine) DayAppend(dst []CellDay, day timegrid.SimDay, traces []mobsim.DayTrace) []CellDay {
 	sp := obs.Start(e.obs.day())
-	e.dayF = e.dayFactorsFor(day)
-	e.tile.beginDay()
-	nv := e.accumulateRange(&e.tile, day, &e.dayF, traces, 0, len(traces))
-	dst = e.reduceAppend(dst, day, &e.dayF)
+	f := e.dayFactorsFor(day)
+	nv := e.accumulate(day, &f, traces)
+	dst = e.reduceAppend(dst, day, &f)
 	e.obs.total().Add(int64(nv))
 	sp.End()
 	return dst
 }
 
-// reduceAppend runs the reduction over the canonical tile, staging each
+// reduceAppend runs the reduction over the accumulated tile, staging each
 // cell's 24 hourly values and appending its daily-median record to dst.
 func (e *Engine) reduceAppend(dst []CellDay, day timegrid.SimDay, f *dayFactors) []CellDay {
 	var cur radio.CellID = -1
@@ -393,13 +341,12 @@ func (e *Engine) DayHourly(day timegrid.SimDay, traces []mobsim.DayTrace, emit f
 	e.forEachCellHour(day, traces, emit)
 }
 
-// forEachCellHour is the serial engine core: the day prologue, demand
-// accumulation into the canonical tile, and the per-cell-hour reduction.
+// forEachCellHour is the engine core: the day prologue, demand
+// accumulation into the tile, and the per-cell-hour reduction.
 func (e *Engine) forEachCellHour(day timegrid.SimDay, traces []mobsim.DayTrace, emit func(*CellHour)) {
-	e.dayF = e.dayFactorsFor(day)
-	e.tile.beginDay()
-	e.accumulateRange(&e.tile, day, &e.dayF, traces, 0, len(traces))
-	e.reduce(day, &e.dayF, emit)
+	f := e.dayFactorsFor(day)
+	e.accumulate(day, &f, traces)
+	e.reduce(day, &f, emit)
 }
 
 // dayFactorsFor resolves the scenario once for the whole day.
@@ -422,17 +369,17 @@ func (e *Engine) dayFactorsFor(day timegrid.SimDay) dayFactors {
 	return f
 }
 
-// accumulateRange folds traces[lo:hi] into the tile: the data-oriented
-// demand accumulation. The per-day factor structs and the per-user hour
-// tables are hoisted out of the visit loop (preserving the original
-// left-to-right float association, so records stay bit-identical), which
-// collapses the per-visit-hour body to five fused multiply-adds on table
-// lookups. It touches only the tile and read-only engine state, so
-// disjoint ranges may run concurrently on distinct tiles. Returns the
-// number of visit records folded, which the instrumented paths feed to
-// the visit counters.
-func (e *Engine) accumulateRange(t *accTile, day timegrid.SimDay, f *dayFactors, traces []mobsim.DayTrace, lo, hi int) int {
+// accumulate opens a new tile epoch and folds the day's traces into it:
+// the data-oriented demand accumulation. The per-day factor structs and
+// the per-user hour tables are hoisted out of the visit loop (preserving
+// the original left-to-right float association, so records stay
+// bit-identical), which collapses the per-visit-hour body to five fused
+// multiply-adds on table lookups. Returns the number of visit records
+// folded, which the instrumented path feeds to the visit counter.
+func (e *Engine) accumulate(day timegrid.SimDay, f *dayFactors, traces []mobsim.DayTrace) int {
 	p := &e.params
+	t := &e.tile
+	t.beginDay()
 
 	// The three visit classes, computed once per day: non-residence,
 	// urban residence, rural residence. Urban homes offload to WiFi per
@@ -450,9 +397,9 @@ func (e *Engine) accumulateRange(t *accTile, day timegrid.SimDay, f *dayFactors,
 		{offEng: ruralOffload, offDem: ruralOffload * (1 + (f.homeBoost-1)*0.3), ulBoost: f.confBoost},
 	}
 
-	tab := &t.tab
+	tab := &e.tab
 	visits := 0
-	for i := lo; i < hi; i++ {
+	for i := range traces {
 		tr := &traces[i]
 		visits += len(tr.Visits)
 		usrc := rng.Stream2(e.seed, uint64(tr.User), uint64(day))
@@ -496,7 +443,7 @@ func (e *Engine) accumulateRange(t *accTile, day timegrid.SimDay, f *dayFactors,
 	return visits
 }
 
-// reduce turns the canonical tile into per-cell-hour KPI records:
+// reduce turns the accumulated tile into per-cell-hour KPI records:
 // interconnect congestion from the national voice total, then the
 // per-cell computation, emitting cells in tower order, hours ascending.
 func (e *Engine) reduce(day timegrid.SimDay, f *dayFactors, emit func(*CellHour)) {

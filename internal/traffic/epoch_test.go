@@ -80,12 +80,10 @@ func TestEpochResetNoStaleLeak(t *testing.T) {
 // consecutive days, each visiting a random sparse subset of towers, with
 // every day's warm-engine output compared against a fresh engine that
 // only ever runs that day. Covers partial overlap (some towers persist,
-// some vanish, some appear) across both the serial and the sharded
-// accumulation paths.
+// some vanish, some appear).
 func TestEpochResetNoStaleLeakProperty(t *testing.T) {
 	pop, _, _ := fixture(t)
-	warmSerial := NewEngine(pop, fixEng.scen, DefaultParams(), 1)
-	warmSharded := NewEngine(pop, fixEng.scen, DefaultParams(), 1)
+	warm := NewEngine(pop, fixEng.scen, DefaultParams(), 1)
 	nTowers := len(pop.Topology().Towers)
 	src := rng.New(1234)
 
@@ -98,24 +96,14 @@ func TestEpochResetNoStaleLeakProperty(t *testing.T) {
 
 		fresh := NewEngine(pop, fixEng.scen, DefaultParams(), 1)
 		want := fresh.Day(day, traces)
-		got := warmSerial.Day(day, traces)
+		got := warm.Day(day, traces)
 		if len(got) != len(want) {
 			t.Fatalf("day %d: %d vs %d cells", day, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("day %d cell %d: warm %+v vs fresh %+v (serial stale leak)",
+				t.Fatalf("day %d cell %d: warm %+v vs fresh %+v (stale leak)",
 					day, got[i].Cell, got[i], want[i])
-			}
-		}
-
-		freshSharded := NewEngine(pop, fixEng.scen, DefaultParams(), 1)
-		wantSh := freshSharded.DayAppendSharded(nil, day, traces, 3)
-		gotSh := warmSharded.DayAppendSharded(nil, day, traces, 3)
-		for i := range gotSh {
-			if gotSh[i] != wantSh[i] {
-				t.Fatalf("day %d cell %d: warm %+v vs fresh %+v (sharded stale leak)",
-					day, gotSh[i].Cell, gotSh[i], wantSh[i])
 			}
 		}
 	}

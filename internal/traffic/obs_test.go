@@ -37,39 +37,10 @@ func TestDayAppendInstrumentedSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestDayAppendShardedInstrumentedSteadyStateAllocs is the same pin for
-// the sharded path: per-shard visit counters are created on the first
-// sharded day (the only allocating moment); after that, task dispatch
-// and counter updates stay allocation-free.
-func TestDayAppendShardedInstrumentedSteadyStateAllocs(t *testing.T) {
-	_, sim, _ := fixture(t)
-	eng := fixEng.Clone().Instrument(obs.New())
-	days := []timegrid.SimDay{
-		timegrid.SimDay(timegrid.StudyDayOffset + 3),
-		timegrid.SimDay(timegrid.StudyDayOffset + 30),
-	}
-	traces := make([][]mobsim.DayTrace, len(days))
-	for i, day := range days {
-		traces[i] = sim.Day(day)
-	}
-	var cells []CellDay
-	for i, day := range days {
-		cells = eng.DayAppendSharded(cells[:0], day, traces[i], 2) // warm
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(6, func() {
-		cells = eng.DayAppendSharded(cells[:0], days[i%len(days)], traces[i%len(days)], 2)
-		i++
-	})
-	if allocs > 0 {
-		t.Errorf("instrumented DayAppendSharded allocates %.1f times per day in steady state, want 0", allocs)
-	}
-}
-
 // TestInstrumentedMatchesUninstrumented pins "instrumentation observes,
 // never perturbs": records from an instrumented engine are bit-identical
 // to the plain engine's, and the metrics it produced account for every
-// visit exactly once (total and per-shard tallies agree).
+// visit exactly once.
 func TestInstrumentedMatchesUninstrumented(t *testing.T) {
 	_, sim, eng := fixture(t)
 	day := timegrid.SimDay(timegrid.StudyDayOffset + 11)
@@ -98,28 +69,5 @@ func TestInstrumentedMatchesUninstrumented(t *testing.T) {
 	}
 	if h := s.Histograms["traffic.day_ns"]; h.Count != 1 || h.SumNs <= 0 {
 		t.Fatalf("traffic.day_ns = %+v, want one positive observation", h)
-	}
-
-	// Sharded run on a second instrumented clone: same records (modulo
-	// the documented float association bound — here just compare the
-	// metric bookkeeping), per-shard counters summing to the total.
-	reg2 := obs.New()
-	shd := fixEng.Clone().Instrument(reg2)
-	_ = shd.DayAppendSharded(nil, day, traces, 3)
-	s2 := reg2.Snapshot()
-	var perShard int64
-	for i, name := range []string{"traffic.shard.00.visits", "traffic.shard.01.visits", "traffic.shard.02.visits"} {
-		v, ok := s2.Counters[name]
-		if !ok {
-			t.Fatalf("shard counter %d (%s) missing: %v", i, name, s2.Counters)
-		}
-		perShard += v
-	}
-	if perShard != visits || s2.Counters["traffic.visits"] != visits {
-		t.Fatalf("sharded visit accounting: per-shard sum %d, total %d, want %d",
-			perShard, s2.Counters["traffic.visits"], visits)
-	}
-	if h := s2.Histograms["traffic.shard_merge_ns"]; h.Count != 1 {
-		t.Fatalf("traffic.shard_merge_ns = %+v, want one observation", h)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/pandemic"
 	"repro/internal/popsim"
 	"repro/internal/radio"
+	"repro/internal/rng"
 	"repro/internal/timegrid"
 )
 
@@ -268,6 +269,33 @@ func TestMedianInPlace(t *testing.T) {
 	}
 	if got := medianInPlace([]float64{4, 1, 2, 3}); got != 2.5 {
 		t.Errorf("even median = %v", got)
+	}
+}
+
+// TestMedian24MatchesReference drives the order-statistic select against
+// the sorting reference over randomized inputs, including heavy ties,
+// for every staging length the reduction can produce.
+func TestMedian24MatchesReference(t *testing.T) {
+	src := rng.New(99)
+	for n := 0; n <= timegrid.HoursPerDay; n++ {
+		for trial := 0; trial < 400; trial++ {
+			var xs, ref [timegrid.HoursPerDay]float64
+			for i := 0; i < n; i++ {
+				switch trial % 3 {
+				case 0:
+					xs[i] = src.Float64()
+				case 1:
+					xs[i] = float64(src.Intn(4)) // heavy ties
+				default:
+					xs[i] = float64(src.Intn(1000)) / 8
+				}
+			}
+			ref = xs
+			want := medianInPlace(ref[:n])
+			if got := median24(&xs, n); got != want {
+				t.Fatalf("n=%d trial=%d: median24 %v, reference %v (input %v)", n, trial, got, want, ref[:n])
+			}
+		}
 	}
 }
 

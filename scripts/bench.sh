@@ -12,8 +12,8 @@
 #                                          # to be committed)
 #
 # The default set covers the per-day hot path (simulation, KPI engine —
-# the EngineDay pattern includes the serial Day/DayAppend benchmarks and
-# the intra-day EngineDayAppendSharded2/4 ones, §2.3 metrics), the
+# the EngineDay pattern includes the Day/DayAppend benchmarks, §2.3
+# metrics), the
 # end-to-end serial/streaming pipelines, the registry sweep with
 # copy-on-divergence on/off (SweepSharedPrefix vs SweepUnsharedRegistry),
 # and the ScaleLadder rungs (8k/100k/1M users; the 1M rung takes tens of
