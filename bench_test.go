@@ -570,41 +570,29 @@ func sweepBenchFixture(b *testing.B) (*experiments.World, experiments.Config, []
 	return sweepBenchWorld, sweepBenchCfg, sweepBenchScens
 }
 
-// BenchmarkSweepSerial is the serial baseline of the sweep executor:
-// four full-KPI scenario runs, one after another, over the one shared
-// world.
-func BenchmarkSweepSerial(b *testing.B) {
-	w, cfg, scens := sweepBenchFixture(b)
-	scfg := stream.Config{Workers: 1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if runs, err := experiments.RunSweep(context.Background(), w, cfg, scfg, scens); err != nil || len(runs) != len(scens) {
-			b.Fatal("short sweep")
-		}
-	}
-}
-
-// benchmarkSweepParallel runs the same sweep concurrently. Output is
-// bit-identical to BenchmarkSweepSerial (asserted by the parity tests);
-// what varies is wall clock, which on multi-core hardware should
-// approach serial/min(parallel, cores, scenarios). Each scenario run is
-// kept single-worker so the comparison isolates the outer parallelism.
+// benchmarkSweepParallel sweeps the four scenarios from day 0 (no
+// shared prefixes) with up to parallel runs in flight. Output is
+// bit-identical at every count (asserted by the parity tests); what
+// varies is wall clock, which on multi-core hardware should approach
+// serial/min(parallel, cores, scenarios).
 func benchmarkSweepParallel(b *testing.B, parallel int) {
 	w, cfg, scens := sweepBenchFixture(b)
-	scfg := stream.Config{Workers: 1}
+	opt := experiments.SweepOptions{Parallel: parallel}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if runs, err := experiments.RunSweepParallel(context.Background(), w, cfg, scfg, scens, parallel); err != nil || len(runs) != len(scens) {
+		if runs, err := experiments.RunSweepParallelOpts(context.Background(), w, cfg, stream.Config{}, scens, opt); err != nil || len(runs) != len(scens) {
 			b.Fatal("short sweep")
 		}
 	}
 }
 
-// BenchmarkSweepParallel is the headline parallel-sweep benchmark at
-// two concurrent scenario runs (fixed, not GOMAXPROCS, so the
-// concurrent path is exercised even on a single-core runner).
+// BenchmarkSweepSerial is the serial baseline of the sweep executor:
+// four full-KPI scenario runs, one after another, over the one shared
+// world. BenchmarkSweepParallel runs two at once (fixed, not
+// GOMAXPROCS, so the concurrent path is exercised even on a single-core
+// runner).
+func BenchmarkSweepSerial(b *testing.B)    { benchmarkSweepParallel(b, 1) }
 func BenchmarkSweepParallel(b *testing.B)  { benchmarkSweepParallel(b, 2) }
 func BenchmarkSweepParallel4(b *testing.B) { benchmarkSweepParallel(b, 4) }
 

@@ -1,9 +1,9 @@
 // Command mnosweep runs several behavioural scenarios over one shared
 // world — the census model, radio topology and synthesized population
 // are built exactly once — and prints a headline comparison table, one
-// column per scenario. Each scenario streams through the sharded
-// engine (internal/stream) with recycled day buffers, so a sweep of N
-// scenarios costs one world build plus N streaming passes.
+// column per scenario. Each scenario runs the serial study-window day
+// loop over the shared February home detection, so a sweep of N
+// scenarios costs one world build plus at most N study passes.
 //
 // Scenario sets are comma-separated registry names and/or JSON spec
 // files (the SCENARIOS.md schema); "all" expands to every registry
@@ -18,12 +18,9 @@
 // "Copy-on-divergence sweeps".
 //
 // -parallel N executes up to N scenario runs concurrently
-// (experiments.RunSweepParallel): output is bit-identical at every N,
-// re-sequenced to the input order. -workers and -shards size the
-// streaming engine of each run, and only -share-prefix=false sweeps (or
-// single-scenario ones) run that engine: under the default -share-prefix
-// every run executes the fork-tree executor's serial day loop, so both
-// flags have no effect there.
+// (experiments.RunSweepParallelOpts): output is bit-identical at every
+// N, re-sequenced to the input order. It is the only parallelism axis:
+// every run is one serial day loop, with or without -share-prefix.
 //
 // -baseline NAME additionally prints a differential table — every
 // scenario's per-day KPI and mobility series against the named run:
@@ -49,8 +46,7 @@
 // Usage:
 //
 //	mnosweep [-list] [-scenarios NAMES|all] [-users N] [-seed S] [-nokpi]
-//	         [-workers W] [-shards K] [-parallel P]
-//	         [-share-prefix=BOOL]
+//	         [-parallel P] [-share-prefix=BOOL]
 //	         [-baseline NAME] [-journal FILE] [-resume] [-fault SPEC]
 //	         [-metrics ADDR] [-metrics-out FILE]
 //	         [-cpuprofile F] [-memprofile F]
@@ -81,8 +77,6 @@ func main() {
 		users       = flag.Int("users", 4000, "synthetic native smartphone users")
 		seed        = flag.Uint64("seed", 42, "master random seed (shared by every scenario: paired draws)")
 		noKPI       = flag.Bool("nokpi", false, "skip the traffic engine (mobility headlines only, ~3× faster)")
-		workers     = flag.Int("workers", 0, "worker goroutines per run (0: GOMAXPROCS); no effect under -share-prefix, whose runs use a serial day loop")
-		shards      = flag.Int("shards", 0, "logical shards per run (0: default); no effect under -share-prefix, whose runs use a serial day loop")
 		parallel    = flag.Int("parallel", 1, "concurrent scenario runs (1: serial; output is identical either way)")
 		sharePrefix = flag.Bool("share-prefix", true, "simulate shared scenario prefixes once and fork at the divergence day (bit-identical output; =false re-simulates every scenario from day 0)")
 		baseline    = flag.String("baseline", "", "scenario name to difference every other run against (prints the delta table)")
@@ -102,7 +96,7 @@ func main() {
 	defer stop()
 
 	err := of.Run(func() error {
-		return run(ctx, *names, *users, *seed, *noKPI, *workers, *shards, *parallel, *sharePrefix, *baseline, *journalPath, *resume, *faultSpec, of.Registry())
+		return run(ctx, *names, *users, *seed, *noKPI, *parallel, *sharePrefix, *baseline, *journalPath, *resume, *faultSpec, of.Registry())
 	})
 	cli.Exit("mnosweep", err)
 }
@@ -149,7 +143,7 @@ func resolve(names string) ([]experiments.SweepScenario, error) {
 	return out, nil
 }
 
-func run(ctx context.Context, names string, users int, seed uint64, noKPI bool, workers, shards, parallel int, sharePrefix bool, baseline, journalPath string, resume bool, faultSpec string, reg *obs.Registry) error {
+func run(ctx context.Context, names string, users int, seed uint64, noKPI bool, parallel int, sharePrefix bool, baseline, journalPath string, resume bool, faultSpec string, reg *obs.Registry) error {
 	scens, err := resolve(names)
 	if err != nil {
 		return err
@@ -185,7 +179,7 @@ func run(ctx context.Context, names string, users int, seed uint64, noKPI bool, 
 	cfg.TargetUsers = users
 	cfg.Seed = seed
 	cfg.SkipKPI = noKPI
-	scfg := stream.Config{Workers: workers, Shards: shards, Metrics: reg, Fault: fi}
+	scfg := stream.Config{Metrics: reg, Fault: fi}
 
 	// Journal bookkeeping: open (or resume) before any work, so a crash
 	// at any later point leaves a loadable file behind.

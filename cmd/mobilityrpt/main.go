@@ -17,6 +17,7 @@ import (
 	"repro/internal/census"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/mobsim"
 	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/timegrid"
@@ -87,7 +88,6 @@ func main() {
 		fmt.Printf("  %-22s %s ", name, report.Sparkline(w.Values))
 		for i, v := range w.Values {
 			fmt.Printf(" w%d:%+.0f%%", timegrid.FirstWeek+i, v)
-			_ = i
 		}
 		fmt.Println()
 	}
@@ -95,7 +95,7 @@ func main() {
 	printRow("mobility entropy", ew)
 
 	// Distribution of per-user daily gyration: baseline vs lockdown.
-	printHistograms(r, label, *region, *cluster)
+	printHistograms(r, *region, *cluster)
 
 	fmt.Println("\nmilestones:")
 	for _, m := range []struct {
@@ -114,12 +114,14 @@ func main() {
 }
 
 // printHistograms renders the per-user daily gyration distribution on a
-// baseline weekday versus a lockdown weekday.
-func printHistograms(r *experiments.Results, label, region, cluster string) {
+// baseline weekday versus a lockdown weekday, simulating both days into
+// one reused day buffer.
+func printHistograms(r *experiments.Results, region, cluster string) {
 	d := r.Dataset
+	buf := mobsim.NewDayBuffer()
 	show := func(name string, day timegrid.SimDay) {
 		h := stats.NewHistogram(0, 20, 10)
-		traces := d.Sim.Day(day)
+		traces := d.Sim.DayInto(buf, day)
 		for i := range traces {
 			u := d.Pop.User(traces[i].User)
 			if region != "" && d.Model.County(u.HomeCounty).Name != region {
@@ -137,5 +139,4 @@ func printHistograms(r *experiments.Results, label, region, cluster string) {
 	}
 	show("baseline weekday", timegrid.SimDay(timegrid.StudyDayOffset+2))
 	show("lockdown weekday", timegrid.SimDay(timegrid.StudyDayOffset+37))
-	_ = label
 }

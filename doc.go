@@ -19,8 +19,8 @@
 //     sharded streaming engine, bit-identical at any worker count. The
 //     stack splits into a scenario-independent World (census + radio +
 //     population, built once) and per-scenario run stacks
-//     (World.Instantiate); RunSweep streams many scenarios over one
-//     shared World and SweepTable compares their headlines.
+//     (World.Instantiate); RunSweepParallelOpts runs many scenarios over
+//     one shared World and SweepTable compares their headlines.
 //   - internal/stream: the sharded, backpressured streaming analytics
 //     engine (worker-pool day production, hash-partitioned shard
 //     stages, deterministic merge) every scaling path builds on.

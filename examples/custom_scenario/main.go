@@ -59,7 +59,7 @@ func main() {
 
 	// The world — census, radio topology, population — is scenario-
 	// independent: build it once and instantiate a run stack per
-	// scenario (this is exactly what experiments.RunSweep automates).
+	// scenario (this is exactly what experiments.RunSweepParallelOpts automates).
 	cfg := experiments.DefaultConfig()
 	cfg.TargetUsers = 3000
 	cfg.SkipKPI = true

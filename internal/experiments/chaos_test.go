@@ -15,7 +15,7 @@ import (
 
 // settleGoroutines polls until the goroutine count returns to roughly
 // base, failing the test if it never does — the no-dependency leak
-// check for every Run/RunSweepParallel exit path.
+// check for every Run/RunSweepParallelOpts exit path.
 func settleGoroutines(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(3 * time.Second)
@@ -180,7 +180,7 @@ func TestSweepIsolatesPoisonedRun(t *testing.T) {
 	fi := fault.New(fault.Rule{Site: fault.SweepRun, Kind: fault.KindPanic, Key: 1})
 	scfg := stream.Config{Workers: 1, Fault: fi}
 
-	runs, err := RunSweepParallel(context.Background(), w, cfg, scfg, scens, 2)
+	runs, err := RunSweepParallelOpts(context.Background(), w, cfg, scfg, scens, SweepOptions{Parallel: 2})
 	if err == nil {
 		t.Fatal("sweep with a poisoned run returned nil error")
 	}
@@ -207,8 +207,9 @@ func TestSweepIsolatesPoisonedRun(t *testing.T) {
 	}
 
 	// The healthy runs must be bit-identical to a clean sweep — a
-	// poisoned neighbor cannot perturb them (worker discard on failure).
-	clean := mustSweepParallel(t, w, cfg, stream.Config{Workers: 1}, scens, 2)
+	// poisoned neighbor cannot perturb them (its engine never returns to
+	// the sweep's pool).
+	clean := mustSweep(t, w, cfg, scens, SweepOptions{Parallel: 2})
 	for _, i := range []int{0, 2} {
 		if runs[i].Headlines == nil {
 			continue // already reported above
@@ -228,7 +229,7 @@ func TestSweepSerialPathIsolatesPoisonedRun(t *testing.T) {
 	scens := sweepScenarios(t, scenario.DefaultCovid, scenario.NoPandemic)
 	w := NewWorld(cfg)
 	fi := fault.New(fault.Rule{Site: fault.SweepRun, Kind: fault.KindError, Key: 0})
-	runs, err := RunSweepParallel(context.Background(), w, cfg, stream.Config{Workers: 1, Fault: fi}, scens, 1)
+	runs, err := RunSweepParallelOpts(context.Background(), w, cfg, stream.Config{Workers: 1, Fault: fi}, scens, SweepOptions{Parallel: 1})
 	if !fault.IsInjected(err) {
 		t.Fatalf("want injected error joined out, got %v", err)
 	}
@@ -249,7 +250,7 @@ func TestSweepCancelledContext(t *testing.T) {
 	w := NewWorld(cfg)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	runs, err := RunSweepParallel(ctx, w, cfg, stream.Config{Workers: 1}, scens, 2)
+	runs, err := RunSweepParallelOpts(ctx, w, cfg, stream.Config{Workers: 1}, scens, SweepOptions{Parallel: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}

@@ -1,13 +1,16 @@
 // Package experiments wires the full reproduction pipeline together and
 // provides one runner per paper figure. A Dataset owns the synthetic UK,
-// the radio topology, the population and the simulators; Run streams the
-// 100 simulated days (February for home detection, weeks 9–19 for the
-// analyses) through every analyzer in a single pass.
+// the radio topology, the population and the simulators; RunStandard
+// streams the 100 simulated days (February for home detection, weeks
+// 9–19 for the analyses) through every analyzer.
 package experiments
 
 import (
+	"context"
+
 	"repro/internal/census"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/mobsim"
 	"repro/internal/pandemic"
 	"repro/internal/popsim"
@@ -30,9 +33,6 @@ type Config struct {
 	// SkipKPI skips the traffic engine (mobility-only runs are ~3×
 	// faster; used by mobility figures and benchmarks).
 	SkipKPI bool
-	// SkipFebruary skips the home-detection window (no Fig. 2 / Fig. 7
-	// cohort, but 23% faster).
-	SkipFebruary bool
 }
 
 // DefaultConfig is the scale used by tests and the figure harness.
@@ -57,7 +57,7 @@ type Dataset struct {
 // NewDataset builds a fresh world and binds the config's scenario to
 // it. Callers running several scenarios over the same seed and scale
 // should build one World and Instantiate per scenario instead (or use
-// RunSweep), which skips the expensive world rebuild.
+// RunSweepParallelOpts), which skips the expensive world rebuild.
 func NewDataset(cfg Config) *Dataset {
 	if cfg.TargetUsers == 0 {
 		cfg = DefaultConfig()
@@ -65,10 +65,10 @@ func NewDataset(cfg Config) *Dataset {
 	return NewWorld(cfg).Instantiate(cfg)
 }
 
-// DayConsumer receives one simulated day of traces. The slice is only
-// valid for the duration of the call — the runners reuse one day buffer
-// across the whole pass — so implementations must copy anything they
-// keep.
+// DayConsumer receives one simulated day of traces (ReplayTraces). The
+// slice is only valid for the duration of the call — producers may reuse
+// its storage for the next day — so implementations must copy anything
+// they keep.
 type DayConsumer interface {
 	ConsumeDay(day timegrid.SimDay, traces []mobsim.DayTrace)
 }
@@ -78,31 +78,6 @@ type DayConsumer interface {
 // call.
 type KPIConsumer interface {
 	ConsumeDay(day timegrid.SimDay, cells []traffic.CellDay)
-}
-
-// Run streams every simulated day through the given consumers in one
-// pass, reusing a single day buffer (and KPI record buffer) across days.
-// KPI records are only generated if at least one KPIConsumer is supplied
-// and the dataset was built with KPI enabled.
-func (d *Dataset) Run(traceConsumers []DayConsumer, kpiConsumers []KPIConsumer) {
-	firstDay := timegrid.SimDay(0)
-	if d.Config.SkipFebruary {
-		firstDay = timegrid.SimDay(timegrid.StudyDayOffset)
-	}
-	buf := mobsim.NewDayBuffer()
-	var cells []traffic.CellDay
-	for day := firstDay; day < timegrid.SimDays; day++ {
-		traces := d.Sim.DayInto(buf, day)
-		for _, c := range traceConsumers {
-			c.ConsumeDay(day, traces)
-		}
-		if d.Engine != nil && len(kpiConsumers) > 0 {
-			cells = d.Engine.DayAppend(cells[:0], day, traces)
-			for _, c := range kpiConsumers {
-				c.ConsumeDay(day, cells)
-			}
-		}
-	}
 }
 
 // Results bundles the analyzers most figures share; RunStandard fills it
@@ -128,53 +103,90 @@ func RunStandard(cfg Config) *Results {
 //
 // It runs the simulation twice: a February-only pass to detect homes
 // (so the matrix cohort exists before the study window starts), then the
-// full pass. Both passes are deterministic and share the same per-day
-// streams, so the traces are identical across passes.
+// study window. Both passes are deterministic and share the same per-day
+// streams, so the traces are identical across passes. One day buffer
+// serves both: every analyzer consumes a day before the next is
+// simulated, so nothing outlives the buffer's reuse.
 func RunStandardOn(d *Dataset) *Results {
-	cfg := d.Config
-	r := &Results{Dataset: d}
-
-	// Pass 1: February only, for home detection. One day buffer serves
-	// the whole run: every analyzer consumes a day before the next is
-	// simulated, so nothing outlives the buffer's reuse.
 	buf := mobsim.NewDayBuffer()
-	hd := core.NewHomeDetector(d.Topology)
-	for day := timegrid.SimDay(0); day < timegrid.FebruaryDays; day++ {
-		hd.ConsumeDay(day, d.Sim.DayInto(buf, day))
-	}
-	r.Homes = hd.Detect()
+	r := newResults(d, detectHomes(d.Sim, d.Topology, buf))
+	// Without a cancellable context or riders the loop cannot fail.
+	runStudy(context.Background(), nil, r, buf, 0, nil, nil)
+	return r
+}
 
-	// Cohort: users whose detected home county is Inner London.
+// detectHomes runs the February home-detection pass: sim's February
+// days, simulated into buf, through one detector.
+func detectHomes(sim *mobsim.Simulator, topo *radio.Topology, buf *mobsim.DayBuffer) homesMap {
+	hd := core.NewHomeDetector(topo)
+	for day := timegrid.SimDay(0); day < timegrid.FebruaryDays; day++ {
+		hd.ConsumeDay(day, sim.DayInto(buf, day))
+	}
+	return hd.Detect()
+}
+
+// newResults binds fresh study-window analyzers to d over the detected
+// homes: national mobility, the Inner-London matrix over the users whose
+// detected home county is Inner London (the paper's cohort) and, when d
+// has a traffic engine, the KPI analyzer.
+func newResults(d *Dataset, homes homesMap) *Results {
 	inner := d.Model.InnerLondon()
 	var cohort []popsim.UserID
-	for uid, h := range r.Homes {
+	for uid, h := range homes {
 		if h.County == inner.ID {
 			cohort = append(cohort, uid)
 		}
 	}
-
-	r.Mobility = core.NewMobilityAnalyzer(d.Pop, cfg.TopN)
-	r.Matrix = core.NewMobilityMatrix(d.Pop, inner.ID, cohort, cfg.TopN)
-	traceConsumers := []DayConsumer{r.Mobility, r.Matrix}
-	var kpiConsumers []KPIConsumer
+	r := &Results{
+		Dataset:  d,
+		Homes:    homes,
+		Mobility: core.NewMobilityAnalyzer(d.Pop, d.Config.TopN),
+		Matrix:   core.NewMobilityMatrix(d.Pop, inner.ID, cohort, d.Config.TopN),
+	}
 	if d.Engine != nil {
 		r.KPI = core.NewKPIAnalyzer(d.Topology)
-		kpiConsumers = append(kpiConsumers, r.KPI)
-	}
-
-	// Pass 2: the study window.
-	var cells []traffic.CellDay
-	for day := timegrid.SimDay(timegrid.StudyDayOffset); day < timegrid.SimDays; day++ {
-		traces := d.Sim.DayInto(buf, day)
-		for _, c := range traceConsumers {
-			c.ConsumeDay(day, traces)
-		}
-		if d.Engine != nil {
-			cells = d.Engine.DayAppend(cells[:0], day, traces)
-			for _, c := range kpiConsumers {
-				c.ConsumeDay(day, cells)
-			}
-		}
 	}
 	return r
+}
+
+// runStudy is the serial study-window day loop behind RunStandardOn and
+// every sweep run (runPrefixScenario). It simulates study days
+// [start, timegrid.StudyDays) of r's stack into buf on one goroutine and
+// folds each into r's analyzers. At every day boundary sd (days [0, sd)
+// consumed) it first captures a checkpoint when snapAt[sd] and attaches
+// the riders whose fork day is sd; attached riders then fold the host's
+// traces with their own engines. ctx is checked before every day: a
+// cancelled run returns ctx.Err() and no checkpoints.
+func runStudy(ctx context.Context, fi *fault.Injector, r *Results, buf *mobsim.DayBuffer, start int, snapAt map[int]bool, riders []riderState) (map[int]*Checkpoint, error) {
+	d := r.Dataset
+	var snaps map[int]*Checkpoint
+	var cells []traffic.CellDay
+	for sd := start; ; sd++ {
+		if snapAt[sd] {
+			if snaps == nil {
+				snaps = make(map[int]*Checkpoint, len(snapAt))
+			}
+			snaps[sd] = captureCheckpoint(d, r, sd)
+		}
+		for k := range riders {
+			riders[k].attach(ctx, fi, r, sd)
+		}
+		if sd == timegrid.StudyDays {
+			return snaps, nil
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		day := timegrid.StudyDay(sd).ToSimDay()
+		traces := d.Sim.DayInto(buf, day)
+		r.Mobility.ConsumeDay(day, traces)
+		r.Matrix.ConsumeDay(day, traces)
+		if d.Engine != nil {
+			cells = d.Engine.DayAppend(cells[:0], day, traces)
+			r.KPI.ConsumeDay(day, cells)
+		}
+		for k := range riders {
+			riders[k].consume(day, traces)
+		}
+	}
 }

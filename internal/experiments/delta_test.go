@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/scenario"
-	"repro/internal/stream"
 )
 
 // TestDeltaTableAgainstBaseline runs a small mobility-only sweep and
@@ -16,7 +15,7 @@ func TestDeltaTableAgainstBaseline(t *testing.T) {
 	cfg := sweepConfig()
 	scens := sweepScenarios(t, scenario.DefaultCovid, scenario.NoPandemic)
 	w := NewWorld(cfg)
-	runs := mustSweep(t, w, cfg, stream.Config{Workers: 1}, scens)
+	runs := mustSweep(t, w, cfg, scens, SweepOptions{Parallel: 1})
 
 	table, err := DeltaTable(runs, scenario.NoPandemic)
 	if err != nil {

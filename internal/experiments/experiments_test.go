@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/mobsim"
 	"repro/internal/pandemic"
 	"repro/internal/stats"
 	"repro/internal/timegrid"
@@ -164,37 +163,6 @@ func TestNoPandemicScenarioIsFlat(t *testing.T) {
 		}
 	}
 }
-
-func TestDatasetRunConsumers(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.TargetUsers = 600
-	d := NewDataset(cfg)
-	countTraces := &countingTraceConsumer{}
-	countKPI := &countingKPIConsumer{}
-	d.Run([]DayConsumer{countTraces}, []KPIConsumer{countKPI})
-	if countTraces.days != timegrid.SimDays {
-		t.Errorf("trace consumer saw %d days", countTraces.days)
-	}
-	if countKPI.days != timegrid.SimDays {
-		t.Errorf("KPI consumer saw %d days", countKPI.days)
-	}
-	// SkipFebruary trims the window.
-	cfg.SkipFebruary = true
-	d2 := NewDataset(cfg)
-	c2 := &countingTraceConsumer{}
-	d2.Run([]DayConsumer{c2}, nil)
-	if c2.days != timegrid.StudyDays {
-		t.Errorf("SkipFebruary consumer saw %d days, want %d", c2.days, timegrid.StudyDays)
-	}
-}
-
-type countingTraceConsumer struct{ days int }
-
-func (c *countingTraceConsumer) ConsumeDay(timegrid.SimDay, []mobsim.DayTrace) { c.days++ }
-
-type countingKPIConsumer struct{ days int }
-
-func (c *countingKPIConsumer) ConsumeDay(timegrid.SimDay, []traffic.CellDay) { c.days++ }
 
 func TestWeekHelpers(t *testing.T) {
 	vals := make([]float64, timegrid.StudyWeeks)

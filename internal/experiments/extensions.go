@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/mobsim"
 	"repro/internal/stats"
 	"repro/internal/timegrid"
 )
@@ -23,8 +24,9 @@ func ExtBinsAndBands(d *Dataset) *Figure {
 
 	bins := core.NewBinAnalyzer(d.Pop, d.Config.TopN)
 	bands := core.NewBandAnalyzer(d.Pop, d.Config.TopN)
+	buf := mobsim.NewDayBuffer()
 	for day := timegrid.SimDay(timegrid.StudyDayOffset); day < timegrid.SimDays; day++ {
-		traces := d.Sim.Day(day)
+		traces := d.Sim.DayInto(buf, day)
 		bins.ConsumeDay(day, traces)
 		bands.ConsumeDay(day, traces)
 	}

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/scenario"
-	"repro/internal/stream"
 )
 
 // -update regenerates the golden headline fixtures under testdata/.
@@ -46,7 +45,7 @@ func TestGoldenHeadlines(t *testing.T) {
 		scens = append(scens, *loadScenario(t, name))
 	}
 	w := NewWorld(cfg)
-	runs := mustSweep(t, w, cfg, stream.Config{Workers: 1}, scens)
+	runs := mustSweep(t, w, cfg, scens, SweepOptions{Parallel: 2})
 
 	for _, run := range runs {
 		run := run

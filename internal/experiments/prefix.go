@@ -4,14 +4,10 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"time"
 
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/mobsim"
-	"repro/internal/obs"
 	"repro/internal/pandemic"
-	"repro/internal/popsim"
 	"repro/internal/stream"
 	"repro/internal/timegrid"
 	"repro/internal/traffic"
@@ -47,6 +43,23 @@ type prefixPlan struct {
 	riders [][]int
 }
 
+// planRoots is the fork tree of an unshared sweep: every scenario is a
+// root run from day 0, with no checkpoints and no riders.
+func planRoots(n int) prefixPlan {
+	p := prefixPlan{
+		parent:   make([]int, n),
+		forkDay:  make([]int, n),
+		children: make([][]int, n),
+		snapAt:   make([]map[int]bool, n),
+		rider:    make([]bool, n),
+		riders:   make([][]int, n),
+	}
+	for i := range p.parent {
+		p.parent[i] = -1
+	}
+	return p
+}
+
 // planPrefix builds the fork tree greedily: each scenario forks from
 // the earlier-indexed scenario it shares the most leading days with
 // (ties to the smallest index). The earliest-index tie-break makes the
@@ -58,14 +71,7 @@ type prefixPlan struct {
 // the run itself starts.
 func planPrefix(scens []SweepScenario) prefixPlan {
 	n := len(scens)
-	p := prefixPlan{
-		parent:   make([]int, n),
-		forkDay:  make([]int, n),
-		children: make([][]int, n),
-		snapAt:   make([]map[int]bool, n),
-		rider:    make([]bool, n),
-		riders:   make([][]int, n),
-	}
+	p := planRoots(n)
 	compiled := make([]*pandemic.Scenario, n)
 	for i := range scens {
 		if compiled[i] = scens[i].Scenario; compiled[i] == nil {
@@ -73,7 +79,6 @@ func planPrefix(scens []SweepScenario) prefixPlan {
 		}
 	}
 	for i := 0; i < n; i++ {
-		p.parent[i] = -1
 		best := 0
 		for j := 0; j < i; j++ {
 			if shared := sharedPrefixDays(compiled[i], compiled[j]); shared > best {
@@ -195,16 +200,55 @@ func (p *enginePool) put(e *traffic.Engine) {
 	p.mu.Unlock()
 }
 
-// runPrefixScenario executes one sweep entry on the checkpointable
-// serial day loop (the RunStandardOn study loop — bit-identical to the
-// streaming engine at any worker and shard count, see RunStreaming),
-// optionally resuming from a forked checkpoint, capturing checkpoints
-// at the requested day boundaries for this run's non-rider children,
-// and carrying the run's riders inline.
+// riderState is a rider's stack inside its host's day loop: its own
+// engine and result set over the host's simulated traces.
+type riderState struct {
+	riderSpec
+	r        *Results
+	cells    []traffic.CellDay
+	err      error
+	attached bool
+}
+
+// attach starts the rider at its fork boundary sd (days [0, sd)
+// consumed), after the same ctx/fault gates a standalone run passes:
+// the host's KPI fold through those days is the rider's own, since
+// their factors agree below the fork day.
+func (rd *riderState) attach(ctx context.Context, fi *fault.Injector, host *Results, sd int) {
+	if rd.attached || rd.err != nil || rd.forkDay != sd {
+		return
+	}
+	if err := ctx.Err(); err != nil {
+		rd.err = err
+		return
+	}
+	if err := fi.Fire(fault.SweepRun, int64(rd.idx)); err != nil {
+		rd.err = err
+		return
+	}
+	if host.KPI != nil {
+		rd.r.KPI = host.KPI.Fork()
+	}
+	rd.attached = true
+}
+
+// consume folds one host day into an attached rider's KPI state.
+func (rd *riderState) consume(day timegrid.SimDay, traces []mobsim.DayTrace) {
+	eng := rd.r.Dataset.Engine
+	if !rd.attached || rd.err != nil || eng == nil {
+		return
+	}
+	rd.cells = eng.DayAppend(rd.cells[:0], day, traces)
+	rd.r.KPI.ConsumeDay(day, rd.cells)
+}
+
+// runPrefixScenario executes one sweep entry on the serial study loop
+// (runStudy — bit-identical to the streaming engine at any worker and
+// shard count, see RunStreaming), optionally resuming from a forked
+// checkpoint, capturing checkpoints at the requested day boundaries for
+// this run's non-rider children, and carrying the run's riders inline.
 //
-// A rider attaches at the boundary a checkpoint child would fork at
-// (host KPI fold with days [0, forkDay) consumed is the rider's own
-// fold through those days, since factors agree below the fork day) and
+// A rider attaches at the boundary a checkpoint child would fork at and
 // from there consumes the host's traces — bit-identical to its own by
 // pandemic.Scenario.TraceEqual — with its own traffic engine and KPI
 // fold; its mobility folds are forked from the host's final state.
@@ -216,10 +260,10 @@ func (p *enginePool) put(e *traffic.Engine) {
 // parent fallback (a panic mid-loop therefore fails the host run but
 // only costs its riders the sharing, not their results).
 //
-// Failure modes otherwise match runScenario: cancelled ctx, injected
-// fault.SweepRun faults, and panics anywhere in the stack all land in
-// run.Err without touching the other runs.
-func runPrefixScenario(ctx context.Context, w *World, cfg Config, scfg stream.Config, sc SweepScenario, idx int, homes homesMap, start *Checkpoint, snapAt map[int]bool, riders []riderSpec, pool *enginePool) (run SweepRun, riderRuns []riderRun, snaps map[int]*Checkpoint) {
+// Every failure mode — a cancelled ctx, an injected fault.SweepRun
+// fault, a panic anywhere in the scenario stack — lands in run.Err, so
+// one poisoned scenario cannot take down its sweep.
+func runPrefixScenario(ctx context.Context, w *World, cfg Config, fi *fault.Injector, sc SweepScenario, idx int, homes homesMap, start *Checkpoint, snapAt map[int]bool, riders []riderSpec, pool *enginePool) (run SweepRun, riderRuns []riderRun, snaps map[int]*Checkpoint) {
 	run.Name = sc.Name
 	defer func() {
 		if v := recover(); v != nil {
@@ -232,7 +276,7 @@ func runPrefixScenario(ctx context.Context, w *World, cfg Config, scfg stream.Co
 		run.Err = err
 		return
 	}
-	if err := scfg.Fault.Fire(fault.SweepRun, int64(idx)); err != nil {
+	if err := fi.Fire(fault.SweepRun, int64(idx)); err != nil {
 		run.Err = err
 		return
 	}
@@ -240,100 +284,27 @@ func runPrefixScenario(ctx context.Context, w *World, cfg Config, scfg stream.Co
 	c := cfg
 	c.Scenario = sc.Scenario
 	d := w.instantiate(c, pool.get())
-	r := &Results{Dataset: d, Homes: homes}
-
+	var r *Results
 	startDay := 0
 	if start != nil {
 		startDay = int(start.Day)
-		r.Mobility, r.Matrix, r.KPI = start.Mobility, start.Matrix, start.KPI
+		r = &Results{Dataset: d, Homes: homes, Mobility: start.Mobility, Matrix: start.Matrix, KPI: start.KPI}
 	} else {
-		// Cohort: users whose detected home county is Inner London —
-		// the same selection as the streaming study pass.
-		inner := d.Model.InnerLondon()
-		var cohort []popsim.UserID
-		for uid, h := range r.Homes {
-			if h.County == inner.ID {
-				cohort = append(cohort, uid)
-			}
-		}
-		r.Mobility = core.NewMobilityAnalyzer(d.Pop, c.TopN)
-		r.Matrix = core.NewMobilityMatrix(d.Pop, inner.ID, cohort, c.TopN)
-		if d.Engine != nil {
-			r.KPI = core.NewKPIAnalyzer(d.Topology)
-		}
+		r = newResults(d, homes)
 	}
 
-	// Rider stacks: each rider gets its own engine and result set but
-	// shares the host's simulated traces.
-	type riderState struct {
-		riderSpec
-		d        *Dataset
-		r        *Results
-		cells    []traffic.CellDay
-		err      error
-		attached bool
-	}
 	rs := make([]riderState, len(riders))
 	for k, spec := range riders {
 		rc := cfg
 		rc.Scenario = spec.sc.Scenario
 		rd := w.instantiateNoSim(rc, pool.get())
-		rs[k] = riderState{riderSpec: spec, d: rd, r: &Results{Dataset: rd, Homes: homes}}
+		rs[k] = riderState{riderSpec: spec, r: &Results{Dataset: rd, Homes: homes}}
 	}
 
-	buf := mobsim.NewDayBuffer()
-	var cells []traffic.CellDay
-	for sd := startDay; sd <= timegrid.StudyDays; sd++ {
-		// Checkpoints are taken at day boundaries: state with days
-		// [0, sd) consumed, before day sd is simulated.
-		if snapAt[sd] {
-			if snaps == nil {
-				snaps = make(map[int]*Checkpoint, len(snapAt))
-			}
-			snaps[sd] = captureCheckpoint(d, r, sd)
-		}
-		// Riders attach at the same kind of boundary.
-		for k := range rs {
-			rd := &rs[k]
-			if rd.attached || rd.err != nil || rd.forkDay != sd {
-				continue
-			}
-			if err := ctx.Err(); err != nil {
-				rd.err = err
-				continue
-			}
-			if err := scfg.Fault.Fire(fault.SweepRun, int64(rd.idx)); err != nil {
-				rd.err = err
-				continue
-			}
-			if r.KPI != nil {
-				rd.r.KPI = r.KPI.Fork()
-			}
-			rd.attached = true
-		}
-		if sd == timegrid.StudyDays {
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			run.Err = err
-			return run, nil, nil
-		}
-		day := timegrid.StudyDay(sd).ToSimDay()
-		traces := d.Sim.DayInto(buf, day)
-		r.Mobility.ConsumeDay(day, traces)
-		r.Matrix.ConsumeDay(day, traces)
-		if d.Engine != nil {
-			cells = d.Engine.DayAppend(cells[:0], day, traces)
-			r.KPI.ConsumeDay(day, cells)
-		}
-		for k := range rs {
-			rd := &rs[k]
-			if !rd.attached || rd.err != nil || rd.d.Engine == nil {
-				continue
-			}
-			rd.cells = rd.d.Engine.DayAppend(rd.cells[:0], day, traces)
-			rd.r.KPI.ConsumeDay(day, rd.cells)
-		}
+	snaps, err := runStudy(ctx, fi, r, mobsim.NewDayBuffer(), startDay, snapAt, rs)
+	if err != nil {
+		run.Err = err
+		return run, nil, nil
 	}
 	run.Results, run.Headlines = r, Headlines(r)
 	// Finalize riders: the host's final mobility folds are each rider's
@@ -355,7 +326,7 @@ func runPrefixScenario(ctx context.Context, w *World, cfg Config, scfg stream.Co
 			rd.r.Matrix = r.Matrix.Fork()
 			rr.run.Results, rr.run.Headlines = rd.r, Headlines(rd.r)
 		}
-		pool.put(rd.d.Engine)
+		pool.put(rd.r.Dataset.Engine)
 		riderRuns = append(riderRuns, rr)
 	}
 	pool.put(d.Engine)
@@ -429,163 +400,4 @@ func (s *ckStore) take(i int) *Checkpoint {
 		return ck
 	}
 	return ck.Fork()
-}
-
-// runSweepShared is the copy-on-divergence sweep executor behind
-// SweepOptions.SharePrefix: scenarios run on the checkpointable serial
-// day loop, grouped by divergence into the planPrefix fork tree, each
-// child forking its parent's checkpoint instead of re-simulating the
-// shared prefix; trace-equal leaves skip even that and ride their
-// host's day loop (see prefixPlan.rider). Results are bit-identical to
-// the unshared path (asserted by TestSharedPrefixSweepMatchesUnshared
-// under -race).
-//
-// The fork tree is executed by a pool of parallel workers over a ready
-// queue: a scenario becomes ready when its parent run has completed
-// (roots are ready immediately). Scheduling order cannot
-// influence results — every run is deterministic in (world, scenario,
-// start checkpoint) and checkpoints are deterministic in (world,
-// parent scenario, day) — so the output is bit-identical at any worker
-// count. A failed or cancelled parent yields no checkpoints; its
-// children fall back to standalone day-0 runs, preserving the per-run
-// failure isolation of RunSweep.
-func runSweepShared(ctx context.Context, w *World, cfg Config, scfg stream.Config, scens []SweepScenario, parallel int, notify func(int, SweepRun)) ([]SweepRun, error) {
-	scfg = scfg.WithDefaults()
-	homes := w.Homes()
-	plan := planPrefix(scens)
-	store := newCkStore(&plan)
-	out := make([]SweepRun, len(scens))
-	m := newSweepMetrics(scfg.Metrics, parallel)
-
-	pool := &enginePool{}
-
-	// finish post-processes one completed run (host, rider, or rider
-	// fallback): record fork provenance, bump the sharing counters,
-	// stash the checkpoints its children await and detach the pooled
-	// engine from the stored stack (as in RunSweepParallel).
-	finish := func(i int, run SweepRun, prefixDays int, snaps map[int]*Checkpoint) {
-		if run.Err == nil {
-			if prefixDays > 0 {
-				run.ForkedFrom = scens[plan.parent[i]].Name
-				run.PrefixDays = prefixDays
-				if m != nil {
-					m.forks.Inc()
-					m.prefixSaved.Add(int64(prefixDays))
-				}
-			}
-			store.put(i, snaps)
-			run.Results.Dataset.Engine = nil
-		}
-		out[i] = run
-		notify(i, run)
-		if m != nil {
-			m.runs.Inc()
-		}
-	}
-
-	// riderSpecs materializes run i's planned riders.
-	riderSpecs := func(i int) []riderSpec {
-		rs := plan.riders[i]
-		if len(rs) == 0 {
-			return nil
-		}
-		specs := make([]riderSpec, len(rs))
-		for k, ri := range rs {
-			specs[k] = riderSpec{idx: ri, forkDay: plan.forkDay[ri], sc: scens[ri]}
-		}
-		return specs
-	}
-
-	// execute runs host i with its riders inline and returns every
-	// scenario index it settled. A failed host reports no rider
-	// outcomes; its riders then fall back to standalone day-0 runs,
-	// exactly as the children of a failed checkpoint parent do.
-	execute := func(i int) []int {
-		start := store.take(i)
-		prefixDays := 0
-		if start != nil {
-			prefixDays = int(start.Day)
-		}
-		run, riderRuns, snaps := runPrefixScenario(ctx, w, cfg, scfg, scens[i], i, homes, start, plan.snapAt[i], riderSpecs(i), pool)
-		finish(i, run, prefixDays, snaps)
-		done := append(make([]int, 0, 1+len(plan.riders[i])), i)
-		if run.Err == nil {
-			for _, rr := range riderRuns {
-				finish(rr.idx, rr.run, rr.days, nil)
-				done = append(done, rr.idx)
-			}
-		} else {
-			for _, ri := range plan.riders[i] {
-				frun, _, _ := runPrefixScenario(ctx, w, cfg, scfg, scens[ri], ri, homes, nil, nil, nil, pool)
-				finish(ri, frun, 0, nil)
-				done = append(done, ri)
-			}
-		}
-		return done
-	}
-
-	// Ready queue over the fork tree. The channel holds every index at
-	// most once (each has one parent), so len(scens) capacity never
-	// blocks a producer; the final completion closes it. Riders are
-	// settled inside their host's run and never queued.
-	ready := make(chan int, len(scens))
-	for i := range scens {
-		if !plan.rider[i] && (plan.parent[i] < 0 || plan.forkDay[i] <= 0) {
-			ready <- i
-		}
-	}
-	var (
-		fanOut    time.Time
-		completed int
-		compMu    sync.Mutex
-	)
-	if m != nil {
-		fanOut = time.Now()
-	}
-	complete := func(i int) {
-		for _, c := range plan.children[i] {
-			if plan.forkDay[c] > 0 {
-				ready <- c
-			}
-		}
-		compMu.Lock()
-		completed++
-		if completed == len(scens) {
-			close(ready)
-		}
-		compMu.Unlock()
-	}
-
-	var wg sync.WaitGroup
-	for p := 0; p < parallel; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			var runSh *obs.HistShard
-			if m != nil {
-				runSh = m.runNs.Shard(p)
-			}
-			for i := range ready {
-				var t0 time.Time
-				if m != nil {
-					t0 = time.Now()
-					m.queueNs.Observe(int64(t0.Sub(fanOut)))
-				}
-				done := execute(i)
-				if m != nil {
-					runSh.Observe(int64(time.Since(t0)))
-				}
-				// A host settles its riders too; every settled index
-				// counts toward completion (riders have no children).
-				for _, idx := range done {
-					complete(idx)
-				}
-			}
-		}(p)
-	}
-	wg.Wait()
-	if m != nil {
-		m.builds.Set(WorldBuildCount())
-	}
-	return out, sweepErr(out)
 }

@@ -43,7 +43,7 @@ func TestSharedPrefixSweepMatchesUnshared(t *testing.T) {
 	cfg := goldenConfig()
 	scens := registrySweep(t)
 	w := NewWorld(cfg)
-	ref := mustSweep(t, w, cfg, stream.Config{Workers: 1}, scens)
+	ref := mustSweep(t, w, cfg, scens, SweepOptions{Parallel: 2})
 
 	// The expected fork tree over the registry order: each scenario's
 	// parent and the study days it skips (pandemic.Scenario.DivergenceFrom
@@ -107,7 +107,7 @@ func checkpointConfig() Config {
 // run error.
 func runFromCheckpoint(t *testing.T, w *World, cfg Config, sc SweepScenario, start *Checkpoint, snapAt map[int]bool) (SweepRun, map[int]*Checkpoint) {
 	t.Helper()
-	run, _, snaps := runPrefixScenario(context.Background(), w, cfg, stream.Config{Workers: 1}, sc, 0, w.Homes(), start, snapAt, nil, &enginePool{})
+	run, _, snaps := runPrefixScenario(context.Background(), w, cfg, nil, sc, 0, w.Homes(), start, snapAt, nil, &enginePool{})
 	if run.Err != nil {
 		t.Fatalf("run %s: %v", sc.Name, run.Err)
 	}

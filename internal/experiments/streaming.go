@@ -3,8 +3,6 @@ package experiments
 import (
 	"context"
 
-	"repro/internal/core"
-	"repro/internal/popsim"
 	"repro/internal/stream"
 	"repro/internal/timegrid"
 )
@@ -40,65 +38,24 @@ func RunStreamingOn(ctx context.Context, d *Dataset, scfg stream.Config) (*Resul
 
 	// Pass 1: February only, for home detection, sharded by user.
 	homes := stream.NewHomes(d.Topology, scfg.Shards)
-	eng := stream.NewEngine(scfg)
-	eng.AddTraceSharder(homes)
-	febSrc := stream.NewSimSource(ctx, d.Sim, nil, 0, timegrid.FebruaryDays, scfg)
-	if err := eng.Run(ctx, febSrc); err != nil {
+	feb := stream.NewEngine(scfg)
+	feb.AddTraceSharder(homes)
+	if err := feb.Run(ctx, stream.NewSimSource(ctx, d.Sim, nil, 0, timegrid.FebruaryDays, scfg)); err != nil {
 		return nil, err
 	}
-	return runStreamingStudy(ctx, d, scfg, homes.Detect())
-}
-
-// runStreamingStudy is the study-window pass over prebuilt February
-// homes. The sweep runner calls it directly with the World's shared
-// homes — February traces are scenario-invariant, so re-detecting per
-// scenario would only repeat identical work.
-func runStreamingStudy(ctx context.Context, d *Dataset, scfg stream.Config, detected map[popsim.UserID]core.Home) (*Results, error) {
-	return runStreamingStudyWith(ctx, d, scfg, detected, nil)
-}
-
-// runStreamingStudyWith is runStreamingStudy drawing reusable state from
-// a sweep worker when one is given: the sharded mobility/matrix stages
-// are reset instead of re-allocated (keeping their per-shard mergers and
-// day buffers warm) and day production recycles through the worker's
-// shared BufferPool, so consecutive scenario runs on one worker stay at
-// the PR 2 zero-alloc steady state. All reused state is scratch —
-// nothing in it influences the computed aggregates — so results are
-// bit-identical to the unpooled path.
-//
-// A failed run leaves the worker's reused state partially consumed;
-// callers must discard the sweepWorker after any error (the sweep
-// runners do).
-func runStreamingStudyWith(ctx context.Context, d *Dataset, scfg stream.Config, detected map[popsim.UserID]core.Home, ws *sweepWorker) (*Results, error) {
-	scfg = scfg.WithDefaults()
-	cfg := d.Config
-	r := &Results{Dataset: d, Homes: detected}
-
-	// Cohort: users whose detected home county is Inner London.
-	inner := d.Model.InnerLondon()
-	var cohort []popsim.UserID
-	for uid, h := range r.Homes {
-		if h.County == inner.ID {
-			cohort = append(cohort, uid)
-		}
-	}
-
-	r.Mobility = core.NewMobilityAnalyzer(d.Pop, cfg.TopN)
-	r.Matrix = core.NewMobilityMatrix(d.Pop, inner.ID, cohort, cfg.TopN)
 
 	// Pass 2: the study window, with sharded mobility/matrix stages and
 	// the exact KPI analyzer in the merge stage.
+	r := newResults(d, homes.Detect())
 	study := stream.NewEngine(scfg)
-	study.AddTraceSharder(ws.mobility(r.Mobility, scfg.Shards))
-	study.AddTraceSharder(ws.matrix(r.Matrix, scfg.Shards))
-	kpiEngine := d.Engine
-	if kpiEngine != nil {
-		r.KPI = core.NewKPIAnalyzer(d.Topology)
+	study.AddTraceSharder(stream.NewMobility(r.Mobility, scfg.Shards))
+	study.AddTraceSharder(stream.NewMatrix(r.Matrix, scfg.Shards))
+	if r.KPI != nil {
 		study.AddKPIConsumer(r.KPI)
 	}
-	studySrc := stream.NewSimSourcePooled(ctx, d.Sim, kpiEngine,
-		timegrid.SimDay(timegrid.StudyDayOffset), timegrid.SimDays, scfg, ws.bufferPool())
-	if err := study.Run(ctx, studySrc); err != nil {
+	src := stream.NewSimSource(ctx, d.Sim, d.Engine,
+		timegrid.SimDay(timegrid.StudyDayOffset), timegrid.SimDays, scfg)
+	if err := study.Run(ctx, src); err != nil {
 		return nil, err
 	}
 	return r, nil

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/scenario"
-	"repro/internal/stream"
 	"repro/internal/timegrid"
 )
 
@@ -35,7 +34,7 @@ func TestSweepBuildsWorldExactlyOnce(t *testing.T) {
 	}
 	before := WorldBuildCount()
 	w := NewWorld(cfg)
-	runs := mustSweep(t, w, cfg, stream.Config{Workers: 1}, scens)
+	runs := mustSweep(t, w, cfg, scens, SweepOptions{Parallel: 1})
 	if got := WorldBuildCount() - before; got != 1 {
 		t.Fatalf("3-scenario sweep built %d worlds, want exactly 1", got)
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -38,55 +39,65 @@ func assertSweepRunsEqual(t *testing.T, want, got []SweepRun) {
 	}
 }
 
-// TestParallelSweepMatchesSerial asserts the tentpole invariant: the
-// parallel sweep executor is bit-identical to serial RunSweep at worker
-// counts 1, 2, 4 and 8, re-sequenced to the input order, while building
-// zero additional Worlds (counter-verified). Run under -race this also
-// exercises the cross-worker synchronization (the shared immutable
-// World, the shared homes map, the per-worker pools).
+// assertSweepModesMatch runs the sweep through the one executor in both
+// planning modes (every scenario from day 0, and the copy-on-divergence
+// fork tree) at sweep worker counts 1, 2 and 4, and requires every
+// sweep to be bit-identical to the per-scenario streaming reference,
+// re-sequenced to the input order.
+func assertSweepModesMatch(t *testing.T, w *World, cfg Config, scens []SweepScenario) []SweepRun {
+	t.Helper()
+	ref := streamingReference(t, w, cfg, scens)
+	var last []SweepRun
+	for _, shared := range []bool{false, true} {
+		for _, parallel := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("shared=%v/parallel=%d", shared, parallel), func(t *testing.T) {
+				last = mustSweep(t, w, cfg, scens, SweepOptions{Parallel: parallel, SharePrefix: shared})
+				assertSweepRunsEqual(t, ref, last)
+			})
+		}
+	}
+	return last
+}
+
+// TestParallelSweepMatchesSerial asserts the executor invariant: shared
+// and unshared sweeps are bit-identical to running each scenario alone
+// through the streaming pipeline, at every sweep worker count, while
+// building zero additional Worlds (counter-verified). Run under -race
+// this also exercises the cross-worker synchronization (the shared
+// immutable World, the shared homes map, the checkpoint store and the
+// engine pool).
 func TestParallelSweepMatchesSerial(t *testing.T) {
 	cfg := sweepConfig()
 	scens := sweepScenarios(t,
 		scenario.DefaultCovid, scenario.NoPandemic, scenario.EarlyLockdown,
 		scenario.SecondWave, scenario.VoiceSurge)
 	w := NewWorld(cfg)
-	scfg := stream.Config{Workers: 1}
-	serial := mustSweep(t, w, cfg, scfg, scens)
-
 	before := WorldBuildCount()
-	for _, parallel := range []int{1, 2, 4, 8} {
-		got := mustSweepParallel(t, w, cfg, scfg, scens, parallel)
-		assertSweepRunsEqual(t, serial, got)
-	}
+	assertSweepModesMatch(t, w, cfg, scens)
 	if extra := WorldBuildCount() - before; extra != 0 {
-		t.Fatalf("parallel sweeps built %d extra worlds, want 0", extra)
+		t.Fatalf("sweeps built %d extra worlds, want 0", extra)
 	}
 }
 
 // TestParallelSweepMatchesSerialKPI covers the engine-reuse path: with
-// KPI enabled and more scenarios than workers, each sweep worker runs
-// several scenarios on one rebound traffic engine (Engine.Rebind), and
-// the KPI series must still be bit-identical to the serial sweep's
-// freshly constructed engines.
+// KPI enabled, runs draw warm traffic engines from the sweep's pool
+// (Engine.Rebind) and the shared sweep carries voice-surge as a rider on
+// default-covid's day loop, yet the KPI series must still be
+// bit-identical to the reference's freshly constructed engines.
 func TestParallelSweepMatchesSerialKPI(t *testing.T) {
 	cfg := streamingTestConfig() // KPI enabled, sparser topology
 	scens := sweepScenarios(t, scenario.DefaultCovid, scenario.NoPandemic, scenario.VoiceSurge)
 	w := NewWorld(cfg)
-	scfg := stream.Config{Workers: 1}
-	serial := mustSweep(t, w, cfg, scfg, scens)
-	for i := range serial {
-		if serial[i].Results.KPI == nil {
-			t.Fatalf("run %s has no KPI analyzer", serial[i].Name)
-		}
-	}
-	got := mustSweepParallel(t, w, cfg, scfg, scens, 2)
-	assertSweepRunsEqual(t, serial, got)
-	// Documented contract: parallel runs carry no live engine — it is
-	// per-worker scratch that would otherwise alias every run of a
-	// worker to its last scenario.
+	got := assertSweepModesMatch(t, w, cfg, scens)
 	for _, run := range got {
+		if run.Results.KPI == nil {
+			t.Fatalf("run %s has no KPI analyzer", run.Name)
+		}
+		// Documented contract: sweep runs carry no live engine — engines
+		// are recycled across runs and would otherwise alias a run to
+		// whichever scenario rebound them last.
 		if run.Results.Dataset.Engine != nil {
-			t.Fatalf("run %s exports the worker's shared engine", run.Name)
+			t.Fatalf("run %s exports the sweep's pooled engine", run.Name)
 		}
 	}
 }
@@ -98,7 +109,7 @@ func TestParallelSweepDegradesToSerial(t *testing.T) {
 	cfg := sweepConfig()
 	scens := sweepScenarios(t, scenario.DefaultCovid)
 	w := NewWorld(cfg)
-	runs := mustSweepParallel(t, w, cfg, stream.Config{Workers: 1}, scens, 8)
+	runs := mustSweep(t, w, cfg, scens, SweepOptions{Parallel: 8})
 	if len(runs) != 1 || runs[0].Name != scenario.DefaultCovid {
 		t.Fatalf("unexpected runs: %+v", runs)
 	}

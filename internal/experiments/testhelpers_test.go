@@ -21,20 +21,29 @@ func mustStreamingConfig(t testing.TB, cfg Config, scfg stream.Config) *Results 
 	return r
 }
 
-func mustSweep(t testing.TB, w *World, cfg Config, scfg stream.Config, scens []SweepScenario) []SweepRun {
+func mustSweep(t testing.TB, w *World, cfg Config, scens []SweepScenario, opt SweepOptions) []SweepRun {
 	t.Helper()
-	runs, err := RunSweep(context.Background(), w, cfg, scfg, scens)
+	runs, err := RunSweepParallelOpts(context.Background(), w, cfg, stream.Config{}, scens, opt)
 	if err != nil {
-		t.Fatalf("RunSweep: %v", err)
+		t.Fatalf("RunSweepParallelOpts: %v", err)
 	}
 	return runs
 }
 
-func mustSweepParallel(t testing.TB, w *World, cfg Config, scfg stream.Config, scens []SweepScenario, parallel int) []SweepRun {
+// streamingReference is the sweep parity reference, independent of the
+// sweep executor: each scenario instantiated on w and run alone through
+// the streaming pipeline, February home detection included.
+func streamingReference(t testing.TB, w *World, cfg Config, scens []SweepScenario) []SweepRun {
 	t.Helper()
-	runs, err := RunSweepParallel(context.Background(), w, cfg, scfg, scens, parallel)
-	if err != nil {
-		t.Fatalf("RunSweepParallel: %v", err)
+	out := make([]SweepRun, len(scens))
+	for i, sc := range scens {
+		c := cfg
+		c.Scenario = sc.Scenario
+		r, err := RunStreamingOn(context.Background(), w.Instantiate(c), stream.Config{Workers: 2})
+		if err != nil {
+			t.Fatalf("RunStreamingOn(%s): %v", sc.Name, err)
+		}
+		out[i] = SweepRun{Name: sc.Name, Results: r, Headlines: Headlines(r)}
 	}
-	return runs
+	return out
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/pandemic"
 	"repro/internal/popsim"
 	"repro/internal/radio"
-	"repro/internal/timegrid"
 	"repro/internal/traffic"
 )
 
@@ -46,13 +45,7 @@ type World struct {
 // Callers must treat the returned map as read-only.
 func (w *World) Homes() map[popsim.UserID]core.Home {
 	w.homesOnce.Do(func() {
-		sim := mobsim.New(w.Pop, pandemic.Default(), w.Seed)
-		hd := core.NewHomeDetector(w.Topology)
-		buf := mobsim.NewDayBuffer()
-		for day := timegrid.SimDay(0); day < timegrid.FebruaryDays; day++ {
-			hd.ConsumeDay(day, sim.DayInto(buf, day))
-		}
-		w.homes = hd.Detect()
+		w.homes = detectHomes(mobsim.New(w.Pop, pandemic.Default(), w.Seed), w.Topology, mobsim.NewDayBuffer())
 	})
 	return w.homes
 }
@@ -95,11 +88,11 @@ func NewWorld(cfg Config) *World {
 	}
 }
 
-// Instantiate binds a scenario and the per-run knobs (TopN, SkipKPI,
-// SkipFebruary) to the world, returning a ready run stack. cfg.Scenario
-// nil means the calibrated default. The world fields of cfg (Seed,
-// TargetUsers, PopPerTower) are overwritten with the world's own values
-// so the Dataset's Config always reflects the stack it runs on.
+// Instantiate binds a scenario and the per-run knobs (TopN, SkipKPI) to
+// the world, returning a ready run stack. cfg.Scenario nil means the
+// calibrated default. The world fields of cfg (Seed, TargetUsers,
+// PopPerTower) are overwritten with the world's own values so the
+// Dataset's Config always reflects the stack it runs on.
 func (w *World) Instantiate(cfg Config) *Dataset {
 	return w.instantiate(cfg, nil)
 }
@@ -108,8 +101,8 @@ func (w *World) Instantiate(cfg Config) *Dataset {
 // when non-nil (and KPI is enabled), the engine — built earlier on this
 // same world and seed — is rebound to the new scenario instead of
 // constructing a fresh one, keeping its warm scratch. Rebind preserves
-// bit-identity with NewEngine (see traffic.Engine.Rebind), so sweep
-// workers thread their engine through consecutive scenario runs.
+// bit-identity with NewEngine (see traffic.Engine.Rebind), so the sweep
+// executor recycles warm engines through consecutive scenario runs.
 func (w *World) instantiate(cfg Config, reuse *traffic.Engine) *Dataset {
 	d := w.instantiateNoSim(cfg, reuse)
 	d.Sim = mobsim.New(w.Pop, d.Scenario, d.Config.Seed)

@@ -51,8 +51,9 @@ const (
 	// stage, keyed by the day being merged.
 	MergeDay Site = "stream.merge"
 	// SweepRun fires at the start of each scenario run of
-	// experiments.RunSweep/RunSweepParallel, keyed by the run's index
-	// in the sweep's input order.
+	// experiments.RunSweepParallelOpts (and as each rider attaches to
+	// its host's day loop), keyed by the run's index in the sweep's
+	// input order.
 	SweepRun Site = "sweep.run"
 )
 

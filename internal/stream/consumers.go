@@ -43,21 +43,6 @@ func NewMobility(a *core.MobilityAnalyzer, shards int) *Mobility {
 	}
 }
 
-// Reset rebinds the wrapper to a fresh analyzer, keeping the per-shard
-// merge scratch and the day metric buffer warm. Sweep workers reset one
-// wrapper per scenario run instead of allocating a new one, so the
-// steady state of a multi-scenario sweep reuses every merger. The
-// wrapped analyzer must use the same shard partitioning (the shard
-// count is fixed at construction).
-func (m *Mobility) Reset(a *core.MobilityAnalyzer) *Mobility {
-	m.a = a
-	m.topo = a.Population().Topology()
-	m.topN = a.TopN()
-	m.traces = nil
-	m.inStudy = false
-	return m
-}
-
 // BeginDay sizes the per-day metric buffer.
 func (m *Mobility) BeginDay(day timegrid.SimDay, traces []mobsim.DayTrace) {
 	_, m.inStudy = day.ToStudyDay()
@@ -111,16 +96,6 @@ type Matrix struct {
 // number of shards (the engine's Config.Shards after WithDefaults).
 func NewMatrix(m *core.MobilityMatrix, shards int) *Matrix {
 	return &Matrix{m: m, mergers: make([]core.VisitMerger, shards)}
-}
-
-// Reset rebinds the wrapper to a fresh matrix, keeping the per-shard
-// merge scratch, the cohort flags and the per-index county storage warm
-// (index i always belongs to the same user across scenario runs on one
-// shared world, so the capacity profile carries over exactly).
-func (x *Matrix) Reset(m *core.MobilityMatrix) *Matrix {
-	x.m = m
-	x.inStudy = false
-	return x
 }
 
 // BeginDay sizes and clears the per-day buffers. The per-index county

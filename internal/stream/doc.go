@@ -33,8 +33,9 @@
 //
 // Engines and sources are one-run objects, but cheap ones: everything
 // expensive (the census, topology and population behind a SimSource's
-// simulator) lives in the scenario-independent experiments.World, so a
-// scenario sweep (experiments.RunSweep, cmd/mnosweep) runs one engine +
-// source pair per scenario over the same shared world, each run
-// recycling its own day buffers through DayBatch.Release.
+// simulator) lives in the scenario-independent experiments.World, so
+// streaming several scenarios (experiments.RunStreamingOn over
+// World.Instantiate) runs one engine + source pair per scenario over the
+// same shared world, each run recycling its own day buffers through
+// DayBatch.Release.
 package stream

@@ -15,7 +15,7 @@ import (
 // reproduce: the stage, the shard (or -1), the simulated day (or -1)
 // and the stack at the recover site.
 //
-// Every Run/RunSweep failure caused by a panic satisfies
+// Every Run/RunSweepParallelOpts failure caused by a panic satisfies
 // errors.As(err, **WorkerPanic); see RELIABILITY.md for the failure
 // semantics per stage.
 type WorkerPanic struct {

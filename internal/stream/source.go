@@ -127,7 +127,7 @@ type SimSource struct {
 }
 
 // sourceMetrics are the source's handles, resolved once in
-// NewSimSourcePooled. When nil (the default) the producer loop takes no
+// NewSimSource. When nil (the default) the producer loop takes no
 // timestamps at all — the disabled path does zero clock reads.
 type sourceMetrics struct {
 	busy       *obs.Counter   // stream.worker.busy_ns: producing (DayInto + DayAppend)
@@ -154,31 +154,13 @@ func newSourceMetrics(r *obs.Registry, workers int) *sourceMetrics {
 // generation (mobility-only runs). cfg sizes the worker pool and the
 // backpressure window; ctx cancels production (workers stop within one
 // day of work and pooled buffers are recycled). The source recycles
-// through a private BufferPool; callers running several sources in
-// sequence (scenario sweeps) should use NewSimSourcePooled to share one
-// warm pool across them.
+// through a private BufferPool sized to its in-flight window.
 func NewSimSource(ctx context.Context, sim *mobsim.Simulator, eng *traffic.Engine, first, limit timegrid.SimDay, cfg Config) *SimSource {
-	return NewSimSourcePooled(ctx, sim, eng, first, limit, cfg, nil)
-}
-
-// NewSimSourcePooled is NewSimSource drawing day-buffer backing stores
-// from the given pool instead of a private one; nil means private. The
-// pool may be shared with other sources, but only with sources whose
-// batches have all been released (or abandoned for good) — a store is
-// owned by one batch at a time.
-func NewSimSourcePooled(ctx context.Context, sim *mobsim.Simulator, eng *traffic.Engine, first, limit timegrid.SimDay, cfg Config, pool *BufferPool) *SimSource {
 	cfg = cfg.WithDefaults()
-	if pool == nil {
-		// Only a pool this source created gets instrumented here: a
-		// shared pool's handles are owned by whoever built it (sweep
-		// workers instrument theirs in newSweepWorker), and rewriting
-		// them from a source would race with concurrent draws.
-		pool = NewBufferPool(cfg.Workers + cfg.Buffer).Instrument(cfg.Metrics)
-	}
 	s := &SimSource{
 		out:  make(chan DayBatch),
 		done: make(chan struct{}),
-		pool: pool,
+		pool: NewBufferPool(cfg.Workers + cfg.Buffer).Instrument(cfg.Metrics),
 		fi:   cfg.Fault,
 		m:    newSourceMetrics(cfg.Metrics, cfg.Workers),
 	}
