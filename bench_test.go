@@ -500,7 +500,7 @@ func benchmarkStream(b *testing.B, workers int) {
 	cfg := experiments.DefaultConfig()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if r, err := experiments.RunStreaming(context.Background(), cfg, workers); err != nil || r.KPI == nil {
+		if r, err := experiments.RunStreamingOn(context.Background(), experiments.NewDataset(cfg), stream.Config{Workers: workers}); err != nil || r.KPI == nil {
 			b.Fatal("no KPI analyzer")
 		}
 	}

@@ -132,15 +132,18 @@ func mobilityStack(w *experiments.World) *experiments.Dataset {
 func ablateInterconnect(w *experiments.World) {
 	d := mobilityStack(w)
 	day := timegrid.StudyDay(17).ToSimDay() // mid week 11 surge
-	traces := d.Sim.Day(day)
+	traces := d.Sim.DayInto(mobsim.NewDayBuffer(), day)
 	baseDay := timegrid.StudyDay(2).ToSimDay()
-	baseTraces := d.Sim.Day(baseDay)
+	baseTraces := d.Sim.DayInto(mobsim.NewDayBuffer(), baseDay)
+	var cells []traffic.CellDay
 	for _, headroom := range []float64{0.9, 1.0, 1.2, 1.5, 2.0, 3.0} {
 		params := traffic.DefaultParams()
 		params.InterconnectHeadroom = headroom
 		eng := traffic.NewEngine(d.Pop, d.Scenario, params, d.Config.Seed)
-		base := meanLoss(eng.Day(baseDay, baseTraces))
-		surge := meanLoss(eng.Day(day, traces))
+		cells = eng.DayAppend(cells[:0], baseDay, baseTraces)
+		base := meanLoss(cells)
+		cells = eng.DayAppend(cells[:0], day, traces)
+		surge := meanLoss(cells)
 		fmt.Printf("  headroom %.1f×: DL voice loss %+.0f%% vs baseline\n",
 			headroom, stats.DeltaPercent(surge, base))
 	}
@@ -157,11 +160,12 @@ func meanLoss(cells []traffic.CellDay) float64 {
 func ablateTopN(w *experiments.World) {
 	d := mobilityStack(w)
 	day := timegrid.StudyDay(2).ToSimDay()
-	traces := d.Sim.Day(day)
+	traces := d.Sim.DayInto(mobsim.NewDayBuffer(), day)
+	var mg core.VisitMerger
 	for _, n := range []int{5, 10, 20, 0} {
 		var e, g stats.Accumulator
 		for i := range traces {
-			m := core.ComputeDayMetrics(&traces[i], d.Topology, n)
+			m := mg.DayMetrics(&traces[i], d.Topology, n)
 			e.Add(m.Entropy)
 			g.Add(m.Gyration)
 		}
@@ -173,48 +177,50 @@ func ablateTopN(w *experiments.World) {
 	}
 }
 
+// ablateNights runs one February pass into a detector per threshold.
 func ablateNights(w *experiments.World) {
 	d := mobilityStack(w)
-	// One February of traces, reused across thresholds.
-	cached := cacheFebruary(d)
-	for _, nights := range []int{7, 14, 21, 28} {
-		hd := core.NewHomeDetector(d.Topology)
-		hd.MinNights = nights
-		for day, tr := range cached {
-			hd.ConsumeDay(day, tr)
+	thresholds := []int{7, 14, 21, 28}
+	dets := make([]*core.HomeDetector, len(thresholds))
+	for i, nights := range thresholds {
+		dets[i] = core.NewHomeDetector(d.Topology)
+		dets[i].MinNights = nights
+	}
+	buf := mobsim.NewDayBuffer()
+	for day := timegrid.SimDay(0); day < timegrid.FebruaryDays; day++ {
+		traces := d.Sim.DayInto(buf, day)
+		for _, hd := range dets {
+			hd.ConsumeDay(day, traces)
 		}
+	}
+	scale := float64(len(d.Pop.Native())) / float64(d.Model.TotalPopulation())
+	for i, hd := range dets {
 		homes := hd.Detect()
-		scale := float64(len(d.Pop.Native())) / float64(d.Model.TotalPopulation())
 		v, err := core.ValidateAgainstCensus(homes, d.Model, scale)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			continue
 		}
 		fmt.Printf("  min %2d nights: %5d homes (%.0f%% of users), census r² %.3f\n",
-			nights, len(homes), 100*float64(len(homes))/float64(len(d.Pop.Native())), v.Fit.R2)
+			thresholds[i], len(homes), 100*float64(len(homes))/float64(len(d.Pop.Native())), v.Fit.R2)
 	}
-}
-
-func cacheFebruary(d *experiments.Dataset) map[timegrid.SimDay][]mobsim.DayTrace {
-	out := make(map[timegrid.SimDay][]mobsim.DayTrace, timegrid.FebruaryDays)
-	for day := timegrid.SimDay(0); day < timegrid.FebruaryDays; day++ {
-		out[day] = d.Sim.Day(day)
-	}
-	return out
 }
 
 func ablateOffload(w *experiments.World) {
 	d := mobilityStack(w)
 	baseDay := timegrid.StudyDay(2).ToSimDay()
 	lockDay := timegrid.StudyDay(38).ToSimDay()
-	baseTraces := d.Sim.Day(baseDay)
-	lockTraces := d.Sim.Day(lockDay)
+	baseTraces := d.Sim.DayInto(mobsim.NewDayBuffer(), baseDay)
+	lockTraces := d.Sim.DayInto(mobsim.NewDayBuffer(), lockDay)
+	var cells []traffic.CellDay
 	for _, share := range []float64{0.35, 0.52, 0.70, 0.90} {
 		params := traffic.DefaultParams()
 		params.HomeCellularShare = share
 		eng := traffic.NewEngine(d.Pop, d.Scenario, params, d.Config.Seed)
-		base := sumDL(eng.Day(baseDay, baseTraces))
-		lock := sumDL(eng.Day(lockDay, lockTraces))
+		cells = eng.DayAppend(cells[:0], baseDay, baseTraces)
+		base := sumDL(cells)
+		cells = eng.DayAppend(cells[:0], lockDay, lockTraces)
+		lock := sumDL(cells)
 		fmt.Printf("  home cellular share %.2f: lockdown DL volume %+.0f%% vs baseline\n",
 			share, stats.DeltaPercent(lock, base))
 	}

@@ -198,7 +198,7 @@ func writeRaw(out string, r *experiments.Results, scenName, format string) error
 	ew := feeds.NewEventWriter(ef)
 	gen := signaling.NewGenerator(r.Dataset.Pop, r.Dataset.Config.Seed)
 	day := timegrid.LockdownStart.ToSimDay()
-	gen.Day(day, r.Dataset.Sim.Day(day), ew.Consume)
+	gen.Day(day, r.Dataset.Sim.DayInto(buf, day), ew.Consume)
 	return ew.Flush()
 }
 
@@ -342,11 +342,12 @@ func writeSignaling(out string, r *experiments.Results) error {
 		return err
 	}
 	gen := signaling.NewGenerator(r.Dataset.Pop, r.Dataset.Config.Seed)
+	buf := mobsim.NewDayBuffer()
 	// One representative day per week keeps the export light.
 	for _, wk := range timegrid.Weeks() {
 		day := wk.Days()[2] // Wednesday
 		agg := signaling.NewAggregator(r.Dataset.Topology)
-		gen.Day(day.ToSimDay(), r.Dataset.Sim.Day(day.ToSimDay()), agg.Consume)
+		gen.Day(day.ToSimDay(), r.Dataset.Sim.DayInto(buf, day.ToSimDay()), agg.Consume)
 		date := timegrid.DateOfStudyDay(day).Format("2006-01-02")
 		for et := signaling.EventType(0); int(et) < signaling.NumEventTypes; et++ {
 			if err := w.Write([]string{date, et.String(), strconv.FormatInt(agg.ByType[et], 10)}); err != nil {

@@ -27,7 +27,7 @@
 // Engine sizing: -workers bounds the goroutines producing days and
 // running shard tasks, -shards the logical partitions. Summaries do not
 // depend on -workers, and the figure-grade pipeline behind
-// experiments.RunStreaming is bit-identical to the serial pipeline at
+// experiments.RunStreamingOn is bit-identical to the serial pipeline at
 // any of these settings.
 //
 // In inline mode -scenario selects the behavioural scenario (a registry

@@ -115,10 +115,11 @@ func main() {
 
 // printHistograms renders the per-user daily gyration distribution on a
 // baseline weekday versus a lockdown weekday, simulating both days into
-// one reused day buffer.
+// one reused day buffer and merging visits in one reused VisitMerger.
 func printHistograms(r *experiments.Results, region, cluster string) {
 	d := r.Dataset
 	buf := mobsim.NewDayBuffer()
+	var mg core.VisitMerger
 	show := func(name string, day timegrid.SimDay) {
 		h := stats.NewHistogram(0, 20, 10)
 		traces := d.Sim.DayInto(buf, day)
@@ -130,7 +131,7 @@ func printHistograms(r *experiments.Results, region, cluster string) {
 			if cluster != "" && !strings.EqualFold(u.Cluster.Name(), cluster) {
 				continue
 			}
-			m := core.ComputeDayMetrics(&traces[i], d.Topology, core.DefaultTopN)
+			m := mg.DayMetrics(&traces[i], d.Topology, core.DefaultTopN)
 			h.Add(m.Gyration)
 		}
 		fmt.Printf("\nper-user daily gyration, %s (%s), km:\n", name,

@@ -15,7 +15,7 @@
 //
 //   - internal/experiments: one runner per paper figure (Fig2 … Fig12),
 //     with shape checks against the published results. RunStandard is
-//     the serial pipeline; RunStreaming is the same pipeline on the
+//     the serial pipeline; RunStreamingOn is the same pipeline on the
 //     sharded streaming engine, bit-identical at any worker count. The
 //     stack splits into a scenario-independent World (census + radio +
 //     population, built once) and per-scenario run stacks

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,7 @@ import (
 	"repro/internal/pandemic"
 	"repro/internal/report"
 	"repro/internal/stats"
+	"repro/internal/stream"
 	"repro/internal/timegrid"
 )
 
@@ -48,37 +50,33 @@ func main() {
 		log.Fatal(err)
 	}
 
-	scenarios := []struct {
-		name string
-		scen *pandemic.Scenario
-	}{
-		{"calibrated COVID timeline", nil}, // nil = pandemic.Default()
-		{"lockdown two weeks earlier", early},
-		{"voluntary distancing only", voluntary},
+	scens := []experiments.SweepScenario{
+		{Name: "calibrated COVID timeline"}, // nil Scenario = pandemic.Default()
+		{Name: "lockdown two weeks earlier", Scenario: early},
+		{Name: "voluntary distancing only", Scenario: voluntary},
 	}
 
 	// The world — census, radio topology, population — is scenario-
-	// independent: build it once and instantiate a run stack per
-	// scenario (this is exactly what experiments.RunSweepParallelOpts automates).
+	// independent: build it once and sweep the scenarios over it. Shared
+	// timeline prefixes are simulated once and forked where the
+	// scenarios diverge. Mobility only: no KPI engine.
 	cfg := experiments.DefaultConfig()
 	cfg.TargetUsers = 3000
 	cfg.SkipKPI = true
 	world := experiments.NewWorld(cfg)
+	runs, err := experiments.RunSweepParallelOpts(context.Background(), world, cfg, stream.Config{}, scens,
+		experiments.SweepOptions{Parallel: 2, SharePrefix: true})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("national radius of gyration, Δ% vs week 9 (weekly means):")
-	for _, sc := range scenarios {
-		cfg.Scenario = sc.scen
-		d := world.Instantiate(cfg)
-		// Lightweight pass: mobility only, study window only.
-		mob := core.NewMobilityAnalyzer(d.Pop, core.DefaultTopN)
-		for day := timegrid.SimDay(timegrid.StudyDayOffset); day < timegrid.SimDays; day++ {
-			mob.ConsumeDay(day, d.Sim.Day(day))
-		}
-		s := mob.NationalSeries(core.MetricGyration)
+	for _, run := range runs {
+		s := run.Results.Mobility.NationalSeries(core.MetricGyration)
 		w := core.DeltaSeries(s, stats.Mean(s.Values[:7])).WeeklyMeans()
 		trough, ti := w.Min()
 		fmt.Printf("  %-28s %s  trough %+.0f%% (week %d)\n",
-			sc.name, report.Sparkline(w.Values), trough, timegrid.FirstWeek+ti)
+			run.Name, report.Sparkline(w.Values), trough, timegrid.FirstWeek+ti)
 	}
 
 	fmt.Println("\nthe ordered-lockdown scenarios collapse mobility by ~60%; voluntary")

@@ -1,47 +1,17 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-
-	"repro/internal/census"
-	"repro/internal/popsim"
-	"repro/internal/radio"
-	"repro/internal/timegrid"
-	"repro/internal/traffic"
-)
+import "repro/internal/traffic"
 
 // This file makes the per-day analyzer folds resumable from a day
-// boundary: every streaming analyzer gains a deep-copy Fork (so N
+// boundary: every study-window analyzer gains a deep-copy Fork, so N
 // scenario runs can continue from one shared-prefix snapshot without
-// aliasing — the copy-on-divergence sweep) and an exported State /
-// Restore pair (plain-data snapshots that round-trip through JSON or
-// gob for experiments.Checkpoint serialization).
+// aliasing — the copy-on-divergence sweep (experiments.Checkpoint).
 //
 // Forks copy the accumulated folds and share only state that is never
 // written after construction (the population, topology and cell→group
 // lookup tables); per-call scratch is never carried over — it is
 // rebuilt lazily, exactly as a fresh analyzer would, so a fork's future
 // output is bit-identical to the original's from the fork point on.
-
-// GroupState is the serializable form of one group's mobility
-// accumulator.
-type GroupState struct {
-	SumE [timegrid.StudyDays]float64 `json:"sum_e"`
-	SumG [timegrid.StudyDays]float64 `json:"sum_g"`
-	N    [timegrid.StudyDays]int     `json:"n"`
-}
-
-func (g *groupAcc) state() GroupState   { return GroupState{SumE: g.sumE, SumG: g.sumG, N: g.n} }
-func (g *groupAcc) load(st *GroupState) { g.sumE, g.sumG, g.n = st.SumE, st.SumG, st.N }
-
-// MobilityState is the serializable fold of a MobilityAnalyzer.
-type MobilityState struct {
-	TopN      int                            `json:"top_n"`
-	National  GroupState                     `json:"national"`
-	ByCounty  []GroupState                   `json:"by_county"`
-	ByCluster [census.NumClusters]GroupState `json:"by_cluster"`
-}
 
 // Fork returns an independent copy of the analyzer: the accumulated
 // folds are deep-copied, the population reference is shared (read-only
@@ -56,51 +26,6 @@ func (a *MobilityAnalyzer) Fork() *MobilityAnalyzer {
 		byCluster: a.byCluster,
 	}
 	return f
-}
-
-// State snapshots the analyzer's fold for serialization.
-func (a *MobilityAnalyzer) State() MobilityState {
-	st := MobilityState{
-		TopN:     a.topN,
-		National: a.national.state(),
-		ByCounty: make([]GroupState, len(a.byCounty)),
-	}
-	for i := range a.byCounty {
-		st.ByCounty[i] = a.byCounty[i].state()
-	}
-	for i := range a.byCluster {
-		st.ByCluster[i] = a.byCluster[i].state()
-	}
-	return st
-}
-
-// RestoreMobilityAnalyzer rebuilds an analyzer from a snapshot, bound
-// to the given population (which must be the one the snapshot was taken
-// over — the county count is validated).
-func RestoreMobilityAnalyzer(pop *popsim.Population, st MobilityState) (*MobilityAnalyzer, error) {
-	a := NewMobilityAnalyzer(pop, st.TopN)
-	if len(st.ByCounty) != len(a.byCounty) {
-		return nil, fmt.Errorf("core: mobility snapshot has %d counties, population model has %d", len(st.ByCounty), len(a.byCounty))
-	}
-	a.national.load(&st.National)
-	for i := range st.ByCounty {
-		a.byCounty[i].load(&st.ByCounty[i])
-	}
-	for i := range st.ByCluster {
-		a.byCluster[i].load(&st.ByCluster[i])
-	}
-	return a, nil
-}
-
-// MatrixState is the serializable fold of a MobilityMatrix, including
-// the cohort definition (sorted for deterministic encoding).
-type MatrixState struct {
-	HomeCounty census.CountyID             `json:"home_county"`
-	TopN       int                         `json:"top_n"`
-	Cohort     []popsim.UserID             `json:"cohort"`
-	Presence   [][]float64                 `json:"presence"`
-	AtHome     [timegrid.StudyDays]float64 `json:"at_home"`
-	AwayAll    [timegrid.StudyDays]float64 `json:"away_all"`
 }
 
 // Fork returns an independent copy of the matrix: presence counts are
@@ -120,56 +45,6 @@ func (m *MobilityMatrix) Fork() *MobilityMatrix {
 		f.presence[i] = append([]float64(nil), m.presence[i]...)
 	}
 	return f
-}
-
-// State snapshots the matrix fold for serialization.
-func (m *MobilityMatrix) State() MatrixState {
-	st := MatrixState{
-		HomeCounty: m.homeCounty,
-		TopN:       m.topN,
-		Cohort:     make([]popsim.UserID, 0, len(m.cohort)),
-		Presence:   make([][]float64, len(m.presence)),
-		AtHome:     m.atHome,
-		AwayAll:    m.awayAll,
-	}
-	for id := range m.cohort {
-		st.Cohort = append(st.Cohort, id)
-	}
-	sort.Slice(st.Cohort, func(i, j int) bool { return st.Cohort[i] < st.Cohort[j] })
-	for i := range m.presence {
-		st.Presence[i] = append([]float64(nil), m.presence[i]...)
-	}
-	return st
-}
-
-// RestoreMobilityMatrix rebuilds a matrix from a snapshot, bound to the
-// given population.
-func RestoreMobilityMatrix(pop *popsim.Population, st MatrixState) (*MobilityMatrix, error) {
-	m := NewMobilityMatrix(pop, st.HomeCounty, st.Cohort, st.TopN)
-	if len(st.Presence) != len(m.presence) {
-		return nil, fmt.Errorf("core: matrix snapshot has %d counties, population model has %d", len(st.Presence), len(m.presence))
-	}
-	for i := range st.Presence {
-		if len(st.Presence[i]) != timegrid.StudyDays {
-			return nil, fmt.Errorf("core: matrix snapshot county %d has %d days, want %d", i, len(st.Presence[i]), timegrid.StudyDays)
-		}
-		copy(m.presence[i], st.Presence[i])
-	}
-	m.atHome, m.awayAll = st.AtHome, st.AwayAll
-	return m, nil
-}
-
-// KPIGrid is the serializable form of one group's KPI series grid.
-type KPIGrid = [traffic.NumMetrics][timegrid.StudyDays]float64
-
-// KPIState is the serializable fold of a KPIAnalyzer.
-type KPIState struct {
-	National   KPIGrid   `json:"national"`
-	P10        KPIGrid   `json:"p10"`
-	P90        KPIGrid   `json:"p90"`
-	ByCounty   []KPIGrid `json:"by_county"`
-	ByCluster  []KPIGrid `json:"by_cluster"`
-	ByDistrict []KPIGrid `json:"by_district"`
 }
 
 // Fork returns an independent copy of the analyzer: the series grids
@@ -194,125 +69,4 @@ func (k *KPIAnalyzer) Fork() *KPIAnalyzer {
 		distVals:     make([][traffic.NumMetrics][]float64, len(k.distVals)),
 	}
 	return f
-}
-
-func gridStates(grids []seriesGrid) []KPIGrid {
-	out := make([]KPIGrid, len(grids))
-	for i := range grids {
-		out[i] = grids[i].v
-	}
-	return out
-}
-
-func loadGrids(dst []seriesGrid, src []KPIGrid, what string) error {
-	if len(src) != len(dst) {
-		return fmt.Errorf("core: KPI snapshot has %d %s groups, topology has %d", len(src), what, len(dst))
-	}
-	for i := range src {
-		dst[i].v = src[i]
-	}
-	return nil
-}
-
-// State snapshots the analyzer's fold for serialization.
-func (k *KPIAnalyzer) State() KPIState {
-	return KPIState{
-		National:   k.national.v,
-		P10:        k.natP10.v,
-		P90:        k.natP90.v,
-		ByCounty:   gridStates(k.byCounty),
-		ByCluster:  gridStates(k.byCluster),
-		ByDistrict: gridStates(k.byDistrict),
-	}
-}
-
-// RestoreKPIAnalyzer rebuilds an analyzer from a snapshot, bound to the
-// given topology (which must match the one the snapshot was taken
-// over).
-func RestoreKPIAnalyzer(topo *radio.Topology, st KPIState) (*KPIAnalyzer, error) {
-	k := NewKPIAnalyzer(topo)
-	k.national.v, k.natP10.v, k.natP90.v = st.National, st.P10, st.P90
-	if err := loadGrids(k.byCounty, st.ByCounty, "county"); err != nil {
-		return nil, err
-	}
-	if err := loadGrids(k.byCluster, st.ByCluster, "cluster"); err != nil {
-		return nil, err
-	}
-	if err := loadGrids(k.byDistrict, st.ByDistrict, "district"); err != nil {
-		return nil, err
-	}
-	return k, nil
-}
-
-// HomeDetectorState is the serializable fold of a HomeDetector.
-type HomeDetectorState struct {
-	MinNights    int                                         `json:"min_nights"`
-	NightBins    []timegrid.Bin                              `json:"night_bins"`
-	NightSeconds map[popsim.UserID]map[radio.TowerID]float64 `json:"night_seconds"`
-	NightCount   map[popsim.UserID]map[radio.TowerID]int     `json:"night_count"`
-}
-
-// Fork returns an independent copy of the detector: the per-user night
-// tallies are deep-copied, the topology is shared and the per-night
-// scratch starts fresh.
-func (h *HomeDetector) Fork() *HomeDetector {
-	f := &HomeDetector{
-		topo:         h.topo,
-		MinNights:    h.MinNights,
-		NightBins:    append([]timegrid.Bin(nil), h.NightBins...),
-		nightSeconds: make(map[popsim.UserID]map[radio.TowerID]float64, len(h.nightSeconds)),
-		nightCount:   make(map[popsim.UserID]map[radio.TowerID]int, len(h.nightCount)),
-	}
-	for u, m := range h.nightSeconds {
-		cp := make(map[radio.TowerID]float64, len(m))
-		for t, s := range m {
-			cp[t] = s
-		}
-		f.nightSeconds[u] = cp
-	}
-	for u, m := range h.nightCount {
-		cp := make(map[radio.TowerID]int, len(m))
-		for t, n := range m {
-			cp[t] = n
-		}
-		f.nightCount[u] = cp
-	}
-	return f
-}
-
-// State snapshots the detector's fold for serialization. The maps are
-// deep-copied, so later ConsumeDay calls do not mutate the snapshot.
-func (h *HomeDetector) State() HomeDetectorState {
-	f := h.Fork()
-	return HomeDetectorState{
-		MinNights:    f.MinNights,
-		NightBins:    f.NightBins,
-		NightSeconds: f.nightSeconds,
-		NightCount:   f.nightCount,
-	}
-}
-
-// RestoreHomeDetector rebuilds a detector from a snapshot, bound to the
-// given topology.
-func RestoreHomeDetector(topo *radio.Topology, st HomeDetectorState) *HomeDetector {
-	h := NewHomeDetector(topo)
-	h.MinNights = st.MinNights
-	if st.NightBins != nil {
-		h.NightBins = append([]timegrid.Bin(nil), st.NightBins...)
-	}
-	for u, m := range st.NightSeconds {
-		cp := make(map[radio.TowerID]float64, len(m))
-		for t, s := range m {
-			cp[t] = s
-		}
-		h.nightSeconds[u] = cp
-	}
-	for u, m := range st.NightCount {
-		cp := make(map[radio.TowerID]int, len(m))
-		for t, n := range m {
-			cp[t] = n
-		}
-		h.nightCount[u] = cp
-	}
-	return h
 }

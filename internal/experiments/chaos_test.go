@@ -50,7 +50,7 @@ func TestStreamingProduceFaultPropagates(t *testing.T) {
 	dr := stream.DoubleReleases()
 	cfg := sweepConfig()
 	fi := fault.New(fault.Rule{Site: fault.ProduceDay, Kind: fault.KindError, Key: 40})
-	r, err := RunStreamingConfig(context.Background(), cfg, stream.Config{Workers: 3, Fault: fi})
+	r, err := RunStreamingOn(context.Background(), NewDataset(cfg), stream.Config{Workers: 3, Fault: fi})
 	if r != nil {
 		t.Fatal("failed run returned results")
 	}
@@ -77,7 +77,7 @@ func TestStreamingProducePanicIsTyped(t *testing.T) {
 	dr := stream.DoubleReleases()
 	cfg := sweepConfig()
 	fi := fault.New(fault.Rule{Site: fault.ProduceDay, Kind: fault.KindPanic, Key: 45})
-	_, err := RunStreamingConfig(context.Background(), cfg, stream.Config{Workers: 3, Fault: fi})
+	_, err := RunStreamingOn(context.Background(), NewDataset(cfg), stream.Config{Workers: 3, Fault: fi})
 	var wp *stream.WorkerPanic
 	if !errors.As(err, &wp) {
 		t.Fatalf("want *stream.WorkerPanic, got %T: %v", err, err)
@@ -97,7 +97,7 @@ func TestStreamingShardFaultPropagates(t *testing.T) {
 	dr := stream.DoubleReleases()
 	cfg := sweepConfig()
 	fi := fault.New(fault.Rule{Site: fault.ShardTask, Kind: fault.KindError, Key: 50})
-	_, err := RunStreamingConfig(context.Background(), cfg, stream.Config{Workers: 3, Shards: 4, Fault: fi})
+	_, err := RunStreamingOn(context.Background(), NewDataset(cfg), stream.Config{Workers: 3, Shards: 4, Fault: fi})
 	if !fault.IsInjected(err) {
 		t.Fatalf("want injected fault error, got %v", err)
 	}
@@ -158,7 +158,7 @@ func TestStreamingCancelledContext(t *testing.T) {
 	cfg := sweepConfig()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r, err := RunStreamingConfig(ctx, cfg, stream.Config{Workers: 3})
+	r, err := RunStreamingOn(ctx, NewDataset(cfg), stream.Config{Workers: 3})
 	if r != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("want nil results + context.Canceled, got %v, %v", r, err)
 	}

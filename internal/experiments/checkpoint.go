@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/timegrid"
 )
@@ -29,16 +27,11 @@ import (
 // every earlier day (pandemic.Scenario.DivergenceFrom) can therefore
 // seed either scenario's continuation, bit-identically to running that
 // scenario from day 0 — the basis of the copy-on-divergence sweep.
-// Fork gives each continuation its own deep copy; State/Restore
-// round-trip the checkpoint through JSON or gob for crash recovery and
-// warm starts.
+// Fork gives each continuation its own deep copy. Checkpoints live in
+// memory only, for the duration of one sweep.
 type Checkpoint struct {
 	// Day is the first unconsumed study day: the run resumes here.
 	Day timegrid.StudyDay
-	// Seed and Users identify the world the folds were computed over;
-	// Restore refuses a mismatched world.
-	Seed  uint64
-	Users int
 
 	Mobility *core.MobilityAnalyzer
 	Matrix   *core.MobilityMatrix
@@ -50,79 +43,9 @@ type Checkpoint struct {
 // the original and the fork (e.g. under different scenarios) share no
 // mutable state (asserted by TestCheckpointForkNoAliasing).
 func (c *Checkpoint) Fork() *Checkpoint {
-	f := &Checkpoint{Day: c.Day, Seed: c.Seed, Users: c.Users,
-		Mobility: c.Mobility.Fork(), Matrix: c.Matrix.Fork()}
+	f := &Checkpoint{Day: c.Day, Mobility: c.Mobility.Fork(), Matrix: c.Matrix.Fork()}
 	if c.KPI != nil {
 		f.KPI = c.KPI.Fork()
 	}
 	return f
-}
-
-// checkpointVersion guards the serialized format.
-const checkpointVersion = 1
-
-// CheckpointState is the serializable form of a Checkpoint: plain
-// exported data that round-trips through encoding/json and encoding/gob
-// without loss (float64 folds are preserved bit-exactly by both).
-type CheckpointState struct {
-	V     int    `json:"v"`
-	Seed  uint64 `json:"seed"`
-	Users int    `json:"users"`
-	Day   int    `json:"day"`
-
-	Mobility core.MobilityState `json:"mobility"`
-	Matrix   core.MatrixState   `json:"matrix"`
-	KPI      *core.KPIState     `json:"kpi,omitempty"`
-}
-
-// State snapshots the checkpoint for serialization.
-func (c *Checkpoint) State() CheckpointState {
-	st := CheckpointState{
-		V:        checkpointVersion,
-		Seed:     c.Seed,
-		Users:    c.Users,
-		Day:      int(c.Day),
-		Mobility: c.Mobility.State(),
-		Matrix:   c.Matrix.State(),
-	}
-	if c.KPI != nil {
-		k := c.KPI.State()
-		st.KPI = &k
-	}
-	return st
-}
-
-// RestoreCheckpoint rebuilds a checkpoint against a live world, which
-// must be the world the snapshot was taken over (same seed and user
-// count; the analyzer restores further validate the model and topology
-// shapes). Resuming a scenario from the restored checkpoint is
-// bit-identical to resuming from the original.
-func RestoreCheckpoint(w *World, st CheckpointState) (*Checkpoint, error) {
-	if st.V != checkpointVersion {
-		return nil, fmt.Errorf("experiments: checkpoint version %d, this build reads %d", st.V, checkpointVersion)
-	}
-	if st.Seed != w.Seed || st.Users != w.TargetUsers {
-		return nil, fmt.Errorf("experiments: checkpoint is for seed %d / %d users, world has seed %d / %d users",
-			st.Seed, st.Users, w.Seed, w.TargetUsers)
-	}
-	if st.Day < 0 || st.Day > timegrid.StudyDays {
-		return nil, fmt.Errorf("experiments: checkpoint day %d outside [0, %d]", st.Day, timegrid.StudyDays)
-	}
-	mob, err := core.RestoreMobilityAnalyzer(w.Pop, st.Mobility)
-	if err != nil {
-		return nil, err
-	}
-	mat, err := core.RestoreMobilityMatrix(w.Pop, st.Matrix)
-	if err != nil {
-		return nil, err
-	}
-	ck := &Checkpoint{Day: timegrid.StudyDay(st.Day), Seed: st.Seed, Users: st.Users, Mobility: mob, Matrix: mat}
-	if st.KPI != nil {
-		kpi, err := core.RestoreKPIAnalyzer(w.Topology, *st.KPI)
-		if err != nil {
-			return nil, err
-		}
-		ck.KPI = kpi
-	}
-	return ck, nil
 }

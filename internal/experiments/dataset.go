@@ -166,7 +166,7 @@ func runStudy(ctx context.Context, fi *fault.Injector, r *Results, buf *mobsim.D
 			if snaps == nil {
 				snaps = make(map[int]*Checkpoint, len(snapAt))
 			}
-			snaps[sd] = captureCheckpoint(d, r, sd)
+			snaps[sd] = captureCheckpoint(r, sd)
 		}
 		for k := range riders {
 			riders[k].attach(ctx, fi, r, sd)

@@ -136,11 +136,9 @@ func sharedPrefixDays(a, b *pandemic.Scenario) int {
 
 // captureCheckpoint forks the run's live folds into a checkpoint at
 // study day sd (days [0, sd) consumed).
-func captureCheckpoint(d *Dataset, r *Results, sd int) *Checkpoint {
+func captureCheckpoint(r *Results, sd int) *Checkpoint {
 	ck := &Checkpoint{
 		Day:      timegrid.StudyDay(sd),
-		Seed:     d.Config.Seed,
-		Users:    d.Config.TargetUsers,
 		Mobility: r.Mobility.Fork(),
 		Matrix:   r.Matrix.Fork(),
 	}
@@ -244,7 +242,7 @@ func (rd *riderState) consume(day timegrid.SimDay, traces []mobsim.DayTrace) {
 
 // runPrefixScenario executes one sweep entry on the serial study loop
 // (runStudy — bit-identical to the streaming engine at any worker and
-// shard count, see RunStreaming), optionally resuming from a forked
+// shard count, see RunStreamingOn), optionally resuming from a forked
 // checkpoint, capturing checkpoints at the requested day boundaries for
 // this run's non-rider children, and carrying the run's riders inline.
 //

@@ -1,10 +1,9 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -114,72 +113,6 @@ func runFromCheckpoint(t *testing.T, w *World, cfg Config, sc SweepScenario, sta
 	return run, snaps
 }
 
-// TestCheckpointRoundTrip serializes a mid-run checkpoint through JSON
-// and through gob, restores each against the live world, resumes, and
-// requires the resumed headlines to be bit-identical to the
-// uninterrupted run's.
-func TestCheckpointRoundTrip(t *testing.T) {
-	cfg := checkpointConfig()
-	w := NewWorld(cfg)
-	sc := *loadScenario(t, scenario.DefaultCovid)
-
-	full, snaps := runFromCheckpoint(t, w, cfg, sc, nil, map[int]bool{30: true})
-	want := headlinesJSON(t, full.Headlines)
-	ck := snaps[30]
-	if ck == nil {
-		t.Fatal("no checkpoint captured at day 30")
-	}
-
-	restore := func(t *testing.T, st CheckpointState) {
-		t.Helper()
-		rck, err := RestoreCheckpoint(w, st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resumed, _ := runFromCheckpoint(t, w, cfg, sc, rck, nil)
-		if got := headlinesJSON(t, resumed.Headlines); got != want {
-			t.Errorf("resumed headlines diverge from uninterrupted run\n got: %s\nwant: %s", got, want)
-		}
-	}
-
-	t.Run("json", func(t *testing.T) {
-		data, err := json.Marshal(ck.State())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st CheckpointState
-		if err := json.Unmarshal(data, &st); err != nil {
-			t.Fatal(err)
-		}
-		restore(t, st)
-	})
-
-	t.Run("gob", func(t *testing.T) {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(ck.State()); err != nil {
-			t.Fatal(err)
-		}
-		var st CheckpointState
-		if err := gob.NewDecoder(&buf).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
-		restore(t, st)
-	})
-
-	t.Run("rejects-mismatched-world", func(t *testing.T) {
-		st := ck.State()
-		st.Seed++
-		if _, err := RestoreCheckpoint(w, st); err == nil {
-			t.Error("RestoreCheckpoint accepted a checkpoint from a different seed")
-		}
-		st = ck.State()
-		st.V++
-		if _, err := RestoreCheckpoint(w, st); err == nil {
-			t.Error("RestoreCheckpoint accepted an unknown version")
-		}
-	})
-}
-
 // TestCheckpointForkNoAliasing advances a fork to the end of the study
 // window — under a different scenario — and requires the original
 // checkpoint to be untouched (snapshot-identical) and still usable:
@@ -192,18 +125,17 @@ func TestCheckpointForkNoAliasing(t *testing.T) {
 
 	full, snaps := runFromCheckpoint(t, w, cfg, base, nil, map[int]bool{20: true})
 	ck := snaps[20]
-	before, err := json.Marshal(ck.State())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The reference snapshot is an independent capture of the same day
+	// boundary, not ck.Fork(): a fork taken here would share whatever a
+	// faulty Fork shares, and so change along with ck. Fresh forks carry
+	// no per-call scratch, so it compares deeply equal to a fork of an
+	// untouched ck.
+	_, again := runFromCheckpoint(t, w, cfg, base, nil, map[int]bool{20: true})
+	before := again[20]
 
 	forked, _ := runFromCheckpoint(t, w, cfg, other, ck.Fork(), nil)
 
-	after, err := json.Marshal(ck.State())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
+	if after := ck.Fork(); !reflect.DeepEqual(before, after) {
 		t.Error("advancing a fork mutated the original checkpoint")
 	}
 	if got, want := headlinesJSON(t, forked.Headlines), headlinesJSON(t, full.Headlines); got == want {

@@ -7,13 +7,14 @@ import (
 	"repro/internal/timegrid"
 )
 
-// RunStreaming executes the canonical full pipeline — the same two
-// passes as RunStandard — on the sharded streaming engine: day
-// production (simulation and KPI generation) runs ahead on a worker
-// pool, the per-user analysis work is partitioned across shards, and
-// shard results are merged deterministically. The returned Results are
-// bit-identical to RunStandard at the same seed for every worker and
-// shard count, including workers == 1.
+// RunStreamingOn executes the canonical full pipeline over an
+// instantiated stack — the same two passes as RunStandardOn — on the
+// sharded streaming engine: day production (simulation and KPI
+// generation) runs ahead on a worker pool, the per-user analysis work
+// is partitioned across shards, and shard results are merged
+// deterministically. The returned Results are bit-identical to
+// RunStandard at the same seed for every worker and shard count
+// (scfg), including one worker.
 //
 // ctx cancels the run: production drains, pooled buffers are recycled
 // and ctx.Err() is returned (RELIABILITY.md). A clean run of the
@@ -21,18 +22,6 @@ import (
 // (stream.Config.Fault) or a cancelled ctx, the error carries the
 // failing stage (stream.WorkerPanic for panics, fault.Error for
 // injected failures).
-func RunStreaming(ctx context.Context, cfg Config, workers int) (*Results, error) {
-	return RunStreamingConfig(ctx, cfg, stream.Config{Workers: workers})
-}
-
-// RunStreamingConfig is RunStreaming with full control over the engine
-// sizing (shard count, backpressure window).
-func RunStreamingConfig(ctx context.Context, cfg Config, scfg stream.Config) (*Results, error) {
-	return RunStreamingOn(ctx, NewDataset(cfg), scfg)
-}
-
-// RunStreamingOn is RunStreamingConfig over an already-instantiated
-// stack.
 func RunStreamingOn(ctx context.Context, d *Dataset, scfg stream.Config) (*Results, error) {
 	scfg = scfg.WithDefaults()
 

@@ -51,9 +51,9 @@ func TestStreamingMatchesSerialMobilityOnly(t *testing.T) {
 	cfg := streamingTestConfig()
 	cfg.SkipKPI = true
 	serial := RunStandard(cfg)
-	got, err := RunStreaming(context.Background(), cfg, 3)
+	got, err := RunStreamingOn(context.Background(), NewDataset(cfg), stream.Config{Workers: 3})
 	if err != nil {
-		t.Fatalf("RunStreaming: %v", err)
+		t.Fatalf("RunStreamingOn: %v", err)
 	}
 	assertResultsEqual(t, serial, got)
 }

@@ -14,9 +14,9 @@ import (
 
 func mustStreamingConfig(t testing.TB, cfg Config, scfg stream.Config) *Results {
 	t.Helper()
-	r, err := RunStreamingConfig(context.Background(), cfg, scfg)
+	r, err := RunStreamingOn(context.Background(), NewDataset(cfg), scfg)
 	if err != nil {
-		t.Fatalf("RunStreamingConfig: %v", err)
+		t.Fatalf("RunStreamingOn: %v", err)
 	}
 	return r
 }

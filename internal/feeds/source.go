@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 
 	"repro/internal/fault"
 	"repro/internal/feeds/colfmt"
@@ -64,33 +63,6 @@ func colOptions(o Options) colfmt.Options {
 // allocates fresh stores — liveness never depends on recycling.
 const feedPoolSize = 8
 
-// feedDayRes is one recyclable backing store for a replayed day. Its
-// release discipline mirrors stream.BufferPool's dayStore: every
-// checkout stamps a fresh generation, and Recycle refuses anything but
-// exactly one release of the current checkout, reporting rejects into
-// the shared stream.DoubleReleases ledger.
-type feedDayRes struct {
-	src    *FeedSource
-	buf    *mobsim.DayBuffer
-	cells  []traffic.CellDay
-	events []signaling.Event
-	out    atomic.Bool
-	gen    atomic.Uint64
-}
-
-// Recycle implements stream.Recycler.
-func (r *feedDayRes) Recycle(gen uint64) {
-	if r.gen.Load() != gen || !r.out.CompareAndSwap(true, false) {
-		r.src.rejected.Add(1)
-		stream.ReportDoubleRelease()
-		return
-	}
-	select {
-	case r.src.free <- r:
-	default:
-	}
-}
-
 // FeedSource replays persisted feeds — CSV or columnar day blocks
 // (colfmt), auto-detected per file — as day batches for the streaming
 // engine (stream.Source). The trace feed drives the day
@@ -98,16 +70,17 @@ func (r *feedDayRes) Recycle(gen uint64) {
 // are attached when their feeds are present. All readers are streaming:
 // one day of records is held at a time.
 //
-// Batches are produced into pooled record buffers; callers that release
-// each batch when done (stream.Engine.Run does, after the merge stage)
-// replay the whole feed with a bounded number of live buffers.
+// Batches are produced into stores drawn from a stream.BufferPool — the
+// simulator's recycling discipline, double-release guard included;
+// callers that release each batch when done (stream.Engine.Run does,
+// after the merge stage) replay the whole feed with a bounded number of
+// live buffers.
 type FeedSource struct {
 	traces TraceDayReader
 	kpi    KPIDayReader
 	events *EventReader
 
-	free     chan *feedDayRes
-	rejected atomic.Int64
+	pool *stream.BufferPool
 
 	fi       *fault.Injector
 	daysRead int64
@@ -127,7 +100,7 @@ type FeedSource struct {
 // source; kpi and events may be nil.
 func NewFeedSource(traces TraceDayReader, kpi KPIDayReader, events *EventReader) *FeedSource {
 	return &FeedSource{traces: traces, kpi: kpi, events: events,
-		free:          make(chan *feedDayRes, feedPoolSize),
+		pool:          stream.NewBufferPool(feedPoolSize),
 		pendingKPIDay: -1, kpiDone: kpi == nil, eventsDone: events == nil}
 }
 
@@ -272,53 +245,33 @@ func (s *FeedSource) Skipped() int64 {
 	return n
 }
 
-// Rejected returns how many batch releases this source refused (double
-// or stale); tests pin it at zero on every clean and faulted path.
-func (s *FeedSource) Rejected() int64 { return s.rejected.Load() }
-
-// getRes draws a backing store from the free list, or allocates one,
-// stamping a fresh checkout generation either way.
-func (s *FeedSource) getRes() *feedDayRes {
-	var r *feedDayRes
-	select {
-	case r = <-s.free:
-	default:
-		r = &feedDayRes{src: s, buf: mobsim.NewDayBuffer()}
-	}
-	r.gen.Add(1)
-	r.out.Store(true)
-	return r
-}
-
 // Next returns the next day batch; io.EOF when the trace feed ends.
 func (s *FeedSource) Next() (stream.DayBatch, error) {
 	if err := s.fi.Fire(fault.FeedRead, s.daysRead); err != nil {
 		return stream.DayBatch{}, err
 	}
 	s.daysRead++
-	res := s.getRes()
-	gen := res.gen.Load()
-	day, err := s.traces.ReadDayInto(res.buf)
+	st := s.pool.Draw()
+	b := st.Batch()
+	day, err := s.traces.ReadDayInto(st.Buf)
 	if err != nil {
-		res.Recycle(gen)
+		b.Release()
 		return stream.DayBatch{}, err // io.EOF passes through
 	}
-	b := stream.DayBatch{Day: day, Traces: res.buf.Traces(), Owner: res, Gen: gen}
-	res.cells, err = s.kpiFor(day, res.cells[:0])
-	if err != nil {
-		res.Recycle(gen)
+	b.Day, b.Traces = day, st.Buf.Traces()
+	if st.Cells, err = s.kpiFor(day, st.Cells[:0]); err != nil {
+		b.Release()
 		return stream.DayBatch{}, err
 	}
-	if len(res.cells) > 0 {
-		b.Cells = res.cells
+	if len(st.Cells) > 0 {
+		b.Cells = st.Cells
 	}
-	res.events, err = s.eventsFor(day, res.events[:0])
-	if err != nil {
-		res.Recycle(gen)
+	if st.Events, err = s.eventsFor(day, st.Events[:0]); err != nil {
+		b.Release()
 		return stream.DayBatch{}, err
 	}
-	if len(res.events) > 0 {
-		b.Events = res.events
+	if len(st.Events) > 0 {
+		b.Events = st.Events
 	}
 	return b, nil
 }

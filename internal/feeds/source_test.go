@@ -10,6 +10,7 @@ import (
 	"repro/internal/popsim"
 	"repro/internal/radio"
 	"repro/internal/signaling"
+	"repro/internal/stream"
 	"repro/internal/timegrid"
 	"repro/internal/traffic"
 )
@@ -144,6 +145,47 @@ func TestFeedSourceTracesOnly(t *testing.T) {
 	}
 	if days != 3 {
 		t.Fatalf("want 3 days, got %d", days)
+	}
+}
+
+// TestFeedSourceRefusesDoubleRelease releases one replayed batch twice
+// (through a copy, as a buggy consumer would): the second release must
+// be refused and counted once in the process-wide ledger, and the store
+// must not reach the free list twice — the next two days get distinct
+// stores.
+func TestFeedSourceRefusesDoubleRelease(t *testing.T) {
+	dir := t.TempDir()
+	writeFeedDir(t, dir)
+	src, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+
+	b, err := src.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := b
+	ledger0 := stream.DoubleReleases()
+	b.Release()
+	stale.Release()
+	if got := stream.DoubleReleases() - ledger0; got != 1 {
+		t.Fatalf("double release bumped stream.DoubleReleases by %d, want 1", got)
+	}
+	b1, err := src.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2, err := src.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b1.Owner == b2.Owner {
+		t.Fatal("free list corrupted: one store issued to two live batches")
+	}
+	if b1.Day != 1 || b2.Day != 2 || b1.Traces[0].User != 1 || b2.Traces[1].User != 7 {
+		t.Fatalf("bad batches after a refused release: day %d %+v, day %d %+v", b1.Day, b1.Traces, b2.Day, b2.Traces)
 	}
 }
 

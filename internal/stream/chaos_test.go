@@ -35,21 +35,29 @@ func settleGoroutines(t *testing.T, base int) {
 	}
 }
 
-// countingBatches builds synthetic batches whose Recycle hooks count
-// releases, so tests can pin "every batch released exactly once".
+// countingRecycler owns one synthetic batch and counts its releases:
+// the first into released, every further one into double.
+type countingRecycler struct {
+	fired            atomic.Bool
+	released, double *atomic.Int64
+}
+
+func (c *countingRecycler) Recycle(uint64) {
+	if !c.fired.CompareAndSwap(false, true) {
+		c.double.Add(1)
+		return
+	}
+	c.released.Add(1)
+}
+
+// countingBatches builds synthetic batches whose owners count releases,
+// so tests can pin "every batch released exactly once".
 func countingBatches(days, users int) ([]DayBatch, *atomic.Int64, *atomic.Int64) {
 	batches := syntheticBatches(days, users)
 	released := &atomic.Int64{}
 	double := &atomic.Int64{}
 	for d := range batches {
-		fired := &atomic.Bool{}
-		batches[d].Recycle = func() {
-			if !fired.CompareAndSwap(false, true) {
-				double.Add(1)
-				return
-			}
-			released.Add(1)
-		}
+		batches[d].Owner = &countingRecycler{released: released, double: double}
 	}
 	return batches, released, double
 }
@@ -170,8 +178,8 @@ func TestEngineCancelMidRun(t *testing.T) {
 func TestPoolRejectsDoubleRelease(t *testing.T) {
 	ledger0 := DoubleReleases()
 	p := NewBufferPool(2)
-	r := p.get()
-	b := DayBatch{Owner: r, Gen: r.curGen()}
+	r := p.Draw()
+	b := r.Batch()
 	b.Release()
 	if p.Rejected() != 0 {
 		t.Fatalf("first release rejected")
@@ -189,7 +197,7 @@ func TestPoolRejectsDoubleRelease(t *testing.T) {
 	}
 	// The store must be drawable again exactly once — the free list holds
 	// one copy, not two.
-	r1, r2 := p.get(), p.get()
+	r1, r2 := p.Draw(), p.Draw()
 	if r1 == r2 {
 		t.Fatal("free list corrupted: same store issued twice")
 	}
@@ -200,11 +208,11 @@ func TestPoolRejectsDoubleRelease(t *testing.T) {
 // by the new checkout.
 func TestPoolRejectsStaleGeneration(t *testing.T) {
 	p := NewBufferPool(2)
-	r := p.get()
-	oldGen := r.curGen()
-	first := DayBatch{Owner: r, Gen: oldGen}
+	r := p.Draw()
+	first := r.Batch()
+	oldGen := first.Gen
 	first.Release() // back to the free list
-	r2 := p.get()   // re-issued, fresh generation
+	r2 := p.Draw()  // re-issued, fresh generation
 	if r2 != r {
 		t.Fatal("expected the pooled store back")
 	}
@@ -214,7 +222,7 @@ func TestPoolRejectsStaleGeneration(t *testing.T) {
 		t.Fatalf("stale release not rejected: Rejected()=%d", p.Rejected())
 	}
 	// The current checkout must still release fine.
-	cur := DayBatch{Owner: r2, Gen: r2.curGen()}
+	cur := r2.Batch()
 	cur.Release()
 	if p.Rejected() != 1 {
 		t.Fatalf("current-generation release was rejected")

@@ -24,8 +24,8 @@
 //     shard order, so outputs do not depend on Config.Workers.
 //   - Serial equivalence: the merge paths perform the same floating
 //     point operations in the same order as the serial analyzers in
-//     internal/core, so experiments.RunStreaming is bit-identical to
-//     experiments.RunStandard at the same seed.
+//     internal/core, so experiments.RunStreamingOn is bit-identical to
+//     experiments.RunStandardOn over the same dataset.
 //
 // Backpressure is bounded channels end to end: a SimSource keeps at most
 // Workers+Buffer days in flight, and the engine finishes every shard of

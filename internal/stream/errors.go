@@ -60,16 +60,12 @@ func capturePanic(dst *error, stage string, shard int, day timegrid.SimDay) {
 
 // doubleReleases counts rejected buffer releases process-wide: a
 // DayBatch released twice, or a stale batch copy released after its
-// store was re-issued. The pools report and refuse instead of
-// corrupting the free list (see BufferPool); chaos tests assert the
+// store was re-issued. Every BufferPool — the simulator's and the feed
+// replayer's — reports here and refuses instead of corrupting its free
+// list; chaos tests assert the
 // counter stays flat across clean and faulted runs.
 var doubleReleases atomic.Int64
 
 // DoubleReleases returns the number of rejected (double or stale)
 // buffer releases seen process-wide since start.
 func DoubleReleases() int64 { return doubleReleases.Load() }
-
-// ReportDoubleRelease records one rejected release. It is called by
-// this package's BufferPool and by external pooled sources
-// (feeds.FeedSource) so every recycling path shares one ledger.
-func ReportDoubleRelease() { doubleReleases.Add(1) }

@@ -16,11 +16,11 @@ import (
 func TestBufferPoolInstrumentedAllocFree(t *testing.T) {
 	reg := obs.New()
 	p := NewBufferPool(2).Instrument(reg)
-	warm := p.get() // first draw allocates the store (a miss)
-	warm.Recycle(warm.curGen())
+	warm := p.Draw().Batch() // first draw allocates the store (a miss)
+	warm.Release()
 	allocs := testing.AllocsPerRun(100, func() {
-		r := p.get()
-		r.Recycle(r.curGen())
+		b := p.Draw().Batch()
+		b.Release()
 	})
 	if allocs > 0 {
 		t.Errorf("instrumented pool cycle allocates %.1f per op, want 0", allocs)

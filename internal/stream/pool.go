@@ -5,20 +5,20 @@ import (
 
 	"repro/internal/mobsim"
 	"repro/internal/obs"
+	"repro/internal/signaling"
 	"repro/internal/traffic"
 )
 
 // BufferPool is a bounded, non-blocking free list of day-production
-// backing stores (a mobsim.DayBuffer plus a reusable CellDay slice) —
-// the PR 2 recycling machinery lifted out of SimSource so it can be
-// shared across sources. A pool owned by one sweep worker and passed to
-// every SimSource that worker creates keeps the steady state of a
-// multi-scenario sweep at zero day-buffer allocations per scenario:
-// the buffers warmed by the first scenario are reused by every later
-// one.
+// backing stores (DayStore: a mobsim.DayBuffer plus reusable CellDay and
+// event slices). Every day source recycles through one: SimSource owns
+// a private pool sized to its in-flight window, and feeds.FeedSource
+// owns one sized to its replay pipeline. A consumer that releases each
+// batch (the stream engine does, after the merge stage) keeps a whole
+// run at a bounded number of live day buffers.
 //
 // Draws never block: when every pooled store is checked out (or
-// consumers never release), Get allocates a fresh store, so liveness
+// consumers never release), Draw allocates a fresh store, so liveness
 // cannot depend on Release being called. Returns past the pool's
 // capacity are dropped to the GC.
 //
@@ -33,7 +33,7 @@ import (
 // A pool is safe for concurrent use; a store, once drawn, belongs to
 // exactly one producer until its batch is released.
 type BufferPool struct {
-	free chan *dayStore
+	free chan *DayStore
 
 	// hits/misses count draws served from the free list versus fresh
 	// allocations (stream.pool.hits / stream.pool.misses); nil — a no-op
@@ -65,11 +65,17 @@ func (p *BufferPool) Instrument(r *obs.Registry) *BufferPool {
 // stale); tests pin it at zero on every clean and faulted path.
 func (p *BufferPool) Rejected() int64 { return p.rejected.Load() }
 
-// dayStore is one recyclable backing store for a produced day.
-type dayStore struct {
-	pool  *BufferPool
-	buf   *mobsim.DayBuffer
-	cells []traffic.CellDay
+// DayStore is one recyclable backing store for a produced day. The
+// producer that drew it fills Buf and may grow Cells and Events in
+// place (keep the grown slices in the fields so the next checkout
+// reuses their capacity); the store returns to its pool when the batch
+// from Batch is released.
+type DayStore struct {
+	Buf    *mobsim.DayBuffer
+	Cells  []traffic.CellDay
+	Events []signaling.Event
+
+	pool *BufferPool
 	// out is true while the store is checked out of the free list; gen
 	// is bumped at every checkout. Together they make Recycle reject
 	// anything but exactly one release of the current checkout.
@@ -77,16 +83,21 @@ type dayStore struct {
 	gen atomic.Uint64
 }
 
+// Batch returns an empty DayBatch owning the store's current checkout;
+// the producer fills in the day and its records. Releasing it (or any
+// copy, once) recycles the store.
+func (r *DayStore) Batch() DayBatch { return DayBatch{Owner: r, Gen: r.gen.Load()} }
+
 // Recycle implements Recycler: it returns the store to its pool's free
 // list iff gen names the store's current checkout and the store is
 // still out. Anything else — a second release of the same batch, or a
 // stale copy from an earlier checkout — is reported and refused, so a
 // buffer can never reach the free list while another producer owns it.
-func (r *dayStore) Recycle(gen uint64) {
+func (r *DayStore) Recycle(gen uint64) {
 	if r.gen.Load() != gen || !r.out.CompareAndSwap(true, false) {
 		r.pool.rejected.Add(1)
 		r.pool.doubleRel.Inc()
-		ReportDoubleRelease()
+		doubleReleases.Add(1)
 		return
 	}
 	select {
@@ -96,33 +107,28 @@ func (r *dayStore) Recycle(gen uint64) {
 }
 
 // NewBufferPool builds a pool that retains at most capacity idle
-// stores. Sources size their private pools to their in-flight window
-// (workers + buffer); a shared pool should be at least that large to
-// stay allocation-free at the steady state.
+// stores. Size it to the owning source's in-flight window (for
+// SimSource, workers + buffer) to stay allocation-free at the steady
+// state.
 func NewBufferPool(capacity int) *BufferPool {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &BufferPool{free: make(chan *dayStore, capacity)}
+	return &BufferPool{free: make(chan *DayStore, capacity)}
 }
 
-// get draws a store, reusing a pooled one when available. The returned
-// store is stamped with a fresh generation (read it with curGen when
-// building the DayBatch).
-func (p *BufferPool) get() *dayStore {
-	var r *dayStore
+// Draw checks a store out of the pool, reusing a pooled one when
+// available, and stamps it with a fresh generation.
+func (p *BufferPool) Draw() *DayStore {
+	var r *DayStore
 	select {
 	case r = <-p.free:
 		p.hits.Inc()
 	default:
 		p.misses.Inc()
-		r = &dayStore{pool: p, buf: mobsim.NewDayBuffer()}
+		r = &DayStore{pool: p, Buf: mobsim.NewDayBuffer()}
 	}
 	r.gen.Add(1)
 	r.out.Store(true)
 	return r
 }
-
-// curGen is the store's current checkout generation, carried on the
-// DayBatch drawn from it.
-func (r *dayStore) curGen() uint64 { return r.gen.Load() }

@@ -35,19 +35,14 @@ type DayBatch struct {
 	// Owner/Gen, when Owner is non-nil, return the batch's pooled
 	// backing store on Release. Gen stamps the checkout, so a released
 	// batch (or any copy of it) can never recycle a store that has
-	// since been re-issued. Sources set these; everyone else calls
-	// Release.
+	// since been re-issued. Sources set these (DayStore.Batch);
+	// everyone else calls Release.
 	Owner Recycler
 	Gen   uint64
-
-	// Recycle is the unpooled recycling hook for ad-hoc batches (tests,
-	// adapters holding their own buffers). Prefer Owner for pooled
-	// stores — a bare func can not carry a generation stamp.
-	Recycle func()
 }
 
 // Release hands the batch's buffers back to their source, exactly once
-// per batch value; it is a no-op for batches without a recycle hook.
+// per batch value; it is a no-op for batches without an Owner.
 // The engine calls it after the merge stage of each day, so consumers
 // must not retain the batch's slices past EndDay/ConsumeDay — copy
 // anything they keep. Releasing copies of one batch more than once in
@@ -56,11 +51,6 @@ func (b *DayBatch) Release() {
 	if o := b.Owner; o != nil {
 		b.Owner = nil
 		o.Recycle(b.Gen)
-		return
-	}
-	if f := b.Recycle; f != nil {
-		b.Recycle = nil
-		f()
 	}
 }
 
@@ -212,23 +202,24 @@ func (s *SimSource) failure() error {
 // into a *WorkerPanic and the store is recycled on every failure path,
 // so a poisoned day can neither crash the process nor leak its buffer.
 func (s *SimSource) produceDay(sim *mobsim.Simulator, eng *traffic.Engine, day timegrid.SimDay) (b DayBatch, err error) {
-	res := s.pool.get()
+	st := s.pool.Draw()
+	b = st.Batch()
 	defer func() {
 		if v := recover(); v != nil {
 			err = NewWorkerPanic("produce", -1, day, v)
 		}
 		if err != nil {
-			res.Recycle(res.curGen())
+			b.Release()
 			b = DayBatch{}
 		}
 	}()
-	if ferr := s.fi.Fire(fault.ProduceDay, int64(day)); ferr != nil {
-		return DayBatch{}, ferr
+	if err = s.fi.Fire(fault.ProduceDay, int64(day)); err != nil {
+		return b, err
 	}
-	b = DayBatch{Day: day, Traces: sim.DayInto(res.buf, day), Owner: res, Gen: res.curGen()}
+	b.Day, b.Traces = day, sim.DayInto(st.Buf, day)
 	if eng != nil {
-		res.cells = eng.DayAppend(res.cells[:0], day, b.Traces)
-		b.Cells = res.cells
+		st.Cells = eng.DayAppend(st.Cells[:0], day, b.Traces)
+		b.Cells = st.Cells
 	}
 	return b, nil
 }
