@@ -190,7 +190,7 @@ func BenchmarkSignalingDay(b *testing.B) {
 	b.ResetTimer()
 	n := 0
 	for i := 0; i < b.N; i++ {
-		gen.Day(day, benchDay, func(*signaling.Event) { n++ })
+		gen.Day(day, benchDay, func(signaling.Event) { n++ })
 	}
 	if n == 0 {
 		b.Fatal("no events")

@@ -490,7 +490,7 @@ type EventWriter struct {
 func NewEventWriter(w io.Writer) *EventWriter { return &EventWriter{w: csv.NewWriter(w)} }
 
 // Consume appends one event; errors are latched and reported by Flush.
-func (e *EventWriter) Consume(ev *signaling.Event) {
+func (e *EventWriter) Consume(ev signaling.Event) {
 	if e.err != nil {
 		return
 	}

@@ -144,8 +144,8 @@ func TestEventRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewEventWriter(&buf)
 	var want []signaling.Event
-	gen.Day(day, sim.Day(day), func(e *signaling.Event) {
-		want = append(want, *e)
+	gen.Day(day, sim.Day(day), func(e signaling.Event) {
+		want = append(want, e)
 		w.Consume(e)
 	})
 	if err := w.Flush(); err != nil {

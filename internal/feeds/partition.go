@@ -206,7 +206,7 @@ func PartitionDir(in, out string, parts int, opt Options) ([]Meta, error) {
 			if o.events != nil {
 				for i := range b.Events {
 					if shardOf(uint32(b.Events[i].User)) == s {
-						o.events.Consume(&b.Events[i])
+						o.events.Consume(b.Events[i])
 					}
 				}
 			}

@@ -61,7 +61,7 @@ func writeFeedDir(t *testing.T, dir string) {
 	}
 	ew := NewEventWriter(ef)
 	for i := 0; i < 4; i++ {
-		ew.Consume(&signaling.Event{Day: 1, SecOfDay: int32(i), User: popsim.UserID(i), Type: signaling.Attach, OK: true})
+		ew.Consume(signaling.Event{Day: 1, SecOfDay: int32(i), User: popsim.UserID(i), Type: signaling.Attach, OK: true})
 	}
 	if err := ew.Flush(); err != nil {
 		t.Fatal(err)

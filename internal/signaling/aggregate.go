@@ -1,26 +1,32 @@
 package signaling
 
 import (
-	"repro/internal/census"
+	"math/bits"
+
 	"repro/internal/devices"
 	"repro/internal/mobsim"
 	"repro/internal/popsim"
 	"repro/internal/radio"
+	"repro/internal/rng"
 	"repro/internal/timegrid"
 )
 
 // Aggregator reduces a raw event stream to the postcode-level feed the
 // paper actually analyses ("these feeds are aggregated at postcode level
 // or larger granularity", §2.2): per-district per-type counts, failure
-// tallies, distinct-user reach and RAT usage.
+// tallies, distinct-user reach and RAT usage. Districts and users both
+// have dense IDs, so every tally is an array slot and consuming an
+// event allocates nothing once the user bitset has grown.
 type Aggregator struct {
 	topo *radio.Topology
 
-	ByDistrict map[census.DistrictID]*DistrictCounts
+	// ByDistrict is indexed by census.DistrictID.
+	ByDistrict []DistrictCounts
 	ByType     [NumEventTypes]int64
 	Failures   int64
 	Total      int64
-	usersSeen  map[popsim.UserID]bool
+	// usersSeen is a bitset over popsim.UserID.
+	usersSeen []uint64
 }
 
 // DistrictCounts is the per-postcode aggregate.
@@ -34,72 +40,70 @@ type DistrictCounts struct {
 func NewAggregator(topo *radio.Topology) *Aggregator {
 	return &Aggregator{
 		topo:       topo,
-		ByDistrict: make(map[census.DistrictID]*DistrictCounts),
-		usersSeen:  make(map[popsim.UserID]bool),
+		ByDistrict: make([]DistrictCounts, len(topo.Model().Districts)),
 	}
 }
 
 // Consume ingests one event; it is an EmitFunc.
-func (a *Aggregator) Consume(e *Event) {
+func (a *Aggregator) Consume(e Event) {
 	a.Total++
 	a.ByType[e.Type]++
 	if !e.OK {
 		a.Failures++
 	}
-	d := a.topo.Tower(e.Tower).District
-	dc := a.ByDistrict[d]
-	if dc == nil {
-		dc = &DistrictCounts{}
-		a.ByDistrict[d] = dc
-	}
+	dc := &a.ByDistrict[a.topo.Tower(e.Tower).District]
 	dc.Total++
 	dc.ByType[e.Type]++
 	if !e.OK {
 		dc.Failures++
 	}
-	a.usersSeen[e.User] = true
+	w := int(e.User / 64)
+	if w >= len(a.usersSeen) {
+		a.growUsers(w + 1)
+	}
+	a.usersSeen[w] |= 1 << (e.User % 64)
 }
 
-// Merge folds another aggregator's tallies into a. Every aggregate is an
-// integer count or a distinct-user set, so merging is exact: partitioning
-// an event stream across shard-local aggregators and merging them — in
-// any order — reproduces a single aggregator over the whole stream.
+// growUsers extends the user bitset to n words.
+func (a *Aggregator) growUsers(n int) {
+	a.usersSeen = append(a.usersSeen, make([]uint64, n-len(a.usersSeen))...)
+}
+
+// Merge folds another aggregator over the same topology into a. Every
+// aggregate is an integer count or a distinct-user set, so merging is
+// exact: partitioning an event stream across shard-local aggregators and
+// merging them — in any order — reproduces a single aggregator over the
+// whole stream.
 func (a *Aggregator) Merge(o *Aggregator) {
 	a.Total += o.Total
 	a.Failures += o.Failures
 	for t := range o.ByType {
 		a.ByType[t] += o.ByType[t]
 	}
-	for d, oc := range o.ByDistrict {
-		dc := a.ByDistrict[d]
-		if dc == nil {
-			dc = &DistrictCounts{}
-			a.ByDistrict[d] = dc
-		}
+	for d := range o.ByDistrict {
+		dc, oc := &a.ByDistrict[d], &o.ByDistrict[d]
 		dc.Total += oc.Total
 		dc.Failures += oc.Failures
 		for t := range oc.ByType {
 			dc.ByType[t] += oc.ByType[t]
 		}
 	}
-	for u := range o.usersSeen {
-		a.usersSeen[u] = true
+	if len(o.usersSeen) > len(a.usersSeen) {
+		a.growUsers(len(o.usersSeen))
+	}
+	for w, bitsSet := range o.usersSeen {
+		a.usersSeen[w] |= bitsSet
 	}
 }
 
-// Fork returns an independent deep copy of the aggregator: both copies
-// can consume further events (e.g. under different scenarios) without
-// sharing any mutable state. Fork-then-Merge composes with the existing
-// exact merge semantics: a.Fork() fed stream X and a.Fork() fed stream
-// Y, merged, equal a fed X then Y.
-func (a *Aggregator) Fork() *Aggregator {
-	f := NewAggregator(a.topo)
-	f.Merge(a)
-	return f
-}
-
 // DistinctUsers returns how many distinct SIMs appeared in the feed.
-func (a *Aggregator) DistinctUsers() int { return len(a.usersSeen) }
+func (a *Aggregator) DistinctUsers() int {
+	n := 0
+	for _, w := range a.usersSeen {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
 
 // FailureRate returns the overall event failure fraction.
 func (a *Aggregator) FailureRate() float64 {
@@ -163,10 +167,10 @@ func (r *RATShare) ConsumeDay(day timegrid.SimDay, traces []mobsim.DayTrace) {
 	for i := range traces {
 		t := &traces[i]
 		u := r.gen.pop.User(t.User)
-		src := rngFor(r.gen.seed, uint64(t.User), uint64(day))
+		src := rng.Stream2(r.gen.seed, uint64(t.User), uint64(day))
 		for _, v := range t.Visits {
 			tw := r.gen.topo.Tower(v.Tower())
-			rat := r.gen.ratFor(u, tw, src)
+			rat := r.gen.ratFor(u, tw, &src)
 			r.seconds[rat] += float64(v.Seconds())
 		}
 	}

@@ -114,7 +114,7 @@ func NewCauseBreakdown(pressure float64, seed uint64) *CauseBreakdown {
 }
 
 // Consume is an EmitFunc: failed events get a cause drawn and tallied.
-func (b *CauseBreakdown) Consume(e *Event) {
+func (b *CauseBreakdown) Consume(e Event) {
 	if e.OK {
 		b.Counts[CauseNone]++
 		return

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/mobsim"
-	"repro/internal/popsim"
 	"repro/internal/radio"
 	"repro/internal/rng"
 	"repro/internal/timegrid"
@@ -84,32 +83,30 @@ func (g *Generator) VoiceDay(t *mobsim.DayTrace, day timegrid.SimDay, voiceFacto
 		return
 	}
 	u := g.pop.User(t.User)
-	src := rng.New(g.seed).Split2(uint64(t.User)^0xCA11, uint64(day))
+	src := rng.Stream2(g.seed, uint64(t.User)^0xCA11, uint64(day))
 	// Baseline ≈2.2 calls/day; the surge multiplies call attempts.
 	calls := src.Poisson(2.2 * voiceFactor)
-	for c := 0; c < calls; c++ {
-		// Pick a visit weighted by dwell so calls happen where the
-		// agent is; bias towards waking bins.
-		weights := make([]float64, len(t.Visits))
-		for i, v := range t.Visits {
-			w := float64(v.Seconds())
-			if v.Bin() == 0 {
-				w *= 0.05 // few calls in the small hours
-			}
-			weights[i] = w
+	if calls == 0 {
+		return
+	}
+	// Pick a visit weighted by dwell so calls happen where the agent
+	// is; bias towards waking bins.
+	weights := make([]float64, len(t.Visits))
+	for i, v := range t.Visits {
+		w := float64(v.Seconds())
+		if v.Bin() == 0 {
+			w *= 0.05 // few calls in the small hours
 		}
+		weights[i] = w
+	}
+	for c := 0; c < calls; c++ {
 		v := t.Visits[src.Pick(weights)]
 		start, end := v.Bin().Hours()
 		sec := int32(start*3600 + src.Intn((end-start)*3600))
 		dur := int32(src.IntRange(45, 900))
-		g.emitVoice(f, u, day, sec, VoiceCallStart, v.Tower(), src)
-		g.emitVoice(f, u, day, sec+dur, VoiceCallEnd, v.Tower(), src)
+		g.emit(f, u, day, sec, VoiceCallStart, v.Tower(), &src)
+		g.emit(f, u, day, sec+dur, VoiceCallEnd, v.Tower(), &src)
 	}
-}
-
-// emitVoice mirrors emit for the voice event types.
-func (g *Generator) emitVoice(f EmitFunc, u *popsim.User, day timegrid.SimDay, sec int32, typ EventType, tw radio.TowerID, src *rng.Source) {
-	g.emit(f, u, day, sec, typ, tw, src)
 }
 
 // InterfaceBreakdown tallies an event stream per monitored interface; a
@@ -120,7 +117,7 @@ type InterfaceBreakdown struct {
 }
 
 // Consume is an EmitFunc.
-func (b *InterfaceBreakdown) Consume(e *Event) {
+func (b *InterfaceBreakdown) Consume(e Event) {
 	b.Counts[e.Interface()]++
 }
 

@@ -49,7 +49,7 @@ func TestVoiceDaySurge(t *testing.T) {
 	traces := sim.Day(day)
 	count := func(factor float64) (starts, ends int) {
 		for i := range traces[:300] {
-			gen.VoiceDay(&traces[i], day, factor, func(e *Event) {
+			gen.VoiceDay(&traces[i], day, factor, func(e Event) {
 				switch e.Type {
 				case VoiceCallStart:
 					starts++

@@ -89,8 +89,9 @@ type Event struct {
 	OK       bool // result code: success / failure
 }
 
-// EmitFunc receives generated events; it must not retain the pointer.
-type EmitFunc func(*Event)
+// EmitFunc receives generated events by value, so an event never
+// escapes the generator.
+type EmitFunc func(Event)
 
 // Generator produces deterministic event streams from day traces.
 type Generator struct {
@@ -154,7 +155,7 @@ func (g *Generator) emit(f EmitFunc, u *popsim.User, day timegrid.SimDay, sec in
 		PLMN:     u.PLMN,
 		OK:       !src.Bool(0.004), // rare failures
 	}
-	f(&ev)
+	f(ev)
 }
 
 // UserDay generates the control-plane events for one native agent-day
@@ -164,7 +165,7 @@ func (g *Generator) emit(f EmitFunc, u *popsim.User, day timegrid.SimDay, sec in
 // moves, and a detach for a small fraction of devices overnight.
 func (g *Generator) UserDay(t *mobsim.DayTrace, day timegrid.SimDay, f EmitFunc) {
 	u := g.pop.User(t.User)
-	src := rng.New(g.seed).Split2(uint64(t.User), uint64(day))
+	src := rng.Stream2(g.seed, uint64(t.User), uint64(day))
 	if len(t.Visits) == 0 {
 		return
 	}
@@ -172,9 +173,9 @@ func (g *Generator) UserDay(t *mobsim.DayTrace, day timegrid.SimDay, f EmitFunc)
 	first := t.Visits[0]
 	firstTower := first.Tower()
 	sec := int32(first.Bin()) * timegrid.BinHours * 3600
-	g.emit(f, u, day, sec, Attach, firstTower, src)
-	g.emit(f, u, day, sec+1, Authentication, firstTower, src)
-	g.emit(f, u, day, sec+2, SessionEstablish, firstTower, src)
+	g.emit(f, u, day, sec, Attach, firstTower, &src)
+	g.emit(f, u, day, sec+1, Authentication, firstTower, &src)
+	g.emit(f, u, day, sec+2, SessionEstablish, firstTower, &src)
 
 	prev := firstTower
 	for i, v := range t.Visits {
@@ -184,10 +185,10 @@ func (g *Generator) UserDay(t *mobsim.DayTrace, day timegrid.SimDay, f EmitFunc)
 		if i > 0 && tw != prev {
 			// Tower change: active users hand over, idle ones TAU.
 			if src.Bool(0.55) {
-				g.emit(f, u, day, at, Handover, tw, src)
+				g.emit(f, u, day, at, Handover, tw, &src)
 			} else {
-				g.emit(f, u, day, at, TrackingAreaUpdate, tw, src)
-				g.emit(f, u, day, at+1, ServiceRequest, tw, src)
+				g.emit(f, u, day, at, TrackingAreaUpdate, tw, &src)
+				g.emit(f, u, day, at+1, ServiceRequest, tw, &src)
 			}
 		}
 		// Activity within the dwell: service requests / idle cycles and
@@ -195,33 +196,33 @@ func (g *Generator) UserDay(t *mobsim.DayTrace, day timegrid.SimDay, f EmitFunc)
 		cycles := src.Poisson(float64(v.Seconds()) / 3600 * 1.2)
 		for c := 0; c < cycles; c++ {
 			cat := binStart + int32(src.Intn(timegrid.BinHours*3600))
-			g.emit(f, u, day, cat, ServiceRequest, tw, src)
-			g.emit(f, u, day, cat+int32(src.IntRange(30, 600)), IdleTransition, tw, src)
+			g.emit(f, u, day, cat, ServiceRequest, tw, &src)
+			g.emit(f, u, day, cat+int32(src.IntRange(30, 600)), IdleTransition, tw, &src)
 			if src.Bool(0.15) {
-				g.emit(f, u, day, cat+2, BearerSetup, tw, src)
-				g.emit(f, u, day, cat+int32(src.IntRange(60, 900)), BearerRelease, tw, src)
+				g.emit(f, u, day, cat+2, BearerSetup, tw, &src)
+				g.emit(f, u, day, cat+int32(src.IntRange(60, 900)), BearerRelease, tw, &src)
 			}
 		}
 		prev = tw
 	}
 
 	if src.Bool(0.06) { // phones switched off overnight
-		g.emit(f, u, day, 86_000, Detach, prev, src)
+		g.emit(f, u, day, 86_000, Detach, prev, &src)
 	}
 }
 
 // MachineDay generates the sparse, stationary event pattern of an M2M
 // SIM: periodic TAU/service-request heartbeats at its fixed tower.
 func (g *Generator) MachineDay(u *popsim.User, day timegrid.SimDay, f EmitFunc) {
-	src := rng.New(g.seed).Split2(uint64(u.ID)^0x3232, uint64(day))
+	src := rng.Stream2(g.seed, uint64(u.ID)^0x3232, uint64(day))
 	beats := src.IntRange(4, 12)
 	for i := 0; i < beats; i++ {
 		at := int32(src.Intn(86_400))
-		g.emit(f, u, day, at, ServiceRequest, u.HomeTower, src)
-		g.emit(f, u, day, at+5, IdleTransition, u.HomeTower, src)
+		g.emit(f, u, day, at, ServiceRequest, u.HomeTower, &src)
+		g.emit(f, u, day, at+5, IdleTransition, u.HomeTower, &src)
 	}
 	if src.Bool(0.02) {
-		g.emit(f, u, day, int32(src.Intn(86_400)), TrackingAreaUpdate, u.HomeTower, src)
+		g.emit(f, u, day, int32(src.Intn(86_400)), TrackingAreaUpdate, u.HomeTower, &src)
 	}
 }
 
@@ -229,7 +230,7 @@ func (g *Generator) MachineDay(u *popsim.User, day timegrid.SimDay, f EmitFunc) 
 // collapses after the travel restrictions: once the lockdown window
 // starts, most roamers have left the country.
 func (g *Generator) RoamerDay(u *popsim.User, day timegrid.SimDay, f EmitFunc) {
-	src := rng.New(g.seed).Split2(uint64(u.ID)^0xB0A0, uint64(day))
+	src := rng.Stream2(g.seed, uint64(u.ID)^0xB0A0, uint64(day))
 	present := true
 	if sd, ok := day.ToStudyDay(); ok && sd >= timegrid.WorkFromHomeAdvice {
 		present = src.Bool(0.15)
@@ -237,11 +238,11 @@ func (g *Generator) RoamerDay(u *popsim.User, day timegrid.SimDay, f EmitFunc) {
 	if !present {
 		return
 	}
-	g.emit(f, u, day, int32(src.Intn(43_200)), Attach, u.HomeTower, src)
+	g.emit(f, u, day, int32(src.Intn(43_200)), Attach, u.HomeTower, &src)
 	moves := src.IntRange(1, 5)
 	for i := 0; i < moves; i++ {
-		tw := g.topo.PickTower(u.HomeDistrict, day, src)
-		g.emit(f, u, day, int32(43_200+src.Intn(43_000)), Handover, tw, src)
+		tw := g.topo.PickTower(u.HomeDistrict, day, &src)
+		g.emit(f, u, day, int32(43_200+src.Intn(43_000)), Handover, tw, &src)
 	}
 }
 
@@ -260,10 +261,4 @@ func (g *Generator) Day(day timegrid.SimDay, traces []mobsim.DayTrace, f EmitFun
 			g.RoamerDay(u, day, f)
 		}
 	}
-}
-
-// rngFor derives the per-(user, day) stream shared by the generator and
-// the RAT-share accumulator.
-func rngFor(seed, user, day uint64) *rng.Source {
-	return rng.New(seed).Split2(user, day)
 }

@@ -52,7 +52,7 @@ func TestUserDayEventStream(t *testing.T) {
 	topo := pop.Topology()
 
 	var events []Event
-	gen.Day(day, traces, func(e *Event) { events = append(events, *e) })
+	gen.Day(day, traces, func(e Event) { events = append(events, e) })
 	if len(events) == 0 {
 		t.Fatal("no events generated")
 	}
@@ -93,8 +93,8 @@ func TestEventDeterminism(t *testing.T) {
 	day := timegrid.SimDay(30)
 	traces := sim.Day(day)
 	var a, b []Event
-	gen.Day(day, traces, func(e *Event) { a = append(a, *e) })
-	gen.Day(day, traces, func(e *Event) { b = append(b, *e) })
+	gen.Day(day, traces, func(e Event) { a = append(a, e) })
+	gen.Day(day, traces, func(e Event) { b = append(b, e) })
 	if len(a) != len(b) {
 		t.Fatalf("event counts differ: %d vs %d", len(a), len(b))
 	}
@@ -110,7 +110,7 @@ func TestRoamersVanishAfterRestrictions(t *testing.T) {
 	countRoamerEvents := func(day timegrid.SimDay) int {
 		n := 0
 		traces := sim.Day(day)
-		gen.Day(day, traces, func(e *Event) {
+		gen.Day(day, traces, func(e Event) {
 			if pop.User(e.User).Kind == popsim.InboundRoamer {
 				n++
 			}
@@ -134,7 +134,7 @@ func TestM2MStationary(t *testing.T) {
 		if u.Kind != popsim.NativeM2M {
 			continue
 		}
-		gen.MachineDay(u, 40, func(e *Event) {
+		gen.MachineDay(u, 40, func(e Event) {
 			if e.Tower != u.HomeTower {
 				t.Fatalf("M2M SIM %d moved towers", u.ID)
 			}
@@ -224,7 +224,7 @@ func TestEmptyTraceProducesNoEvents(t *testing.T) {
 	_, _, gen := fixture(t)
 	tr := mobsim.DayTrace{User: 0}
 	n := 0
-	gen.UserDay(&tr, 5, func(*Event) { n++ })
+	gen.UserDay(&tr, 5, func(Event) { n++ })
 	if n != 0 {
 		t.Errorf("empty trace produced %d events", n)
 	}

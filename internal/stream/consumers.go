@@ -268,7 +268,7 @@ func (e signalingEvents) BeginDay(timegrid.SimDay, []signaling.Event) {}
 func (e signalingEvents) ShardDay(shard int, _ timegrid.SimDay, events []signaling.Event, idx []int) {
 	agg := e.s.aggs[shard]
 	for _, i := range idx {
-		agg.Consume(&events[i])
+		agg.Consume(events[i])
 	}
 }
 
