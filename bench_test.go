@@ -426,6 +426,37 @@ func BenchmarkMergeVisits(b *testing.B) {
 	}
 }
 
+// BenchmarkKPIConsumeDay folds one warm 8k-user engine day into a
+// KPIAnalyzer: every national, county, cluster and district quantile,
+// selected in place over the pre-sized buckets. allocs/op should read 0.
+func BenchmarkKPIConsumeDay(b *testing.B) {
+	r := benchResults(b)
+	day := timegrid.SimDay(timegrid.StudyDayOffset + 30)
+	cells := r.Dataset.Engine.Day(day, benchDay)
+	k := core.NewKPIAnalyzer(r.Dataset.Topology)
+	k.ConsumeDay(day, cells)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.ConsumeDay(day, cells)
+	}
+}
+
+// BenchmarkSimulatorNew measures binding a simulator to the 8k-user
+// population: the columnar mirror plus one reselection query per
+// distinct home tower.
+func BenchmarkSimulatorNew(b *testing.B) {
+	r := benchResults(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		simSink = mobsim.New(r.Dataset.Pop, r.Dataset.Scenario, uint64(i))
+	}
+}
+
+// simSink keeps BenchmarkSimulatorNew's result live.
+var simSink *mobsim.Simulator
+
 func BenchmarkPopulationSynthesis(b *testing.B) {
 	m := census.BuildUK(1)
 	topo := radio.Build(m, radio.DefaultConfig(), 1)

@@ -1,7 +1,5 @@
 package core
 
-import "repro/internal/traffic"
-
 // This file makes the per-day analyzer folds resumable from a day
 // boundary: every study-window analyzer gains a deep-copy Fork, so N
 // scenario runs can continue from one shared-prefix snapshot without
@@ -10,7 +8,7 @@ import "repro/internal/traffic"
 // Forks copy the accumulated folds and share only state that is never
 // written after construction (the population, topology and cell→group
 // lookup tables); per-call scratch is never carried over — it is
-// rebuilt lazily, exactly as a fresh analyzer would, so a fork's future
+// rebuilt exactly as a fresh analyzer builds it, so a fork's future
 // output is bit-identical to the original's from the fork point on.
 
 // Fork returns an independent copy of the analyzer: the accumulated
@@ -50,7 +48,8 @@ func (m *MobilityMatrix) Fork() *MobilityMatrix {
 // Fork returns an independent copy of the analyzer: the series grids
 // are deep-copied; the topology, model and cell→group lookup tables
 // (never written after construction) are shared; the per-day value
-// buckets start fresh and are regrown lazily by ConsumeDay.
+// buckets are carved fresh from a new arena, pre-sized as in
+// NewKPIAnalyzer.
 func (k *KPIAnalyzer) Fork() *KPIAnalyzer {
 	f := &KPIAnalyzer{
 		topo:         k.topo,
@@ -64,9 +63,7 @@ func (k *KPIAnalyzer) Fork() *KPIAnalyzer {
 		byCounty:     append([]seriesGrid(nil), k.byCounty...),
 		byCluster:    append([]seriesGrid(nil), k.byCluster...),
 		byDistrict:   append([]seriesGrid(nil), k.byDistrict...),
-		cntyVals:     make([][traffic.NumMetrics][]float64, len(k.cntyVals)),
-		clstVals:     make([][traffic.NumMetrics][]float64, len(k.clstVals)),
-		distVals:     make([][traffic.NumMetrics][]float64, len(k.distVals)),
 	}
+	f.initScratch()
 	return f
 }

@@ -32,7 +32,9 @@ type KPIAnalyzer struct {
 	// significantly change across weeks" (§4.1).
 	natP10, natP90 seriesGrid
 
-	// scratch value buckets, reused across days.
+	// Per-day value buckets, reset at the top of ConsumeDay and
+	// reordered in place by its quantile selection. initScratch carves
+	// them all out of one arena.
 	natVals  [traffic.NumMetrics][]float64
 	cntyVals [][traffic.NumMetrics][]float64
 	clstVals [][traffic.NumMetrics][]float64
@@ -53,9 +55,6 @@ func NewKPIAnalyzer(topo *radio.Topology) *KPIAnalyzer {
 		byCounty:   make([]seriesGrid, len(model.Counties)),
 		byCluster:  make([]seriesGrid, census.NumClusters),
 		byDistrict: make([]seriesGrid, len(model.Districts)),
-		cntyVals:   make([][traffic.NumMetrics][]float64, len(model.Counties)),
-		clstVals:   make([][traffic.NumMetrics][]float64, census.NumClusters),
-		distVals:   make([][traffic.NumMetrics][]float64, len(model.Districts)),
 	}
 	nCells := len(topo.Cells)
 	k.cellDistrict = make([]census.DistrictID, nCells)
@@ -68,11 +67,54 @@ func NewKPIAnalyzer(topo *radio.Topology) *KPIAnalyzer {
 		k.cellCounty[id] = model.District(d).County
 		k.cellCluster[id] = model.District(d).Cluster
 	}
+	k.initScratch()
 	return k
 }
 
+// initScratch carves every value bucket (national, county, cluster and
+// district, per metric) out of one arena, each sized to its group's 4G
+// cell count: the engine emits at most one record per 4G cell a day, so
+// a fresh or forked analyzer never grows a bucket. A day carrying more
+// records than that still folds correctly; append then regrows the
+// bucket off the arena.
+func (k *KPIAnalyzer) initScratch() {
+	cells := k.topo.Cells4G()
+	cnty := make([]int, len(k.model.Counties))
+	clst := make([]int, census.NumClusters)
+	dist := make([]int, len(k.model.Districts))
+	for _, id := range cells {
+		cnty[k.cellCounty[id]]++
+		clst[k.cellCluster[id]]++
+		dist[k.cellDistrict[id]]++
+	}
+	arena := make([]float64, 4*traffic.NumMetrics*len(cells))
+	carve := func(n int) []float64 {
+		b := arena[:0:n]
+		arena = arena[n:]
+		return b
+	}
+	for m := range k.natVals {
+		k.natVals[m] = carve(len(cells))
+	}
+	buckets := func(counts []int) [][traffic.NumMetrics][]float64 {
+		bs := make([][traffic.NumMetrics][]float64, len(counts))
+		for g, n := range counts {
+			for m := range bs[g] {
+				bs[g][m] = carve(n)
+			}
+		}
+		return bs
+	}
+	k.cntyVals = buckets(cnty)
+	k.clstVals = buckets(clst)
+	k.distVals = buckets(dist)
+}
+
 // ConsumeDay ingests one day of per-cell records; non-study days are
-// ignored.
+// ignored. The quantiles are selected in place over the day's buckets
+// (an order statistic does not depend on input order), so the result
+// is bit-identical to the copying stats.Quantiles/Median and a warm
+// call does not allocate.
 func (k *KPIAnalyzer) ConsumeDay(day timegrid.SimDay, cells []traffic.CellDay) {
 	sd, ok := day.ToStudyDay()
 	if !ok {
@@ -107,9 +149,9 @@ func (k *KPIAnalyzer) ConsumeDay(day timegrid.SimDay, cells []traffic.CellDay) {
 		}
 	}
 
+	var qs [3]float64
 	for m := 0; m < traffic.NumMetrics; m++ {
-		qs, err := stats.Quantiles(k.natVals[m], 10, 50, 90)
-		if err != nil {
+		if err := stats.QuantilesInPlace(qs[:], k.natVals[m], 10, 50, 90); err != nil {
 			continue
 		}
 		k.natP10.v[m][sd] = qs[0]
@@ -120,7 +162,7 @@ func (k *KPIAnalyzer) ConsumeDay(day timegrid.SimDay, cells []traffic.CellDay) {
 		for g := range buckets {
 			for m := 0; m < traffic.NumMetrics; m++ {
 				if len(buckets[g][m]) > 0 {
-					grids[g].v[m][sd] = stats.Median(buckets[g][m])
+					grids[g].v[m][sd] = stats.MedianInPlace(buckets[g][m])
 				}
 			}
 		}

@@ -64,10 +64,19 @@ func New(pop *popsim.Population, scen *pandemic.Scenario, seed uint64) *Simulato
 	}
 	// The alternate home tower is the best reselection neighbour at the
 	// home site (radio propagation model), which is what an idle phone
-	// actually bounces to.
+	// actually bounces to. It depends only on the home tower, so it is
+	// computed once per distinct home tower (-1 marks "not yet") rather
+	// than once per user.
+	alt := make([]radio.TowerID, len(s.topo.Towers))
+	for i := range alt {
+		alt[i] = -1
+	}
 	s.homeAlt = make([]radio.TowerID, len(pop.Users))
 	for i, ht := range s.cols.HomeTower {
-		s.homeAlt[i] = s.topo.ReselectionNeighbor(s.topo.Tower(ht).Loc, ht)
+		if alt[ht] < 0 {
+			alt[ht] = s.topo.ReselectionNeighbor(s.topo.Tower(ht).Loc, ht)
+		}
+		s.homeAlt[i] = alt[ht]
 	}
 	s.awayNames, s.awayWeights = pandemic.RelocationDestinations()
 	return s

@@ -348,3 +348,23 @@ func TestUserDayProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestHomeAltMemoMatchesPerUserQuery pins the per-tower reselection memo
+// in New: every user's alternate home tower equals the per-user
+// ReselectionNeighbor query it replaced.
+func TestHomeAltMemoMatchesPerUserQuery(t *testing.T) {
+	for _, seed := range []uint64{3, 11} {
+		m := census.BuildUK(seed)
+		topo := radio.Build(m, radio.DefaultConfig(), seed)
+		pop := popsim.Synthesize(m, topo, popsim.Config{Seed: seed, TargetUsers: 2000})
+		s := New(pop, pandemic.Default(), seed)
+		if len(s.homeAlt) != len(pop.Users) {
+			t.Fatalf("seed %d: %d memo entries for %d users", seed, len(s.homeAlt), len(pop.Users))
+		}
+		for i, ht := range s.cols.HomeTower {
+			if want := topo.ReselectionNeighbor(topo.Tower(ht).Loc, ht); s.homeAlt[i] != want {
+				t.Fatalf("seed %d user %d (home tower %d): memo %d, query %d", seed, i, ht, s.homeAlt[i], want)
+			}
+		}
+	}
+}

@@ -47,21 +47,26 @@ func Variance(xs []float64) float64 {
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
-// interpolation between closest ranks; xs need not be sorted. It returns
-// ErrEmpty for an empty slice.
+// interpolation between closest ranks; xs need not be sorted and is
+// left unmodified. It returns ErrEmpty for an empty slice.
 func Percentile(xs []float64, p float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrEmpty
 	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
 	cp := make([]float64, len(xs))
 	copy(cp, xs)
-	return percentileSelect(cp, p), nil
+	return percentileSelect(cp, clampPct(p)), nil
+}
+
+// clampPct clamps a percentile to [0, 100].
+func clampPct(p float64) float64 {
+	if p < 0 {
+		return 0
+	}
+	if p > 100 {
+		return 100
+	}
+	return p
 }
 
 // percentileSorted assumes xs is sorted ascending and non-empty; it is
@@ -169,6 +174,7 @@ func percentileSelect(cp []float64, p float64) float64 {
 }
 
 // Median returns the 50th percentile of xs, or 0 for an empty slice.
+// xs is left unmodified.
 func Median(xs []float64) float64 {
 	m, err := Percentile(xs, 50)
 	if err != nil {
@@ -177,27 +183,43 @@ func Median(xs []float64) float64 {
 	return m
 }
 
+// MedianInPlace is Median over scratch: it reorders xs instead of
+// copying it, and returns the same value bit for bit (an order
+// statistic does not depend on input order).
+func MedianInPlace(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	return percentileSelect(xs, 50)
+}
+
 // Quantiles computes several percentiles of xs over one scratch copy.
 // Each percentile is located by selection rather than a full sort; the
 // partial order earlier selections leave behind accelerates the later
-// ones. It returns ErrEmpty for an empty slice.
+// ones. xs is left unmodified. It returns ErrEmpty for an empty slice.
 func Quantiles(xs []float64, ps ...float64) ([]float64, error) {
-	if len(xs) == 0 {
-		return nil, ErrEmpty
-	}
 	cp := make([]float64, len(xs))
 	copy(cp, xs)
 	out := make([]float64, len(ps))
-	for i, p := range ps {
-		if p < 0 {
-			p = 0
-		}
-		if p > 100 {
-			p = 100
-		}
-		out[i] = percentileSelect(cp, p)
+	if err := QuantilesInPlace(out, cp, ps...); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// QuantilesInPlace is Quantiles over scratch without allocating: it
+// reorders xs, writes the percentiles ps into out (len(out) ≥ len(ps))
+// in the same successive-selection order, and so returns the same
+// values bit for bit. It returns ErrEmpty, leaving out untouched, for
+// an empty xs.
+func QuantilesInPlace(out, xs []float64, ps ...float64) error {
+	if len(xs) == 0 {
+		return ErrEmpty
+	}
+	for i, p := range ps {
+		out[i] = percentileSelect(xs, clampPct(p))
+	}
+	return nil
 }
 
 // Pearson returns the Pearson correlation coefficient between xs and ys.

@@ -312,3 +312,92 @@ func TestPercentileSelectMatchesSort(t *testing.T) {
 		}
 	}
 }
+
+// inPlaceCases are tie-heavy inputs, with and without NaN, for the
+// in-place/copying parity tests.
+func inPlaceCases() [][]float64 {
+	nan := math.NaN()
+	cases := [][]float64{
+		{7},
+		{nan},
+		{3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3},
+		{nan, 3, 1, nan, 2, 2, 2, nan},
+		{0, -0.0, 0, -0.0, 1, 1, -0.0, 0, 0, 1, 1, 1, 0, -0.0, 0, 0, 1, 0},
+		{math.Inf(1), nan, math.Inf(-1), 0, nan, math.Inf(1)},
+	}
+	state := uint64(7)
+	next := func() uint64 { state = state*6364136223846793005 + 1442695040888963407; return state }
+	for size := 2; size <= 300; size += 37 {
+		xs := make([]float64, size)
+		for i := range xs {
+			if r := next() % 11; r == 0 {
+				xs[i] = nan
+			} else {
+				xs[i] = float64(r % 4)
+			}
+		}
+		cases = append(cases, xs)
+	}
+	return cases
+}
+
+// TestInPlaceMatchesCopying pins MedianInPlace and QuantilesInPlace to
+// the copying forms bit for bit on tie-heavy and NaN inputs.
+func TestInPlaceMatchesCopying(t *testing.T) {
+	ps := []float64{-5, 0, 10, 33.3, 50, 90, 100, 120}
+	for ci, xs := range inPlaceCases() {
+		wantMed := Median(xs)
+		wantQs, err := Quantiles(xs, ps...)
+		if err != nil {
+			t.Fatalf("case %d: %v", ci, err)
+		}
+
+		scratch := append([]float64(nil), xs...)
+		if got := MedianInPlace(scratch); math.Float64bits(got) != math.Float64bits(wantMed) {
+			t.Errorf("case %d: MedianInPlace = %v, Median = %v", ci, got, wantMed)
+		}
+		scratch = append(scratch[:0], xs...)
+		got := make([]float64, len(ps))
+		if err := QuantilesInPlace(got, scratch, ps...); err != nil {
+			t.Fatalf("case %d: %v", ci, err)
+		}
+		for i := range ps {
+			if math.Float64bits(got[i]) != math.Float64bits(wantQs[i]) {
+				t.Errorf("case %d p=%v: QuantilesInPlace = %v, Quantiles = %v", ci, ps[i], got[i], wantQs[i])
+			}
+		}
+	}
+	if got := MedianInPlace(nil); got != 0 {
+		t.Errorf("MedianInPlace(nil) = %v, want 0", got)
+	}
+	out := []float64{42}
+	if err := QuantilesInPlace(out, nil, 50); err != ErrEmpty || out[0] != 42 {
+		t.Errorf("QuantilesInPlace(empty) = %v, out %v; want ErrEmpty, out untouched", err, out)
+	}
+}
+
+// TestCopyingFormsLeaveInputUnmodified pins the non-mutating contract of
+// Median, Quantiles and Percentile that callers holding live series
+// (WeeklyDeltaSeries among them) rely on.
+func TestCopyingFormsLeaveInputUnmodified(t *testing.T) {
+	for ci, xs := range inPlaceCases() {
+		orig := make([]uint64, len(xs))
+		for i, x := range xs {
+			orig[i] = math.Float64bits(x)
+		}
+		check := func(name string) {
+			t.Helper()
+			for i, x := range xs {
+				if math.Float64bits(x) != orig[i] {
+					t.Fatalf("case %d: %s mutated its input at %d", ci, name, i)
+				}
+			}
+		}
+		Median(xs)
+		check("Median")
+		Quantiles(xs, 10, 50, 90)
+		check("Quantiles")
+		Percentile(xs, 75)
+		check("Percentile")
+	}
+}
