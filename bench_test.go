@@ -48,7 +48,7 @@ func benchResults(b *testing.B) *experiments.Results {
 		// (smaller populations make the Fig. 2 census fit too noisy).
 		cfg := experiments.DefaultConfig()
 		benchRes = experiments.RunStandard(cfg)
-		benchDay = benchRes.Dataset.Sim.Day(timegrid.SimDay(timegrid.StudyDayOffset + 30))
+		benchDay = benchRes.Dataset.Sim.DayInto(mobsim.NewDayBuffer(), timegrid.SimDay(timegrid.StudyDayOffset+30))
 	})
 	return benchRes
 }
@@ -219,7 +219,7 @@ func BenchmarkAblationHomeNights(b *testing.B) {
 	r := benchResults(b)
 	days := make([][]mobsim.DayTrace, 14)
 	for d := range days {
-		days[d] = r.Dataset.Sim.Day(timegrid.SimDay(d))
+		days[d] = r.Dataset.Sim.DayInto(mobsim.NewDayBuffer(), timegrid.SimDay(d))
 	}
 	for _, nights := range []int{7, 14, 21} {
 		nights := nights
@@ -243,9 +243,10 @@ func BenchmarkAblationTopN(b *testing.B) {
 	for _, n := range []int{5, 10, 20, 0} {
 		n := n
 		b.Run(benchName("topN", n), func(b *testing.B) {
+			var mg core.VisitMerger
 			for i := 0; i < b.N; i++ {
 				for j := range benchDay {
-					core.ComputeDayMetrics(&benchDay[j], topo, n)
+					mg.DayMetrics(&benchDay[j], topo, n)
 				}
 			}
 		})
@@ -253,23 +254,23 @@ func BenchmarkAblationTopN(b *testing.B) {
 }
 
 // BenchmarkAblationEntropyGranularity compares whole-day metrics with the
-// per-4-hour-bin variant of §2.3.
+// per-4-hour-bin variant of §2.3, both through a reused VisitMerger.
 func BenchmarkAblationEntropyGranularity(b *testing.B) {
 	r := benchResults(b)
 	topo := r.Dataset.Topology
 	b.Run("day", func(b *testing.B) {
+		var mg core.VisitMerger
 		for i := 0; i < b.N; i++ {
 			for j := range benchDay {
-				core.ComputeDayMetrics(&benchDay[j], topo, core.DefaultTopN)
+				mg.DayMetrics(&benchDay[j], topo, core.DefaultTopN)
 			}
 		}
 	})
 	b.Run("bins", func(b *testing.B) {
+		var mg core.VisitMerger
 		for i := 0; i < b.N; i++ {
 			for j := range benchDay {
-				for bin := 0; bin < timegrid.BinsPerDay; bin++ {
-					core.BinMetrics(&benchDay[j], topo, bin, core.DefaultTopN)
-				}
+				mg.AllBinMetrics(&benchDay[j], topo, core.DefaultTopN)
 			}
 		}
 	})
@@ -280,16 +281,17 @@ func BenchmarkAblationEntropyGranularity(b *testing.B) {
 func BenchmarkAblationInterconnect(b *testing.B) {
 	r := benchResults(b)
 	day := timegrid.SimDay(timegrid.StudyDayOffset + 23) // week-12 surge
-	traces := r.Dataset.Sim.Day(day)
+	traces := r.Dataset.Sim.DayInto(mobsim.NewDayBuffer(), day)
 	for _, headroom := range []float64{0.9, 1.0, 1.5, 2.5} {
 		headroom := headroom
 		b.Run(benchName("headroomPct", int(headroom*100)), func(b *testing.B) {
 			params := traffic.DefaultParams()
 			params.InterconnectHeadroom = headroom
 			eng := traffic.NewEngine(r.Dataset.Pop, r.Dataset.Scenario, params, 1)
+			var cells []traffic.CellDay
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if cells := eng.Day(day, traces); len(cells) == 0 {
+				if cells = eng.DayAppend(cells[:0], day, traces); len(cells) == 0 {
 					b.Fatal("no cells")
 				}
 			}
@@ -304,15 +306,17 @@ func BenchmarkAblationDailyAggregate(b *testing.B) {
 	eng := r.Dataset.Engine
 	day := timegrid.SimDay(timegrid.StudyDayOffset + 30)
 	b.Run("hourly-median", func(b *testing.B) {
+		var cells []traffic.CellDay
 		for i := 0; i < b.N; i++ {
-			eng.Day(day, benchDay)
+			cells = eng.DayAppend(cells[:0], day, benchDay)
 		}
 	})
 	// The mean variant is approximated by post-processing the medians;
 	// its cost bound is the same engine pass.
 	b.Run("hourly-median+postmean", func(b *testing.B) {
+		var cells []traffic.CellDay
 		for i := 0; i < b.N; i++ {
-			cells := eng.Day(day, benchDay)
+			cells = eng.DayAppend(cells[:0], day, benchDay)
 			var sum float64
 			for j := range cells {
 				sum += cells[j].Values[traffic.DLVolume]
@@ -324,17 +328,8 @@ func BenchmarkAblationDailyAggregate(b *testing.B) {
 
 // --- micro-benchmarks of the hot paths -------------------------------------
 
-func BenchmarkSimulateDay(b *testing.B) {
-	r := benchResults(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Dataset.Sim.Day(timegrid.SimDay(timegrid.StudyDayOffset + i%timegrid.StudyDays))
-	}
-}
-
-// BenchmarkSimDayInto is BenchmarkSimulateDay on the arena path: one
-// warm DayBuffer reused across iterations. allocs/op should read 0.
+// BenchmarkSimDayInto simulates one study day per iteration into one
+// warm DayBuffer. allocs/op should read 0.
 func BenchmarkSimDayInto(b *testing.B) {
 	r := benchResults(b)
 	buf := mobsim.NewDayBuffer()
@@ -346,19 +341,9 @@ func BenchmarkSimDayInto(b *testing.B) {
 	}
 }
 
-func BenchmarkEngineDay(b *testing.B) {
-	r := benchResults(b)
-	day := timegrid.SimDay(timegrid.StudyDayOffset + 30)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Dataset.Engine.Day(day, benchDay)
-	}
-}
-
-// BenchmarkEngineDayAppend is BenchmarkEngineDay with a reused
-// destination, the steady-state shape of every pipeline. allocs/op
-// should read 0.
+// BenchmarkEngineDayAppend runs the KPI engine over one 8k-user day
+// into a reused destination, the steady-state shape of every pipeline.
+// allocs/op should read 0.
 func BenchmarkEngineDayAppend(b *testing.B) {
 	r := benchResults(b)
 	day := timegrid.SimDay(timegrid.StudyDayOffset + 30)
@@ -389,19 +374,9 @@ func BenchmarkEngineDayAppendInstrumented(b *testing.B) {
 	}
 }
 
-func BenchmarkDayMetrics(b *testing.B) {
-	r := benchResults(b)
-	topo := r.Dataset.Topology
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.ComputeDayMetrics(&benchDay[i%len(benchDay)], topo, core.DefaultTopN)
-	}
-}
-
-// BenchmarkDayMetricsMerger is BenchmarkDayMetrics through a reused
-// VisitMerger, the steady-state shape of every analyzer. allocs/op
-// should read 0.
+// BenchmarkDayMetricsMerger runs the §2.3 per-user-day pipeline through
+// a reused VisitMerger, the steady-state shape of every analyzer.
+// allocs/op should read 0.
 func BenchmarkDayMetricsMerger(b *testing.B) {
 	r := benchResults(b)
 	topo := r.Dataset.Topology
@@ -432,7 +407,7 @@ func BenchmarkMergeVisits(b *testing.B) {
 func BenchmarkKPIConsumeDay(b *testing.B) {
 	r := benchResults(b)
 	day := timegrid.SimDay(timegrid.StudyDayOffset + 30)
-	cells := r.Dataset.Engine.Day(day, benchDay)
+	cells := r.Dataset.Engine.DayAppend(nil, day, benchDay)
 	k := core.NewKPIAnalyzer(r.Dataset.Topology)
 	k.ConsumeDay(day, cells)
 	b.ReportAllocs()
@@ -818,7 +793,7 @@ func BenchmarkTraceFeedRoundTrip(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := rd.ReadDay(); err != nil {
+		if _, err := rd.ReadDayInto(mobsim.NewDayBuffer()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -61,6 +61,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -150,16 +151,12 @@ func run(ctx context.Context, feedDir string, lenient bool, users int, seed uint
 	var writePartial func() error
 	switch {
 	case feedDir != "":
-		meta, ok, err := feeds.ReadMeta(feedDir)
+		meta, err := feeds.ReadMetaFor(feedDir, users, seed)
+		if errors.Is(err, feeds.ErrStackMismatch) {
+			return cli.Usagef("%w", err)
+		}
 		if err != nil {
 			return err
-		}
-		if ok && (meta.Users != users || meta.Seed != seed) {
-			return cli.Usagef("feed directory was generated with -users %d -seed %d (got -users %d -seed %d); IDs in the feeds are only meaningful relative to that stack",
-				meta.Users, meta.Seed, users, seed)
-		}
-		if !ok {
-			meta = feeds.Meta{Users: users, Seed: seed}
 		}
 		if partialOut != "" {
 			rec := partial.NewRecorder(d.Topology, cfg.TopN, meta)

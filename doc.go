@@ -40,9 +40,12 @@
 //     print the headline comparison table plus, with -baseline NAME,
 //     the per-series delta table against that run (-list shows the
 //     registry).
-//   - cmd/analyze, cmd/ablate, cmd/calibrate, cmd/mobilityrpt: ad-hoc
-//     analysis, ablation sweeps (scenario ablation rides the sweep
-//     runner), calibration and mobility reports.
+//   - cmd/analyze: replay a feed directory (CSV or columnar) through
+//     the streaming engine and print the home-detection census fit and
+//     the national mobility table, without re-simulating.
+//   - cmd/ablate, cmd/calibrate, cmd/mobilityrpt: ad-hoc ablation
+//     sweeps (scenario ablation rides the sweep runner), calibration and
+//     mobility reports.
 //   - internal/obs: the nil-safe metrics layer behind -metrics (live
 //     HTTP JSON + pprof) and -metrics-out (stable obs/v1 snapshots,
 //     diffable with cmd/benchdiff -obs) on mnostream and mnosweep;

@@ -20,7 +20,7 @@ import (
 func TestVisitMergerSteadyStateAllocs(t *testing.T) {
 	s := fixtureResults(t)
 	topo := s.Dataset.Topology
-	traces := s.Sim.Day(timegrid.SimDay(timegrid.StudyDayOffset + 30))
+	traces := s.Sim.DayInto(mobsim.NewDayBuffer(), timegrid.SimDay(timegrid.StudyDayOffset+30))
 
 	var mg VisitMerger
 	for i := range traces {
@@ -39,21 +39,21 @@ func TestVisitMergerSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestVisitMergerMatchesHelpers asserts the merger is bit-identical to
-// the allocating package helpers across a full simulated day.
+// TestVisitMergerMatchesHelpers asserts a merger kept warm across a full
+// simulated day is bit-identical to a fresh merger on every user.
 func TestVisitMergerMatchesHelpers(t *testing.T) {
 	s := fixtureResults(t)
 	topo := s.Dataset.Topology
-	traces := s.Sim.Day(timegrid.SimDay(timegrid.StudyDayOffset + 12))
+	traces := s.Sim.DayInto(mobsim.NewDayBuffer(), timegrid.SimDay(timegrid.StudyDayOffset+12))
 
 	var mg VisitMerger
 	for i := range traces {
 		tr := &traces[i]
-		if got, want := mg.DayMetrics(tr, topo, DefaultTopN), ComputeDayMetrics(tr, topo, DefaultTopN); got != want {
-			t.Fatalf("user %d: merger %+v vs helper %+v", tr.User, got, want)
+		if got, want := mg.DayMetrics(tr, topo, DefaultTopN), new(VisitMerger).DayMetrics(tr, topo, DefaultTopN); got != want {
+			t.Fatalf("user %d: warm %+v vs fresh %+v", tr.User, got, want)
 		}
-		if got, want := mg.AllBinMetrics(tr, topo, DefaultTopN), ComputeAllBinMetrics(tr, topo, DefaultTopN); got != want {
-			t.Fatalf("user %d bins: merger %+v vs helper %+v", tr.User, got, want)
+		if got, want := mg.AllBinMetrics(tr, topo, DefaultTopN), new(VisitMerger).AllBinMetrics(tr, topo, DefaultTopN); got != want {
+			t.Fatalf("user %d bins: warm %+v vs fresh %+v", tr.User, got, want)
 		}
 	}
 }
@@ -68,7 +68,7 @@ func TestHomeDetectorSteadyStateAllocs(t *testing.T) {
 	days := []timegrid.SimDay{1, 2}
 	traces := make([][]mobsim.DayTrace, len(days))
 	for i, day := range days {
-		traces[i] = s.Sim.Day(day)
+		traces[i] = s.Sim.DayInto(mobsim.NewDayBuffer(), day)
 		hd.ConsumeDay(day, traces[i]) // warm: per-user state now exists
 	}
 	i := 0
@@ -91,7 +91,7 @@ func engineDays(t *testing.T, studyDays ...int) ([]timegrid.SimDay, [][]traffic.
 	cells := make([][]traffic.CellDay, len(studyDays))
 	for i, sd := range studyDays {
 		days[i] = timegrid.SimDay(timegrid.StudyDayOffset + sd)
-		cells[i] = engine.Day(days[i], s.Sim.Day(days[i]))
+		cells[i] = engine.DayAppend(nil, days[i], s.Sim.DayInto(mobsim.NewDayBuffer(), days[i]))
 	}
 	return days, cells
 }

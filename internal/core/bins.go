@@ -3,19 +3,9 @@ package core
 import (
 	"repro/internal/mobsim"
 	"repro/internal/popsim"
-	"repro/internal/radio"
 	"repro/internal/stats"
 	"repro/internal/timegrid"
 )
-
-// ComputeAllBinMetrics computes the mobility metrics for each of the six
-// disjoint 4-hour bins of a day — the per-bin aggregation §2.3 describes
-// alongside the whole-day metrics. Hot loops should hold a VisitMerger
-// and call its AllBinMetrics method, which reuses scratch across users.
-func ComputeAllBinMetrics(t *mobsim.DayTrace, topo *radio.Topology, topN int) [timegrid.BinsPerDay]DayMetrics {
-	var m VisitMerger
-	return m.AllBinMetrics(t, topo, topN)
-}
 
 // BinAnalyzer aggregates national mobility metrics per 4-hour bin of the
 // day: the paper generates statistics "over six disjoint 4-hour bins of

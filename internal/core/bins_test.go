@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/mobsim"
 	"repro/internal/stats"
 	"repro/internal/timegrid"
 )
@@ -11,10 +12,10 @@ import (
 func TestComputeAllBinMetricsConsistent(t *testing.T) {
 	r := fixtureResults(t)
 	topo := r.Dataset.Topology
-	traces := r.Sim.Day(30)
+	traces := r.Sim.DayInto(mobsim.NewDayBuffer(), 30)
 	for i := 0; i < 50; i++ {
 		tr := &traces[i]
-		all := ComputeAllBinMetrics(tr, topo, DefaultTopN)
+		all := new(VisitMerger).AllBinMetrics(tr, topo, DefaultTopN)
 		for b := 0; b < timegrid.BinsPerDay; b++ {
 			single := BinMetrics(tr, topo, b, DefaultTopN)
 			if math.Abs(all[b].Entropy-single.Entropy) > 1e-12 ||
@@ -32,10 +33,10 @@ func TestBinAnalyzerDiurnalStructure(t *testing.T) {
 	// A baseline week-9 weekday and a lockdown week-14 weekday.
 	baseDay := timegrid.SimDay(timegrid.StudyDayOffset + 2)
 	lockDay := timegrid.SimDay(timegrid.StudyDayOffset + 37)
-	ba.ConsumeDay(baseDay, r.Sim.Day(baseDay))
-	ba.ConsumeDay(lockDay, r.Sim.Day(lockDay))
+	ba.ConsumeDay(baseDay, r.Sim.DayInto(mobsim.NewDayBuffer(), baseDay))
+	ba.ConsumeDay(lockDay, r.Sim.DayInto(mobsim.NewDayBuffer(), lockDay))
 	// February days ignored.
-	ba.ConsumeDay(3, r.Sim.Day(3))
+	ba.ConsumeDay(3, r.Sim.DayInto(mobsim.NewDayBuffer(), 3))
 
 	baseSD, _ := baseDay.ToStudyDay()
 	lockSD, _ := lockDay.ToStudyDay()
@@ -67,7 +68,7 @@ func TestBandAnalyzerPercentilesOrdered(t *testing.T) {
 	r := fixtureResults(t)
 	ba := NewBandAnalyzer(r.Dataset.Pop, DefaultTopN)
 	day := timegrid.SimDay(timegrid.StudyDayOffset + 1)
-	ba.ConsumeDay(day, r.Sim.Day(day))
+	ba.ConsumeDay(day, r.Sim.DayInto(mobsim.NewDayBuffer(), day))
 
 	sd, _ := day.ToStudyDay()
 	band := ba.Band(MetricGyration)

@@ -30,10 +30,9 @@ type VisitMerger struct {
 }
 
 // Merge collapses a day trace into one VisitSample per distinct tower,
-// summing dwell across bins in visit order (the same accumulation order
-// as the map-based MergeVisits, so sums are bit-identical), sorted by
-// descending dwell with tower-ID tie-break. The result aliases the
-// merger's scratch.
+// summing dwell across bins in visit order, sorted by descending dwell
+// with tower-ID tie-break. The result aliases the merger's scratch.
+// Every merger — fresh or warm — returns the same samples for a trace.
 func (m *VisitMerger) Merge(t *mobsim.DayTrace, topo *radio.Topology) []VisitSample {
 	dst := m.samples[:0]
 	for _, v := range t.Visits {
@@ -82,9 +81,7 @@ func (m *VisitMerger) mergeBin(t *mobsim.DayTrace, topo *radio.Topology, bin int
 
 // sortSamples orders samples by descending dwell, tower ID ascending on
 // ties. Distinct towers make this a total order, so the sorted result is
-// unique — independent of the pre-sort order, which is how the merger
-// (first-appearance order) stays bit-identical to the map-based helpers
-// (random iteration order).
+// unique — independent of the pre-sort order the merge produced.
 func sortSamples(s []VisitSample) {
 	slices.SortFunc(s, func(a, b VisitSample) int {
 		switch {
@@ -103,8 +100,8 @@ func sortSamples(s []VisitSample) {
 }
 
 // DayMetrics runs the full §2.3 per-user-day pipeline in the merger's
-// scratch: bit-identical to ComputeDayMetrics, allocation-free once the
-// merger is warm.
+// scratch — merge visits per tower, apply the top-N filter, compute
+// both metrics — allocation-free once the merger is warm.
 func (m *VisitMerger) DayMetrics(t *mobsim.DayTrace, topo *radio.Topology, topN int) DayMetrics {
 	samples := TopN(m.Merge(t, topo), topN)
 	return DayMetrics{
@@ -114,8 +111,9 @@ func (m *VisitMerger) DayMetrics(t *mobsim.DayTrace, topo *radio.Topology, topN 
 	}
 }
 
-// AllBinMetrics computes the metrics of each 4-hour bin in the merger's
-// scratch: bit-identical to ComputeAllBinMetrics.
+// AllBinMetrics computes the mobility metrics for each of the six
+// disjoint 4-hour bins of a day — the per-bin aggregation §2.3 describes
+// alongside the whole-day metrics — in the merger's scratch.
 func (m *VisitMerger) AllBinMetrics(t *mobsim.DayTrace, topo *radio.Topology, topN int) [timegrid.BinsPerDay]DayMetrics {
 	var out [timegrid.BinsPerDay]DayMetrics
 	for bin := 0; bin < timegrid.BinsPerDay; bin++ {

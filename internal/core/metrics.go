@@ -30,16 +30,6 @@ type VisitSample struct {
 // by the finding that people have at most ~8 important places (§2.3).
 const DefaultTopN = 20
 
-// MergeVisits collapses a day trace into one VisitSample per distinct
-// tower, summing dwell across bins, with locations resolved against the
-// topology. The result is sorted by descending dwell. It allocates a
-// fresh slice per call; hot loops should hold a VisitMerger and call its
-// Merge method instead.
-func MergeVisits(t *mobsim.DayTrace, topo *radio.Topology) []VisitSample {
-	var m VisitMerger
-	return m.Merge(t, topo)
-}
-
 // TopN returns the first n samples of a descending-sorted sample list
 // (the §2.3 top-20 filter). It returns the input unchanged when n <= 0
 // or the list is shorter than n.
@@ -99,15 +89,6 @@ type DayMetrics struct {
 	Entropy  float64
 	Gyration float64 // km
 	Towers   int     // distinct towers after the top-N filter
-}
-
-// ComputeDayMetrics runs the full §2.3 per-user-day pipeline: merge
-// visits per tower, apply the top-N filter, and compute both metrics.
-// Hot loops should hold a VisitMerger and call its DayMetrics method,
-// which reuses the merge scratch across users.
-func ComputeDayMetrics(t *mobsim.DayTrace, topo *radio.Topology, topN int) DayMetrics {
-	var m VisitMerger
-	return m.DayMetrics(t, topo, topN)
 }
 
 // BinMetrics computes the metrics over a single 4-hour bin of the day,

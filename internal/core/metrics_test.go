@@ -111,13 +111,13 @@ func TestTopN(t *testing.T) {
 }
 
 func TestMergeVisitsAndTopNOrdering(t *testing.T) {
-	// Build a tiny topology-like fixture via the real simulator stack
-	// is heavy; instead exercise MergeVisits through ComputeDayMetrics
-	// in integration tests, and check ordering contract here.
+	// Building a tiny topology-like fixture via the real simulator
+	// stack is heavy; VisitMerger.Merge is exercised on real traces in
+	// TestMergeVisitsProperties, so only check the ordering contract here.
 	s := []VisitSample{
 		{Tower: 2, Seconds: 10}, {Tower: 1, Seconds: 30}, {Tower: 3, Seconds: 20},
 	}
-	// TopN assumes descending order: construct it as MergeVisits would.
+	// TopN assumes descending order: construct it as Merge would.
 	ordered := []VisitSample{s[1], s[2], s[0]}
 	top := TopN(ordered, 2)
 	if top[0].Seconds != 30 || top[1].Seconds != 20 {
@@ -159,7 +159,7 @@ func TestBinMetricsSelectsBin(t *testing.T) {
 	if m1.Towers != 0 {
 		t.Errorf("bin 1 should be empty, got %+v", m1)
 	}
-	whole := ComputeDayMetrics(&tr, topo, 20)
+	whole := new(VisitMerger).DayMetrics(&tr, topo, 20)
 	if whole.Towers != 2 {
 		t.Errorf("whole-day towers = %d", whole.Towers)
 	}
@@ -171,10 +171,10 @@ func TestBinMetricsSelectsBin(t *testing.T) {
 func TestMergeVisitsProperties(t *testing.T) {
 	r := fixtureResults(t)
 	topo := r.Dataset.Topology
-	traces := r.Sim.Day(40)
+	traces := r.Sim.DayInto(mobsim.NewDayBuffer(), 40)
 	for i := range traces[:100] {
 		tr := &traces[i]
-		samples := MergeVisits(tr, topo)
+		samples := new(VisitMerger).Merge(tr, topo)
 		// Dwell conservation: merged seconds equal the trace total.
 		var merged, raw float64
 		for _, s := range samples {
@@ -208,9 +208,9 @@ func TestTopNSubsetEntropyGyration(t *testing.T) {
 	// increases entropy, and keeps gyration finite and non-negative.
 	r := fixtureResults(t)
 	topo := r.Dataset.Topology
-	traces := r.Sim.Day(25)
+	traces := r.Sim.DayInto(mobsim.NewDayBuffer(), 25)
 	for i := range traces[:150] {
-		samples := MergeVisits(&traces[i], topo)
+		samples := new(VisitMerger).Merge(&traces[i], topo)
 		full := Entropy(samples)
 		for _, n := range []int{1, 3, 8} {
 			sub := TopN(samples, n)

@@ -46,10 +46,12 @@ func fixtureResults(t *testing.T) *testStack {
 		s.Dataset.Model, s.Dataset.Topology, s.Dataset.Pop = m, topo, pop
 		s.Sim = mobsim.New(pop, scen, 1)
 
-		// February pass: home detection.
+		// February pass: home detection. Every analyzer consumes a day
+		// before the next is simulated, so one buffer serves the run.
+		buf := mobsim.NewDayBuffer()
 		hd := NewHomeDetector(topo)
 		for day := timegrid.SimDay(0); day < timegrid.FebruaryDays; day++ {
-			hd.ConsumeDay(day, s.Sim.Day(day))
+			hd.ConsumeDay(day, s.Sim.DayInto(buf, day))
 		}
 		s.Homes = hd.Detect()
 
@@ -65,11 +67,13 @@ func fixtureResults(t *testing.T) *testStack {
 		s.Matrix = NewMobilityMatrix(pop, inner.ID, cohort, DefaultTopN)
 		s.KPI = NewKPIAnalyzer(topo)
 		engine := traffic.NewEngine(pop, scen, traffic.DefaultParams(), 1)
+		var cells []traffic.CellDay
 		for day := timegrid.SimDay(timegrid.StudyDayOffset); day < timegrid.SimDays; day++ {
-			traces := s.Sim.Day(day)
+			traces := s.Sim.DayInto(buf, day)
 			s.Mobility.ConsumeDay(day, traces)
 			s.Matrix.ConsumeDay(day, traces)
-			s.KPI.ConsumeDay(day, engine.Day(day, traces))
+			cells = engine.DayAppend(cells[:0], day, traces)
+			s.KPI.ConsumeDay(day, cells)
 		}
 		stack = s
 	})
@@ -154,14 +158,14 @@ func TestHomeDetectionMinNights(t *testing.T) {
 	r := fixtureResults(t)
 	hd := NewHomeDetector(r.Dataset.Topology)
 	hd.MinNights = 99
-	hd.ConsumeDay(0, r.Sim.Day(0))
+	hd.ConsumeDay(0, r.Sim.DayInto(mobsim.NewDayBuffer(), 0))
 	if got := len(hd.Detect()); got != 0 {
 		t.Errorf("detected %d homes from one night with MinNights=99", got)
 	}
 	// A fortnight of nights meets the default threshold.
 	hd2 := NewHomeDetector(r.Dataset.Topology)
 	for day := timegrid.SimDay(0); day < 14; day++ {
-		hd2.ConsumeDay(day, r.Sim.Day(day))
+		hd2.ConsumeDay(day, r.Sim.DayInto(mobsim.NewDayBuffer(), day))
 	}
 	if got := len(hd2.Detect()); got == 0 {
 		t.Error("14 nights should be enough for detection")
@@ -169,7 +173,7 @@ func TestHomeDetectionMinNights(t *testing.T) {
 	// Days outside February are ignored.
 	hd3 := NewHomeDetector(r.Dataset.Topology)
 	for day := timegrid.SimDay(timegrid.FebruaryDays); day < timegrid.FebruaryDays+20; day++ {
-		hd3.ConsumeDay(day, r.Sim.Day(day))
+		hd3.ConsumeDay(day, r.Sim.DayInto(mobsim.NewDayBuffer(), day))
 	}
 	if got := len(hd3.Detect()); got != 0 {
 		t.Errorf("non-February days produced %d homes", got)

@@ -65,21 +65,6 @@ func NewDataset(cfg Config) *Dataset {
 	return NewWorld(cfg).Instantiate(cfg)
 }
 
-// DayConsumer receives one simulated day of traces (ReplayTraces). The
-// slice is only valid for the duration of the call — producers may reuse
-// its storage for the next day — so implementations must copy anything
-// they keep.
-type DayConsumer interface {
-	ConsumeDay(day timegrid.SimDay, traces []mobsim.DayTrace)
-}
-
-// KPIConsumer receives one simulated day of per-cell KPI records, under
-// the same ownership rule as DayConsumer: copy anything kept past the
-// call.
-type KPIConsumer interface {
-	ConsumeDay(day timegrid.SimDay, cells []traffic.CellDay)
-}
-
 // Results bundles the analyzers most figures share; RunStandard fills it
 // in one pass over the simulation.
 type Results struct {

@@ -262,6 +262,13 @@ func blockOffsets(t *testing.T, data []byte) []int {
 	return offs
 }
 
+// setDay rewrites a block's day field and re-checksums the block: the
+// damage is a day outside the simulated window, not a CRC mismatch.
+func setDay(data []byte, blockOff int, day int32) {
+	binary.LittleEndian.PutUint32(data[blockOff:], uint32(day))
+	recrc(data, blockOff)
+}
+
 // recrc recomputes a block's CRC footer after a deliberate mutation, so
 // the damage is semantic rather than a checksum mismatch.
 func recrc(data []byte, blockOff int) {
@@ -290,6 +297,8 @@ func TestCorruptBlockStrict(t *testing.T) {
 			b[day3+blockHeaderSize+plen-1] |= 0x80
 			recrc(b, day3)
 		}, ErrCorrupt},
+		{"day past the window", func(b []byte) { setDay(b, day3, 500) }, ErrCorrupt},
+		{"negative day", func(b []byte) { setDay(b, day3, -3) }, ErrCorrupt},
 		{"truncated tail", func(b []byte) {}, ErrTruncated}, // handled below by slicing
 	}
 	for _, c := range cases {
@@ -331,6 +340,8 @@ func TestCorruptBlockLenient(t *testing.T) {
 		}},
 		{"header bit flip", func(b []byte) { b[offs[0]+4] ^= 0x01 }},               // caught by CRC, skip to next block
 		{"header count blown up resync", func(b []byte) { b[offs[0]+11] ^= 0x40 }}, // bounds reject; resync via payload length
+		{"day past the window", func(b []byte) { setDay(b, offs[0], 500) }},
+		{"negative day", func(b []byte) { setDay(b, offs[0], -3) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			data := append([]byte(nil), good...)
@@ -411,6 +422,16 @@ func TestKPICorruptLenient(t *testing.T) {
 	var be *BlockError
 	if !errors.As(err, &be) || be.Offset != int64(offs[0]) || !errors.Is(err, ErrChecksum) {
 		t.Fatalf("strict err = %v, want checksum BlockError at %d", err, offs[0])
+	}
+	// A block dated outside the simulated window is rejected from its
+	// header, before the payload is decoded.
+	setDay(data, offs[0], 500)
+	if rs, err = NewKPIReaderOpts(bytes.NewReader(data), Options{Name: "k.col"}); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = rs.ReadDayAppend(nil)
+	if !errors.As(err, &be) || be.Offset != int64(offs[0]) || !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "simulated window") {
+		t.Fatalf("strict err = %v, want day-window BlockError at %d", err, offs[0])
 	}
 }
 

@@ -207,10 +207,22 @@ func (t *TraceReader) Skipped() int64 { return t.b.skipped }
 // file header; 0,0 means unpartitioned/unspecified.
 func (t *TraceReader) UserRange() (lo, hi uint32) { return t.b.userLo, t.b.userHi }
 
+// validateDay rejects a block whose day lies outside the simulated
+// window [0, timegrid.SimDays), like the CSV readers' day column check.
+func validateDay(h blockHead) error {
+	if h.day < 0 || h.day >= timegrid.SimDays {
+		return fmt.Errorf("day %d outside the simulated window [0,%d)", h.day, timegrid.SimDays)
+	}
+	return nil
+}
+
 // validateTraceHead vets a trace block header: the payload length must
 // be consistent with the varint and column section sizes the counts
 // imply, so a corrupt header is rejected before any payload allocation.
 func validateTraceHead(h blockHead) error {
+	if err := validateDay(h); err != nil {
+		return err
+	}
 	nU, nV := uint64(h.countA), uint64(h.countB)
 	if nU == 0 && (nV != 0 || h.payloadLen != 0) {
 		return fmt.Errorf("%d visits / %d payload bytes with zero users", nV, h.payloadLen)
@@ -360,6 +372,9 @@ func (k *KPIReader) Skipped() int64 { return k.b.skipped }
 // baked into the format, so a file written against a different metric
 // schema is rejected here.
 func validateKPIHead(h blockHead) error {
+	if err := validateDay(h); err != nil {
+		return err
+	}
 	if h.countB != uint32(traffic.NumMetrics) {
 		return fmt.Errorf("block has %d metric columns, this build uses %d", h.countB, traffic.NumMetrics)
 	}

@@ -171,18 +171,6 @@ func (t *TraceReader) skip(line int, err error) {
 	}
 }
 
-// ReadDay reads the next full day of traces. It returns io.EOF when the
-// feed is exhausted. It allocates a fresh arena per day; streaming
-// replay loops should hold a mobsim.DayBuffer and call ReadDayInto.
-func (t *TraceReader) ReadDay() (timegrid.SimDay, []mobsim.DayTrace, error) {
-	buf := mobsim.NewDayBuffer()
-	day, err := t.ReadDayInto(buf)
-	if err != nil {
-		return 0, nil, err
-	}
-	return day, buf.Traces(), nil
-}
-
 // ReadDayInto reads the next full day of traces into buf, reusing its
 // arena: a warm buffer decodes a day without allocating. The traces are
 // materialized with buf.Traces() and stay valid until buf's next Reset.
@@ -254,7 +242,7 @@ func csvErrLine(err error, fallback int) int {
 // parseTraceRow decodes one CSV row of the trace feed; its errors name
 // the offending column and value.
 func parseTraceRow(rec []string) (timegrid.SimDay, mobsim.Visit, popsim.UserID, error) {
-	day, err := strconv.Atoi(rec[0])
+	day, err := parseDay(rec[0])
 	if err != nil {
 		return 0, mobsim.Visit{}, 0, badField("trace", "day", rec[0], err)
 	}
@@ -291,7 +279,7 @@ func parseTraceRow(rec []string) (timegrid.SimDay, mobsim.Visit, popsim.UserID, 
 		return 0, mobsim.Visit{}, 0, fmt.Errorf("bad trace field seconds=%q: out of range [0,%d]", rec[4], mobsim.MaxVisitSeconds)
 	}
 	v := mobsim.MakeVisit(radio.TowerID(tower), timegrid.Bin(bin), int32(sec), atRes)
-	return timegrid.SimDay(day), v, popsim.UserID(user), nil
+	return day, v, popsim.UserID(user), nil
 }
 
 // badField is the shared shape of a field parse error: it names the
@@ -395,14 +383,10 @@ func (k *KPIReader) skip(line int, err error) {
 	}
 }
 
-// ReadDay reads the next full day of cell records; io.EOF at the end.
-func (k *KPIReader) ReadDay() (timegrid.SimDay, []traffic.CellDay, error) {
-	return k.ReadDayAppend(nil)
-}
-
-// ReadDayAppend is ReadDay appending into dst (pass prev[:0] to reuse
-// capacity across days). Corrupt rows follow the reader's
-// strict/lenient mode, like TraceReader.ReadDayInto.
+// ReadDayAppend reads the next full day of cell records, appending them
+// to dst (pass prev[:0] to reuse capacity across days); io.EOF at the
+// end. Corrupt rows follow the reader's strict/lenient mode, like
+// TraceReader.ReadDayInto.
 func (k *KPIReader) ReadDayAppend(dst []traffic.CellDay) (timegrid.SimDay, []traffic.CellDay, error) {
 	var (
 		day   timegrid.SimDay = -1
@@ -454,7 +438,7 @@ func (k *KPIReader) next() ([]string, error) {
 // parseKPIRow decodes one CSV row of the KPI feed; its errors name the
 // offending column and value.
 func parseKPIRow(rec []string) (timegrid.SimDay, traffic.CellDay, error) {
-	day, err := strconv.Atoi(rec[0])
+	day, err := parseDay(rec[0])
 	if err != nil {
 		return 0, traffic.CellDay{}, badField("KPI", "day", rec[0], err)
 	}
@@ -470,7 +454,7 @@ func parseKPIRow(rec []string) (timegrid.SimDay, traffic.CellDay, error) {
 		}
 		cd.Values[m] = v
 	}
-	return timegrid.SimDay(day), cd, nil
+	return day, cd, nil
 }
 
 // --- control-plane events ----------------------------------------------------
@@ -607,8 +591,12 @@ func (e *EventReader) Read() (signaling.Event, error) {
 // parseEventRow decodes one CSV row of the event feed; its errors name
 // the offending column and value.
 func parseEventRow(rec []string) (signaling.Event, error) {
-	ints := make([]int64, 10)
-	for i := 0; i < 10; i++ {
+	day, err := parseDay(rec[0])
+	if err != nil {
+		return signaling.Event{}, badField("event", "day", rec[0], err)
+	}
+	ints := make([]int64, 10) // ints[0] unused: the day is parsed above
+	for i := 1; i < 10; i++ {
 		v, err := strconv.ParseInt(rec[i], 10, 64)
 		if err != nil {
 			return signaling.Event{}, badField("event", eventHeader[i], rec[i], err)
@@ -623,7 +611,7 @@ func parseEventRow(rec []string) (signaling.Event, error) {
 		return signaling.Event{}, fmt.Errorf("bad event field type=%q: out of range [0,%d)", rec[3], signaling.NumEventTypes)
 	}
 	return signaling.Event{
-		Day:      timegrid.SimDay(ints[0]),
+		Day:      day,
 		SecOfDay: int32(ints[1]),
 		User:     popsim.UserID(ints[2]),
 		Type:     signaling.EventType(ints[3]),
@@ -637,6 +625,20 @@ func parseEventRow(rec []string) (signaling.Event, error) {
 }
 
 // --- helpers -----------------------------------------------------------------
+
+// parseDay decodes a day column, rejecting days outside the simulated
+// window [0, timegrid.SimDays): every feed row belongs to one simulated
+// day, and the readers use a negative day as their "no day yet" state.
+func parseDay(s string) (timegrid.SimDay, error) {
+	d, err := strconv.Atoi(s)
+	if err != nil {
+		return 0, err
+	}
+	if d < 0 || d >= timegrid.SimDays {
+		return 0, fmt.Errorf("outside the simulated window [0,%d)", timegrid.SimDays)
+	}
+	return timegrid.SimDay(d), nil
+}
 
 func boolStr(b bool) string {
 	if b {

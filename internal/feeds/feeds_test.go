@@ -43,7 +43,7 @@ func TestTraceRoundTrip(t *testing.T) {
 	w := NewTraceWriter(&buf)
 	want := map[timegrid.SimDay][]mobsim.DayTrace{}
 	for _, d := range days {
-		traces := sim.Day(d)
+		traces := sim.DayInto(mobsim.NewDayBuffer(), d)
 		want[d] = traces
 		if err := w.WriteDay(d, traces); err != nil {
 			t.Fatal(err)
@@ -57,11 +57,13 @@ func TestTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rbuf := mobsim.NewDayBuffer()
 	for _, d := range days {
-		day, traces, err := r.ReadDay()
+		day, err := r.ReadDayInto(rbuf)
 		if err != nil {
 			t.Fatal(err)
 		}
+		traces := rbuf.Traces()
 		if day != d {
 			t.Fatalf("day = %d, want %d", day, d)
 		}
@@ -83,7 +85,7 @@ func TestTraceRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if _, _, err := r.ReadDay(); err != io.EOF {
+	if _, err := r.ReadDayInto(rbuf); err != io.EOF {
 		t.Errorf("expected EOF, got %v", err)
 	}
 }
@@ -95,7 +97,7 @@ func TestKPIRoundTrip(t *testing.T) {
 	days := []timegrid.SimDay{30, 31}
 	want := map[timegrid.SimDay][]traffic.CellDay{}
 	for _, d := range days {
-		cells := eng.Day(d, sim.Day(d))
+		cells := eng.DayAppend(nil, d, sim.DayInto(mobsim.NewDayBuffer(), d))
 		want[d] = cells
 		if err := w.WriteDay(d, cells); err != nil {
 			t.Fatal(err)
@@ -110,7 +112,7 @@ func TestKPIRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range days {
-		day, cells, err := r.ReadDay()
+		day, cells, err := r.ReadDayAppend(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +134,7 @@ func TestKPIRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if _, _, err := r.ReadDay(); err != io.EOF {
+	if _, _, err := r.ReadDayAppend(nil); err != io.EOF {
 		t.Errorf("expected EOF, got %v", err)
 	}
 }
@@ -144,7 +146,7 @@ func TestEventRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewEventWriter(&buf)
 	var want []signaling.Event
-	gen.Day(day, sim.Day(day), func(e signaling.Event) {
+	gen.Day(day, sim.DayInto(mobsim.NewDayBuffer(), day), func(e signaling.Event) {
 		want = append(want, e)
 		w.Consume(e)
 	})
@@ -189,34 +191,44 @@ func TestBadHeaders(t *testing.T) {
 }
 
 func TestMalformedRows(t *testing.T) {
-	trace := "day,user,tower,bin,seconds,at_residence\n1,2,3,99,100,1\n"
-	r, err := NewTraceReader(strings.NewReader(trace))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := r.ReadDay(); err == nil {
-		t.Error("out-of-range bin accepted")
-	}
-
-	trace2 := "day,user,tower,bin,seconds,at_residence\n1,2,3,1,100,maybe\n"
-	r2, _ := NewTraceReader(strings.NewReader(trace2))
-	if _, _, err := r2.ReadDay(); err == nil {
-		t.Error("bad bool accepted")
-	}
-
-	kpi := strings.Join(kpiHeader, ",") + "\nnotanumber" + strings.Repeat(",0", len(kpiHeader)-1) + "\n"
-	kr, err := NewKPIReader(strings.NewReader(kpi))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := kr.ReadDay(); err == nil {
-		t.Error("bad KPI day accepted")
+	// Each row is corrupt in one field; the day column must lie in the
+	// simulated window [0, timegrid.SimDays). A rejected row is an error,
+	// never a clean io.EOF.
+	for _, row := range []string{
+		"1,2,3,99,100,1",    // bin out of range
+		"1,2,3,1,100,maybe", // bad bool
+		"500,2,3,1,100,1",   // day past the window
+		"-3,2,3,1,100,1",    // negative day
+	} {
+		r, err := NewTraceReader(strings.NewReader("day,user,tower,bin,seconds,at_residence\n" + row + "\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.ReadDayInto(mobsim.NewDayBuffer()); err == nil || err == io.EOF {
+			t.Errorf("trace row %q: got %v, want a row error", row, err)
+		}
 	}
 
-	ev := strings.Join(eventHeader, ",") + "\n1,2,3,999,4,0,2,1,234,10,1\n"
-	er, _ := NewEventReader(strings.NewReader(ev))
-	if _, err := er.Read(); err == nil {
-		t.Error("out-of-range event type accepted")
+	for _, day := range []string{"notanumber", "500", "-3"} {
+		kpi := strings.Join(kpiHeader, ",") + "\n" + day + strings.Repeat(",0", len(kpiHeader)-1) + "\n"
+		kr, err := NewKPIReader(strings.NewReader(kpi))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := kr.ReadDayAppend(nil); err == nil || err == io.EOF {
+			t.Errorf("KPI day %q: got %v, want a row error", day, err)
+		}
+	}
+
+	for _, row := range []string{
+		"1,2,3,999,4,0,2,1,234,10,1", // event type out of range
+		"500,2,3,0,4,0,2,1,234,10,1", // day past the window
+		"-3,2,3,0,4,0,2,1,234,10,1",  // negative day
+	} {
+		er, _ := NewEventReader(strings.NewReader(strings.Join(eventHeader, ",") + "\n" + row + "\n"))
+		if _, err := er.Read(); err == nil || err == io.EOF {
+			t.Errorf("event row %q: got %v, want a row error", row, err)
+		}
 	}
 }
 
@@ -242,7 +254,7 @@ func TestEmptyFeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.ReadDay(); err != io.EOF {
+	if _, err := r.ReadDayInto(mobsim.NewDayBuffer()); err != io.EOF {
 		t.Errorf("header-only feed: got %v, want EOF", err)
 	}
 }

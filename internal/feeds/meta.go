@@ -2,6 +2,7 @@ package feeds
 
 import (
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -140,4 +141,29 @@ func ReadMeta(dir string) (m Meta, ok bool, err error) {
 		*dst = uint32(v)
 	}
 	return m, true, nil
+}
+
+// ErrStackMismatch reports a feed directory whose sidecar names a
+// different user count or seed than the stack a replay rebuilt. The
+// replay commands treat it as a usage error.
+var ErrStackMismatch = errors.New("feeds: stack mismatch")
+
+// ReadMetaFor loads dir's sidecar for a replay over the stack built
+// with users native users and seed. A sidecar naming another stack
+// fails with an error wrapping ErrStackMismatch: feed IDs are only
+// meaningful relative to the stack that wrote them. A directory without
+// a sidecar (written before it existed) replays unchecked, as
+// Meta{Users: users, Seed: seed}.
+func ReadMetaFor(dir string, users int, seed uint64) (Meta, error) {
+	m, ok, err := ReadMeta(dir)
+	switch {
+	case err != nil:
+		return Meta{}, err
+	case !ok:
+		return Meta{Users: users, Seed: seed}, nil
+	case m.Users != users || m.Seed != seed:
+		return Meta{}, fmt.Errorf("%w: %s was generated with -users %d -seed %d (got -users %d -seed %d); IDs in the feeds are only meaningful relative to that stack",
+			ErrStackMismatch, dir, m.Users, m.Seed, users, seed)
+	}
+	return m, nil
 }

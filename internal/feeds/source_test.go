@@ -1,6 +1,7 @@
 package feeds
 
 import (
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -210,6 +211,23 @@ func TestMetaRoundTrip(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("meta: got %+v, want %+v", got, want)
+	}
+
+	// ReadMetaFor accepts the sidecar's own stack, rejects any other
+	// with ErrStackMismatch, and defaults a missing sidecar.
+	if got, err := ReadMetaFor(dir, 8000, 42); err != nil || got != want {
+		t.Fatalf("matching stack: got %+v, %v", got, err)
+	}
+	for _, c := range []struct {
+		users int
+		seed  uint64
+	}{{500, 42}, {8000, 7}} {
+		if _, err := ReadMetaFor(dir, c.users, c.seed); !errors.Is(err, ErrStackMismatch) {
+			t.Fatalf("-users %d -seed %d: want ErrStackMismatch, got %v", c.users, c.seed, err)
+		}
+	}
+	if got, err := ReadMetaFor(t.TempDir(), 500, 7); err != nil || got != (Meta{Users: 500, Seed: 7}) {
+		t.Fatalf("no sidecar: got %+v, %v", got, err)
 	}
 }
 

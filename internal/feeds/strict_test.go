@@ -4,32 +4,41 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/mobsim"
 )
 
 const traceHdr = "day,user,tower,bin,seconds,at_residence\n"
 
 // TestStrictErrorNamesFileLineField pins the strict-mode diagnostic
 // contract: the error carries the feed name, the 1-based line of the
-// corrupt row, and the offending column and value.
+// corrupt row, and the offending column and value. Days outside the
+// simulated window are bad day fields.
 func TestStrictErrorNamesFileLineField(t *testing.T) {
-	feed := traceHdr +
-		"1,2,3,1,100,1\n" +
-		"1,2,3,1,oops,1\n"
-	r, err := NewTraceReaderOpts(strings.NewReader(feed), Options{Name: "out/traces.csv"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = r.ReadDay()
-	if err == nil {
-		t.Fatal("corrupt row accepted in strict mode")
-	}
-	for _, want := range []string{"out/traces.csv:3", "seconds", `"oops"`} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("strict error %q lacks %q", err, want)
+	for _, c := range []struct{ row, col, val string }{
+		{"1,2,3,1,oops,1", "seconds", `"oops"`},
+		{"500,2,3,1,100,1", "day", `"500"`},
+		{"-3,2,3,1,100,1", "day", `"-3"`},
+	} {
+		feed := traceHdr +
+			"1,2,3,1,100,1\n" +
+			c.row + "\n"
+		r, err := NewTraceReaderOpts(strings.NewReader(feed), Options{Name: "out/traces.csv"})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if r.Skipped() != 0 {
-		t.Errorf("strict reader skipped %d rows", r.Skipped())
+		_, err = r.ReadDayInto(mobsim.NewDayBuffer())
+		if err == nil {
+			t.Fatalf("corrupt row %q accepted in strict mode", c.row)
+		}
+		for _, want := range []string{"out/traces.csv:3", c.col, c.val} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("strict error %q lacks %q", err, want)
+			}
+		}
+		if r.Skipped() != 0 {
+			t.Errorf("strict reader skipped %d rows", r.Skipped())
+		}
 	}
 }
 
@@ -41,7 +50,7 @@ func TestStrictShortRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = r.ReadDay()
+	_, err = r.ReadDayInto(mobsim.NewDayBuffer())
 	if err == nil {
 		t.Fatal("short row accepted in strict mode")
 	}
@@ -61,11 +70,12 @@ func TestStrictTruncatedFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	day, traces, err := r.ReadDay()
-	if err != nil || day != 0 || len(traces) != 1 {
-		t.Fatalf("day 0: %v (day=%d, %d traces)", err, day, len(traces))
+	buf := mobsim.NewDayBuffer()
+	day, err := r.ReadDayInto(buf)
+	if err != nil || day != 0 || len(buf.Traces()) != 1 {
+		t.Fatalf("day 0: %v (day=%d, %d traces)", err, day, len(buf.Traces()))
 	}
-	if _, _, err = r.ReadDay(); err == nil {
+	if _, err = r.ReadDayInto(buf); err == nil {
 		t.Fatal("truncated final row accepted in strict mode")
 	}
 }
@@ -80,6 +90,8 @@ func TestLenientSkipsCorruptRows(t *testing.T) {
 		"0,2,3\n" + // short row            (line 3)
 		"0,2,3,1,oops,1\n" + // bad seconds  (line 4)
 		"0,2,3,99,100,1\n" + // bin range    (line 5)
+		"500,2,3,1,100,1\n" + // day window (line 6)
+		"-3,2,3,1,100,1\n" + // negative day (line 7)
 		"0,7,3,2,50,0\n" // good
 	type skipRec struct {
 		name string
@@ -94,29 +106,31 @@ func TestLenientSkipsCorruptRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	day, traces, err := r.ReadDay()
+	buf := mobsim.NewDayBuffer()
+	day, err := r.ReadDayInto(buf)
 	if err != nil {
 		t.Fatalf("lenient read failed: %v", err)
 	}
+	traces := buf.Traces()
 	if day != 0 || len(traces) != 2 {
 		t.Fatalf("day=%d traces=%d, want 0/2", day, len(traces))
 	}
 	if traces[0].User != 2 || traces[1].User != 7 {
 		t.Errorf("surviving users: %d, %d", traces[0].User, traces[1].User)
 	}
-	if r.Skipped() != 3 {
-		t.Errorf("Skipped() = %d, want 3", r.Skipped())
+	wantLines := []int{3, 4, 5, 6, 7}
+	if r.Skipped() != int64(len(wantLines)) {
+		t.Errorf("Skipped() = %d, want %d", r.Skipped(), len(wantLines))
 	}
-	wantLines := []int{3, 4, 5}
-	if len(skips) != 3 {
-		t.Fatalf("OnSkip fired %d times, want 3", len(skips))
+	if len(skips) != len(wantLines) {
+		t.Fatalf("OnSkip fired %d times, want %d", len(skips), len(wantLines))
 	}
 	for i, s := range skips {
 		if s.name != "traces.csv" || s.line != wantLines[i] {
 			t.Errorf("skip %d = %+v, want traces.csv:%d", i, s, wantLines[i])
 		}
 	}
-	if _, _, err := r.ReadDay(); err != io.EOF {
+	if _, err := r.ReadDayInto(buf); err != io.EOF {
 		t.Errorf("after last day: %v, want EOF", err)
 	}
 }
@@ -131,14 +145,15 @@ func TestLenientTruncatedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	day, traces, err := r.ReadDay()
-	if err != nil || day != 0 || len(traces) != 1 {
-		t.Fatalf("lenient truncated read: %v (day=%d, %d traces)", err, day, len(traces))
+	buf := mobsim.NewDayBuffer()
+	day, err := r.ReadDayInto(buf)
+	if err != nil || day != 0 || len(buf.Traces()) != 1 {
+		t.Fatalf("lenient truncated read: %v (day=%d, %d traces)", err, day, len(buf.Traces()))
 	}
 	if r.Skipped() != 1 {
 		t.Errorf("Skipped() = %d, want 1", r.Skipped())
 	}
-	if _, _, err := r.ReadDay(); err != io.EOF {
+	if _, err := r.ReadDayInto(buf); err != io.EOF {
 		t.Errorf("after truncation: %v, want EOF", err)
 	}
 }
@@ -163,22 +178,26 @@ func TestLenientKPIAndEvents(t *testing.T) {
 	kpi := strings.Join(kpiHeader, ",") + "\n" +
 		"0,1" + strings.Repeat(",1", len(kpiHeader)-2) + "\n" +
 		"0,bad" + strings.Repeat(",1", len(kpiHeader)-2) + "\n" +
+		"500,3" + strings.Repeat(",1", len(kpiHeader)-2) + "\n" + // day window
+		"-3,3" + strings.Repeat(",1", len(kpiHeader)-2) + "\n" + // negative day
 		"0,2" + strings.Repeat(",2", len(kpiHeader)-2) + "\n"
 	kr, err := NewKPIReaderOpts(strings.NewReader(kpi), Options{Lenient: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	day, cells, err := kr.ReadDay()
+	day, cells, err := kr.ReadDayAppend(nil)
 	if err != nil || day != 0 || len(cells) != 2 {
 		t.Fatalf("lenient KPI read: %v (day=%d, %d cells)", err, day, len(cells))
 	}
-	if kr.Skipped() != 1 {
-		t.Errorf("KPI Skipped() = %d, want 1", kr.Skipped())
+	if kr.Skipped() != 3 {
+		t.Errorf("KPI Skipped() = %d, want 3", kr.Skipped())
 	}
 
 	ev := strings.Join(eventHeader, ",") + "\n" +
 		"1,2,3,0,4,0,2,1,234,10,1\n" +
 		"1,2,3,999,4,0,2,1,234,10,1\n" + // event type out of range
+		"500,2,3,0,4,0,2,1,234,10,1\n" + // day window
+		"-3,2,3,0,4,0,2,1,234,10,1\n" + // negative day
 		"1,2,3,1,4,0,2,1,234,10,0\n"
 	er, err := NewEventReaderOpts(strings.NewReader(ev), Options{Lenient: true})
 	if err != nil {
@@ -195,8 +214,8 @@ func TestLenientKPIAndEvents(t *testing.T) {
 		}
 		n++
 	}
-	if n != 2 || er.Skipped() != 1 {
-		t.Errorf("events read=%d skipped=%d, want 2/1", n, er.Skipped())
+	if n != 2 || er.Skipped() != 3 {
+		t.Errorf("events read=%d skipped=%d, want 2/3", n, er.Skipped())
 	}
 }
 
@@ -209,7 +228,7 @@ func TestStrictKPIErrorNamesMetricColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = kr.ReadDay()
+	_, _, err = kr.ReadDayAppend(nil)
 	if err == nil {
 		t.Fatal("bad metric accepted")
 	}

@@ -36,13 +36,13 @@ func TestDayIntoSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestDayIntoMatchesDay asserts the arena path is bit-identical to the
-// allocating compatibility wrapper, including across buffer reuse.
+// TestDayIntoMatchesDay asserts a warm, reused buffer yields traces
+// bit-identical to a fresh buffer's, day after day.
 func TestDayIntoMatchesDay(t *testing.T) {
 	s := fixture(t)
 	buf := NewDayBuffer()
 	for _, day := range allocDays {
-		fresh := s.Day(day)
+		fresh := s.DayInto(NewDayBuffer(), day)
 		reused := s.DayInto(buf, day)
 		if len(fresh) != len(reused) {
 			t.Fatalf("day %d: %d vs %d traces", day, len(fresh), len(reused))

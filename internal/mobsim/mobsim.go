@@ -88,20 +88,13 @@ func (s *Simulator) Population() *popsim.Population { return s.pop }
 // Scenario returns the behavioural scenario.
 func (s *Simulator) Scenario() *pandemic.Scenario { return s.scen }
 
-// Day simulates all native smartphone agents for one day and returns
-// their traces. The result is deterministic and independent of any other
-// day's simulation. It is a convenience wrapper over DayInto with a
-// fresh buffer, so the result is safe to retain; hot loops should hold a
-// DayBuffer and call DayInto instead.
-func (s *Simulator) Day(day timegrid.SimDay) []DayTrace {
-	return s.DayInto(NewDayBuffer(), day)
-}
-
 // DayInto simulates all native smartphone agents for one day into buf,
 // reusing its arena and builder scratch: once buf has warmed to the
-// working size, a call performs no heap allocation. The returned traces
-// are bit-identical to Day's but alias buf — they are valid until buf's
-// next Reset or DayInto. Concurrent calls must use distinct buffers.
+// working size, a call performs no heap allocation. The result is
+// deterministic and independent of any other day's simulation, and of
+// whether buf is fresh or warm. The returned traces alias buf — they
+// are valid until buf's next Reset or DayInto. Concurrent calls must
+// use distinct buffers.
 func (s *Simulator) DayInto(buf *DayBuffer, day timegrid.SimDay) []DayTrace {
 	buf.Reset(day)
 	for _, id := range s.pop.Native() {

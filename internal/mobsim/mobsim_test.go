@@ -43,7 +43,7 @@ func TestDayTraceConservation(t *testing.T) {
 	s := fixture(t)
 	nightOffDays := 0
 	for _, day := range []timegrid.SimDay{0, 10, 23, 40, 60, 99} {
-		traces := s.Day(day)
+		traces := s.DayInto(NewDayBuffer(), day)
 		if len(traces) != len(s.Population().Native()) {
 			t.Fatalf("day %d: %d traces for %d users", day, len(traces), len(s.Population().Native()))
 		}
@@ -89,7 +89,7 @@ func TestDayTraceConservation(t *testing.T) {
 
 func TestVisitsOrderedByBin(t *testing.T) {
 	s := fixture(t)
-	traces := s.Day(30)
+	traces := s.DayInto(NewDayBuffer(), 30)
 	for i := range traces {
 		prev := timegrid.Bin(0)
 		for _, v := range traces[i].Visits {
@@ -103,8 +103,8 @@ func TestVisitsOrderedByBin(t *testing.T) {
 
 func TestDeterminismAndIndependence(t *testing.T) {
 	s := fixture(t)
-	a := s.Day(50)
-	b := s.Day(50)
+	a := s.DayInto(NewDayBuffer(), 50)
+	b := s.DayInto(NewDayBuffer(), 50)
 	if len(a) != len(b) {
 		t.Fatal("trace counts differ")
 	}
@@ -120,7 +120,7 @@ func TestDeterminismAndIndependence(t *testing.T) {
 	}
 	// Day simulation is order-independent: simulating day 49 first must
 	// not change day 50.
-	s.Day(49)
+	s.DayInto(NewDayBuffer(), 49)
 	c := s.UserDay(a[0].User, 50)
 	if len(c.Visits) != len(a[0].Visits) {
 		t.Fatal("day 50 changed after simulating day 49")
@@ -130,7 +130,7 @@ func TestDeterminismAndIndependence(t *testing.T) {
 func TestNightAtResidence(t *testing.T) {
 	s := fixture(t)
 	pop := s.Population()
-	traces := s.Day(5) // February baseline
+	traces := s.DayInto(NewDayBuffer(), 5) // February baseline
 	observed := 0
 	for i := range traces {
 		tr := &traces[i]
@@ -160,7 +160,7 @@ func TestNightAtResidence(t *testing.T) {
 func TestLockdownReducesMobility(t *testing.T) {
 	s := fixture(t)
 	distinctTowers := func(day timegrid.SimDay) float64 {
-		traces := s.Day(day)
+		traces := s.DayInto(NewDayBuffer(), day)
 		var sum int
 		for i := range traces {
 			seen := map[radio.TowerID]bool{}
@@ -183,7 +183,7 @@ func TestRelocatedUsersAreAway(t *testing.T) {
 	s := fixture(t)
 	pop := s.Population()
 	day := timegrid.LockdownStart.ToSimDay() + 7
-	traces := s.Day(day)
+	traces := s.DayInto(NewDayBuffer(), day)
 	byUser := map[popsim.UserID]*DayTrace{}
 	for i := range traces {
 		byUser[traces[i].User] = &traces[i]
@@ -212,7 +212,7 @@ func TestRelocatedUsersHomeBeforeLockdown(t *testing.T) {
 	s := fixture(t)
 	pop := s.Population()
 	day := timegrid.SimDay(10) // mid-February
-	traces := s.Day(day)
+	traces := s.DayInto(NewDayBuffer(), day)
 	for i := range traces {
 		tr := &traces[i]
 		u := pop.User(tr.User)
@@ -245,7 +245,7 @@ func TestRelocationCandidatesStayHomeWhenToggleOff(t *testing.T) {
 	}
 	s := New(pop, noReloc, 1)
 	day := timegrid.LockdownStart.ToSimDay() + 7
-	traces := s.Day(day)
+	traces := s.DayInto(NewDayBuffer(), day)
 	checked := 0
 	for i := range traces {
 		tr := &traces[i]
@@ -269,7 +269,7 @@ func TestWorkAttendanceCollapses(t *testing.T) {
 	s := fixture(t)
 	pop := s.Population()
 	attendance := func(day timegrid.SimDay) float64 {
-		traces := s.Day(day)
+		traces := s.DayInto(NewDayBuffer(), day)
 		working, workers := 0, 0
 		for i := range traces {
 			u := pop.User(traces[i].User)
@@ -301,7 +301,7 @@ func TestStudentsStopAfterSchoolsClose(t *testing.T) {
 	s := fixture(t)
 	pop := s.Population()
 	attends := func(day timegrid.SimDay) int {
-		traces := s.Day(day)
+		traces := s.DayInto(NewDayBuffer(), day)
 		n := 0
 		for i := range traces {
 			u := pop.User(traces[i].User)

@@ -94,7 +94,7 @@ func writeFeedDir(t *testing.T, dir string) {
 	defer ef.Close()
 	ew := feeds.NewEventWriter(ef)
 	gen := signaling.NewGenerator(fixPop, fixSeed)
-	gen.Day(2, fixSim.Day(2), ew.Consume)
+	gen.Day(2, fixSim.DayInto(mobsim.NewDayBuffer(), 2), ew.Consume)
 	if err := ew.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func TestDayAggregateSteadyStateAllocs(t *testing.T) {
 	pop, sim, gen := fixture(t)
 	traces := make([][]mobsim.DayTrace, len(allocDays))
 	for i, day := range allocDays {
-		traces[i] = sim.Day(day)
+		traces[i] = sim.DayInto(mobsim.NewDayBuffer(), day)
 	}
 	agg := NewAggregator(pop.Topology())
 	for i, day := range allocDays {
@@ -45,7 +45,7 @@ func TestAggregatorMatchesEventTally(t *testing.T) {
 	topo := pop.Topology()
 	var events []Event
 	for _, day := range allocDays[:2] {
-		gen.Day(day, sim.Day(day), func(e Event) { events = append(events, e) })
+		gen.Day(day, sim.DayInto(mobsim.NewDayBuffer(), day), func(e Event) { events = append(events, e) })
 	}
 
 	byDistrict := map[census.DistrictID]DistrictCounts{}

@@ -3,6 +3,7 @@ package signaling
 import (
 	"testing"
 
+	"repro/internal/mobsim"
 	"repro/internal/rng"
 	"repro/internal/timegrid"
 )
@@ -54,7 +55,7 @@ func TestCauseBreakdownOverStream(t *testing.T) {
 	day := timegrid.SimDay(timegrid.StudyDayOffset + 23) // week-12 surge
 	quiet := NewCauseBreakdown(1.0, 7)
 	surge := NewCauseBreakdown(2.4, 7)
-	traces := sim.Day(day)
+	traces := sim.DayInto(mobsim.NewDayBuffer(), day)
 	gen.Day(day, traces, quiet.Consume)
 	gen.Day(day, traces, surge.Consume)
 

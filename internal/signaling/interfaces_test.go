@@ -3,6 +3,7 @@ package signaling
 import (
 	"testing"
 
+	"repro/internal/mobsim"
 	"repro/internal/radio"
 	"repro/internal/timegrid"
 )
@@ -46,7 +47,7 @@ func TestInterfaceStrings(t *testing.T) {
 func TestVoiceDaySurge(t *testing.T) {
 	_, sim, gen := fixture(t)
 	day := timegrid.SimDay(40)
-	traces := sim.Day(day)
+	traces := sim.DayInto(mobsim.NewDayBuffer(), day)
 	count := func(factor float64) (starts, ends int) {
 		for i := range traces[:300] {
 			gen.VoiceDay(&traces[i], day, factor, func(e Event) {
@@ -76,7 +77,7 @@ func TestVoiceDaySurge(t *testing.T) {
 func TestVoiceEventsOnCorrectInterfaces(t *testing.T) {
 	_, sim, gen := fixture(t)
 	day := timegrid.SimDay(40)
-	traces := sim.Day(day)
+	traces := sim.DayInto(mobsim.NewDayBuffer(), day)
 	var bd InterfaceBreakdown
 	for i := range traces[:200] {
 		gen.VoiceDay(&traces[i], day, 1.5, bd.Consume)
@@ -98,7 +99,7 @@ func TestInterfaceBreakdownOverFullDay(t *testing.T) {
 	_, sim, gen := fixture(t)
 	day := timegrid.SimDay(30)
 	var bd InterfaceBreakdown
-	gen.Day(day, sim.Day(day), bd.Consume)
+	gen.Day(day, sim.DayInto(mobsim.NewDayBuffer(), day), bd.Consume)
 	if bd.Total() == 0 {
 		t.Fatal("no events")
 	}

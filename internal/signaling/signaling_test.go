@@ -48,7 +48,7 @@ func TestEventTypeStrings(t *testing.T) {
 func TestUserDayEventStream(t *testing.T) {
 	pop, sim, gen := fixture(t)
 	day := timegrid.SimDay(25)
-	traces := sim.Day(day)
+	traces := sim.DayInto(mobsim.NewDayBuffer(), day)
 	topo := pop.Topology()
 
 	var events []Event
@@ -91,7 +91,7 @@ func TestUserDayEventStream(t *testing.T) {
 func TestEventDeterminism(t *testing.T) {
 	_, sim, gen := fixture(t)
 	day := timegrid.SimDay(30)
-	traces := sim.Day(day)
+	traces := sim.DayInto(mobsim.NewDayBuffer(), day)
 	var a, b []Event
 	gen.Day(day, traces, func(e Event) { a = append(a, e) })
 	gen.Day(day, traces, func(e Event) { b = append(b, e) })
@@ -109,7 +109,7 @@ func TestRoamersVanishAfterRestrictions(t *testing.T) {
 	pop, sim, gen := fixture(t)
 	countRoamerEvents := func(day timegrid.SimDay) int {
 		n := 0
-		traces := sim.Day(day)
+		traces := sim.DayInto(mobsim.NewDayBuffer(), day)
 		gen.Day(day, traces, func(e Event) {
 			if pop.User(e.User).Kind == popsim.InboundRoamer {
 				n++
@@ -146,7 +146,7 @@ func TestAggregator(t *testing.T) {
 	pop, sim, gen := fixture(t)
 	agg := NewAggregator(pop.Topology())
 	day := timegrid.SimDay(10)
-	gen.Day(day, sim.Day(day), agg.Consume)
+	gen.Day(day, sim.DayInto(mobsim.NewDayBuffer(), day), agg.Consume)
 	if agg.Total == 0 {
 		t.Fatal("aggregator saw nothing")
 	}
@@ -201,7 +201,7 @@ func TestRATShare75On4G(t *testing.T) {
 	_, sim, gen := fixture(t)
 	rs := NewRATShare(gen)
 	for _, day := range []timegrid.SimDay{23, 24, 25} {
-		rs.ConsumeDay(day, sim.Day(day))
+		rs.ConsumeDay(day, sim.DayInto(mobsim.NewDayBuffer(), day))
 	}
 	shares := rs.Shares()
 	// §2.4: users spend ~75% of connected time on 4G.

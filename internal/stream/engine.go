@@ -95,14 +95,14 @@ type EventSharder interface {
 	EndDay(day timegrid.SimDay)
 }
 
-// TraceConsumer is a serial per-day trace consumer (the shape of
-// experiments.DayConsumer); it runs in the merge stage, in day order.
+// TraceConsumer is a serial per-day trace consumer — the ConsumeDay
+// shape of the core analyzers; it runs in the merge stage, in day order.
 type TraceConsumer interface {
 	ConsumeDay(day timegrid.SimDay, traces []mobsim.DayTrace)
 }
 
-// KPIConsumer is a serial per-day KPI consumer (the shape of
-// experiments.KPIConsumer); it runs in the merge stage, in day order.
+// KPIConsumer is a serial per-day KPI consumer — the ConsumeDay shape
+// of core.KPIAnalyzer; it runs in the merge stage, in day order.
 type KPIConsumer interface {
 	ConsumeDay(day timegrid.SimDay, cells []traffic.CellDay)
 }

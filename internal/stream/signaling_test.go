@@ -49,7 +49,7 @@ func TestSignalingShardsMatchGeneratorDay(t *testing.T) {
 	want := signaling.NewAggregator(topo)
 	var traceDays, eventDays []DayBatch
 	for _, day := range []timegrid.SimDay{3, 30, 70} {
-		traces := sim.Day(day)
+		traces := sim.DayInto(mobsim.NewDayBuffer(), day)
 		var events []signaling.Event
 		gen.Day(day, traces, func(e signaling.Event) {
 			want.Consume(e)

@@ -82,8 +82,8 @@ func stopSource(src Source) {
 var errStopped = errors.New("stream: source stopped")
 
 // SimSource produces day batches from the live simulator. Day
-// generation — mobsim.Simulator.Day plus, when a traffic engine is
-// attached, traffic.Engine.Day on a per-worker clone — is the dominant
+// generation — mobsim.Simulator.DayInto plus, when a traffic engine is
+// attached, traffic.Engine.DayAppend on a per-worker clone — is the dominant
 // cost of the whole pipeline and is embarrassingly parallel across days,
 // so the source computes days ahead on a worker pool and re-sequences
 // them: Next always returns days in order.

@@ -21,7 +21,7 @@ func TestDayAppendSteadyStateAllocs(t *testing.T) {
 	}
 	traces := make([][]mobsim.DayTrace, len(days))
 	for i, day := range days {
-		traces[i] = sim.Day(day)
+		traces[i] = sim.DayInto(mobsim.NewDayBuffer(), day)
 	}
 	var cells []CellDay
 	for i, day := range days {
@@ -37,13 +37,13 @@ func TestDayAppendSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestDayAppendMatchesDay asserts the scratch-reusing path is
-// bit-identical to the allocating wrapper.
+// TestDayAppendMatchesDay asserts a reused destination yields records
+// bit-identical to a fresh one.
 func TestDayAppendMatchesDay(t *testing.T) {
 	_, sim, eng := fixture(t)
 	day := timegrid.SimDay(timegrid.StudyDayOffset + 23)
-	traces := sim.Day(day)
-	fresh := eng.Day(day, traces)
+	traces := sim.DayInto(mobsim.NewDayBuffer(), day)
+	fresh := eng.DayAppend(nil, day, traces)
 	var reused []CellDay
 	reused = eng.DayAppend(reused[:0], day, traces)
 	reused = eng.DayAppend(reused[:0], day, traces) // exercise reuse

@@ -277,20 +277,13 @@ type CellHour struct {
 	Values [NumMetrics]float64
 }
 
-// Day runs the KPI model for one simulated day over the given traces and
-// returns one record per active 4G cell: for each metric the median of
-// its 24 hourly values. Deterministic in (engine construction, day,
-// traces). It allocates a fresh result per call; hot loops should call
-// DayAppend with a reused destination.
-func (e *Engine) Day(day timegrid.SimDay, traces []mobsim.DayTrace) []CellDay {
-	return e.DayAppend(make([]CellDay, 0, len(e.topo.Cells4G())), day, traces)
-}
-
-// DayAppend is Day appending into dst (pass prev[:0] to reuse capacity).
+// DayAppend runs the KPI model for one simulated day over the given
+// traces and appends one record per active 4G cell to dst (pass
+// prev[:0] to reuse capacity): for each metric the median of its 24
+// hourly values. Deterministic in (engine construction, day, traces).
 // The hourly staging buffers live on the engine and the medians are
 // taken by a fixed-24 insertion select, so a warm engine produces a day
-// of records without heap allocation. Records are bit-identical to
-// Day's.
+// of records without heap allocation.
 func (e *Engine) DayAppend(dst []CellDay, day timegrid.SimDay, traces []mobsim.DayTrace) []CellDay {
 	sp := obs.Start(e.obs.day())
 	f := e.dayFactorsFor(day)

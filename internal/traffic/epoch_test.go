@@ -43,7 +43,7 @@ func TestEpochResetNoStaleLeak(t *testing.T) {
 	dayN1 := dayN + 1
 
 	// Day N: saturate the hot towers.
-	warm := eng.Day(dayN, synthDay(400, hot, true))
+	warm := eng.DayAppend(nil, dayN, synthDay(400, hot, true))
 	var hotSum float64
 	hotCells := map[radio.CellID]bool{}
 	for _, tw := range hot {
@@ -63,8 +63,8 @@ func TestEpochResetNoStaleLeak(t *testing.T) {
 	// Day N+1: only the cold towers. Warm engine vs an engine that never
 	// saw day N — any difference is a stale-accumulator leak.
 	traces := synthDay(400, cold, false)
-	got := eng.Day(dayN1, traces)
-	want := fresh.Day(dayN1, traces)
+	got := eng.DayAppend(nil, dayN1, traces)
+	want := fresh.DayAppend(nil, dayN1, traces)
 	if len(got) != len(want) {
 		t.Fatalf("%d vs %d cells", len(got), len(want))
 	}
@@ -95,8 +95,8 @@ func TestEpochResetNoStaleLeakProperty(t *testing.T) {
 		traces := synthDay(50+src.Intn(200), towers, src.Bool(0.5))
 
 		fresh := NewEngine(pop, fixEng.scen, DefaultParams(), 1)
-		want := fresh.Day(day, traces)
-		got := warm.Day(day, traces)
+		want := fresh.DayAppend(nil, day, traces)
+		got := warm.DayAppend(nil, day, traces)
 		if len(got) != len(want) {
 			t.Fatalf("day %d: %d vs %d cells", day, len(got), len(want))
 		}

@@ -21,7 +21,7 @@ func TestDayAppendInstrumentedSteadyStateAllocs(t *testing.T) {
 	}
 	traces := make([][]mobsim.DayTrace, len(days))
 	for i, day := range days {
-		traces[i] = sim.Day(day)
+		traces[i] = sim.DayInto(mobsim.NewDayBuffer(), day)
 	}
 	var cells []CellDay
 	for i, day := range days {
@@ -44,8 +44,8 @@ func TestDayAppendInstrumentedSteadyStateAllocs(t *testing.T) {
 func TestInstrumentedMatchesUninstrumented(t *testing.T) {
 	_, sim, eng := fixture(t)
 	day := timegrid.SimDay(timegrid.StudyDayOffset + 11)
-	traces := sim.Day(day)
-	want := eng.Day(day, traces)
+	traces := sim.DayInto(mobsim.NewDayBuffer(), day)
+	want := eng.DayAppend(nil, day, traces)
 
 	reg := obs.New()
 	ins := fixEng.Clone().Instrument(reg)

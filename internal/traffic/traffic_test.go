@@ -55,7 +55,7 @@ func TestMetricStringsAndSets(t *testing.T) {
 func TestEngineDayBasics(t *testing.T) {
 	pop, sim, eng := fixture(t)
 	day := timegrid.SimDay(timegrid.StudyDayOffset + 2) // Wed week 9
-	cells := eng.Day(day, sim.Day(day))
+	cells := eng.DayAppend(nil, day, sim.DayInto(mobsim.NewDayBuffer(), day))
 	if len(cells) == 0 {
 		t.Fatal("no cell records")
 	}
@@ -91,9 +91,9 @@ func TestEngineDayBasics(t *testing.T) {
 func TestEngineDeterminism(t *testing.T) {
 	_, sim, eng := fixture(t)
 	day := timegrid.SimDay(50)
-	traces := sim.Day(day)
-	a := eng.Day(day, traces)
-	b := eng.Day(day, traces)
+	traces := sim.DayInto(mobsim.NewDayBuffer(), day)
+	a := eng.DayAppend(nil, day, traces)
+	b := eng.DayAppend(nil, day, traces)
 	if len(a) != len(b) {
 		t.Fatal("record counts differ")
 	}
@@ -111,7 +111,7 @@ func TestVolumeConservationAcrossSectors(t *testing.T) {
 	// weights normalize (total volume is insensitive to cell count).
 	pop, sim, eng := fixture(t)
 	day := timegrid.SimDay(timegrid.StudyDayOffset + 1)
-	cells := eng.Day(day, sim.Day(day))
+	cells := eng.DayAppend(nil, day, sim.DayInto(mobsim.NewDayBuffer(), day))
 	totBy := map[radio.TowerID]float64{}
 	for i := range cells {
 		c := pop.Topology().Cell(cells[i].Cell)
@@ -134,7 +134,7 @@ func TestVoiceSurgeRaisesVoiceKPIs(t *testing.T) {
 	base := timegrid.SimDay(timegrid.StudyDayOffset + 2)   // week 9
 	surge := timegrid.SimDay(timegrid.StudyDayOffset + 23) // week 12 (Wed 18 Mar)
 	sumMetric := func(day timegrid.SimDay, m Metric) float64 {
-		cells := eng.Day(day, sim.Day(day))
+		cells := eng.DayAppend(nil, day, sim.DayInto(mobsim.NewDayBuffer(), day))
 		var s float64
 		for i := range cells {
 			s += cells[i].Values[m]
@@ -154,7 +154,7 @@ func TestVoiceSurgeRaisesVoiceKPIs(t *testing.T) {
 func TestInterconnectCongestionWindow(t *testing.T) {
 	_, sim, eng := fixture(t)
 	meanLoss := func(day timegrid.SimDay) float64 {
-		cells := eng.Day(day, sim.Day(day))
+		cells := eng.DayAppend(nil, day, sim.DayInto(mobsim.NewDayBuffer(), day))
 		var s float64
 		for i := range cells {
 			s += cells[i].Values[VoiceDLLoss]
@@ -188,7 +188,7 @@ func TestInterconnectCapacitySchedule(t *testing.T) {
 func TestThroughputThrottled(t *testing.T) {
 	_, sim, eng := fixture(t)
 	medThr := func(day timegrid.SimDay) float64 {
-		cells := eng.Day(day, sim.Day(day))
+		cells := eng.DayAppend(nil, day, sim.DayInto(mobsim.NewDayBuffer(), day))
 		var vals []float64
 		for i := range cells {
 			if v := cells[i].Values[DLThroughput]; v > 0 {
@@ -216,7 +216,7 @@ func TestNullScenarioIsFlat(t *testing.T) {
 	sim := mobsim.New(pop, pandemic.NoPandemic(), 2)
 	eng := NewEngine(pop, pandemic.NoPandemic(), DefaultParams(), 2)
 	sum := func(day timegrid.SimDay, metric Metric) float64 {
-		cells := eng.Day(day, sim.Day(day))
+		cells := eng.DayAppend(nil, day, sim.DayInto(mobsim.NewDayBuffer(), day))
 		var s float64
 		for i := range cells {
 			s += cells[i].Values[metric]
@@ -307,8 +307,8 @@ func TestInactiveTowersExcluded(t *testing.T) {
 	pop := popsim.Synthesize(m, topo, popsim.Config{Seed: 5, TargetUsers: 800})
 	sim := mobsim.New(pop, pandemic.Default(), 5)
 	eng := NewEngine(pop, pandemic.Default(), DefaultParams(), 5)
-	early := eng.Day(0, sim.Day(0))
-	late := eng.Day(timegrid.SimDays-1, sim.Day(timegrid.SimDays-1))
+	early := eng.DayAppend(nil, 0, sim.DayInto(mobsim.NewDayBuffer(), 0))
+	late := eng.DayAppend(nil, timegrid.SimDays-1, sim.DayInto(mobsim.NewDayBuffer(), timegrid.SimDays-1))
 	if len(early) >= len(late) {
 		t.Errorf("cell records should grow as sites activate: %d then %d", len(early), len(late))
 	}
@@ -317,7 +317,7 @@ func TestInactiveTowersExcluded(t *testing.T) {
 func TestDayHourlyConsistentWithDay(t *testing.T) {
 	_, sim, eng := fixture(t)
 	day := timegrid.SimDay(timegrid.StudyDayOffset + 9)
-	traces := sim.Day(day)
+	traces := sim.DayInto(mobsim.NewDayBuffer(), day)
 
 	// Recompute the daily medians from the hourly stream and compare
 	// with Day's output.
@@ -347,7 +347,7 @@ func TestDayHourlyConsistentWithDay(t *testing.T) {
 		t.Fatal("no hourly records")
 	}
 
-	days := eng.Day(day, traces)
+	days := eng.DayAppend(nil, day, traces)
 	if len(days) != len(order) {
 		t.Fatalf("Day returned %d cells, hourly saw %d", len(days), len(order))
 	}
@@ -367,7 +367,7 @@ func TestDayHourlyConsistentWithDay(t *testing.T) {
 func TestDayHourlyDiurnalShape(t *testing.T) {
 	_, sim, eng := fixture(t)
 	day := timegrid.SimDay(timegrid.StudyDayOffset + 1)
-	traces := sim.Day(day)
+	traces := sim.DayInto(mobsim.NewDayBuffer(), day)
 	var byHour [timegrid.HoursPerDay]float64
 	eng.DayHourly(day, traces, func(ch *CellHour) {
 		byHour[ch.Hour] += ch.Values[DLVolume]

@@ -11,9 +11,9 @@
 #                                          # (snapshot marked -dirty, never
 #                                          # to be committed)
 #
-# The default set covers the per-day hot path (simulation, KPI engine —
-# the EngineDay pattern includes the Day/DayAppend benchmarks, §2.3
-# metrics), the
+# The default set covers the per-day hot path on its arena forms
+# (SimDayInto, the EngineDay pattern's DayAppend benchmarks with and
+# without instrumentation, DayMetricsMerger, MergeVisits), the
 # end-to-end serial/streaming pipelines, the registry sweep with
 # copy-on-divergence on/off (SweepSharedPrefix vs SweepUnsharedRegistry),
 # and the ScaleLadder rungs (8k/100k/1M users; the 1M rung takes tens of
@@ -44,7 +44,7 @@ if [ "$sha" != nogit ] && [ -n "$(git status --porcelain 2>/dev/null)" ]; then
   sha="${sha}-dirty"
 fi
 benchtime="${BENCHTIME:-1x}"
-pattern="${BENCH:-SimDayInto|SimulateDay|EngineDay|DayMetrics|MergeVisits|RunStandardSerial|StreamWorkers1\$|SweepSerial|SweepParallel|SweepSharedPrefix|SweepUnsharedRegistry|ScaleLadder|FeedReplay}"
+pattern="${BENCH:-SimDayInto|EngineDay|DayMetrics|MergeVisits|RunStandardSerial|StreamWorkers1\$|SweepSerial|SweepParallel|SweepSharedPrefix|SweepUnsharedRegistry|ScaleLadder|FeedReplay}"
 
 # Runner metadata: numbers are only comparable between snapshots taken on
 # similar hardware, so record what ran them. benchdiff warns when the two
