@@ -39,13 +39,19 @@ func main() {
 
 	start := time.Now()
 	fmt.Fprintf(os.Stderr, "simulating %d users over 100 days (seed %d)...\n", *users, *seed)
-	results := experiments.RunStandard(cfg)
+	d := experiments.NewDataset(cfg)
+	var bins *experiments.BinsAndBands
+	var taps []experiments.DayTap // the extensions fold the same pass
+	if *ext || strings.HasPrefix(strings.ToLower(*fig), "ext-") {
+		bins = experiments.ExtBinsAndBands(d)
+		taps = append(taps, bins.Tap)
+	}
+	results := experiments.RunStandardOn(d, taps...)
 	fmt.Fprintf(os.Stderr, "simulation done in %v\n\n", time.Since(start).Round(time.Millisecond))
 
 	all := experiments.AllFigures(results)
-	if *ext || strings.HasPrefix(strings.ToLower(*fig), "ext-") {
-		fmt.Fprintln(os.Stderr, "running extension experiments...")
-		all = append(all, experiments.ExtBinsAndBands(results.Dataset), experiments.ExtSEIR(results))
+	if bins != nil {
+		all = append(all, bins.Figure(), experiments.ExtSEIR(results))
 	}
 	var figures []*experiments.Figure
 	if *fig == "all" {

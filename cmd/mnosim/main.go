@@ -15,6 +15,10 @@
 // which is several times faster to replay and a fraction of the size.
 // cmd/feedconv converts between the two after the fact.
 //
+// All of it comes from one simulation pass: the feeds, the event sample
+// day and the weekly signaling counts are written from day taps on
+// experiments.RunStandardOn, so no day is simulated twice.
+//
 // The behavioural scenario defaults to the calibrated COVID timeline;
 // -scenario selects a registry built-in (see `mnosweep -list`) or a
 // JSON spec file in the SCENARIOS.md schema.
@@ -27,6 +31,7 @@ package main
 
 import (
 	"encoding/csv"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -39,7 +44,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/feeds"
-	"repro/internal/feeds/colfmt"
 	"repro/internal/mobsim"
 	"repro/internal/popsim"
 	"repro/internal/prof"
@@ -86,129 +90,121 @@ func run(out string, users int, seed uint64, scenName string, raw bool, format s
 		}
 		cfg.Scenario = s
 	}
-	r := experiments.RunStandard(cfg)
-	fmt.Fprintf(os.Stderr, "simulation done in %v\n", time.Since(start).Round(time.Millisecond))
-
-	if err := writeMobility(out, r); err != nil {
-		return err
+	d := experiments.NewDataset(cfg)
+	gen := signaling.NewGenerator(d.Pop, d.Config.Seed)
+	// One representative day per week (its Wednesday) keeps the
+	// signaling export light.
+	wednesday := make(map[timegrid.SimDay]bool)
+	for _, wk := range timegrid.Weeks() {
+		wednesday[wk.Days()[2].ToSimDay()] = true
 	}
-	if err := writeKPI(out, r); err != nil {
-		return err
-	}
-	if err := writeMatrix(out, r); err != nil {
-		return err
-	}
-	if err := writeHomes(out, r); err != nil {
-		return err
-	}
-	if err := writeSignaling(out, r); err != nil {
-		return err
-	}
+	var sigRows [][]string
+	taps := []experiments.DayTap{func(day timegrid.SimDay, traces []mobsim.DayTrace, _ []traffic.CellDay) {
+		if !wednesday[day] {
+			return
+		}
+		agg := signaling.NewAggregator(d.Topology)
+		gen.Day(day, traces, agg.Consume)
+		date := timegrid.DateOfSimDay(day).Format("2006-01-02")
+		for et := signaling.EventType(0); int(et) < signaling.NumEventTypes; et++ {
+			sigRows = append(sigRows, []string{date, et.String(), strconv.FormatInt(agg.ByType[et], 10)})
+		}
+	}}
+	var rf *rawFeeds
 	if raw {
-		if err := writeRaw(out, r, scenName, format); err != nil {
+		w, err := feeds.CreateDir(out, format, true)
+		if err != nil {
 			return err
 		}
+		defer w.Close() // error paths; the success path checks Close below
+		ev, err := w.Events()
+		if err == nil {
+			err = w.WriteMeta(feeds.Meta{Users: d.Config.TargetUsers, Seed: d.Config.Seed, Scenario: scenName})
+		}
+		if err != nil {
+			return err
+		}
+		rf = &rawFeeds{w: w, events: ev, engine: d.Engine, gen: gen}
+		taps = append(taps, rf.tap)
+	}
+	r := experiments.RunStandardOn(d, taps...)
+	fmt.Fprintf(os.Stderr, "simulation done in %v\n", time.Since(start).Round(time.Millisecond))
+	if rf != nil {
+		if err := errors.Join(rf.err, rf.w.Close()); err != nil {
+			return err
+		}
+	}
+
+	for _, write := range []func(string, *experiments.Results) error{writeMobility, writeKPI, writeMatrix, writeHomes} {
+		if err := write(out, r); err != nil {
+			return err
+		}
+	}
+	err := writeCSV(out, "signaling_summary.csv", []string{"date", "event_type", "count"}, func(w *csv.Writer) error {
+		return w.WriteAll(sigRows)
+	})
+	if err != nil {
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "datasets written to %s\n", out)
 	return nil
 }
 
-// dayTraceWriter and dayKPIWriter abstract the per-format feed writers
-// (feeds CSV vs colfmt columnar).
-type dayTraceWriter interface {
-	WriteDay(day timegrid.SimDay, traces []mobsim.DayTrace) error
-	Flush() error
+// rawFeeds writes the replayable feed directory that cmd/mnostream
+// replays (feeds.OpenDir) from a day tap: the trace and KPI feeds for
+// the full window, plus one day of raw control-plane events.
+type rawFeeds struct {
+	w      *feeds.DirWriter
+	events *feeds.EventWriter
+	engine *traffic.Engine
+	gen    *signaling.Generator
+	cells  []traffic.CellDay // KPI scratch for days the run computes none
+	err    error             // first write error; later days are skipped
 }
 
-type dayKPIWriter interface {
-	WriteDay(day timegrid.SimDay, cells []traffic.CellDay) error
-	Flush() error
-}
-
-// writeRaw exports the raw per-visit trace feed and the per-cell KPI
-// feed for the full window, plus one day of raw control-plane events, in
-// the feeds package's formats — the directory layout cmd/mnostream
-// replays (feeds.OpenDir), so analyses can be re-run without
-// re-simulating.
-func writeRaw(out string, r *experiments.Results, scenName, format string) error {
-	col := format == feeds.FormatCol
-	meta := feeds.Meta{Users: r.Dataset.Config.TargetUsers, Seed: r.Dataset.Config.Seed, Scenario: scenName, Format: format}
-	traceName, kpiName := feeds.TraceFeedName, feeds.KPIFeedName
-	if col {
-		meta.FormatVersion = colfmt.Version
-		traceName, kpiName = feeds.TraceColFeedName, feeds.KPIColFeedName
+// tap writes one day. Before the study window the run computes no KPI
+// records, so the tap runs the dataset's engine, which the run has not
+// used yet; DayAppend is a pure function of (day, traces).
+func (f *rawFeeds) tap(day timegrid.SimDay, traces []mobsim.DayTrace, cells []traffic.CellDay) {
+	if f.err != nil {
+		return
 	}
-	if err := feeds.WriteMeta(out, meta); err != nil {
-		return err
+	if cells == nil {
+		f.cells = f.engine.DayAppend(f.cells[:0], day, traces)
+		cells = f.cells
 	}
-	tf, err := os.Create(filepath.Join(out, traceName))
-	if err != nil {
-		return err
+	if f.err = f.w.WriteTraces(day, traces); f.err == nil {
+		f.err = f.w.WriteKPI(day, cells)
 	}
-	defer tf.Close()
-	var tw dayTraceWriter = feeds.NewTraceWriter(tf)
-	if col {
-		tw = colfmt.NewTraceWriter(tf)
-	}
-	var kw dayKPIWriter
-	var kf *os.File
-	if r.Dataset.Engine != nil {
-		kf, err = os.Create(filepath.Join(out, kpiName))
-		if err != nil {
-			return err
-		}
-		defer kf.Close()
-		if col {
-			kw = colfmt.NewKPIWriter(kf)
-		} else {
-			kw = feeds.NewKPIWriter(kf)
-		}
-	}
-	buf := mobsim.NewDayBuffer()
-	var cells []traffic.CellDay
-	for day := timegrid.SimDay(0); day < timegrid.SimDays; day++ {
-		traces := r.Dataset.Sim.DayInto(buf, day)
-		if err := tw.WriteDay(day, traces); err != nil {
-			return err
-		}
-		if kw != nil {
-			cells = r.Dataset.Engine.DayAppend(cells[:0], day, traces)
-			if err := kw.WriteDay(day, cells); err != nil {
-				return err
-			}
-		}
-	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	if kw != nil {
-		if err := kw.Flush(); err != nil {
-			return err
-		}
-	}
-
 	// One sample day of raw control-plane events (the full window would
 	// dwarf every other feed); cmd/mnostream attaches it to that day and
 	// streams the rest of the window without events.
-	ef, err := os.Create(filepath.Join(out, feeds.EventFeedName))
+	if day == timegrid.LockdownStart.ToSimDay() {
+		f.gen.Day(day, traces, f.events.Consume)
+	}
+}
+
+// writeCSV writes one aggregate CSV file: the header, then whatever
+// fill writes. It checks the flush, then the close.
+func writeCSV(out, name string, header []string, fill func(*csv.Writer) error) error {
+	f, err := os.Create(filepath.Join(out, name))
 	if err != nil {
 		return err
 	}
-	defer ef.Close()
-	ew := feeds.NewEventWriter(ef)
-	gen := signaling.NewGenerator(r.Dataset.Pop, r.Dataset.Config.Seed)
-	day := timegrid.LockdownStart.ToSimDay()
-	gen.Day(day, r.Dataset.Sim.DayInto(buf, day), ew.Consume)
-	return ew.Flush()
-}
-
-// create opens a CSV writer for a file in the output directory.
-func create(out, name string) (*csv.Writer, *os.File, error) {
-	f, err := os.Create(filepath.Join(out, name))
-	if err != nil {
-		return nil, nil, err
+	w := csv.NewWriter(f)
+	err = w.Write(header)
+	if err == nil {
+		err = fill(w)
 	}
-	return csv.NewWriter(f), f, nil
+	if err == nil {
+		w.Flush()
+		err = w.Error()
+	}
+	if err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func fmtF(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
@@ -225,136 +221,81 @@ func seriesRows(w *csv.Writer, group, metric string, s stats.Series) error {
 }
 
 func writeMobility(out string, r *experiments.Results) error {
-	w, f, err := create(out, "mobility_daily.csv")
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := w.Write([]string{"date", "group", "metric", "value"}); err != nil {
-		return err
-	}
-	for _, m := range []core.MobilityMetric{core.MetricGyration, core.MetricEntropy} {
-		if err := seriesRows(w, "UK", m.String(), r.Mobility.NationalSeries(m)); err != nil {
-			return err
-		}
-		for _, c := range r.Dataset.Model.FocusRegions() {
-			if err := seriesRows(w, c.Name, m.String(), r.Mobility.CountySeries(c, m)); err != nil {
+	return writeCSV(out, "mobility_daily.csv", []string{"date", "group", "metric", "value"}, func(w *csv.Writer) error {
+		for _, m := range []core.MobilityMetric{core.MetricGyration, core.MetricEntropy} {
+			if err := seriesRows(w, "UK", m.String(), r.Mobility.NationalSeries(m)); err != nil {
 				return err
 			}
-		}
-		for _, cl := range census.Clusters() {
-			if err := seriesRows(w, cl.Name(), m.String(), r.Mobility.ClusterSeries(cl, m)); err != nil {
-				return err
+			for _, c := range r.Dataset.Model.FocusRegions() {
+				if err := seriesRows(w, c.Name, m.String(), r.Mobility.CountySeries(c, m)); err != nil {
+					return err
+				}
+			}
+			for _, cl := range census.Clusters() {
+				if err := seriesRows(w, cl.Name(), m.String(), r.Mobility.ClusterSeries(cl, m)); err != nil {
+					return err
+				}
 			}
 		}
-	}
-	w.Flush()
-	return w.Error()
+		return nil
+	})
 }
 
 func writeKPI(out string, r *experiments.Results) error {
-	w, f, err := create(out, "kpi_daily.csv")
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := w.Write([]string{"date", "group", "metric", "value"}); err != nil {
-		return err
-	}
-	for _, m := range traffic.Metrics() {
-		if err := seriesRows(w, "UK", m.String(), r.KPI.NationalSeries(m)); err != nil {
-			return err
-		}
-		for _, c := range r.Dataset.Model.FocusRegions() {
-			if err := seriesRows(w, c.Name, m.String(), r.KPI.CountySeries(c, m)); err != nil {
+	return writeCSV(out, "kpi_daily.csv", []string{"date", "group", "metric", "value"}, func(w *csv.Writer) error {
+		for _, m := range traffic.Metrics() {
+			if err := seriesRows(w, "UK", m.String(), r.KPI.NationalSeries(m)); err != nil {
 				return err
 			}
-		}
-		for _, cl := range census.Clusters() {
-			if err := seriesRows(w, "cluster:"+cl.Name(), m.String(), r.KPI.ClusterSeries(cl, m)); err != nil {
-				return err
+			for _, c := range r.Dataset.Model.FocusRegions() {
+				if err := seriesRows(w, c.Name, m.String(), r.KPI.CountySeries(c, m)); err != nil {
+					return err
+				}
+			}
+			for _, cl := range census.Clusters() {
+				if err := seriesRows(w, "cluster:"+cl.Name(), m.String(), r.KPI.ClusterSeries(cl, m)); err != nil {
+					return err
+				}
+			}
+			for _, did := range r.Dataset.Model.InnerLondon().Districts {
+				d := r.Dataset.Model.District(did)
+				if err := seriesRows(w, "london:"+d.Code, m.String(), r.KPI.DistrictSeries(d, m)); err != nil {
+					return err
+				}
 			}
 		}
-		for _, did := range r.Dataset.Model.InnerLondon().Districts {
-			d := r.Dataset.Model.District(did)
-			if err := seriesRows(w, "london:"+d.Code, m.String(), r.KPI.DistrictSeries(d, m)); err != nil {
-				return err
-			}
-		}
-	}
-	w.Flush()
-	return w.Error()
+		return nil
+	})
 }
 
 func writeMatrix(out string, r *experiments.Results) error {
-	w, f, err := create(out, "mobility_matrix.csv")
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := w.Write([]string{"date", "county", "residents_present"}); err != nil {
-		return err
-	}
-	counties := append([]*census.County{r.Dataset.Model.InnerLondon()}, r.Matrix.TopDestinations(10)...)
-	for _, c := range counties {
-		s := r.Matrix.PresenceSeries(c)
-		for d := 0; d < s.Len(); d++ {
-			date := timegrid.DateOfStudyDay(timegrid.StudyDay(d)).Format("2006-01-02")
-			if err := w.Write([]string{date, c.Name, fmtF(s.Values[d])}); err != nil {
-				return err
+	return writeCSV(out, "mobility_matrix.csv", []string{"date", "county", "residents_present"}, func(w *csv.Writer) error {
+		counties := append([]*census.County{r.Dataset.Model.InnerLondon()}, r.Matrix.TopDestinations(10)...)
+		for _, c := range counties {
+			s := r.Matrix.PresenceSeries(c)
+			for d := 0; d < s.Len(); d++ {
+				date := timegrid.DateOfStudyDay(timegrid.StudyDay(d)).Format("2006-01-02")
+				if err := w.Write([]string{date, c.Name, fmtF(s.Values[d])}); err != nil {
+					return err
+				}
 			}
 		}
-	}
-	w.Flush()
-	return w.Error()
+		return nil
+	})
 }
 
 func writeHomes(out string, r *experiments.Results) error {
-	w, f, err := create(out, "homes.csv")
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := w.Write([]string{"district", "census_scaled", "inferred"}); err != nil {
-		return err
-	}
-	scale := float64(len(r.Dataset.Pop.Native())) / float64(r.Dataset.Model.TotalPopulation())
-	v, err := core.ValidateAgainstCensus(r.Homes, r.Dataset.Model, scale)
-	if err != nil {
-		return err
-	}
-	for i, label := range v.Labels {
-		if err := w.Write([]string{label, fmtF(v.Census[i]), fmtF(v.Inferred[i])}); err != nil {
+	return writeCSV(out, "homes.csv", []string{"district", "census_scaled", "inferred"}, func(w *csv.Writer) error {
+		scale := float64(len(r.Dataset.Pop.Native())) / float64(r.Dataset.Model.TotalPopulation())
+		v, err := core.ValidateAgainstCensus(r.Homes, r.Dataset.Model, scale)
+		if err != nil {
 			return err
 		}
-	}
-	w.Flush()
-	return w.Error()
-}
-
-func writeSignaling(out string, r *experiments.Results) error {
-	w, f, err := create(out, "signaling_summary.csv")
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := w.Write([]string{"date", "event_type", "count"}); err != nil {
-		return err
-	}
-	gen := signaling.NewGenerator(r.Dataset.Pop, r.Dataset.Config.Seed)
-	buf := mobsim.NewDayBuffer()
-	// One representative day per week keeps the export light.
-	for _, wk := range timegrid.Weeks() {
-		day := wk.Days()[2] // Wednesday
-		agg := signaling.NewAggregator(r.Dataset.Topology)
-		gen.Day(day.ToSimDay(), r.Dataset.Sim.DayInto(buf, day.ToSimDay()), agg.Consume)
-		date := timegrid.DateOfStudyDay(day).Format("2006-01-02")
-		for et := signaling.EventType(0); int(et) < signaling.NumEventTypes; et++ {
-			if err := w.Write([]string{date, et.String(), strconv.FormatInt(agg.ByType[et], 10)}); err != nil {
+		for i, label := range v.Labels {
+			if err := w.Write([]string{label, fmtF(v.Census[i]), fmtF(v.Inferred[i])}); err != nil {
 				return err
 			}
 		}
-	}
-	w.Flush()
-	return w.Error()
+		return nil
+	})
 }

@@ -18,9 +18,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/mobsim"
+	"repro/internal/popsim"
 	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/timegrid"
+	"repro/internal/traffic"
 )
 
 func main() {
@@ -36,45 +38,38 @@ func main() {
 	cfg.TargetUsers = *users
 	cfg.Seed = *seed
 	cfg.SkipKPI = true // mobility only: ~3× faster
-	r := experiments.RunStandard(cfg)
-
-	gyr := r.Mobility.NationalSeries(core.MetricGyration)
-	ent := r.Mobility.NationalSeries(core.MetricEntropy)
-	label := "United Kingdom (all regions)"
-
-	if *region != "" {
-		c, ok := r.Dataset.Model.CountyByName(*region)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown region %q; available:\n", *region)
-			for i := range r.Dataset.Model.Counties {
-				fmt.Fprintln(os.Stderr, "  ", r.Dataset.Model.Counties[i].Name)
-			}
-			cli.Exit("mobilityrpt", cli.Usagef("unknown region %q", *region))
-		}
-		gyr = r.Mobility.CountySeries(c, core.MetricGyration)
-		ent = r.Mobility.CountySeries(c, core.MetricEntropy)
-		label = c.Name
-	} else if *cluster != "" {
-		var found *census.Cluster
-		for _, cl := range census.Clusters() {
-			if strings.EqualFold(cl.Name(), *cluster) {
-				cl := cl
-				found = &cl
-			}
-		}
-		if found == nil {
-			fmt.Fprintf(os.Stderr, "unknown cluster %q; available:\n", *cluster)
-			for _, cl := range census.Clusters() {
-				fmt.Fprintln(os.Stderr, "  ", cl.Name())
-			}
-			cli.Exit("mobilityrpt", cli.Usagef("unknown cluster %q", *cluster))
-		}
-		gyr = r.Mobility.ClusterSeries(*found, core.MetricGyration)
-		ent = r.Mobility.ClusterSeries(*found, core.MetricEntropy)
-		label = found.Name() + " (geodemographic cluster)"
+	d := experiments.NewDataset(cfg)
+	sel, err := selectGroup(d.Model, *region, *cluster)
+	if err != nil {
+		cli.Exit("mobilityrpt", err)
 	}
+	// Per-user daily gyration of the selection on a baseline weekday and
+	// a lockdown weekday, taken from the run's own pass.
+	hists := []struct {
+		name string
+		day  timegrid.SimDay
+		h    *stats.Histogram
+	}{
+		{"baseline weekday", timegrid.SimDay(timegrid.StudyDayOffset + 2), stats.NewHistogram(0, 20, 10)},
+		{"lockdown weekday", timegrid.SimDay(timegrid.StudyDayOffset + 37), stats.NewHistogram(0, 20, 10)},
+	}
+	var mg core.VisitMerger
+	r := experiments.RunStandardOn(d, func(day timegrid.SimDay, traces []mobsim.DayTrace, _ []traffic.CellDay) {
+		for _, hd := range hists {
+			if hd.day != day {
+				continue
+			}
+			for i := range traces {
+				if sel.includes(d.Pop.User(traces[i].User)) {
+					hd.h.Add(mg.DayMetrics(&traces[i], d.Topology, core.DefaultTopN).Gyration)
+				}
+			}
+		}
+	})
+	gyr := sel.series(r.Mobility, core.MetricGyration)
+	ent := sel.series(r.Mobility, core.MetricEntropy)
 
-	fmt.Printf("Mobility report: %s\n", label)
+	fmt.Printf("Mobility report: %s\n", sel.label)
 	fmt.Printf("window: %s – %s (weeks 9–19 of 2020)\n\n",
 		timegrid.StudyStart.Format("2 Jan"), timegrid.StudyEnd.Format("2 Jan 2006"))
 
@@ -94,8 +89,11 @@ func main() {
 	printRow("radius of gyration", gw)
 	printRow("mobility entropy", ew)
 
-	// Distribution of per-user daily gyration: baseline vs lockdown.
-	printHistograms(r, *region, *cluster)
+	for _, hd := range hists {
+		fmt.Printf("\nper-user daily gyration, %s (%s), km:\n", hd.name,
+			timegrid.DateOfSimDay(hd.day).Format("Mon 02 Jan"))
+		fmt.Print(hd.h.Render(36))
+	}
 
 	fmt.Println("\nmilestones:")
 	for _, m := range []struct {
@@ -113,31 +111,45 @@ func main() {
 	}
 }
 
-// printHistograms renders the per-user daily gyration distribution on a
-// baseline weekday versus a lockdown weekday, simulating both days into
-// one reused day buffer and merging visits in one reused VisitMerger.
-func printHistograms(r *experiments.Results, region, cluster string) {
-	d := r.Dataset
-	buf := mobsim.NewDayBuffer()
-	var mg core.VisitMerger
-	show := func(name string, day timegrid.SimDay) {
-		h := stats.NewHistogram(0, 20, 10)
-		traces := d.Sim.DayInto(buf, day)
-		for i := range traces {
-			u := d.Pop.User(traces[i].User)
-			if region != "" && d.Model.County(u.HomeCounty).Name != region {
-				continue
+// selection is the population a report covers: one county, one
+// geodemographic cluster, or the whole country.
+type selection struct {
+	label    string
+	series   func(*core.MobilityAnalyzer, core.MobilityMetric) stats.Series
+	includes func(*popsim.User) bool
+}
+
+// selectGroup resolves the -region and -cluster flags against the
+// model before anything is simulated. When both are set the region
+// wins. An unknown name is a usage error, after listing the valid ones.
+func selectGroup(m *census.Model, region, cluster string) (selection, error) {
+	switch {
+	case region != "":
+		c, ok := m.CountyByName(region)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "unknown region %q; available:\n", region)
+			for i := range m.Counties {
+				fmt.Fprintln(os.Stderr, "  ", m.Counties[i].Name)
 			}
-			if cluster != "" && !strings.EqualFold(u.Cluster.Name(), cluster) {
-				continue
-			}
-			m := mg.DayMetrics(&traces[i], d.Topology, core.DefaultTopN)
-			h.Add(m.Gyration)
+			return selection{}, cli.Usagef("unknown region %q", region)
 		}
-		fmt.Printf("\nper-user daily gyration, %s (%s), km:\n", name,
-			timegrid.DateOfSimDay(day).Format("Mon 02 Jan"))
-		fmt.Print(h.Render(36))
+		return selection{c.Name,
+			func(a *core.MobilityAnalyzer, mt core.MobilityMetric) stats.Series { return a.CountySeries(c, mt) },
+			func(u *popsim.User) bool { return u.HomeCounty == c.ID }}, nil
+	case cluster != "":
+		for _, cl := range census.Clusters() {
+			if strings.EqualFold(cl.Name(), cluster) {
+				return selection{cl.Name() + " (geodemographic cluster)",
+					func(a *core.MobilityAnalyzer, mt core.MobilityMetric) stats.Series { return a.ClusterSeries(cl, mt) },
+					func(u *popsim.User) bool { return u.Cluster == cl }}, nil
+			}
+		}
+		fmt.Fprintf(os.Stderr, "unknown cluster %q; available:\n", cluster)
+		for _, cl := range census.Clusters() {
+			fmt.Fprintln(os.Stderr, "  ", cl.Name())
+		}
+		return selection{}, cli.Usagef("unknown cluster %q", cluster)
 	}
-	show("baseline weekday", timegrid.SimDay(timegrid.StudyDayOffset+2))
-	show("lockdown weekday", timegrid.SimDay(timegrid.StudyDayOffset+37))
+	return selection{"United Kingdom (all regions)", (*core.MobilityAnalyzer).NationalSeries,
+		func(*popsim.User) bool { return true }}, nil
 }

@@ -83,6 +83,12 @@ func RunStandard(cfg Config) *Results {
 	return RunStandardOn(NewDataset(cfg))
 }
 
+// DayTap observes one simulated day of a RunStandardOn run: the day's
+// traces and the run's KPI records for it, which are nil before the
+// study window and when the dataset has no traffic engine. Both slices
+// are the run's scratch: valid only during the call, and read-only.
+type DayTap func(day timegrid.SimDay, traces []mobsim.DayTrace, cells []traffic.CellDay)
+
 // RunStandardOn is RunStandard over an already-instantiated stack
 // (e.g. one of several scenarios bound to a shared World).
 //
@@ -92,20 +98,32 @@ func RunStandard(cfg Config) *Results {
 // streams, so the traces are identical across passes. One day buffer
 // serves both: every analyzer consumes a day before the next is
 // simulated, so nothing outlives the buffer's reuse.
-func RunStandardOn(d *Dataset) *Results {
+//
+// Every simulated day reaches each tap once, in ascending order: days
+// before the study window from the February pass, study days from the
+// study pass after the run's own folds. Taps derive further outputs
+// from the same pass instead of simulating the window again.
+func RunStandardOn(d *Dataset, taps ...DayTap) *Results {
 	buf := mobsim.NewDayBuffer()
-	r := newResults(d, detectHomes(d.Sim, d.Topology, buf))
+	r := newResults(d, detectHomes(d.Sim, d.Topology, buf, taps...))
 	// Without a cancellable context or riders the loop cannot fail.
-	runStudy(context.Background(), nil, r, buf, 0, nil, nil)
+	runStudy(context.Background(), nil, r, buf, 0, nil, nil, taps)
 	return r
 }
 
 // detectHomes runs the February home-detection pass: sim's February
-// days, simulated into buf, through one detector.
-func detectHomes(sim *mobsim.Simulator, topo *radio.Topology, buf *mobsim.DayBuffer) homesMap {
+// days, simulated into buf, through one detector, and those before the
+// study window through taps.
+func detectHomes(sim *mobsim.Simulator, topo *radio.Topology, buf *mobsim.DayBuffer, taps ...DayTap) homesMap {
 	hd := core.NewHomeDetector(topo)
 	for day := timegrid.SimDay(0); day < timegrid.FebruaryDays; day++ {
-		hd.ConsumeDay(day, sim.DayInto(buf, day))
+		traces := sim.DayInto(buf, day)
+		hd.ConsumeDay(day, traces)
+		if day < timegrid.StudyDayOffset {
+			for _, tap := range taps {
+				tap(day, traces, nil)
+			}
+		}
 	}
 	return hd.Detect()
 }
@@ -140,9 +158,10 @@ func newResults(d *Dataset, homes homesMap) *Results {
 // folds each into r's analyzers. At every day boundary sd (days [0, sd)
 // consumed) it first captures a checkpoint when snapAt[sd] and attaches
 // the riders whose fork day is sd; attached riders then fold the host's
-// traces with their own engines. ctx is checked before every day: a
-// cancelled run returns ctx.Err() and no checkpoints.
-func runStudy(ctx context.Context, fi *fault.Injector, r *Results, buf *mobsim.DayBuffer, start int, snapAt map[int]bool, riders []riderState) (map[int]*Checkpoint, error) {
+// traces with their own engines, and taps see each day after the folds
+// (see DayTap). ctx is checked before every day: a cancelled run
+// returns ctx.Err() and no checkpoints.
+func runStudy(ctx context.Context, fi *fault.Injector, r *Results, buf *mobsim.DayBuffer, start int, snapAt map[int]bool, riders []riderState, taps []DayTap) (map[int]*Checkpoint, error) {
 	d := r.Dataset
 	var snaps map[int]*Checkpoint
 	var cells []traffic.CellDay
@@ -172,6 +191,9 @@ func runStudy(ctx context.Context, fi *fault.Injector, r *Results, buf *mobsim.D
 		}
 		for k := range riders {
 			riders[k].consume(day, traces)
+		}
+		for _, tap := range taps {
+			tap(day, traces, cells)
 		}
 	}
 }

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mobsim"
 	"repro/internal/pandemic"
 	"repro/internal/stats"
 	"repro/internal/timegrid"
@@ -14,14 +16,18 @@ import (
 var (
 	resOnce sync.Once
 	res     *Results
+	resBins *BinsAndBands
 )
 
-// results runs the standard pipeline once at the default scale; all
+// results runs the standard pipeline once at the default scale, with
+// the bins-and-bands extension tapped into the same pass; all
 // integration tests share it.
 func results(t *testing.T) *Results {
 	t.Helper()
 	resOnce.Do(func() {
-		res = RunStandard(DefaultConfig())
+		d := NewDataset(DefaultConfig())
+		resBins = ExtBinsAndBands(d)
+		res = RunStandardOn(d, resBins.Tap)
 	})
 	return res
 }
@@ -208,7 +214,17 @@ func TestFig9UsesResultsKPI(t *testing.T) {
 
 func TestExtensionFigures(t *testing.T) {
 	r := results(t)
-	for _, f := range []*Figure{ExtBinsAndBands(r.Dataset), ExtSEIR(r)} {
+	bins := resBins.Figure()
+	// The tapped fold must equal one over freshly simulated study days.
+	ref := ExtBinsAndBands(r.Dataset)
+	buf := mobsim.NewDayBuffer()
+	for day := timegrid.SimDay(timegrid.StudyDayOffset); day < timegrid.SimDays; day++ {
+		ref.Tap(day, r.Dataset.Sim.DayInto(buf, day), nil)
+	}
+	if !reflect.DeepEqual(bins.Tables, ref.Figure().Tables) {
+		t.Error("tapped bins-and-bands tables differ from a fold over fresh days")
+	}
+	for _, f := range []*Figure{bins, ExtSEIR(r)} {
 		f := f
 		t.Run(f.ID, func(t *testing.T) {
 			if len(f.Checks) == 0 {

@@ -7,35 +7,48 @@ import (
 	"repro/internal/mobsim"
 	"repro/internal/stats"
 	"repro/internal/timegrid"
+	"repro/internal/traffic"
 )
 
-// ExtBinsAndBands is an extension experiment beyond the paper's figures:
-// it re-runs the mobility pipeline with (a) the §2.3 per-4-hour-bin
+// BinsAndBands is an extension experiment beyond the paper's figures:
+// it folds the study window through (a) the §2.3 per-4-hour-bin
 // aggregation and (b) streaming percentile bands over the per-user daily
 // metrics, verifying two statements the paper makes in passing — the
 // per-bin statistics exist ("six disjoint 4-hour bins of the day") and
 // "all percentiles are close to the median, following similar trends".
 //
-// It runs its own simulation pass at the dataset's scale (the bin
-// analysis costs an extra metrics pass per user-day, so it is not part
-// of RunStandard).
-func ExtBinsAndBands(d *Dataset) *Figure {
-	f := &Figure{ID: "ext-bins", Title: "Extension: per-bin mobility and percentile bands"}
+// The bin analysis costs an extra metrics pass per user-day, so it is
+// not part of Results: attach Tap to a RunStandardOn run, then read
+// Figure.
+type BinsAndBands struct {
+	bins  *core.BinAnalyzer
+	bands *core.BandAnalyzer
+}
 
-	bins := core.NewBinAnalyzer(d.Pop, d.Config.TopN)
-	bands := core.NewBandAnalyzer(d.Pop, d.Config.TopN)
-	buf := mobsim.NewDayBuffer()
-	for day := timegrid.SimDay(timegrid.StudyDayOffset); day < timegrid.SimDays; day++ {
-		traces := d.Sim.DayInto(buf, day)
-		bins.ConsumeDay(day, traces)
-		bands.ConsumeDay(day, traces)
+// ExtBinsAndBands returns the bins-and-bands experiment over d's
+// population, ready to be tapped into a RunStandardOn run of d.
+func ExtBinsAndBands(d *Dataset) *BinsAndBands {
+	return &BinsAndBands{
+		bins:  core.NewBinAnalyzer(d.Pop, d.Config.TopN),
+		bands: core.NewBandAnalyzer(d.Pop, d.Config.TopN),
 	}
+}
 
+// Tap is the experiment's DayTap; days before the study window are
+// ignored.
+func (e *BinsAndBands) Tap(day timegrid.SimDay, traces []mobsim.DayTrace, _ []traffic.CellDay) {
+	e.bins.ConsumeDay(day, traces)
+	e.bands.ConsumeDay(day, traces)
+}
+
+// Figure renders the experiment from the days tapped so far.
+func (e *BinsAndBands) Figure() *Figure {
+	f := &Figure{ID: "ext-bins", Title: "Extension: per-bin mobility and percentile bands"}
 	// Per-bin gyration, weekly deltas against each bin's own week 9.
 	tb := stats.Table{Title: "gyration Δ% vs own week 9, per 4-hour bin (weekly means)", ColNames: weekColNames()}
 	binDrop := map[timegrid.Bin]float64{}
 	for b := timegrid.Bin(0); int(b) < timegrid.BinsPerDay; b++ {
-		s := bins.BinSeries(b, core.MetricGyration)
+		s := e.bins.BinSeries(b, core.MetricGyration)
 		base := stats.Mean(s.Values[:7])
 		if base == 0 {
 			continue
@@ -47,7 +60,7 @@ func ExtBinsAndBands(d *Dataset) *Figure {
 	f.Tables = append(f.Tables, tb)
 
 	// Percentile band of the daily gyration distribution.
-	band := bands.Band(core.MetricGyration)
+	band := e.bands.Band(core.MetricGyration)
 	bt := stats.Table{Title: "gyration percentile band across users (daily, km)", ColNames: nil}
 	bt.AddRow("p10", band.P10)
 	bt.AddRow("p25", band.P25)

@@ -299,7 +299,7 @@ func runPrefixScenario(ctx context.Context, w *World, cfg Config, fi *fault.Inje
 		rs[k] = riderState{riderSpec: spec, r: &Results{Dataset: rd, Homes: homes}}
 	}
 
-	snaps, err := runStudy(ctx, fi, r, mobsim.NewDayBuffer(), startDay, snapAt, rs)
+	snaps, err := runStudy(ctx, fi, r, mobsim.NewDayBuffer(), startDay, snapAt, rs, nil)
 	if err != nil {
 		run.Err = err
 		return run, nil, nil

@@ -24,41 +24,28 @@ import (
 func writeLiveFeeds(t *testing.T, d *Dataset, first, limit timegrid.SimDay, consume func(timegrid.SimDay, []mobsim.DayTrace, []traffic.CellDay)) map[string]string {
 	t.Helper()
 	csvDir, colDir := t.TempDir(), t.TempDir()
-	create := func(name string) *os.File {
-		f, err := os.Create(filepath.Join(csvDir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { f.Close() })
-		return f
+	w, err := feeds.CreateDir(csvDir, feeds.FormatCSV, d.Engine != nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	tw := feeds.NewTraceWriter(create(feeds.TraceFeedName))
-	var kw *feeds.KPIWriter
-	if d.Engine != nil {
-		kw = feeds.NewKPIWriter(create(feeds.KPIFeedName))
-	}
+	defer w.Close()
 	buf := mobsim.NewDayBuffer()
 	var cells []traffic.CellDay
 	for day := first; day < limit; day++ {
 		traces := d.Sim.DayInto(buf, day)
-		if err := tw.WriteDay(day, traces); err != nil {
+		if err := w.WriteTraces(day, traces); err != nil {
 			t.Fatal(err)
 		}
-		if kw != nil {
+		if d.Engine != nil {
 			cells = d.Engine.DayAppend(cells[:0], day, traces)
-			if err := kw.WriteDay(day, cells); err != nil {
+			if err := w.WriteKPI(day, cells); err != nil {
 				t.Fatal(err)
 			}
 		}
 		consume(day, traces, cells)
 	}
-	if err := tw.Flush(); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if kw != nil {
-		if err := kw.Flush(); err != nil {
-			t.Fatal(err)
-		}
 	}
 	if err := feeds.ConvertDir(csvDir, colDir, feeds.FormatCol, feeds.Options{}); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package feeds
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -24,16 +25,112 @@ type kpiDayWriter interface {
 	Flush() error
 }
 
-// feedFileNames returns the trace and KPI file names for a format.
-func feedFileNames(format string) (traces, kpi string, err error) {
-	switch format {
-	case FormatCSV:
-		return TraceFeedName, KPIFeedName, nil
-	case FormatCol:
-		return TraceColFeedName, KPIColFeedName, nil
-	default:
-		return "", "", fmt.Errorf("feeds: unknown feed format %q (want %q or %q)", format, FormatCSV, FormatCol)
+// DirWriter writes a feed directory in one format. It owns every
+// decision the format implies: the trace and KPI file names and
+// encoders, the meta sidecar's Format and FormatVersion, and flushing
+// every encoder before closing the files, so a late write error is
+// reported, not lost.
+type DirWriter struct {
+	dir, format string
+	traces      traceDayWriter
+	kpi         kpiDayWriter
+	events      interface{ Flush() error }
+	files       []*os.File
+}
+
+// CreateDir creates dir (with any missing parents) and its trace feed
+// in format (FormatCSV or FormatCol), plus its KPI feed when kpi is set.
+// The caller must Close the writer.
+func CreateDir(dir, format string, kpi bool) (*DirWriter, error) {
+	col := format == FormatCol
+	if !col && format != FormatCSV {
+		return nil, fmt.Errorf("feeds: unknown feed format %q (want %q or %q)", format, FormatCSV, FormatCol)
 	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	w := &DirWriter{dir: dir, format: format}
+	traceName, kpiName := TraceFeedName, KPIFeedName
+	if col {
+		traceName, kpiName = TraceColFeedName, KPIColFeedName
+	}
+	tf, err := w.create(traceName)
+	if err != nil {
+		return nil, err
+	}
+	if col {
+		w.traces = colfmt.NewTraceWriter(tf)
+	} else {
+		w.traces = NewTraceWriter(tf)
+	}
+	if kpi {
+		kf, err := w.create(kpiName)
+		if err != nil {
+			w.Close()
+			return nil, err
+		}
+		if col {
+			w.kpi = colfmt.NewKPIWriter(kf)
+		} else {
+			w.kpi = NewKPIWriter(kf)
+		}
+	}
+	return w, nil
+}
+
+// create opens a file in the directory for Close to close.
+func (w *DirWriter) create(name string) (*os.File, error) {
+	f, err := os.Create(filepath.Join(w.dir, name))
+	if err == nil {
+		w.files = append(w.files, f)
+	}
+	return f, err
+}
+
+// WriteTraces appends one day to the trace feed.
+func (w *DirWriter) WriteTraces(day timegrid.SimDay, traces []mobsim.DayTrace) error {
+	return w.traces.WriteDay(day, traces)
+}
+
+// WriteKPI appends one day to the KPI feed CreateDir was asked for.
+func (w *DirWriter) WriteKPI(day timegrid.SimDay, cells []traffic.CellDay) error {
+	return w.kpi.WriteDay(day, cells)
+}
+
+// Events creates the event feed, which is CSV in every format.
+func (w *DirWriter) Events() (*EventWriter, error) {
+	f, err := w.create(EventFeedName)
+	if err != nil {
+		return nil, err
+	}
+	ew := NewEventWriter(f)
+	w.events = ew
+	return ew, nil
+}
+
+// WriteMeta writes the provenance sidecar, stamped with the format.
+func (w *DirWriter) WriteMeta(m Meta) error {
+	m.Format, m.FormatVersion = w.format, 0
+	if w.format == FormatCol {
+		m.FormatVersion = colfmt.Version
+	}
+	return WriteMeta(w.dir, m)
+}
+
+// Close flushes every encoder, then closes every file, and reports the
+// errors of both. Closing again is a no-op, so error paths may defer it.
+func (w *DirWriter) Close() error {
+	var errs []error
+	for _, enc := range []interface{ Flush() error }{w.traces, w.kpi, w.events} {
+		if enc != nil {
+			errs = append(errs, enc.Flush())
+		}
+	}
+	for _, f := range w.files {
+		errs = append(errs, f.Close())
+	}
+	w.traces, w.kpi, w.events, w.files = nil, nil, nil, nil
+	return errors.Join(errs...)
 }
 
 // ConvertDir re-encodes the feed directory in into out using the given
@@ -49,31 +146,24 @@ func feedFileNames(format string) (traces, kpi string, err error) {
 // opt applies to the *input* readers (strict by default; lenient
 // conversion salvages damaged feeds, dropping what cannot be decoded).
 func ConvertDir(in, out, format string, opt Options) error {
-	traceName, kpiName, err := feedFileNames(format)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(out, 0o755); err != nil {
-		return err
-	}
-
-	// Traces (required).
 	tr, tc, err := openTraceFeed(in, opt)
 	if err != nil {
 		return err
 	}
 	defer tc.Close()
-	tf, err := os.Create(filepath.Join(out, traceName))
+	kr, kc, err := openKPIFeed(in, opt) // optional
 	if err != nil {
 		return err
 	}
-	defer tf.Close()
-	var tw traceDayWriter
-	if format == FormatCol {
-		tw = colfmt.NewTraceWriter(tf)
-	} else {
-		tw = NewTraceWriter(tf)
+	if kr != nil {
+		defer kc.Close()
 	}
+	w, err := CreateDir(out, format, kr != nil)
+	if err != nil {
+		return err
+	}
+	defer w.Close() // error paths; the success path checks Close below
+
 	buf := mobsim.NewDayBuffer()
 	for {
 		day, err := tr.ReadDayInto(buf)
@@ -83,79 +173,42 @@ func ConvertDir(in, out, format string, opt Options) error {
 		if err != nil {
 			return err
 		}
-		if err := tw.WriteDay(day, buf.Traces()); err != nil {
+		if err := w.WriteTraces(day, buf.Traces()); err != nil {
 			return err
 		}
 	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-
-	// KPI cells (optional).
-	kr, kc, err := openKPIFeed(in, opt)
-	if err != nil {
-		return err
-	}
-	if kr != nil {
-		defer kc.Close()
-		kf, err := os.Create(filepath.Join(out, kpiName))
+	var cells []traffic.CellDay
+	for kr != nil {
+		day, out, err := kr.ReadDayAppend(cells[:0])
+		if err == io.EOF {
+			break
+		}
 		if err != nil {
 			return err
 		}
-		defer kf.Close()
-		var kw kpiDayWriter
-		if format == FormatCol {
-			kw = colfmt.NewKPIWriter(kf)
-		} else {
-			kw = NewKPIWriter(kf)
-		}
-		var cells []traffic.CellDay
-		for {
-			day, out, err := kr.ReadDayAppend(cells[:0])
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			cells = out
-			if err := kw.WriteDay(day, cells); err != nil {
-				return err
-			}
-		}
-		if err := kw.Flush(); err != nil {
+		cells = out
+		if err := w.WriteKPI(day, cells); err != nil {
 			return err
 		}
 	}
-
-	// Events (optional, copied verbatim).
-	if src, err := os.Open(filepath.Join(in, EventFeedName)); err == nil {
+	if src, err := os.Open(filepath.Join(in, EventFeedName)); err == nil { // optional, copied verbatim
 		defer src.Close()
-		dst, err := os.Create(filepath.Join(out, EventFeedName))
+		dst, err := w.create(EventFeedName)
 		if err != nil {
 			return err
 		}
-		defer dst.Close()
 		if _, err := io.Copy(dst, src); err != nil {
 			return err
 		}
 	}
+	if err := w.Close(); err != nil {
+		return err
+	}
 
 	// Meta sidecar (optional, format columns refreshed).
 	m, ok, err := ReadMeta(in)
-	if err != nil {
+	if err != nil || !ok {
 		return err
 	}
-	if ok {
-		m.Format = format
-		if format == FormatCol {
-			m.FormatVersion = colfmt.Version
-		} else {
-			m.FormatVersion = 0
-		}
-		if err := WriteMeta(out, m); err != nil {
-			return err
-		}
-	}
-	return nil
+	return w.WriteMeta(m)
 }

@@ -152,6 +152,33 @@ func TestConvertDirRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDirWriterCloseReportsFlushError: a write error that surfaces only
+// when buffered records reach the file — here ENOSPC from /dev/full —
+// must fail Close, not leave a silently truncated feed behind.
+func TestDirWriterCloseReportsFlushError(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("platform has no /dev/full")
+	}
+	if err := os.Symlink("/dev/full", filepath.Join(dir, TraceFeedName)); err != nil {
+		t.Skipf("symlink: %v", err)
+	}
+	w, err := CreateDir(dir, FormatCSV, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := []mobsim.DayTrace{{User: 1, Visits: []mobsim.Visit{mobsim.MakeVisit(3, 2, 600, true)}}}
+	if err := w.WriteTraces(0, tr); err != nil {
+		t.Fatalf("buffered write failed early: %v", err)
+	}
+	if err := w.Close(); err == nil {
+		t.Fatal("Close reported no error for a feed that could not be written")
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+}
+
 func TestConvertDirUnknownFormat(t *testing.T) {
 	if err := ConvertDir(t.TempDir(), t.TempDir(), "parquet", Options{}); err == nil {
 		t.Fatal("unknown format accepted")

@@ -55,7 +55,6 @@ func WriteMeta(dir string, m Meta) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
 	w := csv.NewWriter(f)
 	rows := [][]string{metaHeader, {
 		strconv.Itoa(m.Users), strconv.FormatUint(m.Seed, 10), m.Scenario,
@@ -63,13 +62,11 @@ func WriteMeta(dir string, m Meta) error {
 		strconv.Itoa(m.Part), strconv.Itoa(m.Parts),
 		strconv.FormatUint(uint64(m.UserLo), 10), strconv.FormatUint(uint64(m.UserHi), 10),
 	}}
-	for _, rec := range rows {
-		if err := w.Write(rec); err != nil {
-			return err
-		}
+	if err := w.WriteAll(rows); err != nil {
+		f.Close()
+		return err
 	}
-	w.Flush()
-	return w.Error()
+	return f.Close()
 }
 
 // ReadMeta loads the provenance sidecar; ok is false when the directory
