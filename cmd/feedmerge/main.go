@@ -9,12 +9,14 @@
 // rows exactly: mobility averages are re-folded from the per-user
 // metrics in user order (bit-identical), KPI medians come from exact
 // quantile-sketch merges (bit-identical), control-plane totals are
-// integer sums. Exit codes: 0 success, 1 runtime failure (including
-// inconsistent partials), 2 bad usage.
+// integer sums. Partials are read strictly: a damaged file, or a
+// version-1 (JSON) partial from an older build, fails with its
+// path:offset. Exit codes: 0 success, 1 runtime failure (including
+// inconsistent or damaged partials), 2 bad usage.
 //
 // Usage:
 //
-//	feedmerge [-out FILE] PARTIAL.json...
+//	feedmerge [-out FILE] PARTIAL...
 package main
 
 import (

@@ -17,12 +17,12 @@
 //	                                and stream it straight into analytics.
 //
 // Multi-process sweeps: -partial FILE additionally serializes the
-// replay's mergeable aggregates (internal/partial JSON). Split a feed
-// directory into user-range shards with `feedconv -partition N`, replay
-// each shard in its own process with -partial, then fold the files with
-// `feedmerge`: the merged table is bit-identical to a single-process
-// replay of the whole directory (KPI sketch merges are exact; mobility
-// is re-folded in user order).
+// replay's mergeable aggregates in the binary internal/partial format.
+// Split a feed directory into user-range shards with `feedconv
+// -partition N`, replay each shard in its own process with -partial,
+// then fold the files with `feedmerge`: the merged table is
+// bit-identical to a single-process replay of the whole directory (KPI
+// sketch merges are exact; mobility is re-folded in user order).
 //
 // Engine sizing: -workers bounds the goroutines producing days and
 // running shard tasks, -shards the logical partitions. Summaries do not
@@ -94,7 +94,7 @@ func main() {
 		days       = flag.Int("days", timegrid.SimDays, "days to stream in inline mode")
 		noSig      = flag.Bool("nosignaling", false, "skip control-plane generation in inline mode")
 		faultSpec  = flag.String("fault", "", "deterministic fault injection spec: site:kind:key[:delay][,...] (see internal/fault)")
-		partialOut = flag.String("partial", "", "write the replay's mergeable partial (internal/partial JSON) to FILE; -feeds mode only — merge shard partials with feedmerge")
+		partialOut = flag.String("partial", "", "write the replay's mergeable partial (internal/partial binary format) to FILE; -feeds mode only — merge shard partials with feedmerge")
 		of         = obs.Flags()
 	)
 	flag.Parse()

@@ -46,6 +46,25 @@ func TestAllFiguresPass(t *testing.T) {
 	}
 }
 
+// TestAllFiguresCheckOrderStable pins the check order: two renderings
+// of one result list the same checks in the same sequence, so figures
+// output is byte-stable across runs of one binary.
+func TestAllFiguresCheckOrderStable(t *testing.T) {
+	r := results(t)
+	names := func() []string {
+		var out []string
+		for _, f := range AllFigures(r) {
+			for _, c := range f.Checks {
+				out = append(out, f.ID+"/"+c.Name)
+			}
+		}
+		return out
+	}
+	if a, b := names(), names(); !reflect.DeepEqual(a, b) {
+		t.Errorf("check order differs between two AllFigures calls:\n%v\n%v", a, b)
+	}
+}
+
 func TestFiguresHaveData(t *testing.T) {
 	r := results(t)
 	for _, f := range AllFigures(r) {

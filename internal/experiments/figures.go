@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 
 	"repro/internal/census"
 	"repro/internal/core"
@@ -255,8 +257,10 @@ func Fig5(r *Results) *Figure {
 			refE[ln] > natE*1.02,
 			fmt.Sprintf("%.3f vs national %.3f", refE[ln], natE), "> 1.02×national")
 	}
-	// Every region collapses after the stay-at-home order.
-	for name, gw := range regionW {
+	// Every region collapses after the stay-at-home order. Sorted names
+	// keep the check order, and so the figures output, deterministic.
+	for _, name := range slices.Sorted(maps.Keys(regionW)) {
+		gw := regionW[name]
 		f.checkTrue(name+" sharp decrease in weeks 13-14",
 			minOver(gw, 13, 14) < refDelta(refG[name], natG)-30,
 			fmt.Sprintf("min %.1f vs ref %.1f", minOver(gw, 13, 14), refDelta(refG[name], natG)),

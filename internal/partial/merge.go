@@ -33,7 +33,8 @@ type Result struct {
 // Merge folds partials into the single-process result. It accepts
 // either one unpartitioned partial or the complete shard set of one
 // partitioned run (every Part 0..Parts-1 exactly once, disjoint user
-// ranges, identical day sequences and provenance).
+// ranges, identical day sequences and provenance). Each day's users must
+// be strictly ascending and, in a partitioned part, inside its range.
 //
 // Mobility averages are bit-identical to a single-process replay: the
 // per-user metrics are re-folded in ascending user-range order, which
@@ -85,6 +86,14 @@ func Merge(parts []*Partial) (*Result, error) {
 			d := &p.Days[j]
 			if len(d.Users) != len(d.Entropy) || len(d.Users) != len(d.Gyration) {
 				return nil, fmt.Errorf("partial: part %d day %d: ragged metric columns", p.Part, d.Day)
+			}
+			for i, u := range d.Users {
+				if i > 0 && u <= d.Users[i-1] {
+					return nil, fmt.Errorf("partial: part %d day %d: user %d follows user %d; users must be strictly ascending", p.Part, d.Day, u, d.Users[i-1])
+				}
+				if p.Partitioned() && (u < p.UserLo || u > p.UserHi) {
+					return nil, fmt.Errorf("partial: part %d day %d: user %d outside the part's range [%d, %d]", p.Part, d.Day, u, p.UserLo, p.UserHi)
+				}
 			}
 			if d.Cells > 0 && len(d.Sketches) != traffic.NumMetrics {
 				return nil, fmt.Errorf("partial: part %d day %d: %d sketches, want %d", p.Part, d.Day, len(d.Sketches), traffic.NumMetrics)

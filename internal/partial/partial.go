@@ -20,13 +20,37 @@
 //
 // A Recorder is attached to a stream.Engine replay (serial trace/KPI
 // consumers plus an event sharder) and captures one Day row per
-// replayed day; WriteFile/ReadFile move the Partial through JSON (the
-// encoding round-trips float64 exactly); Merge folds any complete set
-// of shards — or a single unpartitioned run — into the final rows.
-// cmd/feedmerge is the CLI over this package.
+// replayed day; WriteFile/ReadFile move the Partial through the binary
+// format below; Merge folds any complete set of shards — or a single
+// unpartitioned run — into the final rows. cmd/feedmerge is the CLI
+// over this package.
+//
+// # File format (Version 2)
+//
+// A file is the magic "MNOP" and a version byte, then a header block
+// and one block per day. Every block is a payload length (uint32 LE),
+// the payload, and a CRC-32 (IEEE, uint32 LE) over length and payload.
+//
+//   - Header payload: uvarints Users, Seed, Part, Parts, UserLo, UserHi,
+//     the number of day blocks, and the scenario name's length followed
+//     by its bytes.
+//   - Day payload: the day (varint); the user column as a count and
+//     zig-zag varint deltas from 0, as in colfmt; the entropy and
+//     gyration columns, each a count and float64 bit patterns (uint64
+//     LE); cells (varint); the sketch count, then per sketch under,
+//     count and bin count (varints), each non-zero bin as an index gap
+//     (uvarint) and its count (varint), and a closing gap that lands on
+//     the bin count; events and failures (varints).
+//
+// Floats travel as raw IEEE-754 bits and sketch bins as exact counts, so
+// the round trip is exact by construction. Reading is strict: the
+// first bad header or block fails the read with a *BlockError carrying
+// path:offset, every length is bounded before anything is allocated,
+// and a version-1 (JSON) partial is rejected with ErrVersion.
 package partial
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -40,45 +64,45 @@ import (
 )
 
 // Version is the Partial schema version; bump on incompatible change.
-const Version = 1
+const Version = 2
 
 // Day is one replayed day of a single process's aggregates.
 type Day struct {
-	Day timegrid.SimDay `json:"day"`
+	Day timegrid.SimDay
 
 	// Per-user mobility metrics in trace order (all three slices share
 	// indices). Users carries the native user IDs so Merge can verify
 	// shard ranges.
-	Users    []uint32  `json:"users"`
-	Entropy  []float64 `json:"entropy"`
-	Gyration []float64 `json:"gyration"`
+	Users    []uint32
+	Entropy  []float64
+	Gyration []float64
 
 	// KPI cells seen this day and the per-metric quantile sketches
 	// (len traffic.NumMetrics when Cells > 0, absent otherwise).
-	Cells    int                   `json:"cells"`
-	Sketches []stream.QSketchState `json:"sketches,omitempty"`
+	Cells    int
+	Sketches []stream.QSketchState
 
 	// Control-plane totals.
-	Events   int64 `json:"events"`
-	Failures int64 `json:"failures"`
+	Events   int64
+	Failures int64
 }
 
 // Partial is the serializable result of one process replaying one feed
 // directory (a partition shard, or a whole unpartitioned feed).
 type Partial struct {
-	Version  int    `json:"version"`
-	Users    int    `json:"pop_users"`
-	Seed     uint64 `json:"seed"`
-	Scenario string `json:"scenario,omitempty"`
+	Version  int
+	Users    int
+	Seed     uint64
+	Scenario string
 
 	// Partition coordinates, copied from the feed's meta sidecar; an
 	// unpartitioned replay has Parts == 0.
-	Part   int    `json:"part"`
-	Parts  int    `json:"parts"`
-	UserLo uint32 `json:"user_lo"`
-	UserHi uint32 `json:"user_hi"`
+	Part   int
+	Parts  int
+	UserLo uint32
+	UserHi uint32
 
-	Days []Day `json:"days"`
+	Days []Day
 }
 
 // Partitioned reports whether the partial covers a partition shard.
@@ -103,6 +127,10 @@ type Recorder struct {
 	p   Partial
 	idx map[timegrid.SimDay]int
 
+	// sketches is the KPI view's scratch, one sketch per metric, reset
+	// for every day and snapshotted into the day row.
+	sketches [traffic.NumMetrics]*stream.QSketch
+
 	// Event scratch: accumulated by concurrent ShardDay calls, folded
 	// into the day row by EndDay.
 	evDay    int
@@ -114,7 +142,7 @@ type Recorder struct {
 // feed was generated from; meta supplies the provenance and partition
 // coordinates stamped into the Partial.
 func NewRecorder(topo *radio.Topology, topN int, meta feeds.Meta) *Recorder {
-	return &Recorder{
+	r := &Recorder{
 		topo: topo,
 		topN: topN,
 		p: Partial{
@@ -125,6 +153,10 @@ func NewRecorder(topo *radio.Topology, topN int, meta feeds.Meta) *Recorder {
 		},
 		idx: make(map[timegrid.SimDay]int),
 	}
+	for m := range r.sketches {
+		r.sketches[m] = stream.NewQSketch()
+	}
+	return r
 }
 
 // dayRow returns the row for day, creating it in arrival order. The
@@ -150,6 +182,9 @@ type traceView struct{ r *Recorder }
 func (v traceView) ConsumeDay(day timegrid.SimDay, traces []mobsim.DayTrace) {
 	r := v.r
 	d := r.dayRow(day)
+	d.Users = slices.Grow(d.Users, len(traces))
+	d.Entropy = slices.Grow(d.Entropy, len(traces))
+	d.Gyration = slices.Grow(d.Gyration, len(traces))
 	for i := range traces {
 		m := r.merger.DayMetrics(&traces[i], r.topo, r.topN)
 		d.Users = append(d.Users, uint32(traces[i].User))
@@ -170,30 +205,30 @@ func (v kpiView) ConsumeDay(day timegrid.SimDay, cells []traffic.CellDay) {
 		return
 	}
 	d.Cells += len(cells)
-	qs := make([]*stream.QSketch, traffic.NumMetrics)
-	for m := range qs {
-		if d.Sketches != nil {
-			q, err := stream.QSketchFromState(d.Sketches[m])
+	qs := &r.sketches
+	for m, q := range qs {
+		q.Reset()
+		if d.Sketches != nil { // a second batch for the day: fold the first in
+			prev, err := stream.QSketchFromState(d.Sketches[m])
 			if err != nil {
 				// Only possible if this build's sketch resolution changed
 				// mid-run, which cannot happen; keep the signature clean.
 				panic(err)
 			}
-			qs[m] = q
-		} else {
-			qs[m] = stream.NewQSketch()
+			q.Merge(prev)
 		}
 	}
 	for i := range cells {
-		for m := 0; m < traffic.NumMetrics; m++ {
-			qs[m].Add(cells[i].Values[m])
+		for m, q := range qs {
+			q.Add(cells[i].Values[m])
 		}
 	}
-	states := make([]stream.QSketchState, traffic.NumMetrics)
-	for m := range qs {
-		states[m] = qs[m].State()
+	if d.Sketches == nil {
+		d.Sketches = make([]stream.QSketchState, traffic.NumMetrics)
 	}
-	d.Sketches = states
+	for m, q := range qs {
+		d.Sketches[m] = q.State()
+	}
 }
 
 // Events returns the event sharder view.

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -36,7 +37,7 @@ var (
 	fixEng  *traffic.Engine
 )
 
-func fixture(t *testing.T) {
+func fixture(t testing.TB) {
 	t.Helper()
 	fixOnce.Do(func() {
 		m := census.BuildUK(1)
@@ -50,7 +51,7 @@ func fixture(t *testing.T) {
 // writeFeedDir generates a fixDays feed directory (traces + KPI for
 // every day, control-plane events for day 2) the way `mnosim -raw`
 // does.
-func writeFeedDir(t *testing.T, dir string) {
+func writeFeedDir(t testing.TB, dir string) {
 	t.Helper()
 	fixture(t)
 	if err := feeds.WriteMeta(dir, feeds.Meta{Users: fixUsers, Seed: fixSeed}); err != nil {
@@ -102,8 +103,8 @@ func writeFeedDir(t *testing.T, dir string) {
 
 // replay runs the streaming engine over a feed directory with a
 // Recorder attached and returns its Partial after a WriteFile/ReadFile
-// round trip (so the parity checks also pin the JSON serialization).
-func replay(t *testing.T, dir string) *Partial {
+// round trip (so the parity checks also pin the binary format).
+func replay(t testing.TB, dir string) *Partial {
 	t.Helper()
 	meta, _, err := feeds.ReadMeta(dir)
 	if err != nil {
@@ -123,7 +124,7 @@ func replay(t *testing.T, dir string) *Partial {
 	if err := eng.Run(context.Background(), stream.Prefetch(fs, scfg.Buffer)); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "partial.json")
+	path := filepath.Join(t.TempDir(), "partial")
 	if err := WriteFile(path, rec.Partial()); err != nil {
 		t.Fatal(err)
 	}
@@ -251,29 +252,41 @@ func TestMergeValidation(t *testing.T) {
 		}
 		return p
 	}
+	withUsers := func(p *Partial, users ...uint32) *Partial {
+		d := &p.Days[0]
+		d.Users, d.Entropy, d.Gyration = users, make([]float64, len(users)), make([]float64, len(users))
+		return p
+	}
 	cases := []struct {
 		name  string
 		parts []*Partial
+		want  string // error substring, when the message must name the culprit
 	}{
-		{"empty", nil},
-		{"bad version", []*Partial{{Version: Version + 1}}},
-		{"incomplete shard set", []*Partial{mk(0, 2, 0, 4, 0)}},
-		{"duplicate part", []*Partial{mk(0, 2, 0, 4, 0), mk(0, 2, 0, 4, 0)}},
-		{"overlapping ranges", []*Partial{mk(0, 2, 0, 5, 0), mk(1, 2, 5, 9, 0)}},
-		{"diverging days", []*Partial{mk(0, 2, 0, 4, 0, 1), mk(1, 2, 5, 9, 0, 2)}},
+		{"empty", nil, ""},
+		{"bad version", []*Partial{{Version: Version + 1}}, ""},
+		{"incomplete shard set", []*Partial{mk(0, 2, 0, 4, 0)}, ""},
+		{"duplicate part", []*Partial{mk(0, 2, 0, 4, 0), mk(0, 2, 0, 4, 0)}, ""},
+		{"overlapping ranges", []*Partial{mk(0, 2, 0, 5, 0), mk(1, 2, 5, 9, 0)}, ""},
+		{"diverging days", []*Partial{mk(0, 2, 0, 4, 0, 1), mk(1, 2, 5, 9, 0, 2)}, ""},
+		{"users not ascending", []*Partial{withUsers(mk(0, 0, 0, 0, 3), 2, 5, 5)}, "part 0 day 3"},
+		{"user outside part range", []*Partial{withUsers(mk(0, 2, 0, 4, 0), 4), withUsers(mk(1, 2, 5, 9, 0), 5, 10)}, "part 1 day 0"},
 		{"mixed provenance", func() []*Partial {
 			a, b := mk(0, 2, 0, 4, 0), mk(1, 2, 5, 9, 0)
 			b.Seed = 2
 			return []*Partial{a, b}
-		}()},
+		}(), ""},
 	}
 	for _, tc := range cases {
-		if _, err := Merge(tc.parts); err == nil {
+		_, err := Merge(tc.parts)
+		switch {
+		case err == nil:
 			t.Errorf("%s: merge accepted", tc.name)
+		case !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: error %q does not name %q", tc.name, err, tc.want)
 		}
 	}
 	// The valid counterpart merges cleanly.
-	if _, err := Merge([]*Partial{mk(0, 2, 0, 4, 0), mk(1, 2, 5, 9, 0)}); err != nil {
+	if _, err := Merge([]*Partial{withUsers(mk(0, 2, 0, 4, 0), 0, 4), withUsers(mk(1, 2, 5, 9, 0), 5, 9)}); err != nil {
 		t.Errorf("valid shard set rejected: %v", err)
 	}
 }
