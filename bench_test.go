@@ -789,7 +789,7 @@ func BenchmarkTraceFeedRoundTrip(b *testing.B) {
 		if err := w.Flush(); err != nil {
 			b.Fatal(err)
 		}
-		rd, err := feeds.NewTraceReader(&buf)
+		rd, err := feeds.NewTraceReaderOpts(&buf, feeds.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -871,14 +871,14 @@ func benchmarkFeedReplay(b *testing.B, users int, col bool) {
 		if col {
 			return ctr, ctr.Reset(tr)
 		}
-		return feeds.NewTraceReader(tr)
+		return feeds.NewTraceReaderOpts(tr, feeds.Options{})
 	}
 	openKPI := func() (feeds.KPIDayReader, error) {
 		kr.Reset(kpiBuf.Bytes())
 		if col {
 			return ckr, ckr.Reset(kr)
 		}
-		return feeds.NewKPIReader(kr)
+		return feeds.NewKPIReaderOpts(kr, feeds.Options{})
 	}
 
 	visits := 0

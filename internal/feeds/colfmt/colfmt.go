@@ -100,21 +100,25 @@ func (e *BlockError) Error() string {
 
 func (e *BlockError) Unwrap() error { return e.Err }
 
-// Options configures a reader's failure behaviour; it mirrors
-// feeds.Options with the day block as the unit of damage.
+// Options configures a reader's failure behaviour. The CSV readers of
+// package feeds share it (feeds.Options is this type): there a CSV row
+// takes the day block's place as the unit of damage, and its 1-based
+// line number the block's byte offset.
 type Options struct {
-	// Name is the feed's file name (or any label), prefixed to block
-	// errors and passed to OnSkip. Empty: a generic feed label.
+	// Name is the feed's file name (or any label), prefixed to errors
+	// and passed to OnSkip. Empty: a generic feed label.
 	Name string
 	// Lenient makes the reader skip corrupt day blocks — checksum
 	// mismatches, malformed columns, out-of-range values, a truncated
-	// final block — instead of failing the replay. Skipped blocks are
-	// counted (Skipped) and reported through OnSkip. File header errors
-	// and I/O errors are fatal in both modes.
+	// final block — or corrupt CSV rows — malformed CSV structure (wrong
+	// field count, bad quoting, a truncated final row) and rows whose
+	// fields fail to parse — instead of failing the replay. Skipped
+	// blocks and rows are counted (Skipped) and reported through
+	// OnSkip. Header errors and I/O errors are fatal in both modes.
 	Lenient bool
-	// OnSkip, when non-nil, observes every skipped block in lenient
-	// mode: the feed name, the block's starting byte offset and the
-	// block's error.
+	// OnSkip, when non-nil, observes every skip in lenient mode: the
+	// feed name, the block's starting byte offset (or the row's line
+	// number) and the error.
 	OnSkip func(name string, offset int, err error)
 }
 

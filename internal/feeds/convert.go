@@ -42,6 +42,13 @@ type DirWriter struct {
 // in format (FormatCSV or FormatCol), plus its KPI feed when kpi is set.
 // The caller must Close the writer.
 func CreateDir(dir, format string, kpi bool) (*DirWriter, error) {
+	return createDir(dir, format, kpi, 0, 0)
+}
+
+// createDir is CreateDir for a partition shard holding the users
+// [userLo, userHi], which a columnar trace feed records in its header
+// (0, 0: unpartitioned).
+func createDir(dir, format string, kpi bool, userLo, userHi uint32) (*DirWriter, error) {
 	col := format == FormatCol
 	if !col && format != FormatCSV {
 		return nil, fmt.Errorf("feeds: unknown feed format %q (want %q or %q)", format, FormatCSV, FormatCol)
@@ -59,7 +66,7 @@ func CreateDir(dir, format string, kpi bool) (*DirWriter, error) {
 		return nil, err
 	}
 	if col {
-		w.traces = colfmt.NewTraceWriter(tf)
+		w.traces = colfmt.NewTraceWriterRange(tf, userLo, userHi)
 	} else {
 		w.traces = NewTraceWriter(tf)
 	}
@@ -110,11 +117,16 @@ func (w *DirWriter) Events() (*EventWriter, error) {
 
 // WriteMeta writes the provenance sidecar, stamped with the format.
 func (w *DirWriter) WriteMeta(m Meta) error {
+	return WriteMeta(w.dir, w.stamp(m))
+}
+
+// stamp returns m with the directory's Format and FormatVersion.
+func (w *DirWriter) stamp(m Meta) Meta {
 	m.Format, m.FormatVersion = w.format, 0
 	if w.format == FormatCol {
 		m.FormatVersion = colfmt.Version
 	}
-	return WriteMeta(w.dir, m)
+	return m
 }
 
 // Close flushes every encoder, then closes every file, and reports the
@@ -138,27 +150,21 @@ func (w *DirWriter) Close() error {
 // auto-detected, so the call converts in either direction (or
 // re-encodes in place semantics aside). Trace and KPI feeds are
 // re-encoded day by day with bounded memory; the event feed (always
-// CSV) and nothing else is copied verbatim; the meta sidecar, when
-// present, is carried over with Format/FormatVersion updated. The
-// conversion is lossless: converting CSV → col → CSV reproduces the
-// original trace and KPI files byte for byte.
+// CSV, its header checked as for a replay) and nothing else is copied
+// verbatim; the meta sidecar, when present, is carried over with
+// Format/FormatVersion updated. The conversion is lossless: converting
+// CSV → col → CSV reproduces the original trace and KPI files byte for
+// byte.
 //
 // opt applies to the *input* readers (strict by default; lenient
 // conversion salvages damaged feeds, dropping what cannot be decoded).
 func ConvertDir(in, out, format string, opt Options) error {
-	tr, tc, err := openTraceFeed(in, opt)
+	src, err := OpenDirOpts(in, opt)
 	if err != nil {
 		return err
 	}
-	defer tc.Close()
-	kr, kc, err := openKPIFeed(in, opt) // optional
-	if err != nil {
-		return err
-	}
-	if kr != nil {
-		defer kc.Close()
-	}
-	w, err := CreateDir(out, format, kr != nil)
+	defer src.Close()
+	w, err := CreateDir(out, format, src.kpi != nil)
 	if err != nil {
 		return err
 	}
@@ -166,7 +172,7 @@ func ConvertDir(in, out, format string, opt Options) error {
 
 	buf := mobsim.NewDayBuffer()
 	for {
-		day, err := tr.ReadDayInto(buf)
+		day, err := src.traces.ReadDayInto(buf)
 		if err == io.EOF {
 			break
 		}
@@ -178,8 +184,8 @@ func ConvertDir(in, out, format string, opt Options) error {
 		}
 	}
 	var cells []traffic.CellDay
-	for kr != nil {
-		day, out, err := kr.ReadDayAppend(cells[:0])
+	for src.kpi != nil {
+		day, out, err := src.kpi.ReadDayAppend(cells[:0])
 		if err == io.EOF {
 			break
 		}
@@ -191,13 +197,13 @@ func ConvertDir(in, out, format string, opt Options) error {
 			return err
 		}
 	}
-	if src, err := os.Open(filepath.Join(in, EventFeedName)); err == nil { // optional, copied verbatim
-		defer src.Close()
+	if ef, err := os.Open(filepath.Join(in, EventFeedName)); err == nil { // optional, copied verbatim
+		defer ef.Close()
 		dst, err := w.create(EventFeedName)
 		if err != nil {
 			return err
 		}
-		if _, err := io.Copy(dst, src); err != nil {
+		if _, err := io.Copy(dst, ef); err != nil {
 			return err
 		}
 	}

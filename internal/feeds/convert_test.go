@@ -222,6 +222,18 @@ func TestPartitionDir(t *testing.T) {
 		if onDisk != m {
 			t.Fatalf("shard %d sidecar %+v != returned meta %+v", s, onDisk, m)
 		}
+		f, err := os.Open(filepath.Join(out, ShardDirName(s), TraceColFeedName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := colfmt.NewTraceReader(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lo, hi := tr.UserRange(); lo != m.UserLo || hi != m.UserHi {
+			t.Fatalf("shard %d traces.col header range [%d,%d], meta says [%d,%d]", s, lo, hi, m.UserLo, m.UserHi)
+		}
 	}
 
 	// Replaying the shards together must reconstruct the input exactly:
@@ -263,6 +275,57 @@ func TestPartitionDir(t *testing.T) {
 			t.Fatalf("day %d: merged %d events, want %d", w.Day, len(merged.Events), len(w.Events))
 		}
 	}
+}
+
+// TestPartitionDirSameFromEitherEncoding pins that the shards depend on
+// a feed's records only, not on its encoding: partitioning the CSV and
+// the columnar encoding of one feed writes byte-identical shard
+// directories, sidecars included.
+func TestPartitionDirSameFromEitherEncoding(t *testing.T) {
+	csvDir, colDir := t.TempDir(), t.TempDir()
+	writeFeedDir(t, csvDir)
+	if err := WriteMeta(csvDir, Meta{Users: 600, Seed: 7, Format: FormatCSV}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ConvertDir(csvDir, colDir, FormatCol, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, parts := range []int{2, 3} { // 3: the middle shard holds no user
+		fromCSV, fromCol := t.TempDir(), t.TempDir()
+		if _, err := PartitionDir(csvDir, fromCSV, parts, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := PartitionDir(colDir, fromCol, parts, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		want, got := readTree(t, fromCSV), readTree(t, fromCol)
+		if len(want) != parts*4 {
+			t.Fatalf("%d parts: %d shard files, want %d: %v", parts, len(want), parts*4, want)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d parts: shards of the columnar feed differ from those of the CSV feed", parts)
+		}
+	}
+}
+
+// readTree returns the contents of every file under dir by relative path.
+func readTree(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err == nil {
+			files[rel], err = os.ReadFile(path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 func TestPartitionDirRejectsBadParts(t *testing.T) {

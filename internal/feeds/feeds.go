@@ -8,8 +8,10 @@
 // Two interchange formats coexist: line-oriented CSV with a fixed
 // header (this file — the debuggable default) and the binary columnar
 // day-block format of the colfmt subpackage (the fast path at scale;
-// PERFORMANCE.md, "Columnar feeds"). ConvertDir translates between
-// them, and OpenDir auto-detects the format by sniffing magic bytes.
+// PERFORMANCE.md, "Columnar feeds"). DirWriter writes every feed
+// directory — for cmd/mnosim, ConvertDir and PartitionDir alike — and
+// owns the file names, the format stamp and flushing; OpenDir reads one
+// back, auto-detecting each file's format by sniffing magic bytes.
 // All writers/readers are streaming and never hold a full feed in
 // memory.
 //
@@ -18,7 +20,8 @@
 // first corrupt row with file:line:field context, while lenient skips
 // corrupt rows, counts them (Skipped) and reports each through the
 // OnSkip hook, so weeks of noisy operator feeds degrade instead of
-// aborting.
+// aborting. The three CSV readers share one row reader that implements
+// this contract; each adds only its row parser and its day grouping.
 package feeds
 
 import (
@@ -27,9 +30,11 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 
 	"repro/internal/devices"
+	"repro/internal/feeds/colfmt"
 	"repro/internal/mobsim"
 	"repro/internal/popsim"
 	"repro/internal/radio"
@@ -42,37 +47,90 @@ import (
 // expected schema.
 var ErrBadHeader = errors.New("feeds: unexpected header")
 
-// Options configures a feed reader's failure behaviour.
-type Options struct {
-	// Name is the feed's file name (or any label), prefixed to row
-	// errors and passed to OnSkip. Empty: a generic feed label.
-	Name string
-	// Lenient makes the reader skip corrupt rows — malformed CSV
-	// structure (wrong field count, bad quoting, a truncated final row)
-	// and rows whose fields fail to parse — instead of failing the
-	// replay. Skipped rows are counted (Skipped) and reported through
-	// OnSkip. Header errors and I/O errors are fatal in both modes.
-	Lenient bool
-	// OnSkip, when non-nil, observes every skipped row in lenient mode:
-	// the feed name, the 1-based line number and the row's error.
-	OnSkip func(name string, line int, err error)
+// Options configures a feed reader's failure behaviour. It is the one
+// strict/lenient contract of the CSV readers here and the columnar
+// readers of colfmt, with a CSV row as the unit of damage where colfmt
+// has a day block.
+type Options = colfmt.Options
+
+// rows is the CSV row reader beneath the three feed readers. It owns
+// the contract they share: the header check, file:line error context,
+// strict/lenient handling of corrupt rows, the skip count, and a
+// one-row push-back for the readers that group rows by day.
+type rows[T any] struct {
+	r       *csv.Reader
+	opt     Options
+	parse   func([]string) (T, error)
+	skipped int64
+	peeked  T
+	peek    bool
 }
 
-// label returns the feed name for error context.
-func (o *Options) label(fallback string) string {
-	if o.Name != "" {
-		return o.Name
+// init reads and checks the header. kind ("trace", "KPI" or "event")
+// names the feed in errors when opt.Name is empty.
+func (r *rows[T]) init(in io.Reader, header []string, kind string, opt Options, parse func([]string) (T, error)) error {
+	r.r = csv.NewReader(in)
+	r.r.FieldsPerRecord = len(header)
+	if opt.Name == "" {
+		opt.Name = kind + " feed"
 	}
-	return fallback
+	r.opt, r.parse = opt, parse
+	hdr, err := r.r.Read()
+	if err != nil {
+		return fmt.Errorf("feeds: reading %s header of %s: %w", kind, opt.Name, err)
+	}
+	if !slices.Equal(hdr, header) {
+		return ErrBadHeader
+	}
+	return nil
 }
 
-// rowError is a corrupt row that lenient mode may skip: a CSV
-// structure error or a field parse error. I/O errors are never wrapped
-// in it.
-func isRowError(err error) bool {
-	var pe *csv.ParseError
-	return errors.As(err, &pe)
+// Skipped returns the number of corrupt rows skipped so far (always 0
+// for a strict reader: it fails on the first one instead).
+func (r *rows[T]) Skipped() int64 { return r.skipped }
+
+// next returns the pushed-back row, if any, else the next row that
+// parses; io.EOF at the end of the feed. A corrupt row — malformed CSV
+// structure (wrong field count, bad quoting, a truncated final row) or
+// a field that fails to parse — fails the read with file:line context
+// in strict mode and is skipped (counted, reported via OnSkip) in
+// lenient mode. I/O errors are fatal in both modes.
+func (r *rows[T]) next() (T, error) {
+	if r.peek {
+		r.peek = false
+		return r.peeked, nil
+	}
+	var zero T
+	for {
+		rec, err := r.r.Read()
+		if err == io.EOF {
+			return zero, io.EOF
+		}
+		var pe *csv.ParseError
+		skippable := err == nil || errors.As(err, &pe)
+		if err == nil {
+			v, perr := r.parse(rec)
+			if perr == nil {
+				return v, nil
+			}
+			err = perr
+		}
+		line, _ := r.r.FieldPos(0)
+		if pe != nil && pe.Line > 0 {
+			line = pe.Line
+		}
+		if !r.opt.Lenient || !skippable {
+			return zero, fmt.Errorf("feeds: %s:%d: %w", r.opt.Name, line, err)
+		}
+		r.skipped++
+		if r.opt.OnSkip != nil {
+			r.opt.OnSkip(r.opt.Name, line, err)
+		}
+	}
 }
+
+// unread pushes back a row next returned, for the following next call.
+func (r *rows[T]) unread(v T) { r.peeked, r.peek = v, true }
 
 // --- day traces ------------------------------------------------------------
 
@@ -127,48 +185,23 @@ func (t *TraceWriter) Flush() error {
 
 // TraceReader streams day traces back from CSV. Visits of one user-day
 // must be contiguous (as TraceWriter emits them).
-type TraceReader struct {
-	r       *csv.Reader
-	peeked  []string
-	opt     Options
-	skipped int64
+type TraceReader struct{ rows[traceRow] }
+
+// traceRow is one parsed row of the trace feed.
+type traceRow struct {
+	day   timegrid.SimDay
+	user  popsim.UserID
+	visit mobsim.Visit
 }
 
-// NewTraceReader validates the header and returns a strict reader.
-func NewTraceReader(r io.Reader) (*TraceReader, error) {
-	return NewTraceReaderOpts(r, Options{})
-}
-
-// NewTraceReaderOpts is NewTraceReader with explicit failure options.
+// NewTraceReaderOpts validates the header and returns a reader with the
+// given failure options (Options{}: strict).
 func NewTraceReaderOpts(r io.Reader, opt Options) (*TraceReader, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = len(traceHeader)
-	hdr, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("feeds: reading trace header of %s: %w", opt.label("trace feed"), err)
+	t := new(TraceReader)
+	if err := t.init(r, traceHeader, "trace", opt, parseTraceRow); err != nil {
+		return nil, err
 	}
-	if !equalRow(hdr, traceHeader) {
-		return nil, ErrBadHeader
-	}
-	return &TraceReader{r: cr, opt: opt}, nil
-}
-
-// Skipped returns the number of corrupt rows skipped so far (always 0
-// for a strict reader: it fails on the first one instead).
-func (t *TraceReader) Skipped() int64 { return t.skipped }
-
-// line is the 1-based input line of the last record read.
-func (t *TraceReader) line() int {
-	line, _ := t.r.FieldPos(0)
-	return line
-}
-
-// skip records a lenient-mode skip of the current row.
-func (t *TraceReader) skip(line int, err error) {
-	t.skipped++
-	if t.opt.OnSkip != nil {
-		t.opt.OnSkip(t.opt.label("trace feed"), line, err)
-	}
+	return t, nil
 }
 
 // ReadDayInto reads the next full day of traces into buf, reusing its
@@ -181,105 +214,69 @@ func (t *TraceReader) ReadDayInto(buf *mobsim.DayBuffer) (timegrid.SimDay, error
 	day := timegrid.SimDay(-1)
 	var current popsim.UserID
 	for {
-		rec, err := t.next()
-		if err == io.EOF {
-			if day < 0 {
-				return 0, io.EOF
-			}
+		row, err := t.next()
+		if err == io.EOF && day >= 0 {
 			return day, nil
 		}
 		if err != nil {
-			if t.opt.Lenient && isRowError(err) {
-				t.skip(csvErrLine(err, t.line()), err)
-				continue
-			}
-			return 0, fmt.Errorf("feeds: %s:%d: %w", t.opt.label("trace feed"), csvErrLine(err, t.line()), err)
-		}
-		d, v, user, perr := parseTraceRow(rec)
-		if perr != nil {
-			if t.opt.Lenient {
-				t.skip(t.line(), perr)
-				continue
-			}
-			return 0, fmt.Errorf("feeds: %s:%d: %w", t.opt.label("trace feed"), t.line(), perr)
+			return 0, err
 		}
 		if day < 0 {
-			day = d
+			day = row.day
 			buf.Reset(day)
-		}
-		if d != day {
-			t.peeked = rec // belongs to the next day
+		} else if row.day != day {
+			t.unread(row) // belongs to the next day
 			return day, nil
 		}
-		if buf.Len() == 0 || current != user {
-			buf.BeginUser(user)
-			current = user
+		if buf.Len() == 0 || current != row.user {
+			buf.BeginUser(row.user)
+			current = row.user
 		}
-		buf.Append(v)
+		buf.Append(row.visit)
 	}
-}
-
-// next returns the pushed-back record, if any, else reads one.
-func (t *TraceReader) next() ([]string, error) {
-	if t.peeked != nil {
-		rec := t.peeked
-		t.peeked = nil
-		return rec, nil
-	}
-	return t.r.Read()
-}
-
-// csvErrLine extracts the line number carried by a csv.ParseError, or
-// falls back to the reader's current position.
-func csvErrLine(err error, fallback int) int {
-	var pe *csv.ParseError
-	if errors.As(err, &pe) && pe.Line > 0 {
-		return pe.Line
-	}
-	return fallback
 }
 
 // parseTraceRow decodes one CSV row of the trace feed; its errors name
 // the offending column and value.
-func parseTraceRow(rec []string) (timegrid.SimDay, mobsim.Visit, popsim.UserID, error) {
+func parseTraceRow(rec []string) (traceRow, error) {
 	day, err := parseDay(rec[0])
 	if err != nil {
-		return 0, mobsim.Visit{}, 0, badField("trace", "day", rec[0], err)
+		return traceRow{}, badField("trace", "day", rec[0], err)
 	}
 	user, err := strconv.ParseUint(rec[1], 10, 32)
 	if err != nil {
-		return 0, mobsim.Visit{}, 0, badField("trace", "user", rec[1], err)
+		return traceRow{}, badField("trace", "user", rec[1], err)
 	}
 	tower, err := strconv.Atoi(rec[2])
 	if err != nil {
-		return 0, mobsim.Visit{}, 0, badField("trace", "tower", rec[2], err)
+		return traceRow{}, badField("trace", "tower", rec[2], err)
 	}
 	bin, err := strconv.Atoi(rec[3])
 	if err != nil {
-		return 0, mobsim.Visit{}, 0, badField("trace", "bin", rec[3], err)
+		return traceRow{}, badField("trace", "bin", rec[3], err)
 	}
 	sec, err := strconv.Atoi(rec[4])
 	if err != nil {
-		return 0, mobsim.Visit{}, 0, badField("trace", "seconds", rec[4], err)
+		return traceRow{}, badField("trace", "seconds", rec[4], err)
 	}
 	atRes, err := parseBool(rec[5])
 	if err != nil {
-		return 0, mobsim.Visit{}, 0, badField("trace", "at_residence", rec[5], err)
+		return traceRow{}, badField("trace", "at_residence", rec[5], err)
 	}
 	if bin < 0 || bin >= timegrid.BinsPerDay {
-		return 0, mobsim.Visit{}, 0, fmt.Errorf("bad trace field bin=%q: out of range [0,%d)", rec[3], timegrid.BinsPerDay)
+		return traceRow{}, fmt.Errorf("bad trace field bin=%q: out of range [0,%d)", rec[3], timegrid.BinsPerDay)
 	}
 	// Range-check the packed Visit fields here so a corrupt row surfaces
 	// as a row error (skippable in lenient mode) rather than a panic in
 	// mobsim.MakeVisit.
 	if tower < 0 || int64(tower) > int64(math.MaxInt32) {
-		return 0, mobsim.Visit{}, 0, fmt.Errorf("bad trace field tower=%q: out of range [0,%d]", rec[2], math.MaxInt32)
+		return traceRow{}, fmt.Errorf("bad trace field tower=%q: out of range [0,%d]", rec[2], math.MaxInt32)
 	}
 	if sec < 0 || sec > mobsim.MaxVisitSeconds {
-		return 0, mobsim.Visit{}, 0, fmt.Errorf("bad trace field seconds=%q: out of range [0,%d]", rec[4], mobsim.MaxVisitSeconds)
+		return traceRow{}, fmt.Errorf("bad trace field seconds=%q: out of range [0,%d]", rec[4], mobsim.MaxVisitSeconds)
 	}
 	v := mobsim.MakeVisit(radio.TowerID(tower), timegrid.Bin(bin), int32(sec), atRes)
-	return day, v, popsim.UserID(user), nil
+	return traceRow{day, popsim.UserID(user), v}, nil
 }
 
 // badField is the shared shape of a field parse error: it names the
@@ -342,45 +339,22 @@ func (k *KPIWriter) Flush() error {
 }
 
 // KPIReader streams CellDay records back from CSV.
-type KPIReader struct {
-	r       *csv.Reader
-	peeked  []string
-	opt     Options
-	skipped int64
+type KPIReader struct{ rows[kpiRow] }
+
+// kpiRow is one parsed row of the KPI feed.
+type kpiRow struct {
+	day  timegrid.SimDay
+	cell traffic.CellDay
 }
 
-// NewKPIReader validates the header and returns a strict reader.
-func NewKPIReader(r io.Reader) (*KPIReader, error) {
-	return NewKPIReaderOpts(r, Options{})
-}
-
-// NewKPIReaderOpts is NewKPIReader with explicit failure options.
+// NewKPIReaderOpts validates the header and returns a reader with the
+// given failure options (Options{}: strict).
 func NewKPIReaderOpts(r io.Reader, opt Options) (*KPIReader, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = len(kpiHeader)
-	hdr, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("feeds: reading KPI header of %s: %w", opt.label("KPI feed"), err)
+	k := new(KPIReader)
+	if err := k.init(r, kpiHeader, "KPI", opt, parseKPIRow); err != nil {
+		return nil, err
 	}
-	if !equalRow(hdr, kpiHeader) {
-		return nil, ErrBadHeader
-	}
-	return &KPIReader{r: cr, opt: opt}, nil
-}
-
-// Skipped returns the number of corrupt rows skipped so far.
-func (k *KPIReader) Skipped() int64 { return k.skipped }
-
-func (k *KPIReader) line() int {
-	line, _ := k.r.FieldPos(0)
-	return line
-}
-
-func (k *KPIReader) skip(line int, err error) {
-	k.skipped++
-	if k.opt.OnSkip != nil {
-		k.opt.OnSkip(k.opt.label("KPI feed"), line, err)
-	}
+	return k, nil
 }
 
 // ReadDayAppend reads the next full day of cell records, appending them
@@ -388,73 +362,45 @@ func (k *KPIReader) skip(line int, err error) {
 // end. Corrupt rows follow the reader's strict/lenient mode, like
 // TraceReader.ReadDayInto.
 func (k *KPIReader) ReadDayAppend(dst []traffic.CellDay) (timegrid.SimDay, []traffic.CellDay, error) {
-	var (
-		day   timegrid.SimDay = -1
-		cells                 = dst
-	)
+	day, cells := timegrid.SimDay(-1), dst
 	for {
-		rec, err := k.next()
-		if err == io.EOF {
-			if day < 0 {
-				return 0, nil, io.EOF
-			}
+		row, err := k.next()
+		if err == io.EOF && day >= 0 {
 			return day, cells, nil
 		}
 		if err != nil {
-			if k.opt.Lenient && isRowError(err) {
-				k.skip(csvErrLine(err, k.line()), err)
-				continue
-			}
-			return 0, nil, fmt.Errorf("feeds: %s:%d: %w", k.opt.label("KPI feed"), csvErrLine(err, k.line()), err)
-		}
-		d, cd, perr := parseKPIRow(rec)
-		if perr != nil {
-			if k.opt.Lenient {
-				k.skip(k.line(), perr)
-				continue
-			}
-			return 0, nil, fmt.Errorf("feeds: %s:%d: %w", k.opt.label("KPI feed"), k.line(), perr)
+			return 0, nil, err
 		}
 		if day < 0 {
-			day = d
-		}
-		if d != day {
-			k.peeked = rec
+			day = row.day
+		} else if row.day != day {
+			k.unread(row)
 			return day, cells, nil
 		}
-		cells = append(cells, cd)
+		cells = append(cells, row.cell)
 	}
-}
-
-func (k *KPIReader) next() ([]string, error) {
-	if k.peeked != nil {
-		rec := k.peeked
-		k.peeked = nil
-		return rec, nil
-	}
-	return k.r.Read()
 }
 
 // parseKPIRow decodes one CSV row of the KPI feed; its errors name the
 // offending column and value.
-func parseKPIRow(rec []string) (timegrid.SimDay, traffic.CellDay, error) {
+func parseKPIRow(rec []string) (kpiRow, error) {
 	day, err := parseDay(rec[0])
 	if err != nil {
-		return 0, traffic.CellDay{}, badField("KPI", "day", rec[0], err)
+		return kpiRow{}, badField("KPI", "day", rec[0], err)
 	}
 	cell, err := strconv.Atoi(rec[1])
 	if err != nil {
-		return 0, traffic.CellDay{}, badField("KPI", "cell", rec[1], err)
+		return kpiRow{}, badField("KPI", "cell", rec[1], err)
 	}
 	cd := traffic.CellDay{Cell: radio.CellID(cell)}
 	for m := 0; m < traffic.NumMetrics; m++ {
 		v, err := strconv.ParseFloat(rec[2+m], 64)
 		if err != nil {
-			return 0, traffic.CellDay{}, badField("KPI", kpiHeader[2+m], rec[2+m], err)
+			return kpiRow{}, badField("KPI", kpiHeader[2+m], rec[2+m], err)
 		}
 		cd.Values[m] = v
 	}
-	return day, cd, nil
+	return kpiRow{day, cd}, nil
 }
 
 // --- control-plane events ----------------------------------------------------
@@ -475,15 +421,8 @@ func NewEventWriter(w io.Writer) *EventWriter { return &EventWriter{w: csv.NewWr
 
 // Consume appends one event; errors are latched and reported by Flush.
 func (e *EventWriter) Consume(ev signaling.Event) {
-	if e.err != nil {
+	if e.header(); e.err != nil {
 		return
-	}
-	if !e.started {
-		if err := e.w.Write(eventHeader); err != nil {
-			e.err = err
-			return
-		}
-		e.started = true
 	}
 	rec := []string{
 		strconv.Itoa(int(ev.Day)),
@@ -501,18 +440,20 @@ func (e *EventWriter) Consume(ev signaling.Event) {
 	e.err = e.w.Write(rec)
 }
 
-// ensureHeader emits the CSV header even when no event has been
-// written, so an event-less file still parses as an empty feed (the
-// partitioner needs this for shards whose user range saw no events).
-func (e *EventWriter) ensureHeader() {
+// header emits the CSV header once, before the first event or at Flush.
+func (e *EventWriter) header() {
 	if e.err == nil && !e.started {
 		e.err = e.w.Write(eventHeader)
 		e.started = true
 	}
 }
 
-// Flush flushes buffered records and reports the first error seen.
+// Flush flushes buffered records and reports the first error seen. The
+// header is written even when no event was, so an event-less feed still
+// reads back as an empty one (a partition shard whose user range saw no
+// events, say).
 func (e *EventWriter) Flush() error {
+	e.header()
 	e.w.Flush()
 	if e.err != nil {
 		return e.err
@@ -521,72 +462,21 @@ func (e *EventWriter) Flush() error {
 }
 
 // EventReader streams events back from CSV.
-type EventReader struct {
-	r       *csv.Reader
-	opt     Options
-	skipped int64
-}
+type EventReader struct{ rows[signaling.Event] }
 
-// NewEventReader validates the header and returns a strict reader.
-func NewEventReader(r io.Reader) (*EventReader, error) {
-	return NewEventReaderOpts(r, Options{})
-}
-
-// NewEventReaderOpts is NewEventReader with explicit failure options.
+// NewEventReaderOpts validates the header and returns a reader with the
+// given failure options (Options{}: strict).
 func NewEventReaderOpts(r io.Reader, opt Options) (*EventReader, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = len(eventHeader)
-	hdr, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("feeds: reading event header of %s: %w", opt.label("event feed"), err)
+	e := new(EventReader)
+	if err := e.init(r, eventHeader, "event", opt, parseEventRow); err != nil {
+		return nil, err
 	}
-	if !equalRow(hdr, eventHeader) {
-		return nil, ErrBadHeader
-	}
-	return &EventReader{r: cr, opt: opt}, nil
-}
-
-// Skipped returns the number of corrupt rows skipped so far.
-func (e *EventReader) Skipped() int64 { return e.skipped }
-
-func (e *EventReader) line() int {
-	line, _ := e.r.FieldPos(0)
-	return line
-}
-
-func (e *EventReader) skip(line int, err error) {
-	e.skipped++
-	if e.opt.OnSkip != nil {
-		e.opt.OnSkip(e.opt.label("event feed"), line, err)
-	}
+	return e, nil
 }
 
 // Read returns the next event; io.EOF at the end of the feed. Corrupt
 // rows follow the reader's strict/lenient mode.
-func (e *EventReader) Read() (signaling.Event, error) {
-	for {
-		rec, err := e.r.Read()
-		if err == io.EOF {
-			return signaling.Event{}, io.EOF
-		}
-		if err != nil {
-			if e.opt.Lenient && isRowError(err) {
-				e.skip(csvErrLine(err, e.line()), err)
-				continue
-			}
-			return signaling.Event{}, fmt.Errorf("feeds: %s:%d: %w", e.opt.label("event feed"), csvErrLine(err, e.line()), err)
-		}
-		ev, perr := parseEventRow(rec)
-		if perr != nil {
-			if e.opt.Lenient {
-				e.skip(e.line(), perr)
-				continue
-			}
-			return signaling.Event{}, fmt.Errorf("feeds: %s:%d: %w", e.opt.label("event feed"), e.line(), perr)
-		}
-		return ev, nil
-	}
-}
+func (e *EventReader) Read() (signaling.Event, error) { return e.next() }
 
 // parseEventRow decodes one CSV row of the event feed; its errors name
 // the offending column and value.
@@ -656,16 +546,4 @@ func parseBool(s string) (bool, error) {
 	default:
 		return false, fmt.Errorf("want 0/1, got %q", s)
 	}
-}
-
-func equalRow(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -53,7 +53,7 @@ func TestTraceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := NewTraceReader(&buf)
+	r, err := NewTraceReaderOpts(&buf, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestKPIRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := NewKPIReader(&buf)
+	r, err := NewKPIReaderOpts(&buf, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestEventRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := NewEventReader(&buf)
+	r, err := NewEventReaderOpts(&buf, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,16 +176,16 @@ func TestEventRoundTrip(t *testing.T) {
 }
 
 func TestBadHeaders(t *testing.T) {
-	if _, err := NewTraceReader(strings.NewReader("a,b,c\n")); err == nil {
+	if _, err := NewTraceReaderOpts(strings.NewReader("a,b,c\n"), Options{}); err == nil {
 		t.Error("bad trace header accepted")
 	}
-	if _, err := NewKPIReader(strings.NewReader("x\n")); err == nil {
+	if _, err := NewKPIReaderOpts(strings.NewReader("x\n"), Options{}); err == nil {
 		t.Error("bad KPI header accepted")
 	}
-	if _, err := NewEventReader(strings.NewReader("nope,nope\n")); err == nil {
+	if _, err := NewEventReaderOpts(strings.NewReader("nope,nope\n"), Options{}); err == nil {
 		t.Error("bad event header accepted")
 	}
-	if _, err := NewTraceReader(strings.NewReader("")); err == nil {
+	if _, err := NewTraceReaderOpts(strings.NewReader(""), Options{}); err == nil {
 		t.Error("empty trace feed accepted")
 	}
 }
@@ -200,7 +200,7 @@ func TestMalformedRows(t *testing.T) {
 		"500,2,3,1,100,1",   // day past the window
 		"-3,2,3,1,100,1",    // negative day
 	} {
-		r, err := NewTraceReader(strings.NewReader("day,user,tower,bin,seconds,at_residence\n" + row + "\n"))
+		r, err := NewTraceReaderOpts(strings.NewReader("day,user,tower,bin,seconds,at_residence\n"+row+"\n"), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +211,7 @@ func TestMalformedRows(t *testing.T) {
 
 	for _, day := range []string{"notanumber", "500", "-3"} {
 		kpi := strings.Join(kpiHeader, ",") + "\n" + day + strings.Repeat(",0", len(kpiHeader)-1) + "\n"
-		kr, err := NewKPIReader(strings.NewReader(kpi))
+		kr, err := NewKPIReaderOpts(strings.NewReader(kpi), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +225,7 @@ func TestMalformedRows(t *testing.T) {
 		"500,2,3,0,4,0,2,1,234,10,1", // day past the window
 		"-3,2,3,0,4,0,2,1,234,10,1",  // negative day
 	} {
-		er, _ := NewEventReader(strings.NewReader(strings.Join(eventHeader, ",") + "\n" + row + "\n"))
+		er, _ := NewEventReaderOpts(strings.NewReader(strings.Join(eventHeader, ",")+"\n"+row+"\n"), Options{})
 		if _, err := er.Read(); err == nil || err == io.EOF {
 			t.Errorf("event row %q: got %v, want a row error", row, err)
 		}
@@ -250,7 +250,7 @@ func TestEmptyFeeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	w2.Flush()
-	r, err := NewTraceReader(&buf2)
+	r, err := NewTraceReaderOpts(&buf2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 )
 
@@ -89,7 +90,7 @@ func ReadMeta(dir string) (m Meta, ok bool, err error) {
 	if err != nil {
 		return Meta{}, false, fmt.Errorf("feeds: reading meta header: %w", err)
 	}
-	if len(hdr) < 2 || len(hdr) > len(metaHeader) || !equalRow(hdr, metaHeader[:len(hdr)]) {
+	if len(hdr) < 2 || len(hdr) > len(metaHeader) || !slices.Equal(hdr, metaHeader[:len(hdr)]) {
 		return Meta{}, false, ErrBadHeader
 	}
 	rec, err := r.Read()

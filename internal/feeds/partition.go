@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"path/filepath"
 
-	"repro/internal/feeds/colfmt"
 	"repro/internal/mobsim"
 	"repro/internal/traffic"
 )
@@ -35,8 +33,9 @@ func ShardDirName(s int) string { return fmt.Sprintf("shard-%02d", s) }
 //   - feed_meta.csv — the source provenance plus the partition columns
 //     (part, parts, user_lo, user_hi).
 //
-// The returned metas describe the shards in shard order. opt applies to
-// the input readers.
+// Every shard is written through DirWriter in FormatCol, with its user
+// range stamped into the traces.col header. The returned metas
+// describe the shards in shard order. opt applies to the input readers.
 func PartitionDir(in, out string, parts int, opt Options) ([]Meta, error) {
 	if parts < 1 {
 		return nil, fmt.Errorf("feeds: cannot partition into %d parts", parts)
@@ -94,15 +93,6 @@ func PartitionDir(in, out string, parts int, opt Options) ([]Meta, error) {
 	if err != nil {
 		return nil, err
 	}
-	metas := make([]Meta, parts)
-	for s := 0; s < parts; s++ {
-		m := srcMeta
-		m.Format, m.FormatVersion = FormatCol, colfmt.Version
-		m.Part, m.Parts = s, parts
-		m.UserLo = lo + uint32(ceil(uint64(s)*span))
-		m.UserHi = lo + uint32(ceil(uint64(s+1)*span)) - 1
-		metas[s] = m
-	}
 
 	// Pass 2: route every record to its shard.
 	src, err = OpenDirOpts(in, opt)
@@ -111,61 +101,29 @@ func PartitionDir(in, out string, parts int, opt Options) ([]Meta, error) {
 	}
 	defer src.Close()
 
-	type shardOut struct {
-		files  []*os.File
-		traces *colfmt.TraceWriter
-		kpi    *colfmt.KPIWriter
-		events *EventWriter
-	}
-	outs := make([]*shardOut, parts)
-	var fail error
-	closeAll := func() {
-		for _, o := range outs {
-			if o == nil {
-				continue
-			}
-			for _, f := range o.files {
-				f.Close()
+	metas := make([]Meta, parts)
+	ws := make([]*DirWriter, parts)
+	events := make([]*EventWriter, parts)
+	defer func() { // error paths; the success path checks Close below
+		for _, w := range ws {
+			if w != nil {
+				w.Close()
 			}
 		}
-	}
-	create := func(dir, name string) *os.File {
-		if fail != nil {
-			return nil
-		}
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			fail = err
-		}
-		return f
-	}
-	for s := 0; s < parts; s++ {
-		dir := filepath.Join(out, ShardDirName(s))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			closeAll()
+	}()
+	for s := range ws {
+		m := srcMeta
+		m.Part, m.Parts = s, parts
+		m.UserLo = lo + uint32(ceil(uint64(s)*span))
+		m.UserHi = lo + uint32(ceil(uint64(s+1)*span)) - 1
+		if ws[s], err = createDir(filepath.Join(out, ShardDirName(s)), FormatCol, src.kpi != nil, m.UserLo, m.UserHi); err != nil {
 			return nil, err
 		}
-		o := &shardOut{}
-		if tf := create(dir, TraceColFeedName); tf != nil {
-			o.files = append(o.files, tf)
-			o.traces = colfmt.NewTraceWriterRange(tf, metas[s].UserLo, metas[s].UserHi)
-		}
-		if src.kpi != nil {
-			if kf := create(dir, KPIColFeedName); kf != nil {
-				o.files = append(o.files, kf)
-				o.kpi = colfmt.NewKPIWriter(kf)
-			}
-		}
+		metas[s] = ws[s].stamp(m)
 		if src.events != nil {
-			if ef := create(dir, EventFeedName); ef != nil {
-				o.files = append(o.files, ef)
-				o.events = NewEventWriter(ef)
+			if events[s], err = ws[s].Events(); err != nil {
+				return nil, err
 			}
-		}
-		outs[s] = o
-		if fail != nil {
-			closeAll()
-			return nil, fail
 		}
 	}
 
@@ -177,7 +135,6 @@ func PartitionDir(in, out string, parts int, opt Options) ([]Meta, error) {
 			break
 		}
 		if err != nil {
-			closeAll()
 			return nil, err
 		}
 		for s := range traceBuckets {
@@ -192,60 +149,31 @@ func PartitionDir(in, out string, parts int, opt Options) ([]Meta, error) {
 			s := int(uint64(b.Cells[i].Cell) % uint64(parts))
 			cellBuckets[s] = append(cellBuckets[s], b.Cells[i])
 		}
-		for s, o := range outs {
+		for i := range b.Events {
+			events[shardOf(uint32(b.Events[i].User))].Consume(b.Events[i])
+		}
+		for s, w := range ws {
 			// Trace day blocks are written unconditionally (even empty) to
 			// keep every shard's day cursor aligned.
-			if err := o.traces.WriteDay(b.Day, traceBuckets[s]); err != nil {
-				fail = err
+			if err := w.WriteTraces(b.Day, traceBuckets[s]); err != nil {
+				return nil, err
 			}
-			if o.kpi != nil && len(cellBuckets[s]) > 0 {
-				if err := o.kpi.WriteDay(b.Day, cellBuckets[s]); err != nil {
-					fail = err
-				}
-			}
-			if o.events != nil {
-				for i := range b.Events {
-					if shardOf(uint32(b.Events[i].User)) == s {
-						o.events.Consume(b.Events[i])
-					}
+			if len(cellBuckets[s]) > 0 {
+				if err := w.WriteKPI(b.Day, cellBuckets[s]); err != nil {
+					return nil, err
 				}
 			}
 		}
 		b.Release()
-		if fail != nil {
-			closeAll()
-			return nil, fail
-		}
 	}
 
-	for s, o := range outs {
-		if err := o.traces.Flush(); err != nil && fail == nil {
-			fail = err
+	for s, w := range ws {
+		if err := w.Close(); err != nil {
+			return nil, err
 		}
-		if o.kpi != nil {
-			if err := o.kpi.Flush(); err != nil && fail == nil {
-				fail = err
-			}
+		if err := w.WriteMeta(metas[s]); err != nil {
+			return nil, err
 		}
-		if o.events != nil {
-			o.events.ensureHeader()
-			if err := o.events.Flush(); err != nil && fail == nil {
-				fail = err
-			}
-		}
-		for _, f := range o.files {
-			if err := f.Close(); err != nil && fail == nil {
-				fail = err
-			}
-		}
-		if fail == nil {
-			if err := WriteMeta(filepath.Join(out, ShardDirName(s)), metas[s]); err != nil {
-				fail = err
-			}
-		}
-	}
-	if fail != nil {
-		return nil, fail
 	}
 	return metas, nil
 }

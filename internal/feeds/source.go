@@ -50,12 +50,6 @@ type KPIDayReader interface {
 	Skipped() int64
 }
 
-// colOptions translates reader options for the columnar decoders; the
-// OnSkip hook is shared, with the block byte offset in the line slot.
-func colOptions(o Options) colfmt.Options {
-	return colfmt.Options{Name: o.Name, Lenient: o.Lenient, OnSkip: o.OnSkip}
-}
-
 // feedPoolSize bounds the recycled per-day backing stores a FeedSource
 // keeps. It covers the deepest pipeline the package is used with (a
 // stream.Prefetch window plus the day in the engine); when consumers
@@ -96,14 +90,6 @@ type FeedSource struct {
 	closers []io.Closer
 }
 
-// NewFeedSource combines open day readers (CSV or columnar) into a
-// source; kpi and events may be nil.
-func NewFeedSource(traces TraceDayReader, kpi KPIDayReader, events *EventReader) *FeedSource {
-	return &FeedSource{traces: traces, kpi: kpi, events: events,
-		pool:          stream.NewBufferPool(feedPoolSize),
-		pendingKPIDay: -1, kpiDone: kpi == nil, eventsDone: events == nil}
-}
-
 // WithFault arms the source with a fault injector (nil: disabled) and
 // returns the receiver. Next fires the fault.FeedRead site keyed by the
 // 0-based index of the day being read.
@@ -126,98 +112,66 @@ func OpenDir(dir string) (*FeedSource, error) {
 // file:line (CSV) or file:offset (columnar) context. Close the source
 // when done.
 func OpenDirOpts(dir string, opt Options) (*FeedSource, error) {
-	tr, tc, err := openTraceFeed(dir, opt)
-	if err != nil {
-		return nil, err
+	s := &FeedSource{pool: stream.NewBufferPool(feedPoolSize), pendingKPIDay: -1}
+	var err error
+	s.traces, err = openFeed(s, dir, opt, newTraceDayReader, TraceColFeedName, TraceFeedName)
+	if err == nil && s.traces == nil {
+		err = fmt.Errorf("feeds: opening trace feed: no %s or %s in %s", TraceColFeedName, TraceFeedName, dir)
 	}
-	s := NewFeedSource(tr, nil, nil)
-	s.closers = append(s.closers, tc)
-
-	kr, kc, err := openKPIFeed(dir, opt)
+	if err == nil {
+		s.kpi, err = openFeed(s, dir, opt, newKPIDayReader, KPIColFeedName, KPIFeedName)
+	}
+	if err == nil {
+		s.events, err = openFeed(s, dir, opt, NewEventReaderOpts, EventFeedName)
+	}
 	if err != nil {
 		s.Close()
 		return nil, err
 	}
-	if kr != nil {
-		s.kpi, s.kpiDone = kr, false
-		s.closers = append(s.closers, kc)
-	}
-	if ef, err := os.Open(filepath.Join(dir, EventFeedName)); err == nil {
-		o := opt
-		o.Name = filepath.Join(dir, EventFeedName)
-		er, err := NewEventReaderOpts(ef, o)
-		if err != nil {
-			s.Close()
-			ef.Close()
-			return nil, err
-		}
-		s.events, s.eventsDone = er, false
-		s.closers = append(s.closers, ef)
-	}
+	s.kpiDone, s.eventsDone = s.kpi == nil, s.events == nil
 	return s, nil
 }
 
-// sniffCol reports whether the file opens with the columnar magic and
+// openFeed opens the first of names that dir holds, adds the file to
+// s's closers, and decodes it with newR under opt, Name set to the
+// file's path. A feed none of whose names opens is absent: the zero R
+// and no error.
+func openFeed[R any](s *FeedSource, dir string, opt Options, newR func(io.Reader, Options) (R, error), names ...string) (R, error) {
+	for _, name := range names {
+		opt.Name = filepath.Join(dir, name)
+		if f, err := os.Open(opt.Name); err == nil {
+			s.closers = append(s.closers, f)
+			return newR(f, opt)
+		}
+	}
+	var absent R
+	return absent, nil
+}
+
+// newTraceDayReader and newKPIDayReader pick the columnar or the CSV
+// decoder by the feed's leading bytes.
+func newTraceDayReader(r io.Reader, opt Options) (TraceDayReader, error) {
+	r, col := sniffCol(r)
+	if col {
+		return colfmt.NewTraceReaderOpts(r, opt)
+	}
+	return NewTraceReaderOpts(r, opt)
+}
+
+func newKPIDayReader(r io.Reader, opt Options) (KPIDayReader, error) {
+	r, col := sniffCol(r)
+	if col {
+		return colfmt.NewKPIReaderOpts(r, opt)
+	}
+	return NewKPIReaderOpts(r, opt)
+}
+
+// sniffCol reports whether the feed opens with the columnar magic and
 // returns a reader that replays the sniffed bytes before the rest.
-func sniffCol(f *os.File) (io.Reader, bool) {
+func sniffCol(r io.Reader) (io.Reader, bool) {
 	head := make([]byte, len(colfmt.Magic))
-	n, _ := io.ReadFull(f, head)
-	r := io.MultiReader(bytes.NewReader(head[:n]), f)
-	return r, n == len(colfmt.Magic) && string(head) == colfmt.Magic
-}
-
-// openTraceFeed opens the directory's trace feed, preferring the
-// columnar file name but deciding the decoder by content.
-func openTraceFeed(dir string, opt Options) (TraceDayReader, io.Closer, error) {
-	var lastErr error
-	for _, name := range []string{TraceColFeedName, TraceFeedName} {
-		f, err := os.Open(filepath.Join(dir, name))
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		o := opt
-		o.Name = filepath.Join(dir, name)
-		r, isCol := sniffCol(f)
-		var tr TraceDayReader
-		if isCol {
-			tr, err = colfmt.NewTraceReaderOpts(r, colOptions(o))
-		} else {
-			tr, err = NewTraceReaderOpts(r, o)
-		}
-		if err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		return tr, f, nil
-	}
-	return nil, nil, fmt.Errorf("feeds: opening trace feed: %w", lastErr)
-}
-
-// openKPIFeed opens the directory's KPI feed if one exists (nil reader
-// when absent), deciding the decoder by content like openTraceFeed.
-func openKPIFeed(dir string, opt Options) (KPIDayReader, io.Closer, error) {
-	for _, name := range []string{KPIColFeedName, KPIFeedName} {
-		f, err := os.Open(filepath.Join(dir, name))
-		if err != nil {
-			continue
-		}
-		o := opt
-		o.Name = filepath.Join(dir, name)
-		r, isCol := sniffCol(f)
-		var kr KPIDayReader
-		if isCol {
-			kr, err = colfmt.NewKPIReaderOpts(r, colOptions(o))
-		} else {
-			kr, err = NewKPIReaderOpts(r, o)
-		}
-		if err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		return kr, f, nil
-	}
-	return nil, nil, nil
+	n, _ := io.ReadFull(r, head)
+	return io.MultiReader(bytes.NewReader(head[:n]), r), n == len(colfmt.Magic) && string(head) == colfmt.Magic
 }
 
 // Close releases the underlying files.

@@ -66,7 +66,7 @@ func TestStrictTruncatedFile(t *testing.T) {
 		"0,2,3,1,100,1\n" +
 		"1,2,3,1,100,1\n" +
 		"1,2,3,1" // cut mid-row, no trailing newline
-	r, err := NewTraceReader(strings.NewReader(feed))
+	r, err := NewTraceReaderOpts(strings.NewReader(feed), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,17 +25,6 @@ type Source struct {
 // New returns a stream seeded with seed.
 func New(seed uint64) *Source { return &Source{state: seed} }
 
-// State exposes the stream's position for checkpointing. A Source is
-// fully determined by this one word: FromState(s.State()) continues the
-// exact sequence s would produce.
-func (s *Source) State() uint64 { return s.state }
-
-// FromState reconstructs the stream a State() call captured, as a value
-// (take its address for the sampler methods). Round-tripping through
-// State/FromState is exact — the restored stream's future draws are
-// bit-identical to the original's.
-func FromState(state uint64) Source { return Source{state: state} }
-
 // golden gamma constant of SplitMix64.
 const gamma = 0x9E3779B97F4A7C15
 

@@ -14,12 +14,12 @@ import (
 	"repro/internal/timegrid"
 )
 
-// divergenceSpec adapts randomSpec for DivergenceDay properties: each
+// divergenceSpec adapts randomSpec for the divergence property: each
 // present curve's first anchor is pinned to the baseline value 1.0, so
 // the curve departs from baseline at a known interior day. (Raw
 // randomCurve values are never exactly 1, and a curve clamping to a
-// non-baseline value before its first anchor diverges at day 0 — every
-// property below would degenerate.)
+// non-baseline value before its first anchor diverges at day 0 — the
+// property below would compare no day.)
 func divergenceSpec(rnd *rand.Rand) Spec {
 	sp := randomSpec(rnd)
 	for _, c := range specCurves(sp) {
@@ -33,53 +33,6 @@ func divergenceSpec(rnd *rand.Rand) Spec {
 // specCurves lists the five factor curves of a spec.
 func specCurves(sp Spec) []Curve {
 	return []Curve{sp.Activity, sp.Voice, sp.Data, sp.HomeCellular, sp.Throttle}
-}
-
-// expectedDivergence recomputes DivergenceDay from first principles for
-// a divergenceSpec-shaped spec: the curve component is the day of each
-// curve's leading baseline anchor (the last day it is still pinned at
-// 1.0), capped by the calendar-pinned components.
-func expectedDivergence(sp Spec, curveShift float64) float64 {
-	div := pandemic.NullDivergenceDay()
-	if sp.Relocation {
-		div = math.Min(div, pandemic.RelocationDivergenceDay())
-	}
-	if len(sp.RelaxBonus) > 0 {
-		div = math.Min(div, pandemic.RelaxDivergenceDay())
-	}
-	for _, c := range specCurves(sp) {
-		if len(c) > 0 {
-			div = math.Min(div, c[0].Day+curveShift)
-		}
-	}
-	return div
-}
-
-// TestDivergenceDayShiftProperty asserts, over randomized specs, that
-// DivergenceDay matches the first-principles expectation and that
-// Shifted(sp, delta) moves the curve component of the divergence by
-// exactly delta — while the calendar-pinned caps stay put (Shifted's
-// documented contract: the spec's own timeline moves, the calendar does
-// not). Anchor days and deltas live on the quarter-day grid, so the
-// expected shifted day is one exact float addition and the comparison
-// is bitwise.
-func TestDivergenceDayShiftProperty(t *testing.T) {
-	rnd := rand.New(rand.NewSource(20260807))
-	for iter := 0; iter < 300; iter++ {
-		sp := divergenceSpec(rnd)
-		if got, want := sp.DivergenceDay(), expectedDivergence(sp, 0); got != want {
-			t.Fatalf("iter %d: DivergenceDay() = %v, want %v (spec %+v)", iter, got, want, sp)
-		}
-		delta := (0.25 + rnd.Float64()*(maxShift-0.25)) * float64(1-2*rnd.Intn(2))
-		delta = math.Round(delta*4) / 4
-		shifted := Shifted(sp, delta)
-		if got, want := shifted.DivergenceDay(), expectedDivergence(sp, delta); got != want {
-			t.Fatalf("iter %d: DivergenceDay(Shifted(sp, %v)) = %v, want %v", iter, delta, got, want)
-		}
-	}
-	if (Spec{Null: true}).DivergenceDay() != math.Inf(1) {
-		t.Fatal("null spec must never diverge from itself (want +Inf)")
-	}
 }
 
 // The shared fixture of the simulation property test: a small world and
@@ -136,23 +89,26 @@ func sameTraces(a, b []mobsim.DayTrace) bool {
 }
 
 // TestDivergenceDayPrefixBitIdentical is the conservative-contract
-// gate over randomized specs: for every study day strictly below
-// DivergenceDay(), the compiled scenario must be indistinguishable from
-// the no-pandemic baseline — mobility traces bit-identical (covering
-// the regional-activity, weekend-trip, exodus and relocation consults)
-// and every per-day factor the traffic engine samples bitwise equal.
+// gate over randomized specs: for every study day strictly below the
+// scenario's DivergenceFrom the no-pandemic baseline — the day a
+// prefix-sharing sweep forks on — the compiled scenario must be
+// indistinguishable from that baseline: mobility traces bit-identical
+// (covering the regional-activity, weekend-trip, exodus and relocation
+// consults) and every per-day factor the traffic engine samples bitwise
+// equal.
 func TestDivergenceDayPrefixBitIdentical(t *testing.T) {
 	pop, null := divFixture(t)
 	nullScen := pandemic.NoPandemic()
 	rnd := rand.New(rand.NewSource(20260807))
 	buf := mobsim.NewDayBuffer()
+	compared := 0
 	for iter := 0; iter < 300; iter++ {
 		sp := divergenceSpec(rnd)
 		scen, err := sp.Scenario()
 		if err != nil {
 			t.Fatalf("iter %d: compiling random spec: %v", iter, err)
 		}
-		div := sp.DivergenceDay()
+		div := scen.DivergenceFrom(nullScen)
 		sim := mobsim.New(pop, scen, 9)
 		for d := 0; float64(d) < div && d < len(null); d++ {
 			sd := timegrid.StudyDay(d)
@@ -161,12 +117,16 @@ func TestDivergenceDayPrefixBitIdentical(t *testing.T) {
 				scen.DataFactor(sd) != nullScen.DataFactor(sd) ||
 				scen.HomeCellularFactor(sd) != nullScen.HomeCellularFactor(sd) ||
 				scen.ThrottleFactor(sd) != nullScen.ThrottleFactor(sd) {
-				t.Fatalf("iter %d: a traffic factor differs from null on day %d, before DivergenceDay %v", iter, d, div)
+				t.Fatalf("iter %d: a traffic factor differs from null on day %d, before divergence day %v", iter, d, div)
 			}
 			if !sameTraces(sim.DayInto(buf, sd.ToSimDay()), null[d]) {
-				t.Fatalf("iter %d: mobility traces differ from null on day %d, before DivergenceDay %v", iter, d, div)
+				t.Fatalf("iter %d: mobility traces differ from null on day %d, before divergence day %v", iter, d, div)
 			}
+			compared++
 		}
+	}
+	if compared == 0 {
+		t.Fatal("no spec shared a day with the null baseline; the property compared nothing")
 	}
 }
 
