@@ -1,0 +1,61 @@
+package experiments
+
+import (
+	"context"
+	"testing"
+	"time"
+
+	"repro/internal/mobsim"
+	"repro/internal/obs"
+	"repro/internal/stream"
+	"repro/internal/timegrid"
+)
+
+// holdFirstDay keeps the engine on the first day until the source's pool
+// has missed window times, then a while longer, so producers that could
+// run past the backpressure window have every chance to.
+type holdFirstDay struct {
+	misses *obs.Counter
+	window int64
+	held   bool
+}
+
+func (h *holdFirstDay) ConsumeDay(timegrid.SimDay, []mobsim.DayTrace) {
+	if h.held {
+		return
+	}
+	h.held = true
+	deadline := time.Now().Add(10 * time.Second)
+	for h.misses.Value() < h.window && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond)
+}
+
+// TestSimSourceWindowBoundsStores pins the backpressure window at
+// Workers: 2: a SimSource never has more day stores live than
+// Workers+Buffer, counting the batch the engine still holds, so its pool
+// misses exactly once per store of the window and every later draw is a
+// hit. Repeated, because an overrun depends on scheduling; run it under
+// -race.
+func TestSimSourceWindowBoundsStores(t *testing.T) {
+	d := NewDataset(streamingTestConfig())
+	for run := 0; run < 20; run++ {
+		reg := obs.New()
+		scfg := stream.Config{Workers: 2, Metrics: reg}.WithDefaults()
+		window := int64(scfg.Workers + scfg.Buffer)
+		e := stream.NewEngine(scfg)
+		e.AddTraceConsumer(&holdFirstDay{misses: reg.Counter("stream.pool.misses"), window: window})
+		src := stream.NewSimSource(context.Background(), d.Sim, nil, 0, timegrid.FebruaryDays, scfg)
+		if err := e.Run(context.Background(), src); err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		s := reg.Snapshot()
+		if got := s.Counters["stream.pool.misses"]; got != window {
+			t.Fatalf("run %d: stream.pool.misses = %d, want %d (Workers+Buffer)", run, got, window)
+		}
+		if got := s.Counters["stream.pool.hits"]; got != timegrid.FebruaryDays-window {
+			t.Fatalf("run %d: stream.pool.hits = %d, want %d", run, got, timegrid.FebruaryDays-window)
+		}
+	}
+}

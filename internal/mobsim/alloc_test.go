@@ -37,27 +37,34 @@ func TestDayIntoSteadyStateAllocs(t *testing.T) {
 }
 
 // TestDayIntoMatchesDay asserts a warm, reused buffer yields traces
-// bit-identical to a fresh buffer's, day after day.
+// bit-identical to a fresh buffer's, day after day — at 2,500 users, where
+// a day fits in one arena block, and at 8k, where it spans several and
+// the warm buffer last held another day's block layout.
 func TestDayIntoMatchesDay(t *testing.T) {
-	s := fixture(t)
-	buf := NewDayBuffer()
-	for _, day := range allocDays {
-		fresh := s.DayInto(NewDayBuffer(), day)
-		reused := s.DayInto(buf, day)
-		if len(fresh) != len(reused) {
-			t.Fatalf("day %d: %d vs %d traces", day, len(fresh), len(reused))
-		}
-		for i := range fresh {
-			if fresh[i].User != reused[i].User {
-				t.Fatalf("day %d trace %d: user %d vs %d", day, i, fresh[i].User, reused[i].User)
+	for _, s := range []*Simulator{fixture(t), fixture8k(t)} {
+		buf := NewDayBuffer()
+		for _, day := range allocDays {
+			freshBuf := NewDayBuffer()
+			fresh := s.DayInto(freshBuf, day)
+			reused := s.DayInto(buf, day)
+			if s == fix8kSim && freshBuf.next < 3 {
+				t.Fatalf("8k day %d fills %d blocks, want a multi-block day", day, freshBuf.next)
 			}
-			if len(fresh[i].Visits) != len(reused[i].Visits) {
-				t.Fatalf("day %d user %d: %d vs %d visits", day, fresh[i].User, len(fresh[i].Visits), len(reused[i].Visits))
+			if len(fresh) != len(reused) {
+				t.Fatalf("day %d: %d vs %d traces", day, len(fresh), len(reused))
 			}
-			for j := range fresh[i].Visits {
-				if fresh[i].Visits[j] != reused[i].Visits[j] {
-					t.Fatalf("day %d user %d visit %d: %+v vs %+v",
-						day, fresh[i].User, j, fresh[i].Visits[j], reused[i].Visits[j])
+			for i := range fresh {
+				if fresh[i].User != reused[i].User {
+					t.Fatalf("day %d trace %d: user %d vs %d", day, i, fresh[i].User, reused[i].User)
+				}
+				if len(fresh[i].Visits) != len(reused[i].Visits) {
+					t.Fatalf("day %d user %d: %d vs %d visits", day, fresh[i].User, len(fresh[i].Visits), len(reused[i].Visits))
+				}
+				for j := range fresh[i].Visits {
+					if fresh[i].Visits[j] != reused[i].Visits[j] {
+						t.Fatalf("day %d user %d visit %d: %+v vs %+v",
+							day, fresh[i].User, j, fresh[i].Visits[j], reused[i].Visits[j])
+					}
 				}
 			}
 		}

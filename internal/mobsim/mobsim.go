@@ -97,7 +97,12 @@ func (s *Simulator) Scenario() *pandemic.Scenario { return s.scen }
 // use distinct buffers.
 func (s *Simulator) DayInto(buf *DayBuffer, day timegrid.SimDay) []DayTrace {
 	buf.Reset(day)
-	for _, id := range s.pop.Native() {
+	native := s.pop.Native()
+	// One trace per native agent: the index is sized exactly, once.
+	if cap(buf.traces) < len(native) {
+		buf.traces = make([]DayTrace, 0, len(native))
+	}
+	for _, id := range native {
 		s.buildUserDay(&buf.b, id, day)
 		buf.b.flushTo(buf, id)
 	}
@@ -263,11 +268,13 @@ func (b *dayBuilder) visitCount() int {
 }
 
 // flushTo flattens the staged bins into the buffer's arena as one trace,
-// in bin order — exactly the order finish() used to emit.
+// in bin order — exactly the order finish() used to emit. Room for the
+// whole trace is reserved once, so the bin appends never grow a slice.
 func (b *dayBuilder) flushTo(buf *DayBuffer, id popsim.UserID) {
 	buf.BeginUser(id)
+	buf.reserve(b.visitCount())
 	for bin := b.firstBin(); bin < timegrid.BinsPerDay; bin++ {
-		buf.visits = append(buf.visits, b.bins[bin]...)
+		buf.open = append(buf.open, b.bins[bin]...)
 	}
 }
 

@@ -28,8 +28,9 @@
 //     experiments.RunStandardOn over the same dataset.
 //
 // Backpressure is bounded channels end to end: a SimSource keeps at most
-// Workers+Buffer days in flight, and the engine finishes every shard of
-// day d before merging it and pulling day d+1.
+// Workers+Buffer days in flight, counting the day the engine is on, and
+// the engine finishes every shard of day d before merging it, releasing
+// its batch and pulling day d+1.
 //
 // Engines and sources are one-run objects, but cheap ones: everything
 // expensive (the census, topology and population behind a SimSource's

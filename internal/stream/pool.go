@@ -69,7 +69,9 @@ func (p *BufferPool) Rejected() int64 { return p.rejected.Load() }
 // producer that drew it fills Buf and may grow Cells and Events in
 // place (keep the grown slices in the fields so the next checkout
 // reuses their capacity); the store returns to its pool when the batch
-// from Batch is released.
+// from Batch is released. A fresh store's Buf adds arena blocks as its
+// first day fills it, allocating about what the day holds, and keeps
+// them for every later checkout.
 type DayStore struct {
 	Buf    *mobsim.DayBuffer
 	Cells  []traffic.CellDay

@@ -88,13 +88,18 @@ var errStopped = errors.New("stream: source stopped")
 // so the source computes days ahead on a worker pool and re-sequences
 // them: Next always returns days in order.
 //
-// Backpressure: at most workers+buffer days are claimed but not yet
-// returned by Next, so memory stays bounded no matter how far the
-// consumer falls behind.
+// Backpressure: at most workers+buffer days hold a day store at once —
+// in production, waiting for their predecessors, or the day Next last
+// returned, which keeps its slot until the consumer asks for the next
+// day — so memory stays bounded no matter how far the consumer falls
+// behind. A consumer that releases each batch before calling Next again
+// (the stream engine does) therefore never makes the pool allocate past
+// the window: stream.pool.misses reads workers+buffer for a whole run.
 //
 // Buffer recycling: each batch is produced into a pooled backing store
 // (a mobsim.DayBuffer plus a CellDay slice) drawn from a bounded free
-// list. A consumer that calls DayBatch.Release when done (the stream
+// list, so each store of the window grows its arena once, on its first
+// day. A consumer that calls DayBatch.Release when done (the stream
 // engine does, after each day's merge stage) keeps the whole run at
 // O(workers+buffer) live day buffers; a consumer that never releases
 // merely falls back to one allocation set per day, as before.
@@ -232,10 +237,15 @@ func (s *SimSource) run(ctx context.Context, sim *mobsim.Simulator, eng *traffic
 	total := int(limit - first)
 	window := cfg.Workers + cfg.Buffer
 
-	// sem bounds the days in flight; a token is taken before a day is
-	// claimed and released when the sequencer hands the day out. Days
-	// are claimed in ascending order, so the lowest unemitted day is
-	// always already being computed — the window cannot deadlock.
+	// sem bounds the days whose stores are live; a token is taken before
+	// a day is claimed. An emitted day keeps its token until the consumer
+	// takes the next day — the engine releases a batch before it calls
+	// Next — so a producer never draws a store while the consumer still
+	// holds one the window counted, and the pool never misses past the
+	// window. Days are claimed in ascending order and the window is at
+	// least 2, so the lowest unemitted day is always already being
+	// computed — the window cannot deadlock, even for a consumer that
+	// never releases.
 	sem := make(chan struct{}, window)
 	results := make(chan DayBatch)
 	var next int64 = int64(first)
@@ -378,7 +388,9 @@ func (s *SimSource) run(ctx context.Context, sim *mobsim.Simulator, eng *traffic
 				releasePending()
 				return
 			}
-			<-sem
+			if emit > first {
+				<-sem // the consumer took this day, so it is done with the last
+			}
 			emit++
 		}
 	}
@@ -456,24 +468,4 @@ func (p *prefetchSource) Stop() {
 			b.Release()
 		}
 	})
-}
-
-// sliceSource replays pre-built batches; used by tests and by feed
-// adapters that already hold a window in memory.
-type sliceSource struct {
-	batches []DayBatch
-	i       int
-}
-
-// NewSliceSource returns a Source over in-memory batches, in the order
-// given.
-func NewSliceSource(batches []DayBatch) Source { return &sliceSource{batches: batches} }
-
-func (s *sliceSource) Next() (DayBatch, error) {
-	if s.i >= len(s.batches) {
-		return DayBatch{}, io.EOF
-	}
-	b := s.batches[s.i]
-	s.i++
-	return b, nil
 }
