@@ -177,24 +177,18 @@ func ablateTopN(w *experiments.World) {
 	}
 }
 
-// ablateNights runs one February pass into a detector per threshold.
+// ablateNights runs one February pass into a single detector and
+// detects once per threshold: MinNights only filters at Detect time.
 func ablateNights(w *experiments.World) {
 	d := mobilityStack(w)
-	thresholds := []int{7, 14, 21, 28}
-	dets := make([]*core.HomeDetector, len(thresholds))
-	for i, nights := range thresholds {
-		dets[i] = core.NewHomeDetector(d.Topology)
-		dets[i].MinNights = nights
-	}
+	hd := core.NewHomeDetector(d.Topology)
 	buf := mobsim.NewDayBuffer()
 	for day := timegrid.SimDay(0); day < timegrid.FebruaryDays; day++ {
-		traces := d.Sim.DayInto(buf, day)
-		for _, hd := range dets {
-			hd.ConsumeDay(day, traces)
-		}
+		hd.ConsumeDay(day, d.Sim.DayInto(buf, day))
 	}
 	scale := float64(len(d.Pop.Native())) / float64(d.Model.TotalPopulation())
-	for i, hd := range dets {
+	for _, nights := range []int{7, 14, 21, 28} {
+		hd.MinNights = nights
 		homes := hd.Detect()
 		v, err := core.ValidateAgainstCensus(homes, d.Model, scale)
 		if err != nil {
@@ -202,7 +196,7 @@ func ablateNights(w *experiments.World) {
 			continue
 		}
 		fmt.Printf("  min %2d nights: %5d homes (%.0f%% of users), census r² %.3f\n",
-			thresholds[i], len(homes), 100*float64(len(homes))/float64(len(d.Pop.Native())), v.Fit.R2)
+			nights, len(homes), 100*float64(len(homes))/float64(len(d.Pop.Native())), v.Fit.R2)
 	}
 }
 

@@ -60,8 +60,8 @@ func TestVisitMergerMatchesHelpers(t *testing.T) {
 
 // TestHomeDetectorSteadyStateAllocs checks the night-scratch reuse: a
 // detector that has already seen a night from every user consumes
-// further nights without per-call allocation (the per-user maps exist,
-// so folding a night touches only existing keys).
+// further nights without per-call allocation (every user's tallies
+// already sit in the arena, so folding a night only updates them).
 func TestHomeDetectorSteadyStateAllocs(t *testing.T) {
 	s := fixtureResults(t)
 	hd := NewHomeDetector(s.Dataset.Topology)

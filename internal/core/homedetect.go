@@ -9,28 +9,54 @@ import (
 	"repro/internal/timegrid"
 )
 
+// nightBlock is the size of one tally-arena block in entries (24 bytes
+// each, so 96 KiB). Blocks are allocated whole and never regrown, so a
+// cold detector allocates about what it holds.
+const nightBlock = 4 << 10
+
 // HomeDetector implements the §2.3 home-detection algorithm: a user's
 // home is the cell tower they connect to the longest during night-time
 // hours (midnight through 08:00), observed on at least MinNights
 // distinct nights during February 2020.
+//
+// Its state is one tally per (user, night tower) pair, kept in a block
+// arena: each user's tallies form a chain threaded through the arena by
+// index, and a single map holds the head of every user's chain. A new
+// tally is appended only for a tower the user has not slept under
+// before, so folding a night into known towers touches no allocator.
 type HomeDetector struct {
 	topo *radio.Topology
 	// MinNights is the minimum number of distinct nights the winning
-	// tower must be observed on (14 in the paper).
+	// tower must be observed on (14 in the paper). Only Detect reads it,
+	// so one fed detector can be detected at several thresholds.
 	MinNights int
 	// NightBins are the 4-hour bins counted as night (bins 0 and 1 cover
 	// 00:00–08:00).
 	NightBins []timegrid.Bin
 
-	// per user: night dwell seconds and distinct-night counts per tower.
-	nightSeconds map[popsim.UserID]map[radio.TowerID]float64
-	nightCount   map[popsim.UserID]map[radio.TowerID]int
+	// heads maps each user to the arena index of its newest tally.
+	heads map[popsim.UserID]int32
+	// blocks is the tally arena; entry i lives at
+	// blocks[i/nightBlock][i%nightBlock]. Blocks never move.
+	blocks []*[nightBlock]nightTower
+	// used is the number of arena entries handed out.
+	used int32
 
 	// night is one night's per-tower dwell, reused across ConsumeTrace
 	// calls so the hot path allocates nothing per user-day. A user sees
 	// at most a handful of towers overnight, so the linear scan wins
 	// over a map.
 	night []towerDwell
+}
+
+// nightTower is one user's February tally for one tower: the nights it
+// was seen on, the night dwell summed in day order, and the arena index
+// of the user's next tally (-1 ends the chain).
+type nightTower struct {
+	tower  radio.TowerID
+	nights int32
+	sec    float64
+	next   int32
 }
 
 // towerDwell is one (tower, dwell) pair of a single night.
@@ -42,11 +68,10 @@ type towerDwell struct {
 // NewHomeDetector returns a detector with the paper's parameters.
 func NewHomeDetector(topo *radio.Topology) *HomeDetector {
 	return &HomeDetector{
-		topo:         topo,
-		MinNights:    14,
-		NightBins:    []timegrid.Bin{0, 1},
-		nightSeconds: make(map[popsim.UserID]map[radio.TowerID]float64),
-		nightCount:   make(map[popsim.UserID]map[radio.TowerID]int),
+		topo:      topo,
+		MinNights: 14,
+		NightBins: []timegrid.Bin{0, 1},
+		heads:     make(map[popsim.UserID]int32),
 	}
 }
 
@@ -71,8 +96,8 @@ func (h *HomeDetector) ConsumeTrace(day timegrid.SimDay, t *mobsim.DayTrace) {
 		return
 	}
 	// Night dwell per tower for this night, accumulated in visit order
-	// (the same per-tower addition order as the former map, so the
-	// per-user sums stay bit-identical) in the reused scratch.
+	// in the reused scratch; each tally then adds the night's total, so
+	// every per-user sum keeps its day-order addition sequence.
 	night := h.night[:0]
 	for _, v := range t.Visits {
 		if !h.isNight(v.Bin()) {
@@ -95,17 +120,53 @@ func (h *HomeDetector) ConsumeTrace(day timegrid.SimDay, t *mobsim.DayTrace) {
 	if len(night) == 0 {
 		return
 	}
-	us, ok := h.nightSeconds[t.User]
+	head, ok := h.heads[t.User]
 	if !ok {
-		us = make(map[radio.TowerID]float64, 2)
-		h.nightSeconds[t.User] = us
-		h.nightCount[t.User] = make(map[radio.TowerID]int, 2)
+		head = -1
 	}
-	uc := h.nightCount[t.User]
+	first := head
 	for _, td := range night {
-		us[td.tower] += td.sec
-		uc[td.tower]++
+		e := h.find(head, td.tower)
+		if e == nil {
+			e, head = h.push(td.tower, head)
+		}
+		e.sec += td.sec
+		e.nights++
 	}
+	if head != first {
+		h.heads[t.User] = head
+	}
+}
+
+// at returns arena entry i.
+func (h *HomeDetector) at(i int32) *nightTower {
+	return &h.blocks[i/nightBlock][i%nightBlock]
+}
+
+// find walks the chain starting at head for tower's tally.
+func (h *HomeDetector) find(head int32, tower radio.TowerID) *nightTower {
+	for i := head; i >= 0; {
+		e := h.at(i)
+		if e.tower == tower {
+			return e
+		}
+		i = e.next
+	}
+	return nil
+}
+
+// push appends an empty tally for tower in front of the chain at next,
+// opening a fresh block when the last one is full, and returns it with
+// its index, the chain's new head.
+func (h *HomeDetector) push(tower radio.TowerID, next int32) (*nightTower, int32) {
+	i := h.used
+	if int(i/nightBlock) == len(h.blocks) {
+		h.blocks = append(h.blocks, new([nightBlock]nightTower))
+	}
+	h.used++
+	e := h.at(i)
+	*e = nightTower{tower: tower, next: next}
+	return e, i
 }
 
 func (h *HomeDetector) isNight(b timegrid.Bin) bool {
@@ -130,20 +191,23 @@ type Home struct {
 // seen on fewer than MinNights nights are dropped, mirroring the paper
 // (homes were determined for ~16M of ~22M users).
 func (h *HomeDetector) Detect() map[popsim.UserID]Home {
-	out := make(map[popsim.UserID]Home, len(h.nightSeconds))
-	for user, perTower := range h.nightSeconds {
-		var best radio.TowerID
-		bestSec := -1.0
-		for tw, s := range perTower {
-			if s > bestSec || (s == bestSec && tw < best) {
-				best, bestSec = tw, s
+	out := make(map[popsim.UserID]Home, len(h.heads))
+	for user, head := range h.heads {
+		// Most seconds wins, ties to the lower tower: the result does
+		// not depend on chain order.
+		var best *nightTower
+		for i := head; i >= 0; {
+			e := h.at(i)
+			if best == nil || e.sec > best.sec || (e.sec == best.sec && e.tower < best.tower) {
+				best = e
 			}
+			i = e.next
 		}
-		if bestSec < 0 || h.nightCount[user][best] < h.MinNights {
+		if int(best.nights) < h.MinNights {
 			continue
 		}
-		tw := h.topo.Tower(best)
-		out[user] = Home{User: user, Tower: best, District: tw.District, County: tw.County}
+		tw := h.topo.Tower(best.tower)
+		out[user] = Home{User: user, Tower: best.tower, District: tw.District, County: tw.County}
 	}
 	return out
 }

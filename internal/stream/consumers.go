@@ -178,11 +178,22 @@ func (h *Homes) ShardDay(shard int, day timegrid.SimDay, traces []mobsim.DayTrac
 // EndDay implements TraceSharder.
 func (h *Homes) EndDay(timegrid.SimDay) {}
 
-// Detect finalises detection across all shards.
+// Detect finalises detection across all shards. Shards hold disjoint
+// users, so the union is sized to the sum of the shard results; a single
+// shard's result is returned as is.
 func (h *Homes) Detect() map[popsim.UserID]core.Home {
-	out := make(map[popsim.UserID]core.Home)
-	for _, det := range h.dets {
-		for u, home := range det.Detect() {
+	parts := make([]map[popsim.UserID]core.Home, len(h.dets))
+	n := 0
+	for i, det := range h.dets {
+		parts[i] = det.Detect()
+		n += len(parts[i])
+	}
+	if len(parts) == 1 {
+		return parts[0]
+	}
+	out := make(map[popsim.UserID]core.Home, n)
+	for _, part := range parts {
+		for u, home := range part {
 			out[u] = home
 		}
 	}
