@@ -760,13 +760,14 @@ func BenchmarkGridNearest(b *testing.B) {
 	}
 }
 
-func BenchmarkServingTower(b *testing.B) {
+func BenchmarkReselectionNeighbor(b *testing.B) {
 	r := benchResults(b)
 	topo := r.Dataset.Topology
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tw := &topo.Towers[i%len(topo.Towers)]
-		topo.ServingTower(tw.Loc)
+		topo.ReselectionNeighbor(tw.Loc, tw.ID)
 	}
 }
 

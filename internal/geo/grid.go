@@ -4,7 +4,8 @@ import "math"
 
 // Grid is a uniform spatial hash over points, answering nearest-neighbor
 // and radius queries in (amortised) constant candidate counts. The radio
-// topology uses it for serving-cell selection over thousands of sites.
+// topology uses it for nearest-site lookups and, through Each, for the
+// allocation-free reselection scan over thousands of sites.
 type Grid struct {
 	cell   float64 // cell edge, km
 	origin Point
@@ -116,11 +117,13 @@ func (g *Grid) Nearest(p Point) (int, float64) {
 	return best, math.Sqrt(bestD2)
 }
 
-// Within appends to dst the indices of all points within radiusKm of p
-// and returns the extended slice.
-func (g *Grid) Within(dst []int32, p Point, radiusKm float64) []int32 {
+// Each calls fn with the index of every point within radiusKm of p,
+// bucket by bucket, so a caller that keeps only a running best scans
+// the neighbourhood without building a candidate slice. The visit order
+// is unspecified.
+func (g *Grid) Each(p Point, radiusKm float64, fn func(int32)) {
 	if len(g.pts) == 0 || radiusKm < 0 {
-		return dst
+		return
 	}
 	r2 := radiusKm * radiusKm
 	minCol := int((p.X - radiusKm - g.origin.X) / g.cell)
@@ -143,10 +146,9 @@ func (g *Grid) Within(dst []int32, p Point, radiusKm float64) []int32 {
 		for c := minCol; c <= maxCol; c++ {
 			for _, i := range g.buckets[r*g.cols+c] {
 				if g.pts[i].Dist2(p) <= r2 {
-					dst = append(dst, i)
+					fn(i)
 				}
 			}
 		}
 	}
-	return dst
 }

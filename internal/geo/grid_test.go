@@ -57,14 +57,21 @@ func TestGridNearestAutoCell(t *testing.T) {
 	}
 }
 
-func TestGridWithinMatchesBruteForce(t *testing.T) {
+// collectEach gathers the indices Each visits, in visit order.
+func collectEach(g *Grid, p Point, radiusKm float64) []int32 {
+	var got []int32
+	g.Each(p, radiusKm, func(i int32) { got = append(got, i) })
+	return got
+}
+
+func TestGridEachMatchesBruteForce(t *testing.T) {
 	pts := randomPoints(400, 4)
 	g := NewGrid(pts, 30)
 	src := rng.New(5)
 	for i := 0; i < 100; i++ {
 		q := Pt(src.Range(0, 700), src.Range(0, 1000))
 		radius := src.Range(5, 120)
-		got := g.Within(nil, q, radius)
+		got := collectEach(g, q, radius)
 		want := map[int32]bool{}
 		for j, p := range pts {
 			if p.Dist(q) <= radius {
@@ -72,12 +79,17 @@ func TestGridWithinMatchesBruteForce(t *testing.T) {
 			}
 		}
 		if len(got) != len(want) {
-			t.Fatalf("query %v r=%v: %d hits, want %d", q, radius, len(got), len(want))
+			t.Fatalf("query %v r=%v: %d visits, want %d", q, radius, len(got), len(want))
 		}
+		seen := map[int32]bool{}
 		for _, idx := range got {
 			if !want[idx] {
 				t.Fatalf("false positive %d", idx)
 			}
+			if seen[idx] {
+				t.Fatalf("index %d visited twice", idx)
+			}
+			seen[idx] = true
 		}
 	}
 }
@@ -90,8 +102,8 @@ func TestGridEmptyAndDegenerate(t *testing.T) {
 	if i, d := g.Nearest(Pt(1, 2)); i != -1 || !math.IsInf(d, 1) {
 		t.Errorf("empty Nearest = %d, %v", i, d)
 	}
-	if got := g.Within(nil, Pt(0, 0), 10); len(got) != 0 {
-		t.Error("empty Within returned hits")
+	if got := collectEach(g, Pt(0, 0), 10); len(got) != 0 {
+		t.Error("empty Each visited points")
 	}
 	// All points identical.
 	same := []Point{Pt(5, 5), Pt(5, 5), Pt(5, 5)}
@@ -99,12 +111,12 @@ func TestGridEmptyAndDegenerate(t *testing.T) {
 	if i, d := g2.Nearest(Pt(5, 5)); i < 0 || d > 1e-9 {
 		t.Errorf("identical-point Nearest = %d, %v", i, d)
 	}
-	if got := g2.Within(nil, Pt(5, 5), 0.1); len(got) != 3 {
-		t.Errorf("identical-point Within = %d", len(got))
+	if got := collectEach(g2, Pt(5, 5), 0.1); len(got) != 3 {
+		t.Errorf("identical-point Each visited %d", len(got))
 	}
 	// Negative radius.
-	if got := g2.Within(nil, Pt(5, 5), -1); len(got) != 0 {
-		t.Error("negative radius returned hits")
+	if got := collectEach(g2, Pt(5, 5), -1); len(got) != 0 {
+		t.Error("negative radius visited points")
 	}
 }
 
@@ -122,16 +134,5 @@ func TestGridNearestProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestWithinReusesDst(t *testing.T) {
-	pts := randomPoints(100, 7)
-	g := NewGrid(pts, 20)
-	buf := make([]int32, 0, 64)
-	a := g.Within(buf, Pt(350, 500), 100)
-	b := g.Within(a[:0], Pt(350, 500), 100)
-	if len(a) != len(b) {
-		t.Error("dst reuse changed results")
 	}
 }

@@ -36,6 +36,19 @@ func TestDayIntoSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestSimulatorNewAllocs pins New's cold cost to a fixed handful of
+// allocations: the simulator, the per-tower reselection memo, homeAlt and
+// the relocation tables, however many distinct home towers it resolves.
+func TestSimulatorNewAllocs(t *testing.T) {
+	s := fixture(t)
+	allocs := testing.AllocsPerRun(3, func() {
+		New(s.pop, s.scen, 1)
+	})
+	if allocs > 8 {
+		t.Errorf("New allocates %.0f times, want <= 8", allocs)
+	}
+}
+
 // TestDayIntoMatchesDay asserts a warm, reused buffer yields traces
 // bit-identical to a fresh buffer's, day after day — at 2,500 users, where
 // a day fits in one arena block, and at 8k, where it spans several and

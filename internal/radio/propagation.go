@@ -2,7 +2,6 @@ package radio
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/census"
 	"repro/internal/geo"
@@ -105,62 +104,42 @@ func (t *Topology) RxPowerDBm(tw TowerID, p geo.Point, src *rng.Source) float64 
 	return rx
 }
 
-// Server is one candidate serving tower with its receive level.
-type Server struct {
-	Tower TowerID
-	RxDBm float64
-}
-
-// candidateTowers returns the towers plausibly audible at p: every site
-// within reachKm, via the spatial index.
-func (t *Topology) candidateTowers(p geo.Point, reachKm float64) []TowerID {
-	return t.TowersWithin(p, reachKm)
-}
-
-// StrongestServers returns the k strongest audible towers at p, ordered
-// by descending receive level (median link, no shadowing). Towers below
-// the servable floor are excluded; if nothing is audible the nearest
-// tower is returned as a last resort.
-func (t *Topology) StrongestServers(p geo.Point, k int) []Server {
-	const reachKm = 20.0
-	cands := t.candidateTowers(p, reachKm)
-	servers := make([]Server, 0, len(cands))
-	for _, tw := range cands {
-		rx := t.RxPowerDBm(tw, p, nil)
-		if rx < minServableDBm {
-			continue
-		}
-		servers = append(servers, Server{Tower: tw, RxDBm: rx})
-	}
-	if len(servers) == 0 {
-		nearest := t.NearestTower(p)
-		return []Server{{Tower: nearest, RxDBm: t.RxPowerDBm(nearest, p, nil)}}
-	}
-	sort.Slice(servers, func(i, j int) bool {
-		if servers[i].RxDBm != servers[j].RxDBm {
-			return servers[i].RxDBm > servers[j].RxDBm
-		}
-		return servers[i].Tower < servers[j].Tower
-	})
-	if k > 0 && len(servers) > k {
-		servers = servers[:k]
-	}
-	return servers
-}
-
-// ServingTower returns the strongest server at p.
-func (t *Topology) ServingTower(p geo.Point) TowerID {
-	return t.StrongestServers(p, 1)[0].Tower
-}
+// reachKm bounds the reselection scan: towers farther than this from
+// the query point are never candidates.
+const reachKm = 20.0
 
 // ReselectionNeighbor returns the best alternate server at p other than
-// the given tower — the cell an idle phone camped at p bounces to. It
-// returns exclude itself when no alternative is audible.
+// the given tower — the cell an idle phone camped at p bounces to. A
+// tower is audible when its median-link level (no shadowing) reaches the
+// servable floor; among the audible towers within reachKm other than
+// exclude, the highest level wins and a tie goes to the lower TowerID.
+// It returns exclude when no alternative is audible, and the nearest
+// tower when nothing at all is audible. The towers within reachKm are
+// scanned once keeping only the running best, so a call allocates
+// nothing and concurrent calls share no state.
 func (t *Topology) ReselectionNeighbor(p geo.Point, exclude TowerID) TowerID {
-	for _, s := range t.StrongestServers(p, 3) {
-		if s.Tower != exclude {
-			return s.Tower
+	best, bestRx := TowerID(-1), math.Inf(-1)
+	heard := false
+	t.grid.Each(p, reachKm, func(i int32) {
+		tw := TowerID(i)
+		rx := t.RxPowerDBm(tw, p, nil)
+		if rx < minServableDBm {
+			return
 		}
+		heard = true
+		if tw == exclude {
+			return
+		}
+		if rx > bestRx || (rx == bestRx && tw < best) {
+			best, bestRx = tw, rx
+		}
+	})
+	switch {
+	case best >= 0:
+		return best
+	case heard:
+		return exclude
+	default:
+		return t.NearestTower(p)
 	}
-	return exclude
 }

@@ -282,16 +282,6 @@ func (t *Topology) NearestTower(p geo.Point) TowerID {
 	return TowerID(i)
 }
 
-// TowersWithin returns the sites within radiusKm of p.
-func (t *Topology) TowersWithin(p geo.Point, radiusKm float64) []TowerID {
-	idx := t.grid.Within(nil, p, radiusKm)
-	out := make([]TowerID, len(idx))
-	for i, v := range idx {
-		out[i] = TowerID(v)
-	}
-	return out
-}
-
 // Snapshot summarises the estate on a given day, mirroring the daily
 // topology feed of §2.2.
 type Snapshot struct {

@@ -37,6 +37,26 @@ func TestDayAppendSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestDayAppendColdDestination pins the cold path: on a warm engine,
+// DayAppend into a nil destination allocates exactly once, sized to the
+// 4G cell count, rather than regrowing the slice record by record.
+func TestDayAppendColdDestination(t *testing.T) {
+	pop, sim, eng := fixture(t)
+	day := timegrid.SimDay(timegrid.StudyDayOffset + 3)
+	traces := sim.DayInto(mobsim.NewDayBuffer(), day)
+	eng.DayAppend(nil, day, traces) // warm the engine's staging buffers
+	var cells []CellDay
+	allocs := testing.AllocsPerRun(3, func() {
+		cells = eng.DayAppend(nil, day, traces)
+	})
+	if allocs != 1 {
+		t.Errorf("DayAppend(nil, ...) allocates %.1f times on a warm engine, want 1", allocs)
+	}
+	if n := len(pop.Topology().Cells4G()); cap(cells) < n {
+		t.Errorf("cold destination cap %d, want >= %d 4G cells", cap(cells), n)
+	}
+}
+
 // TestDayAppendMatchesDay asserts a reused destination yields records
 // bit-identical to a fresh one.
 func TestDayAppendMatchesDay(t *testing.T) {

@@ -283,7 +283,9 @@ type CellHour struct {
 // hourly values. Deterministic in (engine construction, day, traces).
 // The hourly staging buffers live on the engine and the medians are
 // taken by a fixed-24 insertion select, so a warm engine produces a day
-// of records without heap allocation.
+// of records without heap allocation. dst is sized once to the 4G cell
+// count before the first record is appended, so a nil dst costs exactly
+// one allocation.
 func (e *Engine) DayAppend(dst []CellDay, day timegrid.SimDay, traces []mobsim.DayTrace) []CellDay {
 	sp := obs.Start(e.obs.day())
 	f := e.dayFactorsFor(day)
@@ -296,7 +298,14 @@ func (e *Engine) DayAppend(dst []CellDay, day timegrid.SimDay, traces []mobsim.D
 
 // reduceAppend runs the reduction over the accumulated tile, staging each
 // cell's 24 hourly values and appending its daily-median record to dst.
+// A day emits at most one record per 4G cell, so dst is grown once to
+// that count up front: a cold destination is allocated once, a warm one
+// never. (slices.Grow would cost two allocations under -race, which
+// turns off the compiler's append-of-make fusion.)
 func (e *Engine) reduceAppend(dst []CellDay, day timegrid.SimDay, f *dayFactors) []CellDay {
+	if n := len(e.topo.Cells4G()); cap(dst)-len(dst) < n {
+		dst = append(make([]CellDay, 0, len(dst)+n), dst...)
+	}
 	var cur radio.CellID = -1
 	flush := func() {
 		if cur < 0 {
