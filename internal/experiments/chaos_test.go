@@ -222,6 +222,54 @@ func TestSweepIsolatesPoisonedRun(t *testing.T) {
 	assertNoBufferAbuse(t, dr)
 }
 
+// TestSweepPanicMidStudyKeepsPoolClean panics a host run mid-study:
+// voice-surge rides default-covid's day loop, and its armed sweep.run
+// panic fires when it attaches at its fork day, inside the host's
+// runStudy. The panicked run's day buffer and engine must never re-enter
+// the sweep's pool, and on one sweep worker the runs after it — drawing
+// from that pool — must still match the streaming reference bit for bit.
+func TestSweepPanicMidStudyKeepsPoolClean(t *testing.T) {
+	cfg := streamingTestConfig()
+	scens := sweepScenarios(t,
+		scenario.DefaultCovid, scenario.VoiceSurge, scenario.NoPandemic, scenario.EarlyLockdown)
+	w := NewWorld(cfg)
+	plan := planPrefix(scens)
+	if fd := plan.forkDay[1]; !plan.rider[1] || plan.parent[1] != 0 || fd <= 0 || fd >= timegrid.StudyDays {
+		t.Fatalf("want voice-surge riding default-covid from mid-study; rider=%v parent=%d forkDay=%d",
+			plan.rider[1], plan.parent[1], fd)
+	}
+	fi := fault.New(fault.Rule{Site: fault.SweepRun, Kind: fault.KindPanic, Key: 1})
+
+	pool := &enginePool{}
+	riders := []riderSpec{{idx: 1, forkDay: plan.forkDay[1], sc: scens[1]}}
+	run, _, _ := runPrefixScenario(context.Background(), w, cfg, fi, scens[0], 0, w.Homes(), nil, nil, riders, pool)
+	var wp *stream.WorkerPanic
+	if !errors.As(run.Err, &wp) || wp.Stage != "sweep" {
+		t.Fatalf("host run: want the rider's sweep panic, got %v", run.Err)
+	}
+	if nb, ne := len(pool.bufs.free), len(pool.engines.free); nb != 0 || ne != 0 {
+		t.Fatalf("panicked run returned %d day buffers and %d engines to the pool", nb, ne)
+	}
+	if run, _, _ = runPrefixScenario(context.Background(), w, cfg, fi, scens[2], 2, w.Homes(), nil, nil, nil, pool); run.Err != nil {
+		t.Fatalf("clean run: %v", run.Err)
+	}
+	if nb := len(pool.bufs.free); nb != 1 {
+		t.Fatalf("clean run left %d day buffers in the pool, want 1", nb)
+	}
+
+	runs, err := RunSweepParallelOpts(context.Background(), w, cfg, stream.Config{Workers: 1, Fault: fi}, scens,
+		SweepOptions{Parallel: 1, SharePrefix: true})
+	if !errors.As(err, &wp) {
+		t.Fatalf("joined error does not carry the sweep panic: %v", err)
+	}
+	for i := 0; i < 2; i++ {
+		if runs[i].Err == nil || runs[i].Results != nil {
+			t.Errorf("run %s: want a failed run, got err=%v", runs[i].Name, runs[i].Err)
+		}
+	}
+	assertSweepRunsEqual(t, streamingReference(t, w, cfg, scens[2:]), runs[2:])
+}
+
 // TestSweepSerialPathIsolatesPoisonedRun pins the same isolation at
 // parallel 1, where one worker runs every scenario in turn.
 func TestSweepSerialPathIsolatesPoisonedRun(t *testing.T) {

@@ -169,33 +169,41 @@ type riderRun struct {
 // after its host's start day, so a host loop always visits it.
 var errRiderUnattached = errors.New("experiments: rider fork day precedes host start; plan infeasible")
 
-// enginePool recycles warm traffic engines across the sweep's runs and
-// riders. Rebind is bit-identical to NewEngine, so reuse never changes
-// output; get returns nil when empty and instantiate builds fresh.
-// Engines from panicked runs are never returned (poisoned scratch).
+// enginePool recycles warm traffic engines and day buffers across the
+// sweep's runs and riders. Rebind is bit-identical to NewEngine and
+// DayInto resets a buffer before each day, so reuse never changes
+// output; get returns nil when empty and the caller builds fresh.
+// Engines and buffers from panicked runs are never returned (poisoned
+// scratch).
 type enginePool struct {
-	mu   sync.Mutex
-	free []*traffic.Engine
+	engines freeList[traffic.Engine]
+	bufs    freeList[mobsim.DayBuffer]
 }
 
-func (p *enginePool) get() *traffic.Engine {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n := len(p.free); n > 0 {
-		e := p.free[n-1]
-		p.free = p.free[:n-1]
-		return e
+// freeList is a mutex-guarded stack of reusable objects.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	free []*T
+}
+
+func (l *freeList[T]) get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.free); n > 0 {
+		v := l.free[n-1]
+		l.free = l.free[:n-1]
+		return v
 	}
 	return nil
 }
 
-func (p *enginePool) put(e *traffic.Engine) {
-	if e == nil {
+func (l *freeList[T]) put(v *T) {
+	if v == nil {
 		return
 	}
-	p.mu.Lock()
-	p.free = append(p.free, e)
-	p.mu.Unlock()
+	l.mu.Lock()
+	l.free = append(l.free, v)
+	l.mu.Unlock()
 }
 
 // riderState is a rider's stack inside its host's day loop: its own
@@ -281,7 +289,7 @@ func runPrefixScenario(ctx context.Context, w *World, cfg Config, fi *fault.Inje
 
 	c := cfg
 	c.Scenario = sc.Scenario
-	d := w.instantiate(c, pool.get())
+	d := w.instantiate(c, pool.engines.get())
 	var r *Results
 	startDay := 0
 	if start != nil {
@@ -295,11 +303,17 @@ func runPrefixScenario(ctx context.Context, w *World, cfg Config, fi *fault.Inje
 	for k, spec := range riders {
 		rc := cfg
 		rc.Scenario = spec.sc.Scenario
-		rd := w.instantiateNoSim(rc, pool.get())
+		rd := w.instantiateNoSim(rc, pool.engines.get())
 		rs[k] = riderState{riderSpec: spec, r: &Results{Dataset: rd, Homes: homes}}
 	}
 
-	snaps, err := runStudy(ctx, fi, r, mobsim.NewDayBuffer(), startDay, snapAt, rs, nil)
+	buf := pool.bufs.get()
+	if buf == nil {
+		buf = mobsim.NewDayBuffer()
+	}
+	snaps, err := runStudy(ctx, fi, r, buf, startDay, snapAt, rs, nil)
+	// Only a normal return gets here; a panic leaves buf to the GC.
+	pool.bufs.put(buf)
 	if err != nil {
 		run.Err = err
 		return run, nil, nil
@@ -324,10 +338,10 @@ func runPrefixScenario(ctx context.Context, w *World, cfg Config, fi *fault.Inje
 			rd.r.Matrix = r.Matrix.Fork()
 			rr.run.Results, rr.run.Headlines = rd.r, Headlines(rd.r)
 		}
-		pool.put(rd.r.Dataset.Engine)
+		pool.engines.put(rd.r.Dataset.Engine)
 		riderRuns = append(riderRuns, rr)
 	}
-	pool.put(d.Engine)
+	pool.engines.put(d.Engine)
 	return run, riderRuns, snaps
 }
 

@@ -24,12 +24,16 @@ import (
 // injected failures).
 func RunStreamingOn(ctx context.Context, d *Dataset, scfg stream.Config) (*Results, error) {
 	scfg = scfg.WithDefaults()
+	// One window of day stores serves both passes: Engine.Run returns
+	// only after every batch it took is released, so the study pass
+	// draws the stores the February pass already grew.
+	pool := stream.NewBufferPool(scfg.Workers + scfg.Buffer).Instrument(scfg.Metrics)
 
 	// Pass 1: February only, for home detection, sharded by user.
 	homes := stream.NewHomes(d.Topology, scfg.Shards)
 	feb := stream.NewEngine(scfg)
 	feb.AddTraceSharder(homes)
-	if err := feb.Run(ctx, stream.NewSimSource(ctx, d.Sim, nil, 0, timegrid.FebruaryDays, scfg)); err != nil {
+	if err := feb.Run(ctx, stream.NewSimSourcePooled(ctx, pool, d.Sim, nil, 0, timegrid.FebruaryDays, scfg)); err != nil {
 		return nil, err
 	}
 
@@ -42,7 +46,7 @@ func RunStreamingOn(ctx context.Context, d *Dataset, scfg stream.Config) (*Resul
 	if r.KPI != nil {
 		study.AddKPIConsumer(r.KPI)
 	}
-	src := stream.NewSimSource(ctx, d.Sim, d.Engine,
+	src := stream.NewSimSourcePooled(ctx, pool, d.Sim, d.Engine,
 		timegrid.SimDay(timegrid.StudyDayOffset), timegrid.SimDays, scfg)
 	if err := study.Run(ctx, src); err != nil {
 		return nil, err

@@ -41,7 +41,7 @@ func assertSweepRunsEqual(t *testing.T, want, got []SweepRun) {
 
 // assertSweepModesMatch runs the sweep through the one executor in both
 // planning modes (every scenario from day 0, and the copy-on-divergence
-// fork tree) at sweep worker counts 1, 2 and 4, and requires every
+// fork tree) at sweep worker counts 1, 2, 4 and 8, and requires every
 // sweep to be bit-identical to the per-scenario streaming reference,
 // re-sequenced to the input order.
 func assertSweepModesMatch(t *testing.T, w *World, cfg Config, scens []SweepScenario) []SweepRun {
@@ -49,7 +49,7 @@ func assertSweepModesMatch(t *testing.T, w *World, cfg Config, scens []SweepScen
 	ref := streamingReference(t, w, cfg, scens)
 	var last []SweepRun
 	for _, shared := range []bool{false, true} {
-		for _, parallel := range []int{1, 2, 4} {
+		for _, parallel := range []int{1, 2, 4, 8} {
 			t.Run(fmt.Sprintf("shared=%v/parallel=%d", shared, parallel), func(t *testing.T) {
 				last = mustSweep(t, w, cfg, scens, SweepOptions{Parallel: parallel, SharePrefix: shared})
 				assertSweepRunsEqual(t, ref, last)

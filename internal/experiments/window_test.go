@@ -59,3 +59,34 @@ func TestSimSourceWindowBoundsStores(t *testing.T) {
 		}
 	}
 }
+
+// TestRunStreamingOnSharesOneWindow pins the shared window of the two
+// passes: one RunStreamingOn grows at most Workers+Buffer day stores
+// over both February and the study window, draws once per simulated
+// day of each, and still returns results bit-identical to the serial
+// pipeline. Repeated, because store reuse depends on scheduling; run it
+// under -race.
+func TestRunStreamingOnSharesOneWindow(t *testing.T) {
+	d := NewDataset(streamingTestConfig())
+	serial := RunStandardOn(d)
+	const draws = timegrid.FebruaryDays + timegrid.SimDays - timegrid.StudyDayOffset
+	for _, workers := range []int{1, 2, 3} {
+		for run := 0; run < 10; run++ {
+			reg := obs.New()
+			scfg := stream.Config{Workers: workers, Metrics: reg}.WithDefaults()
+			got, err := RunStreamingOn(context.Background(), d, scfg)
+			if err != nil {
+				t.Fatalf("workers=%d run %d: %v", workers, run, err)
+			}
+			s := reg.Snapshot()
+			misses, hits := s.Counters["stream.pool.misses"], s.Counters["stream.pool.hits"]
+			if window := int64(scfg.Workers + scfg.Buffer); misses > window {
+				t.Fatalf("workers=%d run %d: stream.pool.misses = %d, want <= %d (one Workers+Buffer window)", workers, run, misses, window)
+			}
+			if hits+misses != draws {
+				t.Fatalf("workers=%d run %d: %d pool draws, want %d (one per simulated day)", workers, run, hits+misses, draws)
+			}
+			assertResultsEqual(t, serial, got)
+		}
+	}
+}

@@ -103,6 +103,9 @@ func Merge(parts []*Partial) (*Result, error) {
 
 	res := &Result{Users: ref.Users, Seed: ref.Seed, Scenario: ref.Scenario}
 	merged := make([]*stream.QSketch, traffic.NumMetrics)
+	for m := range merged {
+		merged[m] = stream.NewQSketch()
+	}
 	for j := 0; j < days; j++ {
 		day := ref.Days[j].Day
 
@@ -127,8 +130,8 @@ func Merge(parts []*Partial) (*Result, error) {
 
 		// KPI: exact sketch merge.
 		cells := 0
-		for m := range merged {
-			merged[m] = nil
+		for _, q := range merged {
+			q.Reset()
 		}
 		for _, p := range parts {
 			d := &p.Days[j]
@@ -136,15 +139,9 @@ func Merge(parts []*Partial) (*Result, error) {
 				continue
 			}
 			cells += d.Cells
-			for m := range merged {
-				q, err := stream.QSketchFromState(d.Sketches[m])
-				if err != nil {
+			for m, q := range merged {
+				if err := q.MergeState(d.Sketches[m]); err != nil {
 					return nil, fmt.Errorf("partial: part %d day %d metric %d: %w", p.Part, day, m, err)
-				}
-				if merged[m] == nil {
-					merged[m] = q
-				} else {
-					merged[m].Merge(q)
 				}
 			}
 		}

@@ -209,13 +209,11 @@ func (v kpiView) ConsumeDay(day timegrid.SimDay, cells []traffic.CellDay) {
 	for m, q := range qs {
 		q.Reset()
 		if d.Sketches != nil { // a second batch for the day: fold the first in
-			prev, err := stream.QSketchFromState(d.Sketches[m])
-			if err != nil {
+			if err := q.MergeState(d.Sketches[m]); err != nil {
 				// Only possible if this build's sketch resolution changed
 				// mid-run, which cannot happen; keep the signature clean.
 				panic(err)
 			}
-			q.Merge(prev)
 		}
 	}
 	for i := range cells {

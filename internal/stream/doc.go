@@ -36,7 +36,9 @@
 // expensive (the census, topology and population behind a SimSource's
 // simulator) lives in the scenario-independent experiments.World, so
 // streaming several scenarios (experiments.RunStreamingOn over
-// World.Instantiate) runs one engine + source pair per scenario over the
-// same shared world, each run recycling its own day buffers through
-// DayBatch.Release.
+// World.Instantiate) runs engine + source pairs per scenario over the
+// same shared world. Day buffers recycle through DayBatch.Release into a
+// BufferPool, which consecutive sources may share
+// (NewSimSourcePooled): RunStreamingOn's February and study passes draw
+// from one pool, so a run warms a single window of day stores.
 package stream

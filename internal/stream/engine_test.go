@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"math"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -178,6 +179,40 @@ func TestQSketchQuantiles(t *testing.T) {
 	}
 	if whole.N() != int64(n) || merged.N() != int64(n) {
 		t.Fatalf("counts: whole %d merged %d want %d", whole.N(), merged.N(), n)
+	}
+}
+
+// TestQSketchMergeState pins the snapshot fold: merging parts' states
+// into a Reset sketch equals merging the live parts, bin for bin, and a
+// snapshot of another resolution is refused without touching the sketch.
+func TestQSketchMergeState(t *testing.T) {
+	src := rng.New(5)
+	parts := []*QSketch{NewQSketch(), NewQSketch(), NewQSketch()}
+	for i := 0; i < 3000; i++ {
+		parts[i%3].Add(math.Pow(10, src.Range(-3, 5)))
+	}
+	parts[1].Add(0)
+	want := NewQSketch()
+	got := NewQSketch()
+	got.Add(42) // stale contents, cleared by the Reset below
+	got.Reset()
+	for _, p := range parts {
+		want.Merge(p)
+		if err := got.MergeState(p.State()); err != nil {
+			t.Fatalf("MergeState: %v", err)
+		}
+	}
+	if !reflect.DeepEqual(got.State(), want.State()) {
+		t.Fatal("MergeState of the parts' states differs from Merge of the parts")
+	}
+
+	bad := parts[0].State()
+	bad.Bins = bad.Bins[:len(bad.Bins)-1]
+	if err := got.MergeState(bad); err == nil {
+		t.Fatal("MergeState accepted a snapshot with the wrong bin count")
+	}
+	if !reflect.DeepEqual(got.State(), want.State()) {
+		t.Fatal("a rejected MergeState changed the sketch")
 	}
 }
 

@@ -11,11 +11,13 @@ import (
 
 // BufferPool is a bounded, non-blocking free list of day-production
 // backing stores (DayStore: a mobsim.DayBuffer plus reusable CellDay and
-// event slices). Every day source recycles through one: SimSource owns
-// a private pool sized to its in-flight window, and feeds.FeedSource
-// owns one sized to its replay pipeline. A consumer that releases each
-// batch (the stream engine does, after the merge stage) keeps a whole
-// run at a bounded number of live day buffers.
+// event slices). Every day source recycles through one: a SimSource
+// draws from a pool sized to its in-flight window — its own, or one
+// shared with the sources run before and after it (NewSimSourcePooled;
+// experiments.RunStreamingOn runs both of its passes on one) — and
+// feeds.FeedSource owns one sized to its replay pipeline. A consumer
+// that releases each batch (the stream engine does, after the merge
+// stage) keeps a whole run at a bounded number of live day buffers.
 //
 // Draws never block: when every pooled store is checked out (or
 // consumers never release), Draw allocates a fresh store, so liveness

@@ -68,10 +68,12 @@ func (q *QSketch) Add(x float64) {
 }
 
 // Merge adds another sketch's counts; merging is exact and commutative.
-func (q *QSketch) Merge(o *QSketch) {
-	q.count += o.count
-	q.under += o.under
-	for i, c := range o.bins {
+func (q *QSketch) Merge(o *QSketch) { q.add(o.bins, o.under, o.count) }
+
+func (q *QSketch) add(bins []int64, under, count int64) {
+	q.count += count
+	q.under += under
+	for i, c := range bins {
 		q.bins[i] += c
 	}
 }
@@ -115,8 +117,8 @@ func (q *QSketch) Fork() *QSketch {
 }
 
 // QSketchState is the serializable form of a sketch. Bins length is
-// bound to the package's compiled resolution (sketchBins); a snapshot
-// taken with different constants is rejected on restore.
+// bound to the package's compiled resolution (sketchBins); MergeState
+// rejects a snapshot taken with different constants.
 type QSketchState struct {
 	Bins  []int64 `json:"bins"`
 	Under int64   `json:"under"`
@@ -128,13 +130,16 @@ func (q *QSketch) State() QSketchState {
 	return QSketchState{Bins: append([]int64(nil), q.bins...), Under: q.under, Count: q.count}
 }
 
-// QSketchFromState reconstructs a sketch from a snapshot; future Adds
-// and Quantiles behave exactly as on the original.
-func QSketchFromState(st QSketchState) (*QSketch, error) {
+// MergeState adds a snapshot's counts to the sketch in place, exactly
+// as Merge adds a live sketch's, so folding states into a Reset sketch
+// rebuilds their merge without allocating. A snapshot of another
+// resolution is rejected and leaves the sketch unchanged.
+func (q *QSketch) MergeState(st QSketchState) error {
 	if len(st.Bins) != sketchBins {
-		return nil, fmt.Errorf("stream: sketch snapshot has %d bins, this build uses %d", len(st.Bins), sketchBins)
+		return fmt.Errorf("stream: sketch snapshot has %d bins, this build uses %d", len(st.Bins), sketchBins)
 	}
-	return &QSketch{bins: append([]int64(nil), st.Bins...), under: st.Under, count: st.Count}, nil
+	q.add(st.Bins, st.Under, st.Count)
+	return nil
 }
 
 // --- sharded KPI medians ------------------------------------------------

@@ -97,12 +97,15 @@ var errStopped = errors.New("stream: source stopped")
 // the window: stream.pool.misses reads workers+buffer for a whole run.
 //
 // Buffer recycling: each batch is produced into a pooled backing store
-// (a mobsim.DayBuffer plus a CellDay slice) drawn from a bounded free
-// list, so each store of the window grows its arena once, on its first
-// day. A consumer that calls DayBatch.Release when done (the stream
-// engine does, after each day's merge stage) keeps the whole run at
-// O(workers+buffer) live day buffers; a consumer that never releases
-// merely falls back to one allocation set per day, as before.
+// (a mobsim.DayBuffer plus a CellDay slice) drawn from a BufferPool, so
+// each store of the window grows its arena once, on its first day. The
+// pool is the source's own (NewSimSource) or one the caller shares
+// between sources run one after another (NewSimSourcePooled), which
+// then reuse the stores the earlier sources grew. A consumer that calls
+// DayBatch.Release when done (the stream engine does, after each day's
+// merge stage) keeps the whole run at O(workers+buffer) live day
+// buffers; a consumer that never releases merely falls back to one
+// allocation set per day, as before.
 //
 // Failure semantics: a producer panic is recovered into a
 // *WorkerPanic, cancellation of the construction context surfaces as
@@ -122,7 +125,7 @@ type SimSource struct {
 }
 
 // sourceMetrics are the source's handles, resolved once in
-// NewSimSource. When nil (the default) the producer loop takes no
+// NewSimSourcePooled. When nil (the default) the producer loop takes no
 // timestamps at all — the disabled path does zero clock reads.
 type sourceMetrics struct {
 	busy       *obs.Counter   // stream.worker.busy_ns: producing (DayInto + DayAppend)
@@ -149,13 +152,25 @@ func newSourceMetrics(r *obs.Registry, workers int) *sourceMetrics {
 // generation (mobility-only runs). cfg sizes the worker pool and the
 // backpressure window; ctx cancels production (workers stop within one
 // day of work and pooled buffers are recycled). The source recycles
-// through a private BufferPool sized to its in-flight window.
+// through a fresh BufferPool sized to its in-flight window and
+// instrumented with cfg.Metrics.
 func NewSimSource(ctx context.Context, sim *mobsim.Simulator, eng *traffic.Engine, first, limit timegrid.SimDay, cfg Config) *SimSource {
+	cfg = cfg.WithDefaults()
+	return NewSimSourcePooled(ctx, NewBufferPool(cfg.Workers+cfg.Buffer).Instrument(cfg.Metrics), sim, eng, first, limit, cfg)
+}
+
+// NewSimSourcePooled is NewSimSource drawing its day stores from pool,
+// which the caller builds, instruments and may hand to several sources
+// run one after another: once an Engine.Run has drained one source to
+// io.EOF, every store it drew is back in the pool, so the next source
+// starts on warm stores. Size the pool to at least cfg.Workers+cfg.Buffer (a
+// smaller pool is correct but allocates whatever it cannot hold).
+func NewSimSourcePooled(ctx context.Context, pool *BufferPool, sim *mobsim.Simulator, eng *traffic.Engine, first, limit timegrid.SimDay, cfg Config) *SimSource {
 	cfg = cfg.WithDefaults()
 	s := &SimSource{
 		out:  make(chan DayBatch),
 		done: make(chan struct{}),
-		pool: NewBufferPool(cfg.Workers + cfg.Buffer).Instrument(cfg.Metrics),
+		pool: pool,
 		fi:   cfg.Fault,
 		m:    newSourceMetrics(cfg.Metrics, cfg.Workers),
 	}
