@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/mobsim"
+	"repro/internal/popsim"
 	"repro/internal/radio"
 	"repro/internal/timegrid"
 	"repro/internal/traffic"
@@ -506,6 +507,91 @@ func TestKPIReadSteadyStateAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(10, warm)
 	if allocs > 0 {
 		t.Errorf("steady-state columnar KPI replay allocates %.1f times per feed, want 0", allocs)
+	}
+}
+
+// TestColdDecodeSizedFromHeader pins that a decode sizes its stores
+// from the block header's counts: a fresh DayBuffer gets a trace index
+// of exactly the day's user count (and the reader's user and count
+// scratch the same), a warm buffer keeps its index through smaller and
+// equal days, and ReadDayAppend(nil) makes one allocation of exactly
+// the day's cell count.
+func TestColdDecodeSizedFromHeader(t *testing.T) {
+	const n = 1000
+	day := func(users int) []mobsim.DayTrace {
+		traces := make([]mobsim.DayTrace, users)
+		for i := range traces {
+			traces[i] = mobsim.DayTrace{User: popsim.UserID(3 * i), Visits: []mobsim.Visit{mkVisit(i, i%timegrid.BinsPerDay, 60, i%2 == 0)}}
+		}
+		return traces
+	}
+	var tb bytes.Buffer
+	tw := NewTraceWriter(&tb)
+	for d, users := range []int{n, n / 2, n} {
+		if err := tw.WriteDay(timegrid.SimDay(d), day(users)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewTraceReader(bytes.NewReader(tb.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := mobsim.NewDayBuffer()
+	var index *mobsim.DayTrace
+	for d, users := range []int{n, n / 2, n} {
+		if _, err := tr.ReadDayInto(buf); err != nil {
+			t.Fatal(err)
+		}
+		traces := buf.Traces()
+		if len(traces) != users || cap(traces) != n {
+			t.Fatalf("day %d: %d traces in an index of capacity %d, want %d in %d", d, len(traces), cap(traces), users, n)
+		}
+		if d == 0 {
+			index = &traces[0]
+			if cap(tr.users) != n || cap(tr.counts) != n {
+				t.Fatalf("cold user/count scratch capacity %d/%d, want %d", cap(tr.users), cap(tr.counts), n)
+			}
+		} else if &traces[0] != index {
+			t.Fatalf("day %d: a warm buffer reallocated its trace index", d)
+		}
+	}
+
+	cells := make([]traffic.CellDay, n)
+	for i := range cells {
+		cells[i].Cell = radio.CellID(2 * i)
+	}
+	var kb bytes.Buffer
+	kw := NewKPIWriter(&kb)
+	if err := kw.WriteDay(7, cells); err != nil {
+		t.Fatal(err)
+	}
+	if err := kw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	br := bytes.NewReader(kb.Bytes())
+	kr, err := NewKPIReader(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []traffic.CellDay
+	read := func() {
+		br.Reset(kb.Bytes())
+		if err := kr.Reset(br); err != nil {
+			t.Fatal(err)
+		}
+		if _, got, err = kr.ReadDayAppend(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read() // warms the reader's payload scratch
+	if allocs := testing.AllocsPerRun(10, read); allocs != 1 {
+		t.Errorf("ReadDayAppend(nil) allocates %.1f times, want 1", allocs)
+	}
+	if len(got) != n || cap(got) != n {
+		t.Fatalf("ReadDayAppend(nil) returned %d cells in capacity %d, want %d in %d", len(got), cap(got), n, n)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 
+	"repro/internal/grow"
 	"repro/internal/mobsim"
 	"repro/internal/popsim"
 	"repro/internal/radio"
@@ -266,9 +267,14 @@ func (t *TraceReader) ReadDayInto(buf *mobsim.DayBuffer) (timegrid.SimDay, error
 // checks mirror what the CSV reader's parseTraceRow enforces per row.
 func (t *TraceReader) decode(h blockHead, p []byte, buf *mobsim.DayBuffer, day timegrid.SimDay) error {
 	nU, nV := int(h.countA), int(h.countB)
+	// The counts are CRC-checked and bounded by the payload length
+	// (validateTraceHead), so sizing every store from them up front is
+	// safe: a cold store is allocated once, exactly (see grow.Reserve).
 	buf.Reset(day)
+	buf.ReserveTraces(nU)
+	t.users = grow.Reserve(t.users[:0], nU)
+	t.counts = grow.Reserve(t.counts[:0], nU)
 
-	t.users = t.users[:0]
 	prev := int64(0)
 	for i := 0; i < nU; i++ {
 		var id int64
@@ -295,7 +301,6 @@ func (t *TraceReader) decode(h blockHead, p []byte, buf *mobsim.DayBuffer, day t
 		prev = id
 	}
 
-	t.counts = t.counts[:0]
 	total := 0
 	for i := 0; i < nU; i++ {
 		c, n := binary.Uvarint(p)
@@ -413,10 +418,13 @@ func (k *KPIReader) ReadDayAppend(dst []traffic.CellDay) (timegrid.SimDay, []tra
 	}
 }
 
-// decodeKPI unpacks one CRC-clean KPI block, appending to dst.
+// decodeKPI unpacks one CRC-clean KPI block, appending to dst. dst
+// grows once, by the header's cell count (bounded by the payload length
+// in validateKPIHead), before the first record is appended.
 func decodeKPI(h blockHead, p []byte, dst []traffic.CellDay) ([]traffic.CellDay, error) {
 	nC := int(h.countA)
 	base := len(dst)
+	dst = grow.Reserve(dst, nC)
 	prev := int64(0)
 	for i := 0; i < nC; i++ {
 		var id int64

@@ -308,6 +308,48 @@ func TestPartitionDirSameFromEitherEncoding(t *testing.T) {
 	}
 }
 
+// TestPartitionDirLenientReportsOnce pins that a lenient partition
+// reports each skipped row once, although both of its passes read the
+// input: one bad trace row and one bad KPI row give one OnSkip call
+// each, and the shards equal those of the same feed without them.
+func TestPartitionDirLenientReportsOnce(t *testing.T) {
+	clean, dirty := t.TempDir(), t.TempDir()
+	writeFeedDir(t, clean)
+	writeFeedDir(t, dirty)
+	for name, row := range map[string]string{
+		TraceFeedName: "1,7,3",                       // short row
+		KPIFeedName:   "1,10,oops,0,0,0,0,0,0,0,0,0", // unparseable metric
+	} {
+		path := filepath.Join(dirty, name)
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := bytes.IndexByte(b, '\n') + 1 // the bad row becomes line 2
+		if err := os.WriteFile(path, append(append(b[:i:i], row+"\n"...), b[i:]...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	skips := map[string][]int{}
+	opt := Options{Lenient: true, OnSkip: func(name string, line int, _ error) {
+		skips[filepath.Base(name)] = append(skips[filepath.Base(name)], line)
+	}}
+	want, got := t.TempDir(), t.TempDir()
+	if _, err := PartitionDir(clean, want, 2, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := PartitionDir(dirty, got, 2, opt); err != nil {
+		t.Fatal(err)
+	}
+	if wantSkips := map[string][]int{TraceFeedName: {2}, KPIFeedName: {2}}; !reflect.DeepEqual(skips, wantSkips) {
+		t.Fatalf("OnSkip lines by feed %v, want %v", skips, wantSkips)
+	}
+	if !reflect.DeepEqual(readTree(t, got), readTree(t, want)) {
+		t.Fatal("lenient shards of the damaged feed differ from the shards of the clean feed")
+	}
+}
+
 // readTree returns the contents of every file under dir by relative path.
 func readTree(t *testing.T, dir string) map[string][]byte {
 	t.Helper()

@@ -35,45 +35,25 @@ func ShardDirName(s int) string { return fmt.Sprintf("shard-%02d", s) }
 //
 // Every shard is written through DirWriter in FormatCol, with its user
 // range stamped into the traces.col header. The returned metas
-// describe the shards in shard order. opt applies to the input readers.
+// describe the shards in shard order.
+//
+// The input is read twice. Pass 1 (userRange) decodes the trace feed
+// alone for the user ID range; pass 2 routes every record. opt applies
+// to the input readers of both passes, except that pass 1 never calls
+// opt.OnSkip: a lenient run skips the same damaged rows in both passes,
+// so each skip is reported once, by pass 2. In strict mode a damaged
+// trace feed fails in pass 1, before anything is written; a damaged KPI
+// or event feed fails in pass 2, with the same error, after the shard
+// directories have been created (they then hold no meta sidecar, which
+// is written last).
 func PartitionDir(in, out string, parts int, opt Options) ([]Meta, error) {
 	if parts < 1 {
 		return nil, fmt.Errorf("feeds: cannot partition into %d parts", parts)
 	}
 
-	// Pass 1: scan the trace feed for the user ID range. IDs are dense
-	// (popsim assigns them sequentially), so equal ID spans give
-	// near-equal shard populations.
-	lo, hi := uint32(math.MaxUint32), uint32(0)
-	seen := false
-	src, err := OpenDirOpts(in, opt)
+	lo, hi, err := userRange(in, opt)
 	if err != nil {
 		return nil, err
-	}
-	for {
-		b, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			src.Close()
-			return nil, err
-		}
-		for i := range b.Traces {
-			u := uint32(b.Traces[i].User)
-			if !seen || u < lo {
-				lo = u
-			}
-			if !seen || u > hi {
-				hi = u
-			}
-			seen = true
-		}
-		b.Release()
-	}
-	src.Close()
-	if !seen {
-		return nil, fmt.Errorf("feeds: cannot partition %s: trace feed has no users", in)
 	}
 
 	span := uint64(hi-lo) + 1
@@ -95,7 +75,7 @@ func PartitionDir(in, out string, parts int, opt Options) ([]Meta, error) {
 	}
 
 	// Pass 2: route every record to its shard.
-	src, err = OpenDirOpts(in, opt)
+	src, err := OpenDirOpts(in, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -176,4 +156,39 @@ func PartitionDir(in, out string, parts int, opt Options) ([]Meta, error) {
 		}
 	}
 	return metas, nil
+}
+
+// userRange is PartitionDir's pass 1: it scans dir's trace feed for the
+// lowest and highest user ID. IDs are dense (popsim assigns them
+// sequentially), so equal ID spans give near-equal shard populations.
+// Only the trace feed is opened, decoded into one reused day buffer,
+// and opt.OnSkip is dropped (pass 2 reports the skips).
+func userRange(dir string, opt Options) (lo, hi uint32, err error) {
+	opt.OnSkip = nil
+	var files []io.Closer
+	traces, err := openTraces(&files, dir, opt)
+	for _, f := range files {
+		defer f.Close()
+	}
+	if err != nil {
+		return 0, 0, err
+	}
+	lo, hi = math.MaxUint32, 0
+	seen := false
+	buf := mobsim.NewDayBuffer()
+	for {
+		if _, err := traces.ReadDayInto(buf); err == io.EOF {
+			break
+		} else if err != nil {
+			return 0, 0, err
+		}
+		for _, t := range buf.Traces() {
+			lo, hi = min(lo, uint32(t.User)), max(hi, uint32(t.User))
+			seen = true
+		}
+	}
+	if !seen {
+		return 0, 0, fmt.Errorf("feeds: cannot partition %s: trace feed has no users", dir)
+	}
+	return lo, hi, nil
 }

@@ -114,15 +114,12 @@ func OpenDir(dir string) (*FeedSource, error) {
 func OpenDirOpts(dir string, opt Options) (*FeedSource, error) {
 	s := &FeedSource{pool: stream.NewBufferPool(feedPoolSize), pendingKPIDay: -1}
 	var err error
-	s.traces, err = openFeed(s, dir, opt, newTraceDayReader, TraceColFeedName, TraceFeedName)
-	if err == nil && s.traces == nil {
-		err = fmt.Errorf("feeds: opening trace feed: no %s or %s in %s", TraceColFeedName, TraceFeedName, dir)
+	s.traces, err = openTraces(&s.closers, dir, opt)
+	if err == nil {
+		s.kpi, err = openFeed(&s.closers, dir, opt, newKPIDayReader, KPIColFeedName, KPIFeedName)
 	}
 	if err == nil {
-		s.kpi, err = openFeed(s, dir, opt, newKPIDayReader, KPIColFeedName, KPIFeedName)
-	}
-	if err == nil {
-		s.events, err = openFeed(s, dir, opt, NewEventReaderOpts, EventFeedName)
+		s.events, err = openFeed(&s.closers, dir, opt, NewEventReaderOpts, EventFeedName)
 	}
 	if err != nil {
 		s.Close()
@@ -132,15 +129,25 @@ func OpenDirOpts(dir string, opt Options) (*FeedSource, error) {
 	return s, nil
 }
 
+// openTraces opens dir's required trace feed (traces.col or
+// traces.csv) through openFeed.
+func openTraces(closers *[]io.Closer, dir string, opt Options) (TraceDayReader, error) {
+	r, err := openFeed(closers, dir, opt, newTraceDayReader, TraceColFeedName, TraceFeedName)
+	if err == nil && r == nil {
+		err = fmt.Errorf("feeds: opening trace feed: no %s or %s in %s", TraceColFeedName, TraceFeedName, dir)
+	}
+	return r, err
+}
+
 // openFeed opens the first of names that dir holds, adds the file to
-// s's closers, and decodes it with newR under opt, Name set to the
+// closers, and decodes it with newR under opt, Name set to the
 // file's path. A feed none of whose names opens is absent: the zero R
 // and no error.
-func openFeed[R any](s *FeedSource, dir string, opt Options, newR func(io.Reader, Options) (R, error), names ...string) (R, error) {
+func openFeed[R any](closers *[]io.Closer, dir string, opt Options, newR func(io.Reader, Options) (R, error), names ...string) (R, error) {
 	for _, name := range names {
 		opt.Name = filepath.Join(dir, name)
 		if f, err := os.Open(opt.Name); err == nil {
-			s.closers = append(s.closers, f)
+			*closers = append(*closers, f)
 			return newR(f, opt)
 		}
 	}

@@ -1,6 +1,7 @@
 package mobsim
 
 import (
+	"repro/internal/grow"
 	"repro/internal/popsim"
 	"repro/internal/timegrid"
 )
@@ -20,7 +21,11 @@ const blockVisits = 8 << 10
 // allocates about what it holds — whole blocks, never a slice regrown
 // by copying — and Reset keeps every block, so a warm buffer (grown to
 // a typical day) refills without any heap allocation. That is what
-// makes the per-day pipeline zero-allocation in steady state.
+// makes the per-day pipeline zero-allocation in steady state. A writer
+// that knows the day's trace count up front (the simulator, the
+// columnar feed decoder) calls ReserveTraces first, so a cold buffer
+// sizes its trace index in one allocation instead of growing it by
+// doubling.
 //
 // The buffer also owns the simulator's per-agent builder scratch, so one
 // DayBuffer per goroutine is the unit of concurrency: Simulator.DayInto
@@ -52,6 +57,15 @@ func (d *DayBuffer) Reset(day timegrid.SimDay) {
 	d.next = 0
 	d.open = nil
 	d.traces = d.traces[:0]
+}
+
+// ReserveTraces makes room in the trace index for n more BeginUser
+// calls. A cold buffer's index is allocated once, of exactly n traces;
+// an index with room is left alone, so a warm buffer never reallocates
+// it; and a warm index that is short grows as append would, so days
+// that slowly get larger do not reallocate it on every larger day.
+func (d *DayBuffer) ReserveTraces(n int) {
+	d.traces = grow.Reserve(d.traces, n)
 }
 
 // Day returns the day the buffer currently holds.

@@ -151,6 +151,39 @@ func TestDayBufferAppendToViewKeepsNeighbours(t *testing.T) {
 	checkTraces(t, d.Traces(), want)
 }
 
+// TestDayBufferReserveTraces pins the trace index policy: a cold
+// buffer's index is allocated at exactly the reserved size, a warm index
+// with room is never reallocated, and growing an index mid-day keeps the
+// traces begun so far.
+func TestDayBufferReserveTraces(t *testing.T) {
+	d := NewDayBuffer()
+	d.Reset(0)
+	d.ReserveTraces(100)
+	want := fillTraces(d, make([]int, 100)...)
+	got := d.Traces()
+	if cap(got) != 100 {
+		t.Fatalf("cold index capacity %d, want exactly 100", cap(got))
+	}
+	checkTraces(t, got, want)
+	index := &got[0]
+	for _, n := range []int{50, 100} {
+		d.Reset(1)
+		d.ReserveTraces(n)
+		fillTraces(d, make([]int, n)...)
+		if tr := d.Traces(); &tr[0] != index {
+			t.Fatalf("a warm index with room for %d traces was reallocated", n)
+		}
+	}
+
+	d.Reset(2)
+	want = fillTraces(d, 3, 1, 2)
+	d.ReserveTraces(200)
+	if tr := d.Traces(); cap(tr) < 203 {
+		t.Fatalf("index capacity %d after reserving 200 more than 3", cap(tr))
+	}
+	checkTraces(t, d.Traces(), want)
+}
+
 // TestDayIntoColdAllocation pins what a fresh buffer costs: one DayInto
 // at 8k users allocates at most 1.15× the bytes of the visits and trace
 // index it holds.

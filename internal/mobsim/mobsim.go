@@ -100,10 +100,7 @@ func (s *Simulator) Scenario() *pandemic.Scenario { return s.scen }
 func (s *Simulator) DayInto(buf *DayBuffer, day timegrid.SimDay) []DayTrace {
 	buf.Reset(day)
 	native := s.pop.Native()
-	// One trace per native agent: the index is sized exactly, once.
-	if cap(buf.traces) < len(native) {
-		buf.traces = make([]DayTrace, 0, len(native))
-	}
+	buf.ReserveTraces(len(native)) // one trace per native agent
 	for _, id := range native {
 		s.buildUserDay(&buf.b, id, day)
 		buf.b.flushTo(buf, id)

@@ -24,10 +24,6 @@ const magic = "MNOP"
 // allocation instead of exhausting memory first.
 const readChunk = 1 << 20
 
-// sketchBins is this build's quantile-sketch resolution; a sketch
-// written with any other bin count is rejected.
-var sketchBins = len(stream.NewQSketch().State().Bins)
-
 // Typed failure causes, wrapped in *BlockError with path:offset
 // context; match with errors.Is.
 var (
@@ -117,19 +113,21 @@ func appendDay(b []byte, d *Day) []byte {
 	b = binary.AppendUvarint(b, uint64(len(d.Sketches)))
 	for i := range d.Sketches {
 		st := &d.Sketches[i]
-		for _, v := range [...]int64{st.Under, st.Count, int64(len(st.Bins))} {
+		for _, v := range [...]int64{st.Under, st.Count, int64(stream.QSketchBins)} {
 			b = binary.AppendVarint(b, v)
 		}
-		// Gaps skip the zero bins; the last gap lands exactly on the end.
+		// Gaps between absolute bin indices skip the zero bins, inside
+		// the state's window and around it; the last gap lands exactly
+		// on the end.
 		last := -1
 		for j, c := range st.Bins {
 			if c != 0 {
-				b = binary.AppendUvarint(b, uint64(j-last-1))
+				b = binary.AppendUvarint(b, uint64(st.Lo+j-last-1))
 				b = binary.AppendVarint(b, c)
-				last = j
+				last = st.Lo + j
 			}
 		}
-		b = binary.AppendUvarint(b, uint64(len(st.Bins)-last-1))
+		b = binary.AppendUvarint(b, uint64(stream.QSketchBins-last-1))
 	}
 	b = binary.AppendVarint(b, d.Events)
 	return binary.AppendVarint(b, d.Failures)
@@ -343,22 +341,30 @@ func (c *cursor) day(d *Day) {
 	d.Events, d.Failures = c.varint(), c.varint()
 }
 
+// sketch decodes one sketch into a windowed state: the bins land in a
+// dense scratch, and the window from the first to the last stored bin
+// is copied out.
 func (c *cursor) sketch(st *stream.QSketchState) {
 	st.Under, st.Count = c.varint(), c.varint()
-	if bins := c.varint(); bins != int64(sketchBins) {
-		c.fail("sketch has %d bins, this build uses %d", bins, sketchBins)
+	if bins := c.varint(); bins != int64(stream.QSketchBins) {
+		c.fail("sketch has %d bins, this build uses %d", bins, stream.QSketchBins)
 		return
 	}
-	st.Bins = make([]int64, sketchBins)
+	var bins [stream.QSketchBins]int64
+	lo, hi := stream.QSketchBins, 0
 	for j := -1; ; {
 		gap := c.uvarint()
-		if gap > uint64(sketchBins-1-j) {
-			c.fail("sketch bin index past %d", sketchBins)
+		if gap > uint64(stream.QSketchBins-1-j) {
+			c.fail("sketch bin index past %d", stream.QSketchBins)
 			return
 		}
-		if j += 1 + int(gap); j == sketchBins {
-			return
+		if j += 1 + int(gap); j == stream.QSketchBins {
+			break
 		}
-		st.Bins[j] = c.varint()
+		bins[j] = c.varint()
+		lo, hi = min(lo, j), j+1
+	}
+	if lo < hi {
+		st.Lo, st.Bins = lo, append([]int64(nil), bins[lo:hi]...)
 	}
 }

@@ -8,9 +8,12 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/stream"
 )
 
 // realPartial replays the 500-user fixture feed and returns the bytes of
@@ -67,6 +70,42 @@ func TestReadFileRoundTrip(t *testing.T) {
 	}
 	if b2, err := os.ReadFile(again); err != nil || !bytes.Equal(b, b2) {
 		t.Fatalf("re-encoded partial differs from the original (err %v)", err)
+	}
+}
+
+// TestReadFileKeepsSketchWindows pins that reading a partial back
+// yields the recorder's own windowed sketch states: the same Lo and the
+// same bins, from the first to the last occupied one, never the dense
+// bin array.
+func TestReadFileKeepsSketchWindows(t *testing.T) {
+	dir := t.TempDir()
+	writeFeedDir(t, dir)
+	want := record(t, dir)
+	path := filepath.Join(t.TempDir(), "partial")
+	if err := WriteFile(path, want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	windows := 0
+	for i := range want.Days {
+		w, g := want.Days[i].Sketches, got.Days[i].Sketches
+		if !reflect.DeepEqual(g, w) {
+			t.Fatalf("day %d: read sketch states differ from the recorded ones", want.Days[i].Day)
+		}
+		for _, st := range g {
+			if n := len(st.Bins); n > 0 {
+				if st.Bins[0] == 0 || st.Bins[n-1] == 0 || n == stream.QSketchBins {
+					t.Fatalf("day %d: state window [%d,%d) is not the occupied bins", want.Days[i].Day, st.Lo, st.Lo+n)
+				}
+				windows++
+			}
+		}
+	}
+	if windows == 0 {
+		t.Fatal("the fixture partial holds no occupied sketch")
 	}
 }
 

@@ -210,8 +210,8 @@ func (v kpiView) ConsumeDay(day timegrid.SimDay, cells []traffic.CellDay) {
 		q.Reset()
 		if d.Sketches != nil { // a second batch for the day: fold the first in
 			if err := q.MergeState(d.Sketches[m]); err != nil {
-				// Only possible if this build's sketch resolution changed
-				// mid-run, which cannot happen; keep the signature clean.
+				// Only possible for a window outside the sketch's bins,
+				// which State never returns; keep the signature clean.
 				panic(err)
 			}
 		}

@@ -106,6 +106,21 @@ func writeFeedDir(t testing.TB, dir string) {
 // round trip (so the parity checks also pin the binary format).
 func replay(t testing.TB, dir string) *Partial {
 	t.Helper()
+	path := filepath.Join(t.TempDir(), "partial")
+	if err := WriteFile(path, record(t, dir)); err != nil {
+		t.Fatal(err)
+	}
+	p, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// record is replay without the file round trip: the Recorder's own
+// in-memory Partial.
+func record(t testing.TB, dir string) *Partial {
+	t.Helper()
 	meta, _, err := feeds.ReadMeta(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -124,15 +139,7 @@ func replay(t testing.TB, dir string) *Partial {
 	if err := eng.Run(context.Background(), stream.Prefetch(fs, scfg.Buffer)); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "partial")
-	if err := WriteFile(path, rec.Partial()); err != nil {
-		t.Fatal(err)
-	}
-	p, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+	return rec.Partial()
 }
 
 // TestMergeParity pins the headline guarantee: replaying partition

@@ -184,7 +184,8 @@ func TestQSketchQuantiles(t *testing.T) {
 
 // TestQSketchMergeState pins the snapshot fold: merging parts' states
 // into a Reset sketch equals merging the live parts, bin for bin, and a
-// snapshot of another resolution is refused without touching the sketch.
+// snapshot whose window runs past the last bin is refused without
+// touching the sketch.
 func TestQSketchMergeState(t *testing.T) {
 	src := rng.New(5)
 	parts := []*QSketch{NewQSketch(), NewQSketch(), NewQSketch()}
@@ -207,12 +208,66 @@ func TestQSketchMergeState(t *testing.T) {
 	}
 
 	bad := parts[0].State()
-	bad.Bins = bad.Bins[:len(bad.Bins)-1]
+	bad.Lo = QSketchBins - len(bad.Bins) + 1
 	if err := got.MergeState(bad); err == nil {
-		t.Fatal("MergeState accepted a snapshot with the wrong bin count")
+		t.Fatal("MergeState accepted a snapshot window past the last bin")
 	}
 	if !reflect.DeepEqual(got.State(), want.State()) {
 		t.Fatal("a rejected MergeState changed the sketch")
+	}
+}
+
+// TestQSketchStateWindows pins the windowed snapshot: State keeps the
+// first-to-last non-zero bin window (none for an empty sketch, all bins
+// when both end bins are occupied), MergeState of a State rebuilds the
+// sketch bin for bin, and a window reaching outside [0, QSketchBins) is
+// refused without touching the sketch.
+func TestQSketchStateWindows(t *testing.T) {
+	empty := NewQSketch()
+	empty.Add(0) // underflow only: still no bins
+	if st := empty.State(); st.Lo != 0 || st.Bins != nil || st.Under != 1 || st.Count != 1 {
+		t.Fatalf("empty sketch state %+v, want no bins and the underflow count", st)
+	}
+
+	full := NewQSketch()
+	full.Add(1.01 * sketchLo) // bin 0
+	full.Add(2 * sketchHi)    // saturates into the top bin
+	if st := full.State(); st.Lo != 0 || len(st.Bins) != QSketchBins {
+		t.Fatalf("end-to-end sketch state window [%d,%d), want [0,%d)", st.Lo, st.Lo+len(st.Bins), QSketchBins)
+	}
+
+	src := rng.New(9)
+	q := NewQSketch()
+	for i := 0; i < 500; i++ {
+		q.Add(math.Pow(10, src.Range(-1, 2)))
+	}
+	st := q.State()
+	if st.Lo == 0 || st.Lo+len(st.Bins) == QSketchBins || st.Bins[0] == 0 || st.Bins[len(st.Bins)-1] == 0 {
+		t.Fatalf("state window [%d,%d) is not the occupied bins", st.Lo, st.Lo+len(st.Bins))
+	}
+	for _, from := range []*QSketch{q, full, empty} {
+		got := NewQSketch()
+		if err := got.MergeState(from.State()); err != nil {
+			t.Fatalf("MergeState: %v", err)
+		}
+		if !reflect.DeepEqual(got, from) {
+			t.Fatal("MergeState(State()) did not rebuild the sketch bin for bin")
+		}
+	}
+
+	for _, bad := range []QSketchState{
+		{Lo: -1, Bins: []int64{1}, Count: 1},
+		{Lo: QSketchBins, Bins: []int64{1}, Count: 1},
+		{Lo: 1, Bins: make([]int64, QSketchBins), Count: 1},
+		{Lo: math.MaxInt, Bins: []int64{1}, Count: 1},
+	} {
+		got := q.Fork()
+		if err := got.MergeState(bad); err == nil {
+			t.Errorf("MergeState accepted window [%d,+%d)", bad.Lo, len(bad.Bins))
+		}
+		if !reflect.DeepEqual(got, q) {
+			t.Errorf("a refused window [%d,+%d) changed the sketch", bad.Lo, len(bad.Bins))
+		}
 	}
 }
 

@@ -40,10 +40,12 @@ const (
 	sketchLgH = 12.0 // log10(sketchHi)
 )
 
-const sketchBins = int((sketchLgH - sketchLgL) * sketchBPD)
+// QSketchBins is the number of bins of every sketch this build makes:
+// QSketchState windows index into [0, QSketchBins).
+const QSketchBins = int((sketchLgH - sketchLgL) * sketchBPD)
 
 // NewQSketch returns an empty sketch.
-func NewQSketch() *QSketch { return &QSketch{bins: make([]int64, sketchBins)} }
+func NewQSketch() *QSketch { return &QSketch{bins: make([]int64, QSketchBins)} }
 
 // Reset empties the sketch for reuse.
 func (q *QSketch) Reset() {
@@ -61,20 +63,21 @@ func (q *QSketch) Add(x float64) {
 		return
 	}
 	i := int((math.Log10(x) - sketchLgL) * sketchBPD)
-	if i >= sketchBins {
-		i = sketchBins - 1
+	if i >= QSketchBins {
+		i = QSketchBins - 1
 	}
 	q.bins[i]++
 }
 
 // Merge adds another sketch's counts; merging is exact and commutative.
-func (q *QSketch) Merge(o *QSketch) { q.add(o.bins, o.under, o.count) }
+func (q *QSketch) Merge(o *QSketch) { q.add(0, o.bins, o.under, o.count) }
 
-func (q *QSketch) add(bins []int64, under, count int64) {
+// add adds bins to the sketch's bins from index lo on.
+func (q *QSketch) add(lo int, bins []int64, under, count int64) {
 	q.count += count
 	q.under += under
 	for i, c := range bins {
-		q.bins[i] += c
+		q.bins[lo+i] += c
 	}
 }
 
@@ -116,29 +119,47 @@ func (q *QSketch) Fork() *QSketch {
 	return &QSketch{bins: append([]int64(nil), q.bins...), under: q.under, count: q.count}
 }
 
-// QSketchState is the serializable form of a sketch. Bins length is
-// bound to the package's compiled resolution (sketchBins); MergeState
-// rejects a snapshot taken with different constants.
+// QSketchState is a snapshot of a sketch's counts, windowed: Bins[i] is
+// the count of bin Lo+i, and every bin outside [Lo, Lo+len(Bins)) is
+// zero. A day's KPI sketch occupies a few dozen of the QSketchBins
+// bins, so the window keeps snapshots (and the partial files' decoded
+// copies of them) a small fraction of the dense size.
 type QSketchState struct {
-	Bins  []int64 `json:"bins"`
-	Under int64   `json:"under"`
-	Count int64   `json:"count"`
+	Lo    int
+	Bins  []int64
+	Under int64
+	Count int64
 }
 
-// State snapshots the sketch (deep copy) for serialization.
+// State snapshots the sketch (deep copy) for serialization. The window
+// runs from the first to the last non-zero bin; an empty sketch, or one
+// holding only underflow, has no bins.
 func (q *QSketch) State() QSketchState {
-	return QSketchState{Bins: append([]int64(nil), q.bins...), Under: q.under, Count: q.count}
+	st := QSketchState{Under: q.under, Count: q.count}
+	lo, hi := 0, len(q.bins)
+	for lo < hi && q.bins[lo] == 0 {
+		lo++
+	}
+	for hi > lo && q.bins[hi-1] == 0 {
+		hi--
+	}
+	if lo < hi {
+		st.Lo, st.Bins = lo, append([]int64(nil), q.bins[lo:hi]...)
+	}
+	return st
 }
 
 // MergeState adds a snapshot's counts to the sketch in place, exactly
 // as Merge adds a live sketch's, so folding states into a Reset sketch
-// rebuilds their merge without allocating. A snapshot of another
-// resolution is rejected and leaves the sketch unchanged.
+// rebuilds their merge without allocating. A snapshot whose window
+// reaches outside [0, QSketchBins) is rejected and leaves the sketch
+// unchanged.
 func (q *QSketch) MergeState(st QSketchState) error {
-	if len(st.Bins) != sketchBins {
-		return fmt.Errorf("stream: sketch snapshot has %d bins, this build uses %d", len(st.Bins), sketchBins)
+	if st.Lo < 0 || len(st.Bins) > QSketchBins-st.Lo {
+		return fmt.Errorf("stream: sketch snapshot window [%d,%d) lies outside this build's %d bins",
+			st.Lo, st.Lo+len(st.Bins), QSketchBins)
 	}
-	q.add(st.Bins, st.Under, st.Count)
+	q.add(st.Lo, st.Bins, st.Under, st.Count)
 	return nil
 }
 

@@ -153,7 +153,9 @@ func newSourceMetrics(r *obs.Registry, workers int) *sourceMetrics {
 // backpressure window; ctx cancels production (workers stop within one
 // day of work and pooled buffers are recycled). The source recycles
 // through a fresh BufferPool sized to its in-flight window and
-// instrumented with cfg.Metrics.
+// instrumented with cfg.Metrics. The first worker runs on eng itself
+// and the others on clones, so the caller must not run eng until the
+// source has returned io.EOF.
 func NewSimSource(ctx context.Context, sim *mobsim.Simulator, eng *traffic.Engine, first, limit timegrid.SimDay, cfg Config) *SimSource {
 	cfg = cfg.WithDefaults()
 	return NewSimSourcePooled(ctx, NewBufferPool(cfg.Workers+cfg.Buffer).Instrument(cfg.Metrics), sim, eng, first, limit, cfg)

@@ -61,6 +61,10 @@ func TestScaleParityMediumRung(t *testing.T) {
 	first := timegrid.SimDay(timegrid.StudyDayOffset + 29) // a weekend/weekday straddle
 	limit := first + 3
 
+	// The serial reference runs on its own clone, taken before any worker
+	// starts: the source's first worker runs on d.Engine itself, and two
+	// DayAppend calls on one engine race on its scratch.
+	ref := d.Engine.Clone()
 	src := stream.NewSimSource(context.Background(), d.Sim, d.Engine, first, limit,
 		stream.Config{Workers: 4})
 	buf := mobsim.NewDayBuffer()
@@ -76,9 +80,9 @@ func TestScaleParityMediumRung(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Serial reference for the same day, on the same simulator and
-		// engine the source cloned its workers from.
+		// a clone of the engine the source cloned its workers from.
 		traces := d.Sim.DayInto(buf, b.Day)
-		cells = d.Engine.DayAppend(cells[:0], b.Day, traces)
+		cells = ref.DayAppend(cells[:0], b.Day, traces)
 
 		if len(traces) != len(b.Traces) {
 			t.Fatalf("day %d: %d serial vs %d streamed traces", b.Day, len(traces), len(b.Traces))
