@@ -11,8 +11,11 @@
 // quantile-sketch merges (bit-identical), control-plane totals are
 // integer sums. Partials are read strictly: a damaged file, or a
 // version-1 (JSON) partial from an older build, fails with its
-// path:offset. Exit codes: 0 success, 1 runtime failure (including
-// inconsistent or damaged partials), 2 bad usage.
+// path:offset. Each file is verified when it is read and read again,
+// one day block at a time, while the merge folds it, so memory holds
+// one day per partial; a file that changes in between fails the merge
+// (partial.ErrChanged). Exit codes: 0 success, 1 runtime failure
+// (including inconsistent, damaged or changed partials), 2 bad usage.
 //
 // Usage:
 //

@@ -1,7 +1,6 @@
 package partial
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -12,6 +11,7 @@ import (
 	"os"
 	"slices"
 
+	"repro/internal/grow"
 	"repro/internal/stream"
 	"repro/internal/timegrid"
 )
@@ -24,6 +24,13 @@ const magic = "MNOP"
 // allocation instead of exhausting memory first.
 const readChunk = 1 << 20
 
+// fileTable is the polynomial of the whole-file CRC ReadFile records
+// for Merge to compare against. It is not the blocks' IEEE polynomial:
+// a block closed by its own IEEE CRC moves an IEEE register the same
+// way for every payload of its length, so an IEEE whole-file CRC would
+// miss a rewrite whose block CRCs were recomputed.
+var fileTable = crc32.MakeTable(crc32.Castagnoli)
+
 // Typed failure causes, wrapped in *BlockError with path:offset
 // context; match with errors.Is.
 var (
@@ -32,11 +39,13 @@ var (
 	ErrTruncated = errors.New("truncated file")
 	ErrChecksum  = errors.New("block checksum mismatch")
 	ErrCorrupt   = errors.New("corrupt block")
+	ErrChanged   = errors.New("file changed since ReadFile verified it")
 )
 
 // BlockError is a failed read: the file's path, the byte offset where
-// the failing header or block starts, and the cause (one of the
-// sentinel errors above, usually wrapped with detail).
+// the failing header or block starts (0 for ErrChanged, which concerns
+// the whole file), and the cause (one of the sentinel errors above,
+// usually wrapped with detail).
 type BlockError struct {
 	Path   string
 	Offset int64
@@ -49,47 +58,61 @@ func (e *BlockError) Error() string {
 
 func (e *BlockError) Unwrap() error { return e.Err }
 
-// WriteFile persists a Partial as a header block and one block per day.
-// Metrics are stored as raw IEEE-754 bits and sketch bins as exact
-// counts, so ReadFile reproduces every value bit for bit.
-func WriteFile(path string, p *Partial) error {
-	if p.Version != Version || len(p.Days) > timegrid.SimDays {
+// WriteFile persists a Partial: the file magic and version, the header
+// block, then the day blocks as they are. A Recorder's blocks are
+// written from memory; a read partial's are copied from its file, which
+// must still be the one ReadFile verified (see Merge), and so must not
+// be path. Metrics are stored as raw IEEE-754 bits and sketch bins as
+// exact counts, so ReadFile reproduces every value bit for bit.
+func WriteFile(path string, p *Partial) (err error) {
+	if p.Version != Version || p.days > timegrid.SimDays {
 		return fmt.Errorf("partial: writing %s: version %d with %d days (this build writes version %d, at most %d days)",
-			path, p.Version, len(p.Days), Version, timegrid.SimDays)
+			path, p.Version, p.days, Version, timegrid.SimDays)
 	}
+	days, err := p.openDays()
+	if err != nil {
+		return err
+	}
+	defer days.close()
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	w := bufio.NewWriterSize(f, 1<<16)
-	w.WriteString(magic)
-	w.WriteByte(Version)
-	blk := writeBlock(w, appendHeader(beginBlock(nil), p))
-	for i := range p.Days {
-		blk = writeBlock(w, appendDay(beginBlock(blk), &p.Days[i]))
-	}
-	if err := w.Flush(); err != nil { // bufio.Writer errors are sticky
-		f.Close()
+	defer func() {
+		if cerr := f.Close(); err == nil && cerr != nil {
+			err = fmt.Errorf("partial: writing %s: %w", path, cerr)
+		}
+	}()
+	head := append([]byte(magic), Version)
+	head = append(head, endBlock(appendHeader(beginBlock(nil), p))...)
+	if _, err := f.Write(head); err != nil {
 		return fmt.Errorf("partial: writing %s: %w", path, err)
 	}
-	return f.Close()
+	for range p.days {
+		b, err := days.next(false)
+		if err != nil {
+			return err
+		}
+		if _, err := f.Write(b); err != nil {
+			return fmt.Errorf("partial: writing %s: %w", path, err)
+		}
+	}
+	return days.finish()
 }
 
 // beginBlock empties b down to a 4-byte length placeholder.
 func beginBlock(b []byte) []byte { return append(b[:0], 0, 0, 0, 0) }
 
-// writeBlock fills in b's payload length, appends the CRC-32 of length
-// and payload, and writes the block; it returns b for reuse.
-func writeBlock(w *bufio.Writer, b []byte) []byte {
+// endBlock fills in b's payload length and appends the CRC-32 of length
+// and payload, completing the block.
+func endBlock(b []byte) []byte {
 	binary.LittleEndian.PutUint32(b, uint32(len(b)-4))
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
-	w.Write(b)
-	return b
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
 func appendHeader(b []byte, p *Partial) []byte {
 	for _, v := range [...]uint64{uint64(p.Users), p.Seed, uint64(p.Part), uint64(p.Parts),
-		uint64(p.UserLo), uint64(p.UserHi), uint64(len(p.Days)), uint64(len(p.Scenario))} {
+		uint64(p.UserLo), uint64(p.UserHi), uint64(p.days), uint64(len(p.Scenario))} {
 		b = binary.AppendUvarint(b, v)
 	}
 	return append(b, p.Scenario...)
@@ -133,33 +156,76 @@ func appendDay(b []byte, d *Day) []byte {
 	return binary.AppendVarint(b, d.Failures)
 }
 
-// ReadFile loads a Partial written by WriteFile. Reading is strict: a
-// bad header, a damaged, missing or over-long block, or bytes after the
-// last day fail with a *BlockError carrying path:offset. A version-1
-// (JSON) partial fails with ErrVersion.
+// ReadFile verifies a partial written by WriteFile and returns its
+// header. Reading is strict: a bad header, a damaged, missing or
+// over-long block, or bytes after the last day fail with a *BlockError
+// carrying path:offset, and a version-1 (JSON) partial fails with
+// ErrVersion. Every day block is decoded, into one reused Day, and
+// dropped: the Partial keeps the path, size and a CRC-32C of the whole
+// file, and Merge and WriteFile read the days from it again.
 func ReadFile(path string) (*Partial, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return decode(bufio.NewReaderSize(f, 1<<16), path)
+	return decode(f, path)
 }
 
 // decoder reads blocks into one reused buffer, tracking the offset of
-// the next unread byte for error context.
+// the next unread byte for error context and the CRC-32C (fileTable)
+// of every byte read so far.
 type decoder struct {
 	r    io.Reader
 	path string
 	off  int64
+	crc  uint32
 	buf  []byte
 }
 
+// decode runs ReadFile's verifying read over r; path names the input in
+// errors.
 func decode(r io.Reader, path string) (*Partial, error) {
 	d := &decoder{r: r, path: path}
+	p := &Partial{Version: Version, path: path}
+	if err := d.header(p); err != nil {
+		return nil, err
+	}
+	var day Day
+	for range p.days {
+		if err := d.block(func(c *cursor) { c.day(&day) }); err != nil {
+			return nil, err
+		}
+	}
+	// The header's day count makes a cut at a block boundary detectable;
+	// anything after the last day is damage too.
+	if off := d.off; d.more() {
+		return nil, &BlockError{Path: path, Offset: off, Err: fmt.Errorf("%w: data after the last of %d day blocks", ErrCorrupt, p.days)}
+	}
+	p.size, p.crc = d.off, d.crc
+	return p, nil
+}
+
+// read fills b from the stream, keeping off and crc current.
+func (d *decoder) read(b []byte) (int, error) {
+	n, err := io.ReadFull(d.r, b)
+	d.off += int64(n)
+	d.crc = crc32.Update(d.crc, fileTable, b[:n])
+	return n, err
+}
+
+// more reports whether the stream holds another byte (consuming it).
+func (d *decoder) more() bool {
+	var b [1]byte
+	n, _ := d.read(b[:])
+	return n > 0
+}
+
+// header checks the file magic and version and decodes the header
+// block into p.
+func (d *decoder) header(p *Partial) error {
 	var head [len(magic) + 1]byte
-	n, err := io.ReadFull(r, head[:])
-	d.off = int64(n)
+	n, err := d.read(head[:])
 	switch {
 	case bytes.HasPrefix(bytes.TrimLeft(head[:n], " \t\r\n"), []byte("{")):
 		err = fmt.Errorf("%w 1 (JSON); this build reads version %d, so re-run mnostream -partial", ErrVersion, Version)
@@ -171,35 +237,17 @@ func decode(r io.Reader, path string) (*Partial, error) {
 		err = fmt.Errorf("%w %d (this build reads %d)", ErrVersion, head[len(magic)], Version)
 	}
 	if err != nil {
-		return nil, &BlockError{Path: path, Offset: 0, Err: err}
+		return &BlockError{Path: d.path, Offset: 0, Err: err}
 	}
-
-	p := &Partial{Version: Version}
-	days := 0
-	err = d.block(func(c *cursor) {
+	return d.block(func(c *cursor) {
 		p.Users, p.Seed = int(c.uvarint()), c.uvarint()
 		p.Part, p.Parts = int(c.uvarint()), int(c.uvarint())
 		p.UserLo, p.UserHi = c.u32(), c.u32()
-		if days = int(c.u32()); days > timegrid.SimDays {
-			c.fail("%d day blocks, more than the %d simulated days", days, timegrid.SimDays)
+		if p.days = int(c.u32()); p.days > timegrid.SimDays {
+			c.fail("%d day blocks, more than the %d simulated days", p.days, timegrid.SimDays)
 		}
 		p.Scenario = string(c.bytes(c.length(1)))
 	})
-	if err != nil {
-		return nil, err
-	}
-	p.Days = make([]Day, days)
-	for i := range p.Days {
-		if err := d.block(func(c *cursor) { c.day(&p.Days[i]) }); err != nil {
-			return nil, err
-		}
-	}
-	// The header's day count makes a cut at a block boundary detectable;
-	// anything after the last day is damage too.
-	if n, _ := io.ReadFull(r, head[:1]); n > 0 {
-		return nil, &BlockError{Path: path, Offset: d.off, Err: fmt.Errorf("%w: data after the last of %d day blocks", ErrCorrupt, days)}
-	}
-	return p, nil
 }
 
 // fill extends d.buf to n bytes from the stream, chunked so a corrupt
@@ -208,9 +256,8 @@ func (d *decoder) fill(n int) error {
 	for len(d.buf) < n {
 		k := min(n-len(d.buf), readChunk)
 		d.buf = slices.Grow(d.buf, k)
-		m, err := io.ReadFull(d.r, d.buf[len(d.buf):len(d.buf)+k])
+		m, err := d.read(d.buf[len(d.buf) : len(d.buf)+k])
 		d.buf = d.buf[:len(d.buf)+m]
-		d.off += int64(m)
 		if err != nil {
 			return err
 		}
@@ -218,9 +265,8 @@ func (d *decoder) fill(n int) error {
 	return nil
 }
 
-// block reads the next block, checks its CRC and decodes its payload
-// with fn, which must consume it exactly. A failure carries the offset
-// where the block starts.
+// block reads the next block into d.buf and checks it (see
+// checkBlock). A failure carries the offset where the block starts.
 func (d *decoder) block(fn func(*cursor)) error {
 	start := d.off
 	d.buf = d.buf[:0]
@@ -228,23 +274,114 @@ func (d *decoder) block(fn func(*cursor)) error {
 	if err == nil {
 		err = d.fill(8 + int(binary.LittleEndian.Uint32(d.buf)))
 	}
-	n := len(d.buf) - 4
-	switch {
-	case err != nil:
+	if err != nil {
 		err = truncated(err)
-	case binary.LittleEndian.Uint32(d.buf[n:]) != crc32.ChecksumIEEE(d.buf[:n]):
-		err = ErrChecksum
-	default:
-		c := cursor{b: d.buf[4:n]}
-		fn(&c)
-		if err = c.err; err == nil && len(c.b) > 0 {
-			err = fmt.Errorf("%w: %d trailing bytes in block", ErrCorrupt, len(c.b))
-		}
+	} else {
+		err = checkBlock(d.buf, fn)
 	}
 	if err != nil {
 		return &BlockError{Path: d.path, Offset: start, Err: err}
 	}
 	return nil
+}
+
+// checkBlock checks a whole block's CRC and, unless fn is nil, decodes
+// its payload with fn, which must consume it exactly.
+func checkBlock(b []byte, fn func(*cursor)) error {
+	n := len(b) - 4
+	if binary.LittleEndian.Uint32(b[n:]) != crc32.ChecksumIEEE(b[:n]) {
+		return ErrChecksum
+	}
+	if fn == nil {
+		return nil
+	}
+	c := cursor{b: b[4:n]}
+	fn(&c)
+	if c.err == nil && len(c.b) > 0 {
+		return fmt.Errorf("%w: %d trailing bytes in block", ErrCorrupt, len(c.b))
+	}
+	return c.err
+}
+
+// dayReader reads a partial's day blocks in order, decoding each on
+// request into one reused Day: a Recorder's blocks from memory, or a
+// read partial's from its file, reopened and verified as strictly as
+// ReadFile verified it.
+type dayReader struct {
+	p   *Partial
+	i   int
+	f   *os.File
+	dec decoder
+	day Day
+}
+
+// openDays starts reading p's day blocks. For a read partial it opens
+// the file and checks its magic, version and header block; close the
+// reader when done.
+func (p *Partial) openDays() (*dayReader, error) {
+	r := &dayReader{p: p}
+	if p.path == "" {
+		return r, nil
+	}
+	f, err := os.Open(p.path)
+	if err != nil {
+		return nil, err
+	}
+	r.f, r.dec = f, decoder{r: f, path: p.path}
+	// The header's values are ReadFile's; finish catches a header that
+	// changed since.
+	if err := r.dec.header(&Partial{}); err != nil {
+		r.close()
+		return nil, err
+	}
+	return r, nil
+}
+
+// next returns the next whole day block (length, payload, CRC), valid
+// until the following call; with decode set it also decodes the day
+// into r.day.
+func (r *dayReader) next(decode bool) ([]byte, error) {
+	var fn func(*cursor)
+	if decode {
+		fn = func(c *cursor) { c.day(&r.day) }
+	}
+	if r.f != nil {
+		err := r.dec.block(fn)
+		return r.dec.buf, err
+	}
+	// A Recorder's blocks are its own encoding: only decoding reads them.
+	b := r.p.blocks[r.i]
+	r.i++
+	if decode {
+		if err := checkBlock(b, fn); err != nil {
+			return nil, fmt.Errorf("partial: recorded day block %d: %w", r.i-1, err)
+		}
+	}
+	return b, nil
+}
+
+// finish ends a read of every day block and closes the file, which
+// must end there, with the size and whole-file CRC ReadFile saw, or the
+// read fails with ErrChanged.
+func (r *dayReader) finish() error {
+	if r.f == nil {
+		return nil
+	}
+	defer r.close()
+	d := &r.dec
+	if d.more() || d.off != r.p.size || d.crc != r.p.crc {
+		return &BlockError{Path: d.path, Offset: 0, Err: fmt.Errorf("%w: read %d bytes with CRC-32C %08x, ReadFile verified %d bytes with CRC-32C %08x",
+			ErrChanged, d.off, d.crc, r.p.size, r.p.crc)}
+	}
+	return nil
+}
+
+// close releases the reader's file, if it has one open.
+func (r *dayReader) close() {
+	if r.f != nil {
+		r.f.Close()
+		r.f = nil
+	}
 }
 
 // truncated maps an early end of input to ErrTruncated; other read
@@ -311,17 +448,22 @@ func (c *cursor) bytes(n int) []byte {
 	return b
 }
 
-func (c *cursor) floats() []float64 {
-	xs := make([]float64, c.length(8))
-	for i := range xs {
-		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(c.bytes(8)))
+// floats decodes a float64 column into dst's backing array.
+func (c *cursor) floats(dst []float64) []float64 {
+	n := c.length(8)
+	dst = grow.Reserve(dst[:0], n)[:n]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(c.bytes(8)))
 	}
-	return xs
+	return dst
 }
 
+// day decodes a day payload into d, reusing its columns and sketch
+// windows.
 func (c *cursor) day(d *Day) {
 	d.Day = timegrid.SimDay(c.varint())
-	d.Users = make([]uint32, c.length(1))
+	n := c.length(1)
+	d.Users = grow.Reserve(d.Users[:0], n)[:n]
 	u := int64(0)
 	for i := range d.Users {
 		if u += c.varint(); u < 0 || u > math.MaxUint32 {
@@ -330,21 +472,21 @@ func (c *cursor) day(d *Day) {
 		}
 		d.Users[i] = uint32(u)
 	}
-	d.Entropy, d.Gyration = c.floats(), c.floats()
+	d.Entropy, d.Gyration = c.floats(d.Entropy), c.floats(d.Gyration)
 	d.Cells = int(c.varint())
-	if k := c.length(4); k > 0 {
-		d.Sketches = make([]stream.QSketchState, k)
-		for m := range d.Sketches {
-			c.sketch(&d.Sketches[m])
-		}
+	k := c.length(4)
+	d.Sketches = grow.Reserve(d.Sketches[:0], k)[:k]
+	for m := range d.Sketches {
+		c.sketch(&d.Sketches[m])
 	}
 	d.Events, d.Failures = c.varint(), c.varint()
 }
 
 // sketch decodes one sketch into a windowed state: the bins land in a
 // dense scratch, and the window from the first to the last stored bin
-// is copied out.
+// is copied out into st.Bins' backing array (see grow.Headroom).
 func (c *cursor) sketch(st *stream.QSketchState) {
+	st.Lo, st.Bins = 0, st.Bins[:0]
 	st.Under, st.Count = c.varint(), c.varint()
 	if bins := c.varint(); bins != int64(stream.QSketchBins) {
 		c.fail("sketch has %d bins, this build uses %d", bins, stream.QSketchBins)
@@ -365,6 +507,6 @@ func (c *cursor) sketch(st *stream.QSketchState) {
 		lo, hi = min(lo, j), j+1
 	}
 	if lo < hi {
-		st.Lo, st.Bins = lo, append([]int64(nil), bins[lo:hi]...)
+		st.Lo, st.Bins = lo, append(grow.Headroom(st.Bins, hi-lo), bins[lo:hi]...)
 	}
 }

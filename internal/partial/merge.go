@@ -1,8 +1,9 @@
 package partial
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/stream"
 	"repro/internal/timegrid"
@@ -32,9 +33,18 @@ type Result struct {
 
 // Merge folds partials into the single-process result. It accepts
 // either one unpartitioned partial or the complete shard set of one
-// partitioned run (every Part 0..Parts-1 exactly once, disjoint user
-// ranges, identical day sequences and provenance). Each day's users must
-// be strictly ascending and, in a partitioned part, inside its range.
+// partitioned run (every Part 0..Parts-1 exactly once, in any order,
+// disjoint user ranges, identical day sequences and provenance). Each
+// day's users must be strictly ascending and, in a partitioned part,
+// inside its range. Merge sorts a copy of parts, never the caller's
+// slice.
+//
+// The parts' day blocks are read in lockstep, one day per part at a
+// time, from a Recorder's memory or from the files ReadFile verified,
+// which are reopened and verified again: a damaged block fails with the
+// usual *BlockError, and a file that is no longer the one ReadFile saw
+// (another size or whole-file CRC-32C) with ErrChanged. On any failure
+// Merge returns no Result.
 //
 // Mobility averages are bit-identical to a single-process replay: the
 // per-user metrics are re-folded in ascending user-range order, which
@@ -63,7 +73,8 @@ func Merge(parts []*Partial) (*Result, error) {
 				return nil, fmt.Errorf("partial: part %d/%d merged with %d partials; need the complete shard set", p.Part, p.Parts, len(parts))
 			}
 		}
-		sort.Slice(parts, func(i, j int) bool { return parts[i].Part < parts[j].Part })
+		parts = slices.Clone(parts)
+		slices.SortFunc(parts, func(a, b *Partial) int { return cmp.Compare(a.Part, b.Part) })
 		for s, p := range parts {
 			if p.Part != s {
 				return nil, fmt.Errorf("partial: shard set has no part %d (found part %d)", s, p.Part)
@@ -74,47 +85,56 @@ func Merge(parts []*Partial) (*Result, error) {
 		}
 	}
 
-	days := len(ref.Days)
+	days := ref.days
 	for _, p := range parts {
-		if len(p.Days) != days {
-			return nil, fmt.Errorf("partial: part %d replayed %d days, part %d replayed %d", ref.Part, days, p.Part, len(p.Days))
-		}
-		for j := range p.Days {
-			if p.Days[j].Day != ref.Days[j].Day {
-				return nil, fmt.Errorf("partial: day sequences diverge at index %d: %d vs %d", j, ref.Days[j].Day, p.Days[j].Day)
-			}
-			d := &p.Days[j]
-			if len(d.Users) != len(d.Entropy) || len(d.Users) != len(d.Gyration) {
-				return nil, fmt.Errorf("partial: part %d day %d: ragged metric columns", p.Part, d.Day)
-			}
-			for i, u := range d.Users {
-				if i > 0 && u <= d.Users[i-1] {
-					return nil, fmt.Errorf("partial: part %d day %d: user %d follows user %d; users must be strictly ascending", p.Part, d.Day, u, d.Users[i-1])
-				}
-				if p.Partitioned() && (u < p.UserLo || u > p.UserHi) {
-					return nil, fmt.Errorf("partial: part %d day %d: user %d outside the part's range [%d, %d]", p.Part, d.Day, u, p.UserLo, p.UserHi)
-				}
-			}
-			if d.Cells > 0 && len(d.Sketches) != traffic.NumMetrics {
-				return nil, fmt.Errorf("partial: part %d day %d: %d sketches, want %d", p.Part, d.Day, len(d.Sketches), traffic.NumMetrics)
-			}
+		if p.days != days {
+			return nil, fmt.Errorf("partial: part %d replayed %d days, part %d replayed %d", ref.Part, days, p.Part, p.days)
 		}
 	}
 
-	res := &Result{Users: ref.Users, Seed: ref.Seed, Scenario: ref.Scenario}
+	rs := make([]*dayReader, len(parts))
+	defer func() {
+		for _, r := range rs {
+			if r != nil {
+				r.close()
+			}
+		}
+	}()
+	for s, p := range parts {
+		r, err := p.openDays()
+		if err != nil {
+			return nil, err
+		}
+		rs[s] = r
+	}
+
+	res := &Result{
+		Users: ref.Users, Seed: ref.Seed, Scenario: ref.Scenario,
+		Mobility: make([]stream.MobilityDay, 0, days),
+		KPI:      make([]stream.KPIDay, 0, days),
+		Events:   make([]EventTotals, 0, days),
+	}
 	merged := make([]*stream.QSketch, traffic.NumMetrics)
 	for m := range merged {
 		merged[m] = stream.NewQSketch()
 	}
 	for j := 0; j < days; j++ {
-		day := ref.Days[j].Day
+		for s, r := range rs {
+			if _, err := r.next(true); err != nil {
+				return nil, err
+			}
+			if err := checkDay(parts[s], &r.day, rs[0].day.Day, j); err != nil {
+				return nil, err
+			}
+		}
+		day := rs[0].day.Day
 
 		// Mobility: sequential fold in shard (== user-range == single
 		// process trace) order.
 		var e, g float64
 		n := 0
-		for _, p := range parts {
-			d := &p.Days[j]
+		for _, r := range rs {
+			d := &r.day
 			for i := range d.Entropy {
 				e += d.Entropy[i]
 				g += d.Gyration[i]
@@ -133,15 +153,15 @@ func Merge(parts []*Partial) (*Result, error) {
 		for _, q := range merged {
 			q.Reset()
 		}
-		for _, p := range parts {
-			d := &p.Days[j]
+		for s, r := range rs {
+			d := &r.day
 			if d.Cells == 0 {
 				continue
 			}
 			cells += d.Cells
 			for m, q := range merged {
 				if err := q.MergeState(d.Sketches[m]); err != nil {
-					return nil, fmt.Errorf("partial: part %d day %d metric %d: %w", p.Part, day, m, err)
+					return nil, fmt.Errorf("partial: part %d day %d metric %d: %w", parts[s].Part, day, m, err)
 				}
 			}
 		}
@@ -155,11 +175,41 @@ func Merge(parts []*Partial) (*Result, error) {
 
 		// Control plane: integer sums.
 		ev := EventTotals{Day: day}
-		for _, p := range parts {
-			ev.Events += p.Days[j].Events
-			ev.Failures += p.Days[j].Failures
+		for _, r := range rs {
+			ev.Events += r.day.Events
+			ev.Failures += r.day.Failures
 		}
 		res.Events = append(res.Events, ev)
 	}
+	for _, r := range rs {
+		if err := r.finish(); err != nil {
+			return nil, err
+		}
+	}
 	return res, nil
+}
+
+// checkDay checks what the bytes of part p's day block j cannot: that
+// its day is refDay (the first part's day j), that its columns line up,
+// that its users are strictly ascending and inside a partitioned part's
+// range, and that a day with cells carries every metric's sketch.
+func checkDay(p *Partial, d *Day, refDay timegrid.SimDay, j int) error {
+	if d.Day != refDay {
+		return fmt.Errorf("partial: day sequences diverge at index %d: %d vs %d", j, refDay, d.Day)
+	}
+	if len(d.Users) != len(d.Entropy) || len(d.Users) != len(d.Gyration) {
+		return fmt.Errorf("partial: part %d day %d: ragged metric columns", p.Part, d.Day)
+	}
+	for i, u := range d.Users {
+		if i > 0 && u <= d.Users[i-1] {
+			return fmt.Errorf("partial: part %d day %d: user %d follows user %d; users must be strictly ascending", p.Part, d.Day, u, d.Users[i-1])
+		}
+		if p.Partitioned() && (u < p.UserLo || u > p.UserHi) {
+			return fmt.Errorf("partial: part %d day %d: user %d outside the part's range [%d, %d]", p.Part, d.Day, u, p.UserLo, p.UserHi)
+		}
+	}
+	if d.Cells > 0 && len(d.Sketches) != traffic.NumMetrics {
+		return fmt.Errorf("partial: part %d day %d: %d sketches, want %d", p.Part, d.Day, len(d.Sketches), traffic.NumMetrics)
+	}
+	return nil
 }

@@ -19,11 +19,18 @@
 //     simply add.
 //
 // A Recorder is attached to a stream.Engine replay (serial trace/KPI
-// consumers plus an event sharder) and captures one Day row per
+// consumers plus an event sharder) and encodes one day block per
 // replayed day; WriteFile/ReadFile move the Partial through the binary
 // format below; Merge folds any complete set of shards — or a single
 // unpartitioned run — into the final rows. cmd/feedmerge is the CLI
 // over this package.
+//
+// The encoded day block is the only form a partial's days take. A
+// Recorder's Partial holds one exactly sized block per closed day; a
+// Partial from ReadFile holds no days at all, only the header and what
+// identifies the verified file. Merge and WriteFile read the days back
+// one block at a time, decoding each into one reused Day, so no process
+// holds more than one decoded day per part.
 //
 // # File format (Version 2)
 //
@@ -46,10 +53,13 @@
 // the round trip is exact by construction. Reading is strict: the
 // first bad header or block fails the read with a *BlockError carrying
 // path:offset, every length is bounded before anything is allocated,
-// and a version-1 (JSON) partial is rejected with ErrVersion.
+// and a version-1 (JSON) partial is rejected with ErrVersion. A file
+// that changes between ReadFile and Merge fails the merge with
+// ErrChanged.
 package partial
 
 import (
+	"bytes"
 	"slices"
 	"sync/atomic"
 
@@ -66,7 +76,8 @@ import (
 // Version is the Partial schema version; bump on incompatible change.
 const Version = 2
 
-// Day is one replayed day of a single process's aggregates.
+// Day is one replayed day of a single process's aggregates: what one
+// day block encodes.
 type Day struct {
 	Day timegrid.SimDay
 
@@ -87,8 +98,12 @@ type Day struct {
 	Failures int64
 }
 
-// Partial is the serializable result of one process replaying one feed
-// directory (a partition shard, or a whole unpartitioned feed).
+// Partial is the result of one process replaying one feed directory (a
+// partition shard, or a whole unpartitioned feed): its provenance and
+// partition header, and its days as encoded day blocks. A Recorder's
+// Partial holds the blocks in memory. A Partial from ReadFile holds
+// none; Merge and WriteFile read them from its file again and fail with
+// ErrChanged if the file is no longer the one ReadFile verified.
 type Partial struct {
 	Version  int
 	Users    int
@@ -102,7 +117,14 @@ type Partial struct {
 	UserLo uint32
 	UserHi uint32
 
-	Days []Day
+	days   int      // number of day blocks
+	blocks [][]byte // a Recorder's day blocks: length, payload, CRC
+
+	// A read partial's file, with its size and whole-file CRC-32C at
+	// read time; path is empty for a Recorder's partial.
+	path string
+	size int64
+	crc  uint32
 }
 
 // Partitioned reports whether the partial covers a partition shard.
@@ -119,21 +141,31 @@ func (p *Partial) Partitioned() bool { return p.Parts > 0 }
 // The trace and KPI views run in the engine's serial merge stage (day
 // order); the event view counts concurrently with atomic adds, which is
 // exact for integers.
+//
+// The recorder keeps one open day, whose columns and KPI sketches are
+// reused from day to day. Days arrive in ascending order (the
+// stream.Source contract), so the open day closes when a view call for
+// the next day arrives, or when Partial is called. Closing encodes the
+// day into a reused block buffer and keeps one exactly sized copy of
+// the block: the recorder holds its partial's file image, day by day,
+// and nothing else that grows with the run.
 type Recorder struct {
 	topo   *radio.Topology
 	topN   int
 	merger core.VisitMerger
 
-	p   Partial
-	idx map[timegrid.SimDay]int
+	p Partial
 
-	// sketches is the KPI view's scratch, one sketch per metric, reset
-	// for every day and snapshotted into the day row.
+	// The open day, its live KPI sketches (one per metric, fed every
+	// KPI batch of the day and snapshotted when it closes) and the
+	// block buffer it is encoded into.
+	open     bool
+	day      Day
 	sketches [traffic.NumMetrics]*stream.QSketch
+	blk      []byte
 
 	// Event scratch: accumulated by concurrent ShardDay calls, folded
-	// into the day row by EndDay.
-	evDay    int
+	// into the open day by EndDay.
 	evCount  atomic.Int64
 	evFailed atomic.Int64
 }
@@ -151,7 +183,7 @@ func NewRecorder(topo *radio.Topology, topN int, meta feeds.Meta) *Recorder {
 			Part: meta.Part, Parts: meta.Parts,
 			UserLo: meta.UserLo, UserHi: meta.UserHi,
 		},
-		idx: make(map[timegrid.SimDay]int),
+		day: Day{Sketches: make([]stream.QSketchState, 0, traffic.NumMetrics)},
 	}
 	for m := range r.sketches {
 		r.sketches[m] = stream.NewQSketch()
@@ -159,20 +191,50 @@ func NewRecorder(topo *radio.Topology, topN int, meta feeds.Meta) *Recorder {
 	return r
 }
 
-// dayRow returns the row for day, creating it in arrival order. The
-// pointer is only valid until the next dayRow call.
+// dayRow returns the open day, first closing the previous one when day
+// moves on. The pointer is only valid until the day closes.
 func (r *Recorder) dayRow(day timegrid.SimDay) *Day {
-	if i, ok := r.idx[day]; ok {
-		return &r.p.Days[i]
+	d := &r.day
+	if r.open && d.Day == day {
+		return d
 	}
-	r.idx[day] = len(r.p.Days)
-	r.p.Days = append(r.p.Days, Day{Day: day})
-	return &r.p.Days[len(r.p.Days)-1]
+	r.closeDay()
+	r.open = true
+	d.Day, d.Cells, d.Events, d.Failures = day, 0, 0, 0
+	d.Users, d.Entropy, d.Gyration = d.Users[:0], d.Entropy[:0], d.Gyration[:0]
+	for _, q := range r.sketches {
+		q.Reset()
+	}
+	return d
 }
 
-// Partial returns the recorded result. Call after the engine run
-// completes; the returned value aliases the recorder's state.
-func (r *Recorder) Partial() *Partial { return &r.p }
+// closeDay snapshots the open day's sketches, encodes the day and keeps
+// an exactly sized copy of its block.
+func (r *Recorder) closeDay() {
+	if !r.open {
+		return
+	}
+	r.open = false
+	d := &r.day
+	d.Sketches = d.Sketches[:0]
+	if d.Cells > 0 {
+		d.Sketches = d.Sketches[:traffic.NumMetrics]
+		for m, q := range r.sketches {
+			q.StateInto(&d.Sketches[m])
+		}
+	}
+	r.blk = endBlock(appendDay(beginBlock(r.blk), d))
+	r.p.blocks = append(r.p.blocks, bytes.Clone(r.blk))
+}
+
+// Partial closes the open day and returns the recorded result. Call
+// after the engine run completes; the returned value aliases the
+// recorder's state.
+func (r *Recorder) Partial() *Partial {
+	r.closeDay()
+	r.p.days = len(r.p.blocks)
+	return &r.p
+}
 
 // Traces returns the serial trace consumer view.
 func (r *Recorder) Traces() stream.TraceConsumer { return traceView{r} }
@@ -201,31 +263,11 @@ type kpiView struct{ r *Recorder }
 func (v kpiView) ConsumeDay(day timegrid.SimDay, cells []traffic.CellDay) {
 	r := v.r
 	d := r.dayRow(day)
-	if len(cells) == 0 {
-		return
-	}
 	d.Cells += len(cells)
-	qs := &r.sketches
-	for m, q := range qs {
-		q.Reset()
-		if d.Sketches != nil { // a second batch for the day: fold the first in
-			if err := q.MergeState(d.Sketches[m]); err != nil {
-				// Only possible for a window outside the sketch's bins,
-				// which State never returns; keep the signature clean.
-				panic(err)
-			}
-		}
-	}
 	for i := range cells {
-		for m, q := range qs {
+		for m, q := range r.sketches {
 			q.Add(cells[i].Values[m])
 		}
-	}
-	if d.Sketches == nil {
-		d.Sketches = make([]stream.QSketchState, traffic.NumMetrics)
-	}
-	for m, q := range qs {
-		d.Sketches[m] = q.State()
 	}
 }
 
@@ -237,7 +279,6 @@ type eventView struct{ r *Recorder }
 func (v eventView) BeginDay(day timegrid.SimDay, _ []signaling.Event) {
 	r := v.r
 	r.dayRow(day)
-	r.evDay = r.idx[day]
 	r.evCount.Store(0)
 	r.evFailed.Store(0)
 }
@@ -253,9 +294,9 @@ func (v eventView) ShardDay(_ int, _ timegrid.SimDay, events []signaling.Event, 
 	v.r.evFailed.Add(failed)
 }
 
-func (v eventView) EndDay(timegrid.SimDay) {
+func (v eventView) EndDay(day timegrid.SimDay) {
 	r := v.r
-	d := &r.p.Days[r.evDay]
+	d := r.dayRow(day)
 	d.Events += r.evCount.Load()
 	d.Failures += r.evFailed.Load()
 }

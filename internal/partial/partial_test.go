@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -251,17 +252,52 @@ func TestSketchMediansWithinGuarantee(t *testing.T) {
 	}
 }
 
+// TestMergeKeepsCallerOrder pins that Merge sorts a copy of its
+// argument: shard partials passed in reverse stay in reverse, and merge
+// as they do in order.
+func TestMergeKeepsCallerOrder(t *testing.T) {
+	full := t.TempDir()
+	writeFeedDir(t, full)
+	out := t.TempDir()
+	if _, err := feeds.PartitionDir(full, out, 2, feeds.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	p0 := replay(t, filepath.Join(out, feeds.ShardDirName(0)))
+	p1 := replay(t, filepath.Join(out, feeds.ShardDirName(1)))
+	parts := []*Partial{p1, p0}
+	got, err := Merge(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parts[0] != p1 || parts[1] != p0 {
+		t.Fatal("Merge reordered the caller's slice")
+	}
+	want, err := Merge([]*Partial{p0, p1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("merging the parts in reverse gives another result")
+	}
+}
+
 func TestMergeValidation(t *testing.T) {
+	// The parts hold day blocks encoded as a Recorder encodes them.
+	block := func(d Day) []byte { return endBlock(appendDay(beginBlock(nil), &d)) }
 	mk := func(part, parts int, lo, hi uint32, days ...timegrid.SimDay) *Partial {
-		p := &Partial{Version: Version, Users: 10, Seed: 1, Part: part, Parts: parts, UserLo: lo, UserHi: hi}
+		p := &Partial{Version: Version, Users: 10, Seed: 1, Part: part, Parts: parts, UserLo: lo, UserHi: hi, days: len(days)}
 		for _, d := range days {
-			p.Days = append(p.Days, Day{Day: d})
+			p.blocks = append(p.blocks, block(Day{Day: d}))
 		}
 		return p
 	}
 	withUsers := func(p *Partial, users ...uint32) *Partial {
-		d := &p.Days[0]
+		var d Day
+		if err := checkBlock(p.blocks[0], func(c *cursor) { c.day(&d) }); err != nil {
+			t.Fatal(err)
+		}
 		d.Users, d.Entropy, d.Gyration = users, make([]float64, len(users)), make([]float64, len(users))
+		p.blocks[0] = block(d)
 		return p
 	}
 	cases := []struct {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/grow"
 	"repro/internal/timegrid"
 	"repro/internal/traffic"
 )
@@ -135,7 +136,15 @@ type QSketchState struct {
 // runs from the first to the last non-zero bin; an empty sketch, or one
 // holding only underflow, has no bins.
 func (q *QSketch) State() QSketchState {
-	st := QSketchState{Under: q.under, Count: q.count}
+	var st QSketchState
+	q.StateInto(&st)
+	return st
+}
+
+// StateInto is State into st, reusing the backing array of st.Bins (see
+// grow.Headroom), so a caller snapshotting a sketch every day allocates
+// only when a window outgrows twice the first.
+func (q *QSketch) StateInto(st *QSketchState) {
 	lo, hi := 0, len(q.bins)
 	for lo < hi && q.bins[lo] == 0 {
 		lo++
@@ -143,10 +152,10 @@ func (q *QSketch) State() QSketchState {
 	for hi > lo && q.bins[hi-1] == 0 {
 		hi--
 	}
+	st.Lo, st.Bins, st.Under, st.Count = 0, grow.Headroom(st.Bins, hi-lo), q.under, q.count
 	if lo < hi {
-		st.Lo, st.Bins = lo, append([]int64(nil), q.bins[lo:hi]...)
+		st.Lo, st.Bins = lo, append(st.Bins, q.bins[lo:hi]...)
 	}
-	return st
 }
 
 // MergeState adds a snapshot's counts to the sketch in place, exactly
