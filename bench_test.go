@@ -432,14 +432,26 @@ func BenchmarkSimulatorNew(b *testing.B) {
 // simSink keeps BenchmarkSimulatorNew's result live.
 var simSink *mobsim.Simulator
 
+// BenchmarkPopulationSynthesis measures building the subscriber base
+// over one world at the default experiment rung and at 50k users (the
+// study-50k benchmark's scale). The seed is fixed, so every iteration
+// builds the same population.
 func BenchmarkPopulationSynthesis(b *testing.B) {
 	m := census.BuildUK(1)
 	topo := radio.Build(m, radio.DefaultConfig(), 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		popsim.Synthesize(m, topo, popsim.Config{Seed: uint64(i), TargetUsers: 2000})
+	for _, users := range []int{popsim.ScaleSmall, 50_000} {
+		b.Run(benchName("users", users), func(b *testing.B) {
+			cfg := popsim.Config{Seed: 1, TargetUsers: users, M2MFraction: 0.08, RoamerFraction: 0.03}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				popSink = popsim.Synthesize(m, topo, cfg)
+			}
+		})
 	}
 }
+
+// popSink keeps BenchmarkPopulationSynthesis's result live.
+var popSink *popsim.Population
 
 func BenchmarkBuildUK(b *testing.B) {
 	for i := 0; i < b.N; i++ {

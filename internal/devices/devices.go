@@ -67,6 +67,15 @@ type Entry struct {
 type Catalog struct {
 	entries map[TAC]Entry
 	byClass [NumClasses][]TAC
+
+	// Draw tables, fixed by NewCatalog so the vendor draws allocate
+	// nothing: the popularity of every vendor (vendorSpecs order) and its
+	// entries in allocation order, and the same for the smartphone
+	// vendors alone.
+	vendorWeights []float64
+	vendorModels  [][]Entry
+	phoneWeights  []float64
+	phoneModels   [][]Entry
 }
 
 // vendorSpec seeds the synthetic catalog.
@@ -100,6 +109,7 @@ func NewCatalog() *Catalog {
 	c := &Catalog{entries: make(map[TAC]Entry)}
 	next := TAC(35_000_000) // plausible 8-digit space
 	for _, v := range vendorSpecs {
+		models := make([]Entry, 0, v.models)
 		for i := 0; i < v.models; i++ {
 			t := next
 			next++
@@ -113,6 +123,13 @@ func NewCatalog() *Catalog {
 			}
 			c.entries[t] = e
 			c.byClass[v.class] = append(c.byClass[v.class], t)
+			models = append(models, e)
+		}
+		c.vendorWeights = append(c.vendorWeights, v.popularity)
+		c.vendorModels = append(c.vendorModels, models)
+		if v.class == ClassSmartphone {
+			c.phoneWeights = append(c.phoneWeights, v.popularity)
+			c.phoneModels = append(c.phoneModels, models)
 		}
 	}
 	return c
@@ -142,41 +159,15 @@ func (c *Catalog) TACsOfClass(cl Class) []TAC { return c.byClass[cl] }
 // popularity, then a uniform model of that vendor. The result is
 // deterministic in the source's state.
 func (c *Catalog) AssignDevice(src *rng.Source) Entry {
-	weights := make([]float64, len(vendorSpecs))
-	for i, v := range vendorSpecs {
-		weights[i] = v.popularity
-	}
-	v := vendorSpecs[src.Pick(weights)]
-	tacs := c.byClass[v.class]
-	// Restrict to the chosen vendor's contiguous range.
-	var own []TAC
-	for _, t := range tacs {
-		if e := c.entries[t]; e.Manufacturer == v.manufacturer {
-			own = append(own, t)
-		}
-	}
-	return c.entries[own[src.Intn(len(own))]]
+	models := c.vendorModels[src.Pick(c.vendorWeights)]
+	return models[src.Intn(len(models))]
 }
 
 // AssignSmartphone draws a smartphone for a primary-device subscriber:
 // a smartphone vendor weighted by popularity, then a uniform model.
 func (c *Catalog) AssignSmartphone(src *rng.Source) Entry {
-	var weights []float64
-	var vendors []vendorSpec
-	for _, v := range vendorSpecs {
-		if v.class == ClassSmartphone {
-			vendors = append(vendors, v)
-			weights = append(weights, v.popularity)
-		}
-	}
-	v := vendors[src.Pick(weights)]
-	var own []TAC
-	for _, t := range c.byClass[ClassSmartphone] {
-		if c.entries[t].Manufacturer == v.manufacturer {
-			own = append(own, t)
-		}
-	}
-	return c.entries[own[src.Intn(len(own))]]
+	models := c.phoneModels[src.Pick(c.phoneWeights)]
+	return models[src.Intn(len(models))]
 }
 
 // AssignM2MDevice draws an M2M device (for the non-smartphone population

@@ -141,3 +141,91 @@ func TestPLMN(t *testing.T) {
 		t.Errorf("home PLMN = %s", HomePLMN.String())
 	}
 }
+
+// The map-scan draws the precomputed vendor tables replaced, kept as
+// the oracle: a vendor picked from weights rebuilt per call, then a
+// uniform model among the class's TACs of that vendor. The M2M draw
+// still reads the map and is pinned alongside them.
+
+func oracleAssignDevice(c *Catalog, src *rng.Source) Entry {
+	weights := make([]float64, len(vendorSpecs))
+	for i, v := range vendorSpecs {
+		weights[i] = v.popularity
+	}
+	v := vendorSpecs[src.Pick(weights)]
+	var own []TAC
+	for _, t := range c.byClass[v.class] {
+		if e := c.entries[t]; e.Manufacturer == v.manufacturer {
+			own = append(own, t)
+		}
+	}
+	return c.entries[own[src.Intn(len(own))]]
+}
+
+func oracleAssignSmartphone(c *Catalog, src *rng.Source) Entry {
+	var weights []float64
+	var vendors []vendorSpec
+	for _, v := range vendorSpecs {
+		if v.class == ClassSmartphone {
+			vendors = append(vendors, v)
+			weights = append(weights, v.popularity)
+		}
+	}
+	v := vendors[src.Pick(weights)]
+	var own []TAC
+	for _, t := range c.byClass[ClassSmartphone] {
+		if c.entries[t].Manufacturer == v.manufacturer {
+			own = append(own, t)
+		}
+	}
+	return c.entries[own[src.Intn(len(own))]]
+}
+
+func oracleAssignM2MDevice(c *Catalog, src *rng.Source) Entry {
+	tacs := c.byClass[ClassM2M]
+	return c.entries[tacs[src.Intn(len(tacs))]]
+}
+
+// TestAssignMatchesMapScan checks 10k draws of each Assign* against the
+// map-scan oracle on identical streams: same entry, and the same number
+// of draws consumed (the streams stay in step).
+func TestAssignMatchesMapScan(t *testing.T) {
+	c := NewCatalog()
+	cases := []struct {
+		name   string
+		got    func(*rng.Source) Entry
+		oracle func(*Catalog, *rng.Source) Entry
+	}{
+		{"AssignDevice", c.AssignDevice, oracleAssignDevice},
+		{"AssignSmartphone", c.AssignSmartphone, oracleAssignSmartphone},
+		{"AssignM2MDevice", c.AssignM2MDevice, oracleAssignM2MDevice},
+	}
+	for k, tc := range cases {
+		a, b := rng.New(uint64(k+11)), rng.New(uint64(k+11))
+		for i := 0; i < 10_000; i++ {
+			if got, want := tc.got(a), tc.oracle(c, b); got != want {
+				t.Fatalf("%s draw %d: %+v, oracle %+v", tc.name, i, got, want)
+			}
+			if a.Uint64() != b.Uint64() {
+				t.Fatalf("%s draw %d: streams out of step", tc.name, i)
+			}
+		}
+	}
+}
+
+// TestAssignAllocatesNothing pins the Assign* draws at zero allocations.
+func TestAssignAllocatesNothing(t *testing.T) {
+	c := NewCatalog()
+	src := rng.New(5)
+	var sink Entry
+	for name, f := range map[string]func(*rng.Source) Entry{
+		"AssignDevice":     c.AssignDevice,
+		"AssignSmartphone": c.AssignSmartphone,
+		"AssignM2MDevice":  c.AssignM2MDevice,
+	} {
+		if n := testing.AllocsPerRun(1000, func() { sink = f(src) }); n != 0 {
+			t.Errorf("%s: %v allocs per draw, want 0", name, n)
+		}
+	}
+	_ = sink
+}

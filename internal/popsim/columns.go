@@ -66,9 +66,11 @@ func (p *Population) sealColumns() {
 }
 
 // Cols returns the read-only columnar mirror of the population's hot
-// per-agent fields. Synthesize seals it; a Population assembled by hand
-// (tests) gets it built on first use. The result aliases the
-// population and must not be mutated.
+// per-agent fields. Synthesize seals it, so concurrent calls on its
+// result only read; a Population assembled by hand gets it built on
+// first use, which mutates the population and so must not race with
+// another call. The result aliases the population and must not be
+// mutated.
 func (p *Population) Cols() *Columns {
 	if len(p.cols.HomeTower) != len(p.Users) {
 		p.sealColumns()

@@ -15,6 +15,9 @@ package popsim
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/census"
 	"repro/internal/devices"
@@ -256,104 +259,214 @@ func anchorCount(c census.Cluster, src *rng.Source) int {
 // scenario-independent: relocation *candidates* are drawn from the
 // scenario-free seasonal propensity, so one population can be shared
 // across every scenario of a sweep (experiments.World).
+//
+// Districts are synthesized in parallel on GOMAXPROCS workers; every
+// native agent draws only from its own split stream, so the result does
+// not depend on the worker count.
 func Synthesize(model *census.Model, topo *radio.Topology, cfg Config) *Population {
+	return synthesize(model, topo, cfg, runtime.GOMAXPROCS(0))
+}
+
+// synthesize is Synthesize on the given number of workers.
+func synthesize(model *census.Model, topo *radio.Topology, cfg Config, workers int) *Population {
 	if cfg.TargetUsers <= 0 {
 		cfg = DefaultConfig()
 	}
-	master := rng.New(rng.Hash64(cfg.Seed ^ 0x9090))
+	// seed is the master stream's state: every draw below comes from a
+	// pure split of it, so no stream is shared between agents.
+	seed := rng.Hash64(cfg.Seed ^ 0x9090)
 	p := &Population{
-		model:        model,
-		topo:         topo,
-		byHomeCounty: make(map[census.CountyID][]UserID),
-		scale:        float64(cfg.TargetUsers) / float64(model.TotalPopulation()),
+		model: model,
+		topo:  topo,
+		scale: float64(cfg.TargetUsers) / float64(model.TotalPopulation()),
 	}
 	catalog := devices.NewCatalog()
-
-	destNames, destWeights := pandemic.RelocationDestinations()
+	tables := newDrawTables(model)
 
 	// Native smartphone agents, distributed per district population.
 	// The MNO's market share varies across districts (stronger in some
 	// regions than others), which is why the paper's census validation
 	// reaches r² = 0.955 rather than a perfect fit (Fig. 2); we model
 	// the same dispersion with a deterministic per-district factor.
+	// The counts are fixed first, so district di owns the ID range
+	// [first[di], first[di+1]) before any agent is drawn.
+	first := make([]int, len(model.Districts)+1)
 	for di := range model.Districts {
-		d := &model.Districts[di]
-		shareJitter := master.Split2(0x5A4E, uint64(di)).Range(0.90, 1.12)
-		n := int(math.Round(float64(d.Population) * p.scale * shareJitter))
-		if n < 1 {
-			n = 1
-		}
-		dsrc := master.Split(uint64(di))
-		for i := 0; i < n; i++ {
-			usrc := dsrc.Split(uint64(i))
-			u := p.newNativeUser(d, catalog, usrc, destNames, destWeights)
-			p.byHomeCounty[u.HomeCounty] = append(p.byHomeCounty[u.HomeCounty], u.ID)
-			p.native = append(p.native, u.ID)
-		}
+		jitter := rng.Stream2(seed, 0x5A4E, uint64(di))
+		shareJitter := jitter.Range(0.90, 1.12)
+		n := int(math.Round(float64(model.Districts[di].Population) * p.scale * shareJitter))
+		first[di+1] = first[di] + max(n, 1)
 	}
+	natives := first[len(model.Districts)]
+	m2m := int(float64(cfg.TargetUsers) * cfg.M2MFraction)
+	roamers := int(float64(cfg.TargetUsers) * cfg.RoamerFraction)
+	p.Users = make([]User, natives+m2m+roamers)
+
+	// Workers claim districts and fill their ranges of Users in place.
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(max(workers, 1), len(model.Districts)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w := synthWorker{p: p, tables: tables, catalog: catalog}
+			for {
+				di := int(next.Add(1) - 1)
+				if di >= len(model.Districts) {
+					return
+				}
+				d := &model.Districts[di]
+				for i := first[di]; i < first[di+1]; i++ {
+					src := rng.Stream2(seed, uint64(di), uint64(i-first[di]))
+					w.nativeUser(&p.Users[i], UserID(i), d, &src)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	p.indexNatives(natives)
 
 	// M2M SIMs and inbound roamers: present in the signalling feed, and
-	// filtered out by the §2.3 pipeline.
-	m2m := int(float64(cfg.TargetUsers) * cfg.M2MFraction)
-	for i := 0; i < m2m; i++ {
-		src := master.Split2(0xAA, uint64(i))
-		d := &model.Districts[src.Intn(len(model.Districts))]
-		u := User{
-			ID:           UserID(len(p.Users)),
-			Kind:         NativeM2M,
-			Device:       catalog.AssignM2MDevice(src),
-			PLMN:         devices.HomePLMN,
-			HomeDistrict: d.ID,
-			HomeCounty:   d.County,
-			HomeTower:    topo.PickTower(d.ID, 0, src),
-			Cluster:      d.Cluster,
-			Profile:      HomeBased,
+	// filtered out by the §2.3 pipeline. Each has a home anchor only.
+	homes := make([]Anchor, m2m+roamers)
+	for i := 0; i < m2m+roamers; i++ {
+		var src rng.Source
+		var d *census.District
+		u := &p.Users[natives+i]
+		if i < m2m {
+			src = rng.Stream2(seed, 0xAA, uint64(i))
+			d = &model.Districts[src.Intn(len(model.Districts))]
+			*u = User{Kind: NativeM2M, Device: catalog.AssignM2MDevice(&src), PLMN: devices.HomePLMN}
+		} else {
+			src = rng.Stream2(seed, 0xBB, uint64(i-m2m))
+			// Roamers concentrate in central, touristic districts.
+			d = &model.Districts[src.Pick(tables.visitor)]
+			*u = User{Kind: InboundRoamer, Device: catalog.AssignDevice(&src)}
+			u.PLMN = devices.RoamerPLMN(&src)
 		}
-		u.Anchors = []Anchor{{Kind: AnchorHome, Tower: u.HomeTower, District: d.ID, Weight: 1}}
-		p.Users = append(p.Users, u)
+		u.ID = UserID(natives + i)
+		u.Profile = HomeBased
+		u.HomeDistrict, u.HomeCounty, u.Cluster = d.ID, d.County, d.Cluster
+		u.HomeTower = topo.PickTower(d.ID, 0, &src)
+		homes[i] = Anchor{Kind: AnchorHome, Tower: u.HomeTower, District: d.ID, Weight: 1}
+		u.Anchors = homes[i : i+1 : i+1]
 	}
-	roamers := int(float64(cfg.TargetUsers) * cfg.RoamerFraction)
-	for i := 0; i < roamers; i++ {
-		src := master.Split2(0xBB, uint64(i))
-		// Roamers concentrate in central, touristic districts.
-		d := p.pickVisitorDistrict(src)
-		u := User{
-			ID:           UserID(len(p.Users)),
-			Kind:         InboundRoamer,
-			Device:       catalog.AssignDevice(src),
-			PLMN:         devices.RoamerPLMN(src),
-			HomeDistrict: d.ID,
-			HomeCounty:   d.County,
-			HomeTower:    topo.PickTower(d.ID, 0, src),
-			Cluster:      d.Cluster,
-			Profile:      HomeBased,
-		}
-		u.Anchors = []Anchor{{Kind: AnchorHome, Tower: u.HomeTower, District: d.ID, Weight: 1}}
-		p.Users = append(p.Users, u)
-	}
+	p.sealColumns()
 	return p
 }
 
-// newNativeUser synthesizes one native smartphone agent homed in d.
-func (p *Population) newNativeUser(d *census.District, catalog *devices.Catalog, src *rng.Source, destNames []string, destWeights []float64) *User {
-	model, topo := p.model, p.topo
-	u := User{
-		ID:           UserID(len(p.Users)),
+// indexNatives lists the native agents, IDs [0, n), in ID order, and
+// groups them by home county into exactly sized slices of one array.
+func (p *Population) indexNatives(n int) {
+	p.native = make([]UserID, n)
+	counts := make([]int, len(p.model.Counties))
+	for i := range p.native {
+		p.native[i] = UserID(i)
+		counts[p.Users[i].HomeCounty]++
+	}
+	byCounty := make([][]UserID, len(counts))
+	ids := make([]UserID, n)
+	off := 0
+	for c, k := range counts {
+		byCounty[c] = ids[off : off : off+k]
+		off += k
+	}
+	for i := range p.native {
+		c := p.Users[i].HomeCounty
+		byCounty[c] = append(byCounty[c], UserID(i))
+	}
+	p.byHomeCounty = make(map[census.CountyID][]UserID, len(counts))
+	for c, list := range byCounty {
+		if len(list) > 0 {
+			p.byHomeCounty[census.CountyID(c)] = list
+		}
+	}
+}
+
+// drawTables are the weight tables synthesis draws from, built once per
+// Synthesize call and only read by the workers.
+type drawTables struct {
+	innerLondon *census.County
+	inner       []float64 // day-visitor weight of each Inner London district
+	visitor     []float64 // day-visitor weight of every district
+	rural       []*census.County
+	residential [][]float64 // per county: resident population of each district
+
+	destNames   []string // London relocation destinations and their weights
+	destWeights []float64
+}
+
+func newDrawTables(model *census.Model) *drawTables {
+	t := &drawTables{
+		innerLondon: model.InnerLondon(),
+		visitor:     make([]float64, len(model.Districts)),
+		residential: make([][]float64, len(model.Counties)),
+	}
+	t.destNames, t.destWeights = pandemic.RelocationDestinations()
+	for _, did := range t.innerLondon.Districts {
+		t.inner = append(t.inner, model.District(did).DayVisitorWeight)
+	}
+	for i := range model.Districts {
+		t.visitor[i] = model.Districts[i].DayVisitorWeight
+	}
+	for i := range model.Counties {
+		c := &model.Counties[i]
+		if c.Kind == census.KindRural || c.Kind == census.KindMixed {
+			t.rural = append(t.rural, c)
+		}
+		w := make([]float64, len(c.Districts))
+		for j, did := range c.Districts {
+			w[j] = float64(model.District(did).Population)
+		}
+		t.residential[i] = w
+	}
+	return t
+}
+
+// maxAnchors bounds an agent's anchors: home, work and at most six
+// discretionary places (anchorCount).
+const maxAnchors = 8
+
+// anchorChunk is the size of one anchor arena allocation, in anchors.
+const anchorChunk = 1024
+
+// synthWorker synthesizes native agents on one goroutine, with its own
+// anchor arena and work-district candidate buffers.
+type synthWorker struct {
+	p       *Population
+	tables  *drawTables
+	catalog *devices.Catalog
+
+	arena   []Anchor // anchors handed out so far from the current chunk
+	cands   []census.DistrictID
+	weights []float64
+}
+
+// nativeUser synthesizes the native smartphone agent id, homed in d,
+// into u.
+func (w *synthWorker) nativeUser(u *User, id UserID, d *census.District, src *rng.Source) {
+	p, model, topo := w.p, w.p.model, w.p.topo
+	*u = User{
+		ID:           id,
 		Kind:         NativeSmartphone,
-		Device:       catalog.AssignSmartphone(src),
+		Device:       w.catalog.AssignSmartphone(src),
 		PLMN:         devices.HomePLMN,
 		HomeDistrict: d.ID,
 		HomeCounty:   d.County,
 		HomeTower:    topo.PickTower(d.ID, 0, src),
 		Cluster:      d.Cluster,
 	}
-	w := profileWeights(d.Cluster)
-	u.Profile = Profile(src.Pick(w[:]))
+	pw := profileWeights(d.Cluster)
+	u.Profile = Profile(src.Pick(pw[:]))
 	if src.Bool(0.20) {
 		u.NightOff = src.Range(0.55, 0.90)
 	}
 
-	u.Anchors = append(u.Anchors, Anchor{Kind: AnchorHome, Tower: u.HomeTower, District: d.ID, Weight: 1})
+	if cap(w.arena)-len(w.arena) < maxAnchors {
+		w.arena = make([]Anchor, 0, anchorChunk)
+	}
+	anchors := w.arena[len(w.arena):len(w.arena)]
+	anchors = append(anchors, Anchor{Kind: AnchorHome, Tower: u.HomeTower, District: d.ID, Weight: 1})
 
 	// London is compact: whatever the cluster, daily life in the
 	// metropolis happens over shorter distances than the same cluster
@@ -362,9 +475,9 @@ func (p *Population) newNativeUser(d *census.District, catalog *devices.Catalog,
 	kind := model.County(d.County).Kind
 	isLondon := kind == census.KindMetroCore || kind == census.KindMetroSuburb
 
-	if u.Profile == OfficeWorker || u.Profile == KeyWorker || u.Profile == Student {
-		wd := p.pickWorkDistrict(&u, src)
-		u.Anchors = append(u.Anchors, Anchor{
+	if u.Worker() {
+		wd := w.pickWorkDistrict(u, src)
+		anchors = append(anchors, Anchor{
 			Kind:     AnchorWork,
 			Tower:    topo.PickTower(wd, 0, src),
 			District: wd,
@@ -391,13 +504,15 @@ func (p *Population) newNativeUser(d *census.District, catalog *devices.Catalog,
 		if src.Bool(0.4) {
 			kind = AnchorLeisure
 		}
-		u.Anchors = append(u.Anchors, Anchor{
+		anchors = append(anchors, Anchor{
 			Kind:     kind,
 			Tower:    topo.PickTower(ad, 0, src),
 			District: ad,
 			Weight:   src.Range(0.3, 1.0),
 		})
 	}
+	u.Anchors = anchors[:len(anchors):len(anchors)]
+	w.arena = w.arena[:len(w.arena)+len(anchors)]
 
 	// Relocation candidacy (§3.4): drawn from the scenario-free
 	// seasonal propensity so the population is reusable across
@@ -406,8 +521,8 @@ func (p *Population) newNativeUser(d *census.District, catalog *devices.Catalog,
 	if src.Bool(pandemic.SeasonalRelocationPropensity(d)) {
 		u.Relocates = true
 		var destCounty *census.County
-		if model.County(d.County).Kind == census.KindMetroCore || model.County(d.County).Kind == census.KindMetroSuburb {
-			name := destNames[src.Pick(destWeights)]
+		if isLondon {
+			name := w.tables.destNames[src.Pick(w.tables.destWeights)]
 			c, ok := model.CountyByName(name)
 			if !ok {
 				c = model.County(d.County)
@@ -415,22 +530,20 @@ func (p *Population) newNativeUser(d *census.District, catalog *devices.Catalog,
 			destCounty = c
 		} else {
 			// Non-London seasonal residents scatter to rural/mixed counties.
-			destCounty = p.pickRuralCounty(src)
+			destCounty = w.pickRuralCounty(src)
 		}
-		dd := p.pickResidentialDistrict(destCounty, src)
+		dd := destCounty.Districts[src.Pick(w.tables.residential[destCounty.ID])]
 		u.RelocCounty = destCounty.ID
 		u.RelocDistrict = dd
 		u.RelocTower = topo.PickTower(dd, 0, src)
 	}
-
-	p.Users = append(p.Users, u)
-	return &p.Users[len(p.Users)-1]
 }
 
 // pickWorkDistrict draws a workplace by a gravity rule: districts attract
 // commuters proportionally to their day-visitor weight and inversely to
 // (squared, floored) distance. Students attend school near home.
-func (p *Population) pickWorkDistrict(u *User, src *rng.Source) census.DistrictID {
+func (w *synthWorker) pickWorkDistrict(u *User, src *rng.Source) census.DistrictID {
+	p := w.p
 	if u.Profile == Student {
 		// Schools are local; universities draw across the county.
 		if src.Bool(0.7) {
@@ -454,18 +567,12 @@ func (p *Population) pickWorkDistrict(u *User, src *rng.Source) census.DistrictI
 		coreProb = 0.15
 	}
 	if coreProb > 0 && src.Bool(coreProb) {
-		core := p.model.InnerLondon()
-		weights := make([]float64, len(core.Districts))
-		for i, did := range core.Districts {
-			weights[i] = p.model.District(did).DayVisitorWeight
-		}
-		return core.Districts[src.Pick(weights)]
+		return w.tables.innerLondon.Districts[src.Pick(w.tables.inner)]
 	}
 	// Candidate districts: all of the home county plus all districts of
 	// counties whose centres are within commuting range.
 	const commuteKm = 55.0
-	var cands []census.DistrictID
-	var weights []float64
+	cands, weights := w.cands[:0], w.weights[:0]
 	for ci := range p.model.Counties {
 		c := &p.model.Counties[ci]
 		if c.ID != u.HomeCounty && c.Area.Center.Dist(homeLoc) > commuteKm+c.Area.Radius {
@@ -485,6 +592,7 @@ func (p *Population) pickWorkDistrict(u *User, src *rng.Source) census.DistrictI
 			weights = append(weights, d.DayVisitorWeight/(dist*dist))
 		}
 	}
+	w.cands, w.weights = cands, weights
 	if len(cands) == 0 {
 		return u.HomeDistrict
 	}
@@ -511,39 +619,12 @@ func (p *Population) nearestDistrict(pt geo.Point, prefer census.CountyID) censu
 	return best
 }
 
-// pickVisitorDistrict draws a district weighted by day-visitor weight
-// (where roamers/tourists cluster).
-func (p *Population) pickVisitorDistrict(src *rng.Source) *census.District {
-	weights := make([]float64, len(p.model.Districts))
-	for i := range p.model.Districts {
-		weights[i] = p.model.Districts[i].DayVisitorWeight
-	}
-	return &p.model.Districts[src.Pick(weights)]
-}
-
 // pickRuralCounty draws a rural or mixed county.
-func (p *Population) pickRuralCounty(src *rng.Source) *census.County {
-	var cands []*census.County
-	for i := range p.model.Counties {
-		c := &p.model.Counties[i]
-		if c.Kind == census.KindRural || c.Kind == census.KindMixed {
-			cands = append(cands, c)
-		}
+func (w *synthWorker) pickRuralCounty(src *rng.Source) *census.County {
+	if len(w.tables.rural) == 0 {
+		return &w.p.model.Counties[0]
 	}
-	if len(cands) == 0 {
-		return &p.model.Counties[0]
-	}
-	return cands[src.Intn(len(cands))]
-}
-
-// pickResidentialDistrict draws a district of the county weighted by
-// resident population.
-func (p *Population) pickResidentialDistrict(c *census.County, src *rng.Source) census.DistrictID {
-	weights := make([]float64, len(c.Districts))
-	for i, did := range c.Districts {
-		weights[i] = float64(p.model.District(did).Population)
-	}
-	return c.Districts[src.Pick(weights)]
+	return w.tables.rural[src.Intn(len(w.tables.rural))]
 }
 
 // Model returns the underlying census model.

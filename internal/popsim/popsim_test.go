@@ -1,6 +1,7 @@
 package popsim
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -245,10 +246,8 @@ func TestSynthesizeDeterminism(t *testing.T) {
 		t.Fatal("user counts differ")
 	}
 	for i := range a.Users {
-		ua, ub := &a.Users[i], &b.Users[i]
-		if ua.HomeTower != ub.HomeTower || ua.Profile != ub.Profile ||
-			ua.Device.TAC != ub.Device.TAC || ua.Relocates != ub.Relocates {
-			t.Fatalf("user %d differs across identical syntheses", i)
+		if !reflect.DeepEqual(a.Users[i], b.Users[i]) {
+			t.Fatalf("user %d differs across identical syntheses:\n%+v\n%+v", i, a.Users[i], b.Users[i])
 		}
 	}
 }

@@ -16,8 +16,9 @@
 # without instrumentation, DayMetricsMerger, MergeVisits), the
 # end-to-end serial/streaming pipelines, the registry sweep with
 # copy-on-divergence on/off (SweepSharedPrefix vs SweepUnsharedRegistry),
-# and the ScaleLadder rungs (8k/100k/1M users; the 1M rung takes tens of
-# seconds to build — set BENCH to exclude it for quick local loops).
+# the ScaleLadder rungs (8k/100k/1M users; the 1M rung takes tens of
+# seconds to build — set BENCH to exclude it for quick local loops),
+# FeedReplay, and PopulationSynthesis (the subscriber base at 8k/50k).
 # Compare snapshots with scripts/benchdiff.sh.
 #
 # Snapshots are named BENCH_<sha>.json after the commit they measure, so
@@ -44,7 +45,7 @@ if [ "$sha" != nogit ] && [ -n "$(git status --porcelain 2>/dev/null)" ]; then
   sha="${sha}-dirty"
 fi
 benchtime="${BENCHTIME:-1x}"
-pattern="${BENCH:-SimDayInto|EngineDay|DayMetrics|MergeVisits|RunStandardSerial|StreamWorkers1\$|SweepSerial|SweepParallel|SweepSharedPrefix|SweepUnsharedRegistry|ScaleLadder|FeedReplay}"
+pattern="${BENCH:-SimDayInto|EngineDay|DayMetrics|MergeVisits|RunStandardSerial|StreamWorkers1\$|SweepSerial|SweepParallel|SweepSharedPrefix|SweepUnsharedRegistry|ScaleLadder|FeedReplay|PopulationSynthesis}"
 
 # Runner metadata: numbers are only comparable between snapshots taken on
 # similar hardware, so record what ran them. benchdiff warns when the two
