@@ -467,6 +467,27 @@ func BenchmarkTopologyBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkPickTower measures one active-site draw, cycling through
+// every district and every simulated day of the default topology (whose
+// new sites come on air mid-window).
+func BenchmarkPickTower(b *testing.B) {
+	m := census.BuildUK(1)
+	topo := radio.Build(m, radio.DefaultConfig(), 1)
+	src := rng.New(1)
+	var sink radio.TowerID
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := census.DistrictID(i % len(m.Districts))
+		day := timegrid.SimDay(i / len(m.Districts) % timegrid.SimDays)
+		sink += topo.PickTower(d, day, src)
+	}
+	towerSink = sink
+}
+
+// towerSink keeps BenchmarkPickTower's draws live.
+var towerSink radio.TowerID
+
 // benchName formats a sub-benchmark label.
 func benchName(key string, v int) string {
 	return key + "=" + itoa(v)

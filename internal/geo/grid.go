@@ -51,21 +51,15 @@ func (g *Grid) Len() int { return len(g.pts) }
 
 // bucketOf maps a point to its bucket index, clamped to the grid.
 func (g *Grid) bucketOf(p Point) int {
-	col := int((p.X - g.origin.X) / g.cell)
-	row := int((p.Y - g.origin.Y) / g.cell)
-	if col < 0 {
-		col = 0
-	}
-	if col >= g.cols {
-		col = g.cols - 1
-	}
-	if row < 0 {
-		row = 0
-	}
-	if row >= g.rows {
-		row = g.rows - 1
-	}
-	return row*g.cols + col
+	return g.cellOf(p.Y-g.origin.Y, g.rows)*g.cols + g.cellOf(p.X-g.origin.X, g.cols)
+}
+
+// cellOf maps an offset from the origin (km) along one axis to a column
+// or row in [0, n). It clamps before converting: a float→int conversion
+// of an out-of-range value is implementation-defined in Go (MinInt64 on
+// amd64), which would turn a huge radius into an empty scan.
+func (g *Grid) cellOf(off float64, n int) int {
+	return int(min(max(off/g.cell, 0), float64(n-1)))
 }
 
 // Nearest returns the index of the closest indexed point to p, and its
@@ -122,26 +116,12 @@ func (g *Grid) Nearest(p Point) (int, float64) {
 // the neighbourhood without building a candidate slice. The visit order
 // is unspecified.
 func (g *Grid) Each(p Point, radiusKm float64, fn func(int32)) {
-	if len(g.pts) == 0 || radiusKm < 0 {
+	if len(g.pts) == 0 || !(radiusKm >= 0) { // NaN visits nothing
 		return
 	}
 	r2 := radiusKm * radiusKm
-	minCol := int((p.X - radiusKm - g.origin.X) / g.cell)
-	maxCol := int((p.X + radiusKm - g.origin.X) / g.cell)
-	minRow := int((p.Y - radiusKm - g.origin.Y) / g.cell)
-	maxRow := int((p.Y + radiusKm - g.origin.Y) / g.cell)
-	if minCol < 0 {
-		minCol = 0
-	}
-	if minRow < 0 {
-		minRow = 0
-	}
-	if maxCol >= g.cols {
-		maxCol = g.cols - 1
-	}
-	if maxRow >= g.rows {
-		maxRow = g.rows - 1
-	}
+	minCol, maxCol := g.cellOf(p.X-radiusKm-g.origin.X, g.cols), g.cellOf(p.X+radiusKm-g.origin.X, g.cols)
+	minRow, maxRow := g.cellOf(p.Y-radiusKm-g.origin.Y, g.rows), g.cellOf(p.Y+radiusKm-g.origin.Y, g.rows)
 	for r := minRow; r <= maxRow; r++ {
 		for c := minCol; c <= maxCol; c++ {
 			for _, i := range g.buckets[r*g.cols+c] {

@@ -136,3 +136,19 @@ func TestGridNearestProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestGridEachHugeRadius checks that radii beyond the int range visit
+// every point (the column and row bounds used to convert to MinInt64
+// and visit none), and that a NaN radius visits none.
+func TestGridEachHugeRadius(t *testing.T) {
+	pts := []Point{Pt(0, 0), Pt(3, 4), Pt(-7, 12)}
+	g := NewGrid(pts, 2)
+	for _, r := range []float64{1e18, 1e30, math.MaxFloat64, math.Inf(1)} {
+		if got := collectEach(g, Pt(1, 1), r); len(got) != len(pts) {
+			t.Errorf("radius %g visited %d of %d points", r, len(got), len(pts))
+		}
+	}
+	if got := collectEach(g, Pt(1, 1), math.NaN()); len(got) != 0 {
+		t.Errorf("NaN radius visited %d points", len(got))
+	}
+}

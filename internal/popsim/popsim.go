@@ -391,6 +391,7 @@ type drawTables struct {
 	visitor     []float64 // day-visitor weight of every district
 	rural       []*census.County
 	residential [][]float64 // per county: resident population of each district
+	districts   *geo.Grid   // district centres, indexed by DistrictID
 
 	destNames   []string // London relocation destinations and their weights
 	destWeights []float64
@@ -406,9 +407,12 @@ func newDrawTables(model *census.Model) *drawTables {
 	for _, did := range t.innerLondon.Districts {
 		t.inner = append(t.inner, model.District(did).DayVisitorWeight)
 	}
+	centres := make([]geo.Point, len(model.Districts))
 	for i := range model.Districts {
 		t.visitor[i] = model.Districts[i].DayVisitorWeight
+		centres[i] = model.Districts[i].Area.Center
 	}
+	t.districts = geo.NewGrid(centres, districtCellKm)
 	for i := range model.Counties {
 		c := &model.Counties[i]
 		if c.Kind == census.KindRural || c.Kind == census.KindMixed {
@@ -422,6 +426,11 @@ func newDrawTables(model *census.Model) *drawTables {
 	}
 	return t
 }
+
+// districtCellKm is the cell edge of the grid over district centres:
+// 79 centres over ~700×1000 km. Edges from 30 to 60 km time alike on
+// BenchmarkPopulationSynthesis; 20 and 80 km are slower.
+const districtCellKm = 40
 
 // maxAnchors bounds an agent's anchors: home, work and at most six
 // discretionary places (anchorCount).
@@ -445,7 +454,7 @@ type synthWorker struct {
 // nativeUser synthesizes the native smartphone agent id, homed in d,
 // into u.
 func (w *synthWorker) nativeUser(u *User, id UserID, d *census.District, src *rng.Source) {
-	p, model, topo := w.p, w.p.model, w.p.topo
+	model, topo := w.p.model, w.p.topo
 	*u = User{
 		ID:           id,
 		Kind:         NativeSmartphone,
@@ -499,7 +508,7 @@ func (w *synthWorker) nativeUser(u *User, id UserID, d *census.District, src *rn
 		}
 		angle := src.Range(0, 2*math.Pi)
 		target := homeLoc.Add(geo.Pt(dist*math.Cos(angle), dist*math.Sin(angle)))
-		ad := p.nearestDistrict(target, d.County)
+		ad := w.nearestDistrict(target, d.County)
 		kind := AnchorErrand
 		if src.Bool(0.4) {
 			kind = AnchorLeisure
@@ -600,22 +609,28 @@ func (w *synthWorker) pickWorkDistrict(u *User, src *rng.Source) census.District
 }
 
 // nearestDistrict returns the district whose centre is closest to the
-// point, preferring districts of the given county on ties of convenience
-// (cheap linear scan over ~120 districts).
-func (p *Population) nearestDistrict(pt geo.Point, prefer census.CountyID) census.DistrictID {
-	best := census.DistrictID(0)
-	bestDist := math.Inf(1)
-	for i := range p.model.Districts {
-		d := &p.model.Districts[i]
-		dd := d.Area.Center.Dist(pt)
-		if d.County == prefer {
-			dd *= 0.8 // mild preference for staying within the home county
-		}
-		if dd < bestDist {
-			bestDist = dd
-			best = d.ID
+// point, with distances to the preferred county's districts scaled by
+// 0.8 (a mild preference for staying within the home county); ties go
+// to the lowest district ID. The county's districts bound the answer,
+// so only the districts within that bound are read from the grid; the
+// bound is padded because Each compares squared distances.
+func (w *synthWorker) nearestDistrict(pt geo.Point, prefer census.CountyID) census.DistrictID {
+	model := w.p.model
+	best, bestDist := census.DistrictID(0), math.Inf(1)
+	closer := func(d *census.District, dd float64) {
+		if dd < bestDist || dd == bestDist && d.ID < best {
+			best, bestDist = d.ID, dd
 		}
 	}
+	for _, did := range model.County(prefer).Districts {
+		d := model.District(did)
+		closer(d, d.Area.Center.Dist(pt)*0.8)
+	}
+	w.tables.districts.Each(pt, bestDist*(1+1e-9), func(i int32) {
+		if d := &model.Districts[i]; d.County != prefer {
+			closer(d, d.Area.Center.Dist(pt))
+		}
+	})
 	return best
 }
 

@@ -1,8 +1,8 @@
 // Package radio models the MNO's radio access network topology: cell
 // sites (towers) deployed over the synthetic UK, their sectors and cells
-// per radio access technology (2G/3G/4G), and the daily topology snapshot
-// the paper uses to account for structural changes such as new site
-// deployments (§2.2, "Radio Network Topology").
+// per radio access technology (2G/3G/4G), and the activation days of new
+// sites, the structural changes the paper's daily topology snapshot
+// accounts for (§2.2, "Radio Network Topology").
 //
 // Deployment density follows demand: towers per district scale with the
 // district's resident population plus its day-visitor attraction, which
@@ -14,6 +14,7 @@ package radio
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/census"
 	"repro/internal/geo"
@@ -113,10 +114,18 @@ type Topology struct {
 
 	model            *census.Model
 	towersByDistrict [][]TowerID // indexed by DistrictID
+	epochs           [][]epoch   // indexed by DistrictID, ascending from
 	cellsByTower     [][]CellID  // indexed by TowerID
 	cells4GByTower   [][]CellID
 	cells4G          []CellID
 	grid             *geo.Grid // spatial index over tower locations
+}
+
+// epoch is a district's set of on-air sites from one activation day
+// until the next.
+type epoch struct {
+	from timegrid.SimDay
+	on   []TowerID // in TowersInDistrict order
 }
 
 // Build deploys the radio network over the census model. The result is
@@ -165,6 +174,34 @@ func Build(model *census.Model, cfg Config, seed uint64) *Topology {
 			t.towersByDistrict[di] = append(t.towersByDistrict[di], tower.ID)
 			t.Towers = append(t.Towers, tower)
 		}
+	}
+
+	// Activation epochs: one per distinct activation day of a district's
+	// sites, listing the sites on air from that day on. The last epoch
+	// has every site on air and shares the district's list.
+	t.epochs = make([][]epoch, len(model.Districts))
+	var days []timegrid.SimDay
+	for di, all := range t.towersByDistrict {
+		days = days[:0]
+		for _, id := range all {
+			days = append(days, t.Towers[id].ActivationDay)
+		}
+		slices.Sort(days)
+		days = slices.Compact(days)
+		eps := make([]epoch, len(days))
+		for k, from := range days {
+			on := all
+			if k < len(days)-1 {
+				on = make([]TowerID, 0, len(all))
+				for _, id := range all {
+					if t.Towers[id].ActiveOn(from) {
+						on = append(on, id)
+					}
+				}
+			}
+			eps[k] = epoch{from: from, on: on}
+		}
+		t.epochs[di] = eps
 	}
 
 	// Spatial index for serving-cell and nearest-site queries.
@@ -231,45 +268,21 @@ func (t *Topology) CountyOfCell(id CellID) census.CountyID {
 	return t.Towers[t.Cells[id].Tower].County
 }
 
-// ActiveTowersInDistrict returns the sites of a district on air on day d.
-func (t *Topology) ActiveTowersInDistrict(d census.DistrictID, day timegrid.SimDay) []TowerID {
-	all := t.towersByDistrict[d]
-	out := make([]TowerID, 0, len(all))
-	for _, id := range all {
-		if t.Towers[id].ActiveOn(day) {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // PickTower draws a site of the district, active on day, uniformly; it
 // falls back to any site of the district when none is active yet. The
-// active set is counted rather than materialized, keeping the simulator
-// hot path allocation-free; the rng draw is the same single Intn the
-// materialized form used.
+// active set is the district's last activation epoch starting on or
+// before day, so a pick is one Intn over a prebuilt list and allocates
+// nothing.
 func (t *Topology) PickTower(d census.DistrictID, day timegrid.SimDay, src *rng.Source) TowerID {
+	eps := t.epochs[d]
+	for k := len(eps) - 1; k >= 0; k-- {
+		if eps[k].from <= day {
+			on := eps[k].on
+			return on[src.Intn(len(on))]
+		}
+	}
 	all := t.towersByDistrict[d]
-	active := 0
-	for _, id := range all {
-		if t.Towers[id].ActiveOn(day) {
-			active++
-		}
-	}
-	if active == 0 {
-		return all[src.Intn(len(all))]
-	}
-	k := src.Intn(active)
-	for _, id := range all {
-		if t.Towers[id].ActiveOn(day) {
-			if k == 0 {
-				return id
-			}
-			k--
-		}
-	}
-	// Unreachable: k < active.
-	return all[0]
+	return all[src.Intn(len(all))]
 }
 
 // NearestTower returns the site closest to a point, via the spatial
@@ -280,42 +293,4 @@ func (t *Topology) NearestTower(p geo.Point) TowerID {
 		return 0
 	}
 	return TowerID(i)
-}
-
-// Snapshot summarises the estate on a given day, mirroring the daily
-// topology feed of §2.2.
-type Snapshot struct {
-	Day          timegrid.SimDay
-	ActiveTowers int
-	TotalTowers  int
-	ActiveCells  int
-}
-
-// SnapshotOn computes the topology snapshot for a day.
-func (t *Topology) SnapshotOn(day timegrid.SimDay) Snapshot {
-	s := Snapshot{Day: day, TotalTowers: len(t.Towers)}
-	for i := range t.Towers {
-		if t.Towers[i].ActiveOn(day) {
-			s.ActiveTowers++
-			s.ActiveCells += len(t.cellsByTower[i])
-		}
-	}
-	return s
-}
-
-// RATShare returns the fraction of cells per RAT, a quick structural
-// check used by the §2.4 RAT-share experiment.
-func (t *Topology) RATShare() [NumRATs]float64 {
-	var counts [NumRATs]int
-	for i := range t.Cells {
-		counts[t.Cells[i].RAT]++
-	}
-	var out [NumRATs]float64
-	if len(t.Cells) == 0 {
-		return out
-	}
-	for r := 0; r < NumRATs; r++ {
-		out[r] = float64(counts[r]) / float64(len(t.Cells))
-	}
-	return out
 }

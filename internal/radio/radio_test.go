@@ -116,26 +116,46 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestActivationAndSnapshot(t *testing.T) {
+// activeOn lists the sites of a district on air on day from its
+// activation epochs, or nil when none is.
+func activeOn(topo *Topology, d census.DistrictID, day timegrid.SimDay) []TowerID {
+	var on []TowerID
+	for _, e := range topo.epochs[d] {
+		if e.from <= day {
+			on = e.on
+		}
+	}
+	return on
+}
+
+func TestActivationEpochs(t *testing.T) {
 	m := census.BuildUK(1)
 	cfg := DefaultConfig()
 	cfg.NewSiteFraction = 0.2 // force plenty of new sites
 	topo := Build(m, cfg, 3)
-	s0 := topo.SnapshotOn(0)
-	sEnd := topo.SnapshotOn(timegrid.SimDays - 1)
-	if s0.TotalTowers != len(topo.Towers) || sEnd.TotalTowers != len(topo.Towers) {
-		t.Error("snapshot total wrong")
+	count := func(day timegrid.SimDay) int {
+		n := 0
+		for i := range m.Districts {
+			n += len(activeOn(topo, census.DistrictID(i), day))
+		}
+		return n
 	}
-	if s0.ActiveTowers >= sEnd.ActiveTowers {
-		t.Errorf("active towers should grow: day0 %d, end %d", s0.ActiveTowers, sEnd.ActiveTowers)
+	day0, end := count(0), count(timegrid.SimDays-1)
+	if day0 >= end {
+		t.Errorf("active towers should grow: day0 %d, end %d", day0, end)
 	}
-	if sEnd.ActiveTowers != len(topo.Towers) {
-		t.Errorf("all towers active by the last day: %d/%d", sEnd.ActiveTowers, len(topo.Towers))
+	if end != len(topo.Towers) {
+		t.Errorf("all towers active by the last day: %d/%d", end, len(topo.Towers))
 	}
-	// ActiveTowersInDistrict respects activation.
 	for i := range m.Districts {
 		did := census.DistrictID(i)
-		if len(topo.ActiveTowersInDistrict(did, 0)) > len(topo.TowersInDistrict(did)) {
+		eps := topo.epochs[did]
+		for k := 1; k < len(eps); k++ {
+			if eps[k].from <= eps[k-1].from || len(eps[k].on) <= len(eps[k-1].on) {
+				t.Fatalf("district %d: epochs %d and %d do not grow", i, k-1, k)
+			}
+		}
+		if len(activeOn(topo, did, 0)) > len(topo.TowersInDistrict(did)) {
 			t.Fatal("active > total")
 		}
 	}
@@ -153,6 +173,74 @@ func TestPickTower(t *testing.T) {
 	}
 }
 
+// oraclePickTower is the counting form PickTower replaced: count the
+// district's sites active on day, then walk the list again to the k-th.
+func oraclePickTower(t *Topology, d census.DistrictID, day timegrid.SimDay, src *rng.Source) TowerID {
+	all := t.towersByDistrict[d]
+	active := 0
+	for _, id := range all {
+		if t.Towers[id].ActiveOn(day) {
+			active++
+		}
+	}
+	if active == 0 {
+		return all[src.Intn(len(all))]
+	}
+	k := src.Intn(active)
+	for _, id := range all {
+		if t.Towers[id].ActiveOn(day) {
+			if k == 0 {
+				return id
+			}
+			k--
+		}
+	}
+	return all[0]
+}
+
+// TestPickTowerMatchesCount checks PickTower against the counting
+// oracle for every district on every simulated day, from the default
+// new-site fraction up to 1.0 (no site on air on day 0, so the pick
+// falls back to every site): same tower, and both streams in step.
+func TestPickTowerMatchesCount(t *testing.T) {
+	m := census.BuildUK(1)
+	for _, frac := range []float64{0.01, 0.2, 1.0} {
+		cfg := DefaultConfig()
+		cfg.NewSiteFraction = frac
+		topo := Build(m, cfg, 3)
+		a, b := rng.New(9), rng.New(9)
+		for i := range m.Districts {
+			did := census.DistrictID(i)
+			for day := timegrid.SimDay(0); day < timegrid.SimDays; day++ {
+				for range 3 {
+					if got, want := topo.PickTower(did, day, a), oraclePickTower(topo, did, day, b); got != want {
+						t.Fatalf("fraction %v district %d day %d: tower %d, oracle %d", frac, i, day, got, want)
+					}
+					if a.Uint64() != b.Uint64() {
+						t.Fatalf("fraction %v district %d day %d: streams out of step", frac, i, day)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPickTowerAllocatesNothing pins PickTower at zero allocations.
+func TestPickTowerAllocatesNothing(t *testing.T) {
+	m := census.BuildUK(1)
+	cfg := DefaultConfig()
+	cfg.NewSiteFraction = 0.2
+	topo := Build(m, cfg, 3)
+	src := rng.New(5)
+	var sink TowerID
+	if n := testing.AllocsPerRun(1000, func() {
+		sink = topo.PickTower(census.DistrictID(src.Intn(len(m.Districts))), timegrid.SimDay(src.Intn(timegrid.SimDays)), src)
+	}); n != 0 {
+		t.Errorf("%v allocs per pick, want 0", n)
+	}
+	_ = sink
+}
+
 func TestNearestTower(t *testing.T) {
 	_, topo := buildTest(t)
 	for i := 0; i < 20; i++ {
@@ -164,18 +252,23 @@ func TestNearestTower(t *testing.T) {
 	}
 }
 
+// TestRATShare checks the per-RAT cell shares: they sum to one and 4G
+// has at least as many cells as 2G.
 func TestRATShare(t *testing.T) {
 	_, topo := buildTest(t)
-	shares := topo.RATShare()
+	var counts [NumRATs]int
+	for i := range topo.Cells {
+		counts[topo.Cells[i].RAT]++
+	}
 	var sum float64
-	for _, s := range shares {
-		sum += s
+	for _, n := range counts {
+		sum += float64(n) / float64(len(topo.Cells))
 	}
 	if sum < 0.999 || sum > 1.001 {
 		t.Errorf("RAT shares sum to %v", sum)
 	}
-	if shares[RAT4G] < shares[RAT2G] {
-		t.Error("4G should have at least as many cells as 2G")
+	if counts[RAT4G] < counts[RAT2G] {
+		t.Errorf("%d 4G cells, %d 2G: 4G should have at least as many", counts[RAT4G], counts[RAT2G])
 	}
 }
 
