@@ -10,6 +10,7 @@ package repro_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"runtime"
 	"sync"
@@ -893,10 +894,10 @@ func benchmarkFeedReplay(b *testing.B, users int, col bool) {
 	var ckr *colfmt.KPIReader
 	if col {
 		var err error
-		if ctr, err = colfmt.NewTraceReader(tr); err != nil {
+		if ctr, err = colfmt.NewTraceReaderOpts(tr, colfmt.Options{}); err != nil {
 			b.Fatal(err)
 		}
-		if ckr, err = colfmt.NewKPIReader(kr); err != nil {
+		if ckr, err = colfmt.NewKPIReaderOpts(kr, colfmt.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -962,6 +963,46 @@ func benchmarkFeedReplay(b *testing.B, users int, col bool) {
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/feedReplayDays, "ns/day")
 	b.ReportMetric(float64(feedBytes)/feedReplayDays, "bytes/day")
+}
+
+// partitionDays is the number of study days BenchmarkPartitionDir's
+// feed holds.
+const partitionDays = 14
+
+// BenchmarkPartitionDir cold-partitions a columnar trace and KPI feed
+// of partitionDays days at the 8k rung into 2 shards: PartitionDir's
+// user range pass, then its routing pass through fresh readers, shard
+// buckets and shard writers, the feeds.partition stage of the
+// replay-15k benchmark workload.
+func BenchmarkPartitionDir(b *testing.B) {
+	cfg := experiments.DefaultConfig()
+	cfg.TargetUsers = popsim.ScaleSmall
+	d := experiments.NewDataset(cfg)
+	in, out := b.TempDir(), b.TempDir()
+	w, err := feeds.CreateDir(in, feeds.FormatCol, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := mobsim.NewDayBuffer()
+	var cells []traffic.CellDay
+	for day := timegrid.SimDay(timegrid.StudyDayOffset); day < timegrid.StudyDayOffset+partitionDays; day++ {
+		traces := d.Sim.DayInto(buf, day)
+		cells = d.Engine.DayAppend(cells[:0], day, traces)
+		if err := errors.Join(w.WriteTraces(day, traces), w.WriteKPI(day, cells)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := errors.Join(w.Close(), w.WriteMeta(feeds.Meta{Users: cfg.TargetUsers, Seed: cfg.Seed})); err != nil {
+		b.Fatal(err)
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := feeds.PartitionDir(in, out, 2, feeds.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkFeedReplayCSV and BenchmarkFeedReplayCol compare feed decode

@@ -67,10 +67,11 @@ const (
 const (
 	fileHeaderSize  = 16
 	blockHeaderSize = 16
-	// readChunk bounds how much payload is requested per read call, so a
-	// corrupt length field claiming gigabytes fails at EOF after at most
-	// one chunk of allocation instead of exhausting memory first.
-	readChunk = 1 << 20
+	// readAhead bounds how far a payload allocation may run ahead of
+	// the bytes that have arrived, so a corrupt length field claiming
+	// gigabytes fails at EOF after a few MiB of allocation instead of
+	// exhausting memory first.
+	readAhead = 2 << 20
 )
 
 // Typed failure causes, wrapped in *BlockError (or a header error) with
@@ -128,20 +129,4 @@ func (o *Options) label(fallback string) string {
 		return o.Name
 	}
 	return fallback
-}
-
-// growTo returns b resized to n bytes, preserving its prefix and
-// growing capacity geometrically; a warm buffer is returned as-is, so
-// steady-state reads do not allocate.
-func growTo(b []byte, n int) []byte {
-	if cap(b) >= n {
-		return b[:n]
-	}
-	c := 2 * cap(b)
-	if c < n {
-		c = n
-	}
-	nb := make([]byte, n, c)
-	copy(nb, b)
-	return nb
 }

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -132,7 +133,7 @@ func TestTraceUserRange(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewTraceReader(&buf)
+	r, err := NewTraceReaderOpts(&buf, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestKPIRoundTrip(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewKPIReader(bytes.NewReader(buf.Bytes()))
+	r, err := NewKPIReaderOpts(bytes.NewReader(buf.Bytes()), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +444,7 @@ func TestKPICorruptLenient(t *testing.T) {
 func TestTraceReadSteadyStateAllocs(t *testing.T) {
 	data := encodeTraces(t)
 	br := bytes.NewReader(data)
-	r, err := NewTraceReader(br)
+	r, err := NewTraceReaderOpts(br, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +483,7 @@ func TestKPIReadSteadyStateAllocs(t *testing.T) {
 	}
 	data := w.Bytes()
 	br := bytes.NewReader(data)
-	r, err := NewKPIReader(br)
+	r, err := NewKPIReaderOpts(br, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +536,7 @@ func TestColdDecodeSizedFromHeader(t *testing.T) {
 	if err := tw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := NewTraceReader(bytes.NewReader(tb.Bytes()))
+	tr, err := NewTraceReaderOpts(bytes.NewReader(tb.Bytes()), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,7 +573,7 @@ func TestColdDecodeSizedFromHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	br := bytes.NewReader(kb.Bytes())
-	kr, err := NewKPIReader(br)
+	kr, err := NewKPIReaderOpts(br, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -597,7 +598,8 @@ func TestColdDecodeSizedFromHeader(t *testing.T) {
 
 // TestHugeClaimedPayload pins the fuzz-hardening bound: a block header
 // claiming a multi-gigabyte payload on a tiny file must fail fast at
-// EOF (with a truncation error), not attempt the full allocation.
+// EOF (with a truncation error) after a few MiB of allocation (the
+// readAhead bound), not attempt the full allocation.
 func TestHugeClaimedPayload(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewTraceWriter(&buf)
@@ -610,8 +612,231 @@ func TestHugeClaimedPayload(t *testing.T) {
 	binary.LittleEndian.PutUint32(hdr[12:16], 545259520) // ~520 MiB claimed, within header bounds
 	buf.Write(hdr)
 	buf.WriteString("short")
-	_, _, _, err := readAllTraces(t, buf.Bytes(), Options{})
+	var err error
+	alloc := totalAlloc(func() { _, _, _, err = readAllTraces(t, buf.Bytes(), Options{}) })
 	if !errors.Is(err, ErrTruncated) {
 		t.Fatalf("err = %v, want truncation", err)
+	}
+	if limit := uint64(4 << 20); alloc > limit {
+		t.Fatalf("reading a block that claims 520 MiB allocated %d bytes, want at most %d", alloc, limit)
+	}
+}
+
+// totalAlloc returns the bytes allocated while f runs.
+func totalAlloc(f func()) uint64 {
+	var a, b runtime.MemStats
+	runtime.ReadMemStats(&a)
+	f()
+	runtime.ReadMemStats(&b)
+	return b.TotalAlloc - a.TotalAlloc
+}
+
+// growingTraceDays returns day traces of n, n+n/16, n/2 and n+n/10
+// users (user i at ID 3i with 1 + i%3 visits), so each later block is
+// at most a tenth larger than the first.
+func growingTraceDays(n int) [][]mobsim.DayTrace {
+	var days [][]mobsim.DayTrace
+	for _, users := range []int{n, n + n/16, n / 2, n + n/10} {
+		traces := make([]mobsim.DayTrace, users)
+		for i := range traces {
+			visits := make([]mobsim.Visit, 1+i%3)
+			for k := range visits {
+				visits[k] = mkVisit(i+k, (i+k)%timegrid.BinsPerDay, int32(60*k), k == 0)
+			}
+			traces[i] = mobsim.DayTrace{User: popsim.UserID(3 * i), Visits: visits}
+		}
+		days = append(days, traces)
+	}
+	return days
+}
+
+// growingCellDays returns cell records of n, n+n/16, n/2 and n+n/10
+// cells.
+func growingCellDays(n int) [][]traffic.CellDay {
+	var days [][]traffic.CellDay
+	for _, count := range []int{n, n + n/16, n / 2, n + n/10} {
+		cells := make([]traffic.CellDay, count)
+		for i := range cells {
+			cells[i].Cell = radio.CellID(2 * i)
+			for m := range cells[i].Values {
+				cells[i].Values[m] = float64(i*m) + 0.5
+			}
+		}
+		days = append(days, cells)
+	}
+	return days
+}
+
+// TestColdReadScratchAllocatedOnce pins the payload scratch policy: a
+// cold reader allocates its scratch once, at the first block plus an
+// eighth, and keeps it through later blocks up to that headroom.
+func TestColdReadScratchAllocatedOnce(t *testing.T) {
+	const n = 2000
+	var tb, kb bytes.Buffer
+	tw, kw := NewTraceWriter(&tb), NewKPIWriter(&kb)
+	for d, traces := range growingTraceDays(n) {
+		if err := tw.WriteDay(timegrid.SimDay(d), traces); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for d, cells := range growingCellDays(n) {
+		if err := kw.WriteDay(timegrid.SimDay(d), cells); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// check reads every block through read and asserts that the scratch
+	// is the one the first block allocated, of the first block's
+	// payload and CRC plus an eighth.
+	check := func(name string, data []byte, b *blockReader, read func() error) {
+		t.Helper()
+		offs := blockOffsets(t, data)
+		want := func(i int) int { return int(binary.LittleEndian.Uint32(data[offs[i]+12:])) + 4 }
+		first, size := &b.scratch, want(0)+want(0)/8
+		var scratch *byte
+		for i := range offs {
+			if want(i) > size {
+				t.Fatalf("%s fixture: block %d needs %d bytes, beyond the headroom %d", name, i, want(i), size)
+			}
+			if err := read(); err != nil {
+				t.Fatalf("%s block %d: %v", name, i, err)
+			}
+			if cap(*first) != size {
+				t.Fatalf("%s block %d: scratch capacity %d, want %d", name, i, cap(*first), size)
+			}
+			if p := &(*first)[:1][0]; i == 0 {
+				scratch = p
+			} else if p != scratch {
+				t.Fatalf("%s block %d: payload scratch reallocated", name, i)
+			}
+		}
+	}
+	tr, err := NewTraceReaderOpts(bytes.NewReader(tb.Bytes()), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := mobsim.NewDayBuffer()
+	check("trace", tb.Bytes(), &tr.b, func() error { _, err := tr.ReadDayInto(buf); return err })
+	kr, err := NewKPIReaderOpts(bytes.NewReader(kb.Bytes()), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cells []traffic.CellDay
+	check("KPI", kb.Bytes(), &kr.b, func() error { _, cells, err = kr.ReadDayAppend(cells[:0]); return err })
+}
+
+// TestReadBlockBeyondReadAhead reads a block several times larger than
+// readAhead, whose scratch is grown in steps as the payload arrives,
+// and checks that it decodes intact.
+func TestReadBlockBeyondReadAhead(t *testing.T) {
+	visits := make([]mobsim.Visit, 3*readAhead/8)
+	for i := range visits {
+		visits[i] = mkVisit(i, i%timegrid.BinsPerDay, int32(i%mobsim.MaxVisitSeconds), i%2 == 0)
+	}
+	want := map[timegrid.SimDay][]mobsim.DayTrace{
+		1: {{User: 4, Visits: visits[:len(visits)/3]}, {User: 8, Visits: visits[len(visits)/3:]}},
+		2: {{User: 4, Visits: visits[:5]}},
+	}
+	var buf bytes.Buffer
+	w := NewTraceWriter(&buf)
+	for _, d := range []timegrid.SimDay{1, 2} {
+		if err := w.WriteDay(d, want[d]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, order, _, err := readAllTraces(t, buf.Bytes(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 2 {
+		t.Fatalf("read days %v, want [1 2]", order)
+	}
+	for _, d := range order {
+		sameTraces(t, d, got[d], want[d])
+	}
+}
+
+// TestWriteDaySteadyStateAllocs pins the writers' allocation contract:
+// a cold writer allocates its block buffer once, on its first day,
+// while later days grow by less than an eighth, and a warm writer
+// writes a day block without allocating. It also pins the bytes written
+// against a hand-encoded block: writer output is a contract (feeds
+// written by earlier builds are replayed as they are).
+func TestWriteDaySteadyStateAllocs(t *testing.T) {
+	traceDays, cellDays := growingTraceDays(1000), growingCellDays(1000)
+	cold := func() {
+		tw, kw := NewTraceWriter(io.Discard), NewKPIWriter(io.Discard)
+		for d := range traceDays {
+			if err := tw.WriteDay(timegrid.SimDay(d), traceDays[d]); err != nil {
+				t.Fatal(err)
+			}
+			if err := kw.WriteDay(timegrid.SimDay(d), cellDays[d]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Two writers, plus one block buffer each.
+	if allocs := testing.AllocsPerRun(20, cold); allocs != 4 {
+		t.Errorf("cold writers allocate %.1f times per feed of %d growing days, want 4", allocs, len(traceDays))
+	}
+	tw, kw := NewTraceWriter(io.Discard), NewKPIWriter(io.Discard)
+	warm := func() {
+		for d := range traceDays {
+			if err := tw.WriteDay(timegrid.SimDay(d), traceDays[d]); err != nil {
+				t.Fatal(err)
+			}
+			if err := kw.WriteDay(timegrid.SimDay(d), cellDays[d]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, warm); allocs > 0 {
+		t.Errorf("warm writers allocate %.1f times per feed, want 0", allocs)
+	}
+
+	// Hand-encoded trace feed: users 300, 3, 9 (uvarint 300, then zig-zag
+	// deltas -297 and +6), visit counts 2, 1, 0, the tower words, then
+	// the pack words.
+	v := []mobsim.Visit{mkVisit(300, 1, 60, true), mkVisit(7, 2, 3600, false), mkVisit(1<<31-1, 5, mobsim.MaxVisitSeconds, true)}
+	var tb bytes.Buffer
+	w := NewTraceWriterRange(&tb, 3, 300)
+	if err := w.WriteDay(7, []mobsim.DayTrace{{User: 300, Visits: v[:2]}, {User: 3, Visits: v[2:]}, {User: 9}}); err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{'M', 'N', 'O', 'C', Version, KindTraces, 0, 0, 3, 0, 0, 0, 0x2c, 1, 0, 0}
+	block := []byte{7, 0, 0, 0, 3, 0, 0, 0, 3, 0, 0, 0, 32, 0, 0, 0, 0xac, 0x02, 0xd1, 0x04, 0x0c, 2, 1, 0}
+	for _, v := range v {
+		tower, _ := v.Words()
+		block = binary.LittleEndian.AppendUint32(block, tower)
+	}
+	for _, v := range v {
+		_, pack := v.Words()
+		block = binary.LittleEndian.AppendUint32(block, pack)
+	}
+	want = append(want, binary.LittleEndian.AppendUint32(block, crc32.ChecksumIEEE(block))...)
+	if !bytes.Equal(tb.Bytes(), want) {
+		t.Errorf("trace feed bytes\n%x\nwant hand-encoded\n%x", tb.Bytes(), want)
+	}
+
+	// Hand-encoded KPI feed: cells 40 and 2 (uvarint 40, zig-zag -38),
+	// then one column of float64 bits per metric.
+	cells := []traffic.CellDay{{Cell: 40}, {Cell: 2}}
+	for m := range cells[0].Values {
+		cells[0].Values[m], cells[1].Values[m] = float64(m)+0.25, -float64(m)
+	}
+	var kb bytes.Buffer
+	k := NewKPIWriter(&kb)
+	if err := k.WriteDay(9, cells); err != nil {
+		t.Fatal(err)
+	}
+	want = []byte{'M', 'N', 'O', 'C', Version, KindKPI, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+	block = []byte{9, 0, 0, 0, 2, 0, 0, 0, byte(traffic.NumMetrics), 0, 0, 0, byte(2 + 16*traffic.NumMetrics), 0, 0, 0, 0x28, 0x4b}
+	for m := 0; m < traffic.NumMetrics; m++ {
+		for _, c := range cells {
+			block = binary.LittleEndian.AppendUint64(block, math.Float64bits(c.Values[m]))
+		}
+	}
+	want = append(want, binary.LittleEndian.AppendUint32(block, crc32.ChecksumIEEE(block))...)
+	if !bytes.Equal(kb.Bytes(), want) {
+		t.Errorf("KPI feed bytes\n%x\nwant hand-encoded\n%x", kb.Bytes(), want)
 	}
 }

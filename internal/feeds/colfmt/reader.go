@@ -23,8 +23,8 @@ type blockHead struct {
 }
 
 // blockReader is the machinery shared by the trace and KPI readers:
-// file header validation, block framing, CRC checking, chunked payload
-// reads into reused scratch, offset tracking and the strict/lenient
+// file header validation, block framing, CRC checking, payload reads
+// into reused scratch, offset tracking and the strict/lenient
 // skip protocol.
 type blockReader struct {
 	r        io.Reader
@@ -81,18 +81,21 @@ func (b *blockReader) skip(off int64, err error) {
 	}
 }
 
-// readN reads n bytes into scratch, chunked so a corrupt length field
-// fails at EOF after bounded allocation. It returns how many bytes
-// arrived; err is non-nil when fewer than n did.
+// readN reads n bytes into scratch. It returns how many bytes arrived;
+// err is non-nil when fewer than n did. A short scratch is replaced
+// once, with room for n plus an eighth (the grow.Slack policy), so days
+// a little larger than this one reuse it. No allocation exceeds twice the bytes that have
+// arrived plus readAhead: a block larger than that is grown in steps as
+// it arrives, and a corrupt length fails at EOF after a bounded
+// allocation.
 func (b *blockReader) readN(n int) (int, error) {
 	got := 0
 	for got < n {
-		step := n - got
-		if step > readChunk {
-			step = readChunk
+		if c := cap(b.scratch); c < n && (got == 0 || got == c) {
+			size := min(n+n/8, 2*got+readAhead)
+			b.scratch = append(make([]byte, 0, size), b.scratch[:got]...)
 		}
-		b.scratch = growTo(b.scratch, got+step)
-		m, err := io.ReadFull(b.r, b.scratch[got:got+step])
+		m, err := io.ReadFull(b.r, b.scratch[got:min(n, cap(b.scratch))])
 		got += m
 		b.off += int64(m)
 		if err != nil {
@@ -179,12 +182,8 @@ type TraceReader struct {
 	counts []uint32
 }
 
-// NewTraceReader validates the file header and returns a strict reader.
-func NewTraceReader(r io.Reader) (*TraceReader, error) {
-	return NewTraceReaderOpts(r, Options{})
-}
-
-// NewTraceReaderOpts is NewTraceReader with explicit failure options.
+// NewTraceReaderOpts validates the file header and returns a reader
+// with the given failure options (Options{} is strict).
 func NewTraceReaderOpts(r io.Reader, opt Options) (*TraceReader, error) {
 	t := &TraceReader{}
 	if err := t.b.init(r, opt, KindTraces, "trace feed"); err != nil {
@@ -350,12 +349,8 @@ type KPIReader struct {
 	b blockReader
 }
 
-// NewKPIReader validates the file header and returns a strict reader.
-func NewKPIReader(r io.Reader) (*KPIReader, error) {
-	return NewKPIReaderOpts(r, Options{})
-}
-
-// NewKPIReaderOpts is NewKPIReader with explicit failure options.
+// NewKPIReaderOpts validates the file header and returns a reader with
+// the given failure options (Options{} is strict).
 func NewKPIReaderOpts(r io.Reader, opt Options) (*KPIReader, error) {
 	k := &KPIReader{}
 	if err := k.b.init(r, opt, KindKPI, "KPI feed"); err != nil {

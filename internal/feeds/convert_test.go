@@ -226,7 +226,7 @@ func TestPartitionDir(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := colfmt.NewTraceReader(f)
+		tr, err := colfmt.NewTraceReaderOpts(f, colfmt.Options{})
 		f.Close()
 		if err != nil {
 			t.Fatal(err)

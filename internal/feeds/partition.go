@@ -6,6 +6,7 @@ import (
 	"math"
 	"path/filepath"
 
+	"repro/internal/grow"
 	"repro/internal/mobsim"
 	"repro/internal/traffic"
 )
@@ -107,6 +108,8 @@ func PartitionDir(in, out string, parts int, opt Options) ([]Meta, error) {
 		}
 	}
 
+	// Each shard's buckets are sized for its share of the day's records
+	// (grow.Slack), so they are not grown by doubling from nil.
 	traceBuckets := make([][]mobsim.DayTrace, parts)
 	cellBuckets := make([][]traffic.CellDay, parts)
 	for {
@@ -118,8 +121,8 @@ func PartitionDir(in, out string, parts int, opt Options) ([]Meta, error) {
 			return nil, err
 		}
 		for s := range traceBuckets {
-			traceBuckets[s] = traceBuckets[s][:0]
-			cellBuckets[s] = cellBuckets[s][:0]
+			traceBuckets[s] = grow.Slack(traceBuckets[s], len(b.Traces)/parts)
+			cellBuckets[s] = grow.Slack(cellBuckets[s], len(b.Cells)/parts)
 		}
 		for i := range b.Traces {
 			s := shardOf(uint32(b.Traces[i].User))

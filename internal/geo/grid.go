@@ -57,58 +57,85 @@ func (g *Grid) bucketOf(p Point) int {
 // cellOf maps an offset from the origin (km) along one axis to a column
 // or row in [0, n). It clamps before converting: a float→int conversion
 // of an out-of-range value is implementation-defined in Go (MinInt64 on
-// amd64), which would turn a huge radius into an empty scan.
+// amd64), which would turn a huge radius into an empty scan. A NaN
+// offset maps to 0.
 func (g *Grid) cellOf(off float64, n int) int {
-	return int(min(max(off/g.cell, 0), float64(n-1)))
+	c := off / g.cell
+	if !(c > 0) {
+		return 0
+	}
+	return int(min(c, float64(n-1)))
 }
 
 // Nearest returns the index of the closest indexed point to p, and its
-// distance. It returns (-1, +Inf) for an empty grid.
+// distance. It returns (-1, +Inf) for an empty grid only: a point far
+// outside the grid, even at an infinite coordinate, still gets an
+// index.
 func (g *Grid) Nearest(p Point) (int, float64) {
 	if len(g.pts) == 0 {
 		return -1, math.Inf(1)
 	}
+	ox, oy := p.X-g.origin.X, p.Y-g.origin.Y
+	col, row := g.cellOf(ox, g.cols), g.cellOf(oy, g.rows)
 	best := -1
 	bestD2 := math.Inf(1)
-	col := int((p.X - g.origin.X) / g.cell)
-	row := int((p.Y - g.origin.Y) / g.cell)
-	// Expand rings of buckets until the best candidate cannot be beaten
-	// by anything in the next ring.
+	// Scan square rings of buckets around p's cell, clamped to the grid,
+	// until nothing left unscanned can beat the best candidate.
 	for ring := 0; ; ring++ {
-		found := false
-		for r := row - ring; r <= row+ring; r++ {
-			if r < 0 || r >= g.rows {
+		c0, c1 := max(col-ring, 0), min(col+ring, g.cols-1)
+		r0, r1 := max(row-ring, 0), min(row+ring, g.rows-1)
+		for r := r0; r <= r1; r++ {
+			if ring == 0 || r == row-ring || r == row+ring {
+				for c := c0; c <= c1; c++ {
+					best, bestD2 = g.closest(r*g.cols+c, p, best, bestD2)
+				}
 				continue
 			}
-			for c := col - ring; c <= col+ring; c++ {
-				if c < 0 || c >= g.cols {
-					continue
-				}
-				// Only the ring boundary (inner cells were already
-				// scanned in previous rings).
-				if ring > 0 && r != row-ring && r != row+ring && c != col-ring && c != col+ring {
-					continue
-				}
-				found = true
-				for _, i := range g.buckets[r*g.cols+c] {
-					if d2 := g.pts[i].Dist2(p); d2 < bestD2 {
-						bestD2 = d2
-						best = int(i)
-					}
-				}
+			// Only the ring boundary: inner cells were scanned by earlier
+			// rings.
+			if c := col - ring; c >= 0 {
+				best, bestD2 = g.closest(r*g.cols+c, p, best, bestD2)
+			}
+			if c := col + ring; c < g.cols {
+				best, bestD2 = g.closest(r*g.cols+c, p, best, bestD2)
 			}
 		}
-		// Stop when a candidate exists and the next ring's minimum
-		// possible distance exceeds it, or the grid is exhausted.
-		minNext := float64(ring) * g.cell
-		if best >= 0 && minNext*minNext > bestD2 {
-			break
+		if c0 == 0 && c1 == g.cols-1 && r0 == 0 && r1 == g.rows-1 {
+			break // every bucket scanned
 		}
-		if !found && ring > g.cols+g.rows {
+		// Every unscanned bucket lies past a side of the scanned box that
+		// has not reached the grid's edge; the nearest such side bounds
+		// how close any of its points can be.
+		next := math.Inf(1)
+		if c0 > 0 {
+			next = min(next, ox-float64(c0)*g.cell)
+		}
+		if c1 < g.cols-1 {
+			next = min(next, float64(c1+1)*g.cell-ox)
+		}
+		if r0 > 0 {
+			next = min(next, oy-float64(r0)*g.cell)
+		}
+		if r1 < g.rows-1 {
+			next = min(next, float64(r1+1)*g.cell-oy)
+		}
+		if best >= 0 && next*next > bestD2 {
 			break
 		}
 	}
 	return best, math.Sqrt(bestD2)
+}
+
+// closest folds bucket i's points into the running best (index and
+// squared distance) of a Nearest query for p. The first point scanned
+// is taken even at an infinite distance.
+func (g *Grid) closest(i int, p Point, best int, bestD2 float64) (int, float64) {
+	for _, j := range g.buckets[i] {
+		if d2 := g.pts[j].Dist2(p); d2 < bestD2 || best < 0 {
+			best, bestD2 = int(j), d2
+		}
+	}
+	return best, bestD2
 }
 
 // Each calls fn with the index of every point within radiusKm of p,

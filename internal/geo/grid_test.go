@@ -152,3 +152,36 @@ func TestGridEachHugeRadius(t *testing.T) {
 		t.Errorf("NaN radius visited %d points", len(got))
 	}
 }
+
+// TestGridNearestFarAway checks queries far outside the grid: every one
+// gets the brute-force nearest distance (the ring scan used to give up
+// after cols+rows rings and return -1 beyond that), and a query at an
+// infinite or NaN coordinate still gets an index.
+func TestGridNearestFarAway(t *testing.T) {
+	grids := map[string][]Point{
+		"3 points":   {Pt(0, 0), Pt(3, 4), Pt(-7, 12)},
+		"500 points": randomPoints(500, 7),
+	}
+	inf := math.Inf(1)
+	for name, pts := range grids {
+		g := NewGrid(pts, 2)
+		for _, q := range []Point{
+			Pt(1e6, 0), Pt(-1e6, 3), Pt(0, 1e6), Pt(5, -1e6), Pt(1e6, -1e6),
+			Pt(1e12, 0), Pt(-1e12, 7), Pt(3, 1e12), Pt(-1e12, -1e12),
+		} {
+			gi, gd := g.Nearest(q)
+			_, bd := bruteNearest(pts, q)
+			if gi < 0 || gd != bd || pts[gi].Dist(q) != bd {
+				t.Errorf("%s: Nearest(%v) = %d, %v; brute-force distance %v", name, q, gi, gd, bd)
+			}
+		}
+		for _, q := range []Point{Pt(inf, 0), Pt(-inf, 0), Pt(0, inf), Pt(0, -inf), Pt(inf, -inf)} {
+			if gi, gd := g.Nearest(q); gi < 0 || gi >= len(pts) || !math.IsInf(gd, 1) {
+				t.Errorf("%s: Nearest(%v) = %d, %v; want an index at +Inf", name, q, gi, gd)
+			}
+		}
+		if gi, _ := g.Nearest(Pt(math.NaN(), 1)); gi < 0 || gi >= len(pts) {
+			t.Errorf("%s: Nearest(NaN, 1) = %d, want an index", name, gi)
+		}
+	}
+}

@@ -18,8 +18,9 @@
 # copy-on-divergence on/off (SweepSharedPrefix vs SweepUnsharedRegistry),
 # the ScaleLadder rungs (8k/100k/1M users; the 1M rung takes tens of
 # seconds to build — set BENCH to exclude it for quick local loops),
-# FeedReplay, PopulationSynthesis (the subscriber base at 8k/50k) and
-# PickTower (one active-site draw).
+# FeedReplay, PopulationSynthesis (the subscriber base at 8k/50k),
+# PickTower (one active-site draw) and PartitionDir (a cold 2-shard
+# split of a two-week 8k-user columnar feed).
 # Compare snapshots with scripts/benchdiff.sh.
 #
 # Snapshots are named BENCH_<sha>.json after the commit they measure, so
@@ -46,7 +47,7 @@ if [ "$sha" != nogit ] && [ -n "$(git status --porcelain 2>/dev/null)" ]; then
   sha="${sha}-dirty"
 fi
 benchtime="${BENCHTIME:-1x}"
-pattern="${BENCH:-SimDayInto|EngineDay|DayMetrics|MergeVisits|RunStandardSerial|StreamWorkers1\$|SweepSerial|SweepParallel|SweepSharedPrefix|SweepUnsharedRegistry|ScaleLadder|FeedReplay|PopulationSynthesis|PickTower}"
+pattern="${BENCH:-SimDayInto|EngineDay|DayMetrics|MergeVisits|RunStandardSerial|StreamWorkers1\$|SweepSerial|SweepParallel|SweepSharedPrefix|SweepUnsharedRegistry|ScaleLadder|FeedReplay|PopulationSynthesis|PickTower|PartitionDir}"
 
 # Runner metadata: numbers are only comparable between snapshots taken on
 # similar hardware, so record what ran them. benchdiff warns when the two
