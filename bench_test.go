@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/census"
 	"repro/internal/core"
-	"repro/internal/devices"
 	"repro/internal/epi"
 	"repro/internal/experiments"
 	"repro/internal/feeds"
@@ -64,11 +63,21 @@ func BenchmarkTable1Clusters(b *testing.B) {
 	}
 }
 
+// allPass reports whether every check of a figure passed.
+func allPass(f *experiments.Figure) bool {
+	for _, c := range f.Checks {
+		if !c.Pass {
+			return false
+		}
+	}
+	return true
+}
+
 func BenchmarkFig2HomeDetection(b *testing.B) {
 	r := benchResults(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if f := experiments.Fig2(r); !f.Passed() {
+		if f := experiments.Fig2(r); !allPass(f) {
 			b.Fatal("fig2 checks failed")
 		}
 	}
@@ -100,7 +109,7 @@ func BenchmarkFig4CasesCorrelation(b *testing.B) {
 	r := benchResults(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if f := experiments.Fig4(r); !f.Passed() {
+		if f := experiments.Fig4(r); !allPass(f) {
 			b.Fatal("fig4 checks failed")
 		}
 	}
@@ -172,18 +181,6 @@ func BenchmarkFig12LondonClusters(b *testing.B) {
 
 // --- §2.3/§2.4 pipeline benchmarks ----------------------------------------
 
-func BenchmarkSignalingFilter(b *testing.B) {
-	r := benchResults(b)
-	catalog := devices.NewCatalog()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep := signaling.FilterPopulation(r.Dataset.Pop, catalog)
-		if rep.NativeSmartphones == 0 {
-			b.Fatal("filter dropped everyone")
-		}
-	}
-}
-
 func BenchmarkSignalingDay(b *testing.B) {
 	r := benchResults(b)
 	gen := signaling.NewGenerator(r.Dataset.Pop, 1)
@@ -195,20 +192,6 @@ func BenchmarkSignalingDay(b *testing.B) {
 	}
 	if n == 0 {
 		b.Fatal("no events")
-	}
-}
-
-func BenchmarkRATShare(b *testing.B) {
-	r := benchResults(b)
-	gen := signaling.NewGenerator(r.Dataset.Pop, 1)
-	day := timegrid.SimDay(timegrid.StudyDayOffset + 30)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rs := signaling.NewRATShare(gen)
-		rs.ConsumeDay(day, benchDay)
-		if s := rs.Shares(); s[radio.RAT4G] < 0.5 {
-			b.Fatal("4G share collapsed")
-		}
 	}
 }
 
@@ -765,7 +748,7 @@ func BenchmarkExtSEIR(b *testing.B) {
 	r := benchResults(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if f := experiments.ExtSEIR(r); !f.Passed() {
+		if f := experiments.ExtSEIR(r); !allPass(f) {
 			b.Fatal("ext-seir checks failed")
 		}
 	}
@@ -805,12 +788,6 @@ func BenchmarkReselectionNeighbor(b *testing.B) {
 	}
 }
 
-func BenchmarkErlangB(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		traffic.ErlangB(float64(i%100)+1, 120)
-	}
-}
-
 func BenchmarkTraceFeedRoundTrip(b *testing.B) {
 	r := benchResults(b)
 	day := timegrid.SimDay(timegrid.StudyDayOffset + 30)
@@ -845,10 +822,8 @@ const feedReplayDays = 3
 // feedReplayDays days of traces + KPI records in one format, and
 // measures a full decode pass over the feed (the read side of
 // `mnostream -feeds`). Reported metrics: bytes/day is the encoded feed
-// size per day, ns/day the replay time per day. The columnar path
-// reuses its readers via Reset (its steady state is allocation-free;
-// colfmt's alloc pins enforce that), the CSV path re-opens per pass as
-// feeds.OpenDir does.
+// size per day, ns/day the replay time per day. Both paths open fresh
+// readers per pass, as feeds.OpenDir does.
 func benchmarkFeedReplay(b *testing.B, users int, col bool) {
 	cfg := experiments.DefaultConfig()
 	cfg.TargetUsers = users
@@ -890,28 +865,17 @@ func benchmarkFeedReplay(b *testing.B, users int, col bool) {
 
 	tr := bytes.NewReader(traceBuf.Bytes())
 	kr := bytes.NewReader(kpiBuf.Bytes())
-	var ctr *colfmt.TraceReader
-	var ckr *colfmt.KPIReader
-	if col {
-		var err error
-		if ctr, err = colfmt.NewTraceReaderOpts(tr, colfmt.Options{}); err != nil {
-			b.Fatal(err)
-		}
-		if ckr, err = colfmt.NewKPIReaderOpts(kr, colfmt.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
 	openTrace := func() (feeds.TraceDayReader, error) {
 		tr.Reset(traceBuf.Bytes())
 		if col {
-			return ctr, ctr.Reset(tr)
+			return colfmt.NewTraceReaderOpts(tr, colfmt.Options{})
 		}
 		return feeds.NewTraceReaderOpts(tr, feeds.Options{})
 	}
 	openKPI := func() (feeds.KPIDayReader, error) {
 		kr.Reset(kpiBuf.Bytes())
 		if col {
-			return ckr, ckr.Reset(kr)
+			return colfmt.NewKPIReaderOpts(kr, colfmt.Options{})
 		}
 		return feeds.NewKPIReaderOpts(kr, feeds.Options{})
 	}

@@ -5,13 +5,14 @@
 //
 // Usage:
 //
-//	figures [-fig all|table1|fig2|...|fig12] [-users N] [-seed S] [-checks]
+//	figures [-fig all|table1|fig2|...|fig12|ext-bins|ext-seir] [-users N] [-seed S] [-checks]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -23,7 +24,7 @@ import (
 
 func main() {
 	var (
-		fig    = flag.String("fig", "all", "figure to regenerate (all, table1, fig2 … fig12)")
+		fig    = flag.String("fig", "all", "figure to regenerate (all, table1, fig2 … fig12, ext-bins, ext-seir)")
 		users  = flag.Int("users", popsim.ScaleSmall, "synthetic native smartphone users")
 		seed   = flag.Uint64("seed", 42, "master random seed")
 		checks = flag.Bool("checks", true, "print shape checks against the paper")
@@ -32,6 +33,13 @@ func main() {
 		md     = flag.Bool("md", false, "emit data tables as markdown")
 	)
 	flag.Parse()
+	// Resolve -fig before anything is simulated.
+	known := *fig == "all" || slices.ContainsFunc(experiments.FigureIDs(), func(id string) bool {
+		return strings.EqualFold(id, *fig)
+	})
+	if !known {
+		cli.Exit("figures", cli.Usagef("unknown figure %q", *fig))
+	}
 
 	cfg := experiments.DefaultConfig()
 	cfg.TargetUsers = *users
@@ -61,9 +69,6 @@ func main() {
 			if strings.EqualFold(f.ID, *fig) {
 				figures = append(figures, f)
 			}
-		}
-		if len(figures) == 0 {
-			cli.Exit("figures", cli.Usagef("unknown figure %q", *fig))
 		}
 	}
 

@@ -80,6 +80,3 @@ func Clusters() []Cluster {
 	}
 	return cs
 }
-
-// Valid reports whether c is one of the eight supergroups.
-func (c Cluster) Valid() bool { return c >= 0 && int(c) < NumClusters }

@@ -425,27 +425,6 @@ func (m *Model) FocusRegions() []*County {
 	return out
 }
 
-// ClusterPopulation returns the full-scale census population per OAC
-// cluster.
-func (m *Model) ClusterPopulation() map[Cluster]int {
-	out := make(map[Cluster]int, NumClusters)
-	for _, d := range m.Districts {
-		out[d.Cluster] += d.Population
-	}
-	return out
-}
-
-// DistrictsInCluster returns all districts labelled with the cluster.
-func (m *Model) DistrictsInCluster(c Cluster) []*District {
-	var out []*District
-	for i := range m.Districts {
-		if m.Districts[i].Cluster == c {
-			out = append(out, &m.Districts[i])
-		}
-	}
-	return out
-}
-
 // LondonClusters returns the clusters present in Inner London (the paper
 // finds exactly three map to London: Cosmopolitans, Ethnicity Central and
 // Multicultural Metropolitans).

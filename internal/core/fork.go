@@ -37,7 +37,6 @@ func (m *MobilityMatrix) Fork() *MobilityMatrix {
 		topN:       m.topN,
 		presence:   make([][]float64, len(m.presence)),
 		atHome:     m.atHome,
-		awayAll:    m.awayAll,
 	}
 	for i := range m.presence {
 		f.presence[i] = append([]float64(nil), m.presence[i]...)
@@ -58,8 +57,6 @@ func (k *KPIAnalyzer) Fork() *KPIAnalyzer {
 		cellCounty:   k.cellCounty,
 		cellCluster:  k.cellCluster,
 		national:     k.national,
-		natP10:       k.natP10,
-		natP90:       k.natP90,
 		byCounty:     append([]seriesGrid(nil), k.byCounty...),
 		byCluster:    append([]seriesGrid(nil), k.byCluster...),
 		byDistrict:   append([]seriesGrid(nil), k.byDistrict...),

@@ -27,11 +27,6 @@ type KPIAnalyzer struct {
 	byCluster  []seriesGrid
 	byDistrict []seriesGrid
 
-	// Distribution tracks across cells for the national aggregate: the
-	// paper observes that "metrics' distribution across cells does not
-	// significantly change across weeks" (§4.1).
-	natP10, natP90 seriesGrid
-
 	// Per-day value buckets, reset at the top of ConsumeDay and
 	// reordered in place by its quantile selection. initScratch carves
 	// them all out of one arena.
@@ -111,10 +106,10 @@ func (k *KPIAnalyzer) initScratch() {
 }
 
 // ConsumeDay ingests one day of per-cell records; non-study days are
-// ignored. The quantiles are selected in place over the day's buckets
+// ignored. The medians are selected in place over the day's buckets
 // (an order statistic does not depend on input order), so the result
-// is bit-identical to the copying stats.Quantiles/Median and a warm
-// call does not allocate.
+// is bit-identical to the copying stats.Median and a warm call does not
+// allocate.
 func (k *KPIAnalyzer) ConsumeDay(day timegrid.SimDay, cells []traffic.CellDay) {
 	sd, ok := day.ToStudyDay()
 	if !ok {
@@ -149,14 +144,10 @@ func (k *KPIAnalyzer) ConsumeDay(day timegrid.SimDay, cells []traffic.CellDay) {
 		}
 	}
 
-	var qs [3]float64
 	for m := 0; m < traffic.NumMetrics; m++ {
-		if err := stats.QuantilesInPlace(qs[:], k.natVals[m], 10, 50, 90); err != nil {
-			continue
+		if len(k.natVals[m]) > 0 {
+			k.national.v[m][sd] = stats.MedianInPlace(k.natVals[m])
 		}
-		k.natP10.v[m][sd] = qs[0]
-		k.national.v[m][sd] = qs[1]
-		k.natP90.v[m][sd] = qs[2]
 	}
 	store := func(buckets [][traffic.NumMetrics][]float64, grids []seriesGrid) {
 		for g := range buckets {
@@ -196,40 +187,6 @@ func (k *KPIAnalyzer) ClusterSeries(c census.Cluster, m traffic.Metric) stats.Se
 // DistrictSeries returns the daily median across the district's cells.
 func (k *KPIAnalyzer) DistrictSeries(d *census.District, m traffic.Metric) stats.Series {
 	return k.byDistrict[d.ID].series(d.Code, m)
-}
-
-// NationalBand returns the P10/median/P90 tracks of the metric's
-// distribution across the national cell population.
-func (k *KPIAnalyzer) NationalBand(m traffic.Metric) (p10, p50, p90 stats.Series) {
-	return k.natP10.series("p10", m), k.national.series("p50", m), k.natP90.series("p90", m)
-}
-
-// BandStability quantifies the §4.1 observation that the cross-cell
-// distribution keeps its shape: it returns the relative change of the
-// (P90−P10)/median spread between week 9 and the given week. Values
-// near zero mean the distribution only shifted, without reshaping.
-func (k *KPIAnalyzer) BandStability(m traffic.Metric, week timegrid.Week) float64 {
-	p10, p50, p90 := k.NationalBand(m)
-	spread := func(days []timegrid.StudyDay) float64 {
-		var s, n float64
-		for _, d := range days {
-			if p50.Values[d] == 0 {
-				continue
-			}
-			s += (p90.Values[d] - p10.Values[d]) / p50.Values[d]
-			n++
-		}
-		if n == 0 {
-			return 0
-		}
-		return s / n
-	}
-	base := spread(timegrid.Week(timegrid.BaselineWeek).Days())
-	cur := spread(week.Days())
-	if base == 0 {
-		return 0
-	}
-	return (cur - base) / base
 }
 
 // WeeklyDeltaSeries applies the paper's presentation pipeline to a raw

@@ -32,10 +32,8 @@ type MobilityMatrix struct {
 	// presence[county][studyDay] = cohort members active in county.
 	presence [][]float64
 	// atHome[studyDay] = cohort members whose visited counties include
-	// the home county; awayAll[studyDay] = members present only
-	// elsewhere (the relocation signal).
-	atHome  [timegrid.StudyDays]float64
-	awayAll [timegrid.StudyDays]float64
+	// the home county.
+	atHome [timegrid.StudyDays]float64
 }
 
 // NewMobilityMatrix builds the analyzer for a resident cohort. The
@@ -121,8 +119,6 @@ func (m *MobilityMatrix) ConsumeUserCounties(sd timegrid.StudyDay, counties []ce
 	}
 	if home {
 		m.atHome[sd]++
-	} else {
-		m.awayAll[sd]++
 	}
 }
 
@@ -135,12 +131,6 @@ func (m *MobilityMatrix) PresenceSeries(c *census.County) stats.Series {
 // in their home county (the "Inner London line" of Fig. 7).
 func (m *MobilityMatrix) HomePresenceSeries() stats.Series {
 	return stats.Series{Label: "home presence", Values: append([]float64(nil), m.atHome[:]...)}
-}
-
-// AwaySeries returns the daily count of cohort members seen exclusively
-// outside their home county — the relocation signal of §3.4.
-func (m *MobilityMatrix) AwaySeries() stats.Series {
-	return stats.Series{Label: "relocated", Values: append([]float64(nil), m.awayAll[:]...)}
 }
 
 // TopDestinations returns the n counties (excluding the home county)

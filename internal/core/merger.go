@@ -131,8 +131,10 @@ func (m *VisitMerger) AllBinMetrics(t *mobsim.DayTrace, topo *radio.Topology, to
 	return out
 }
 
-// gyration computes Gyration over the samples with reused point/weight
-// scratch; the accumulation order matches Gyration exactly.
+// gyration computes the radius of gyration of Eq. (2): the root mean
+// squared distance of the visited towers from the user's centre of
+// mass, weighted by the time spent at each tower, in kilometres. The
+// point and weight scratch is reused across calls.
 func (m *VisitMerger) gyration(samples []VisitSample) float64 {
 	if len(samples) == 0 {
 		return 0

@@ -68,22 +68,6 @@ func Entropy(samples []VisitSample) float64 {
 	return e
 }
 
-// Gyration computes the radius of gyration of Eq. (2): the root mean
-// squared distance of the visited towers from the user's centre of mass,
-// weighted by the time spent at each tower. The result is in kilometres.
-func Gyration(samples []VisitSample) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	pts := make([]geo.Point, len(samples))
-	w := make([]float64, len(samples))
-	for i, s := range samples {
-		pts[i] = s.Loc
-		w[i] = s.Seconds
-	}
-	return geo.RadiusOfGyration(pts, w)
-}
-
 // DayMetrics holds a user's mobility metrics for one day.
 type DayMetrics struct {
 	Entropy  float64

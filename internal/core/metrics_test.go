@@ -85,14 +85,15 @@ func TestGyrationFromSamples(t *testing.T) {
 		{Tower: 0, Loc: geo.Pt(0, 0), Seconds: 1},
 		{Tower: 1, Loc: geo.Pt(10, 0), Seconds: 1},
 	}
-	if got := Gyration(s); math.Abs(got-5) > 1e-12 {
+	var m VisitMerger
+	if got := m.gyration(s); math.Abs(got-5) > 1e-12 {
 		t.Errorf("gyration = %v, want 5", got)
 	}
-	if got := Gyration(nil); got != 0 {
+	if got := m.gyration(nil); got != 0 {
 		t.Errorf("empty gyration = %v", got)
 	}
 	// A home-body (all dwell at one tower) has zero gyration.
-	if got := Gyration(s[:1]); got != 0 {
+	if got := m.gyration(s[:1]); got != 0 {
 		t.Errorf("single-tower gyration = %v", got)
 	}
 }
@@ -209,6 +210,7 @@ func TestTopNSubsetEntropyGyration(t *testing.T) {
 	r := fixtureResults(t)
 	topo := r.Dataset.Topology
 	traces := r.Sim.DayInto(mobsim.NewDayBuffer(), 25)
+	var g VisitMerger
 	for i := range traces[:150] {
 		samples := new(VisitMerger).Merge(&traces[i], topo)
 		full := Entropy(samples)
@@ -217,8 +219,8 @@ func TestTopNSubsetEntropyGyration(t *testing.T) {
 			if e := Entropy(sub); e > full+1e-9 {
 				t.Fatalf("topN(%d) raised entropy %v > %v", n, e, full)
 			}
-			if g := Gyration(sub); g < 0 || math.IsNaN(g) {
-				t.Fatalf("topN(%d) gyration %v", n, g)
+			if gy := g.gyration(sub); gy < 0 || math.IsNaN(gy) {
+				t.Fatalf("topN(%d) gyration %v", n, gy)
 			}
 		}
 	}

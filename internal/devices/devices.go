@@ -44,11 +44,6 @@ func (c Class) String() string {
 	}
 }
 
-// IsPrimaryDevice reports whether the class is a plausible primary
-// personal device; the mobility analysis of the paper keeps smartphones
-// only (§2.3).
-func (c Class) IsPrimaryDevice() bool { return c == ClassSmartphone }
-
 // TAC is a Type Allocation Code: the first 8 digits of an IMEI.
 type TAC uint32
 
@@ -135,26 +130,6 @@ func NewCatalog() *Catalog {
 	return c
 }
 
-// Lookup returns the catalog entry for a TAC.
-func (c *Catalog) Lookup(t TAC) (Entry, bool) {
-	e, ok := c.entries[t]
-	return e, ok
-}
-
-// IsSmartphone reports whether the TAC belongs to a smartphone; unknown
-// TACs are conservatively treated as non-smartphones, as the paper's
-// filtering drops unclassifiable devices.
-func (c *Catalog) IsSmartphone(t TAC) bool {
-	e, ok := c.entries[t]
-	return ok && e.Class == ClassSmartphone
-}
-
-// Size returns the number of catalog entries.
-func (c *Catalog) Size() int { return len(c.entries) }
-
-// TACsOfClass returns all TACs of a class, in allocation order.
-func (c *Catalog) TACsOfClass(cl Class) []TAC { return c.byClass[cl] }
-
 // AssignDevice draws a device for a subscriber: a vendor weighted by
 // popularity, then a uniform model of that vendor. The result is
 // deterministic in the source's state.
@@ -200,10 +175,6 @@ var (
 
 // String implements fmt.Stringer ("234-10").
 func (p PLMN) String() string { return fmt.Sprintf("%d-%d", p.MCC, p.MNC) }
-
-// IsNative reports whether the PLMN is the studied MNO's own network;
-// the paper keeps native users and drops international inbound roamers.
-func (p PLMN) IsNative() bool { return p == HomePLMN }
 
 // RoamerPLMN draws a foreign PLMN for an inbound roamer.
 func RoamerPLMN(src *rng.Source) PLMN {

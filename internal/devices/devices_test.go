@@ -8,16 +8,16 @@ import (
 
 func TestCatalogConstruction(t *testing.T) {
 	c := NewCatalog()
-	if c.Size() == 0 {
+	if len(c.entries) == 0 {
 		t.Fatal("empty catalog")
 	}
 	// Every entry is indexed consistently by class and TAC.
 	total := 0
 	for cl := Class(0); int(cl) < NumClasses; cl++ {
-		tacs := c.TACsOfClass(cl)
+		tacs := c.byClass[cl]
 		total += len(tacs)
 		for _, tac := range tacs {
-			e, ok := c.Lookup(tac)
+			e, ok := c.entries[tac]
 			if !ok {
 				t.Fatalf("TAC %d not found", tac)
 			}
@@ -29,8 +29,8 @@ func TestCatalogConstruction(t *testing.T) {
 			}
 		}
 	}
-	if total != c.Size() {
-		t.Errorf("class index covers %d, catalog has %d", total, c.Size())
+	if total != len(c.entries) {
+		t.Errorf("class index covers %d, catalog has %d", total, len(c.entries))
 	}
 }
 
@@ -38,7 +38,7 @@ func TestTACsDisjoint(t *testing.T) {
 	c := NewCatalog()
 	seen := map[TAC]bool{}
 	for cl := Class(0); int(cl) < NumClasses; cl++ {
-		for _, tac := range c.TACsOfClass(cl) {
+		for _, tac := range c.byClass[cl] {
 			if seen[tac] {
 				t.Fatalf("TAC %d allocated twice", tac)
 			}
@@ -47,32 +47,7 @@ func TestTACsDisjoint(t *testing.T) {
 	}
 }
 
-func TestIsSmartphone(t *testing.T) {
-	c := NewCatalog()
-	for _, tac := range c.TACsOfClass(ClassSmartphone) {
-		if !c.IsSmartphone(tac) {
-			t.Errorf("smartphone TAC %d not recognised", tac)
-		}
-	}
-	for _, tac := range c.TACsOfClass(ClassM2M) {
-		if c.IsSmartphone(tac) {
-			t.Errorf("M2M TAC %d classified as smartphone", tac)
-		}
-	}
-	if c.IsSmartphone(TAC(1)) {
-		t.Error("unknown TAC should not be a smartphone")
-	}
-}
-
 func TestClassSemantics(t *testing.T) {
-	if !ClassSmartphone.IsPrimaryDevice() {
-		t.Error("smartphone should be a primary device")
-	}
-	for _, cl := range []Class{ClassFeaturePhone, ClassM2M, ClassRouter} {
-		if cl.IsPrimaryDevice() {
-			t.Errorf("%v should not be a primary device", cl)
-		}
-	}
 	for cl := Class(0); int(cl) < NumClasses; cl++ {
 		if cl.String() == "" {
 			t.Errorf("class %d has empty name", cl)
@@ -124,13 +99,10 @@ func TestAssignM2MDevice(t *testing.T) {
 }
 
 func TestPLMN(t *testing.T) {
-	if !HomePLMN.IsNative() {
-		t.Error("home PLMN should be native")
-	}
 	src := rng.New(3)
 	for i := 0; i < 100; i++ {
 		p := RoamerPLMN(src)
-		if p.IsNative() {
+		if p == HomePLMN {
 			t.Fatal("roamer PLMN classified native")
 		}
 		if p.String() == "" {

@@ -205,13 +205,3 @@ func (r Result) AttackRate(population float64) float64 {
 	}
 	return r.States[len(r.States)-1].CumInfections / population
 }
-
-// EffectiveR returns the effective reproduction number on a given day:
-// R0 · contact(day) · S/N.
-func EffectiveR(p Params, contact ContactFunc, s State) float64 {
-	c := 1.0
-	if contact != nil {
-		c = contact(0)
-	}
-	return p.R0 * c * s.S / p.Population
-}

@@ -161,18 +161,6 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-func TestEffectiveR(t *testing.T) {
-	p := UK2020()
-	s := State{S: p.Population, I: 1}
-	if got := EffectiveR(p, nil, s); math.Abs(got-p.R0) > 1e-9 {
-		t.Errorf("initial Reff = %v, want R0 %v", got, p.R0)
-	}
-	half := State{S: p.Population / 2}
-	if got := EffectiveR(p, ConstantContact(0.5), half); math.Abs(got-p.R0/4) > 1e-9 {
-		t.Errorf("Reff = %v, want R0/4", got)
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	a, _ := Run(UK2020(), 100, ConstantContact(0.8))
 	b, _ := Run(UK2020(), 100, ConstantContact(0.8))

@@ -46,26 +46,3 @@ func Headlines(r *Results) []Headline {
 	}
 	return out
 }
-
-// CompareScenarios tabulates the headline statistics of two runs side
-// by side (e.g. the calibrated timeline against a counterfactual built
-// with pandemic.Builder). Headlines present in only one run are skipped.
-func CompareScenarios(labelA string, a *Results, labelB string, b *Results) stats.Table {
-	t := stats.Table{
-		Title:    "scenario comparison: " + labelA + " vs " + labelB,
-		ColNames: []string{labelA, labelB, "diff"},
-	}
-	ha, hb := Headlines(a), Headlines(b)
-	byName := map[string]float64{}
-	for _, h := range hb {
-		byName[h.Name] = h.Value
-	}
-	for _, h := range ha {
-		v, ok := byName[h.Name]
-		if !ok {
-			continue
-		}
-		t.AddRow(h.Name, []float64{h.Value, v, v - h.Value})
-	}
-	return t
-}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -46,6 +47,20 @@ func TestAllFiguresPass(t *testing.T) {
 	}
 }
 
+// TestFigureIDsMatchFigures pins the list figures resolves -fig against
+// to the IDs of the figures a run prints, extensions included.
+func TestFigureIDsMatchFigures(t *testing.T) {
+	r := results(t)
+	var got []string
+	for _, f := range AllFigures(r) {
+		got = append(got, f.ID)
+	}
+	got = append(got, resBins.Figure().ID, ExtSEIR(r).ID)
+	if want := FigureIDs(); !slices.Equal(got, want) {
+		t.Errorf("figure IDs %v, FigureIDs() %v", got, want)
+	}
+}
+
 // TestAllFiguresCheckOrderStable pins the check order: two renderings
 // of one result list the same checks in the same sequence, so figures
 // output is byte-stable across runs of one binary.
@@ -85,17 +100,19 @@ func TestFiguresHaveData(t *testing.T) {
 func TestFigurePassedHelper(t *testing.T) {
 	f := &Figure{}
 	f.checkRange("in range", 5, 0, 10)
-	if !f.Passed() {
-		t.Error("passing figure reported failed")
-	}
 	f.checkRange("out of range", 50, 0, 10)
-	if f.Passed() {
-		t.Error("failing figure reported passed")
+	f.checkTrue("bool", false, "x", "y")
+	if len(f.Checks) != 3 {
+		t.Fatalf("%d checks recorded, want 3", len(f.Checks))
 	}
-	f2 := &Figure{}
-	f2.checkTrue("bool", false, "x", "y")
-	if f2.Passed() {
-		t.Error("checkTrue(false) should fail the figure")
+	if !f.Checks[0].Pass {
+		t.Error("in-range check reported failed")
+	}
+	if f.Checks[1].Pass {
+		t.Error("out-of-range check reported passed")
+	}
+	if f.Checks[2].Pass {
+		t.Error("checkTrue(false) reported passed")
 	}
 }
 
@@ -112,7 +129,12 @@ func TestRunStandardPopulatesEverything(t *testing.T) {
 	}
 	// The cohort should approximate the Inner London agent population.
 	inner := r.Dataset.Model.InnerLondon()
-	agents := len(r.Dataset.Pop.NativeInCounty(inner.ID))
+	agents := 0
+	for _, id := range r.Dataset.Pop.Native() {
+		if r.Dataset.Pop.User(id).HomeCounty == inner.ID {
+			agents++
+		}
+	}
 	if c := r.Matrix.CohortSize(); c < agents*8/10 || c > agents*11/10 {
 		t.Errorf("cohort %d vs %d Inner London agents", c, agents)
 	}
@@ -282,26 +304,24 @@ func TestHeadlinesAndComparison(t *testing.T) {
 	cfg.Scenario = pandemic.NoPandemic()
 	cfg.SkipKPI = true
 	null := RunStandard(cfg)
-	table := CompareScenarios("covid", r, "null", null)
-	if len(table.Rows) == 0 {
-		t.Fatal("empty comparison")
+	nullHs := map[string]float64{}
+	for _, h := range Headlines(null) {
+		nullHs[h.Name] = h.Value
 	}
-	row, ok := table.Row("gyration trough Δ%")
+	nullV, ok := nullHs["gyration trough Δ%"]
 	if !ok {
-		t.Fatal("gyration trough row missing")
+		t.Fatal("gyration trough headline missing from the null run")
 	}
-	covid, nullV := row.Values[0], row.Values[1]
-	if covid > -40 {
-		t.Errorf("covid trough = %v", covid)
+	for _, h := range hs {
+		if h.Name == "gyration trough Δ%" && h.Value > -40 {
+			t.Errorf("covid trough = %v", h.Value)
+		}
 	}
 	if nullV < -15 {
 		t.Errorf("null trough = %v", nullV)
 	}
-	if diff := row.Values[2]; diff != nullV-covid {
-		t.Errorf("diff column = %v, want %v", diff, nullV-covid)
-	}
-	// KPI headlines are skipped for the KPI-less null run.
-	if _, ok := table.Row("DL volume trough Δ%"); ok {
-		t.Error("KPI headline should be absent when one run lacks KPIs")
+	// KPI headlines are absent for the KPI-less null run.
+	if _, ok := nullHs["DL volume trough Δ%"]; ok {
+		t.Error("KPI headline should be absent when a run lacks KPIs")
 	}
 }

@@ -33,16 +33,6 @@ type Figure struct {
 	Checks []Check
 }
 
-// Passed reports whether every check passed.
-func (f *Figure) Passed() bool {
-	for _, c := range f.Checks {
-		if !c.Pass {
-			return false
-		}
-	}
-	return true
-}
-
 // checkRange appends a range assertion.
 func (f *Figure) checkRange(name string, got, lo, hi float64) {
 	f.Checks = append(f.Checks, Check{
@@ -676,6 +666,14 @@ func Fig12(r *Results) *Figure {
 		fmt.Sprintf("cosmo %.1f vs multi %.1f", minOver(cosmo[traffic.DLThroughput], 13, 19),
 			minOver(multi[traffic.DLThroughput], 13, 19)), "within 6 points")
 	return f
+}
+
+// FigureIDs lists the figure IDs a run can print, in output order: those
+// of AllFigures, then the two extensions (ExtBinsAndBands, ExtSEIR). It
+// lets a command resolve a figure name before anything is simulated.
+func FigureIDs() []string {
+	return []string{"table1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
+		"fig8", "fig9", "fig10", "fig11", "fig12", "ext-bins", "ext-seir"}
 }
 
 // AllFigures runs every figure against one set of results.

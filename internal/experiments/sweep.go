@@ -305,7 +305,7 @@ func sweepErr(runs []SweepRun) error {
 
 // SweepTable tabulates a sweep as headline rows × scenario columns,
 // keeping only the headlines present in every run (KPI headlines drop
-// out of mobility-only sweeps, exactly as in CompareScenarios). Failed
+// out of mobility-only sweeps). Failed
 // runs (Err set, no headlines) must be filtered out by the caller
 // first.
 func SweepTable(runs []SweepRun) stats.Table {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"testing"
 
 	"repro/internal/core"
@@ -87,7 +88,7 @@ func TestDefaultCovidSpecBitIdenticalToDefaultPath(t *testing.T) {
 	if !ok {
 		t.Fatal("default-covid missing")
 	}
-	data, err := sp.MarshalIndentJSON()
+	data, err := json.MarshalIndent(sp, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

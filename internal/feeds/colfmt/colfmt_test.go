@@ -133,12 +133,13 @@ func TestTraceUserRange(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	h := buf.Bytes()
+	if lo, hi := binary.LittleEndian.Uint32(h[8:12]), binary.LittleEndian.Uint32(h[12:16]); lo != 100 || hi != 199 {
+		t.Fatalf("header user range = %d,%d, want 100,199", lo, hi)
+	}
 	r, err := NewTraceReaderOpts(&buf, Options{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if lo, hi := r.UserRange(); lo != 100 || hi != 199 {
-		t.Fatalf("UserRange() = %d,%d, want 100,199", lo, hi)
 	}
 	if _, err := r.ReadDayInto(mobsim.NewDayBuffer()); err != io.EOF {
 		t.Fatalf("empty feed read = %v, want io.EOF", err)
@@ -451,7 +452,7 @@ func TestTraceReadSteadyStateAllocs(t *testing.T) {
 	buf := mobsim.NewDayBuffer()
 	warm := func() {
 		br.Reset(data)
-		if err := r.Reset(br); err != nil {
+		if err := r.b.init(br, r.b.opt, KindTraces, "trace feed"); err != nil {
 			t.Fatal(err)
 		}
 		for {
@@ -490,7 +491,7 @@ func TestKPIReadSteadyStateAllocs(t *testing.T) {
 	var cells []traffic.CellDay
 	warm := func() {
 		br.Reset(data)
-		if err := r.Reset(br); err != nil {
+		if err := r.b.init(br, r.b.opt, KindKPI, "KPI feed"); err != nil {
 			t.Fatal(err)
 		}
 		for {
@@ -580,7 +581,7 @@ func TestColdDecodeSizedFromHeader(t *testing.T) {
 	var got []traffic.CellDay
 	read := func() {
 		br.Reset(kb.Bytes())
-		if err := kr.Reset(br); err != nil {
+		if err := kr.b.init(br, kr.b.opt, KindKPI, "KPI feed"); err != nil {
 			t.Fatal(err)
 		}
 		if _, got, err = kr.ReadDayAppend(nil); err != nil {

@@ -39,8 +39,6 @@ type blockReader struct {
 	// the io.ReadFull interface call does not force a heap escape on
 	// every block.
 	hdr [blockHeaderSize]byte
-
-	userLo, userHi uint32
 }
 
 func (b *blockReader) label() string { return b.opt.label(b.fallback) }
@@ -68,8 +66,6 @@ func (b *blockReader) init(r io.Reader, opt Options, kind byte, fallback string)
 	if err != nil {
 		return &BlockError{Name: b.label(), Offset: 0, Err: err}
 	}
-	b.userLo = binary.LittleEndian.Uint32(h[8:12])
-	b.userHi = binary.LittleEndian.Uint32(h[12:16])
 	return nil
 }
 
@@ -192,20 +188,9 @@ func NewTraceReaderOpts(r io.Reader, opt Options) (*TraceReader, error) {
 	return t, nil
 }
 
-// Reset rebinds the reader to a new stream (same options), revalidating
-// the file header and keeping all scratch warm — the pooling hook that
-// makes repeated replays allocation-free.
-func (t *TraceReader) Reset(r io.Reader) error {
-	return t.b.init(r, t.b.opt, KindTraces, "trace feed")
-}
-
 // Skipped returns the number of damaged blocks skipped so far (always 0
 // for a strict reader: it fails on the first one instead).
 func (t *TraceReader) Skipped() int64 { return t.b.skipped }
-
-// UserRange returns the partition user range [lo, hi] stamped in the
-// file header; 0,0 means unpartitioned/unspecified.
-func (t *TraceReader) UserRange() (lo, hi uint32) { return t.b.userLo, t.b.userHi }
 
 // validateDay rejects a block whose day lies outside the simulated
 // window [0, timegrid.SimDays), like the CSV readers' day column check.
@@ -248,7 +233,7 @@ func (t *TraceReader) ReadDayInto(buf *mobsim.DayBuffer) (timegrid.SimDay, error
 			return 0, err
 		}
 		day := timegrid.SimDay(h.day)
-		if derr := t.decode(h, payload, buf, day); derr != nil {
+		if derr := t.decode(h, payload, buf); derr != nil {
 			derr = fmt.Errorf("%w: %v", ErrCorrupt, derr)
 			if t.b.opt.Lenient {
 				t.b.skip(start, derr)
@@ -264,12 +249,12 @@ func (t *TraceReader) ReadDayInto(buf *mobsim.DayBuffer) (timegrid.SimDay, error
 // malformed varints, counts that do not sum, non-canonical visit words,
 // a bin outside the day grid — reports a corrupt block; the value
 // checks mirror what the CSV reader's parseTraceRow enforces per row.
-func (t *TraceReader) decode(h blockHead, p []byte, buf *mobsim.DayBuffer, day timegrid.SimDay) error {
+func (t *TraceReader) decode(h blockHead, p []byte, buf *mobsim.DayBuffer) error {
 	nU, nV := int(h.countA), int(h.countB)
 	// The counts are CRC-checked and bounded by the payload length
 	// (validateTraceHead), so sizing every store from them up front is
 	// safe: a cold store is allocated once, exactly (see grow.Reserve).
-	buf.Reset(day)
+	buf.Reset()
 	buf.ReserveTraces(nU)
 	t.users = grow.Reserve(t.users[:0], nU)
 	t.counts = grow.Reserve(t.counts[:0], nU)
@@ -357,12 +342,6 @@ func NewKPIReaderOpts(r io.Reader, opt Options) (*KPIReader, error) {
 		return nil, err
 	}
 	return k, nil
-}
-
-// Reset rebinds the reader to a new stream (same options), revalidating
-// the file header and keeping the scratch warm.
-func (k *KPIReader) Reset(r io.Reader) error {
-	return k.b.init(r, k.b.opt, KindKPI, "KPI feed")
 }
 
 // Skipped returns the number of damaged blocks skipped so far.

@@ -2,6 +2,7 @@ package feeds
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"os"
 	"path/filepath"
@@ -61,12 +62,6 @@ func TestMetaPartitionRoundTrip(t *testing.T) {
 		Users: 8000, Seed: 42, Scenario: "early-lockdown",
 		Format: FormatCol, FormatVersion: colfmt.Version,
 		Part: 1, Parts: 4, UserLo: 2000, UserHi: 3999,
-	}
-	if !want.Partitioned() {
-		t.Fatal("Partitioned() false for a shard meta")
-	}
-	if (Meta{Users: 1, Seed: 2}).Partitioned() {
-		t.Fatal("Partitioned() true for an unpartitioned meta")
 	}
 	if err := WriteMeta(dir, want); err != nil {
 		t.Fatal(err)
@@ -206,7 +201,7 @@ func TestPartitionDir(t *testing.T) {
 		t.Fatalf("shard ranges do not cover users: %+v", metas)
 	}
 	for s, m := range metas {
-		if m.Part != s || m.Parts != 2 || !m.Partitioned() {
+		if m.Part != s || m.Parts != 2 {
 			t.Fatalf("shard %d meta: %+v", s, m)
 		}
 		if m.Users != 600 || m.Seed != 7 {
@@ -222,16 +217,15 @@ func TestPartitionDir(t *testing.T) {
 		if onDisk != m {
 			t.Fatalf("shard %d sidecar %+v != returned meta %+v", s, onDisk, m)
 		}
-		f, err := os.Open(filepath.Join(out, ShardDirName(s), TraceColFeedName))
+		// The file header carries the range at bytes 8–16.
+		hdr, err := os.ReadFile(filepath.Join(out, ShardDirName(s), TraceColFeedName))
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := colfmt.NewTraceReaderOpts(f, colfmt.Options{})
-		f.Close()
-		if err != nil {
-			t.Fatal(err)
+		if len(hdr) < 16 {
+			t.Fatalf("shard %d traces.col is %d bytes, shorter than its header", s, len(hdr))
 		}
-		if lo, hi := tr.UserRange(); lo != m.UserLo || hi != m.UserHi {
+		if lo, hi := binary.LittleEndian.Uint32(hdr[8:12]), binary.LittleEndian.Uint32(hdr[12:16]); lo != m.UserLo || hi != m.UserHi {
 			t.Fatalf("shard %d traces.col header range [%d,%d], meta says [%d,%d]", s, lo, hi, m.UserLo, m.UserHi)
 		}
 	}

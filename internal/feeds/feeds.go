@@ -223,7 +223,7 @@ func (t *TraceReader) ReadDayInto(buf *mobsim.DayBuffer) (timegrid.SimDay, error
 		}
 		if day < 0 {
 			day = row.day
-			buf.Reset(day)
+			buf.Reset()
 		} else if row.day != day {
 			t.unread(row) // belongs to the next day
 			return day, nil

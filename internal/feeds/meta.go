@@ -42,9 +42,6 @@ type Meta struct {
 	UserLo, UserHi uint32
 }
 
-// Partitioned reports whether the sidecar describes a partition shard.
-func (m Meta) Partitioned() bool { return m.Parts > 0 }
-
 var metaHeader = []string{
 	"users", "seed", "scenario",
 	"format", "format_version", "part", "parts", "user_lo", "user_hi",

@@ -24,9 +24,6 @@ type Point struct {
 // Pt is shorthand for Point{x, y}.
 func Pt(x, y float64) Point { return Point{X: x, Y: y} }
 
-// Sub returns p − q as a vector.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
 // Add returns p + q.
 func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 
@@ -95,16 +92,6 @@ type Rect struct {
 	Min, Max Point
 }
 
-// Contains reports whether p lies inside the rectangle (inclusive).
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
-
-// Center returns the rectangle's centre.
-func (r Rect) Center() Point {
-	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
-}
-
 // Width and Height return the rectangle extents in kilometres.
 func (r Rect) Width() float64  { return r.Max.X - r.Min.X }
 func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
@@ -137,9 +124,6 @@ type Disc struct {
 	Center Point
 	Radius float64 // km
 }
-
-// Contains reports whether p lies inside the disc.
-func (d Disc) Contains(p Point) bool { return d.Center.Dist(p) <= d.Radius }
 
 // PointOnRing returns the point at the given angle (radians) and radius
 // fraction f (0 centre, 1 rim) of the disc.

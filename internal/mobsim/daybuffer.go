@@ -3,7 +3,6 @@ package mobsim
 import (
 	"repro/internal/grow"
 	"repro/internal/popsim"
-	"repro/internal/timegrid"
 )
 
 // blockVisits is the size of one arena block in visits (8 bytes each,
@@ -36,7 +35,6 @@ const blockVisits = 8 << 10
 // valid only until the next Reset (or DayInto). Callers that keep visits
 // past that point must copy them.
 type DayBuffer struct {
-	day    timegrid.SimDay
 	blocks [][]Visit  // the arena; blocks[:next] are in use this day
 	next   int        // number of blocks in use
 	open   []Visit    // the last trace's visits, capacity to its block's end
@@ -52,8 +50,7 @@ type DayBuffer struct {
 func NewDayBuffer() *DayBuffer { return &DayBuffer{} }
 
 // Reset empties the buffer for a new day, keeping every block.
-func (d *DayBuffer) Reset(day timegrid.SimDay) {
-	d.day = day
+func (d *DayBuffer) Reset() {
 	d.next = 0
 	d.open = nil
 	d.traces = d.traces[:0]
@@ -67,9 +64,6 @@ func (d *DayBuffer) Reset(day timegrid.SimDay) {
 func (d *DayBuffer) ReserveTraces(n int) {
 	d.traces = grow.Reserve(d.traces, n)
 }
-
-// Day returns the day the buffer currently holds.
-func (d *DayBuffer) Day() timegrid.SimDay { return d.day }
 
 // BeginUser starts a new trace owned by id; subsequent Append calls add
 // its visits. Traces must be begun in the order they should appear.

@@ -96,7 +96,7 @@ func startsBlock(d *DayBuffer, v []Visit, b int) bool {
 // contents intact, with the traces around it untouched.
 func TestDayBufferTraceStraddlingBlockEdge(t *testing.T) {
 	d := NewDayBuffer()
-	d.Reset(3)
+	d.Reset()
 	want := fillTraces(d, 10, blockVisits-13, 10, 5)
 	got := d.Traces()
 	checkTraces(t, got, want)
@@ -115,14 +115,14 @@ func TestDayBufferTraceStraddlingBlockEdge(t *testing.T) {
 // Append: it gets a block of its own, and its neighbours stay intact.
 func TestDayBufferTraceLongerThanBlock(t *testing.T) {
 	d := NewDayBuffer()
-	d.Reset(0)
+	d.Reset()
 	want := fillTraces(d, 7, blockVisits*5/2, 7)
 	checkTraces(t, d.Traces(), want)
 
 	// A warm buffer keeps the grown block: the same day refills without
 	// allocating.
 	allocs := testing.AllocsPerRun(3, func() {
-		d.Reset(0)
+		d.Reset()
 		appendTraces(d, 7, blockVisits*5/2, 7)
 	})
 	checkTraces(t, d.Traces(), want)
@@ -136,7 +136,7 @@ func TestDayBufferTraceLongerThanBlock(t *testing.T) {
 // copy out instead of overwriting the next trace.
 func TestDayBufferAppendToViewKeepsNeighbours(t *testing.T) {
 	d := NewDayBuffer()
-	d.Reset(1)
+	d.Reset()
 	// Four traces end exactly at the first block's end; the fifth starts
 	// the second block.
 	want := fillTraces(d, blockVisits-30, 10, 10, 10, 10, 10)
@@ -157,7 +157,7 @@ func TestDayBufferAppendToViewKeepsNeighbours(t *testing.T) {
 // traces begun so far.
 func TestDayBufferReserveTraces(t *testing.T) {
 	d := NewDayBuffer()
-	d.Reset(0)
+	d.Reset()
 	d.ReserveTraces(100)
 	want := fillTraces(d, make([]int, 100)...)
 	got := d.Traces()
@@ -167,7 +167,7 @@ func TestDayBufferReserveTraces(t *testing.T) {
 	checkTraces(t, got, want)
 	index := &got[0]
 	for _, n := range []int{50, 100} {
-		d.Reset(1)
+		d.Reset()
 		d.ReserveTraces(n)
 		fillTraces(d, make([]int, n)...)
 		if tr := d.Traces(); &tr[0] != index {
@@ -175,7 +175,7 @@ func TestDayBufferReserveTraces(t *testing.T) {
 		}
 	}
 
-	d.Reset(2)
+	d.Reset()
 	want = fillTraces(d, 3, 1, 2)
 	d.ReserveTraces(200)
 	if tr := d.Traces(); cap(tr) < 203 {
@@ -242,7 +242,7 @@ func FuzzDayBuffer(f *testing.F) {
 		for len(ops) > 0 {
 			switch next() % 5 {
 			case 0:
-				d.Reset(timegrid.SimDay(next()))
+				d.Reset()
 				users, model, views, snap = users[:0], model[:0], nil, nil
 			case 1:
 				id := popsim.UserID(next())

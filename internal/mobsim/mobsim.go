@@ -84,12 +84,6 @@ func New(pop *popsim.Population, scen *pandemic.Scenario, seed uint64) *Simulato
 	return s
 }
 
-// Population returns the simulated population.
-func (s *Simulator) Population() *popsim.Population { return s.pop }
-
-// Scenario returns the behavioural scenario.
-func (s *Simulator) Scenario() *pandemic.Scenario { return s.scen }
-
 // DayInto simulates all native smartphone agents for one day into buf,
 // reusing its arena and builder scratch: once buf has warmed to the
 // working size, a call performs no heap allocation. The result is
@@ -98,7 +92,7 @@ func (s *Simulator) Scenario() *pandemic.Scenario { return s.scen }
 // are valid until buf's next Reset or DayInto. Concurrent calls must
 // use distinct buffers.
 func (s *Simulator) DayInto(buf *DayBuffer, day timegrid.SimDay) []DayTrace {
-	buf.Reset(day)
+	buf.Reset()
 	native := s.pop.Native()
 	buf.ReserveTraces(len(native)) // one trace per native agent
 	for _, id := range native {
@@ -108,19 +102,8 @@ func (s *Simulator) DayInto(buf *DayBuffer, day timegrid.SimDay) []DayTrace {
 	return buf.Traces()
 }
 
-// UserDay simulates a single agent-day into a standalone trace.
-func (s *Simulator) UserDay(id popsim.UserID, day timegrid.SimDay) DayTrace {
-	var b dayBuilder
-	s.buildUserDay(&b, id, day)
-	t := DayTrace{User: id, Visits: make([]Visit, 0, b.visitCount())}
-	for bin := b.firstBin(); bin < timegrid.BinsPerDay; bin++ {
-		t.Visits = append(t.Visits, b.bins[bin]...)
-	}
-	return t
-}
-
 // buildUserDay simulates one agent-day into the builder scratch; the
-// visits stay staged per bin until flushTo (or UserDay) flattens them.
+// visits stay staged per bin until flushTo flattens them.
 func (s *Simulator) buildUserDay(b *dayBuilder, id popsim.UserID, day timegrid.SimDay) {
 	cols := s.cols
 	src := rng.Stream2(s.seed, uint64(id), uint64(day))

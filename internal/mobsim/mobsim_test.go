@@ -44,8 +44,8 @@ func TestDayTraceConservation(t *testing.T) {
 	nightOffDays := 0
 	for _, day := range []timegrid.SimDay{0, 10, 23, 40, 60, 99} {
 		traces := s.DayInto(NewDayBuffer(), day)
-		if len(traces) != len(s.Population().Native()) {
-			t.Fatalf("day %d: %d traces for %d users", day, len(traces), len(s.Population().Native()))
+		if len(traces) != len(s.pop.Native()) {
+			t.Fatalf("day %d: %d traces for %d users", day, len(traces), len(s.pop.Native()))
 		}
 		for i := range traces {
 			tr := &traces[i]
@@ -121,15 +121,17 @@ func TestDeterminismAndIndependence(t *testing.T) {
 	// Day simulation is order-independent: simulating day 49 first must
 	// not change day 50.
 	s.DayInto(NewDayBuffer(), 49)
-	c := s.UserDay(a[0].User, 50)
-	if len(c.Visits) != len(a[0].Visits) {
-		t.Fatal("day 50 changed after simulating day 49")
+	c := s.DayInto(NewDayBuffer(), 50)
+	for i := range a {
+		if len(c[i].Visits) != len(a[i].Visits) {
+			t.Fatalf("user %d: day 50 changed after simulating day 49", a[i].User)
+		}
 	}
 }
 
 func TestNightAtResidence(t *testing.T) {
 	s := fixture(t)
-	pop := s.Population()
+	pop := s.pop
 	traces := s.DayInto(NewDayBuffer(), 5) // February baseline
 	observed := 0
 	for i := range traces {
@@ -181,7 +183,7 @@ func TestLockdownReducesMobility(t *testing.T) {
 
 func TestRelocatedUsersAreAway(t *testing.T) {
 	s := fixture(t)
-	pop := s.Population()
+	pop := s.pop
 	day := timegrid.LockdownStart.ToSimDay() + 7
 	traces := s.DayInto(NewDayBuffer(), day)
 	byUser := map[popsim.UserID]*DayTrace{}
@@ -210,7 +212,7 @@ func TestRelocatedUsersAreAway(t *testing.T) {
 
 func TestRelocatedUsersHomeBeforeLockdown(t *testing.T) {
 	s := fixture(t)
-	pop := s.Population()
+	pop := s.pop
 	day := timegrid.SimDay(10) // mid-February
 	traces := s.DayInto(NewDayBuffer(), day)
 	for i := range traces {
@@ -234,7 +236,7 @@ func TestRelocationCandidatesStayHomeWhenToggleOff(t *testing.T) {
 	// The population is scenario-independent, so relocation candidates
 	// exist regardless of scenario; a scenario whose relocation toggle
 	// is off must keep every candidate at their primary residence.
-	pop := fixture(t).Population()
+	pop := fixture(t).pop
 	noReloc, err := pandemic.NewBuilder().
 		Activity(0, 1).
 		Activity(28, 0.5).
@@ -267,7 +269,7 @@ func TestRelocationCandidatesStayHomeWhenToggleOff(t *testing.T) {
 
 func TestWorkAttendanceCollapses(t *testing.T) {
 	s := fixture(t)
-	pop := s.Population()
+	pop := s.pop
 	attendance := func(day timegrid.SimDay) float64 {
 		traces := s.DayInto(NewDayBuffer(), day)
 		working, workers := 0, 0
@@ -299,7 +301,7 @@ func TestWorkAttendanceCollapses(t *testing.T) {
 
 func TestStudentsStopAfterSchoolsClose(t *testing.T) {
 	s := fixture(t)
-	pop := s.Population()
+	pop := s.pop
 	attends := func(day timegrid.SimDay) int {
 		traces := s.DayInto(NewDayBuffer(), day)
 		n := 0
@@ -333,15 +335,16 @@ func TestStudentsStopAfterSchoolsClose(t *testing.T) {
 
 func TestUserDayProperty(t *testing.T) {
 	s := fixture(t)
-	n := uint32(len(s.Population().Native()))
+	native := s.pop.Native()
+	buf := NewDayBuffer()
 	f := func(uid uint32, day uint8) bool {
-		id := popsim.UserID(uid % n)
+		i := int(uid % uint32(len(native)))
 		d := timegrid.SimDay(int(day) % timegrid.SimDays)
-		tr := s.UserDay(id, d)
-		if tr.User != id {
+		tr := &s.DayInto(buf, d)[i]
+		if tr.User != native[i] {
 			return false
 		}
-		got := totalSeconds(&tr)
+		got := totalSeconds(tr)
 		return got == 86_400 || got == 86_400-8*3600
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {

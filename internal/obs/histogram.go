@@ -100,31 +100,6 @@ func (h *Histogram) Shard(w int) *HistShard {
 // Observe records one duration into shard 0 — the single-writer form.
 func (h *Histogram) Observe(ns int64) { h.Shard(0).Observe(ns) }
 
-// Merge folds o's observations into h (shard 0). Bucket counts, counts
-// and sums add and max combines by maximum, so merging any partition of
-// a stream in any order yields identical totals — pinned by
-// TestHistogramMergeOrderInvariant.
-func (h *Histogram) Merge(o *Histogram) {
-	if h == nil || o == nil {
-		return
-	}
-	dst := h.Shard(0)
-	for i := range o.shards {
-		src := &o.shards[i]
-		dst.count.Add(src.count.Load())
-		dst.sum.Add(src.sum.Load())
-		for {
-			m, v := dst.max.Load(), src.max.Load()
-			if v <= m || dst.max.CompareAndSwap(m, v) {
-				break
-			}
-		}
-		for b := range src.buckets {
-			dst.buckets[b].Add(src.buckets[b].Load())
-		}
-	}
-}
-
 // Bucket is one non-empty histogram bucket in a snapshot: Count
 // observations below LtNs (and at or above the previous bucket's LtNs).
 type Bucket struct {

@@ -78,27 +78,6 @@ func (g *Gauge) Set(v int64) {
 	g.v.Store(v)
 }
 
-// Add adjusts the gauge by n (negative to decrease).
-func (g *Gauge) Add(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(n)
-}
-
-// SetMax raises the gauge to v if v is larger (a high-water mark).
-func (g *Gauge) SetMax(v int64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if v <= cur || g.v.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
 // Value returns the current gauge value (0 on a nil gauge).
 func (g *Gauge) Value() int64 {
 	if g == nil {

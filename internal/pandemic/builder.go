@@ -68,11 +68,6 @@ const (
 	CurveThrottle     = "throttle"
 )
 
-// CurveNames lists the factor-curve names in canonical order.
-func CurveNames() []string {
-	return []string{CurveActivity, CurveVoice, CurveData, CurveHomeCellular, CurveThrottle}
-}
-
 // AnchorAt adds a control point to the curve named by one of the Curve*
 // constants, at a possibly fractional study day. It is the declarative
 // entry point used by spec-driven construction (internal/scenario); the
@@ -110,20 +105,10 @@ func (b *Builder) Voice(day timegrid.StudyDay, factor float64) *Builder {
 	return b.addAnchor(&b.voice, day, factor, "voice")
 }
 
-// Data adds a cellular data appetite anchor.
-func (b *Builder) Data(day timegrid.StudyDay, factor float64) *Builder {
-	return b.addAnchor(&b.data, day, factor, "data")
-}
-
 // HomeCellular adds a WiFi-offload anchor (1.0 = the usual cellular
 // share of at-home demand).
 func (b *Builder) HomeCellular(day timegrid.StudyDay, factor float64) *Builder {
 	return b.addAnchor(&b.homeCellular, day, factor, "home-cellular")
-}
-
-// Throttle adds a content-throttling anchor (1.0 = no throttling).
-func (b *Builder) Throttle(day timegrid.StudyDay, factor float64) *Builder {
-	return b.addAnchor(&b.throttle, day, factor, "throttle")
 }
 
 // RelaxBonus grants a county a late-window activity bonus (week 18+).

@@ -21,9 +21,7 @@ func TestBuilderFlatByDefault(t *testing.T) {
 	if s.CumulativeCases(40) != 0 {
 		t.Error("unset case curve should be zero")
 	}
-	m := census.BuildUK(1)
-	ec, _ := m.DistrictByCode("EC")
-	if s.RelocationProb(ec) != 0 {
+	if s.relocationOn() {
 		t.Error("builder scenario without relocation should not relocate")
 	}
 }
@@ -34,9 +32,9 @@ func TestBuilderCustomCurves(t *testing.T) {
 		Activity(14, 0.5).
 		Activity(76, 0.7).
 		Voice(14, 2.0).
-		Data(7, 1.1).
+		AnchorAt(CurveData, 7, 1.1).
 		HomeCellular(20, 0.8).
-		Throttle(20, 0.9).
+		AnchorAt(CurveThrottle, 20, 0.9).
 		CaseCurve(100_000, 0.2, 40).
 		WithRelocation().
 		Build()
@@ -56,9 +54,7 @@ func TestBuilderCustomCurves(t *testing.T) {
 	if s.CumulativeCases(40) < 40_000 || s.CumulativeCases(40) > 60_000 {
 		t.Errorf("cases at midpoint = %v", s.CumulativeCases(40))
 	}
-	m := census.BuildUK(1)
-	ec, _ := m.DistrictByCode("EC")
-	if s.RelocationProb(ec) == 0 {
+	if !s.relocationOn() {
 		t.Error("WithRelocation should enable relocation")
 	}
 }

@@ -36,12 +36,6 @@ import (
 // traffic simulation, so two scenarios differing only in case-curve
 // parameters behave identically.
 
-// NullDivergenceDay returns the first study day on which a non-null
-// scenario's weekend-trip behaviour can differ from the null
-// scenario's: the first weekend day of the week-11 trip reduction
-// (derived from the calendar, not hard-coded).
-func NullDivergenceDay() float64 { return nullWeekendDay }
-
 // RelocationDivergenceDay returns the study day the seasonal relocation
 // wave begins; scenarios that disagree on the relocation toggle diverge
 // here at the latest.

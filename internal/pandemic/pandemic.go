@@ -165,9 +165,6 @@ func Default() *Scenario {
 // baseline values. It is used for ablations and differential tests.
 func NoPandemic() *Scenario { return &Scenario{null: true} }
 
-// Null reports whether this is the no-pandemic scenario.
-func (s *Scenario) Null() bool { return s.null }
-
 // relaxWindowStart is the first day of week 18, when the paper observes
 // regional differences in how restrictions are relaxed.
 var relaxWindowStart = timegrid.StudyDay((18 - timegrid.FirstWeek) * 7)
@@ -197,17 +194,6 @@ func (s *Scenario) RegionalActivity(d timegrid.StudyDay, county *census.County) 
 		a = 1
 	}
 	return a
-}
-
-// ActivityOnSimDay maps a simulated day (which may precede the study
-// window — the February home-detection period) to the activity level;
-// February is entirely pre-pandemic.
-func (s *Scenario) ActivityOnSimDay(d timegrid.SimDay, county *census.County) float64 {
-	sd, ok := d.ToStudyDay()
-	if !ok {
-		return 1
-	}
-	return s.RegionalActivity(sd, county)
 }
 
 // VoiceFactor returns the per-user conversational voice demand multiplier
@@ -379,14 +365,4 @@ func SeasonalRelocationPropensity(d *census.District) float64 {
 		return 0
 	}
 	return 0.80 * d.SeasonalShare
-}
-
-// RelocationProb returns the probability that a seasonal resident of the
-// given district relocates away *under this scenario*: the scenario-free
-// propensity gated by the scenario's relocation toggle.
-func (s *Scenario) RelocationProb(d *census.District) float64 {
-	if s.null {
-		return 0
-	}
-	return SeasonalRelocationPropensity(d) * s.relocationScale
 }

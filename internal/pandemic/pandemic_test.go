@@ -59,17 +59,6 @@ func TestRegionalRelaxation(t *testing.T) {
 	}
 }
 
-func TestActivityOnSimDay(t *testing.T) {
-	s := Default()
-	if got := s.ActivityOnSimDay(3, nil); got != 1 {
-		t.Errorf("February activity = %v, want baseline", got)
-	}
-	sd := timegrid.LockdownStart
-	if got := s.ActivityOnSimDay(sd.ToSimDay(), nil); got != s.Activity(sd) {
-		t.Error("sim-day mapping inconsistent")
-	}
-}
-
 func TestVoiceCurve(t *testing.T) {
 	s := Default()
 	if got := s.VoiceFactor(0); got != 1 {
@@ -154,13 +143,16 @@ func TestRelocationProb(t *testing.T) {
 	m := census.BuildUK(1)
 	ec, _ := m.DistrictByCode("EC")
 	sw, _ := m.DistrictByCode("SW")
-	if s.RelocationProb(ec) <= s.RelocationProb(sw) {
+	if !s.relocationOn() {
+		t.Fatal("default scenario should relocate")
+	}
+	if SeasonalRelocationPropensity(ec) <= SeasonalRelocationPropensity(sw) {
 		t.Error("EC (seasonal) should relocate more than SW")
 	}
-	if p := s.RelocationProb(ec); p <= 0 || p >= 1 {
+	if p := SeasonalRelocationPropensity(ec); p <= 0 || p >= 1 {
 		t.Errorf("EC relocation prob = %v", p)
 	}
-	if s.RelocationProb(nil) != 0 {
+	if SeasonalRelocationPropensity(nil) != 0 {
 		t.Error("nil district should have zero probability")
 	}
 }
@@ -235,7 +227,7 @@ func TestRelocationDestinations(t *testing.T) {
 
 func TestNoPandemic(t *testing.T) {
 	s := NoPandemic()
-	if !s.Null() {
+	if !s.null {
 		t.Error("NoPandemic should be null")
 	}
 	for d := timegrid.StudyDay(0); d < timegrid.StudyDays; d += 7 {
@@ -250,8 +242,8 @@ func TestNoPandemic(t *testing.T) {
 	if s.RelocationActive(timegrid.SimDays - 1) {
 		t.Error("null scenario should not relocate anyone")
 	}
-	if s.RelocationProb(&census.District{SeasonalShare: 0.5}) != 0 {
-		t.Error("null scenario relocation prob should be 0")
+	if s.relocationOn() {
+		t.Error("null scenario relocation should be off")
 	}
 	if s.ExodusDestinationBias(26, "East Sussex") != 1 {
 		t.Error("null scenario should not bias destinations")

@@ -30,9 +30,8 @@ func TestSnapshotRoundTripBitIdentical(t *testing.T) {
 			t.Fatalf("relocation window differs at day %d", d)
 		}
 	}
-	dist := &census.District{SeasonalShare: 0.2}
-	if got.RelocationProb(dist) != want.RelocationProb(dist) {
-		t.Fatal("relocation probability differs")
+	if got.relocationScale != want.relocationScale {
+		t.Fatal("relocation toggle differs")
 	}
 }
 
@@ -45,7 +44,7 @@ func TestSnapshotNull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Null() {
+	if !s.null {
 		t.Fatal("null snapshot did not rebuild the null scenario")
 	}
 }
@@ -94,8 +93,5 @@ func TestBuilderAnchorAt(t *testing.T) {
 	}
 	if _, err := NewBuilder().AnchorAt(CurveActivity, float64(timegrid.StudyDays), 1).Build(); err == nil {
 		t.Error("out-of-window fractional day accepted")
-	}
-	if len(CurveNames()) != 5 {
-		t.Error("expected five factor curves")
 	}
 }

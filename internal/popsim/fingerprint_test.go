@@ -13,9 +13,21 @@ import (
 	"repro/internal/radio"
 )
 
-// fingerprint hashes every field of every User, Native() and the
-// NativeInCounty list of every county, so a change to synthesis that
-// moves any draw, any ID or any index shows as a different digest.
+// nativeInCounty lists the native smartphone agents homed in county c,
+// in ID order.
+func nativeInCounty(p *Population, c census.CountyID) []UserID {
+	var out []UserID
+	for _, id := range p.Native() {
+		if p.Users[id].HomeCounty == c {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// fingerprint hashes every field of every User, Native() and the native
+// agents of every county, so a change to synthesis that moves any draw,
+// any ID or any index shows as a different digest.
 func fingerprint(p *Population) string {
 	h := sha256.New()
 	var buf [8]byte
@@ -73,7 +85,7 @@ func fingerprint(p *Population) string {
 	}
 	ids(p.Native())
 	for ci := range p.Model().Counties {
-		ids(p.NativeInCounty(census.CountyID(ci)))
+		ids(nativeInCounty(p, census.CountyID(ci)))
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

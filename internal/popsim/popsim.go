@@ -174,9 +174,8 @@ type Population struct {
 	model *census.Model
 	topo  *radio.Topology
 
-	native       []UserID // indices of native smartphones
-	byHomeCounty map[census.CountyID][]UserID
-	scale        float64 // agents per census person
+	native []UserID // indices of native smartphones
+	scale  float64  // agents per census person
 
 	// cols is the struct-of-arrays mirror of the hot per-agent fields
 	// (see Columns); sealed at the end of Synthesize.
@@ -355,31 +354,11 @@ func synthesize(model *census.Model, topo *radio.Topology, cfg Config, workers i
 	return p
 }
 
-// indexNatives lists the native agents, IDs [0, n), in ID order, and
-// groups them by home county into exactly sized slices of one array.
+// indexNatives lists the native agents, IDs [0, n), in ID order.
 func (p *Population) indexNatives(n int) {
 	p.native = make([]UserID, n)
-	counts := make([]int, len(p.model.Counties))
 	for i := range p.native {
 		p.native[i] = UserID(i)
-		counts[p.Users[i].HomeCounty]++
-	}
-	byCounty := make([][]UserID, len(counts))
-	ids := make([]UserID, n)
-	off := 0
-	for c, k := range counts {
-		byCounty[c] = ids[off : off : off+k]
-		off += k
-	}
-	for i := range p.native {
-		c := p.Users[i].HomeCounty
-		byCounty[c] = append(byCounty[c], UserID(i))
-	}
-	p.byHomeCounty = make(map[census.CountyID][]UserID, len(counts))
-	for c, list := range byCounty {
-		if len(list) > 0 {
-			p.byHomeCounty[census.CountyID(c)] = list
-		}
 	}
 }
 
@@ -657,24 +636,3 @@ func (p *Population) Native() []UserID { return p.native }
 
 // User returns the agent with the given ID.
 func (p *Population) User(id UserID) *User { return &p.Users[id] }
-
-// NativeInCounty returns native smartphone agents homed in the county.
-func (p *Population) NativeInCounty(c census.CountyID) []UserID {
-	ids := p.byHomeCounty[c]
-	out := make([]UserID, 0, len(ids))
-	for _, id := range ids {
-		if p.Users[id].Kind == NativeSmartphone {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// CountByKind tallies the population per SIM kind.
-func (p *Population) CountByKind() map[SIMKind]int {
-	out := make(map[SIMKind]int, 3)
-	for i := range p.Users {
-		out[p.Users[i].Kind]++
-	}
-	return out
-}

@@ -32,7 +32,10 @@ func fixture(t *testing.T) *Population {
 
 func TestPopulationCounts(t *testing.T) {
 	p := fixture(t)
-	counts := p.CountByKind()
+	counts := map[SIMKind]int{}
+	for i := range p.Users {
+		counts[p.Users[i].Kind]++
+	}
 	native := counts[NativeSmartphone]
 	if native < 3600 || native > 4600 {
 		t.Errorf("native smartphones = %d, want ≈4000", native)
@@ -46,13 +49,17 @@ func TestPopulationCounts(t *testing.T) {
 	if len(p.Native()) != native {
 		t.Errorf("Native() length %d != count %d", len(p.Native()), native)
 	}
+	// The §2.3 analysis population dominates, as in the paper (~22M of
+	// all SIMs are native smartphones).
+	if frac := float64(native) / float64(len(p.Users)); frac < 0.8 {
+		t.Errorf("native smartphone share = %v", frac)
+	}
 }
 
 func TestUserInvariants(t *testing.T) {
 	p := fixture(t)
 	m := p.Model()
 	topo := p.Topology()
-	catalog := devices.NewCatalog()
 	for i := range p.Users {
 		u := &p.Users[i]
 		if u.ID != UserID(i) {
@@ -77,14 +84,14 @@ func TestUserInvariants(t *testing.T) {
 			if n := len(u.Anchors); n < 2 || n > 8 {
 				t.Errorf("user %d has %d anchors", i, n)
 			}
-			if !catalog.IsSmartphone(u.Device.TAC) {
+			if u.Device.Class != devices.ClassSmartphone {
 				t.Errorf("native analysis user %d has non-smartphone device", i)
 			}
-			if !u.PLMN.IsNative() {
+			if u.PLMN != devices.HomePLMN {
 				t.Errorf("native user %d has foreign PLMN", i)
 			}
 		}
-		if u.Kind == InboundRoamer && u.PLMN.IsNative() {
+		if u.Kind == InboundRoamer && u.PLMN == devices.HomePLMN {
 			t.Errorf("roamer %d has native PLMN", i)
 		}
 		if u.Kind == NativeM2M && u.Device.Class != devices.ClassM2M {
@@ -139,7 +146,7 @@ func TestProfileDistribution(t *testing.T) {
 func TestRelocationCalibration(t *testing.T) {
 	p := fixture(t)
 	inner := p.Model().InnerLondon()
-	ids := p.NativeInCounty(inner.ID)
+	ids := nativeInCounty(p, inner.ID)
 	if len(ids) < 150 {
 		t.Fatalf("only %d Inner London users", len(ids))
 	}
@@ -171,7 +178,7 @@ func TestRelocationDestinationsAreFig7Counties(t *testing.T) {
 	for _, n := range destNames {
 		allowed[n] = true
 	}
-	for _, id := range p.NativeInCounty(inner.ID) {
+	for _, id := range nativeInCounty(p, inner.ID) {
 		u := p.User(id)
 		if !u.Relocates {
 			continue
@@ -228,7 +235,7 @@ func TestScaleAndDistribution(t *testing.T) {
 	// share jitter is bounded at ±~20%).
 	for ci := range m.Counties {
 		c := &m.Counties[ci]
-		got := len(p.NativeInCounty(c.ID))
+		got := len(nativeInCounty(p, c.ID))
 		want := float64(c.Population) * p.Scale()
 		if float64(got) < want*0.6 || float64(got) > want*1.5 {
 			t.Errorf("%s agents = %d, census-scaled %f", c.Name, got, want)

@@ -20,20 +20,6 @@ const (
 	EnvRural
 )
 
-// String implements fmt.Stringer.
-func (e Environment) String() string {
-	switch e {
-	case EnvDenseUrban:
-		return "dense-urban"
-	case EnvUrban:
-		return "urban"
-	case EnvSuburban:
-		return "suburban"
-	default:
-		return "rural"
-	}
-}
-
 // EnvironmentOf derives the environment from a district's
 // geodemographic cluster (dense clutter in city centres, open terrain in
 // the countryside).

@@ -61,11 +61,6 @@ func TestEnvironmentOf(t *testing.T) {
 	if !found {
 		t.Fatal("no rural district")
 	}
-	for e := EnvDenseUrban; e <= EnvRural; e++ {
-		if e.String() == "" {
-			t.Error("environment unnamed")
-		}
-	}
 }
 
 // server is one audible tower with its median-link receive level.

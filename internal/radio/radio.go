@@ -115,7 +115,6 @@ type Topology struct {
 	model            *census.Model
 	towersByDistrict [][]TowerID // indexed by DistrictID
 	epochs           [][]epoch   // indexed by DistrictID, ascending from
-	cellsByTower     [][]CellID  // indexed by TowerID
 	cells4GByTower   [][]CellID
 	cells4G          []CellID
 	grid             *geo.Grid // spatial index over tower locations
@@ -125,7 +124,7 @@ type Topology struct {
 // until the next.
 type epoch struct {
 	from timegrid.SimDay
-	on   []TowerID // in TowersInDistrict order
+	on   []TowerID // in towersByDistrict order
 }
 
 // Build deploys the radio network over the census model. The result is
@@ -212,7 +211,6 @@ func Build(model *census.Model, cfg Config, seed uint64) *Topology {
 	t.grid = geo.NewGrid(locs, 0)
 
 	// Carve cells: one cell per (sector, RAT) the site supports.
-	t.cellsByTower = make([][]CellID, len(t.Towers))
 	t.cells4GByTower = make([][]CellID, len(t.Towers))
 	for ti := range t.Towers {
 		tw := &t.Towers[ti]
@@ -223,7 +221,6 @@ func Build(model *census.Model, cfg Config, seed uint64) *Topology {
 				}
 				c := Cell{ID: CellID(len(t.Cells)), Tower: tw.ID, RAT: r, Sector: s}
 				t.Cells = append(t.Cells, c)
-				t.cellsByTower[ti] = append(t.cellsByTower[ti], c.ID)
 				if r == RAT4G {
 					t.cells4GByTower[ti] = append(t.cells4GByTower[ti], c.ID)
 					t.cells4G = append(t.cells4G, c.ID)
@@ -240,17 +237,6 @@ func (t *Topology) Model() *census.Model { return t.model }
 // Tower returns the tower with the given ID.
 func (t *Topology) Tower(id TowerID) *Tower { return &t.Towers[id] }
 
-// Cell returns the cell with the given ID.
-func (t *Topology) Cell(id CellID) *Cell { return &t.Cells[id] }
-
-// TowersInDistrict returns the site IDs deployed in a district.
-func (t *Topology) TowersInDistrict(d census.DistrictID) []TowerID {
-	return t.towersByDistrict[d]
-}
-
-// CellsOfTower returns all cells of a site.
-func (t *Topology) CellsOfTower(id TowerID) []CellID { return t.cellsByTower[id] }
-
 // Cells4GOfTower returns the 4G cells of a site; §2.4 restricts the KPI
 // analysis to 4G, the RAT carrying ~75% of connected time.
 func (t *Topology) Cells4GOfTower(id TowerID) []CellID { return t.cells4GByTower[id] }
@@ -261,11 +247,6 @@ func (t *Topology) Cells4G() []CellID { return t.cells4G }
 // DistrictOfCell returns the district a cell serves.
 func (t *Topology) DistrictOfCell(id CellID) census.DistrictID {
 	return t.Towers[t.Cells[id].Tower].District
-}
-
-// CountyOfCell returns the county a cell serves.
-func (t *Topology) CountyOfCell(id CellID) census.CountyID {
-	return t.Towers[t.Cells[id].Tower].County
 }
 
 // PickTower draws a site of the district, active on day, uniformly; it

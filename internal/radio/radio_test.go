@@ -22,7 +22,7 @@ func TestBuildTopologyBasics(t *testing.T) {
 	}
 	// Every district has at least one tower.
 	for i := range m.Districts {
-		if len(topo.TowersInDistrict(census.DistrictID(i))) == 0 {
+		if len(topo.towersByDistrict[census.DistrictID(i)]) == 0 {
 			t.Errorf("district %s has no towers", m.Districts[i].Code)
 		}
 	}
@@ -42,7 +42,7 @@ func TestBuildTopologyBasics(t *testing.T) {
 		if tw.Sectors <= 0 {
 			t.Errorf("tower %d has %d sectors", i, tw.Sectors)
 		}
-		if !d.Area.Contains(tw.Loc) {
+		if d.Area.Center.Dist(tw.Loc) > d.Area.Radius {
 			t.Errorf("tower %d outside its district disc", i)
 		}
 	}
@@ -71,19 +71,18 @@ func TestCellsConsistent(t *testing.T) {
 		t.Errorf("Cells4G() = %d, counted %d", got, count4g)
 	}
 	// Per-tower indices are complete.
-	total, total4g := 0, 0
+	total4g := 0
 	for i := range topo.Towers {
 		id := TowerID(i)
-		total += len(topo.CellsOfTower(id))
 		total4g += len(topo.Cells4GOfTower(id))
 		for _, cid := range topo.Cells4GOfTower(id) {
-			if topo.Cell(cid).RAT != RAT4G {
-				t.Errorf("non-4G cell in 4G index")
+			if topo.Cells[cid].RAT != RAT4G || topo.Cells[cid].Tower != id {
+				t.Errorf("cell %d in tower %d's 4G index", cid, id)
 			}
 		}
 	}
-	if total != len(topo.Cells) || total4g != count4g {
-		t.Errorf("index totals %d/%d vs %d/%d", total, total4g, len(topo.Cells), count4g)
+	if total4g != count4g {
+		t.Errorf("4G index total %d vs %d", total4g, count4g)
 	}
 }
 
@@ -91,8 +90,8 @@ func TestDeploymentDensityFollowsDemand(t *testing.T) {
 	m, topo := buildTest(t)
 	ec, _ := m.DistrictByCode("EC")
 	sw, _ := m.DistrictByCode("SW")
-	ecTowers := len(topo.TowersInDistrict(ec.ID))
-	swTowers := len(topo.TowersInDistrict(sw.ID))
+	ecTowers := len(topo.towersByDistrict[ec.ID])
+	swTowers := len(topo.towersByDistrict[sw.ID])
 	// EC has 13× fewer residents but huge visitor weight: its per-capita
 	// radio capacity must far exceed SW's.
 	ecPerCapita := float64(ecTowers) / float64(ec.Population)
@@ -155,7 +154,7 @@ func TestActivationEpochs(t *testing.T) {
 				t.Fatalf("district %d: epochs %d and %d do not grow", i, k-1, k)
 			}
 		}
-		if len(activeOn(topo, did, 0)) > len(topo.TowersInDistrict(did)) {
+		if len(activeOn(topo, did, 0)) > len(topo.towersByDistrict[did]) {
 			t.Fatal("active > total")
 		}
 	}
@@ -277,7 +276,7 @@ func TestDistrictCountyOfCell(t *testing.T) {
 	for i := 0; i < len(topo.Cells); i += 17 {
 		id := CellID(i)
 		d := topo.DistrictOfCell(id)
-		c := topo.CountyOfCell(id)
+		c := topo.Towers[topo.Cells[id].Tower].County
 		if m.District(d).County != c {
 			t.Fatalf("cell %d district/county inconsistent", i)
 		}

@@ -36,15 +36,6 @@ func WriteTable(w io.Writer, t *stats.Table) {
 	}
 }
 
-// WriteSeries renders a single series on one line.
-func WriteSeries(w io.Writer, s stats.Series) {
-	fmt.Fprintf(w, "  %-24s", s.Label)
-	for _, v := range s.Values {
-		fmt.Fprintf(w, " %8.1f", v)
-	}
-	fmt.Fprintln(w)
-}
-
 // Sparkline returns a compact unicode sparkline of the series, handy for
 // one-line summaries in examples.
 func Sparkline(values []float64) string {

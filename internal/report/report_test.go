@@ -38,15 +38,6 @@ func TestWriteTableNoHeader(t *testing.T) {
 	}
 }
 
-func TestWriteSeries(t *testing.T) {
-	var b strings.Builder
-	WriteSeries(&b, stats.Series{Label: "gyration", Values: []float64{0, -50}})
-	out := b.String()
-	if !strings.Contains(out, "gyration") || !strings.Contains(out, "-50.0") {
-		t.Errorf("series output: %s", out)
-	}
-}
-
 func TestSparkline(t *testing.T) {
 	if got := Sparkline(nil); got != "" {
 		t.Errorf("empty sparkline = %q", got)

@@ -46,12 +46,6 @@ func (s *Source) Split(key uint64) *Source {
 	return &Source{state: splitState(s.state, key)}
 }
 
-// Split2 derives an independent stream labelled by an (a, b) pair, e.g.
-// (userID, day).
-func (s *Source) Split2(a, b uint64) *Source {
-	return s.Split(a).Split(b)
-}
-
 // splitState is the state derivation behind Split, as a pure function.
 func splitState(state, key uint64) uint64 {
 	z := state ^ (key+1)*gamma
@@ -61,9 +55,10 @@ func splitState(state, key uint64) uint64 {
 }
 
 // Stream2 returns the (a, b)-labelled stream of seed as a value — the
-// sequence is identical to New(seed).Split2(a, b), but nothing escapes to
-// the heap, so per-entity stream setup in hot loops is allocation-free
-// (take the address of the returned value for the sampler methods).
+// sequence is identical to New(seed).Split(a).Split(b), but nothing
+// escapes to the heap, so per-entity stream setup in hot loops is
+// allocation-free (take the address of the returned value for the
+// sampler methods).
 func Stream2(seed, a, b uint64) Source {
 	return Source{state: splitState(splitState(seed, a), b)}
 }
@@ -110,12 +105,6 @@ func (s *Source) Norm() float64 {
 // NormRange returns mean + stddev*Norm().
 func (s *Source) NormRange(mean, stddev float64) float64 {
 	return mean + stddev*s.Norm()
-}
-
-// LogNormal returns a sample of a log-normal distribution with the given
-// parameters of the underlying normal.
-func (s *Source) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*s.Norm())
 }
 
 // Exp returns an exponentially distributed sample with the given mean.
@@ -179,25 +168,6 @@ func (s *Source) Pick(weights []float64) int {
 	return len(weights) - 1
 }
 
-// Shuffle permutes the first n indices in place using swap, via the
-// Fisher–Yates algorithm.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	s.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}
-
 // Hash64 mixes an arbitrary uint64 into a well-distributed uint64; it is
 // the stateless SplitMix64 finaliser, handy for deriving stable per-entity
 // seeds from IDs.
@@ -206,19 +176,4 @@ func Hash64(x uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
-}
-
-// HashString folds a string into a uint64 seed using FNV-1a, then mixes
-// it. It lets named entities (regions, districts) derive stable streams.
-func HashString(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	var h uint64 = offset
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return Hash64(h)
 }

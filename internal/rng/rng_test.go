@@ -31,16 +31,20 @@ func TestSplitIndependence(t *testing.T) {
 }
 
 func TestSplitReproducible(t *testing.T) {
-	a := New(42).Split2(10, 20)
-	b := New(42).Split2(10, 20)
+	a := New(42).Split(10).Split(20)
+	b := New(42).Split(10).Split(20)
 	for i := 0; i < 100; i++ {
 		if a.Uint64() != b.Uint64() {
-			t.Fatalf("split2 streams diverged at %d", i)
+			t.Fatalf("nested split streams diverged at %d", i)
 		}
 	}
-	c := New(42).Split2(20, 10)
-	if New(42).Split2(10, 20).Uint64() == c.Uint64() {
-		t.Error("Split2 should not be symmetric in its arguments")
+	st := Stream2(42, 10, 20)
+	if st.Uint64() != New(42).Split(10).Split(20).Uint64() {
+		t.Error("Stream2 should equal the nested splits")
+	}
+	c := New(42).Split(20).Split(10)
+	if New(42).Split(10).Split(20).Uint64() == c.Uint64() {
+		t.Error("nested splits should not be symmetric in their labels")
 	}
 }
 
@@ -198,18 +202,6 @@ func TestPickPanicsOnEmpty(t *testing.T) {
 	New(1).Pick(nil)
 }
 
-func TestPerm(t *testing.T) {
-	s := New(9)
-	p := s.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("Perm produced invalid/duplicate value %d", v)
-		}
-		seen[v] = true
-	}
-}
-
 func TestBool(t *testing.T) {
 	s := New(10)
 	n := 0
@@ -240,15 +232,6 @@ func TestHash64Distinct(t *testing.T) {
 	}
 }
 
-func TestHashString(t *testing.T) {
-	if HashString("Inner London") == HashString("Outer London") {
-		t.Error("distinct strings should hash differently")
-	}
-	if HashString("x") != HashString("x") {
-		t.Error("HashString must be deterministic")
-	}
-}
-
 func TestRangeProperty(t *testing.T) {
 	f := func(seed uint64, a, b float64) bool {
 		if math.IsNaN(a) || math.IsNaN(b) || math.Abs(a) > 1e15 || math.Abs(b) > 1e15 {
@@ -263,27 +246,5 @@ func TestRangeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestLogNormalPositive(t *testing.T) {
-	s := New(11)
-	for i := 0; i < 1000; i++ {
-		if x := s.LogNormal(0, 1); x <= 0 {
-			t.Fatalf("LogNormal = %v", x)
-		}
-	}
-}
-
-func TestShuffleIsPermutation(t *testing.T) {
-	s := New(12)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	for _, v := range xs {
-		sum += v
-	}
-	if sum != 36 {
-		t.Errorf("shuffle changed the multiset: %v", xs)
 	}
 }

@@ -38,8 +38,8 @@ func specCurves(sp Spec) []Curve {
 // The shared fixture of the simulation property test: a small world and
 // the cached no-pandemic traces of the days any randomized spec can
 // share with the null baseline (divergence is capped by the week-11
-// weekend, so only days strictly below pandemic.NullDivergenceDay()
-// ever need comparing).
+// weekend, so only days strictly below nullWeekendDay ever need
+// comparing).
 var (
 	divOnce sync.Once
 	divPop  *popsim.Population
@@ -54,13 +54,25 @@ func divFixture(t *testing.T) (*popsim.Population, [][]mobsim.DayTrace) {
 		divPop = popsim.Synthesize(m, topo, popsim.Config{Seed: 9, TargetUsers: 200})
 		sim := mobsim.New(divPop, pandemic.NoPandemic(), 9)
 		buf := mobsim.NewDayBuffer()
-		days := int(pandemic.NullDivergenceDay())
+		days := nullWeekendDay()
 		divNull = make([][]mobsim.DayTrace, days)
 		for d := 0; d < days; d++ {
 			divNull[d] = copyTraces(sim.DayInto(buf, timegrid.StudyDay(d).ToSimDay()))
 		}
 	})
 	return divPop, divNull
+}
+
+// nullWeekendDay is the first weekend study day whose weekend-trip
+// probability differs between the null and the default scenario.
+func nullWeekendDay() int {
+	null, cov := pandemic.NoPandemic(), pandemic.Default()
+	for d := timegrid.StudyDay(0); d < timegrid.StudyDays; d++ {
+		if d.IsWeekend() && null.WeekendAwayProb(d, nil) != cov.WeekendAwayProb(d, nil) {
+			return int(d)
+		}
+	}
+	return timegrid.StudyDays
 }
 
 func copyTraces(traces []mobsim.DayTrace) []mobsim.DayTrace {

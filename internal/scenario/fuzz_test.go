@@ -35,7 +35,7 @@ func FuzzSpecUnmarshal(f *testing.F) {
 		if err != nil {
 			return // rejected input: the only requirement is "no panic"
 		}
-		canon, err := sp.MarshalIndentJSON()
+		canon, err := indentJSON(sp)
 		if err != nil {
 			t.Fatalf("accepted spec does not marshal: %v", err)
 		}
@@ -43,7 +43,7 @@ func FuzzSpecUnmarshal(f *testing.F) {
 		if err != nil {
 			t.Fatalf("canonical form of an accepted spec is rejected: %v\ninput: %q\ncanonical: %s", err, data, canon)
 		}
-		canon2, err := sp2.MarshalIndentJSON()
+		canon2, err := indentJSON(sp2)
 		if err != nil {
 			t.Fatalf("re-parsed spec does not marshal: %v", err)
 		}

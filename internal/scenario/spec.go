@@ -167,16 +167,6 @@ func curve(pts []pandemic.AnchorPoint) Curve {
 	return out
 }
 
-// MarshalIndentJSON renders the spec as stable, human-editable JSON
-// (the golden-file and -scenario file format).
-func (sp Spec) MarshalIndentJSON() ([]byte, error) {
-	b, err := json.MarshalIndent(sp, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
 // Parse decodes a JSON spec, rejecting unknown fields so typos in
 // hand-written files fail loudly instead of silently flattening a
 // curve.

@@ -8,8 +8,8 @@
 //
 // The generator is streaming (events are emitted through a callback, not
 // retained) and the package provides the postcode-level aggregation the
-// paper works with, plus the §2.3 population filters (smartphones only,
-// native subscribers only).
+// paper works with. The §2.3 population filter (native smartphone
+// subscribers only) is popsim.Population.Native.
 package signaling
 
 import (

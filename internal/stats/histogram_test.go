@@ -1,11 +1,8 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
-
-	"repro/internal/rng"
 )
 
 func TestHistogramBasics(t *testing.T) {
@@ -13,83 +10,27 @@ func TestHistogramBasics(t *testing.T) {
 	for _, x := range []float64{0.5, 1.5, 1.6, 9.99, -1, 15} {
 		h.Add(x)
 	}
-	if h.N() != 6 {
-		t.Errorf("N = %d", h.N())
-	}
 	if h.Counts[0] != 1 || h.Counts[1] != 2 || h.Counts[9] != 1 {
 		t.Errorf("counts = %v", h.Counts)
 	}
-	under, over := h.OutOfRange()
-	if under != 1 || over != 1 {
-		t.Errorf("out of range = %d, %d", under, over)
+	var total int64
+	for _, c := range h.Counts {
+		total += c
+	}
+	if total != 4 {
+		t.Errorf("%d observations binned, want the 4 in range", total)
 	}
 	lo, hi := h.BinBounds(3)
 	if lo != 3 || hi != 4 {
 		t.Errorf("bin 3 bounds = %v, %v", lo, hi)
-	}
-	if got := h.Mean(); math.Abs(got-(0.5+1.5+1.6+9.99-1+15)/6) > 1e-12 {
-		t.Errorf("mean = %v", got)
 	}
 }
 
 func TestHistogramEdgeValueGoesToLastBin(t *testing.T) {
 	h := NewHistogram(0, 1, 3)
 	h.Add(0.9999999999999999) // rounds to 1.0 in the bin computation
-	var total int64
-	for _, c := range h.Counts {
-		total += c
-	}
-	_, over := h.OutOfRange()
-	if total+over != 1 {
-		t.Error("edge value lost")
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(0, 100, 100)
-	src := rng.New(1)
-	var exact []float64
-	for i := 0; i < 50_000; i++ {
-		x := src.Range(0, 100)
-		h.Add(x)
-		exact = append(exact, x)
-	}
-	for _, q := range []float64{0.1, 0.5, 0.9} {
-		got := h.Quantile(q)
-		want, _ := Percentile(exact, q*100)
-		if math.Abs(got-want) > 1.5 {
-			t.Errorf("quantile(%v) = %v, exact %v", q, got, want)
-		}
-	}
-	if h.Quantile(-1) != h.Quantile(0) {
-		t.Error("quantile should clamp below 0")
-	}
-	var empty Histogram
-	if empty.Quantile(0.5) != 0 {
-		t.Error("empty quantile should be 0")
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram(0, 10, 5)
-	b := NewHistogram(0, 10, 5)
-	a.Add(1)
-	b.Add(1)
-	b.Add(9)
-	b.Add(-3)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.N() != 4 || a.Counts[0] != 2 || a.Counts[4] != 1 {
-		t.Errorf("merged = %+v", a)
-	}
-	under, _ := a.OutOfRange()
-	if under != 1 {
-		t.Error("merge lost underflow")
-	}
-	c := NewHistogram(0, 20, 5)
-	if err := a.Merge(c); err == nil {
-		t.Error("incompatible merge accepted")
+	if h.Counts[2] != 1 {
+		t.Errorf("edge value not in the last bin: %v", h.Counts)
 	}
 }
 

@@ -108,9 +108,6 @@ func (e *P2Quantile) linear(i int, d float64) float64 {
 	return e.heights[i] + d*(e.heights[j]-e.heights[i])/(e.pos[j]-e.pos[i])
 }
 
-// N returns the number of observations fed.
-func (e *P2Quantile) N() int { return e.n }
-
 // Value returns the current quantile estimate. With fewer than five
 // observations it falls back to an exact small-sample quantile.
 func (e *P2Quantile) Value() float64 {
@@ -125,17 +122,15 @@ func (e *P2Quantile) Value() float64 {
 	return e.heights[2]
 }
 
-// QuantileBand tracks a fixed set of quantiles of one stream; it is the
-// streaming counterpart of NewBand for analyzers that cannot retain all
-// samples.
+// QuantileBand tracks a fixed set of quantiles of one stream, for
+// analyzers that cannot retain all samples.
 type QuantileBand struct {
-	qs   []float64
 	ests []*P2Quantile
 }
 
 // NewQuantileBand returns a band tracking the given quantiles (0–1).
 func NewQuantileBand(qs ...float64) *QuantileBand {
-	b := &QuantileBand{qs: qs}
+	b := &QuantileBand{}
 	for _, q := range qs {
 		b.ests = append(b.ests, NewP2Quantile(q))
 	}
@@ -157,12 +152,4 @@ func (b *QuantileBand) Values() []float64 {
 		out[i] = e.Value()
 	}
 	return out
-}
-
-// N returns the number of observations fed.
-func (b *QuantileBand) N() int {
-	if len(b.ests) == 0 {
-		return 0
-	}
-	return b.ests[0].N()
 }

@@ -33,8 +33,8 @@ func TestP2MedianUniform(t *testing.T) {
 	if got := e.Value(); math.Abs(got-0.5) > 0.02 {
 		t.Errorf("uniform median estimate = %v", got)
 	}
-	if e.N() != 50_000 {
-		t.Errorf("N = %d", e.N())
+	if e.n != 50_000 {
+		t.Errorf("N = %d", e.n)
 	}
 }
 
@@ -100,9 +100,6 @@ func TestP2MonotoneStream(t *testing.T) {
 
 func TestQuantileBand(t *testing.T) {
 	b := NewQuantileBand(0.1, 0.5, 0.9)
-	if b.N() != 0 {
-		t.Error("empty band N != 0")
-	}
 	src := rng.New(5)
 	for i := 0; i < 30_000; i++ {
 		b.Add(src.Float64())
@@ -117,11 +114,9 @@ func TestQuantileBand(t *testing.T) {
 	if math.Abs(vals[1]-0.5) > 0.03 {
 		t.Errorf("band median = %v", vals[1])
 	}
-	if b.N() != 30_000 {
-		t.Errorf("band N = %d", b.N())
-	}
-	var empty QuantileBand
-	if empty.N() != 0 {
-		t.Error("zero band N != 0")
+	for i, e := range b.ests {
+		if e.n != 30_000 {
+			t.Errorf("band quantile %d fed %d observations, want 30000", i, e.n)
+		}
 	}
 }

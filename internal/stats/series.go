@@ -1,10 +1,5 @@
 package stats
 
-import (
-	"fmt"
-	"sort"
-)
-
 // Series is a labelled daily time series over the study window; it is the
 // common currency between the KPI/mobility pipelines and the figure
 // harness. Values are typically delta-variation percentages.
@@ -20,14 +15,6 @@ func NewSeries(label string, n int) Series {
 
 // Len returns the number of points.
 func (s Series) Len() int { return len(s.Values) }
-
-// At returns the i-th value; out-of-range indices yield 0.
-func (s Series) At(i int) float64 {
-	if i < 0 || i >= len(s.Values) {
-		return 0
-	}
-	return s.Values[i]
-}
 
 // Min returns the smallest value and its index (0, -1 when empty).
 func (s Series) Min() (float64, int) {
@@ -81,47 +68,6 @@ func (s Series) WeeklyMeans() Series {
 	return out
 }
 
-// DeltaVsBaseline converts the series to delta-variation percentages
-// against the aggregate of its first baselineDays points, using agg
-// (typically Mean or Median) as the baseline reducer.
-func (s Series) DeltaVsBaseline(baselineDays int, agg func([]float64) float64) Series {
-	if baselineDays > len(s.Values) {
-		baselineDays = len(s.Values)
-	}
-	base := agg(s.Values[:baselineDays])
-	out := NewSeries(s.Label, len(s.Values))
-	for i, v := range s.Values {
-		out.Values[i] = DeltaPercent(v, base)
-	}
-	return out
-}
-
-// Smooth returns a centred moving average of the series with the given
-// odd window width (even widths are rounded up). It is used only for
-// presentation, never for the statistics the tests assert on.
-func (s Series) Smooth(window int) Series {
-	if window < 1 {
-		window = 1
-	}
-	if window%2 == 0 {
-		window++
-	}
-	half := window / 2
-	out := NewSeries(s.Label, len(s.Values))
-	for i := range s.Values {
-		lo := i - half
-		if lo < 0 {
-			lo = 0
-		}
-		hi := i + half + 1
-		if hi > len(s.Values) {
-			hi = len(s.Values)
-		}
-		out.Values[i] = Mean(s.Values[lo:hi])
-	}
-	return out
-}
-
 // Band is a per-point distribution summary (percentile band) of a metric
 // across a population of entities (users, cells), as drawn in the paper's
 // shaded figures.
@@ -129,34 +75,6 @@ type Band struct {
 	Label                   string
 	P10, P25, P50, P75, P90 []float64
 }
-
-// NewBand builds a Band from per-point samples: samples[i] holds the
-// population values at point i.
-func NewBand(label string, samples [][]float64) Band {
-	n := len(samples)
-	b := Band{
-		Label: label,
-		P10:   make([]float64, n),
-		P25:   make([]float64, n),
-		P50:   make([]float64, n),
-		P75:   make([]float64, n),
-		P90:   make([]float64, n),
-	}
-	for i, xs := range samples {
-		if len(xs) == 0 {
-			continue
-		}
-		qs, err := Quantiles(xs, 10, 25, 50, 75, 90)
-		if err != nil {
-			continue
-		}
-		b.P10[i], b.P25[i], b.P50[i], b.P75[i], b.P90[i] = qs[0], qs[1], qs[2], qs[3], qs[4]
-	}
-	return b
-}
-
-// Median returns the P50 track as a Series.
-func (b Band) Median() Series { return Series{Label: b.Label, Values: b.P50} }
 
 // Table is a labelled rectangular result (rows × columns) used by the
 // harness to print figure data: one row per entity (region, cluster,
@@ -188,45 +106,19 @@ func (t *Table) Row(label string) (TableRow, bool) {
 	return TableRow{}, false
 }
 
-// MustRow returns the row with the given label and panics if absent; for
-// use in experiments where the row set is fixed by construction.
-func (t *Table) MustRow(label string) TableRow {
-	r, ok := t.Row(label)
-	if !ok {
-		panic(fmt.Sprintf("stats: table %q has no row %q", t.Title, label))
-	}
-	return r
-}
-
-// SortRows orders rows by label for stable output.
-func (t *Table) SortRows() {
-	sort.Slice(t.Rows, func(i, j int) bool { return t.Rows[i].Label < t.Rows[j].Label })
-}
-
 // Accumulator incrementally collects float64 observations and reduces
 // them without retaining more memory than needed; handy for per-cell
 // streaming aggregation.
 type Accumulator struct {
-	n          int
-	sum, sumSq float64
-	min, max   float64
+	n   int
+	sum float64
 }
 
 // Add records an observation.
 func (a *Accumulator) Add(x float64) {
-	if a.n == 0 || x < a.min {
-		a.min = x
-	}
-	if a.n == 0 || x > a.max {
-		a.max = x
-	}
 	a.n++
 	a.sum += x
-	a.sumSq += x * x
 }
-
-// N returns the number of observations.
-func (a *Accumulator) N() int { return a.n }
 
 // Mean returns the running mean (0 when empty).
 func (a *Accumulator) Mean() float64 {
@@ -234,26 +126,4 @@ func (a *Accumulator) Mean() float64 {
 		return 0
 	}
 	return a.sum / float64(a.n)
-}
-
-// Sum returns the running sum.
-func (a *Accumulator) Sum() float64 { return a.sum }
-
-// Min returns the smallest observation (0 when empty).
-func (a *Accumulator) Min() float64 { return a.min }
-
-// Max returns the largest observation (0 when empty).
-func (a *Accumulator) Max() float64 { return a.max }
-
-// Variance returns the running population variance.
-func (a *Accumulator) Variance() float64 {
-	if a.n < 2 {
-		return 0
-	}
-	m := a.Mean()
-	v := a.sumSq/float64(a.n) - m*m
-	if v < 0 {
-		v = 0
-	}
-	return v
 }

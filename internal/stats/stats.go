@@ -29,23 +29,6 @@ func Mean(xs []float64) float64 {
 	return Sum(xs) / float64(len(xs))
 }
 
-// Variance returns the population variance of xs, or 0 if len(xs) < 2.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
 // interpolation between closest ranks; xs need not be sorted and is
 // left unmodified. It returns ErrEmpty for an empty slice.
@@ -193,35 +176,6 @@ func MedianInPlace(xs []float64) float64 {
 	return percentileSelect(xs, 50)
 }
 
-// Quantiles computes several percentiles of xs over one scratch copy.
-// Each percentile is located by selection rather than a full sort; the
-// partial order earlier selections leave behind accelerates the later
-// ones. xs is left unmodified. It returns ErrEmpty for an empty slice.
-func Quantiles(xs []float64, ps ...float64) ([]float64, error) {
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	out := make([]float64, len(ps))
-	if err := QuantilesInPlace(out, cp, ps...); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// QuantilesInPlace is Quantiles over scratch without allocating: it
-// reorders xs, writes the percentiles ps into out (len(out) ≥ len(ps))
-// in the same successive-selection order, and so returns the same
-// values bit for bit. It returns ErrEmpty, leaving out untouched, for
-// an empty xs.
-func QuantilesInPlace(out, xs []float64, ps ...float64) error {
-	if len(xs) == 0 {
-		return ErrEmpty
-	}
-	for i, p := range ps {
-		out[i] = percentileSelect(xs, clampPct(p))
-	}
-	return nil
-}
-
 // Pearson returns the Pearson correlation coefficient between xs and ys.
 // It returns ErrEmpty if the slices are empty or of different lengths, and
 // 0 if either variable has zero variance.
@@ -333,15 +287,4 @@ func ArgMax(xs []float64) int {
 		}
 	}
 	return idx
-}
-
-// Clamp limits x to the interval [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }

@@ -21,19 +21,6 @@ func TestSumMean(t *testing.T) {
 	}
 }
 
-func TestVarianceStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(xs); !almostEq(got, 4, 1e-12) {
-		t.Errorf("Variance = %v, want 4", got)
-	}
-	if got := StdDev(xs); !almostEq(got, 2, 1e-12) {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
-	if got := Variance([]float64{5}); got != 0 {
-		t.Errorf("Variance of singleton = %v", got)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{4, 1, 3, 2, 5}
 	cases := []struct{ p, want float64 }{
@@ -70,23 +57,6 @@ func TestMedian(t *testing.T) {
 	}
 	if got := Median(nil); got != 0 {
 		t.Errorf("Median(nil) = %v", got)
-	}
-}
-
-func TestQuantiles(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	qs, err := Quantiles(xs, 10, 50, 90)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(qs[1], 5.5, 1e-12) {
-		t.Errorf("median via Quantiles = %v", qs[1])
-	}
-	if qs[0] >= qs[1] || qs[1] >= qs[2] {
-		t.Errorf("quantiles not monotone: %v", qs)
-	}
-	if _, err := Quantiles(nil, 50); err != ErrEmpty {
-		t.Error("expected ErrEmpty")
 	}
 }
 
@@ -230,12 +200,6 @@ func TestMinMaxArg(t *testing.T) {
 	}
 }
 
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 3) != 3 || Clamp(-2, 0, 3) != 0 || Clamp(1, 0, 3) != 1 {
-		t.Error("Clamp misbehaves")
-	}
-}
-
 // TestPercentileSelectMatchesSort pins the selection-based percentile
 // machinery to the sort-based definition it replaced: for adversarial
 // inputs (duplicates, constants, NaNs, already-sorted, reversed) and a
@@ -285,21 +249,13 @@ func TestPercentileSelectMatchesSort(t *testing.T) {
 	for ci, xs := range cases {
 		orig := make([]float64, len(xs))
 		copy(orig, xs)
-		got, err := Quantiles(xs, ps...)
-		if err != nil {
-			t.Fatalf("case %d: %v", ci, err)
-		}
-		for pi, p := range ps {
+		for _, p := range ps {
 			want := ref(orig, p)
-			same := got[pi] == want || (math.IsNaN(got[pi]) && math.IsNaN(want))
-			if !same {
-				t.Errorf("case %d p=%v: Quantiles = %v, want %v", ci, p, got[pi], want)
-			}
-			one, err := Percentile(orig, p)
+			one, err := Percentile(xs, p)
 			if err != nil {
 				t.Fatalf("case %d: %v", ci, err)
 			}
-			same = one == want || (math.IsNaN(one) && math.IsNaN(want))
+			same := one == want || (math.IsNaN(one) && math.IsNaN(want))
 			if !same {
 				t.Errorf("case %d p=%v: Percentile = %v, want %v", ci, p, one, want)
 			}
@@ -341,43 +297,23 @@ func inPlaceCases() [][]float64 {
 	return cases
 }
 
-// TestInPlaceMatchesCopying pins MedianInPlace and QuantilesInPlace to
-// the copying forms bit for bit on tie-heavy and NaN inputs.
+// TestInPlaceMatchesCopying pins MedianInPlace to the copying Median
+// bit for bit on tie-heavy and NaN inputs.
 func TestInPlaceMatchesCopying(t *testing.T) {
-	ps := []float64{-5, 0, 10, 33.3, 50, 90, 100, 120}
 	for ci, xs := range inPlaceCases() {
-		wantMed := Median(xs)
-		wantQs, err := Quantiles(xs, ps...)
-		if err != nil {
-			t.Fatalf("case %d: %v", ci, err)
-		}
-
+		want := Median(xs)
 		scratch := append([]float64(nil), xs...)
-		if got := MedianInPlace(scratch); math.Float64bits(got) != math.Float64bits(wantMed) {
-			t.Errorf("case %d: MedianInPlace = %v, Median = %v", ci, got, wantMed)
-		}
-		scratch = append(scratch[:0], xs...)
-		got := make([]float64, len(ps))
-		if err := QuantilesInPlace(got, scratch, ps...); err != nil {
-			t.Fatalf("case %d: %v", ci, err)
-		}
-		for i := range ps {
-			if math.Float64bits(got[i]) != math.Float64bits(wantQs[i]) {
-				t.Errorf("case %d p=%v: QuantilesInPlace = %v, Quantiles = %v", ci, ps[i], got[i], wantQs[i])
-			}
+		if got := MedianInPlace(scratch); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("case %d: MedianInPlace = %v, Median = %v", ci, got, want)
 		}
 	}
 	if got := MedianInPlace(nil); got != 0 {
 		t.Errorf("MedianInPlace(nil) = %v, want 0", got)
 	}
-	out := []float64{42}
-	if err := QuantilesInPlace(out, nil, 50); err != ErrEmpty || out[0] != 42 {
-		t.Errorf("QuantilesInPlace(empty) = %v, out %v; want ErrEmpty, out untouched", err, out)
-	}
 }
 
 // TestCopyingFormsLeaveInputUnmodified pins the non-mutating contract of
-// Median, Quantiles and Percentile that callers holding live series
+// Median and Percentile that callers holding live series
 // (WeeklyDeltaSeries among them) rely on.
 func TestCopyingFormsLeaveInputUnmodified(t *testing.T) {
 	for ci, xs := range inPlaceCases() {
@@ -395,8 +331,6 @@ func TestCopyingFormsLeaveInputUnmodified(t *testing.T) {
 		}
 		Median(xs)
 		check("Median")
-		Quantiles(xs, 10, 50, 90)
-		check("Quantiles")
 		Percentile(xs, 75)
 		check("Percentile")
 	}

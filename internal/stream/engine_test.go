@@ -177,9 +177,21 @@ func TestQSketchQuantiles(t *testing.T) {
 			t.Errorf("q%.1f: merged %g != whole %g (merge must be exact)", p, mg, got)
 		}
 	}
-	if whole.N() != int64(n) || merged.N() != int64(n) {
-		t.Fatalf("counts: whole %d merged %d want %d", whole.N(), merged.N(), n)
+	if whole.count != int64(n) || merged.count != int64(n) {
+		t.Fatalf("counts: whole %d merged %d want %d", whole.count, merged.count, n)
 	}
+}
+
+// stateOf snapshots q into a fresh state.
+func stateOf(q *QSketch) QSketchState {
+	var st QSketchState
+	q.StateInto(&st)
+	return st
+}
+
+// clone returns an independent copy of q.
+func clone(q *QSketch) *QSketch {
+	return &QSketch{bins: append([]int64(nil), q.bins...), under: q.under, count: q.count}
 }
 
 // TestQSketchMergeState pins the snapshot fold: merging parts' states
@@ -199,20 +211,20 @@ func TestQSketchMergeState(t *testing.T) {
 	got.Reset()
 	for _, p := range parts {
 		want.Merge(p)
-		if err := got.MergeState(p.State()); err != nil {
+		if err := got.MergeState(stateOf(p)); err != nil {
 			t.Fatalf("MergeState: %v", err)
 		}
 	}
-	if !reflect.DeepEqual(got.State(), want.State()) {
+	if !reflect.DeepEqual(stateOf(got), stateOf(want)) {
 		t.Fatal("MergeState of the parts' states differs from Merge of the parts")
 	}
 
-	bad := parts[0].State()
+	bad := stateOf(parts[0])
 	bad.Lo = QSketchBins - len(bad.Bins) + 1
 	if err := got.MergeState(bad); err == nil {
 		t.Fatal("MergeState accepted a snapshot window past the last bin")
 	}
-	if !reflect.DeepEqual(got.State(), want.State()) {
+	if !reflect.DeepEqual(stateOf(got), stateOf(want)) {
 		t.Fatal("a rejected MergeState changed the sketch")
 	}
 }
@@ -225,14 +237,14 @@ func TestQSketchMergeState(t *testing.T) {
 func TestQSketchStateWindows(t *testing.T) {
 	empty := NewQSketch()
 	empty.Add(0) // underflow only: still no bins
-	if st := empty.State(); st.Lo != 0 || st.Bins != nil || st.Under != 1 || st.Count != 1 {
+	if st := stateOf(empty); st.Lo != 0 || st.Bins != nil || st.Under != 1 || st.Count != 1 {
 		t.Fatalf("empty sketch state %+v, want no bins and the underflow count", st)
 	}
 
 	full := NewQSketch()
 	full.Add(1.01 * sketchLo) // bin 0
 	full.Add(2 * sketchHi)    // saturates into the top bin
-	if st := full.State(); st.Lo != 0 || len(st.Bins) != QSketchBins {
+	if st := stateOf(full); st.Lo != 0 || len(st.Bins) != QSketchBins {
 		t.Fatalf("end-to-end sketch state window [%d,%d), want [0,%d)", st.Lo, st.Lo+len(st.Bins), QSketchBins)
 	}
 
@@ -241,13 +253,13 @@ func TestQSketchStateWindows(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		q.Add(math.Pow(10, src.Range(-1, 2)))
 	}
-	st := q.State()
+	st := stateOf(q)
 	if st.Lo == 0 || st.Lo+len(st.Bins) == QSketchBins || st.Bins[0] == 0 || st.Bins[len(st.Bins)-1] == 0 {
 		t.Fatalf("state window [%d,%d) is not the occupied bins", st.Lo, st.Lo+len(st.Bins))
 	}
 	for _, from := range []*QSketch{q, full, empty} {
 		got := NewQSketch()
-		if err := got.MergeState(from.State()); err != nil {
+		if err := got.MergeState(stateOf(from)); err != nil {
 			t.Fatalf("MergeState: %v", err)
 		}
 		if !reflect.DeepEqual(got, from) {
@@ -261,7 +273,7 @@ func TestQSketchStateWindows(t *testing.T) {
 		{Lo: 1, Bins: make([]int64, QSketchBins), Count: 1},
 		{Lo: math.MaxInt, Bins: []int64{1}, Count: 1},
 	} {
-		got := q.Fork()
+		got := clone(q)
 		if err := got.MergeState(bad); err == nil {
 			t.Errorf("MergeState accepted window [%d,+%d)", bad.Lo, len(bad.Bins))
 		}
@@ -312,9 +324,9 @@ func TestKPIMediansMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := k.Days()
-	if len(rows) != 1 || rows[0].Cells != nCells {
-		t.Fatalf("rows: %+v", rows)
+	row := k.Last()
+	if row.Day != 0 || row.Cells != nCells {
+		t.Fatalf("row: %+v", row)
 	}
 	for m := 0; m < traffic.NumMetrics; m++ {
 		exact := make([]float64, nCells)
@@ -323,7 +335,7 @@ func TestKPIMediansMatchesExact(t *testing.T) {
 		}
 		sort.Float64s(exact)
 		want := exact[nCells/2]
-		got := rows[0].Medians[m]
+		got := row.Medians[m]
 		if rel := math.Abs(got-want) / want; rel > 0.08 {
 			t.Errorf("metric %d: sketch median %g vs exact %g (rel %.3f)", m, got, want, rel)
 		}

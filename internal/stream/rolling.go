@@ -28,7 +28,7 @@ type RollingMobility struct {
 	// since ShardDay calls run concurrently.
 	sums    [][3]float64
 	mergers []core.VisitMerger
-	days    []MobilityDay
+	last    MobilityDay
 }
 
 // NewRollingMobility builds the rolling stage.
@@ -73,24 +73,11 @@ func (r *RollingMobility) EndDay(day timegrid.SimDay) {
 		d.AvgEntropy = e / n
 		d.AvgGyration = g / n
 	}
-	r.days = append(r.days, d)
+	r.last = d
 }
-
-// Days returns the recorded rows, in day order.
-func (r *RollingMobility) Days() []MobilityDay { return r.days }
 
 // Last returns the most recent row (zero value when none yet).
-func (r *RollingMobility) Last() MobilityDay {
-	if len(r.days) == 0 {
-		return MobilityDay{}
-	}
-	return r.days[len(r.days)-1]
-}
+func (r *RollingMobility) Last() MobilityDay { return r.last }
 
 // Last returns the most recent KPI median row (zero value when none).
-func (k *KPIMedians) Last() KPIDay {
-	if len(k.days) == 0 {
-		return KPIDay{}
-	}
-	return k.days[len(k.days)-1]
-}
+func (k *KPIMedians) Last() KPIDay { return k.last }

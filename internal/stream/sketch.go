@@ -82,9 +82,6 @@ func (q *QSketch) add(lo int, bins []int64, under, count int64) {
 	}
 }
 
-// N returns the number of observations fed.
-func (q *QSketch) N() int64 { return q.count }
-
 // Quantile returns the estimated p-quantile (0 <= p <= 1): the geometric
 // midpoint of the bin holding the rank-⌈p·n⌉ observation, or 0 when the
 // rank falls in the underflow count or the sketch is empty.
@@ -113,13 +110,6 @@ func (q *QSketch) Quantile(p float64) float64 {
 // Median is Quantile(0.5).
 func (q *QSketch) Median() float64 { return q.Quantile(0.5) }
 
-// Fork returns an independent copy of the sketch: both copies can keep
-// Adding without sharing state, and (bins being pure counts) merging a
-// fork back is exact.
-func (q *QSketch) Fork() *QSketch {
-	return &QSketch{bins: append([]int64(nil), q.bins...), under: q.under, count: q.count}
-}
-
 // QSketchState is a snapshot of a sketch's counts, windowed: Bins[i] is
 // the count of bin Lo+i, and every bin outside [Lo, Lo+len(Bins)) is
 // zero. A day's KPI sketch occupies a few dozen of the QSketchBins
@@ -132,18 +122,12 @@ type QSketchState struct {
 	Count int64
 }
 
-// State snapshots the sketch (deep copy) for serialization. The window
-// runs from the first to the last non-zero bin; an empty sketch, or one
-// holding only underflow, has no bins.
-func (q *QSketch) State() QSketchState {
-	var st QSketchState
-	q.StateInto(&st)
-	return st
-}
-
-// StateInto is State into st, reusing the backing array of st.Bins (see
-// grow.Headroom), so a caller snapshotting a sketch every day allocates
-// only when a window outgrows twice the first.
+// StateInto snapshots the sketch (deep copy) into st for serialization.
+// The window runs from the first to the last non-zero bin; an empty
+// sketch, or one holding only underflow, has no bins. It reuses the
+// backing array of st.Bins (see grow.Headroom), so a caller
+// snapshotting a sketch every day allocates only when a window outgrows
+// twice the first.
 func (q *QSketch) StateInto(st *QSketchState) {
 	lo, hi := 0, len(q.bins)
 	for lo < hi && q.bins[lo] == 0 {
@@ -189,7 +173,7 @@ type KPIDay struct {
 type KPIMedians struct {
 	shards [][]*QSketch // [shard][metric]
 	merged []*QSketch   // [metric], reused each day
-	days   []KPIDay
+	last   KPIDay
 	cells  int
 }
 
@@ -245,8 +229,5 @@ func (k *KPIMedians) EndDay(day timegrid.SimDay) {
 		}
 		d.Medians[m] = k.merged[m].Median()
 	}
-	k.days = append(k.days, d)
+	k.last = d
 }
-
-// Days returns the recorded daily median rows, in day order.
-func (k *KPIMedians) Days() []KPIDay { return k.days }

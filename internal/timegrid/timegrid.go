@@ -99,16 +99,6 @@ func DateOfStudyDay(d StudyDay) time.Time {
 	return StudyStart.AddDate(0, 0, int(d))
 }
 
-// SimDayOf returns the SimDay index of a date, and whether the date lies
-// inside the simulated window.
-func SimDayOf(t time.Time) (SimDay, bool) {
-	d := int(t.Truncate(24*time.Hour).Sub(SimStart).Hours() / 24)
-	if d < 0 || d >= SimDays {
-		return 0, false
-	}
-	return SimDay(d), true
-}
-
 // StudyDayOf returns the StudyDay index of a date, and whether the date
 // lies inside the study window (weeks 9–19).
 func StudyDayOf(t time.Time) (StudyDay, bool) {
@@ -183,9 +173,6 @@ func (w Week) Days() []StudyDay {
 	return days
 }
 
-// Valid reports whether the week is inside the analysis window.
-func (w Week) Valid() bool { return w >= FirstWeek && w <= LastWeek }
-
 // Index returns the 0-based index of the week within the study window.
 func (w Week) Index() int { return int(w) - FirstWeek }
 
@@ -198,30 +185,14 @@ func Weeks() []Week {
 	return ws
 }
 
-// BinOfHour maps an hour of day (0–23) to its 4-hour bin.
-func BinOfHour(hour int) Bin { return Bin(hour / BinHours) }
-
 // Hours returns the first and one-past-last hour covered by the bin.
 func (b Bin) Hours() (start, end int) { return int(b) * BinHours, (int(b) + 1) * BinHours }
-
-// Contains reports whether the bin covers the given hour of day.
-func (b Bin) Contains(hour int) bool {
-	s, e := b.Hours()
-	return hour >= s && hour < e
-}
 
 // String implements fmt.Stringer ("04:00-08:00" style).
 func (b Bin) String() string {
 	s, e := b.Hours()
 	return fmt.Sprintf("%02d:00-%02d:00", s, e%24)
 }
-
-// String implements fmt.Stringer for weeks ("week 13").
-func (w Week) String() string { return fmt.Sprintf("week %d", int(w)) }
-
-// NightHour reports whether the hour of day falls inside the home-detection
-// night window used in §2.3 (midnight through 08:00).
-func NightHour(hour int) bool { return hour >= 0 && hour < 8 }
 
 // Phase describes where a study day sits relative to the intervention
 // timeline; it is used by the behaviour model and by phase-split analyses
@@ -255,23 +226,5 @@ func PhaseOf(d StudyDay) Phase {
 		return PhaseLockdown
 	default:
 		return PhaseRelaxation
-	}
-}
-
-// String implements fmt.Stringer.
-func (p Phase) String() string {
-	switch p {
-	case PhaseBaseline:
-		return "baseline"
-	case PhasePandemic:
-		return "pandemic-declared"
-	case PhaseTransition:
-		return "transition"
-	case PhaseLockdown:
-		return "lockdown"
-	case PhaseRelaxation:
-		return "relaxation"
-	default:
-		return fmt.Sprintf("Phase(%d)", int(p))
 	}
 }

@@ -225,9 +225,6 @@ func NewEngine(pop *popsim.Population, scen *pandemic.Scenario, params Params, s
 	return e
 }
 
-// Params returns the engine's model constants.
-func (e *Engine) Params() Params { return e.params }
-
 // Clone returns an engine with the same model parameters and seed but an
 // independent scratch area. Day is deterministic in (construction, day,
 // traces) and never mutates anything but the scratch, so clones produce
@@ -268,8 +265,7 @@ func (e *Engine) InterconnectCapacity(day timegrid.SimDay) float64 {
 }
 
 // CellHour is the raw hourly KPI record of one 4G cell, before the §2.4
-// daily-median reduction; DayHourly exposes it for analyses that need
-// sub-daily resolution. A zero DLThroughput marks an hour with no
+// daily-median reduction. A zero DLThroughput marks an hour with no
 // active users (throughput undefined).
 type CellHour struct {
 	Cell   radio.CellID
@@ -334,21 +330,6 @@ func (e *Engine) reduceAppend(dst []CellDay, day timegrid.SimDay, f *dayFactors)
 	})
 	flush()
 	return dst
-}
-
-// DayHourly runs the KPI model at hourly resolution, emitting one record
-// per (active 4G cell, hour). Records of one cell arrive consecutively,
-// hours ascending.
-func (e *Engine) DayHourly(day timegrid.SimDay, traces []mobsim.DayTrace, emit func(*CellHour)) {
-	e.forEachCellHour(day, traces, emit)
-}
-
-// forEachCellHour is the engine core: the day prologue, demand
-// accumulation into the tile, and the per-cell-hour reduction.
-func (e *Engine) forEachCellHour(day timegrid.SimDay, traces []mobsim.DayTrace, emit func(*CellHour)) {
-	f := e.dayFactorsFor(day)
-	e.accumulate(day, &f, traces)
-	e.reduce(day, &f, emit)
 }
 
 // dayFactorsFor resolves the scenario once for the whole day.

@@ -69,7 +69,7 @@ func TestEngineDayBasics(t *testing.T) {
 			t.Fatalf("cell %d reported twice", c.Cell)
 		}
 		seen[c.Cell] = true
-		if pop.Topology().Cell(c.Cell).RAT != radio.RAT4G {
+		if pop.Topology().Cells[c.Cell].RAT != radio.RAT4G {
 			t.Fatalf("record for non-4G cell")
 		}
 		for m := 0; m < NumMetrics; m++ {
@@ -114,7 +114,7 @@ func TestVolumeConservationAcrossSectors(t *testing.T) {
 	cells := eng.DayAppend(nil, day, sim.DayInto(mobsim.NewDayBuffer(), day))
 	totBy := map[radio.TowerID]float64{}
 	for i := range cells {
-		c := pop.Topology().Cell(cells[i].Cell)
+		c := &pop.Topology().Cells[cells[i].Cell]
 		totBy[c.Tower] += cells[i].Values[ConnectedUsers]
 	}
 	// Median per-tower connected users should be plausibly positive.
@@ -314,6 +314,16 @@ func TestInactiveTowersExcluded(t *testing.T) {
 	}
 }
 
+// dayHourly runs the KPI model at hourly resolution: the day prologue,
+// demand accumulation and the per-cell-hour reduction DayAppend takes
+// its daily medians from. Records of one cell arrive consecutively,
+// hours ascending.
+func dayHourly(e *Engine, day timegrid.SimDay, traces []mobsim.DayTrace, emit func(*CellHour)) {
+	f := e.dayFactorsFor(day)
+	e.accumulate(day, &f, traces)
+	e.reduce(day, &f, emit)
+}
+
 func TestDayHourlyConsistentWithDay(t *testing.T) {
 	_, sim, eng := fixture(t)
 	day := timegrid.SimDay(timegrid.StudyDayOffset + 9)
@@ -325,7 +335,7 @@ func TestDayHourlyConsistentWithDay(t *testing.T) {
 	perCell := map[radio.CellID]*agg{}
 	var order []radio.CellID
 	hours := 0
-	eng.DayHourly(day, traces, func(ch *CellHour) {
+	dayHourly(eng, day, traces, func(ch *CellHour) {
 		a := perCell[ch.Cell]
 		if a == nil {
 			a = &agg{}
@@ -369,7 +379,7 @@ func TestDayHourlyDiurnalShape(t *testing.T) {
 	day := timegrid.SimDay(timegrid.StudyDayOffset + 1)
 	traces := sim.DayInto(mobsim.NewDayBuffer(), day)
 	var byHour [timegrid.HoursPerDay]float64
-	eng.DayHourly(day, traces, func(ch *CellHour) {
+	dayHourly(eng, day, traces, func(ch *CellHour) {
 		byHour[ch.Hour] += ch.Values[DLVolume]
 	})
 	// Evening peak well above the small hours.
