@@ -46,8 +46,11 @@ func benchResults(b *testing.B) *experiments.Results {
 	benchOnce.Do(func() {
 		// The default scale: the figure checks are calibrated against it
 		// (smaller populations make the Fig. 2 census fit too noisy).
-		cfg := experiments.DefaultConfig()
-		benchRes = experiments.RunStandard(cfg)
+		r, err := experiments.RunStreamingOn(context.Background(), experiments.NewDataset(experiments.DefaultConfig()), stream.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchRes = r
 		benchDay = benchRes.Dataset.Sim.DayInto(mobsim.NewDayBuffer(), timegrid.SimDay(timegrid.StudyDayOffset+30))
 	})
 	return benchRes
@@ -501,24 +504,12 @@ func itoa(v int) string {
 
 // --- streaming engine benchmarks ---------------------------------------------
 
-// BenchmarkRunStandardSerial is the serial end-to-end baseline the
-// streaming benchmarks compare against: the full two-pass pipeline at
-// the default popsim.ScaleSmall scale.
-func BenchmarkRunStandardSerial(b *testing.B) {
-	cfg := experiments.DefaultConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if r := experiments.RunStandard(cfg); r.KPI == nil {
-			b.Fatal("no KPI analyzer")
-		}
-	}
-}
-
-// benchmarkStream runs the sharded streaming pipeline end to end. The
-// results are bit-identical to RunStandard; what varies is wall clock.
-// Speedup over BenchmarkRunStandardSerial tracks the perf trajectory of
-// the engine across PRs (on multi-core hardware; a single-core runner
-// shows parity plus a small scheduling overhead).
+// benchmarkStream runs the sharded streaming pipeline end to end, the
+// full two-pass pipeline at the default popsim.ScaleSmall scale. The
+// results are bit-identical at every worker count; what varies is wall
+// clock. Speedup over BenchmarkStreamWorkers1 tracks the perf
+// trajectory of the engine (on multi-core hardware; a single-core
+// runner shows parity plus a small scheduling overhead).
 func benchmarkStream(b *testing.B, workers int) {
 	cfg := experiments.DefaultConfig()
 	b.ReportAllocs()
@@ -620,8 +611,8 @@ func BenchmarkSweepParallel(b *testing.B)  { benchmarkSweepParallel(b, 2) }
 func BenchmarkSweepParallel4(b *testing.B) { benchmarkSweepParallel(b, 4) }
 
 // sweepAllFixture builds the full 7-scenario registry set over its own
-// world at the default popsim.ScaleSmall scale (the scale BenchmarkRunStandardSerial
-// and the streaming benchmarks quote) — the copy-on-divergence headline
+// world at the default popsim.ScaleSmall scale (the scale the streaming
+// benchmarks quote) — the copy-on-divergence headline
 // pair runs here rather than on the small sweepBenchFixture world. At
 // 1000 users the per-cell engine reduction and KPI fold, which do not
 // scale with users, dominate each day and flatten the relative win of

@@ -20,6 +20,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/popsim"
 	"repro/internal/report"
+	"repro/internal/stream"
 )
 
 func main() {
@@ -41,35 +42,10 @@ func main() {
 		cli.Exit("figures", cli.Usagef("unknown figure %q", *fig))
 	}
 
-	cfg := experiments.DefaultConfig()
-	cfg.TargetUsers = *users
-	cfg.Seed = *seed
-
-	start := time.Now()
-	fmt.Fprintf(os.Stderr, "simulating %d users over 100 days (seed %d)...\n", *users, *seed)
-	d := experiments.NewDataset(cfg)
-	var bins *experiments.BinsAndBands
-	var taps []experiments.DayTap // the extensions fold the same pass
-	if *ext || strings.HasPrefix(strings.ToLower(*fig), "ext-") {
-		bins = experiments.ExtBinsAndBands(d)
-		taps = append(taps, bins.Tap)
-	}
-	results := experiments.RunStandardOn(d, taps...)
-	fmt.Fprintf(os.Stderr, "simulation done in %v\n\n", time.Since(start).Round(time.Millisecond))
-
-	all := experiments.AllFigures(results)
-	if bins != nil {
-		all = append(all, bins.Figure(), experiments.ExtSEIR(results))
-	}
-	var figures []*experiments.Figure
-	if *fig == "all" {
-		figures = all
-	} else {
-		for _, f := range all {
-			if strings.EqualFold(f.ID, *fig) {
-				figures = append(figures, f)
-			}
-		}
+	// Table 1 is static census data: there is nothing to simulate.
+	figures := []*experiments.Figure{experiments.Table1()}
+	if !strings.EqualFold(*fig, "table1") {
+		figures = simulate(*fig, *users, *seed, *ext)
 	}
 
 	failed := 0
@@ -101,4 +77,43 @@ func main() {
 	if failed > 0 {
 		cli.Exit("figures", fmt.Errorf("%d shape check(s) failed", failed))
 	}
+}
+
+// simulate runs the pipeline once and returns the figures -fig selects.
+func simulate(fig string, users int, seed uint64, ext bool) []*experiments.Figure {
+	cfg := experiments.DefaultConfig()
+	cfg.TargetUsers = users
+	cfg.Seed = seed
+	ctx, stop := cli.SignalContext()
+	defer stop()
+
+	start := time.Now()
+	fmt.Fprintf(os.Stderr, "simulating %d users over 100 days (seed %d)...\n", users, seed)
+	d := experiments.NewDataset(cfg)
+	var bins *experiments.BinsAndBands
+	var taps []experiments.DayTap // the extensions fold the same pass
+	if ext || strings.HasPrefix(strings.ToLower(fig), "ext-") {
+		bins = experiments.ExtBinsAndBands(d)
+		taps = append(taps, bins.Tap)
+	}
+	results, err := experiments.RunStreamingOn(ctx, d, stream.Config{}, taps...)
+	if err != nil {
+		cli.Exit("figures", err)
+	}
+	fmt.Fprintf(os.Stderr, "simulation done in %v\n\n", time.Since(start).Round(time.Millisecond))
+
+	all := experiments.AllFigures(results)
+	if bins != nil {
+		all = append(all, bins.Figure(), experiments.ExtSEIR(results))
+	}
+	if fig == "all" {
+		return all
+	}
+	var figures []*experiments.Figure
+	for _, f := range all {
+		if strings.EqualFold(f.ID, fig) {
+			figures = append(figures, f)
+		}
+	}
+	return figures
 }

@@ -17,7 +17,7 @@
 //
 // All of it comes from one simulation pass: the feeds, the event sample
 // day and the weekly signaling counts are written from day taps on
-// experiments.RunStandardOn, so no day is simulated twice.
+// experiments.RunStreamingOn, so no day is simulated twice.
 //
 // The behavioural scenario defaults to the calibrated COVID timeline;
 // -scenario selects a registry built-in (see `mnosweep -list`) or a
@@ -50,6 +50,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/signaling"
 	"repro/internal/stats"
+	"repro/internal/stream"
 	"repro/internal/timegrid"
 	"repro/internal/traffic"
 )
@@ -79,6 +80,8 @@ func run(out string, users int, seed uint64, scenName string, raw bool, format s
 	if err := os.MkdirAll(out, 0o755); err != nil {
 		return err
 	}
+	ctx, stop := cli.SignalContext()
+	defer stop()
 	start := time.Now()
 	cfg := experiments.DefaultConfig()
 	cfg.TargetUsers = users
@@ -127,7 +130,10 @@ func run(out string, users int, seed uint64, scenName string, raw bool, format s
 		rf = &rawFeeds{w: w, events: ev, engine: d.Engine, gen: gen}
 		taps = append(taps, rf.tap)
 	}
-	r := experiments.RunStandardOn(d, taps...)
+	r, err := experiments.RunStreamingOn(ctx, d, stream.Config{}, taps...)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(os.Stderr, "simulation done in %v\n", time.Since(start).Round(time.Millisecond))
 	if rf != nil {
 		if err := errors.Join(rf.err, rf.w.Close()); err != nil {
@@ -140,7 +146,7 @@ func run(out string, users int, seed uint64, scenName string, raw bool, format s
 			return err
 		}
 	}
-	err := writeCSV(out, "signaling_summary.csv", []string{"date", "event_type", "count"}, func(w *csv.Writer) error {
+	err = writeCSV(out, "signaling_summary.csv", []string{"date", "event_type", "count"}, func(w *csv.Writer) error {
 		return w.WriteAll(sigRows)
 	})
 	if err != nil {
@@ -163,8 +169,9 @@ type rawFeeds struct {
 }
 
 // tap writes one day. Before the study window the run computes no KPI
-// records, so the tap runs the dataset's engine, which the run has not
-// used yet; DayAppend is a pure function of (day, traces).
+// records, so the tap runs the dataset's engine, which the February
+// pass leaves idle (see experiments.DayTap); DayAppend is a pure
+// function of (day, traces).
 func (f *rawFeeds) tap(day timegrid.SimDay, traces []mobsim.DayTrace, cells []traffic.CellDay) {
 	if f.err != nil {
 		return

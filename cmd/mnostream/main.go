@@ -27,8 +27,8 @@
 // Engine sizing: -workers bounds the goroutines producing days and
 // running shard tasks, -shards the logical partitions. Summaries do not
 // depend on -workers, and the figure-grade pipeline behind
-// experiments.RunStreamingOn is bit-identical to the serial pipeline at
-// any of these settings.
+// experiments.RunStreamingOn gives bit-identical results at any of
+// these settings.
 //
 // In inline mode -scenario selects the behavioural scenario (a registry
 // name — see `mnosweep -list` — or a JSON spec file). In -feeds mode the

@@ -21,6 +21,7 @@ import (
 	"repro/internal/popsim"
 	"repro/internal/report"
 	"repro/internal/stats"
+	"repro/internal/stream"
 	"repro/internal/timegrid"
 	"repro/internal/traffic"
 )
@@ -53,8 +54,10 @@ func main() {
 		{"baseline weekday", timegrid.SimDay(timegrid.StudyDayOffset + 2), stats.NewHistogram(0, 20, 10)},
 		{"lockdown weekday", timegrid.SimDay(timegrid.StudyDayOffset + 37), stats.NewHistogram(0, 20, 10)},
 	}
+	ctx, stop := cli.SignalContext()
+	defer stop()
 	var mg core.VisitMerger
-	r := experiments.RunStandardOn(d, func(day timegrid.SimDay, traces []mobsim.DayTrace, _ []traffic.CellDay) {
+	r, err := experiments.RunStreamingOn(ctx, d, stream.Config{}, func(day timegrid.SimDay, traces []mobsim.DayTrace, _ []traffic.CellDay) {
 		for _, hd := range hists {
 			if hd.day != day {
 				continue
@@ -66,6 +69,9 @@ func main() {
 			}
 		}
 	})
+	if err != nil {
+		cli.Exit("mobilityrpt", err)
+	}
 	gyr := sel.series(r.Mobility, core.MetricGyration)
 	ent := sel.series(r.Mobility, core.MetricEntropy)
 

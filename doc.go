@@ -14,9 +14,9 @@
 // Entry points:
 //
 //   - internal/experiments: one runner per paper figure (Fig2 … Fig12),
-//     with shape checks against the published results. RunStandard is
-//     the serial pipeline; RunStreamingOn is the same pipeline on the
-//     sharded streaming engine, bit-identical at any worker count. The
+//     with shape checks against the published results. RunStreamingOn
+//     runs the pipeline on the sharded streaming engine, bit-identical
+//     at any worker count, and every command and example uses it. The
 //     stack splits into a scenario-independent World (census + radio +
 //     population, built once) and per-scenario run stacks
 //     (World.Instantiate); RunSweepParallelOpts runs many scenarios over
@@ -43,9 +43,8 @@
 //   - cmd/analyze: replay a feed directory (CSV or columnar) through
 //     the streaming engine and print the home-detection census fit and
 //     the national mobility table, without re-simulating.
-//   - cmd/ablate, cmd/calibrate, cmd/mobilityrpt: ad-hoc ablation
-//     sweeps (scenario ablation rides the sweep runner), calibration and
-//     mobility reports.
+//   - cmd/ablate, cmd/mobilityrpt: ad-hoc ablation sweeps (scenario
+//     ablation rides the sweep runner) and mobility reports.
 //   - internal/obs: the nil-safe metrics layer behind -metrics (live
 //     HTTP JSON + pprof) and -metrics-out (stable obs/v1 snapshots,
 //     diffable with cmd/benchdiff -obs) on mnostream and mnosweep;
@@ -54,8 +53,8 @@
 //
 // The benchmarks in bench_test.go regenerate every table and figure (one
 // benchmark each), include the ablations called out in DESIGN.md, and
-// track the streaming engine's speedup over the serial pipeline
-// (BenchmarkStreamWorkers1/4/8 vs BenchmarkRunStandardSerial).
+// track the streaming engine's speedup over one worker
+// (BenchmarkStreamWorkers1/4/8).
 //
 // Failure semantics are documented in RELIABILITY.md: every runner is
 // context-cancellable (SIGINT/SIGTERM exits 130 with partial outputs

@@ -7,13 +7,16 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 	"os"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/report"
 	"repro/internal/stats"
+	"repro/internal/stream"
 	"repro/internal/timegrid"
 	"repro/internal/traffic"
 )
@@ -22,7 +25,10 @@ func main() {
 	cfg := experiments.DefaultConfig()
 	cfg.TargetUsers = 6000
 	fmt.Println("simulating network KPIs over weeks 9-19 of 2020 ...")
-	r := experiments.RunStandard(cfg)
+	r, err := experiments.RunStreamingOn(context.Background(), experiments.NewDataset(cfg), stream.Config{})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	for _, m := range []traffic.Metric{traffic.DLVolume, traffic.ULVolume, traffic.DLActiveUsers, traffic.RadioLoad} {
 		t := stats.Table{

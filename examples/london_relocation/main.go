@@ -7,12 +7,15 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/report"
 	"repro/internal/stats"
+	"repro/internal/stream"
 	"repro/internal/timegrid"
 )
 
@@ -21,7 +24,10 @@ func main() {
 	cfg.TargetUsers = 6000
 	cfg.SkipKPI = true
 	fmt.Println("detecting Inner London residents and tracking them through lockdown ...")
-	r := experiments.RunStandard(cfg)
+	r, err := experiments.RunStreamingOn(context.Background(), experiments.NewDataset(cfg), stream.Config{})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	m := r.Matrix
 	fmt.Printf("cohort: %d users with inferred Inner London homes\n\n", m.CohortSize())

@@ -6,12 +6,15 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/report"
 	"repro/internal/stats"
+	"repro/internal/stream"
 	"repro/internal/timegrid"
 )
 
@@ -23,7 +26,10 @@ func main() {
 	cfg.SkipKPI = true // mobility only for the quickstart
 
 	fmt.Println("simulating a UK MNO, 1 Feb – 10 May 2020 ...")
-	r := experiments.RunStandard(cfg)
+	r, err := experiments.RunStreamingOn(context.Background(), experiments.NewDataset(cfg), stream.Config{})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	gyr := r.Mobility.NationalSeries(core.MetricGyration)
 	ent := r.Mobility.NationalSeries(core.MetricEntropy)

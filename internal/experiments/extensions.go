@@ -18,7 +18,7 @@ import (
 // "all percentiles are close to the median, following similar trends".
 //
 // The bin analysis costs an extra metrics pass per user-day, so it is
-// not part of Results: attach Tap to a RunStandardOn run, then read
+// not part of Results: attach Tap to a RunStreamingOn run, then read
 // Figure.
 type BinsAndBands struct {
 	bins  *core.BinAnalyzer
@@ -26,7 +26,7 @@ type BinsAndBands struct {
 }
 
 // ExtBinsAndBands returns the bins-and-bands experiment over d's
-// population, ready to be tapped into a RunStandardOn run of d.
+// population, ready to be tapped into a RunStreamingOn run of d.
 func ExtBinsAndBands(d *Dataset) *BinsAndBands {
 	return &BinsAndBands{
 		bins:  core.NewBinAnalyzer(d.Pop, d.Config.TopN),

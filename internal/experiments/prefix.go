@@ -311,7 +311,7 @@ func runPrefixScenario(ctx context.Context, w *World, cfg Config, fi *fault.Inje
 	if buf == nil {
 		buf = mobsim.NewDayBuffer()
 	}
-	snaps, err := runStudy(ctx, fi, r, buf, startDay, snapAt, rs, nil)
+	snaps, err := runStudy(ctx, fi, r, buf, startDay, snapAt, rs)
 	// Only a normal return gets here; a panic leaves buf to the GC.
 	pool.bufs.put(buf)
 	if err != nil {

@@ -22,13 +22,14 @@ func streamingTestConfig() Config {
 	return cfg
 }
 
-// TestStreamingMatchesSerial asserts the tentpole invariant: the sharded
-// streaming pipeline is bit-identical to the serial pipeline at the same
-// seed, for 1, 2 and 8 workers. Run under -race this also exercises the
-// engine's synchronization.
+// TestStreamingMatchesSerial asserts the streaming pipeline's worker
+// and shard invariance: every worker and shard count is bit-identical
+// to a one-worker run at the same seed (and a second one-worker run
+// repeats the first). Run under -race this also exercises the engine's
+// synchronization.
 func TestStreamingMatchesSerial(t *testing.T) {
 	cfg := streamingTestConfig()
-	serial := RunStandard(cfg)
+	serial := mustStreamingConfig(t, cfg, stream.Config{Workers: 1})
 	for _, tc := range []struct {
 		name    string
 		workers int
@@ -50,7 +51,7 @@ func TestStreamingMatchesSerial(t *testing.T) {
 func TestStreamingMatchesSerialMobilityOnly(t *testing.T) {
 	cfg := streamingTestConfig()
 	cfg.SkipKPI = true
-	serial := RunStandard(cfg)
+	serial := mustStreamingConfig(t, cfg, stream.Config{Workers: 1})
 	got, err := RunStreamingOn(context.Background(), NewDataset(cfg), stream.Config{Workers: 3})
 	if err != nil {
 		t.Fatalf("RunStreamingOn: %v", err)

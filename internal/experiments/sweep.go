@@ -107,7 +107,7 @@ func newSweepMetrics(r *obs.Registry, parallel int) *sweepMetrics {
 // — scenario-invariant, like everything else in the world — runs once
 // and is shared by every run. Of scfg only the metrics registry and the
 // fault injector apply: every run executes the serial study-window day
-// loop RunStandardOn uses.
+// loop runStudy.
 //
 // Runs share the world's seed, so scenarios are compared on *paired*
 // draws: every agent keeps its home, anchors, device and relocation

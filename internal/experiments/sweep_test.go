@@ -4,9 +4,8 @@ import (
 	"encoding/json"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/scenario"
-	"repro/internal/timegrid"
+	"repro/internal/stream"
 )
 
 // sweepConfig is a tiny mobility-only config for sweep tests.
@@ -77,12 +76,14 @@ func TestSweepBuildsWorldExactlyOnce(t *testing.T) {
 }
 
 // TestDefaultCovidSpecBitIdenticalToDefaultPath is the acceptance gate
-// of the scenario subsystem: running the pipeline with the default-covid
-// spec loaded from its JSON form must reproduce, bit for bit, the
-// results of the legacy pandemic.Default() path.
+// of the scenario subsystem: a one-scenario sweep of the default-covid
+// spec loaded from its JSON form must reproduce, bit for bit, a
+// one-worker RunStreamingOn of the legacy pandemic.Default() path. It
+// also pins the two executors to each other: the sweep's serial study
+// loop (runStudy) against the streaming engine.
 func TestDefaultCovidSpecBitIdenticalToDefaultPath(t *testing.T) {
 	cfg := sweepConfig()
-	want := RunStandard(cfg) // cfg.Scenario == nil → pandemic.Default()
+	want := mustStreamingConfig(t, cfg, stream.Config{Workers: 1}) // cfg.Scenario == nil → pandemic.Default()
 
 	sp, ok := scenario.Get(scenario.DefaultCovid)
 	if !ok {
@@ -100,33 +101,8 @@ func TestDefaultCovidSpecBitIdenticalToDefaultPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Scenario = scen
-	got := RunStandard(cfg)
-
-	for _, m := range []core.MobilityMetric{core.MetricGyration, core.MetricEntropy} {
-		a := want.Mobility.NationalSeries(m)
-		b := got.Mobility.NationalSeries(m)
-		for d := 0; d < timegrid.StudyDays; d++ {
-			if a.Values[d] != b.Values[d] {
-				t.Fatalf("%v differs at day %d: %v vs %v", m, d, a.Values[d], b.Values[d])
-			}
-		}
-	}
-	if len(want.Homes) != len(got.Homes) {
-		t.Fatalf("home detection differs: %d vs %d", len(want.Homes), len(got.Homes))
-	}
-	for uid, h := range want.Homes {
-		if got.Homes[uid] != h {
-			t.Fatalf("home of user %d differs", uid)
-		}
-	}
-	as := want.Matrix.HomePresenceSeries()
-	bs := got.Matrix.HomePresenceSeries()
-	for d := range as.Values {
-		if as.Values[d] != bs.Values[d] {
-			t.Fatalf("matrix presence differs at day %d", d)
-		}
-	}
+	runs := mustSweep(t, NewWorld(cfg), cfg, []SweepScenario{{Name: scenario.DefaultCovid, Scenario: scen}}, SweepOptions{Parallel: 1})
+	assertResultsEqual(t, want, runs[0].Results)
 }
 
 // TestWorldHomesScenarioInvariant backs the sweep runner's shared
@@ -142,7 +118,7 @@ func TestWorldHomesScenarioInvariant(t *testing.T) {
 	}
 	nullCfg := cfg
 	nullCfg.Scenario = loadScenario(t, scenario.NoPandemic).Scenario
-	r := RunStandard(nullCfg)
+	r := mustStreamingConfig(t, nullCfg, stream.Config{})
 	if len(r.Homes) != len(homes) {
 		t.Fatalf("home counts differ: world %d vs null run %d", len(homes), len(r.Homes))
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/pandemic"
 	"repro/internal/popsim"
 	"repro/internal/radio"
+	"repro/internal/timegrid"
 	"repro/internal/traffic"
 )
 
@@ -45,7 +46,12 @@ type World struct {
 // Callers must treat the returned map as read-only.
 func (w *World) Homes() map[popsim.UserID]core.Home {
 	w.homesOnce.Do(func() {
-		w.homes = detectHomes(mobsim.New(w.Pop, pandemic.Default(), w.Seed), w.Topology, mobsim.NewDayBuffer())
+		sim, buf := mobsim.New(w.Pop, pandemic.Default(), w.Seed), mobsim.NewDayBuffer()
+		hd := core.NewHomeDetector(w.Topology)
+		for day := timegrid.SimDay(0); day < timegrid.FebruaryDays; day++ {
+			hd.ConsumeDay(day, sim.DayInto(buf, day))
+		}
+		w.homes = hd.Detect()
 	})
 	return w.homes
 }

@@ -141,8 +141,8 @@ func TestRelocationWindow(t *testing.T) {
 func TestRelocationProb(t *testing.T) {
 	s := Default()
 	m := census.BuildUK(1)
-	ec, _ := m.DistrictByCode("EC")
-	sw, _ := m.DistrictByCode("SW")
+	ec := districtByCode(t, m, "EC")
+	sw := districtByCode(t, m, "SW")
 	if !s.relocationOn() {
 		t.Fatal("default scenario should relocate")
 	}
@@ -260,4 +260,17 @@ func TestInterpClamping(t *testing.T) {
 	if s.Activity(10_000) != s.Activity(timegrid.StudyDays+1000) {
 		t.Error("activity should clamp above the range")
 	}
+}
+
+// districtByCode returns m's district with the given postcode-district
+// code.
+func districtByCode(t *testing.T, m *census.Model, code string) *census.District {
+	t.Helper()
+	for i := range m.Districts {
+		if m.Districts[i].Code == code {
+			return &m.Districts[i]
+		}
+	}
+	t.Fatalf("no district %q", code)
+	return nil
 }

@@ -194,8 +194,8 @@ func TestCommuterGravity(t *testing.T) {
 	p := fixture(t)
 	m := p.Model()
 	// EC/WC must attract a disproportionate share of work anchors.
-	ec, _ := m.DistrictByCode("EC")
-	wc, _ := m.DistrictByCode("WC")
+	ec := districtByCode(t, m, "EC")
+	wc := districtByCode(t, m, "WC")
 	workInCore, workers := 0, 0
 	outerToCore := 0
 	outer, _ := m.CountyByName("Outer London")
@@ -293,4 +293,17 @@ func TestZeroConfigFallsBack(t *testing.T) {
 	if len(p.Native()) == 0 {
 		t.Fatal("zero config should fall back to defaults")
 	}
+}
+
+// districtByCode returns m's district with the given postcode-district
+// code.
+func districtByCode(t *testing.T, m *census.Model, code string) *census.District {
+	t.Helper()
+	for i := range m.Districts {
+		if m.Districts[i].Code == code {
+			return &m.Districts[i]
+		}
+	}
+	t.Fatalf("no district %q", code)
+	return nil
 }

@@ -44,7 +44,7 @@ func TestPathLossEnvironmentOrdering(t *testing.T) {
 
 func TestEnvironmentOf(t *testing.T) {
 	m := census.BuildUK(1)
-	ec, _ := m.DistrictByCode("EC")
+	ec := districtByCode(t, m, "EC")
 	if EnvironmentOf(ec) != EnvDenseUrban {
 		t.Error("EC should be dense urban")
 	}

@@ -88,8 +88,8 @@ func TestCellsConsistent(t *testing.T) {
 
 func TestDeploymentDensityFollowsDemand(t *testing.T) {
 	m, topo := buildTest(t)
-	ec, _ := m.DistrictByCode("EC")
-	sw, _ := m.DistrictByCode("SW")
+	ec := districtByCode(t, m, "EC")
+	sw := districtByCode(t, m, "SW")
 	ecTowers := len(topo.towersByDistrict[ec.ID])
 	swTowers := len(topo.towersByDistrict[sw.ID])
 	// EC has 13× fewer residents but huge visitor weight: its per-capita
@@ -295,4 +295,17 @@ func TestZeroConfigFallsBack(t *testing.T) {
 	if len(topo.Towers) == 0 {
 		t.Fatal("zero config should fall back to defaults")
 	}
+}
+
+// districtByCode returns m's district with the given postcode-district
+// code.
+func districtByCode(t *testing.T, m *census.Model, code string) *census.District {
+	t.Helper()
+	for i := range m.Districts {
+		if m.Districts[i].Code == code {
+			return &m.Districts[i]
+		}
+	}
+	t.Fatalf("no district %q", code)
+	return nil
 }

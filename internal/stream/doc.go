@@ -25,7 +25,8 @@
 //   - Serial equivalence: the merge paths perform the same floating
 //     point operations in the same order as the serial analyzers in
 //     internal/core, so experiments.RunStreamingOn is bit-identical to
-//     experiments.RunStandardOn over the same dataset.
+//     the serial day loop of an experiments sweep run over the same
+//     world and scenario.
 //
 // Backpressure is bounded channels end to end: a SimSource keeps at most
 // Workers+Buffer days in flight, counting the day the engine is on, and
