@@ -404,6 +404,21 @@ func BenchmarkKPIConsumeDay(b *testing.B) {
 	}
 }
 
+// BenchmarkKPIAnalyzerFork measures forking the KPI fold, as every
+// checkpoint capture and rider attach of a shared-prefix sweep does:
+// the series grids are copied and the day scratch is allocated fresh.
+func BenchmarkKPIAnalyzerFork(b *testing.B) {
+	r := benchResults(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kpiSink = r.KPI.Fork()
+	}
+}
+
+// kpiSink keeps BenchmarkKPIAnalyzerFork's result live.
+var kpiSink *core.KPIAnalyzer
+
 // BenchmarkSimulatorNew measures binding a simulator to the 8k-user
 // population: the columnar mirror plus one reselection query per
 // distinct home tower.

@@ -106,7 +106,7 @@ func run(out string, users int, seed uint64, scenName string, raw bool, format s
 		if !wednesday[day] {
 			return
 		}
-		agg := signaling.NewAggregator(d.Topology)
+		agg := signaling.NewAggregator()
 		gen.Day(day, traces, agg.Consume)
 		date := timegrid.DateOfSimDay(day).Format("2006-01-02")
 		for et := signaling.EventType(0); int(et) < signaling.NumEventTypes; et++ {

@@ -2,7 +2,10 @@ package core
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/mobsim"
 	"repro/internal/pandemic"
@@ -113,9 +116,10 @@ func TestKPIAnalyzerSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestKPIAnalyzerColdConsumeAllocs pins the pre-sized bucket arena: the
-// very first ConsumeDay of a fresh analyzer, and of a fork, already
-// reads 0 allocations — no bucket is grown on an engine day.
+// TestKPIAnalyzerColdConsumeAllocs pins the pre-sized counting-sort
+// scratch: the very first ConsumeDay of a fresh analyzer, and of a
+// fork, already reads 0 allocations — no scratch is grown on an engine
+// day.
 func TestKPIAnalyzerColdConsumeAllocs(t *testing.T) {
 	s := fixtureResults(t)
 	days, cells := engineDays(t, 30)
@@ -140,6 +144,48 @@ func TestKPIAnalyzerColdConsumeAllocs(t *testing.T) {
 		})
 		if allocs > 0 {
 			t.Errorf("first ConsumeDay after %s allocates %.1f times, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// TestKPIAnalyzerScratchBytes bounds what building an analyzer
+// allocates: its series grids, the counting sort's values (four per 4G
+// cell) and at most 64 KiB more; NewKPIAnalyzer also builds the
+// cell→group lookups its forks share. Per-group, per-metric value
+// buckets (1.2 MB at this topology) exceed it.
+func TestKPIAnalyzerScratchBytes(t *testing.T) {
+	s := fixtureResults(t)
+	topo := s.Dataset.Topology
+	k := s.KPI
+	grids := (1 + len(k.byCounty) + len(k.byCluster) + len(k.byDistrict)) * int(unsafe.Sizeof(seriesGrid{}))
+	vals := 4 * len(topo.Cells4G()) * int(unsafe.Sizeof(float64(0)))
+	// Each lookup is a large object, rounded up to whole 8 KiB pages.
+	pages := func(n, size uintptr) int { return int((n*size + 8191) &^ 8191) }
+	lookups := pages(uintptr(len(k.cellDistrict)), unsafe.Sizeof(k.cellDistrict[0])) +
+		pages(uintptr(len(k.cellCounty)), unsafe.Sizeof(k.cellCounty[0])) +
+		pages(uintptr(len(k.cellCluster)), unsafe.Sizeof(k.cellCluster[0]))
+	for _, tc := range []struct {
+		name   string
+		shared int
+		make   func() *KPIAnalyzer
+	}{
+		{"NewKPIAnalyzer", lookups, func() *KPIAnalyzer { return NewKPIAnalyzer(topo) }},
+		{"Fork", 0, func() *KPIAnalyzer { return k.Fork() }},
+	} {
+		// The smallest of a few tries, so a stray allocation elsewhere
+		// in the process cannot fail the bound.
+		got := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			f := tc.make()
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(f)
+			got = min(got, after.TotalAlloc-before.TotalAlloc)
+		}
+		if limit := uint64(grids + vals + tc.shared + 64<<10); got > limit {
+			t.Errorf("%s allocates %d bytes, want at most %d (grids %d + values %d + shared lookups %d + 64 KiB)",
+				tc.name, got, limit, grids, vals, tc.shared)
 		}
 	}
 }
@@ -211,8 +257,10 @@ func sameGrid(a, b *seriesGrid) (m, d int, ok bool) {
 
 // TestKPIAnalyzerMatchesCopyingQuantiles asserts the in-place fold is
 // bit-identical to the copying reference on several engine days, on a
-// synthetic tie-heavy day containing NaN, and on a day carrying two
-// records per cell (more than the pre-sized buckets hold).
+// synthetic tie-heavy day containing NaN, on a day carrying two
+// records per cell (more than the pre-sized scratch holds), on a
+// shuffled engine day, on a day of one county's cells (every other
+// group keeps its previous value) and on an empty day.
 func TestKPIAnalyzerMatchesCopyingQuantiles(t *testing.T) {
 	s := fixtureResults(t)
 	topo := s.Dataset.Topology
@@ -243,6 +291,27 @@ func TestKPIAnalyzerMatchesCopyingQuantiles(t *testing.T) {
 	cells = append(cells, synth(1), synth(2))
 
 	k := NewKPIAnalyzer(topo)
+
+	// A permutation of engine day 30 on a free study day; then, over
+	// study days the engine already filled, a day of Inner London's
+	// cells only and an empty day.
+	shuffled := slices.Clone(cells[2])
+	for i := len(shuffled) - 1; i > 0; i-- {
+		j := int(next() % uint64(i+1))
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	}
+	var oneCounty []traffic.CellDay
+	for _, c := range cells[3] {
+		if k.cellCounty[c.Cell] == topo.Model().InnerLondon().ID {
+			oneCounty = append(oneCounty, c)
+		}
+	}
+	if len(oneCounty) == 0 || len(oneCounty) == len(cells[3]) {
+		t.Fatalf("one-county day carries %d of %d records", len(oneCounty), len(cells[3]))
+	}
+	days = append(days, timegrid.SimDay(timegrid.StudyDayOffset+7), days[1], days[2])
+	cells = append(cells, shuffled, oneCounty, nil)
+
 	ref := newRefKPIFold(k)
 	for i, day := range days {
 		k.ConsumeDay(day, cells[i])

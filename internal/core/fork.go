@@ -46,9 +46,8 @@ func (m *MobilityMatrix) Fork() *MobilityMatrix {
 
 // Fork returns an independent copy of the analyzer: the series grids
 // are deep-copied; the topology, model and cell→group lookup tables
-// (never written after construction) are shared; the per-day value
-// buckets are carved fresh from a new arena, pre-sized as in
-// NewKPIAnalyzer.
+// (never written after construction) are shared; the counting-sort day
+// scratch is allocated fresh, sized as in NewKPIAnalyzer.
 func (k *KPIAnalyzer) Fork() *KPIAnalyzer {
 	f := &KPIAnalyzer{
 		topo:         k.topo,
@@ -57,10 +56,7 @@ func (k *KPIAnalyzer) Fork() *KPIAnalyzer {
 		cellCounty:   k.cellCounty,
 		cellCluster:  k.cellCluster,
 		national:     k.national,
-		byCounty:     append([]seriesGrid(nil), k.byCounty...),
-		byCluster:    append([]seriesGrid(nil), k.byCluster...),
-		byDistrict:   append([]seriesGrid(nil), k.byDistrict...),
 	}
-	f.initScratch()
+	f.initScratch(append([]seriesGrid(nil), k.grids...))
 	return f
 }

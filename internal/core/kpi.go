@@ -13,6 +13,10 @@ import (
 // per geodemographic cluster (§4.4), and per postcode district (§5.1).
 // For every (group, metric, day) it keeps the median across the group's
 // cells, matching the figures' "median values for the delta variation".
+//
+// ConsumeDay groups a day's records by a counting sort over one
+// scratch sized to the 4G estate (about 0.17 MB at the default radio
+// config), not one bucket per group and metric.
 type KPIAnalyzer struct {
 	topo  *radio.Topology
 	model *census.Model
@@ -22,18 +26,20 @@ type KPIAnalyzer struct {
 	cellCounty   []census.CountyID
 	cellCluster  []census.Cluster
 
-	national   seriesGrid
-	byCounty   []seriesGrid
-	byCluster  []seriesGrid
-	byDistrict []seriesGrid
+	// The groups share one index space: 0 is national, then the
+	// counties, the clusters and the districts; group g ≥ 1 has series
+	// grid grids[g-1], which byCounty, byCluster and byDistrict view.
+	national                        seriesGrid
+	grids                           []seriesGrid
+	byCounty, byCluster, byDistrict []seriesGrid
 
-	// Per-day value buckets, reset at the top of ConsumeDay and
-	// reordered in place by its quantile selection. initScratch carves
-	// them all out of one arena.
-	natVals  [traffic.NumMetrics][]float64
-	cntyVals [][traffic.NumMetrics][]float64
-	clstVals [][traffic.NumMetrics][]float64
-	distVals [][traffic.NumMetrics][]float64
+	// Day scratch of ConsumeDay's counting sort. Group g's values of
+	// one metric sit in vals[start[g]:start[g+1]], in record order; pos
+	// holds each record's slots in its county, cluster and district
+	// segments, and next is the cursor that hands the slots out.
+	vals        []float64
+	pos         [][3]int32
+	start, next []int
 }
 
 // seriesGrid holds one daily value per metric per study day.
@@ -44,13 +50,7 @@ type seriesGrid struct {
 // NewKPIAnalyzer builds the analyzer for a topology.
 func NewKPIAnalyzer(topo *radio.Topology) *KPIAnalyzer {
 	model := topo.Model()
-	k := &KPIAnalyzer{
-		topo:       topo,
-		model:      model,
-		byCounty:   make([]seriesGrid, len(model.Counties)),
-		byCluster:  make([]seriesGrid, census.NumClusters),
-		byDistrict: make([]seriesGrid, len(model.Districts)),
-	}
+	k := &KPIAnalyzer{topo: topo, model: model}
 	nCells := len(topo.Cells)
 	k.cellDistrict = make([]census.DistrictID, nCells)
 	k.cellCounty = make([]census.CountyID, nCells)
@@ -62,105 +62,88 @@ func NewKPIAnalyzer(topo *radio.Topology) *KPIAnalyzer {
 		k.cellCounty[id] = model.District(d).County
 		k.cellCluster[id] = model.District(d).Cluster
 	}
-	k.initScratch()
+	k.initScratch(make([]seriesGrid, len(model.Counties)+census.NumClusters+len(model.Districts)))
 	return k
 }
 
-// initScratch carves every value bucket (national, county, cluster and
-// district, per metric) out of one arena, each sized to its group's 4G
-// cell count: the engine emits at most one record per 4G cell a day, so
-// a fresh or forked analyzer never grows a bucket. A day carrying more
-// records than that still folds correctly; append then regrows the
-// bucket off the arena.
-func (k *KPIAnalyzer) initScratch() {
-	cells := k.topo.Cells4G()
-	cnty := make([]int, len(k.model.Counties))
-	clst := make([]int, census.NumClusters)
-	dist := make([]int, len(k.model.Districts))
-	for _, id := range cells {
-		cnty[k.cellCounty[id]]++
-		clst[k.cellCluster[id]]++
-		dist[k.cellDistrict[id]]++
-	}
-	arena := make([]float64, 4*traffic.NumMetrics*len(cells))
-	carve := func(n int) []float64 {
-		b := arena[:0:n]
-		arena = arena[n:]
-		return b
-	}
-	for m := range k.natVals {
-		k.natVals[m] = carve(len(cells))
-	}
-	buckets := func(counts []int) [][traffic.NumMetrics][]float64 {
-		bs := make([][traffic.NumMetrics][]float64, len(counts))
-		for g, n := range counts {
-			for m := range bs[g] {
-				bs[g][m] = carve(n)
-			}
-		}
-		return bs
-	}
-	k.cntyVals = buckets(cnty)
-	k.clstVals = buckets(clst)
-	k.distVals = buckets(dist)
+// initScratch adopts grids as the group series grids and sizes the day
+// scratch for one record per 4G cell, the most the engine emits a day,
+// so the first ConsumeDay of a fresh or forked analyzer does not
+// allocate; a larger day regrows it once.
+func (k *KPIAnalyzer) initScratch(grids []seriesGrid) {
+	nc, nk := len(k.model.Counties), census.NumClusters
+	k.grids, k.byCounty, k.byCluster, k.byDistrict = grids, grids[:nc], grids[nc:nc+nk], grids[nc+nk:]
+	n := len(k.topo.Cells4G())
+	k.vals, k.pos = make([]float64, 4*n), make([][3]int32, n)
+	k.start, k.next = make([]int, len(grids)+2), make([]int, len(grids)+2)
 }
 
 // ConsumeDay ingests one day of per-cell records; non-study days are
-// ignored. The medians are selected in place over the day's buckets
-// (an order statistic does not depend on input order), so the result
-// is bit-identical to the copying stats.Median and a warm call does not
-// allocate.
+// ignored. It counts the records per group, turns the counts into
+// segment offsets, and then, per metric, scatters every value into
+// its groups' segments and selects each non-empty segment's median in
+// place. A segment holds its group's values in record order, the same
+// sequence the copying stats.Median would see, so the result is
+// bit-identical to it, and a warm call does not allocate. A group
+// with no record that day keeps its previous value.
 func (k *KPIAnalyzer) ConsumeDay(day timegrid.SimDay, cells []traffic.CellDay) {
 	sd, ok := day.ToStudyDay()
 	if !ok {
 		return
 	}
-	// Reset buckets.
-	for m := 0; m < traffic.NumMetrics; m++ {
-		k.natVals[m] = k.natVals[m][:0]
+	n := len(cells)
+	if n > len(k.pos) { // four segments per record: national, county, cluster, district
+		k.vals, k.pos = make([]float64, 4*n), make([][3]int32, n)
 	}
-	reset := func(buckets [][traffic.NumMetrics][]float64) {
-		for g := range buckets {
-			for m := 0; m < traffic.NumMetrics; m++ {
-				buckets[g][m] = buckets[g][m][:0]
-			}
-		}
-	}
-	reset(k.cntyVals)
-	reset(k.clstVals)
-	reset(k.distVals)
+	cb := 1 + len(k.byCounty)   // first cluster group
+	db := cb + len(k.byCluster) // first district group
 
+	// Count group g's records into start[g+1], then prefix-sum.
+	start, pos := k.start, k.pos[:n]
+	clear(start)
+	start[1] = n
 	for i := range cells {
-		c := &cells[i]
-		cnty := k.cellCounty[c.Cell]
-		clst := k.cellCluster[c.Cell]
-		dist := k.cellDistrict[c.Cell]
-		for m := 0; m < traffic.NumMetrics; m++ {
-			v := c.Values[m]
-			k.natVals[m] = append(k.natVals[m], v)
-			k.cntyVals[cnty][m] = append(k.cntyVals[cnty][m], v)
-			k.clstVals[clst][m] = append(k.clstVals[clst][m], v)
-			k.distVals[dist][m] = append(k.distVals[dist][m], v)
+		c, p := cells[i].Cell, &pos[i]
+		p[0] = int32(1 + int(k.cellCounty[c]))
+		p[1] = int32(cb + int(k.cellCluster[c]))
+		p[2] = int32(db + int(k.cellDistrict[c]))
+		start[p[0]+1]++
+		start[p[1]+1]++
+		start[p[2]+1]++
+	}
+	for g := 1; g < len(start); g++ {
+		start[g] += start[g-1]
+	}
+	// Replace each record's groups by its slots in their segments. The
+	// national segment is vals[:n], record i at slot i.
+	next := k.next
+	copy(next, start)
+	for i := range pos {
+		p := &pos[i]
+		for j, g := range p {
+			p[j] = int32(next[g])
+			next[g]++
 		}
 	}
 
+	vals := k.vals
 	for m := 0; m < traffic.NumMetrics; m++ {
-		if len(k.natVals[m]) > 0 {
-			k.national.v[m][sd] = stats.MedianInPlace(k.natVals[m])
+		for i := range cells {
+			v, p := cells[i].Values[m], &pos[i]
+			vals[i] = v
+			vals[p[0]] = v
+			vals[p[1]] = v
+			vals[p[2]] = v
 		}
-	}
-	store := func(buckets [][traffic.NumMetrics][]float64, grids []seriesGrid) {
-		for g := range buckets {
-			for m := 0; m < traffic.NumMetrics; m++ {
-				if len(buckets[g][m]) > 0 {
-					grids[g].v[m][sd] = stats.MedianInPlace(buckets[g][m])
-				}
+		if n > 0 {
+			k.national.v[m][sd] = stats.MedianInPlace(vals[:n])
+		}
+		for g := range k.grids {
+			if lo, hi := start[g+1], start[g+2]; lo < hi {
+				k.grids[g].v[m][sd] = stats.MedianInPlace(vals[lo:hi])
 			}
 		}
 	}
-	store(k.cntyVals, k.byCounty)
-	store(k.clstVals, k.byCluster)
-	store(k.distVals, k.byDistrict)
 }
 
 // series converts a grid row into a Series.

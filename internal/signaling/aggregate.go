@@ -1,36 +1,16 @@
 package signaling
 
-import "repro/internal/radio"
-
-// Aggregator reduces a raw event stream to the postcode-level feed the
-// paper actually analyses ("these feeds are aggregated at postcode level
-// or larger granularity", §2.2): per-district per-type counts, failure
-// tallies. Districts have dense IDs, so every tally is an array slot and
-// consuming an event allocates nothing.
+// Aggregator reduces a raw event stream to national tallies: per-type
+// counts, failures and the event total. Every tally is an array slot
+// or a counter, so consuming an event allocates nothing.
 type Aggregator struct {
-	topo *radio.Topology
-
-	// ByDistrict is indexed by census.DistrictID.
-	ByDistrict []DistrictCounts
-	ByType     [NumEventTypes]int64
-	Failures   int64
-	Total      int64
-}
-
-// DistrictCounts is the per-postcode aggregate.
-type DistrictCounts struct {
 	ByType   [NumEventTypes]int64
 	Failures int64
 	Total    int64
 }
 
-// NewAggregator builds an aggregator over a topology.
-func NewAggregator(topo *radio.Topology) *Aggregator {
-	return &Aggregator{
-		topo:       topo,
-		ByDistrict: make([]DistrictCounts, len(topo.Model().Districts)),
-	}
-}
+// NewAggregator builds an empty aggregator.
+func NewAggregator() *Aggregator { return &Aggregator{} }
 
 // Consume ingests one event; it is an EmitFunc.
 func (a *Aggregator) Consume(e Event) {
@@ -38,11 +18,5 @@ func (a *Aggregator) Consume(e Event) {
 	a.ByType[e.Type]++
 	if !e.OK {
 		a.Failures++
-	}
-	dc := &a.ByDistrict[a.topo.Tower(e.Tower).District]
-	dc.Total++
-	dc.ByType[e.Type]++
-	if !e.OK {
-		dc.Failures++
 	}
 }

@@ -7,9 +7,9 @@
 // TAC, the serving sector, a timestamp and a result code.
 //
 // The generator is streaming (events are emitted through a callback, not
-// retained) and the package provides the postcode-level aggregation the
-// paper works with. The §2.3 population filter (native smartphone
-// subscribers only) is popsim.Population.Native.
+// retained) and Aggregator tallies the stream nation-wide, per event
+// type. The §2.3 population filter (native smartphone subscribers only)
+// is popsim.Population.Native.
 package signaling
 
 import (

@@ -220,11 +220,12 @@ type Signaling struct {
 
 // NewSignaling builds a sharded aggregation stage over a generator.
 // When background is true, shards also emit the M2M and roamer event
-// floor, matching signaling.Generator.Day.
-func NewSignaling(gen *signaling.Generator, topo *radio.Topology, shards int, background bool) *Signaling {
+// floor, matching signaling.Generator.Day. The topology parameter is
+// unused: the aggregates are national, so no event needs its district.
+func NewSignaling(gen *signaling.Generator, _ *radio.Topology, shards int, background bool) *Signaling {
 	s := &Signaling{gen: gen, aggs: make([]*signaling.Aggregator, shards)}
 	for i := range s.aggs {
-		s.aggs[i] = signaling.NewAggregator(topo)
+		s.aggs[i] = signaling.NewAggregator()
 	}
 	if background {
 		s.background = make([][]int, shards)

@@ -3,7 +3,6 @@ package stream
 import (
 	"context"
 	"fmt"
-	"slices"
 	"testing"
 
 	"repro/internal/census"
@@ -24,28 +23,18 @@ func sameAggregate(got, want *signaling.Aggregator) string {
 		return fmt.Sprintf("failures %d, want %d", got.Failures, want.Failures)
 	case got.ByType != want.ByType:
 		return fmt.Sprintf("by type %v, want %v", got.ByType, want.ByType)
-	case !slices.Equal(got.ByDistrict, want.ByDistrict):
-		return "by-district counts differ"
 	}
 	return ""
 }
 
 // merged sums the shard aggregators of s into one.
-func merged(s *Signaling, topo *radio.Topology) *signaling.Aggregator {
-	out := signaling.NewAggregator(topo)
+func merged(s *Signaling) *signaling.Aggregator {
+	out := signaling.NewAggregator()
 	for _, a := range s.aggs {
 		out.Total += a.Total
 		out.Failures += a.Failures
 		for t := range a.ByType {
 			out.ByType[t] += a.ByType[t]
-		}
-		for d, dc := range a.ByDistrict {
-			oc := &out.ByDistrict[d]
-			oc.Total += dc.Total
-			oc.Failures += dc.Failures
-			for t := range dc.ByType {
-				oc.ByType[t] += dc.ByType[t]
-			}
 		}
 	}
 	return out
@@ -65,7 +54,7 @@ func TestSignalingShardsMatchGeneratorDay(t *testing.T) {
 	sim := mobsim.New(pop, pandemic.Default(), 1)
 	gen := signaling.NewGenerator(pop, 1)
 
-	want := signaling.NewAggregator(topo)
+	want := signaling.NewAggregator()
 	var traceDays, eventDays []DayBatch
 	for _, day := range []timegrid.SimDay{3, 30, 70} {
 		traces := sim.DayInto(mobsim.NewDayBuffer(), day)
@@ -85,7 +74,7 @@ func TestSignalingShardsMatchGeneratorDay(t *testing.T) {
 		if err := e.Run(context.Background(), NewSliceSource(traceDays)); err != nil {
 			t.Fatal(err)
 		}
-		if diff := sameAggregate(merged(sig, topo), want); diff != "" {
+		if diff := sameAggregate(merged(sig), want); diff != "" {
 			t.Errorf("shards=%d traces: %s", shards, diff)
 		}
 
@@ -95,7 +84,7 @@ func TestSignalingShardsMatchGeneratorDay(t *testing.T) {
 		if err := e.Run(context.Background(), NewSliceSource(eventDays)); err != nil {
 			t.Fatal(err)
 		}
-		if diff := sameAggregate(merged(replay, topo), want); diff != "" {
+		if diff := sameAggregate(merged(replay), want); diff != "" {
 			t.Errorf("shards=%d events: %s", shards, diff)
 		}
 	}

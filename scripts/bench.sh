@@ -19,8 +19,9 @@
 # the ScaleLadder rungs (8k/100k/1M users; the 1M rung takes tens of
 # seconds to build — set BENCH to exclude it for quick local loops),
 # FeedReplay, PopulationSynthesis (the subscriber base at 8k/50k),
-# PickTower (one active-site draw) and PartitionDir (a cold 2-shard
-# split of a two-week 8k-user columnar feed).
+# PickTower (one active-site draw), PartitionDir (a cold 2-shard
+# split of a two-week 8k-user columnar feed) and KPIAnalyzerFork (one
+# KPI fold fork, as a shared-prefix sweep's checkpoints take).
 # Compare snapshots with scripts/benchdiff.sh.
 #
 # Snapshots are named BENCH_<sha>.json after the commit they measure, so
@@ -47,7 +48,7 @@ if [ "$sha" != nogit ] && [ -n "$(git status --porcelain 2>/dev/null)" ]; then
   sha="${sha}-dirty"
 fi
 benchtime="${BENCHTIME:-1x}"
-pattern="${BENCH:-SimDayInto|EngineDay|DayMetrics|MergeVisits|StreamWorkers1\$|SweepSerial|SweepParallel|SweepSharedPrefix|SweepUnsharedRegistry|ScaleLadder|FeedReplay|PopulationSynthesis|PickTower|PartitionDir}"
+pattern="${BENCH:-SimDayInto|EngineDay|DayMetrics|MergeVisits|StreamWorkers1\$|SweepSerial|SweepParallel|SweepSharedPrefix|SweepUnsharedRegistry|ScaleLadder|FeedReplay|PopulationSynthesis|PickTower|PartitionDir|KPIAnalyzerFork}"
 
 # Runner metadata: numbers are only comparable between snapshots taken on
 # similar hardware, so record what ran them. benchdiff warns when the two
