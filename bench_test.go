@@ -565,6 +565,48 @@ func BenchmarkStreamSimSource(b *testing.B) {
 	}
 }
 
+// BenchmarkStreamHomes runs the February home pass of RunStreamingOn
+// over pre-simulated 8k-user days: an 8-shard stream.Homes on the
+// streaming engine, then Detect into one map. Allocations are the
+// detectors' tally arenas and head maps, the engine's partition and
+// the result map; the simulation is outside the timed loop.
+func BenchmarkStreamHomes(b *testing.B) {
+	r := benchResults(b)
+	days := make([]stream.DayBatch, timegrid.FebruaryDays)
+	for d := range days {
+		day := timegrid.SimDay(d)
+		days[d] = stream.DayBatch{Day: day, Traces: r.Dataset.Sim.DayInto(mobsim.NewDayBuffer(), day)}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		homes := stream.NewHomes(r.Dataset.Topology, stream.DefaultShards)
+		e := stream.NewEngine(stream.Config{Shards: stream.DefaultShards})
+		e.AddTraceSharder(homes)
+		if err := e.Run(context.Background(), &batchSource{batches: days}); err != nil {
+			b.Fatal(err)
+		}
+		homesSink = homes.Detect()
+	}
+}
+
+// batchSource replays fixed day batches once.
+type batchSource struct {
+	batches []stream.DayBatch
+	next    int
+}
+
+func (s *batchSource) Next() (stream.DayBatch, error) {
+	if s.next == len(s.batches) {
+		return stream.DayBatch{}, io.EOF
+	}
+	s.next++
+	return s.batches[s.next-1], nil
+}
+
+// homesSink keeps BenchmarkStreamHomes's result live.
+var homesSink map[popsim.UserID]core.Home
+
 // --- sweep benchmarks --------------------------------------------------------
 
 var (
@@ -585,7 +627,7 @@ func sweepBenchFixture(b *testing.B) (*experiments.World, experiments.Config, []
 		cfg.TargetUsers = 1000
 		sweepBenchCfg = cfg
 		sweepBenchWorld = experiments.NewWorld(cfg)
-		sweepBenchWorld.Homes()
+		sweepBenchWorld.Homes(nil)
 		for _, name := range []string{
 			scenario.DefaultCovid, scenario.NoPandemic, scenario.EarlyLockdown, scenario.VoiceSurge,
 		} {
@@ -648,7 +690,7 @@ func sweepAllFixture(b *testing.B) (*experiments.World, experiments.Config, []ex
 	sweepAllOnce.Do(func() {
 		sweepAllCfg = experiments.DefaultConfig()
 		sweepAllWorld = experiments.NewWorld(sweepAllCfg)
-		sweepAllWorld.Homes()
+		sweepAllWorld.Homes(nil)
 		for _, name := range scenario.Names() {
 			s, err := scenario.Load(name)
 			if err != nil {

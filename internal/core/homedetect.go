@@ -9,8 +9,8 @@ import (
 	"repro/internal/timegrid"
 )
 
-// nightBlock is the size of one tally-arena block in entries (24 bytes
-// each, so 96 KiB). Blocks are allocated whole and never regrown, so a
+// nightBlock is the size of one tally-arena block in entries (20 bytes
+// each, so 80 KiB). Blocks are allocated whole and never regrown, so a
 // cold detector allocates about what it holds.
 const nightBlock = 4 << 10
 
@@ -24,6 +24,9 @@ const nightBlock = 4 << 10
 // index, and a single map holds the head of every user's chain. A new
 // tally is appended only for a tower the user has not slept under
 // before, so folding a night into known towers touches no allocator.
+// Each block stores its tallies as parallel arrays: the 8-byte
+// {tower, next} links that a chain walk reads, then the float64 night
+// seconds and int32 night counts, 20 bytes per pair in all.
 type HomeDetector struct {
 	topo *radio.Topology
 	// MinNights is the minimum number of distinct nights the winning
@@ -34,11 +37,12 @@ type HomeDetector struct {
 	// 00:00–08:00).
 	NightBins []timegrid.Bin
 
-	// heads maps each user to the arena index of its newest tally.
+	// heads maps each user to the arena index of its newest tally. It is
+	// built on the first February day, sized from that day's users.
 	heads map[popsim.UserID]int32
-	// blocks is the tally arena; entry i lives at
-	// blocks[i/nightBlock][i%nightBlock]. Blocks never move.
-	blocks []*[nightBlock]nightTower
+	// blocks is the tally arena; entry i lives at index i%nightBlock of
+	// blocks[i/nightBlock]. Blocks never move.
+	blocks []*tallyBlock
 	// used is the number of arena entries handed out.
 	used int32
 
@@ -49,14 +53,20 @@ type HomeDetector struct {
 	night []towerDwell
 }
 
-// nightTower is one user's February tally for one tower: the nights it
-// was seen on, the night dwell summed in day order, and the arena index
-// of the user's next tally (-1 ends the chain).
-type nightTower struct {
-	tower  radio.TowerID
-	nights int32
-	sec    float64
-	next   int32
+// tallyBlock is one arena block. Entry k is one user's February
+// tally for one tower: link[k] holds the tower and the arena index of
+// the user's next tally (-1 ends the chain), sec[k] the night dwell
+// summed in day order and nights[k] the nights the tower was seen on.
+type tallyBlock struct {
+	link   [nightBlock]nightLink
+	sec    [nightBlock]float64
+	nights [nightBlock]int32
+}
+
+// nightLink is a tally's chain entry.
+type nightLink struct {
+	tower radio.TowerID
+	next  int32
 }
 
 // towerDwell is one (tower, dwell) pair of a single night.
@@ -71,7 +81,6 @@ func NewHomeDetector(topo *radio.Topology) *HomeDetector {
 		topo:      topo,
 		MinNights: 14,
 		NightBins: []timegrid.Bin{0, 1},
-		heads:     make(map[popsim.UserID]int32),
 	}
 }
 
@@ -82,14 +91,25 @@ func (h *HomeDetector) ConsumeDay(day timegrid.SimDay, traces []mobsim.DayTrace)
 	if !day.InFebruary() {
 		return
 	}
+	h.Reserve(len(traces))
 	for i := range traces {
 		h.ConsumeTrace(day, &traces[i])
 	}
 }
 
+// Reserve sizes the head map for the given number of users if the
+// detector has no map yet, and does nothing otherwise. ConsumeDay sizes
+// it from the first February day, which carries nearly every user the
+// month will, so the map does not grow while it fills.
+func (h *HomeDetector) Reserve(users int) {
+	if h.heads == nil {
+		h.heads = make(map[popsim.UserID]int32, users)
+	}
+}
+
 // ConsumeTrace feeds a single user's trace for one night. All detector
 // state is per-user, so a pipeline that shards users across several
-// detectors and unions their Detect() results reproduces a single
+// detectors and has each DetectInto one map reproduces a single
 // detector exactly, as long as each user's nights arrive in day order.
 func (h *HomeDetector) ConsumeTrace(day timegrid.SimDay, t *mobsim.DayTrace) {
 	if !day.InFebruary() {
@@ -120,53 +140,51 @@ func (h *HomeDetector) ConsumeTrace(day timegrid.SimDay, t *mobsim.DayTrace) {
 	if len(night) == 0 {
 		return
 	}
+	h.Reserve(0) // for callers that feed single traces only
 	head, ok := h.heads[t.User]
 	if !ok {
 		head = -1
 	}
 	first := head
 	for _, td := range night {
-		e := h.find(head, td.tower)
-		if e == nil {
-			e, head = h.push(td.tower, head)
+		i := h.find(head, td.tower)
+		if i < 0 {
+			i = h.push(td.tower, head)
+			head = i
 		}
-		e.sec += td.sec
-		e.nights++
+		b, k := h.blocks[i/nightBlock], i%nightBlock
+		b.sec[k] += td.sec
+		b.nights[k]++
 	}
 	if head != first {
 		h.heads[t.User] = head
 	}
 }
 
-// at returns arena entry i.
-func (h *HomeDetector) at(i int32) *nightTower {
-	return &h.blocks[i/nightBlock][i%nightBlock]
-}
-
-// find walks the chain starting at head for tower's tally.
-func (h *HomeDetector) find(head int32, tower radio.TowerID) *nightTower {
+// find walks the chain starting at head for tower's tally and returns
+// its arena index, or -1.
+func (h *HomeDetector) find(head int32, tower radio.TowerID) int32 {
 	for i := head; i >= 0; {
-		e := h.at(i)
-		if e.tower == tower {
-			return e
+		l := &h.blocks[i/nightBlock].link[i%nightBlock]
+		if l.tower == tower {
+			return i
 		}
-		i = e.next
+		i = l.next
 	}
-	return nil
+	return -1
 }
 
 // push appends an empty tally for tower in front of the chain at next,
-// opening a fresh block when the last one is full, and returns it with
-// its index, the chain's new head.
-func (h *HomeDetector) push(tower radio.TowerID, next int32) (*nightTower, int32) {
+// opening a fresh block when the last one is full, and returns its
+// index, the chain's new head.
+func (h *HomeDetector) push(tower radio.TowerID, next int32) int32 {
 	i := h.used
 	if int(i/nightBlock) == len(h.blocks) {
-		h.blocks = append(h.blocks, new([nightBlock]nightTower))
+		h.blocks = append(h.blocks, new(tallyBlock))
 	}
 	h.used++
-	e := h.at(i)
-	*e = nightTower{tower: tower, next: next}
-	return e, i
+	h.blocks[i/nightBlock].link[i%nightBlock] = nightLink{tower: tower, next: next}
+	return i
 }
 
 func (h *HomeDetector) isNight(b timegrid.Bin) bool {
@@ -191,25 +209,36 @@ type Home struct {
 // seen on fewer than MinNights nights are dropped, mirroring the paper
 // (homes were determined for ~16M of ~22M users).
 func (h *HomeDetector) Detect() map[popsim.UserID]Home {
-	out := make(map[popsim.UserID]Home, len(h.heads))
+	out := make(map[popsim.UserID]Home, h.Users())
+	h.DetectInto(out)
+	return out
+}
+
+// Users returns the number of users with at least one night tally, an
+// upper bound on the homes Detect finds.
+func (h *HomeDetector) Users() int { return len(h.heads) }
+
+// DetectInto adds Detect's homes to out, so detectors that hold
+// disjoint users (the shards of one stream) can fill one shared map.
+func (h *HomeDetector) DetectInto(out map[popsim.UserID]Home) {
 	for user, head := range h.heads {
 		// Most seconds wins, ties to the lower tower: the result does
 		// not depend on chain order.
-		var best *nightTower
+		best, bestTower, bestSec := int32(-1), radio.TowerID(0), 0.0
 		for i := head; i >= 0; {
-			e := h.at(i)
-			if best == nil || e.sec > best.sec || (e.sec == best.sec && e.tower < best.tower) {
-				best = e
+			b, k := h.blocks[i/nightBlock], i%nightBlock
+			l, sec := b.link[k], b.sec[k]
+			if best < 0 || sec > bestSec || (sec == bestSec && l.tower < bestTower) {
+				best, bestTower, bestSec = i, l.tower, sec
 			}
-			i = e.next
+			i = l.next
 		}
-		if int(best.nights) < h.MinNights {
+		if int(h.blocks[best/nightBlock].nights[best%nightBlock]) < h.MinNights {
 			continue
 		}
-		tw := h.topo.Tower(best.tower)
-		out[user] = Home{User: user, Tower: best.tower, District: tw.District, County: tw.County}
+		tw := h.topo.Tower(bestTower)
+		out[user] = Home{User: user, Tower: bestTower, District: tw.District, County: tw.County}
 	}
-	return out
 }
 
 // CensusValidation is the Fig. 2 experiment: it compares the number of

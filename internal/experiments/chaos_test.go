@@ -242,7 +242,7 @@ func TestSweepPanicMidStudyKeepsPoolClean(t *testing.T) {
 
 	pool := &enginePool{}
 	riders := []riderSpec{{idx: 1, forkDay: plan.forkDay[1], sc: scens[1]}}
-	run, _, _ := runPrefixScenario(context.Background(), w, cfg, fi, scens[0], 0, w.Homes(), nil, nil, riders, pool)
+	run, _, _ := runPrefixScenario(context.Background(), w, cfg, fi, scens[0], 0, w.Homes(nil), nil, nil, riders, pool)
 	var wp *stream.WorkerPanic
 	if !errors.As(run.Err, &wp) || wp.Stage != "sweep" {
 		t.Fatalf("host run: want the rider's sweep panic, got %v", run.Err)
@@ -250,7 +250,7 @@ func TestSweepPanicMidStudyKeepsPoolClean(t *testing.T) {
 	if nb, ne := len(pool.bufs.free), len(pool.engines.free); nb != 0 || ne != 0 {
 		t.Fatalf("panicked run returned %d day buffers and %d engines to the pool", nb, ne)
 	}
-	if run, _, _ = runPrefixScenario(context.Background(), w, cfg, fi, scens[2], 2, w.Homes(), nil, nil, nil, pool); run.Err != nil {
+	if run, _, _ = runPrefixScenario(context.Background(), w, cfg, fi, scens[2], 2, w.Homes(nil), nil, nil, nil, pool); run.Err != nil {
 		t.Fatalf("clean run: %v", run.Err)
 	}
 	if nb := len(pool.bufs.free); nb != 1 {

@@ -106,7 +106,7 @@ func checkpointConfig() Config {
 // run error.
 func runFromCheckpoint(t *testing.T, w *World, cfg Config, sc SweepScenario, start *Checkpoint, snapAt map[int]bool) (SweepRun, map[int]*Checkpoint) {
 	t.Helper()
-	run, _, snaps := runPrefixScenario(context.Background(), w, cfg, nil, sc, 0, w.Homes(), start, snapAt, nil, &enginePool{})
+	run, _, snaps := runPrefixScenario(context.Background(), w, cfg, nil, sc, 0, w.Homes(nil), start, snapAt, nil, &enginePool{})
 	if run.Err != nil {
 		t.Fatalf("run %s: %v", sc.Name, run.Err)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/mobsim"
 	"repro/internal/obs"
 	"repro/internal/pandemic"
 	"repro/internal/popsim"
@@ -147,9 +148,13 @@ func RunSweepParallelOpts(ctx context.Context, w *World, cfg Config, scfg stream
 	if opt.SharePrefix {
 		plan = planPrefix(scens)
 	}
-	homes := w.Homes()
-	store := newCkStore(&plan)
+	// The February pass simulates into a day buffer that then joins the
+	// pool, so the first run reuses it.
 	pool := &enginePool{}
+	buf := mobsim.NewDayBuffer()
+	homes := w.Homes(buf)
+	pool.bufs.put(buf)
+	store := newCkStore(&plan)
 	out := make([]SweepRun, len(scens))
 	m := newSweepMetrics(scfg.Metrics, parallel)
 

@@ -112,7 +112,7 @@ func TestDefaultCovidSpecBitIdenticalToDefaultPath(t *testing.T) {
 func TestWorldHomesScenarioInvariant(t *testing.T) {
 	cfg := sweepConfig()
 	w := NewWorld(cfg)
-	homes := w.Homes()
+	homes := w.Homes(nil)
 	if len(homes) == 0 {
 		t.Fatal("no homes detected on the world")
 	}

@@ -44,9 +44,16 @@ type World struct {
 // baselines there and the simulated traces — hence the detected homes —
 // are scenario-invariant (asserted by TestWorldHomesScenarioInvariant).
 // Callers must treat the returned map as read-only.
-func (w *World) Homes() map[popsim.UserID]core.Home {
+//
+// The call that runs the pass simulates into buf, or into a fresh
+// buffer when buf is nil; a sweep hands in a pooled buffer and puts it
+// back for its first run.
+func (w *World) Homes(buf *mobsim.DayBuffer) map[popsim.UserID]core.Home {
 	w.homesOnce.Do(func() {
-		sim, buf := mobsim.New(w.Pop, pandemic.Default(), w.Seed), mobsim.NewDayBuffer()
+		if buf == nil {
+			buf = mobsim.NewDayBuffer()
+		}
+		sim := mobsim.New(w.Pop, pandemic.Default(), w.Seed)
 		hd := core.NewHomeDetector(w.Topology)
 		for day := timegrid.SimDay(0); day < timegrid.FebruaryDays; day++ {
 			hd.ConsumeDay(day, sim.DayInto(buf, day))

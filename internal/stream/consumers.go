@@ -147,10 +147,10 @@ func (x *Matrix) EndDay(timegrid.SimDay) {
 // --- home detection -----------------------------------------------------
 
 // Homes shards the §2.3 night-time home detection: every shard owns a
-// full core.HomeDetector holding only its users' state, and Detect
-// unions the per-shard results. Detector state is strictly per-user and
-// users are pinned to shards, so the union equals a single detector fed
-// the whole stream.
+// full core.HomeDetector holding only its users' tallies, and Detect
+// has every shard write its homes into one map. Detector state is
+// strictly per-user and users are pinned to shards, so that map equals
+// a single detector fed the whole stream.
 type Homes struct {
 	dets []*core.HomeDetector
 }
@@ -164,8 +164,17 @@ func NewHomes(topo *radio.Topology, shards int) *Homes {
 	return h
 }
 
-// BeginDay implements TraceSharder.
-func (h *Homes) BeginDay(timegrid.SimDay, []mobsim.DayTrace) {}
+// BeginDay sizes every shard's head map on the first February day: a
+// shard's share of the day's traces, plus an eighth for hash skew.
+func (h *Homes) BeginDay(day timegrid.SimDay, traces []mobsim.DayTrace) {
+	if !day.InFebruary() {
+		return
+	}
+	n := len(traces) / len(h.dets)
+	for _, det := range h.dets {
+		det.Reserve(n + n/8)
+	}
+}
 
 // ShardDay feeds the shard's users into its detector.
 func (h *Homes) ShardDay(shard int, day timegrid.SimDay, traces []mobsim.DayTrace, idx []int) {
@@ -178,24 +187,17 @@ func (h *Homes) ShardDay(shard int, day timegrid.SimDay, traces []mobsim.DayTrac
 // EndDay implements TraceSharder.
 func (h *Homes) EndDay(timegrid.SimDay) {}
 
-// Detect finalises detection across all shards. Shards hold disjoint
-// users, so the union is sized to the sum of the shard results; a single
-// shard's result is returned as is.
+// Detect finalises detection across all shards into one map sized to
+// the shards' total user count. Shards hold disjoint users, so no home
+// is written twice.
 func (h *Homes) Detect() map[popsim.UserID]core.Home {
-	parts := make([]map[popsim.UserID]core.Home, len(h.dets))
 	n := 0
-	for i, det := range h.dets {
-		parts[i] = det.Detect()
-		n += len(parts[i])
-	}
-	if len(parts) == 1 {
-		return parts[0]
+	for _, det := range h.dets {
+		n += det.Users()
 	}
 	out := make(map[popsim.UserID]core.Home, n)
-	for _, part := range parts {
-		for u, home := range part {
-			out[u] = home
-		}
+	for _, det := range h.dets {
+		det.DetectInto(out)
 	}
 	return out
 }

@@ -17,7 +17,7 @@
 //
 //   - Shard-count invariance: per-shard state only ever accumulates
 //     exactly mergeable quantities (integer counts, disjoint per-user
-//     maps, value multisets) or per-record results folded back in
+//     tallies, value multisets) or per-record results folded back in
 //     canonical input order, so outputs do not depend on Config.Shards.
 //   - Worker-count invariance: a shard's records are processed by one
 //     goroutine at a time in input order, and merges run serially in

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"repro/internal/fault"
+	"repro/internal/grow"
 	"repro/internal/mobsim"
 	"repro/internal/obs"
 	"repro/internal/rng"
@@ -118,11 +119,21 @@ type Engine struct {
 	kpiSerial     []KPIConsumer
 
 	// per-day partition scratch, reused across days.
-	traceIdx [][]int
-	cellIdx  [][]int
-	eventIdx [][]int
+	traceIdx parts
+	cellIdx  parts
+	eventIdx parts
 
-	sem chan struct{}
+	// tasks feeds the shard stage's worker goroutines, which live for
+	// one Run; workers counts the live ones. day is the batch whose
+	// shard stage is running, wg counts the day's unfinished tasks, and
+	// failed collects their errors (recovered panics, injected faults)
+	// under failMu; it stays nil on the clean path.
+	tasks   chan shardTask
+	workers sync.WaitGroup
+	day     DayBatch
+	wg      sync.WaitGroup
+	failMu  sync.Mutex
+	failed  []error
 
 	// m holds the engine's metric handles; nil when cfg.Metrics is unset
 	// (the default), in which case runDay takes no timestamps at all.
@@ -178,7 +189,7 @@ func (m *engineMetrics) mergeStageH() *obs.Histogram {
 // methods before Run.
 func NewEngine(cfg Config) *Engine {
 	cfg = cfg.WithDefaults()
-	e := &Engine{cfg: cfg, sem: make(chan struct{}, cfg.Workers)}
+	e := &Engine{cfg: cfg}
 	e.traceIdx = makeParts(cfg.Shards)
 	e.cellIdx = makeParts(cfg.Shards)
 	e.eventIdx = makeParts(cfg.Shards)
@@ -187,12 +198,8 @@ func NewEngine(cfg Config) *Engine {
 	return e
 }
 
-func makeParts(n int) [][]int {
-	p := make([][]int, n)
-	for i := range p {
-		p[i] = make([]int, 0, 64)
-	}
-	return p
+func makeParts(n int) parts {
+	return parts{shard: make([][]int, n), count: make([]int, n)}
 }
 
 // Config returns the engine's resolved configuration.
@@ -235,6 +242,8 @@ func ShardOfCell(c uint64, s int) int { return int(rng.Hash64(c^0xCE11CE11) % ui
 // and in-flight pooled buffers return to their free lists; the day's
 // batch is always released exactly once.
 func (e *Engine) Run(ctx context.Context, src Source) error {
+	e.startWorkers()
+	defer e.stopWorkers()
 	for {
 		if err := ctx.Err(); err != nil {
 			stopSource(src)
@@ -257,20 +266,108 @@ func (e *Engine) Run(ctx context.Context, src Source) error {
 	}
 }
 
+// taskKind names the record kind of a shard task.
+type taskKind uint8
+
+const (
+	traceTask taskKind = iota
+	kpiTask
+	eventTask
+)
+
+// shardTask is one sharder's ShardDay call on one shard of the running
+// day: a plain value, so handing it to a worker allocates nothing.
+type shardTask struct {
+	kind  taskKind
+	k     int // the sharder's index among those of its kind
+	shard int
+}
+
+// startWorkers starts the Workers goroutines of the shard stage.
+func (e *Engine) startWorkers() {
+	e.tasks = make(chan shardTask)
+	e.workers.Add(e.cfg.Workers)
+	for w := 0; w < e.cfg.Workers; w++ {
+		go e.work(e.tasks)
+	}
+}
+
+// stopWorkers ends the shard-stage goroutines and returns once they
+// have exited. Every task has finished by then: runDay waits for its
+// day's tasks before it returns.
+func (e *Engine) stopWorkers() {
+	close(e.tasks)
+	e.workers.Wait()
+}
+
+// work runs shard tasks until the task channel closes.
+func (e *Engine) work(tasks <-chan shardTask) {
+	defer e.workers.Done()
+	for t := range tasks {
+		e.runTask(t)
+	}
+}
+
+// dispatch queues sharder k's task for every non-empty shard of parts.
+func (e *Engine) dispatch(kind taskKind, k int, parts [][]int) {
+	for i, idx := range parts {
+		if len(idx) > 0 {
+			e.wg.Add(1)
+			e.tasks <- shardTask{kind: kind, k: k, shard: i}
+		}
+	}
+}
+
+// runTask runs one shard task of the day, recovering a panic or an
+// injected fault into the day's failures.
+func (e *Engine) runTask(t shardTask) {
+	defer e.wg.Done()
+	b := &e.day
+	var err error
+	func() {
+		defer capturePanic(&err, "shard", t.shard, b.Day)
+		if ferr := e.fi.Fire(fault.ShardTask, int64(b.Day)); ferr != nil {
+			err = ferr
+			return
+		}
+		switch t.kind {
+		case traceTask:
+			e.traceSharders[t.k].ShardDay(t.shard, b.Day, b.Traces, e.traceIdx.shard[t.shard])
+		case kpiTask:
+			e.kpiSharders[t.k].ShardDay(t.shard, b.Day, b.Cells, e.cellIdx.shard[t.shard])
+		case eventTask:
+			e.eventSharders[t.k].ShardDay(t.shard, b.Day, b.Events, e.eventIdx.shard[t.shard])
+		}
+	}()
+	if err != nil {
+		e.failMu.Lock()
+		e.failed = append(e.failed, err)
+		e.failMu.Unlock()
+	}
+}
+
 // runDay processes one day batch: partition, parallel shard stage,
 // serial merge stage. A non-nil error means the day failed — shard
 // state may be mid-day inconsistent and the run must stop.
 func (e *Engine) runDay(b *DayBatch) error {
 	s := e.cfg.Shards
-	partition(e.traceIdx, len(b.Traces), func(i int) int {
-		return ShardOfUser(uint64(b.Traces[i].User), s)
-	})
-	partition(e.cellIdx, len(b.Cells), func(i int) int {
-		return ShardOfCell(uint64(b.Cells[i].Cell), s)
-	})
-	partition(e.eventIdx, len(b.Events), func(i int) int {
-		return ShardOfUser(uint64(b.Events[i].User), s)
-	})
+	// A kind no sharder reads is not partitioned, except the traces
+	// when metrics are on: the per-shard tallies below count them.
+	if len(e.traceSharders) > 0 || e.m != nil {
+		e.traceIdx.fill(len(b.Traces), func(i int) int {
+			return ShardOfUser(uint64(b.Traces[i].User), s)
+		})
+	}
+	if len(e.kpiSharders) > 0 {
+		e.cellIdx.fill(len(b.Cells), func(i int) int {
+			return ShardOfCell(uint64(b.Cells[i].Cell), s)
+		})
+	}
+	if len(e.eventSharders) > 0 {
+		e.eventIdx.fill(len(b.Events), func(i int) int {
+			return ShardOfUser(uint64(b.Events[i].User), s)
+		})
+	}
 
 	if m := e.m; m != nil {
 		m.days.Inc()
@@ -278,7 +375,7 @@ func (e *Engine) runDay(b *DayBatch) error {
 		// metrics are on. The partition is stable, so these expose skew
 		// across the run, not per-day noise.
 		for sh := 0; sh < s; sh++ {
-			idx := e.traceIdx[sh]
+			idx := e.traceIdx.shard[sh]
 			nv := 0
 			for _, i := range idx {
 				nv += len(b.Traces[i].Visits)
@@ -298,64 +395,24 @@ func (e *Engine) runDay(b *DayBatch) error {
 		sh.BeginDay(b.Day, b.Events)
 	}
 
-	// Shard-stage failures (recovered panics, injected faults) collect
-	// here; the slice stays nil — no allocation — on the clean path.
-	var failMu sync.Mutex
-	var failed []error
-	fail := func(err error) {
-		failMu.Lock()
-		failed = append(failed, err)
-		failMu.Unlock()
-	}
-
 	ssp := obs.Start(e.m.shardStageH())
-	var wg sync.WaitGroup
-	run := func(shard int, task func()) {
-		wg.Add(1)
-		e.sem <- struct{}{}
-		go func() {
-			defer func() { <-e.sem; wg.Done() }()
-			var err error
-			func() {
-				defer capturePanic(&err, "shard", shard, b.Day)
-				if ferr := e.fi.Fire(fault.ShardTask, int64(b.Day)); ferr != nil {
-					err = ferr
-					return
-				}
-				task()
-			}()
-			if err != nil {
-				fail(err)
-			}
-		}()
+	// The workers read the day's records from a copy without the
+	// owner, so Run's batch stays on its stack.
+	e.day = DayBatch{Day: b.Day, Traces: b.Traces, Cells: b.Cells, Events: b.Events}
+	for k := range e.traceSharders {
+		e.dispatch(traceTask, k, e.traceIdx.shard)
 	}
-	for _, sh := range e.traceSharders {
-		for i := 0; i < s; i++ {
-			if len(e.traceIdx[i]) > 0 {
-				sh, i := sh, i
-				run(i, func() { sh.ShardDay(i, b.Day, b.Traces, e.traceIdx[i]) })
-			}
-		}
+	for k := range e.kpiSharders {
+		e.dispatch(kpiTask, k, e.cellIdx.shard)
 	}
-	for _, sh := range e.kpiSharders {
-		for i := 0; i < s; i++ {
-			if len(e.cellIdx[i]) > 0 {
-				sh, i := sh, i
-				run(i, func() { sh.ShardDay(i, b.Day, b.Cells, e.cellIdx[i]) })
-			}
-		}
+	for k := range e.eventSharders {
+		e.dispatch(eventTask, k, e.eventIdx.shard)
 	}
-	for _, sh := range e.eventSharders {
-		for i := 0; i < s; i++ {
-			if len(e.eventIdx[i]) > 0 {
-				sh, i := sh, i
-				run(i, func() { sh.ShardDay(i, b.Day, b.Events, e.eventIdx[i]) })
-			}
-		}
-	}
-	wg.Wait()
+	e.wg.Wait()
+	e.day = DayBatch{}
 	ssp.End()
-	if failed != nil {
+	if failed := e.failed; failed != nil {
+		e.failed = nil
 		// Fail before the merge: a shard that died mid-day leaves its
 		// consumer state inconsistent, so folding it would corrupt the
 		// aggregates rather than report them.
@@ -394,14 +451,33 @@ func (e *Engine) runDay(b *DayBatch) error {
 	return mergeErr
 }
 
-// partition fills parts with the indices 0..n-1 grouped by shardOf,
-// preserving input order within each shard.
-func partition(parts [][]int, n int, shardOf func(int) int) {
-	for i := range parts {
-		parts[i] = parts[i][:0]
+// parts is one record kind's per-day partition: shard[i] lists the
+// indices of the day's records that land on shard i, in input order.
+// Every list is a capacity-clipped view of one flat index slice, so a
+// shard can never write past its own segment.
+type parts struct {
+	flat  []int
+	shard [][]int
+	count []int
+}
+
+// fill partitions the indices 0..n-1 by shardOf with a counting sort:
+// one pass counts each shard's records, the next appends every index
+// to its shard's view, in input order. The flat slice is sized once
+// for the day (grow.Slack), so a warm partition allocates nothing.
+func (p *parts) fill(n int, shardOf func(int) int) {
+	clear(p.count)
+	for i := 0; i < n; i++ {
+		p.count[shardOf(i)]++
+	}
+	p.flat = grow.Slack(p.flat, n)[:n]
+	off := 0
+	for s, c := range p.count {
+		p.shard[s] = p.flat[off : off : off+c]
+		off += c
 	}
 	for i := 0; i < n; i++ {
 		s := shardOf(i)
-		parts[s] = append(parts[s], i)
+		p.shard[s] = append(p.shard[s], i)
 	}
 }

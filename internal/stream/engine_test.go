@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/popsim"
 	"repro/internal/radio"
 	"repro/internal/rng"
+	"repro/internal/signaling"
 	"repro/internal/timegrid"
 	"repro/internal/traffic"
 )
@@ -117,6 +119,159 @@ func TestEnginePartitionIsStable(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// idxRecorder keeps a copy of the index list each shard received on the
+// current day; its three faces record one record kind each.
+type idxRecorder struct {
+	mu  sync.Mutex
+	got [][]int
+}
+
+func (r *idxRecorder) begin(shards int) { r.got = make([][]int, shards) }
+
+func (r *idxRecorder) record(shard int, idx []int) {
+	r.mu.Lock()
+	r.got[shard] = append([]int(nil), idx...)
+	r.mu.Unlock()
+}
+
+func (r *idxRecorder) EndDay(timegrid.SimDay) {}
+
+type traceIdxRecorder struct{ idxRecorder }
+
+func (r *traceIdxRecorder) BeginDay(timegrid.SimDay, []mobsim.DayTrace) {}
+func (r *traceIdxRecorder) ShardDay(shard int, _ timegrid.SimDay, _ []mobsim.DayTrace, idx []int) {
+	r.record(shard, idx)
+}
+
+type cellIdxRecorder struct{ idxRecorder }
+
+func (r *cellIdxRecorder) BeginDay(timegrid.SimDay, []traffic.CellDay) {}
+func (r *cellIdxRecorder) ShardDay(shard int, _ timegrid.SimDay, _ []traffic.CellDay, idx []int) {
+	r.record(shard, idx)
+}
+
+type eventIdxRecorder struct{ idxRecorder }
+
+func (r *eventIdxRecorder) BeginDay(timegrid.SimDay, []signaling.Event) {}
+func (r *eventIdxRecorder) ShardDay(shard int, _ timegrid.SimDay, _ []signaling.Event, idx []int) {
+	r.record(shard, idx)
+}
+
+// appendParts is the reference partition: indices appended to their
+// shard's list in input order.
+func appendParts(n, shards int, shardOf func(int) int) [][]int {
+	parts := make([][]int, shards)
+	for i := 0; i < n; i++ {
+		s := shardOf(i)
+		parts[s] = append(parts[s], i)
+	}
+	return parts
+}
+
+// mixedBatch builds a day of n traces, cells and events whose users and
+// cells repeat and arrive out of order.
+func mixedBatch(day timegrid.SimDay, n int) DayBatch {
+	b := DayBatch{Day: day}
+	for i := 0; i < n; i++ {
+		u := popsim.UserID(i * 7919 % 613)
+		b.Traces = append(b.Traces, mobsim.DayTrace{User: u})
+		b.Cells = append(b.Cells, traffic.CellDay{Cell: radio.CellID(i * 104729 % 997)})
+		b.Events = append(b.Events, signaling.Event{User: u, Day: day})
+	}
+	return b
+}
+
+// engineSizes are day sizes that grow and shrink, so the flat index
+// slices are both regrown and reused.
+var engineSizes = []int{40, 300, 7, 0, 520, 90, 521}
+
+// TestEnginePartition checks the counting-sort partition of every record
+// kind against an append-based reference: at 1, 3 and 8 shards, each
+// shard receives exactly the reference's indices, in input order, on
+// days that grow and shrink.
+func TestEnginePartition(t *testing.T) {
+	for _, shards := range []int{1, 3, 8} {
+		e := NewEngine(Config{Workers: 2, Shards: shards})
+		tr, cr, er := &traceIdxRecorder{}, &cellIdxRecorder{}, &eventIdxRecorder{}
+		e.AddTraceSharder(tr)
+		e.AddKPISharder(cr)
+		e.AddEventSharder(er)
+		e.startWorkers()
+		for d, n := range engineSizes {
+			b := mixedBatch(timegrid.SimDay(d), n)
+			for _, r := range []*idxRecorder{&tr.idxRecorder, &cr.idxRecorder, &er.idxRecorder} {
+				r.begin(shards)
+			}
+			if err := e.runDay(&b); err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []struct {
+				name string
+				got  [][]int
+				want [][]int
+			}{
+				{"traces", tr.got, appendParts(n, shards, func(i int) int { return ShardOfUser(uint64(b.Traces[i].User), shards) })},
+				{"cells", cr.got, appendParts(n, shards, func(i int) int { return ShardOfCell(uint64(b.Cells[i].Cell), shards) })},
+				{"events", er.got, appendParts(n, shards, func(i int) int { return ShardOfUser(uint64(b.Events[i].User), shards) })},
+			} {
+				for s := 0; s < shards; s++ {
+					if !slices.Equal(k.got[s], k.want[s]) {
+						t.Fatalf("%d shards, day %d (%d records): %s shard %d got %v, want %v", shards, d, n, k.name, s, k.got[s], k.want[s])
+					}
+				}
+			}
+		}
+		e.stopWorkers()
+	}
+}
+
+type nopTraceSharder struct{}
+
+func (nopTraceSharder) BeginDay(timegrid.SimDay, []mobsim.DayTrace)             {}
+func (nopTraceSharder) ShardDay(int, timegrid.SimDay, []mobsim.DayTrace, []int) {}
+func (nopTraceSharder) EndDay(timegrid.SimDay)                                  {}
+
+type nopKPISharder struct{}
+
+func (nopKPISharder) BeginDay(timegrid.SimDay, []traffic.CellDay)             {}
+func (nopKPISharder) ShardDay(int, timegrid.SimDay, []traffic.CellDay, []int) {}
+func (nopKPISharder) EndDay(timegrid.SimDay)                                  {}
+
+type nopEventSharder struct{}
+
+func (nopEventSharder) BeginDay(timegrid.SimDay, []signaling.Event)             {}
+func (nopEventSharder) ShardDay(int, timegrid.SimDay, []signaling.Event, []int) {}
+func (nopEventSharder) EndDay(timegrid.SimDay)                                  {}
+
+// TestEngineRunDayAllocFree pins the warm day loop: once the partition
+// has seen the largest day, runDay with trace, KPI and event sharders
+// allocates nothing, whatever the day's size.
+func TestEngineRunDayAllocFree(t *testing.T) {
+	e := NewEngine(Config{Workers: 2, Shards: 8})
+	e.AddTraceSharder(nopTraceSharder{})
+	e.AddKPISharder(nopKPISharder{})
+	e.AddEventSharder(nopEventSharder{})
+	e.startWorkers()
+	defer e.stopWorkers()
+	batches := make([]DayBatch, len(engineSizes))
+	for d, n := range engineSizes {
+		batches[d] = mixedBatch(timegrid.SimDay(d), n)
+		if err := e.runDay(&batches[d]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := e.runDay(&batches[d%len(batches)]); err != nil {
+			t.Fatal(err)
+		}
+		d++
+	})
+	if allocs > 0 {
+		t.Errorf("warm runDay allocates %.1f times per day, want 0", allocs)
 	}
 }
 
