@@ -461,8 +461,11 @@ func BenchmarkBuildUK(b *testing.B) {
 	}
 }
 
+// BenchmarkTopologyBuild measures deploying the radio estate over one
+// world: sites, activation epochs, the spatial grid and the cells.
 func BenchmarkTopologyBuild(b *testing.B) {
 	m := census.BuildUK(1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		radio.Build(m, radio.DefaultConfig(), uint64(i))
@@ -825,6 +828,9 @@ func BenchmarkGridNearest(b *testing.B) {
 	}
 }
 
+// BenchmarkReselectionNeighbor measures one bounded reselection scan,
+// cycling through every tower of the 8k-user world's estate, each
+// queried at its own site as mobsim.New does.
 func BenchmarkReselectionNeighbor(b *testing.B) {
 	r := benchResults(b)
 	topo := r.Dataset.Topology

@@ -38,10 +38,30 @@ func NewGrid(pts []Point, cellKm float64) *Grid {
 	g.origin = b.Min
 	g.cols = int(b.Width()/cellKm) + 1
 	g.rows = int(b.Height()/cellKm) + 1
-	g.buckets = make([][]int32, g.cols*g.rows)
+	// Counting sort: size every bucket first, then cut them all as
+	// capacity-clipped views of one array, each in ascending index order.
+	nb := g.cols * g.rows
+	end := make([]int32, nb)
+	for _, p := range g.pts {
+		end[g.bucketOf(p)]++
+	}
+	var n int32
+	for b, c := range end {
+		n += c
+		end[b] = n
+	}
+	flat := make([]int32, len(g.pts))
+	g.buckets = make([][]int32, nb)
+	for b := range g.buckets {
+		lo := int32(0)
+		if b > 0 {
+			lo = end[b-1]
+		}
+		g.buckets[b] = flat[lo:lo:end[b]]
+	}
 	for i, p := range g.pts {
-		idx := g.bucketOf(p)
-		g.buckets[idx] = append(g.buckets[idx], int32(i))
+		b := g.bucketOf(p)
+		g.buckets[b] = append(g.buckets[b], int32(i))
 	}
 	return g
 }

@@ -185,3 +185,31 @@ func TestGridNearestFarAway(t *testing.T) {
 		}
 	}
 }
+
+// TestGridBucketsInIndexOrder checks the counting-sort construction:
+// every point sits in exactly the bucket bucketOf maps it to, each
+// bucket lists its points in ascending index order (the order the
+// tie-breaks of Nearest see), and no bucket has spare capacity.
+func TestGridBucketsInIndexOrder(t *testing.T) {
+	pts := randomPoints(700, 3)
+	pts = append(pts, pts[5], pts[5]) // coincident points share a bucket
+	g := NewGrid(pts, 30)
+	seen := 0
+	for b, bucket := range g.buckets {
+		if cap(bucket) != len(bucket) {
+			t.Fatalf("bucket %d: cap %d, len %d", b, cap(bucket), len(bucket))
+		}
+		for k, i := range bucket {
+			if g.bucketOf(pts[i]) != b {
+				t.Fatalf("point %d in bucket %d, belongs in %d", i, b, g.bucketOf(pts[i]))
+			}
+			if k > 0 && bucket[k-1] >= i {
+				t.Fatalf("bucket %d out of index order: %v", b, bucket)
+			}
+		}
+		seen += len(bucket)
+	}
+	if seen != len(pts) {
+		t.Fatalf("buckets hold %d points, want %d", seen, len(pts))
+	}
+}

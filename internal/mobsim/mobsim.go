@@ -66,9 +66,10 @@ func New(pop *popsim.Population, scen *pandemic.Scenario, seed uint64) *Simulato
 	// home site (radio propagation model), which is what an idle phone
 	// actually bounces to. It depends only on the home tower, so it is
 	// computed once per distinct home tower (-1 marks "not yet") rather
-	// than once per user. ReselectionNeighbor scans without allocating,
-	// so New allocates only the simulator, this memo, homeAlt and the
-	// relocation tables, whatever the tower count.
+	// than once per user. ReselectionNeighbor's bounded scan mostly reads
+	// the towers within a few km of the site and never allocates, so New
+	// allocates only the simulator, this memo, homeAlt and the relocation
+	// tables, whatever the tower count.
 	alt := make([]radio.TowerID, len(s.topo.Towers))
 	for i := range alt {
 		alt[i] = -1

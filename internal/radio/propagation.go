@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/census"
 	"repro/internal/geo"
-	"repro/internal/rng"
 )
 
 // Environment classifies the radio propagation environment of a
@@ -61,9 +60,6 @@ const (
 	// minServableDBm is the receive level below which a tower cannot
 	// serve at all.
 	minServableDBm = -125.0
-	// shadowingStdDB is the log-normal shadowing deviation applied when
-	// a deterministic jitter source is supplied.
-	shadowingStdDB = 6.0
 )
 
 // PathLossDB returns the log-distance path loss in dB at distKm in the
@@ -75,40 +71,69 @@ func PathLossDB(distKm float64, env Environment) float64 {
 	return refLossDB + 10*pathLossExponent(env)*math.Log10(distKm/refDistKm)
 }
 
-// RxPowerDBm returns the received power from a tower at point p, with
-// optional deterministic log-normal shadowing drawn from src (pass nil
-// for the median link).
-func (t *Topology) RxPowerDBm(tw TowerID, p geo.Point, src *rng.Source) float64 {
+// RxPowerDBm returns the median-link received power from a tower at
+// point p.
+func (t *Topology) RxPowerDBm(tw TowerID, p geo.Point) float64 {
 	tower := t.Tower(tw)
 	env := EnvironmentOf(t.model.District(tower.District))
-	rx := txPowerDBm - PathLossDB(tower.Loc.Dist(p), env)
-	if src != nil {
-		// Shadowing is keyed by the (tower, caller stream) pair so the
-		// same query stream sees a stable radio map.
-		rx += src.Split(uint64(tw)).NormRange(0, shadowingStdDB)
-	}
-	return rx
+	return txPowerDBm - PathLossDB(tower.Loc.Dist(p), env)
 }
 
 // reachKm bounds the reselection scan: towers farther than this from
 // the query point are never candidates.
 const reachKm = 20.0
 
+// firstReachKm is the radius of the first, short reselection pass. In a
+// deployed area it nearly always hears an alternative loud enough to
+// bound the second pass well inside reachKm.
+const firstReachKm = 2.0
+
 // ReselectionNeighbor returns the best alternate server at p other than
 // the given tower — the cell an idle phone camped at p bounces to. A
-// tower is audible when its median-link level (no shadowing) reaches the
-// servable floor; among the audible towers within reachKm other than
-// exclude, the highest level wins and a tie goes to the lower TowerID.
-// It returns exclude when no alternative is audible, and the nearest
-// tower when nothing at all is audible. The towers within reachKm are
-// scanned once keeping only the running best, so a call allocates
-// nothing and concurrent calls share no state.
+// tower is audible when its median-link level reaches the servable
+// floor; among the audible towers within reachKm other than exclude,
+// the highest level wins and a tie goes to the lower TowerID. It returns
+// exclude when no alternative is audible, and the nearest tower when
+// nothing at all is audible.
+//
+// The scan is bounded in two passes. The first covers firstReachKm; if
+// it hears an alternative at level bestRx, no tower farther than
+// farthestReaching(bestRx) can match it, so the second pass covers only
+// that far (and is skipped when that is no farther than the first).
+// The winner, ties included, is the one the full reachKm scan picks.
+// Only when the first pass hears no alternative is the whole of reachKm
+// scanned. A call allocates nothing and concurrent calls share no state.
 func (t *Topology) ReselectionNeighbor(p geo.Point, exclude TowerID) TowerID {
-	best, bestRx := TowerID(-1), math.Inf(-1)
-	heard := false
-	t.grid.Each(p, reachKm, func(i int32) {
+	best, bestRx, _ := t.strongestOther(p, exclude, firstReachKm)
+	if best >= 0 {
+		far := farthestReaching(bestRx)
+		if far <= firstReachKm {
+			return best
+		}
+		best, _, _ = t.strongestOther(p, exclude, min(far, reachKm))
+		return best
+	}
+	best, _, heard := t.strongestOther(p, exclude, reachKm)
+	switch {
+	case best >= 0:
+		return best
+	case heard:
+		return exclude
+	default:
+		return t.NearestTower(p)
+	}
+}
+
+// strongestOther scans the towers within radiusKm of p and returns the
+// audible one other than exclude with the highest level (ties to the
+// lower TowerID; -1 if none), its level, and whether any tower at all,
+// exclude included, is audible there. The argmax does not depend on the
+// grid's visit order.
+func (t *Topology) strongestOther(p geo.Point, exclude TowerID, radiusKm float64) (best TowerID, bestRx float64, heard bool) {
+	best, bestRx = -1, math.Inf(-1)
+	t.grid.Each(p, radiusKm, func(i int32) {
 		tw := TowerID(i)
-		rx := t.RxPowerDBm(tw, p, nil)
+		rx := t.RxPowerDBm(tw, p)
 		if rx < minServableDBm {
 			return
 		}
@@ -120,12 +145,18 @@ func (t *Topology) ReselectionNeighbor(p geo.Point, exclude TowerID) TowerID {
 			best, bestRx = tw, rx
 		}
 	})
-	switch {
-	case best >= 0:
-		return best
-	case heard:
-		return exclude
-	default:
-		return t.NearestTower(p)
-	}
+	return best, bestRx, heard
+}
+
+// farthestReaching returns a distance beyond which no tower, in any
+// environment, is received at rxDBm or above. It inverts the path loss
+// with the smallest exponent, EnvRural's (no environment's loss grows
+// more slowly with distance; TestPathLossEnvironmentOrdering pins the
+// order), and widens the result by a relative 1e-6, so every
+// tower beyond it falls short of rxDBm by at least 29·log10(1+1e-6)
+// ≈ 1.3e-5 dB, far above the rounding error of a level: such a tower
+// can neither beat nor tie rxDBm.
+func farthestReaching(rxDBm float64) float64 {
+	n := pathLossExponent(EnvRural)
+	return refDistKm * math.Pow(10, (txPowerDBm-rxDBm-refLossDB)/(10*n)) * (1 + 1e-6)
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/census"
 	"repro/internal/geo"
-	"repro/internal/rng"
 )
 
 func TestPathLossMonotone(t *testing.T) {
@@ -82,13 +81,13 @@ func strongestServers(topo *Topology, p geo.Point, k int) []server {
 		if tw.Loc.Dist2(p) > reachKm*reachKm {
 			continue
 		}
-		if rx := topo.RxPowerDBm(tw.ID, p, nil); rx >= minServableDBm {
+		if rx := topo.RxPowerDBm(tw.ID, p); rx >= minServableDBm {
 			servers = append(servers, server{tw.ID, rx})
 		}
 	}
 	if len(servers) == 0 {
 		nearest := topo.NearestTower(p)
-		return []server{{nearest, topo.RxPowerDBm(nearest, p, nil)}}
+		return []server{{nearest, topo.RxPowerDBm(nearest, p)}}
 	}
 	sort.Slice(servers, func(i, j int) bool {
 		if servers[i].rxDBm != servers[j].rxDBm {
@@ -113,44 +112,107 @@ func referenceReselection(topo *Topology, p geo.Point, exclude TowerID) TowerID 
 	return exclude
 }
 
-// TestReselectionNeighborMatchesReference checks the streaming scan
-// against the sort-based reference for every tower, at four offsets from
-// the site and with two excludes each: the tower itself and the
-// reference's strongest server there (or the next tower when that is the
-// tower itself). It logs how many queries have an exact level tie in
-// the reference's top three, which is what exercises the TowerID
-// tie-break.
-func TestReselectionNeighborMatchesReference(t *testing.T) {
+// reselectionBranch names the branch of ReselectionNeighbor's bounded
+// scan that answers the query at p: "first" when the first pass decides
+// alone, "second" when a second pass out to farthestReaching runs,
+// "full" when the first pass hears no alternative and the whole of
+// reachKm is scanned, and "remote" when nothing is audible at all.
+func reselectionBranch(topo *Topology, p geo.Point, exclude TowerID) string {
+	best, rx, _ := topo.strongestOther(p, exclude, firstReachKm)
+	if best >= 0 {
+		if farthestReaching(rx) <= firstReachKm {
+			return "first"
+		}
+		return "second"
+	}
+	if _, _, heard := topo.strongestOther(p, exclude, reachKm); heard {
+		return "full"
+	}
+	return "remote"
+}
+
+// probe is one query point of TestReselectionNeighborMatchesReference,
+// with the site it was placed around (-1 for none).
+type probe struct {
+	p    geo.Point
+	site TowerID
+}
+
+// reselectionProbes returns the query points of
+// TestReselectionNeighborMatchesReference: every tower at four offsets
+// from the site, the rim and outskirts of every Rural Residents district
+// (sparse estates, where the first pass often hears nothing), and two
+// points out at sea (nothing audible).
+func reselectionProbes(topo *Topology) []probe {
+	var probes []probe
 	offsets := []geo.Point{geo.Pt(0, 0), geo.Pt(0.7, -0.4), geo.Pt(-3, 5), geo.Pt(15, 15)}
-	for _, seed := range []uint64{1, 3, 7, 42} {
+	for i := range topo.Towers {
+		for _, off := range offsets {
+			probes = append(probes, probe{topo.Towers[i].Loc.Add(off), topo.Towers[i].ID})
+		}
+	}
+	m := topo.Model()
+	for i := range m.Districts {
+		d := &m.Districts[i]
+		if d.Cluster != census.RuralResidents {
+			continue
+		}
+		for k := 0; k < 8; k++ {
+			angle := float64(k) * math.Pi / 4
+			for _, f := range []float64{0.6, 1, 1.5} {
+				probes = append(probes, probe{d.Area.PointOnRing(angle, f), -1})
+			}
+		}
+	}
+	return append(probes, probe{geo.Pt(-500, -500), -1}, probe{geo.Pt(2000, 40), -1})
+}
+
+// TestReselectionNeighborMatchesReference checks the bounded scan
+// against the sort-based reference, which ranks every tower within
+// reachKm, at the reselectionProbes points of six worlds. Each point is
+// queried excluding the strongest tower there, the next tower after it,
+// and the site the point was placed around, if any.
+// It counts the queries answered by each branch of the scan and fails if
+// any branch goes untested, and logs how many points have an exact
+// level tie in the reference's top three, which is what exercises the
+// TowerID tie-break.
+func TestReselectionNeighborMatchesReference(t *testing.T) {
+	for _, seed := range []uint64{1, 3, 7, 11, 23, 42} {
 		topo := Build(census.BuildUK(seed), DefaultConfig(), seed)
 		queries, ties := 0, 0
-		for i := range topo.Towers {
-			tw := &topo.Towers[i]
-			for _, off := range offsets {
-				p := tw.Loc.Add(off)
-				top := strongestServers(topo, p, 3)
-				for j := 1; j < len(top); j++ {
-					if top[j].rxDBm == top[j-1].rxDBm {
-						ties++
-						break
-					}
+		branches := map[string]int{"first": 0, "second": 0, "full": 0, "remote": 0}
+		for _, pr := range reselectionProbes(topo) {
+			p := pr.p
+			top := strongestServers(topo, p, 3)
+			for j := 1; j < len(top); j++ {
+				if top[j].rxDBm == top[j-1].rxDBm {
+					ties++
+					break
 				}
-				other := top[0].tower
-				if other == tw.ID {
-					other = TowerID((i + 1) % len(topo.Towers))
-				}
-				for _, exclude := range []TowerID{tw.ID, other} {
-					queries++
-					got := topo.ReselectionNeighbor(p, exclude)
-					if want := referenceReselection(topo, p, exclude); got != want {
-						t.Fatalf("seed %d tower %d offset %v exclude %d: scan %d, reference %d",
-							seed, tw.ID, off, exclude, got, want)
-					}
+			}
+			strongest := top[0].tower
+			next := (strongest + 1) % TowerID(len(topo.Towers))
+			excludes := []TowerID{strongest, next}
+			if pr.site >= 0 && pr.site != strongest && pr.site != next {
+				excludes = append(excludes, pr.site)
+			}
+			for _, exclude := range excludes {
+				queries++
+				branches[reselectionBranch(topo, p, exclude)]++
+				got := topo.ReselectionNeighbor(p, exclude)
+				if want := referenceReselection(topo, p, exclude); got != want {
+					t.Fatalf("seed %d point %v exclude %d: scan %d, reference %d",
+						seed, p, exclude, got, want)
 				}
 			}
 		}
-		t.Logf("seed %d: %d queries agree; %d points tie exactly in the top three", seed, queries, ties)
+		for b, n := range branches {
+			if n == 0 {
+				t.Errorf("seed %d: no query ends in the %q branch", seed, b)
+			}
+		}
+		t.Logf("seed %d: %d queries agree (branches %v); %d points tie exactly in the top three",
+			seed, queries, branches, ties)
 	}
 }
 
@@ -220,27 +282,12 @@ func TestReselectionNeighbor(t *testing.T) {
 		if alt != tw.ID {
 			hits++
 			// The neighbour must be audible at the location.
-			if topo.RxPowerDBm(alt, tw.Loc, nil) < minServableDBm {
+			if topo.RxPowerDBm(alt, tw.Loc) < minServableDBm {
 				t.Fatalf("reselection neighbour inaudible")
 			}
 		}
 	}
 	if hits == 0 {
 		t.Error("no tower has any reselection neighbour — estate too sparse?")
-	}
-}
-
-func TestShadowingDeterministic(t *testing.T) {
-	m := census.BuildUK(1)
-	topo := Build(m, DefaultConfig(), 1)
-	p := topo.Towers[3].Loc.Add(geo.Pt(1, 1))
-	a := topo.RxPowerDBm(3, p, rng.New(7))
-	b := topo.RxPowerDBm(3, p, rng.New(7))
-	if a != b {
-		t.Error("shadowing not deterministic for identical streams")
-	}
-	med := topo.RxPowerDBm(3, p, nil)
-	if math.Abs(a-med) > 4*shadowingStdDB {
-		t.Errorf("shadowed level %v implausibly far from median %v", a, med)
 	}
 }

@@ -137,25 +137,32 @@ func Build(model *census.Model, cfg Config, seed uint64) *Topology {
 		cfg.SectorsPerTower = 3
 	}
 	src := rng.New(rng.Hash64(seed ^ 0x7A10))
-	t := &Topology{
-		model:            model,
-		towersByDistrict: make([][]TowerID, len(model.Districts)),
-	}
 
+	// A district's site count follows from its demand alone, so the
+	// estate is counted before any site is drawn and every slice is cut
+	// to size once. District di owns TowerIDs [first[di], first[di+1]),
+	// and its site list is a capacity-clipped view of one array.
+	nd := len(model.Districts)
+	first := make([]int, nd+1)
+	for di := range model.Districts {
+		first[di+1] = first[di] + sitesOf(&model.Districts[di], cfg)
+	}
+	nt := first[nd]
+	t := &Topology{
+		Towers:           make([]Tower, 0, nt),
+		model:            model,
+		towersByDistrict: make([][]TowerID, nd),
+	}
+	ids := make([]TowerID, nt)
 	for di := range model.Districts {
 		d := &model.Districts[di]
-		effective := float64(d.Population) + d.DayVisitorWeight*float64(cfg.VisitorPopUnit)
-		n := int(math.Round(effective / float64(cfg.PopPerTower)))
-		if n < 1 {
-			n = 1
-		}
 		dsrc := src.Split(uint64(di))
-		for i := 0; i < n; i++ {
+		for i := first[di]; i < first[di+1]; i++ {
 			angle := dsrc.Range(0, 2*math.Pi)
 			frac := math.Sqrt(dsrc.Float64()) // area-uniform placement
 			loc := d.Area.PointOnRing(angle, frac)
 			tower := Tower{
-				ID:       TowerID(len(t.Towers)),
+				ID:       TowerID(i),
 				District: d.ID,
 				County:   d.County,
 				Loc:      loc,
@@ -170,37 +177,56 @@ func Build(model *census.Model, cfg Config, seed uint64) *Topology {
 				// New deployment mid-window.
 				tower.ActivationDay = timegrid.SimDay(dsrc.IntRange(1, timegrid.SimDays-1))
 			}
-			t.towersByDistrict[di] = append(t.towersByDistrict[di], tower.ID)
+			ids[i] = tower.ID
 			t.Towers = append(t.Towers, tower)
 		}
+		t.towersByDistrict[di] = ids[first[di]:first[di+1]:first[di+1]]
 	}
 
 	// Activation epochs: one per distinct activation day of a district's
 	// sites, listing the sites on air from that day on. The last epoch
-	// has every site on air and shares the district's list.
-	t.epochs = make([][]epoch, len(model.Districts))
-	var days []timegrid.SimDay
+	// has every site on air and shares the district's list. Each
+	// district's activation days are sorted in its own stretch of days,
+	// which sizes the epochs and the other epochs' site lists; both are
+	// views of one array each.
+	days := make([]timegrid.SimDay, nt)
+	distinct := make([]int, nd)
+	nEpochs, nOn := 0, 0
 	for di, all := range t.towersByDistrict {
-		days = days[:0]
+		ds := days[first[di]:first[di]]
 		for _, id := range all {
-			days = append(days, t.Towers[id].ActivationDay)
+			ds = append(ds, t.Towers[id].ActivationDay)
 		}
-		slices.Sort(days)
-		days = slices.Compact(days)
-		eps := make([]epoch, len(days))
-		for k, from := range days {
-			on := all
-			if k < len(days)-1 {
-				on = make([]TowerID, 0, len(all))
+		slices.Sort(ds)
+		for k := 1; k < len(ds); k++ {
+			if ds[k] != ds[k-1] {
+				nOn += k // the sites on air from day ds[k-1] until ds[k]
+			}
+		}
+		distinct[di] = len(slices.Compact(ds))
+		nEpochs += distinct[di]
+	}
+	eps := make([]epoch, nEpochs)
+	on := make([]TowerID, 0, nOn)
+	t.epochs = make([][]epoch, nd)
+	for di, all := range t.towersByDistrict {
+		n := distinct[di]
+		de := eps[:n:n]
+		eps = eps[n:]
+		for k, from := range days[first[di] : first[di]+n] {
+			list := all
+			if k < n-1 {
+				start := len(on)
 				for _, id := range all {
 					if t.Towers[id].ActiveOn(from) {
 						on = append(on, id)
 					}
 				}
+				list = on[start:len(on):len(on)]
 			}
-			eps[k] = epoch{from: from, on: on}
+			de[k] = epoch{from: from, on: list}
 		}
-		t.epochs[di] = eps
+		t.epochs[di] = de
 	}
 
 	// Spatial index for serving-cell and nearest-site queries.
@@ -210,10 +236,27 @@ func Build(model *census.Model, cfg Config, seed uint64) *Topology {
 	}
 	t.grid = geo.NewGrid(locs, 0)
 
-	// Carve cells: one cell per (sector, RAT) the site supports.
+	// Carve cells: one cell per (sector, RAT) the site supports. The 4G
+	// cells come in tower order, so each site's list is a
+	// capacity-clipped view of cells4G.
+	nCells, n4G := 0, 0
+	for ti := range t.Towers {
+		tw := &t.Towers[ti]
+		for _, has := range tw.HasRAT {
+			if has {
+				nCells += tw.Sectors
+			}
+		}
+		if tw.HasRAT[RAT4G] {
+			n4G += tw.Sectors
+		}
+	}
+	t.Cells = make([]Cell, 0, nCells)
+	t.cells4G = make([]CellID, 0, n4G)
 	t.cells4GByTower = make([][]CellID, len(t.Towers))
 	for ti := range t.Towers {
 		tw := &t.Towers[ti]
+		start := len(t.cells4G)
 		for s := 0; s < tw.Sectors; s++ {
 			for r := RAT(0); int(r) < NumRATs; r++ {
 				if !tw.HasRAT[r] {
@@ -222,13 +265,21 @@ func Build(model *census.Model, cfg Config, seed uint64) *Topology {
 				c := Cell{ID: CellID(len(t.Cells)), Tower: tw.ID, RAT: r, Sector: s}
 				t.Cells = append(t.Cells, c)
 				if r == RAT4G {
-					t.cells4GByTower[ti] = append(t.cells4GByTower[ti], c.ID)
 					t.cells4G = append(t.cells4G, c.ID)
 				}
 			}
 		}
+		end := len(t.cells4G)
+		t.cells4GByTower[ti] = t.cells4G[start:end:end]
 	}
 	return t
+}
+
+// sitesOf returns the number of sites deployed in a district: its
+// effective population over PopPerTower, at least one.
+func sitesOf(d *census.District, cfg Config) int {
+	effective := float64(d.Population) + d.DayVisitorWeight*float64(cfg.VisitorPopUnit)
+	return max(int(math.Round(effective/float64(cfg.PopPerTower))), 1)
 }
 
 // Model returns the census model the topology is deployed over.

@@ -1,6 +1,10 @@
 package radio
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"testing"
 
 	"repro/internal/census"
@@ -308,4 +312,102 @@ func districtByCode(t *testing.T, m *census.Model, code string) *census.District
 	}
 	t.Fatalf("no district %q", code)
 	return nil
+}
+
+// topologyDigest hashes everything Build produces: every tower and cell
+// field, the per-district site lists and activation epochs, the 4G cell
+// lists, and the nearest site to every tower location.
+func topologyDigest(topo *Topology) string {
+	h := sha256.New()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	put(uint64(len(topo.Towers)))
+	for i := range topo.Towers {
+		tw := &topo.Towers[i]
+		put(uint64(tw.ID))
+		put(uint64(tw.District))
+		put(uint64(tw.County))
+		put(math.Float64bits(tw.Loc.X))
+		put(math.Float64bits(tw.Loc.Y))
+		put(uint64(tw.Sectors))
+		for _, has := range tw.HasRAT {
+			if has {
+				put(1)
+			} else {
+				put(0)
+			}
+		}
+		put(uint64(tw.ActivationDay))
+	}
+	put(uint64(len(topo.Cells)))
+	for _, c := range topo.Cells {
+		put(uint64(c.ID))
+		put(uint64(c.Tower))
+		put(uint64(c.RAT))
+		put(uint64(c.Sector))
+	}
+	for d, all := range topo.towersByDistrict {
+		put(uint64(len(all)))
+		for _, id := range all {
+			put(uint64(id))
+		}
+		put(uint64(len(topo.epochs[d])))
+		for _, e := range topo.epochs[d] {
+			put(uint64(e.from))
+			put(uint64(len(e.on)))
+			for _, id := range e.on {
+				put(uint64(id))
+			}
+		}
+	}
+	for ti := range topo.Towers {
+		cs := topo.Cells4GOfTower(TowerID(ti))
+		put(uint64(len(cs)))
+		for _, c := range cs {
+			put(uint64(c))
+		}
+		put(uint64(topo.NearestTower(topo.Towers[ti].Loc)))
+	}
+	put(uint64(len(topo.Cells4G())))
+	for _, c := range topo.Cells4G() {
+		put(uint64(c))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestBuildFingerprint pins everything Build produces to digests
+// computed before Build sized its slices up front, at the default
+// dimensioning, with plenty of new sites (many activation epochs) and
+// with a denser four-sector estate.
+func TestBuildFingerprint(t *testing.T) {
+	dense := Config{PopPerTower: 15_000, VisitorPopUnit: 100_000, SectorsPerTower: 4, NewSiteFraction: 0.05}
+	manyNew := DefaultConfig()
+	manyNew.NewSiteFraction = 0.2
+	for _, c := range []struct {
+		seed uint64
+		cfg  Config
+		want string
+	}{
+		{1, DefaultConfig(), "5b544be7b6222543d5e00ed18af9ba2cb7f75c8725e19566eade88cf7d4f194b"},
+		{42, DefaultConfig(), "f3f5112f67aba858350a20c2164e08c5881126aabef0cb1c4308168dc5f64e7d"},
+		{3, manyNew, "75548c27f9f35a55533e38d53478373450fe7042201d640889af0f8f543707f1"},
+		{7, dense, "d0df19f65f0f665bf340e8153e8874000cce1fe1bad5a6cf17187b47285b6c26"},
+	} {
+		if got := topologyDigest(Build(census.BuildUK(c.seed), c.cfg, c.seed)); got != c.want {
+			t.Errorf("seed %d %+v: digest %s, want %s", c.seed, c.cfg, got, c.want)
+		}
+	}
+}
+
+// TestBuildAllocs pins Build to a fixed number of allocations, whatever
+// the tower count: every slice is sized before it is filled.
+func TestBuildAllocs(t *testing.T) {
+	m := census.BuildUK(1)
+	allocs := testing.AllocsPerRun(5, func() { Build(m, DefaultConfig(), 1) })
+	if allocs > 24 {
+		t.Errorf("Build allocates %.0f times, want at most 24", allocs)
+	}
 }

@@ -21,8 +21,11 @@
 # FeedReplay, PopulationSynthesis (the subscriber base at 8k/50k),
 # PickTower (one active-site draw), PartitionDir (a cold 2-shard
 # split of a two-week 8k-user columnar feed), KPIAnalyzerFork (one
-# KPI fold fork, as a shared-prefix sweep's checkpoints take) and
-# StreamHomes (the February home pass on an 8-shard stream.Homes).
+# KPI fold fork, as a shared-prefix sweep's checkpoints take),
+# StreamHomes (the February home pass on an 8-shard stream.Homes),
+# TopologyBuild (deploying the radio estate), SimulatorNew (binding a
+# simulator, one reselection scan per home tower) and
+# ReselectionNeighbor (one bounded reselection scan).
 # Compare snapshots with scripts/benchdiff.sh.
 #
 # Snapshots are named BENCH_<sha>.json after the commit they measure, so
@@ -49,7 +52,7 @@ if [ "$sha" != nogit ] && [ -n "$(git status --porcelain 2>/dev/null)" ]; then
   sha="${sha}-dirty"
 fi
 benchtime="${BENCHTIME:-1x}"
-pattern="${BENCH:-SimDayInto|EngineDay|DayMetrics|MergeVisits|StreamWorkers1\$|SweepSerial|SweepParallel|SweepSharedPrefix|SweepUnsharedRegistry|ScaleLadder|FeedReplay|PopulationSynthesis|PickTower|PartitionDir|KPIAnalyzerFork|StreamHomes}"
+pattern="${BENCH:-SimDayInto|EngineDay|DayMetrics|MergeVisits|StreamWorkers1\$|SweepSerial|SweepParallel|SweepSharedPrefix|SweepUnsharedRegistry|ScaleLadder|FeedReplay|PopulationSynthesis|PickTower|PartitionDir|KPIAnalyzerFork|StreamHomes|TopologyBuild|SimulatorNew|ReselectionNeighbor}"
 
 # Runner metadata: numbers are only comparable between snapshots taken on
 # similar hardware, so record what ran them. benchdiff warns when the two
