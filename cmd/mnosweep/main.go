@@ -12,15 +12,17 @@
 // -share-prefix (default on) runs the sweep copy-on-divergence: the
 // scenarios are grouped by the first day their behaviour can differ
 // (pandemic.Scenario.DivergenceFrom), each shared prefix is simulated
-// once, checkpointed at the fork day and forked per scenario. Output is
-// bit-identical to -share-prefix=false; the journal records which runs
-// were forked and how many days they skipped. See PERFORMANCE.md,
-// "Copy-on-divergence sweeps".
+// once, checkpointed at the fork day and forked per scenario: a forked
+// run starts as soon as its parent has captured the checkpoint, while
+// the parent goes on. Output is bit-identical to -share-prefix=false;
+// the journal records which runs were forked and how many days they
+// skipped. See PERFORMANCE.md, "Copy-on-divergence sweeps".
 //
 // -parallel N executes up to N scenario runs concurrently
-// (experiments.RunSweepParallelOpts): output is bit-identical at every
-// N, re-sequenced to the input order. It is the only parallelism axis:
-// every run is one serial day loop, with or without -share-prefix.
+// (experiments.RunSweepParallelOpts); it defaults to GOMAXPROCS, one
+// run per core. Output is bit-identical at every N, re-sequenced to the
+// input order. It is the only parallelism axis: every run is one serial
+// day loop, with or without -share-prefix.
 //
 // -baseline NAME additionally prints a differential table — every
 // scenario's per-day KPI and mobility series against the named run:
@@ -58,6 +60,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"time"
 
@@ -77,7 +80,7 @@ func main() {
 		users       = flag.Int("users", 4000, "synthetic native smartphone users")
 		seed        = flag.Uint64("seed", 42, "master random seed (shared by every scenario: paired draws)")
 		noKPI       = flag.Bool("nokpi", false, "skip the traffic engine (mobility headlines only, ~3× faster)")
-		parallel    = flag.Int("parallel", 1, "concurrent scenario runs (1: serial; output is identical either way)")
+		parallel    = flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent scenario runs, GOMAXPROCS by default (1: serial; output is identical at every count)")
 		sharePrefix = flag.Bool("share-prefix", true, "simulate shared scenario prefixes once and fork at the divergence day (bit-identical output; =false re-simulates every scenario from day 0)")
 		baseline    = flag.String("baseline", "", "scenario name to difference every other run against (prints the delta table)")
 		journalPath = flag.String("journal", "", "record completed runs to this JSON-lines file as they finish")

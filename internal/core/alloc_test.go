@@ -148,29 +148,24 @@ func TestKPIAnalyzerColdConsumeAllocs(t *testing.T) {
 	}
 }
 
-// TestKPIAnalyzerScratchBytes bounds what building an analyzer
-// allocates: its series grids, the counting sort's values (four per 4G
-// cell) and at most 64 KiB more; NewKPIAnalyzer also builds the
-// cell→group lookups its forks share. Per-group, per-metric value
-// buckets (1.2 MB at this topology) exceed it.
+// TestKPIAnalyzerScratchBytes bounds what building or forking an
+// analyzer allocates: its series grids, the counting sort's values
+// (four per 4G cell) and at most 64 KiB more. The analyzer reads a
+// cell's groups from the topology, so it copies no per-cell lookup;
+// per-group, per-metric value buckets (1.2 MB at this topology) exceed
+// the bound.
 func TestKPIAnalyzerScratchBytes(t *testing.T) {
 	s := fixtureResults(t)
 	topo := s.Dataset.Topology
 	k := s.KPI
 	grids := (1 + len(k.byCounty) + len(k.byCluster) + len(k.byDistrict)) * int(unsafe.Sizeof(seriesGrid{}))
 	vals := 4 * len(topo.Cells4G()) * int(unsafe.Sizeof(float64(0)))
-	// Each lookup is a large object, rounded up to whole 8 KiB pages.
-	pages := func(n, size uintptr) int { return int((n*size + 8191) &^ 8191) }
-	lookups := pages(uintptr(len(k.cellDistrict)), unsafe.Sizeof(k.cellDistrict[0])) +
-		pages(uintptr(len(k.cellCounty)), unsafe.Sizeof(k.cellCounty[0])) +
-		pages(uintptr(len(k.cellCluster)), unsafe.Sizeof(k.cellCluster[0]))
 	for _, tc := range []struct {
-		name   string
-		shared int
-		make   func() *KPIAnalyzer
+		name string
+		make func() *KPIAnalyzer
 	}{
-		{"NewKPIAnalyzer", lookups, func() *KPIAnalyzer { return NewKPIAnalyzer(topo) }},
-		{"Fork", 0, func() *KPIAnalyzer { return k.Fork() }},
+		{"NewKPIAnalyzer", func() *KPIAnalyzer { return NewKPIAnalyzer(topo) }},
+		{"Fork", func() *KPIAnalyzer { return k.Fork() }},
 	} {
 		// The smallest of a few tries, so a stray allocation elsewhere
 		// in the process cannot fail the bound.
@@ -183,15 +178,16 @@ func TestKPIAnalyzerScratchBytes(t *testing.T) {
 			runtime.KeepAlive(f)
 			got = min(got, after.TotalAlloc-before.TotalAlloc)
 		}
-		if limit := uint64(grids + vals + tc.shared + 64<<10); got > limit {
-			t.Errorf("%s allocates %d bytes, want at most %d (grids %d + values %d + shared lookups %d + 64 KiB)",
-				tc.name, got, limit, grids, vals, tc.shared)
+		if limit := uint64(grids + vals + 64<<10); got > limit {
+			t.Errorf("%s allocates %d bytes, want at most %d (grids %d + values %d + 64 KiB)",
+				tc.name, got, limit, grids, vals)
 		}
 	}
 }
 
 // refKPIFold is the reference KPI fold: fresh buckets every day,
-// medians through the copying stats.Median.
+// medians through the copying stats.Median, each cell's groups looked
+// up through its tower's district.
 type refKPIFold struct {
 	national                        seriesGrid
 	byCounty, byCluster, byDistrict []seriesGrid
@@ -216,11 +212,13 @@ func (r *refKPIFold) consumeDay(k *KPIAnalyzer, day timegrid.SimDay, cells []tra
 	dist := make([][traffic.NumMetrics][]float64, len(r.byDistrict))
 	for i := range cells {
 		c := &cells[i]
+		did := k.topo.DistrictOfCell(c.Cell)
+		d := k.model.District(did)
 		for m, v := range c.Values {
 			nat[m] = append(nat[m], v)
-			cnty[k.cellCounty[c.Cell]][m] = append(cnty[k.cellCounty[c.Cell]][m], v)
-			clst[k.cellCluster[c.Cell]][m] = append(clst[k.cellCluster[c.Cell]][m], v)
-			dist[k.cellDistrict[c.Cell]][m] = append(dist[k.cellDistrict[c.Cell]][m], v)
+			cnty[d.County][m] = append(cnty[d.County][m], v)
+			clst[d.Cluster][m] = append(clst[d.Cluster][m], v)
+			dist[did][m] = append(dist[did][m], v)
 		}
 	}
 	for m := range nat {
@@ -302,7 +300,7 @@ func TestKPIAnalyzerMatchesCopyingQuantiles(t *testing.T) {
 	}
 	var oneCounty []traffic.CellDay
 	for _, c := range cells[3] {
-		if k.cellCounty[c.Cell] == topo.Model().InnerLondon().ID {
+		if topo.Model().District(topo.DistrictOfCell(c.Cell)).County == topo.Model().InnerLondon().ID {
 			oneCounty = append(oneCounty, c)
 		}
 	}

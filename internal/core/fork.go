@@ -45,17 +45,14 @@ func (m *MobilityMatrix) Fork() *MobilityMatrix {
 }
 
 // Fork returns an independent copy of the analyzer: the series grids
-// are deep-copied; the topology, model and cell→group lookup tables
-// (never written after construction) are shared; the counting-sort day
-// scratch is allocated fresh, sized as in NewKPIAnalyzer.
+// are deep-copied; the topology and model (never written after
+// construction) are shared; the counting-sort day scratch is allocated
+// fresh, sized as in NewKPIAnalyzer.
 func (k *KPIAnalyzer) Fork() *KPIAnalyzer {
 	f := &KPIAnalyzer{
-		topo:         k.topo,
-		model:        k.model,
-		cellDistrict: k.cellDistrict,
-		cellCounty:   k.cellCounty,
-		cellCluster:  k.cellCluster,
-		national:     k.national,
+		topo:     k.topo,
+		model:    k.model,
+		national: k.national,
 	}
 	f.initScratch(append([]seriesGrid(nil), k.grids...))
 	return f

@@ -21,11 +21,6 @@ type KPIAnalyzer struct {
 	topo  *radio.Topology
 	model *census.Model
 
-	// Static cell → group lookups.
-	cellDistrict []census.DistrictID
-	cellCounty   []census.CountyID
-	cellCluster  []census.Cluster
-
 	// The groups share one index space: 0 is national, then the
 	// counties, the clusters and the districts; group g ≥ 1 has series
 	// grid grids[g-1], which byCounty, byCluster and byDistrict view.
@@ -47,21 +42,12 @@ type seriesGrid struct {
 	v [traffic.NumMetrics][timegrid.StudyDays]float64
 }
 
-// NewKPIAnalyzer builds the analyzer for a topology.
+// NewKPIAnalyzer builds the analyzer for a topology. A cell's groups
+// are read from the topology: its tower's district, and that district's
+// county and cluster.
 func NewKPIAnalyzer(topo *radio.Topology) *KPIAnalyzer {
 	model := topo.Model()
 	k := &KPIAnalyzer{topo: topo, model: model}
-	nCells := len(topo.Cells)
-	k.cellDistrict = make([]census.DistrictID, nCells)
-	k.cellCounty = make([]census.CountyID, nCells)
-	k.cellCluster = make([]census.Cluster, nCells)
-	for i := range topo.Cells {
-		id := topo.Cells[i].ID
-		d := topo.DistrictOfCell(id)
-		k.cellDistrict[id] = d
-		k.cellCounty[id] = model.District(d).County
-		k.cellCluster[id] = model.District(d).Cluster
-	}
 	k.initScratch(make([]seriesGrid, len(model.Counties)+census.NumClusters+len(model.Districts)))
 	return k
 }
@@ -103,10 +89,11 @@ func (k *KPIAnalyzer) ConsumeDay(day timegrid.SimDay, cells []traffic.CellDay) {
 	clear(start)
 	start[1] = n
 	for i := range cells {
-		c, p := cells[i].Cell, &pos[i]
-		p[0] = int32(1 + int(k.cellCounty[c]))
-		p[1] = int32(cb + int(k.cellCluster[c]))
-		p[2] = int32(db + int(k.cellDistrict[c]))
+		did, p := k.topo.DistrictOfCell(cells[i].Cell), &pos[i]
+		dist := k.model.District(did)
+		p[0] = int32(1 + int(dist.County))
+		p[1] = int32(cb + int(dist.Cluster))
+		p[2] = int32(db + int(did))
 		start[p[0]+1]++
 		start[p[1]+1]++
 		start[p[2]+1]++

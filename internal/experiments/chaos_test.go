@@ -242,19 +242,19 @@ func TestSweepPanicMidStudyKeepsPoolClean(t *testing.T) {
 
 	pool := &enginePool{}
 	riders := []riderSpec{{idx: 1, forkDay: plan.forkDay[1], sc: scens[1]}}
-	run, _, _ := runPrefixScenario(context.Background(), w, cfg, fi, scens[0], 0, w.Homes(nil), nil, nil, riders, pool)
+	run, _ := runPrefixScenario(context.Background(), w, cfg, fi, scens[0], 0, w.Homes(nil), nil, nil, nil, riders, pool)
 	var wp *stream.WorkerPanic
 	if !errors.As(run.Err, &wp) || wp.Stage != "sweep" {
 		t.Fatalf("host run: want the rider's sweep panic, got %v", run.Err)
 	}
-	if nb, ne := len(pool.bufs.free), len(pool.engines.free); nb != 0 || ne != 0 {
-		t.Fatalf("panicked run returned %d day buffers and %d engines to the pool", nb, ne)
+	if nb, ne := len(pool.days.free), len(pool.engines.free); nb != 0 || ne != 0 {
+		t.Fatalf("panicked run returned %d day scratches and %d engines to the pool", nb, ne)
 	}
-	if run, _, _ = runPrefixScenario(context.Background(), w, cfg, fi, scens[2], 2, w.Homes(nil), nil, nil, nil, pool); run.Err != nil {
+	if run, _ = runPrefixScenario(context.Background(), w, cfg, fi, scens[2], 2, w.Homes(nil), nil, nil, nil, nil, pool); run.Err != nil {
 		t.Fatalf("clean run: %v", run.Err)
 	}
-	if nb := len(pool.bufs.free); nb != 1 {
-		t.Fatalf("clean run left %d day buffers in the pool, want 1", nb)
+	if nb := len(pool.days.free); nb != 1 {
+		t.Fatalf("clean run left %d day scratches in the pool, want 1", nb)
 	}
 
 	runs, err := RunSweepParallelOpts(context.Background(), w, cfg, stream.Config{Workers: 1, Fault: fi}, scens,

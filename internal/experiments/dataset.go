@@ -101,39 +101,36 @@ func newResults(d *Dataset, homes homesMap) *Results {
 
 // runStudy is the serial study-window day loop behind every sweep run
 // (runPrefixScenario). It simulates study days
-// [start, timegrid.StudyDays) of r's stack into buf on one goroutine and
+// [start, timegrid.StudyDays) of r's stack into ds on one goroutine and
 // folds each into r's analyzers. At every day boundary sd (days [0, sd)
-// consumed) it first captures a checkpoint when snapAt[sd] and attaches
-// the riders whose fork day is sd; attached riders then fold the host's
-// traces with their own engines. ctx is checked before every day: a
-// cancelled run returns ctx.Err() and no checkpoints.
-func runStudy(ctx context.Context, fi *fault.Injector, r *Results, buf *mobsim.DayBuffer, start int, snapAt map[int]bool, riders []riderState) (map[int]*Checkpoint, error) {
+// consumed) it first captures a checkpoint when snapAt[sd] and hands it
+// to publish at once, so the runs that fork there need not wait for
+// this one to finish; then it attaches the riders whose fork day is sd,
+// and attached riders fold the host's traces with their own engines.
+// ctx is checked before every day: a cancelled run returns ctx.Err()
+// and publishes nothing more.
+func runStudy(ctx context.Context, fi *fault.Injector, r *Results, ds *dayScratch, start int, snapAt map[int]bool, publish func(sd int, ck *Checkpoint), riders []riderState) error {
 	d := r.Dataset
-	var snaps map[int]*Checkpoint
-	var cells []traffic.CellDay
 	for sd := start; ; sd++ {
 		if snapAt[sd] {
-			if snaps == nil {
-				snaps = make(map[int]*Checkpoint, len(snapAt))
-			}
-			snaps[sd] = captureCheckpoint(r, sd)
+			publish(sd, captureCheckpoint(r, sd))
 		}
 		for k := range riders {
 			riders[k].attach(ctx, fi, r, sd)
 		}
 		if sd == timegrid.StudyDays {
-			return snaps, nil
+			return nil
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		day := timegrid.StudyDay(sd).ToSimDay()
-		traces := d.Sim.DayInto(buf, day)
+		traces := d.Sim.DayInto(ds.buf, day)
 		r.Mobility.ConsumeDay(day, traces)
 		r.Matrix.ConsumeDay(day, traces)
 		if d.Engine != nil {
-			cells = d.Engine.DayAppend(cells[:0], day, traces)
-			r.KPI.ConsumeDay(day, cells)
+			ds.cells = d.Engine.DayAppend(ds.cells[:0], day, traces)
+			r.KPI.ConsumeDay(day, ds.cells)
 		}
 		for k := range riders {
 			riders[k].consume(day, traces)

@@ -169,15 +169,23 @@ type riderRun struct {
 // after its host's start day, so a host loop always visits it.
 var errRiderUnattached = errors.New("experiments: rider fork day precedes host start; plan infeasible")
 
-// enginePool recycles warm traffic engines and day buffers across the
-// sweep's runs and riders. Rebind is bit-identical to NewEngine and
-// DayInto resets a buffer before each day, so reuse never changes
-// output; get returns nil when empty and the caller builds fresh.
-// Engines and buffers from panicked runs are never returned (poisoned
-// scratch).
+// enginePool recycles warm traffic engines and day scratch across the
+// sweep's runs and riders. Rebind is bit-identical to NewEngine, and
+// DayInto and DayAppend overwrite a scratch before each day, so reuse
+// never changes output; get returns nil when empty and the caller
+// builds fresh. Engines and scratch from panicked runs are never
+// returned (poisoned scratch).
 type enginePool struct {
 	engines freeList[traffic.Engine]
-	bufs    freeList[mobsim.DayBuffer]
+	days    freeList[dayScratch]
+}
+
+// dayScratch is a run's day scratch: the buffer it simulates each day
+// into and the KPI records its engine emits for that day. Pooled, it
+// grows once per sweep worker, not once per run.
+type dayScratch struct {
+	buf   *mobsim.DayBuffer
+	cells []traffic.CellDay
 }
 
 // freeList is a mutex-guarded stack of reusable objects.
@@ -252,7 +260,8 @@ func (rd *riderState) consume(day timegrid.SimDay, traces []mobsim.DayTrace) {
 // (runStudy — bit-identical to the streaming engine at any worker and
 // shard count, see RunStreamingOn), optionally resuming from a forked
 // checkpoint, capturing checkpoints at the requested day boundaries for
-// this run's non-rider children, and carrying the run's riders inline.
+// this run's non-rider children and handing each to publish as soon as
+// it is captured, and carrying the run's riders inline.
 //
 // A rider attaches at the boundary a checkpoint child would fork at and
 // from there consumes the host's traces — bit-identical to its own by
@@ -269,13 +278,13 @@ func (rd *riderState) consume(day timegrid.SimDay, traces []mobsim.DayTrace) {
 // Every failure mode — a cancelled ctx, an injected fault.SweepRun
 // fault, a panic anywhere in the scenario stack — lands in run.Err, so
 // one poisoned scenario cannot take down its sweep.
-func runPrefixScenario(ctx context.Context, w *World, cfg Config, fi *fault.Injector, sc SweepScenario, idx int, homes homesMap, start *Checkpoint, snapAt map[int]bool, riders []riderSpec, pool *enginePool) (run SweepRun, riderRuns []riderRun, snaps map[int]*Checkpoint) {
+func runPrefixScenario(ctx context.Context, w *World, cfg Config, fi *fault.Injector, sc SweepScenario, idx int, homes homesMap, start *Checkpoint, snapAt map[int]bool, publish func(sd int, ck *Checkpoint), riders []riderSpec, pool *enginePool) (run SweepRun, riderRuns []riderRun) {
 	run.Name = sc.Name
 	defer func() {
 		if v := recover(); v != nil {
 			run.Results, run.Headlines = nil, nil
 			run.Err = stream.NewWorkerPanic("sweep", -1, -1, v)
-			riderRuns, snaps = nil, nil
+			riderRuns = nil
 		}
 	}()
 	if err := ctx.Err(); err != nil {
@@ -307,16 +316,16 @@ func runPrefixScenario(ctx context.Context, w *World, cfg Config, fi *fault.Inje
 		rs[k] = riderState{riderSpec: spec, r: &Results{Dataset: rd, Homes: homes}}
 	}
 
-	buf := pool.bufs.get()
-	if buf == nil {
-		buf = mobsim.NewDayBuffer()
+	ds := pool.days.get()
+	if ds == nil {
+		ds = &dayScratch{buf: mobsim.NewDayBuffer()}
 	}
-	snaps, err := runStudy(ctx, fi, r, buf, startDay, snapAt, rs)
-	// Only a normal return gets here; a panic leaves buf to the GC.
-	pool.bufs.put(buf)
+	err := runStudy(ctx, fi, r, ds, startDay, snapAt, publish, rs)
+	// Only a normal return gets here; a panic leaves ds to the GC.
+	pool.days.put(ds)
 	if err != nil {
 		run.Err = err
-		return run, nil, nil
+		return run, nil
 	}
 	run.Results, run.Headlines = r, Headlines(r)
 	// Finalize riders: the host's final mobility folds are each rider's
@@ -342,7 +351,7 @@ func runPrefixScenario(ctx context.Context, w *World, cfg Config, fi *fault.Inje
 		riderRuns = append(riderRuns, rr)
 	}
 	pool.engines.put(d.Engine)
-	return run, riderRuns, snaps
+	return run, riderRuns
 }
 
 // ckKey addresses a stored checkpoint: the run that captured it and the
@@ -369,22 +378,19 @@ func newCkStore(plan *prefixPlan) *ckStore {
 	return s
 }
 
-// put stores a finished run's checkpoints, keeping only the ones still
-// awaited.
-func (s *ckStore) put(i int, snaps map[int]*Checkpoint) {
+// put stores the checkpoint run i captured at study day day, if a run
+// still awaits it.
+func (s *ckStore) put(i, day int, ck *Checkpoint) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for day, ck := range snaps {
-		k := ckKey{i, day}
-		if s.refs[k] > 0 {
-			s.store[k] = ck
-		}
+	if k := (ckKey{i, day}); s.refs[k] > 0 {
+		s.store[k] = ck
 	}
 }
 
 // take forks run i's planned start checkpoint, or returns nil when the
 // run is a root — or when its parent failed or was cancelled before
-// capturing one, in which case the run falls back to a standalone
+// capturing it, in which case the run falls back to a standalone
 // day-0 run (per-run isolation is preserved over prefix reuse). The
 // reference count drops either way, so abandoned checkpoints are freed.
 func (s *ckStore) take(i int) *Checkpoint {

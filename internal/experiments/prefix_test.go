@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/stream"
@@ -106,7 +108,9 @@ func checkpointConfig() Config {
 // run error.
 func runFromCheckpoint(t *testing.T, w *World, cfg Config, sc SweepScenario, start *Checkpoint, snapAt map[int]bool) (SweepRun, map[int]*Checkpoint) {
 	t.Helper()
-	run, _, snaps := runPrefixScenario(context.Background(), w, cfg, nil, sc, 0, w.Homes(nil), start, snapAt, nil, &enginePool{})
+	snaps := make(map[int]*Checkpoint, len(snapAt))
+	publish := func(sd int, ck *Checkpoint) { snaps[sd] = ck }
+	run, _ := runPrefixScenario(context.Background(), w, cfg, nil, sc, 0, w.Homes(nil), start, snapAt, publish, nil, &enginePool{})
 	if run.Err != nil {
 		t.Fatalf("run %s: %v", sc.Name, run.Err)
 	}
@@ -144,5 +148,45 @@ func TestCheckpointForkNoAliasing(t *testing.T) {
 	resumed, _ := runFromCheckpoint(t, w, cfg, base, ck, nil)
 	if got, want := headlinesJSON(t, resumed.Headlines), headlinesJSON(t, full.Headlines); got != want {
 		t.Errorf("original checkpoint no longer reproduces the uninterrupted run after its fork was advanced\n got: %s\nwant: %s", got, want)
+	}
+}
+
+// TestSweepChildStartsAtCapture pins fork at capture: a child run is
+// queued when its parent captures the checkpoint it forks from, not
+// when the parent's run returns. no-pandemic forks from default-covid
+// after study day 1 and fails at its start (an injected error), so its
+// OnRun call marks when it started; voice-surge rides default-covid
+// from day 7, and a delay armed on its attach holds the parent there,
+// so the parent is still running when the child starts.
+func TestSweepChildStartsAtCapture(t *testing.T) {
+	cfg := sweepConfig()
+	scens := sweepScenarios(t, scenario.DefaultCovid, scenario.NoPandemic, scenario.VoiceSurge)
+	plan := planPrefix(scens)
+	if plan.parent[1] != 0 || plan.forkDay[1] != 1 || !plan.rider[2] || plan.parent[2] != 0 || plan.forkDay[2] <= 1 {
+		t.Fatalf("unexpected fork tree: parent %v forkDay %v rider %v", plan.parent, plan.forkDay, plan.rider)
+	}
+	w := NewWorld(cfg)
+	fi := fault.New(
+		fault.Rule{Site: fault.SweepRun, Kind: fault.KindError, Key: 1},
+		fault.Rule{Site: fault.SweepRun, Kind: fault.KindDelay, Key: 2, Delay: time.Second},
+	)
+	var parentDone, childBeforeParent bool
+	runs, err := RunSweepParallelOpts(context.Background(), w, cfg, stream.Config{Workers: 1, Fault: fi}, scens,
+		SweepOptions{Parallel: 2, SharePrefix: true, OnRun: func(i int, run SweepRun) {
+			switch i {
+			case 0:
+				parentDone = true
+			case 1:
+				childBeforeParent = !parentDone
+			}
+		}})
+	if !fault.IsInjected(err) || !fault.IsInjected(runs[1].Err) {
+		t.Fatalf("want the child's injected error, got %v", err)
+	}
+	if runs[0].Err != nil || runs[2].Err != nil {
+		t.Fatalf("parent or rider failed: %v, %v", runs[0].Err, runs[2].Err)
+	}
+	if !childBeforeParent {
+		t.Error("the child started only after its parent's run returned; want it queued at the parent's checkpoint capture")
 	}
 }

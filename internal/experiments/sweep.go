@@ -115,18 +115,21 @@ func newSweepMetrics(r *obs.Registry, parallel int) *sweepMetrics {
 // candidacy across runs, and only the behavioural response differs.
 //
 // The sweep is a fork tree (prefixPlan) executed by up to opt.Parallel
-// workers over a ready queue: a scenario becomes ready when the run it
-// forks from has completed, and roots are ready immediately. Scheduling
-// order cannot influence results — every run is deterministic in
-// (world, scenario, start checkpoint) and checkpoints are deterministic
-// in (world, parent scenario, day) — so the output is bit-identical at
-// any worker count and with or without opt.SharePrefix (asserted by
-// TestParallelSweepMatchesSerial under -race).
+// workers over a ready queue: roots are ready immediately, and a
+// scenario becomes ready as soon as the run it forks from has captured
+// its checkpoint, while that run goes on with its later days.
+// Scheduling order cannot influence results — every run is
+// deterministic in (world, scenario, start checkpoint) and checkpoints
+// are deterministic in (world, parent scenario, day) — so the output is
+// bit-identical at any worker count and with or without
+// opt.SharePrefix (asserted by TestParallelSweepMatchesSerial under
+// -race).
 //
 // Failures are isolated per run: a scenario that panics or hits an
-// injected fault gets its Err set while the others complete, and a
-// failed or cancelled parent yields no checkpoints, so its children —
-// riders included — fall back to standalone day-0 runs. The returned
+// injected fault gets its Err set while the others complete. A failed
+// or cancelled parent captures no more checkpoints, so its children
+// that had not forked yet — riders included — fall back to standalone
+// day-0 runs once it returns. The returned
 // slice always has one entry per scenario, in input order; the error is
 // nil iff every run succeeded, else the joined per-run failures.
 // Cancelling ctx marks the not-yet-run scenarios with ctx.Err().
@@ -153,17 +156,31 @@ func RunSweepParallelOpts(ctx context.Context, w *World, cfg Config, scfg stream
 	pool := &enginePool{}
 	buf := mobsim.NewDayBuffer()
 	homes := w.Homes(buf)
-	pool.bufs.put(buf)
+	pool.days.put(&dayScratch{buf: buf})
 	store := newCkStore(&plan)
 	out := make([]SweepRun, len(scens))
 	m := newSweepMetrics(scfg.Metrics, parallel)
 
+	// Ready queue over the fork tree. The channel holds every index at
+	// most once (each has one parent), so len(scens) capacity never
+	// blocks a producer; the final completion closes it. Riders are
+	// settled inside their host's run and never queued.
+	ready := make(chan int, len(scens))
+	for i := range scens {
+		if !plan.rider[i] && (plan.parent[i] < 0 || plan.forkDay[i] <= 0) {
+			ready <- i
+		}
+	}
+	// queued[c] marks a forked child already pushed by its parent's
+	// publish. Only the worker running that parent reads or writes it.
+	queued := make([]bool, len(scens))
+
 	// finish post-processes one completed run (host, rider, or rider
 	// fallback): record fork provenance, bump the sharing counters,
-	// stash the checkpoints its children await, detach the pooled
-	// engine from the stored stack and report the run to opt.OnRun.
+	// detach the pooled engine from the stored stack and report the run
+	// to opt.OnRun.
 	var onRunMu sync.Mutex
-	finish := func(i int, run SweepRun, prefixDays int, snaps map[int]*Checkpoint) {
+	finish := func(i int, run SweepRun, prefixDays int) {
 		if run.Err == nil {
 			if prefixDays > 0 {
 				run.ForkedFrom = scens[plan.parent[i]].Name
@@ -173,7 +190,6 @@ func RunSweepParallelOpts(ctx context.Context, w *World, cfg Config, scfg stream
 					m.prefixSaved.Add(int64(prefixDays))
 				}
 			}
-			store.put(i, snaps)
 			run.Results.Dataset.Engine = nil
 		}
 		out[i] = run
@@ -201,43 +217,43 @@ func RunSweepParallelOpts(ctx context.Context, w *World, cfg Config, scfg stream
 	}
 
 	// execute runs host i with its riders inline and returns every
-	// scenario index it settled. A failed host reports no rider
-	// outcomes; its riders then fall back to standalone day-0 runs,
-	// exactly as the children of a failed checkpoint parent do.
+	// scenario index it settled. Each checkpoint the host captures is
+	// stored and its children queued at once. A failed host reports no
+	// rider outcomes; its riders then fall back to standalone day-0
+	// runs, exactly as the children of a failed checkpoint parent do.
 	execute := func(i int) []int {
 		start := store.take(i)
 		prefixDays := 0
 		if start != nil {
 			prefixDays = int(start.Day)
 		}
-		run, riderRuns, snaps := runPrefixScenario(ctx, w, cfg, scfg.Fault, scens[i], i, homes, start, plan.snapAt[i], riderSpecs(i), pool)
-		finish(i, run, prefixDays, snaps)
+		publish := func(sd int, ck *Checkpoint) {
+			store.put(i, sd, ck)
+			for _, c := range plan.children[i] {
+				if plan.forkDay[c] == sd {
+					queued[c] = true
+					ready <- c
+				}
+			}
+		}
+		run, riderRuns := runPrefixScenario(ctx, w, cfg, scfg.Fault, scens[i], i, homes, start, plan.snapAt[i], publish, riderSpecs(i), pool)
+		finish(i, run, prefixDays)
 		done := append(make([]int, 0, 1+len(plan.riders[i])), i)
 		if run.Err == nil {
 			for _, rr := range riderRuns {
-				finish(rr.idx, rr.run, rr.days, nil)
+				finish(rr.idx, rr.run, rr.days)
 				done = append(done, rr.idx)
 			}
 		} else {
 			for _, ri := range plan.riders[i] {
-				frun, _, _ := runPrefixScenario(ctx, w, cfg, scfg.Fault, scens[ri], ri, homes, nil, nil, nil, pool)
-				finish(ri, frun, 0, nil)
+				frun, _ := runPrefixScenario(ctx, w, cfg, scfg.Fault, scens[ri], ri, homes, nil, nil, nil, nil, pool)
+				finish(ri, frun, 0)
 				done = append(done, ri)
 			}
 		}
 		return done
 	}
 
-	// Ready queue over the fork tree. The channel holds every index at
-	// most once (each has one parent), so len(scens) capacity never
-	// blocks a producer; the final completion closes it. Riders are
-	// settled inside their host's run and never queued.
-	ready := make(chan int, len(scens))
-	for i := range scens {
-		if !plan.rider[i] && (plan.parent[i] < 0 || plan.forkDay[i] <= 0) {
-			ready <- i
-		}
-	}
 	var (
 		fanOut    time.Time
 		completed int
@@ -246,9 +262,12 @@ func RunSweepParallelOpts(ctx context.Context, w *World, cfg Config, scfg stream
 	if m != nil {
 		fanOut = time.Now()
 	}
+	// complete queues the children i's publish did not: those whose
+	// checkpoint a failed or cancelled i never captured, which then run
+	// from day 0.
 	complete := func(i int) {
 		for _, c := range plan.children[i] {
-			if plan.forkDay[c] > 0 {
+			if plan.forkDay[c] > 0 && !queued[c] {
 				ready <- c
 			}
 		}

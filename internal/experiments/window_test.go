@@ -9,6 +9,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/stream"
 	"repro/internal/timegrid"
+	"repro/internal/traffic"
 )
 
 // holdFirstDay keeps the engine on the first day until the source's pool
@@ -56,6 +57,27 @@ func TestSimSourceWindowBoundsStores(t *testing.T) {
 		}
 		if got := s.Counters["stream.pool.hits"]; got != timegrid.FebruaryDays-window {
 			t.Fatalf("run %d: stream.pool.hits = %d, want %d", run, got, timegrid.FebruaryDays-window)
+		}
+	}
+}
+
+// TestRunStreamingOnWindowIsWorkersPlusOne pins the default window: a
+// RunStreamingOn with Buffer unset draws exactly Workers+1 day stores
+// over both passes, one per producer plus the day the engine holds. A
+// tap holds February's first day until the pool has missed Workers+1
+// times, then a while longer, so a wider window would show.
+func TestRunStreamingOnWindowIsWorkersPlusOne(t *testing.T) {
+	d := NewDataset(streamingTestConfig())
+	for _, workers := range []int{1, 2} {
+		reg := obs.New()
+		want := int64(workers + 1)
+		h := &holdFirstDay{misses: reg.Counter("stream.pool.misses"), window: want}
+		tap := func(day timegrid.SimDay, traces []mobsim.DayTrace, _ []traffic.CellDay) { h.ConsumeDay(day, traces) }
+		if _, err := RunStreamingOn(context.Background(), d, stream.Config{Workers: workers, Metrics: reg}, tap); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if got := reg.Snapshot().Counters["stream.pool.misses"]; got != want {
+			t.Errorf("workers=%d: stream.pool.misses = %d, want %d (Workers+1)", workers, got, want)
 		}
 	}
 }

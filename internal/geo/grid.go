@@ -17,9 +17,11 @@ type Grid struct {
 }
 
 // NewGrid indexes pts with the given cell size (km). Cell sizes at or
-// below zero default to a size that yields ~1 point per bucket.
+// below zero default to a size that yields ~1 point per bucket. The
+// grid takes ownership of pts: it keeps the slice, not a copy, so the
+// caller must not modify it afterwards.
 func NewGrid(pts []Point, cellKm float64) *Grid {
-	g := &Grid{pts: append([]Point(nil), pts...)}
+	g := &Grid{pts: pts}
 	if len(pts) == 0 {
 		g.cell = 1
 		g.cols, g.rows = 1, 1

@@ -34,7 +34,13 @@ type Config struct {
 	// DefaultShards.
 	Shards int
 	// Buffer is the number of extra day batches a source may compute
-	// ahead of consumption (backpressure window). <= 0 means 2.
+	// ahead of consumption (backpressure window); the replay commands
+	// also pass it as their Prefetch depth. <= 0 means 1: with the day
+	// the consumer holds, a SimSource's window is Workers+1 day stores,
+	// one in production per producer plus the consumer's. A larger
+	// window changes no output (days are re-sequenced) and measured no
+	// faster; each extra store costs a day's traces and cells (≈5.3 MB
+	// at 50k users). See PERFORMANCE.md, "Day window: Workers+1 stores".
 	Buffer int
 	// Metrics, when non-nil, instruments everything built from this
 	// config — the engine's stage timings and per-shard record counts,
@@ -63,7 +69,7 @@ func (c Config) WithDefaults() Config {
 		c.Shards = DefaultShards
 	}
 	if c.Buffer <= 0 {
-		c.Buffer = 2
+		c.Buffer = 1
 	}
 	return c
 }
