@@ -225,9 +225,10 @@ func TestSweepIsolatesPoisonedRun(t *testing.T) {
 // TestSweepPanicMidStudyKeepsPoolClean panics a host run mid-study:
 // voice-surge rides default-covid's day loop, and its armed sweep.run
 // panic fires when it attaches at its fork day, inside the host's
-// runStudy. The panicked run's day buffer and engine must never re-enter
-// the sweep's pool, and on one sweep worker the runs after it — drawing
-// from that pool — must still match the streaming reference bit for bit.
+// runStudy. The panicked run's day scratch — its buffer and engine —
+// must never re-enter the sweep's pool, and on one sweep worker the runs
+// after it — drawing from that pool — must still match the streaming
+// reference bit for bit.
 func TestSweepPanicMidStudyKeepsPoolClean(t *testing.T) {
 	cfg := streamingTestConfig()
 	scens := sweepScenarios(t,
@@ -247,14 +248,14 @@ func TestSweepPanicMidStudyKeepsPoolClean(t *testing.T) {
 	if !errors.As(run.Err, &wp) || wp.Stage != "sweep" {
 		t.Fatalf("host run: want the rider's sweep panic, got %v", run.Err)
 	}
-	if nb, ne := len(pool.days.free), len(pool.engines.free); nb != 0 || ne != 0 {
-		t.Fatalf("panicked run returned %d day scratches and %d engines to the pool", nb, ne)
+	if nb := len(pool.days.free); nb != 0 {
+		t.Fatalf("panicked run returned %d day scratches (and their engines) to the pool", nb)
 	}
 	if run, _ = runPrefixScenario(context.Background(), w, cfg, fi, scens[2], 2, w.Homes(nil), nil, nil, nil, nil, pool); run.Err != nil {
 		t.Fatalf("clean run: %v", run.Err)
 	}
-	if nb := len(pool.days.free); nb != 1 {
-		t.Fatalf("clean run left %d day scratches in the pool, want 1", nb)
+	if nb := len(pool.days.free); nb != 1 || pool.days.free[0].eng == nil {
+		t.Fatalf("clean run left %d day scratches in the pool, want 1 carrying an engine", nb)
 	}
 
 	runs, err := RunSweepParallelOpts(context.Background(), w, cfg, stream.Config{Workers: 1, Fault: fi}, scens,

@@ -105,8 +105,9 @@ func newResults(d *Dataset, homes homesMap) *Results {
 // folds each into r's analyzers. At every day boundary sd (days [0, sd)
 // consumed) it first captures a checkpoint when snapAt[sd] and hands it
 // to publish at once, so the runs that fork there need not wait for
-// this one to finish; then it attaches the riders whose fork day is sd,
-// and attached riders fold the host's traces with their own engines.
+// this one to finish; then it attaches the riders whose fork day is sd.
+// Attached riders fold each day after the host, on the host's engine
+// rebound to them and into the host's record buffer.
 // ctx is checked before every day: a cancelled run returns ctx.Err()
 // and publishes nothing more.
 func runStudy(ctx context.Context, fi *fault.Injector, r *Results, ds *dayScratch, start int, snapAt map[int]bool, publish func(sd int, ck *Checkpoint), riders []riderState) error {
@@ -131,9 +132,13 @@ func runStudy(ctx context.Context, fi *fault.Injector, r *Results, ds *dayScratc
 		if d.Engine != nil {
 			ds.cells = d.Engine.DayAppend(ds.cells[:0], day, traces)
 			r.KPI.ConsumeDay(day, ds.cells)
-		}
-		for k := range riders {
-			riders[k].consume(day, traces)
+			for k := range riders {
+				if rd := &riders[k]; rd.attached && rd.err == nil {
+					ds.cells = d.Engine.Rebind(rd.r.Dataset.Scenario).DayAppend(ds.cells[:0], day, traces)
+					rd.r.KPI.ConsumeDay(day, ds.cells)
+				}
+			}
+			d.Engine.Rebind(d.Scenario)
 		}
 	}
 }

@@ -35,8 +35,8 @@ type prefixPlan struct {
 	// rider[i] marks scenarios whose traces are bit-identical to their
 	// parent's over the whole window (pandemic.Scenario.TraceEqual):
 	// instead of forking a checkpoint and re-simulating the suffix, a
-	// rider runs inside its host's day loop, consuming the host's traces
-	// with its own traffic engine and KPI fold. riders[j] lists run j's
+	// rider runs inside its host's day loop, folding the host's traces
+	// into its own KPI fold on the host's engine. riders[j] lists run j's
 	// riders. Riders are leaves — they never host checkpoints or riders
 	// of their own.
 	rider  []bool
@@ -169,22 +169,21 @@ type riderRun struct {
 // after its host's start day, so a host loop always visits it.
 var errRiderUnattached = errors.New("experiments: rider fork day precedes host start; plan infeasible")
 
-// enginePool recycles warm traffic engines and day scratch across the
-// sweep's runs and riders. Rebind is bit-identical to NewEngine, and
-// DayInto and DayAppend overwrite a scratch before each day, so reuse
-// never changes output; get returns nil when empty and the caller
-// builds fresh. Engines and scratch from panicked runs are never
-// returned (poisoned scratch).
+// enginePool recycles day scratch, warm engines included, across the
+// sweep's host runs. Rebind is bit-identical to NewEngine, and DayInto
+// and DayAppend overwrite a scratch before each day, so reuse never
+// changes output; get returns nil when empty and the caller builds
+// fresh. Scratch from panicked runs is never returned (poisoned).
 type enginePool struct {
-	engines freeList[traffic.Engine]
-	days    freeList[dayScratch]
+	days freeList[dayScratch]
 }
 
-// dayScratch is a run's day scratch: the buffer it simulates each day
-// into and the KPI records its engine emits for that day. Pooled, it
-// grows once per sweep worker, not once per run.
+// dayScratch is a host run's day scratch: the buffer it simulates each
+// day into, and the engine and record buffer its KPI fold shares with
+// its riders'. Pooled, it grows once per concurrent day loop.
 type dayScratch struct {
 	buf   *mobsim.DayBuffer
+	eng   *traffic.Engine
 	cells []traffic.CellDay
 }
 
@@ -215,11 +214,10 @@ func (l *freeList[T]) put(v *T) {
 }
 
 // riderState is a rider's stack inside its host's day loop: its own
-// engine and result set over the host's simulated traces.
+// result set over the host's traces, folded on the host's engine.
 type riderState struct {
 	riderSpec
 	r        *Results
-	cells    []traffic.CellDay
 	err      error
 	attached bool
 }
@@ -246,16 +244,6 @@ func (rd *riderState) attach(ctx context.Context, fi *fault.Injector, host *Resu
 	rd.attached = true
 }
 
-// consume folds one host day into an attached rider's KPI state.
-func (rd *riderState) consume(day timegrid.SimDay, traces []mobsim.DayTrace) {
-	eng := rd.r.Dataset.Engine
-	if !rd.attached || rd.err != nil || eng == nil {
-		return
-	}
-	rd.cells = eng.DayAppend(rd.cells[:0], day, traces)
-	rd.r.KPI.ConsumeDay(day, rd.cells)
-}
-
 // runPrefixScenario executes one sweep entry on the serial study loop
 // (runStudy — bit-identical to the streaming engine at any worker and
 // shard count, see RunStreamingOn), optionally resuming from a forked
@@ -265,8 +253,9 @@ func (rd *riderState) consume(day timegrid.SimDay, traces []mobsim.DayTrace) {
 //
 // A rider attaches at the boundary a checkpoint child would fork at and
 // from there consumes the host's traces — bit-identical to its own by
-// pandemic.Scenario.TraceEqual — with its own traffic engine and KPI
-// fold; its mobility folds are forked from the host's final state.
+// pandemic.Scenario.TraceEqual — into its own KPI fold on the host's
+// traffic engine; its mobility folds are forked from the host's final
+// state.
 // Rider attach runs the same ctx/fault gates a standalone run would, so
 // injected rider faults surface identically; a rider failure never
 // touches the host. A host failure loses its riders' partial state —
@@ -296,9 +285,14 @@ func runPrefixScenario(ctx context.Context, w *World, cfg Config, fi *fault.Inje
 		return
 	}
 
+	ds := pool.days.get()
+	if ds == nil {
+		ds = &dayScratch{buf: mobsim.NewDayBuffer()}
+	}
 	c := cfg
 	c.Scenario = sc.Scenario
-	d := w.instantiate(c, pool.engines.get())
+	d := w.instantiate(c, ds.eng)
+	ds.eng = d.Engine // nil only when the whole sweep skips KPIs
 	var r *Results
 	startDay := 0
 	if start != nil {
@@ -312,14 +306,9 @@ func runPrefixScenario(ctx context.Context, w *World, cfg Config, fi *fault.Inje
 	for k, spec := range riders {
 		rc := cfg
 		rc.Scenario = spec.sc.Scenario
-		rd := w.instantiateNoSim(rc, pool.engines.get())
-		rs[k] = riderState{riderSpec: spec, r: &Results{Dataset: rd, Homes: homes}}
+		rs[k] = riderState{riderSpec: spec, r: &Results{Dataset: w.bind(rc), Homes: homes}}
 	}
 
-	ds := pool.days.get()
-	if ds == nil {
-		ds = &dayScratch{buf: mobsim.NewDayBuffer()}
-	}
 	err := runStudy(ctx, fi, r, ds, startDay, snapAt, publish, rs)
 	// Only a normal return gets here; a panic leaves ds to the GC.
 	pool.days.put(ds)
@@ -347,10 +336,8 @@ func runPrefixScenario(ctx context.Context, w *World, cfg Config, fi *fault.Inje
 			rd.r.Matrix = r.Matrix.Fork()
 			rr.run.Results, rr.run.Headlines = rd.r, Headlines(rd.r)
 		}
-		pool.engines.put(rd.r.Dataset.Engine)
 		riderRuns = append(riderRuns, rr)
 	}
-	pool.engines.put(d.Engine)
 	return run, riderRuns
 }
 

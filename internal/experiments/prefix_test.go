@@ -190,3 +190,52 @@ func TestSweepChildStartsAtCapture(t *testing.T) {
 		t.Error("the child started only after its parent's run returned; want it queued at the parent's checkpoint capture")
 	}
 }
+
+// TestRidersFoldOnHostEngine pins the rider stack: default-covid hosts
+// deep-offload and voice-surge, and both fold the host's traces on the
+// host's own engine and record buffer. Run on an empty pool, the host
+// leaves exactly one day scratch behind, carrying the one engine the
+// three scenarios shared; no rider result holds an engine; and the
+// host's and each rider's headlines match a standalone run of that
+// scenario bit for bit (a host that read a rider's records, or an engine
+// left bound to a rider, would drift).
+func TestRidersFoldOnHostEngine(t *testing.T) {
+	cfg := streamingTestConfig() // busy enough cells that KPI headlines see the scenario
+	scens := sweepScenarios(t, scenario.DefaultCovid, scenario.DeepOffload, scenario.VoiceSurge)
+	plan := planPrefix(scens)
+	if len(plan.riders[0]) != 2 || len(plan.children[0]) != 0 {
+		t.Fatalf("want deep-offload and voice-surge riding default-covid; riders %v children %v", plan.riders, plan.children)
+	}
+	riders := make([]riderSpec, 0, 2)
+	for _, ri := range plan.riders[0] {
+		riders = append(riders, riderSpec{idx: ri, forkDay: plan.forkDay[ri], sc: scens[ri]})
+	}
+	w := NewWorld(cfg)
+	pool := &enginePool{}
+	run, riderRuns := runPrefixScenario(context.Background(), w, cfg, nil, scens[0], 0, w.Homes(nil), nil, nil, nil, riders, pool)
+	if run.Err != nil {
+		t.Fatalf("host run: %v", run.Err)
+	}
+	if n := len(pool.days.free); n != 1 || pool.days.free[0].eng == nil {
+		t.Fatalf("pool holds %d day scratches after the host run, want 1 carrying an engine", n)
+	}
+	if len(riderRuns) != len(riders) {
+		t.Fatalf("host settled %d riders, want %d", len(riderRuns), len(riders))
+	}
+	runs := map[int]SweepRun{0: run}
+	for _, rr := range riderRuns {
+		if rr.run.Err != nil {
+			t.Fatalf("rider %s: %v", rr.run.Name, rr.run.Err)
+		}
+		if rr.run.Results.Dataset.Engine != nil {
+			t.Errorf("rider %s holds an engine of its own", rr.run.Name)
+		}
+		runs[rr.idx] = rr.run
+	}
+	for i, r := range runs {
+		alone, _ := runFromCheckpoint(t, w, cfg, scens[i], nil, nil)
+		if got, want := headlinesJSON(t, r.Headlines), headlinesJSON(t, alone.Headlines); got != want {
+			t.Errorf("%s diverges from its standalone run\n got: %s\nwant: %s", r.Name, got, want)
+		}
+	}
+}

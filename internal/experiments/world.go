@@ -117,16 +117,22 @@ func (w *World) Instantiate(cfg Config) *Dataset {
 // bit-identity with NewEngine (see traffic.Engine.Rebind), so the sweep
 // executor recycles warm engines through consecutive scenario runs.
 func (w *World) instantiate(cfg Config, reuse *traffic.Engine) *Dataset {
-	d := w.instantiateNoSim(cfg, reuse)
+	d := w.bind(cfg)
 	d.Sim = mobsim.New(w.Pop, d.Scenario, d.Config.Seed)
+	if !d.Config.SkipKPI {
+		if reuse != nil {
+			d.Engine = reuse.Rebind(d.Scenario)
+		} else {
+			d.Engine = traffic.NewEngine(w.Pop, d.Scenario, traffic.DefaultParams(), d.Config.Seed)
+		}
+	}
 	return d
 }
 
-// instantiateNoSim is instantiate without the mobility simulator, for
-// stacks that consume traces produced elsewhere: a sweep rider rides
-// its host's day loop and never simulates, so building the per-user
-// simulator state would be waste. The returned Dataset has Sim == nil.
-func (w *World) instantiateNoSim(cfg Config, reuse *traffic.Engine) *Dataset {
+// bind is instantiate without the simulator and the engine (Sim and
+// Engine stay nil): a sweep rider folds its host's traces on its host's
+// engine, so it needs only its own config and scenario.
+func (w *World) bind(cfg Config) *Dataset {
 	if cfg.TopN == 0 {
 		cfg.TopN = core.DefaultTopN
 	}
@@ -137,7 +143,7 @@ func (w *World) instantiateNoSim(cfg Config, reuse *traffic.Engine) *Dataset {
 	if scen == nil {
 		scen = pandemic.Default()
 	}
-	d := &Dataset{
+	return &Dataset{
 		Config:   cfg,
 		World:    w,
 		Model:    w.Model,
@@ -145,12 +151,4 @@ func (w *World) instantiateNoSim(cfg Config, reuse *traffic.Engine) *Dataset {
 		Pop:      w.Pop,
 		Scenario: scen,
 	}
-	if !cfg.SkipKPI {
-		if reuse != nil {
-			d.Engine = reuse.Rebind(scen)
-		} else {
-			d.Engine = traffic.NewEngine(w.Pop, scen, traffic.DefaultParams(), cfg.Seed)
-		}
-	}
-	return d
 }
