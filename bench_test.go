@@ -1,7 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper (one
-// benchmark per experiment, per DESIGN.md §3), the ablation sweeps of
-// DESIGN.md §5, and micro-benchmarks of the hot paths (per-day
-// simulation, per-day KPI generation, the mobility metrics).
+// benchmark per experiment), the knob ablations cmd/ablate prints, and
+// micro-benchmarks of the hot paths (per-day simulation, per-day KPI
+// generation, the mobility metrics).
 //
 // The shared fixture simulates once; figure benchmarks then measure the
 // analysis/regeneration step, which is what varies across experiments.
@@ -198,7 +198,7 @@ func BenchmarkSignalingDay(b *testing.B) {
 	}
 }
 
-// --- ablation benchmarks (DESIGN.md §5) ------------------------------------
+// --- ablation benchmarks (the knobs of cmd/ablate) -------------------------
 
 // BenchmarkAblationHomeNights sweeps the minimum-nights threshold of the
 // home detection rule.
@@ -678,8 +678,8 @@ func BenchmarkSweepParallel4(b *testing.B) { benchmarkSweepParallel(b, 4) }
 // scale with users, dominate each day and flatten the relative win of
 // the shared prefix; at the production scale the per-user simulation
 // work and the streaming pipeline overhead the forked path avoids are
-// proportionally larger, so this pair reflects what mnosweep/ablate
-// users actually see. February home detection is warmed so the pair
+// proportionally larger, so this pair reflects what mnosweep users
+// actually see. February home detection is warmed so the pair
 // measures only the study passes.
 var (
 	sweepAllOnce   sync.Once

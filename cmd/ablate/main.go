@@ -1,30 +1,22 @@
-// Command ablate runs the design-choice ablations called out in
-// DESIGN.md §5 and prints how each knob moves the headline results:
+// Command ablate runs design-choice ablations and prints how each knob
+// moves the headline results:
 //
-//   - scenario: registry timelines (default-covid, no-pandemic,
-//     early-lockdown) compared on the sweep runner
 //   - interconnect: headroom sweep for the voice-loss incident
 //   - topn: the per-user tower filter (5/10/20/∞)
 //   - nights: the home-detection minimum-nights rule
 //   - offload: the WiFi-offload depth driving the DL volume drop
 //
 // Every ablation shares one World (census + topology + population,
-// built once); each then instantiates whatever per-scenario or
-// per-parameter stack it needs on top.
-//
-// -share-prefix (default on) runs the scenario ablation
-// copy-on-divergence: shared scenario prefixes are simulated once and
-// forked at the divergence day (bit-identical output, see
-// PERFORMANCE.md, "Copy-on-divergence sweeps").
+// built once) and instantiates the stack it needs on top. Scenario
+// comparisons are mnosweep's job (-baseline NAME for the delta table).
 //
 // Usage:
 //
-//	ablate [-which all|scenario|interconnect|topn|nights|offload] [-users N]
-//	       [-share-prefix=BOOL] [-cpuprofile F] [-memprofile F]
+//	ablate [-which all|interconnect|topn|nights|offload] [-users N]
+//	       [-cpuprofile F] [-memprofile F]
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -35,92 +27,56 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/mobsim"
 	"repro/internal/prof"
-	"repro/internal/scenario"
 	"repro/internal/stats"
-	"repro/internal/stream"
 	"repro/internal/timegrid"
 	"repro/internal/traffic"
 )
 
+// ablation is one knob sweep over the shared world.
+type ablation struct {
+	name string
+	fn   func(*experiments.World)
+}
+
+var ablations = []ablation{
+	{"interconnect", ablateInterconnect},
+	{"topn", ablateTopN},
+	{"nights", ablateNights},
+	{"offload", ablateOffload},
+}
+
 func main() {
 	var (
-		which       = flag.String("which", "all", "ablation to run")
-		users       = flag.Int("users", 4000, "synthetic users")
-		seed        = flag.Uint64("seed", 42, "random seed")
-		sharePrefix = flag.Bool("share-prefix", true, "simulate shared scenario prefixes once and fork at the divergence day (scenario ablation; bit-identical output)")
-		pf          = prof.Flags()
+		which = flag.String("which", "all", "ablation to run")
+		users = flag.Int("users", 4000, "synthetic users")
+		seed  = flag.Uint64("seed", 42, "random seed")
+		pf    = prof.Flags()
 	)
 	flag.Parse()
+
+	var picked []ablation
+	for _, a := range ablations {
+		if *which == "all" || strings.EqualFold(*which, a.name) {
+			picked = append(picked, a)
+		}
+	}
+	if len(picked) == 0 {
+		cli.Exit("ablate", cli.Usagef("unknown ablation %q (want all, interconnect, topn, nights or offload)", *which))
+	}
 
 	err := pf.Run(func() error {
 		cfg := experiments.DefaultConfig()
 		cfg.TargetUsers = *users
 		cfg.Seed = *seed
 		world := experiments.NewWorld(cfg)
-
-		run := func(name string, fn func(*experiments.World)) {
-			if *which == "all" || strings.EqualFold(*which, name) {
-				fmt.Printf("=== ablation: %s ===\n", name)
-				fn(world)
-				fmt.Println()
-			}
+		for _, a := range picked {
+			fmt.Printf("=== ablation: %s ===\n", a.name)
+			a.fn(world)
+			fmt.Println()
 		}
-		run("scenario", func(w *experiments.World) { ablateScenario(w, *sharePrefix) })
-		run("interconnect", ablateInterconnect)
-		run("topn", ablateTopN)
-		run("nights", ablateNights)
-		run("offload", ablateOffload)
 		return nil
 	})
 	cli.Exit("ablate", err)
-}
-
-// ablateScenario compares counterfactual timelines on the parallel
-// sweep runner: the shared world, up to two scenarios in flight at a
-// time (each streaming run kept single-worker so the goroutine budget
-// stays bounded), the headline statistics extracted by
-// experiments.Headlines, and every timeline differenced against the
-// no-pandemic baseline. sharePrefix runs it copy-on-divergence
-// (bit-identical output, shared prefixes simulated once).
-func ablateScenario(w *experiments.World, sharePrefix bool) {
-	cfg := experiments.DefaultConfig()
-	cfg.SkipKPI = true
-	var scens []experiments.SweepScenario
-	for _, name := range []string{scenario.DefaultCovid, scenario.NoPandemic, scenario.EarlyLockdown} {
-		s, err := scenario.Load(name)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
-		}
-		scens = append(scens, experiments.SweepScenario{Name: name, Scenario: s})
-	}
-	runs, err := experiments.RunSweepParallelOpts(context.Background(), w, cfg, stream.Config{Workers: 1}, scens,
-		experiments.SweepOptions{Parallel: 2, SharePrefix: sharePrefix})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return
-	}
-	for _, run := range runs {
-		for _, h := range run.Headlines {
-			if h.Name == "gyration trough Δ%" {
-				fmt.Printf("  %-22s gyration trough %+.1f%%\n", run.Name, h.Value)
-			}
-		}
-	}
-	delta, err := experiments.DeltaTable(runs, scenario.NoPandemic)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return
-	}
-	for _, label := range []string{"gyration mean Δ%", "gyration trough shift (days)"} {
-		if row, ok := delta.Row(label); ok {
-			fmt.Printf("  vs %s: %s:", scenario.NoPandemic, label)
-			for i, name := range delta.ColNames {
-				fmt.Printf(" %s %+.1f", name, row.Values[i])
-			}
-			fmt.Println()
-		}
-	}
 }
 
 // mobilityStack instantiates the default scenario without the traffic

@@ -5,8 +5,7 @@
 //
 // The paper is a measurement study over a UK operator's proprietary
 // control-plane and radio-KPI feeds; this module substitutes a complete
-// synthetic United Kingdom and synthetic MNO (see DESIGN.md) and
-// re-implements the paper's entire analysis pipeline on top of it:
+// synthetic United Kingdom and synthetic MNO and re-implements the paper's entire analysis pipeline on top of it:
 // mobility entropy and radius of gyration, night-time home detection,
 // mobility matrices, and the per-cell KPI delta statistics behind every
 // figure.
@@ -43,8 +42,9 @@
 //   - cmd/analyze: replay a feed directory (CSV or columnar) through
 //     the streaming engine and print the home-detection census fit and
 //     the national mobility table, without re-simulating.
-//   - cmd/ablate, cmd/mobilityrpt: ad-hoc ablation sweeps (scenario
-//     ablation rides the sweep runner) and mobility reports.
+//   - cmd/ablate, cmd/mobilityrpt: ad-hoc ablation sweeps over model
+//     knobs (interconnect headroom, top-N towers, home nights, WiFi
+//     offload) and mobility reports.
 //   - internal/obs: the nil-safe metrics layer behind -metrics (live
 //     HTTP JSON + pprof) and -metrics-out (stable obs/v1 snapshots,
 //     diffable with cmd/benchdiff -obs) on mnostream and mnosweep;
@@ -52,7 +52,7 @@
 //   - examples/: runnable walk-throughs of the public pipeline.
 //
 // The benchmarks in bench_test.go regenerate every table and figure (one
-// benchmark each), include the ablations called out in DESIGN.md, and
+// benchmark each), include the knob ablations cmd/ablate prints, and
 // track the streaming engine's speedup over one worker
 // (BenchmarkStreamWorkers1/4/8).
 //

@@ -241,20 +241,20 @@ func TestSweepPanicMidStudyKeepsPoolClean(t *testing.T) {
 	}
 	fi := fault.New(fault.Rule{Site: fault.SweepRun, Kind: fault.KindPanic, Key: 1})
 
-	pool := &enginePool{}
-	riders := []riderSpec{{idx: 1, forkDay: plan.forkDay[1], sc: scens[1]}}
-	run, _ := runPrefixScenario(context.Background(), w, cfg, fi, scens[0], 0, w.Homes(nil), nil, nil, nil, riders, pool)
+	pool := &scratchPool{}
+	riders := []rider{{idx: 1, forkDay: plan.forkDay[1], sc: scens[1]}}
+	run := runPrefixScenario(context.Background(), w, cfg, fi, scens[0], 0, w.Homes(nil), nil, nil, riders, pool)
 	var wp *stream.WorkerPanic
 	if !errors.As(run.Err, &wp) || wp.Stage != "sweep" {
 		t.Fatalf("host run: want the rider's sweep panic, got %v", run.Err)
 	}
-	if nb := len(pool.days.free); nb != 0 {
+	if nb := len(pool.free); nb != 0 {
 		t.Fatalf("panicked run returned %d day scratches (and their engines) to the pool", nb)
 	}
-	if run, _ = runPrefixScenario(context.Background(), w, cfg, fi, scens[2], 2, w.Homes(nil), nil, nil, nil, nil, pool); run.Err != nil {
+	if run = runPrefixScenario(context.Background(), w, cfg, fi, scens[2], 2, w.Homes(nil), nil, nil, nil, pool); run.Err != nil {
 		t.Fatalf("clean run: %v", run.Err)
 	}
-	if nb := len(pool.days.free); nb != 1 || pool.days.free[0].eng == nil {
+	if nb := len(pool.free); nb != 1 || pool.free[0].eng == nil {
 		t.Fatalf("clean run left %d day scratches in the pool, want 1 carrying an engine", nb)
 	}
 

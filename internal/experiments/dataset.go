@@ -103,18 +103,18 @@ func newResults(d *Dataset, homes homesMap) *Results {
 // (runPrefixScenario). It simulates study days
 // [start, timegrid.StudyDays) of r's stack into ds on one goroutine and
 // folds each into r's analyzers. At every day boundary sd (days [0, sd)
-// consumed) it first captures a checkpoint when snapAt[sd] and hands it
-// to publish at once, so the runs that fork there need not wait for
-// this one to finish; then it attaches the riders whose fork day is sd.
+// consumed) it first hands r to publish, which checkpoints it for the
+// runs that fork there so they need not wait for this one to finish;
+// then it attaches the riders whose fork day is sd.
 // Attached riders fold each day after the host, on the host's engine
 // rebound to them and into the host's record buffer.
 // ctx is checked before every day: a cancelled run returns ctx.Err()
 // and publishes nothing more.
-func runStudy(ctx context.Context, fi *fault.Injector, r *Results, ds *dayScratch, start int, snapAt map[int]bool, publish func(sd int, ck *Checkpoint), riders []riderState) error {
+func runStudy(ctx context.Context, fi *fault.Injector, r *Results, ds *dayScratch, start int, publish func(sd int, r *Results), riders []rider) error {
 	d := r.Dataset
 	for sd := start; ; sd++ {
-		if snapAt[sd] {
-			publish(sd, captureCheckpoint(r, sd))
+		if publish != nil {
+			publish(sd, r)
 		}
 		for k := range riders {
 			riders[k].attach(ctx, fi, r, sd)

@@ -33,10 +33,7 @@ func TestDeltaTableAgainstBaseline(t *testing.T) {
 			t.Fatalf("KPI row %q in a mobility-only delta table", row.Label)
 		}
 	}
-	row, ok := table.Row("gyration mean Δ%")
-	if !ok {
-		t.Fatal("gyration mean Δ% row missing")
-	}
+	row := mustRow(t, table, "gyration mean Δ%")
 	if row.Values[0] > -20 {
 		t.Errorf("covid gyration mean Δ%% vs null = %v, want strongly negative", row.Values[0])
 	}

@@ -250,10 +250,7 @@ func TestFig9UsesResultsKPI(t *testing.T) {
 	if len(tb.Rows) != len(traffic.VoiceMetrics()) {
 		t.Errorf("Fig9 rows = %d", len(tb.Rows))
 	}
-	row, ok := tb.Row(traffic.VoiceVolume.String())
-	if !ok {
-		t.Fatal("voice volume row missing")
-	}
+	row := mustRow(t, tb, traffic.VoiceVolume.String())
 	if len(row.Values) != timegrid.StudyWeeks {
 		t.Errorf("voice row has %d weeks", len(row.Values))
 	}

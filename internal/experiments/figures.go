@@ -598,7 +598,7 @@ func Fig11(r *Results) *Figure {
 		fmt.Sprintf("N %.1f vs EC %.1f", minOver(perDistrict["N"][traffic.DLActiveUsers], 10, 14),
 			minOver(perDistrict["EC"][traffic.DLActiveUsers], 10, 14)), "N ≥15 points above EC")
 	f.Notes = append(f.Notes,
-		"paper also reports N-district DL users *increasing* +10–23% in weeks 10-14; our model keeps N mildest-declining rather than growing (documented deviation, see EXPERIMENTS.md)")
+		"paper also reports N-district DL users *increasing* +10–23% in weeks 10-14; our model keeps N mildest-declining rather than growing (a known deviation of the model)")
 	return f
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/pandemic"
 	"repro/internal/scenario"
 	"repro/internal/stream"
 )
@@ -104,17 +106,61 @@ func checkpointConfig() Config {
 }
 
 // runFromCheckpoint resumes one scenario from start (nil = day 0),
-// optionally checkpointing at the snap days, and fails the test on any
-// run error.
+// optionally checkpointing at the snap days through its publish, and
+// fails the test on any run error.
 func runFromCheckpoint(t *testing.T, w *World, cfg Config, sc SweepScenario, start *Checkpoint, snapAt map[int]bool) (SweepRun, map[int]*Checkpoint) {
 	t.Helper()
 	snaps := make(map[int]*Checkpoint, len(snapAt))
-	publish := func(sd int, ck *Checkpoint) { snaps[sd] = ck }
-	run, _ := runPrefixScenario(context.Background(), w, cfg, nil, sc, 0, w.Homes(nil), start, snapAt, publish, nil, &enginePool{})
+	publish := func(sd int, r *Results) {
+		if snapAt[sd] {
+			snaps[sd] = captureCheckpoint(r, sd)
+		}
+	}
+	run := runPrefixScenario(context.Background(), w, cfg, nil, sc, 0, w.Homes(nil), start, publish, nil, &scratchPool{})
 	if run.Err != nil {
 		t.Fatalf("run %s: %v", sc.Name, run.Err)
 	}
 	return run, snaps
+}
+
+// TestSweepForksTwoChildrenAtOneDay covers a fork day with two
+// checkpoint children: three activity timelines agree through study day
+// 29 and pairwise differ from day 30, so the first hosts both others
+// from one capture at day 30. Each child must continue from a
+// checkpoint of its own — children handed one shared checkpoint would
+// fold both suffixes into the same analyzers — so the shared sweep must
+// match the unshared one bit for bit at Parallel 1 and 2.
+func TestSweepForksTwoChildrenAtOneDay(t *testing.T) {
+	const forkDay = 30
+	var scens []SweepScenario
+	for _, level := range []float64{0.5, 0.7, 0.9} {
+		s, err := pandemic.NewBuilder().Activity(forkDay-1, 1).Activity(forkDay, level).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		scens = append(scens, SweepScenario{Name: fmt.Sprintf("activity-%.1f", level), Scenario: s})
+	}
+	plan := planPrefix(scens)
+	for _, c := range []int{1, 2} {
+		if plan.parent[c] != 0 || plan.forkDay[c] != forkDay || plan.rider[c] {
+			t.Fatalf("want %s forked from %s at day %d; parent %v forkDay %v rider %v",
+				scens[c].Name, scens[0].Name, forkDay, plan.parent, plan.forkDay, plan.rider)
+		}
+	}
+	cfg := checkpointConfig()
+	cfg.SkipKPI = true // a shared checkpoint shows in the mobility folds already
+	w := NewWorld(cfg)
+	ref := mustSweep(t, w, cfg, scens, SweepOptions{Parallel: 1})
+	for _, parallel := range []int{1, 2} {
+		runs := mustSweep(t, w, cfg, scens, SweepOptions{Parallel: parallel, SharePrefix: true})
+		for _, c := range []int{1, 2} {
+			if runs[c].ForkedFrom != scens[0].Name || runs[c].PrefixDays != forkDay {
+				t.Errorf("parallel=%d %s: forked from %q after %d days, want %q after %d",
+					parallel, runs[c].Name, runs[c].ForkedFrom, runs[c].PrefixDays, scens[0].Name, forkDay)
+			}
+		}
+		assertSweepRunsEqual(t, ref, runs)
+	}
 }
 
 // TestCheckpointForkNoAliasing advances a fork to the end of the study
@@ -203,34 +249,34 @@ func TestRidersFoldOnHostEngine(t *testing.T) {
 	cfg := streamingTestConfig() // busy enough cells that KPI headlines see the scenario
 	scens := sweepScenarios(t, scenario.DefaultCovid, scenario.DeepOffload, scenario.VoiceSurge)
 	plan := planPrefix(scens)
-	if len(plan.riders[0]) != 2 || len(plan.children[0]) != 0 {
-		t.Fatalf("want deep-offload and voice-surge riding default-covid; riders %v children %v", plan.riders, plan.children)
+	var riders []rider
+	for _, c := range plan.children[0] {
+		if plan.rider[c] {
+			riders = append(riders, rider{idx: c, forkDay: plan.forkDay[c], sc: scens[c]})
+		}
 	}
-	riders := make([]riderSpec, 0, 2)
-	for _, ri := range plan.riders[0] {
-		riders = append(riders, riderSpec{idx: ri, forkDay: plan.forkDay[ri], sc: scens[ri]})
+	if len(riders) != 2 || len(plan.children[0]) != 2 {
+		t.Fatalf("want deep-offload and voice-surge riding default-covid; children %v rider %v", plan.children, plan.rider)
 	}
 	w := NewWorld(cfg)
-	pool := &enginePool{}
-	run, riderRuns := runPrefixScenario(context.Background(), w, cfg, nil, scens[0], 0, w.Homes(nil), nil, nil, nil, riders, pool)
+	pool := &scratchPool{}
+	run := runPrefixScenario(context.Background(), w, cfg, nil, scens[0], 0, w.Homes(nil), nil, nil, riders, pool)
 	if run.Err != nil {
 		t.Fatalf("host run: %v", run.Err)
 	}
-	if n := len(pool.days.free); n != 1 || pool.days.free[0].eng == nil {
+	if n := len(pool.free); n != 1 || pool.free[0].eng == nil {
 		t.Fatalf("pool holds %d day scratches after the host run, want 1 carrying an engine", n)
 	}
-	if len(riderRuns) != len(riders) {
-		t.Fatalf("host settled %d riders, want %d", len(riderRuns), len(riders))
-	}
 	runs := map[int]SweepRun{0: run}
-	for _, rr := range riderRuns {
-		if rr.run.Err != nil {
-			t.Fatalf("rider %s: %v", rr.run.Name, rr.run.Err)
+	for k := range riders {
+		rr := riders[k].settle(run.Results)
+		if rr.Err != nil {
+			t.Fatalf("rider %s: %v", rr.Name, rr.Err)
 		}
-		if rr.run.Results.Dataset.Engine != nil {
-			t.Errorf("rider %s holds an engine of its own", rr.run.Name)
+		if rr.Results.Dataset.Engine != nil {
+			t.Errorf("rider %s holds an engine of its own", rr.Name)
 		}
-		runs[rr.idx] = rr.run
+		runs[riders[k].idx] = rr
 	}
 	for i, r := range runs {
 		alone, _ := runFromCheckpoint(t, w, cfg, scens[i], nil, nil)

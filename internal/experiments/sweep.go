@@ -153,22 +153,26 @@ func RunSweepParallelOpts(ctx context.Context, w *World, cfg Config, scfg stream
 	}
 	// The February pass simulates into a day buffer that then joins the
 	// pool, so the first run reuses it.
-	pool := &enginePool{}
+	pool := &scratchPool{}
 	buf := mobsim.NewDayBuffer()
 	homes := w.Homes(buf)
-	pool.days.put(&dayScratch{buf: buf})
-	store := newCkStore(&plan)
+	pool.put(&dayScratch{buf: buf})
 	out := make([]SweepRun, len(scens))
 	m := newSweepMetrics(scfg.Metrics, parallel)
 
-	// Ready queue over the fork tree. The channel holds every index at
-	// most once (each has one parent), so len(scens) capacity never
-	// blocks a producer; the final completion closes it. Riders are
-	// settled inside their host's run and never queued.
-	ready := make(chan int, len(scens))
+	// Ready queue over the fork tree: each job is a run and the
+	// checkpoint it starts from (nil = day 0). The channel holds every
+	// index at most once (each has one parent), so len(scens) capacity
+	// never blocks a producer; the final completion closes it. Riders
+	// are settled inside their host's run and never queued.
+	type job struct {
+		idx   int
+		start *Checkpoint
+	}
+	ready := make(chan job, len(scens))
 	for i := range scens {
-		if !plan.rider[i] && (plan.parent[i] < 0 || plan.forkDay[i] <= 0) {
-			ready <- i
+		if plan.parent[i] < 0 {
+			ready <- job{i, nil}
 		}
 	}
 	// queued[c] marks a forked child already pushed by its parent's
@@ -180,14 +184,13 @@ func RunSweepParallelOpts(ctx context.Context, w *World, cfg Config, scfg stream
 	// detach the pooled engine from the stored stack and report the run
 	// to opt.OnRun.
 	var onRunMu sync.Mutex
-	finish := func(i int, run SweepRun, prefixDays int) {
+	finish := func(i int, run SweepRun) {
 		if run.Err == nil {
-			if prefixDays > 0 {
+			if run.PrefixDays > 0 {
 				run.ForkedFrom = scens[plan.parent[i]].Name
-				run.PrefixDays = prefixDays
 				if m != nil {
 					m.forks.Inc()
-					m.prefixSaved.Add(int64(prefixDays))
+					m.prefixSaved.Add(int64(run.PrefixDays))
 				}
 			}
 			run.Results.Dataset.Engine = nil
@@ -203,55 +206,49 @@ func RunSweepParallelOpts(ctx context.Context, w *World, cfg Config, scfg stream
 		}
 	}
 
-	// riderSpecs materializes run i's planned riders.
-	riderSpecs := func(i int) []riderSpec {
-		rs := plan.riders[i]
-		if len(rs) == 0 {
-			return nil
+	// execute runs host j.idx with its riders inline. At each day
+	// boundary where non-rider children fork, the host captures one
+	// checkpoint and queues those children at once: every child but the
+	// last gets a fork, taken before the original is queued, and the
+	// last gets the original (nobody else will read it). A failed host
+	// settles no riders; they fall back to standalone day-0 runs, as
+	// the children of a failed checkpoint parent do.
+	execute := func(j job) {
+		i := j.idx
+		var riders []rider
+		for _, c := range plan.children[i] {
+			if plan.rider[c] {
+				riders = append(riders, rider{idx: c, forkDay: plan.forkDay[c], sc: scens[c]})
+			}
 		}
-		specs := make([]riderSpec, len(rs))
-		for k, ri := range rs {
-			specs[k] = riderSpec{idx: ri, forkDay: plan.forkDay[ri], sc: scens[ri]}
-		}
-		return specs
-	}
-
-	// execute runs host i with its riders inline and returns every
-	// scenario index it settled. Each checkpoint the host captures is
-	// stored and its children queued at once. A failed host reports no
-	// rider outcomes; its riders then fall back to standalone day-0
-	// runs, exactly as the children of a failed checkpoint parent do.
-	execute := func(i int) []int {
-		start := store.take(i)
-		prefixDays := 0
-		if start != nil {
-			prefixDays = int(start.Day)
-		}
-		publish := func(sd int, ck *Checkpoint) {
-			store.put(i, sd, ck)
+		publish := func(sd int, r *Results) {
+			var ck *Checkpoint
+			last := -1
 			for _, c := range plan.children[i] {
-				if plan.forkDay[c] == sd {
-					queued[c] = true
-					ready <- c
+				if plan.rider[c] || plan.forkDay[c] != sd {
+					continue
 				}
+				if ck == nil {
+					ck = captureCheckpoint(r, sd)
+				} else {
+					ready <- job{last, ck.Fork()}
+				}
+				last, queued[c] = c, true
+			}
+			if ck != nil {
+				ready <- job{last, ck}
 			}
 		}
-		run, riderRuns := runPrefixScenario(ctx, w, cfg, scfg.Fault, scens[i], i, homes, start, plan.snapAt[i], publish, riderSpecs(i), pool)
-		finish(i, run, prefixDays)
-		done := append(make([]int, 0, 1+len(plan.riders[i])), i)
-		if run.Err == nil {
-			for _, rr := range riderRuns {
-				finish(rr.idx, rr.run, rr.days)
-				done = append(done, rr.idx)
-			}
-		} else {
-			for _, ri := range plan.riders[i] {
-				frun, _ := runPrefixScenario(ctx, w, cfg, scfg.Fault, scens[ri], ri, homes, nil, nil, nil, nil, pool)
-				finish(ri, frun, 0)
-				done = append(done, ri)
+		run := runPrefixScenario(ctx, w, cfg, scfg.Fault, scens[i], i, homes, j.start, publish, riders, pool)
+		finish(i, run)
+		for k := range riders {
+			rd := &riders[k]
+			if run.Err == nil {
+				finish(rd.idx, rd.settle(run.Results))
+			} else {
+				finish(rd.idx, runPrefixScenario(ctx, w, cfg, scfg.Fault, rd.sc, rd.idx, homes, nil, nil, nil, pool))
 			}
 		}
-		return done
 	}
 
 	var (
@@ -262,17 +259,21 @@ func RunSweepParallelOpts(ctx context.Context, w *World, cfg Config, scfg stream
 	if m != nil {
 		fanOut = time.Now()
 	}
-	// complete queues the children i's publish did not: those whose
-	// checkpoint a failed or cancelled i never captured, which then run
-	// from day 0.
+	// complete counts host i and its riders as settled and queues, to
+	// run from day 0, the children i's publish did not: those whose
+	// checkpoint a failed or cancelled i never captured.
 	complete := func(i int) {
+		settled := 1
 		for _, c := range plan.children[i] {
-			if plan.forkDay[c] > 0 && !queued[c] {
-				ready <- c
+			switch {
+			case plan.rider[c]:
+				settled++
+			case !queued[c]:
+				ready <- job{c, nil}
 			}
 		}
 		compMu.Lock()
-		completed++
+		completed += settled
 		if completed == len(scens) {
 			close(ready)
 		}
@@ -288,7 +289,7 @@ func RunSweepParallelOpts(ctx context.Context, w *World, cfg Config, scfg stream
 			if m != nil {
 				runSh = m.runNs.Shard(p)
 			}
-			for i := range ready {
+			for j := range ready {
 				var t0 time.Time
 				if m != nil {
 					// Queue wait: how long this day loop sat behind the
@@ -296,15 +297,11 @@ func RunSweepParallelOpts(ctx context.Context, w *World, cfg Config, scfg stream
 					t0 = time.Now()
 					m.queueNs.Observe(int64(t0.Sub(fanOut)))
 				}
-				done := execute(i)
+				execute(j)
 				if m != nil {
 					runSh.Observe(int64(time.Since(t0)))
 				}
-				// A host settles its riders too; every settled index
-				// counts toward completion (riders have no children).
-				for _, idx := range done {
-					complete(idx)
-				}
+				complete(j.idx)
 			}
 		}(p)
 	}

@@ -62,10 +62,7 @@ func TestSweepBuildsWorldExactlyOnce(t *testing.T) {
 	if len(table.ColNames) != 3 || len(table.Rows) == 0 {
 		t.Fatalf("sweep table shape: cols %v, %d rows", table.ColNames, len(table.Rows))
 	}
-	row, ok := table.Row("gyration trough Δ%")
-	if !ok {
-		t.Fatal("gyration trough row missing")
-	}
+	row := mustRow(t, table, "gyration trough Δ%")
 	covid, null := row.Values[0], row.Values[1]
 	if covid > -40 {
 		t.Errorf("covid trough = %v", covid)

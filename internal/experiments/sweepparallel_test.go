@@ -64,8 +64,8 @@ func assertSweepModesMatch(t *testing.T, w *World, cfg Config, scens []SweepScen
 // through the streaming pipeline, at every sweep worker count, while
 // building zero additional Worlds (counter-verified). Run under -race
 // this also exercises the cross-worker synchronization (the shared
-// immutable World, the shared homes map, the checkpoint store and the
-// engine pool).
+// immutable World, the shared homes map, the checkpoints handed from
+// parent to child through the ready queue and the scratch pool).
 func TestParallelSweepMatchesSerial(t *testing.T) {
 	cfg := sweepConfig()
 	scens := sweepScenarios(t,

@@ -4,8 +4,22 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/stats"
 	"repro/internal/stream"
 )
+
+// mustRow returns the row of tb labelled label, failing the test when
+// there is none.
+func mustRow(t testing.TB, tb stats.Table, label string) stats.TableRow {
+	t.Helper()
+	for _, r := range tb.Rows {
+		if r.Label == label {
+			return r
+		}
+	}
+	t.Fatalf("%s row missing", label)
+	return stats.TableRow{}
+}
 
 // The streaming and sweep runners return errors only under cancellation
 // or fault injection; the functional tests run clean pipelines, so they

@@ -9,8 +9,8 @@ import (
 )
 
 // WriteMarkdownTable renders a stats.Table as a GitHub-flavoured
-// markdown table, for exporting regenerated figures into documents like
-// EXPERIMENTS.md.
+// markdown table, for exporting regenerated figures into markdown
+// documents.
 func WriteMarkdownTable(w io.Writer, t *stats.Table) {
 	if t.Title != "" {
 		fmt.Fprintf(w, "**%s**\n\n", t.Title)

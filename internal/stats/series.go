@@ -96,16 +96,6 @@ func (t *Table) AddRow(label string, values []float64) {
 	t.Rows = append(t.Rows, TableRow{Label: label, Values: values})
 }
 
-// Row returns the row with the given label, or false.
-func (t *Table) Row(label string) (TableRow, bool) {
-	for _, r := range t.Rows {
-		if r.Label == label {
-			return r, true
-		}
-	}
-	return TableRow{}, false
-}
-
 // Accumulator incrementally collects float64 observations and reduces
 // them without retaining more memory than needed; handy for per-cell
 // streaming aggregation.

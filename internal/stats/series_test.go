@@ -55,11 +55,8 @@ func TestTable(t *testing.T) {
 	tb.Title = "t"
 	tb.AddRow("b", []float64{1})
 	tb.AddRow("a", []float64{2})
-	if r, ok := tb.Row("a"); !ok || r.Values[0] != 2 {
-		t.Error("Row lookup failed")
-	}
-	if _, ok := tb.Row("zz"); ok {
-		t.Error("missing row should not be found")
+	if len(tb.Rows) != 2 || tb.Rows[1].Label != "a" || tb.Rows[1].Values[0] != 2 {
+		t.Errorf("rows = %+v, want b then a in insertion order", tb.Rows)
 	}
 }
 
