@@ -25,6 +25,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/mobsim"
 	"repro/internal/obs"
+	"repro/internal/partial"
 	"repro/internal/popsim"
 	"repro/internal/radio"
 	"repro/internal/rng"
@@ -987,17 +988,15 @@ func benchmarkFeedReplay(b *testing.B, users int, col bool) {
 // feed holds.
 const partitionDays = 14
 
-// BenchmarkPartitionDir cold-partitions a columnar trace and KPI feed
-// of partitionDays days at the 8k rung into 2 shards: PartitionDir's
-// user range pass, then its routing pass through fresh readers, shard
-// buckets and shard writers, the feeds.partition stage of the
-// replay-15k benchmark workload.
-func BenchmarkPartitionDir(b *testing.B) {
+// writeStudyFeed writes a columnar trace and KPI feed of partitionDays
+// study days at the 8k rung into a fresh directory, and returns the
+// dataset that simulated it with the directory.
+func writeStudyFeed(b *testing.B) (*experiments.Dataset, string) {
 	cfg := experiments.DefaultConfig()
 	cfg.TargetUsers = popsim.ScaleSmall
 	d := experiments.NewDataset(cfg)
-	in, out := b.TempDir(), b.TempDir()
-	w, err := feeds.CreateDir(in, feeds.FormatCol, true)
+	dir := b.TempDir()
+	w, err := feeds.CreateDir(dir, feeds.FormatCol, true)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1013,6 +1012,17 @@ func BenchmarkPartitionDir(b *testing.B) {
 	if err := errors.Join(w.Close(), w.WriteMeta(feeds.Meta{Users: cfg.TargetUsers, Seed: cfg.Seed})); err != nil {
 		b.Fatal(err)
 	}
+	return d, dir
+}
+
+// BenchmarkPartitionDir cold-partitions a columnar trace and KPI feed
+// of partitionDays days at the 8k rung into 2 shards: PartitionDir's
+// user range pass, then its routing pass through fresh readers, shard
+// buckets and shard writers, the feeds.partition stage of the
+// replay-15k benchmark workload.
+func BenchmarkPartitionDir(b *testing.B) {
+	_, in := writeStudyFeed(b)
+	out := b.TempDir()
 
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -1020,6 +1030,34 @@ func BenchmarkPartitionDir(b *testing.B) {
 		if _, err := feeds.PartitionDir(in, out, 2, feeds.Options{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkShardReplay cold-replays a columnar trace and KPI feed of
+// partitionDays days at the 8k rung the way each shard of the
+// replay-15k benchmark workload is replayed: feeds.OpenDir, then
+// stream.Prefetch(src, 1) into a one-worker engine that feeds a
+// partial.Recorder. Its allocation is the replay's day window.
+func BenchmarkShardReplay(b *testing.B) {
+	d, dir := writeStudyFeed(b)
+	meta := feeds.Meta{Users: d.Config.TargetUsers, Seed: d.Config.Seed}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src, err := feeds.OpenDir(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng := stream.NewEngine(stream.Config{Workers: 1})
+		rec := partial.NewRecorder(d.Topology, d.Config.TopN, meta)
+		eng.AddTraceConsumer(rec.Traces())
+		eng.AddKPIConsumer(rec.KPI())
+		err = eng.Run(context.Background(), stream.Prefetch(src, 1))
+		if err := errors.Join(err, src.Close()); err != nil {
+			b.Fatal(err)
+		}
+		rec.Partial()
 	}
 }
 

@@ -392,13 +392,18 @@ func (k *KPIReader) ReadDayAppend(dst []traffic.CellDay) (timegrid.SimDay, []tra
 	}
 }
 
-// decodeKPI unpacks one CRC-clean KPI block, appending to dst. dst
-// grows once, by the header's cell count (bounded by the payload length
-// in validateKPIHead), before the first record is appended.
+// decodeKPI unpacks one CRC-clean KPI block, appending to dst. A dst
+// without room for the header's cell count (bounded by the payload
+// length in validateKPIHead) grows once, before the first record is
+// appended, with room for that count plus an eighth (the grow.Slack
+// policy): a window's cell count rises as sites come up, and later,
+// slightly larger days then reuse it.
 func decodeKPI(h blockHead, p []byte, dst []traffic.CellDay) ([]traffic.CellDay, error) {
 	nC := int(h.countA)
 	base := len(dst)
-	dst = grow.Reserve(dst, nC)
+	if cap(dst)-base < nC {
+		dst = append(make([]traffic.CellDay, 0, base+nC+nC/8), dst...)
+	}
 	prev := int64(0)
 	for i := 0; i < nC; i++ {
 		var id int64

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/grow"
 	"repro/internal/mobsim"
+	"repro/internal/stream"
 	"repro/internal/traffic"
 )
 
@@ -52,7 +53,14 @@ func PartitionDir(in, out string, parts int, opt Options) ([]Meta, error) {
 		return nil, fmt.Errorf("feeds: cannot partition into %d parts", parts)
 	}
 
-	lo, hi, err := userRange(in, opt)
+	// Pass 2's source is opened first, so pass 1 decodes into a store
+	// from its pool and pass 2 starts on that warm store.
+	src, err := OpenDirOpts(in, opt)
+	if err != nil {
+		return nil, err
+	}
+	defer src.Close()
+	lo, hi, err := userRange(in, opt, src.pool)
 	if err != nil {
 		return nil, err
 	}
@@ -76,12 +84,6 @@ func PartitionDir(in, out string, parts int, opt Options) ([]Meta, error) {
 	}
 
 	// Pass 2: route every record to its shard.
-	src, err := OpenDirOpts(in, opt)
-	if err != nil {
-		return nil, err
-	}
-	defer src.Close()
-
 	metas := make([]Meta, parts)
 	ws := make([]*DirWriter, parts)
 	events := make([]*EventWriter, parts)
@@ -164,9 +166,10 @@ func PartitionDir(in, out string, parts int, opt Options) ([]Meta, error) {
 // userRange is PartitionDir's pass 1: it scans dir's trace feed for the
 // lowest and highest user ID. IDs are dense (popsim assigns them
 // sequentially), so equal ID spans give near-equal shard populations.
-// Only the trace feed is opened, decoded into one reused day buffer,
-// and opt.OnSkip is dropped (pass 2 reports the skips).
-func userRange(dir string, opt Options) (lo, hi uint32, err error) {
+// Only the trace feed is opened, with opt.OnSkip dropped (pass 2
+// reports the skips), and every day is decoded into one store drawn
+// from pool, which goes back to pool on return.
+func userRange(dir string, opt Options, pool *stream.BufferPool) (lo, hi uint32, err error) {
 	opt.OnSkip = nil
 	var files []io.Closer
 	traces, err := openTraces(&files, dir, opt)
@@ -178,14 +181,16 @@ func userRange(dir string, opt Options) (lo, hi uint32, err error) {
 	}
 	lo, hi = math.MaxUint32, 0
 	seen := false
-	buf := mobsim.NewDayBuffer()
+	st := pool.Draw()
+	b := st.Batch()
+	defer b.Release()
 	for {
-		if _, err := traces.ReadDayInto(buf); err == io.EOF {
+		if _, err := traces.ReadDayInto(st.Buf); err == io.EOF {
 			break
 		} else if err != nil {
 			return 0, 0, err
 		}
-		for _, t := range buf.Traces() {
+		for _, t := range st.Buf.Traces() {
 			lo, hi = min(lo, uint32(t.User)), max(hi, uint32(t.User))
 			seen = true
 		}

@@ -51,10 +51,11 @@ type KPIDayReader interface {
 }
 
 // feedPoolSize bounds the recycled per-day backing stores a FeedSource
-// keeps. It covers the deepest pipeline the package is used with (a
-// stream.Prefetch window plus the day in the engine); when consumers
-// hold more than this, or never call Release, the source simply
-// allocates fresh stores — liveness never depends on recycling.
+// keeps idle. A replay through stream.Prefetch(src, n) and an engine
+// holds n+1 stores (2 at the default Buffer of 1), so 8 covers every
+// window the commands use; when consumers hold more than this, or
+// never call Release, the source simply allocates fresh stores —
+// liveness never depends on recycling.
 const feedPoolSize = 8
 
 // FeedSource replays persisted feeds — CSV or columnar day blocks
@@ -62,7 +63,10 @@ const feedPoolSize = 8
 // engine (stream.Source). The trace feed drives the day
 // cursor; per-cell KPI records and control-plane events for the same day
 // are attached when their feeds are present. All readers are streaming:
-// one day of records is held at a time.
+// one day is held, plus at most one parked KPI day (a KPI day read
+// ahead of a trace day that has none, kept in the source's own buffer
+// until its trace day comes). KPI days are decoded straight into the
+// batch's store.
 //
 // Batches are produced into stores drawn from a stream.BufferPool — the
 // simulator's recycling discipline, double-release guard included;
@@ -238,31 +242,40 @@ func (s *FeedSource) Next() (stream.DayBatch, error) {
 }
 
 // kpiFor appends the KPI records of the given day to dst, skipping feed
-// days that precede it (e.g. a trace feed opened mid-window). The
-// one-day read-ahead lives in the source's own pending buffer and is
-// copied out, so dst never aliases reader state.
+// days that precede it (e.g. a trace feed opened mid-window). Each KPI
+// day is decoded straight into dst: a stale day is rolled back, and only
+// a day that belongs to a later trace day is copied out, into the
+// source's own parked buffer. A store returns to the pool with its
+// batch, so a parked day must not stay in one.
 func (s *FeedSource) kpiFor(day timegrid.SimDay, dst []traffic.CellDay) ([]traffic.CellDay, error) {
+	base := len(dst)
 	for !s.kpiDone {
-		if s.pendingKPIDay < 0 {
-			d, cells, err := s.kpi.ReadDayAppend(s.pendingCells[:0])
-			if err == io.EOF {
-				s.kpiDone = true
-				break
+		if s.pendingKPIDay >= 0 {
+			switch {
+			case s.pendingKPIDay == day:
+				s.pendingKPIDay = -1
+				return append(dst, s.pendingCells...), nil
+			case s.pendingKPIDay > day:
+				return dst, nil // feed is ahead; no records for this day
 			}
-			if err != nil {
-				return dst, err
-			}
-			s.pendingKPIDay, s.pendingCells = d, cells
+			s.pendingKPIDay = -1 // stale feed day
+		}
+		d, cells, err := s.kpi.ReadDayAppend(dst)
+		if err == io.EOF {
+			s.kpiDone = true
+			break
+		}
+		if err != nil {
+			return dst, err
 		}
 		switch {
-		case s.pendingKPIDay == day:
-			dst = append(dst, s.pendingCells...)
-			s.pendingKPIDay = -1
-			return dst, nil
-		case s.pendingKPIDay < day:
-			s.pendingKPIDay = -1 // stale feed day
+		case d == day:
+			return cells, nil
+		case d < day:
+			dst = cells[:base] // stale feed day; keep the grown capacity
 		default:
-			return dst, nil // feed is ahead; no records for this day
+			s.pendingKPIDay, s.pendingCells = d, append(s.pendingCells[:0], cells[base:]...)
+			return cells[:base], nil
 		}
 	}
 	return dst, nil

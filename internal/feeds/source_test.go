@@ -1,11 +1,15 @@
 package feeds
 
 import (
+	"context"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/mobsim"
 	"repro/internal/popsim"
@@ -70,9 +74,146 @@ func writeFeedDir(t *testing.T, dir string) {
 	ef.Close()
 }
 
-func TestFeedSourceAlignsDays(t *testing.T) {
+// encodedDir writes a CSV feed directory with write and returns it in
+// the given encoding: as written, or converted to the columnar format.
+func encodedDir(t *testing.T, format string, write func(t *testing.T, dir string)) string {
+	t.Helper()
 	dir := t.TempDir()
-	writeFeedDir(t, dir)
+	write(t, dir)
+	if format == FormatCSV {
+		return dir
+	}
+	col := t.TempDir()
+	if err := ConvertDir(dir, col, FormatCol, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	return col
+}
+
+// kpiDay returns the records of one KPI feed day: two to four cells,
+// each with values that name its day and position.
+func kpiDay(day timegrid.SimDay) []traffic.CellDay {
+	cells := make([]traffic.CellDay, int(day)%3+2)
+	for i := range cells {
+		cells[i].Cell = radio.CellID(int(day)*10 + i)
+		for m := range cells[i].Values {
+			cells[i].Values[m] = float64(day) + float64(i)/10 + float64(m)/100
+		}
+	}
+	return cells
+}
+
+// writeAlignDir persists traces for traceDays (users 1 and 7) and the
+// kpiDay records of kpiDays; it writes no event feed.
+func writeAlignDir(traceDays, kpiDays []timegrid.SimDay) func(t *testing.T, dir string) {
+	return func(t *testing.T, dir string) {
+		tf, err := os.Create(filepath.Join(dir, TraceFeedName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tf.Close()
+		tw := NewTraceWriter(tf)
+		for _, day := range traceDays {
+			traces := []mobsim.DayTrace{
+				{User: 1, Visits: []mobsim.Visit{mobsim.MakeVisit(2, 1, 600, true)}},
+				{User: 7, Visits: []mobsim.Visit{mobsim.MakeVisit(3, 2, 1200, false)}},
+			}
+			if err := tw.WriteDay(day, traces); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		kf, err := os.Create(filepath.Join(dir, KPIFeedName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer kf.Close()
+		kw := NewKPIWriter(kf)
+		for _, day := range kpiDays {
+			if err := kw.WriteDay(day, kpiDay(day)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := kw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func days(ds ...timegrid.SimDay) []timegrid.SimDay { return ds }
+
+// TestFeedSourceAlignsDays replays feeds whose KPI days differ from
+// their trace days, in both encodings, and wants each batch to carry
+// exactly its own day's records. The consumer holds each batch while it
+// asks for the next, as a Prefetch window does, so stores rotate, and a
+// held batch is checked again once the next day is out. A KPI day the
+// source reads ahead must be parked in memory of its own, never in a
+// store's record slice: a released store is handed to the next day.
+func TestFeedSourceAlignsDays(t *testing.T) {
+	cases := []struct {
+		name               string
+		traceDays, kpiDays []timegrid.SimDay
+	}{
+		// Day 0 precedes the first trace day: read, then dropped.
+		{"stale KPI day", days(1, 2, 3, 4), days(0, 1, 2, 3, 4)},
+		// Days 2 and 5 have no KPI block, so days 3 and 6 are read
+		// ahead and parked; day 3 is served from the park, day 6 is
+		// stale by trace day 7 (and day 4 by trace day 5).
+		{"trace days without KPI", days(1, 2, 3, 5, 7), days(1, 3, 4, 6)},
+		{"multi-cell days", days(0, 1, 2, 3, 4, 5, 6, 7), days(0, 1, 2, 3, 4, 5, 6, 7)},
+	}
+	for _, format := range []string{FormatCSV, FormatCol} {
+		t.Run(format, func(t *testing.T) {
+			t.Run("opened mid-window", func(t *testing.T) { alignMidWindow(t, encodedDir(t, format, writeFeedDir)) })
+			for _, c := range cases {
+				t.Run(c.name, func(t *testing.T) {
+					src, err := OpenDir(encodedDir(t, format, writeAlignDir(c.traceDays, c.kpiDays)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer src.Close()
+					want := func(day timegrid.SimDay) []traffic.CellDay {
+						if slices.Contains(c.kpiDays, day) {
+							return kpiDay(day)
+						}
+						return nil
+					}
+					var held stream.DayBatch
+					for _, day := range c.traceDays {
+						b, err := src.Next()
+						if err != nil {
+							t.Fatalf("day %d: %v", day, err)
+						}
+						if b.Day != day {
+							t.Fatalf("want day %d, got %d", day, b.Day)
+						}
+						if !reflect.DeepEqual(b.Cells, want(day)) {
+							t.Fatalf("day %d: cells %+v, want %+v", day, b.Cells, want(day))
+						}
+						if held.Owner != nil && !reflect.DeepEqual(held.Cells, want(held.Day)) {
+							t.Fatalf("held day %d changed once day %d was read: cells %+v", held.Day, day, held.Cells)
+						}
+						if st := b.Owner.(*stream.DayStore); src.pendingKPIDay >= 0 && cap(st.Cells) > 0 && &st.Cells[:1][0] == &src.pendingCells[0] {
+							t.Fatalf("day %d: parked KPI day %d aliases the batch's store", day, src.pendingKPIDay)
+						}
+						held.Release()
+						held = b
+					}
+					held.Release()
+					if _, err := src.Next(); err != io.EOF {
+						t.Fatalf("want EOF, got %v", err)
+					}
+				})
+			}
+		})
+	}
+}
+
+// alignMidWindow replays writeFeedDir's feed: KPI records start on the
+// second trace day, events come on day 1 only.
+func alignMidWindow(t *testing.T, dir string) {
 	src, err := OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -116,6 +257,59 @@ func TestFeedSourceAlignsDays(t *testing.T) {
 	}
 	if _, err := src.Next(); err != io.EOF {
 		t.Fatalf("want EOF, got %v", err)
+	}
+}
+
+// holdFirstDay is a trace consumer that keeps the engine on the first
+// day for a while, so a producer with a wider window would draw more.
+type holdFirstDay struct{ held bool }
+
+func (h *holdFirstDay) ConsumeDay(timegrid.SimDay, []mobsim.DayTrace) {
+	if !h.held {
+		h.held = true
+		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// storeCounter passes a source's batches through and records the
+// distinct stores they come in.
+type storeCounter struct {
+	src    stream.Source
+	stores map[stream.Recycler]bool
+}
+
+func (c *storeCounter) Next() (stream.DayBatch, error) {
+	b, err := c.src.Next()
+	if err == nil {
+		c.stores[b.Owner] = true
+	}
+	return b, err
+}
+
+// TestFeedReplayWindowIsTwoStores pins a feed replay's window at the
+// default Buffer of 1: through Prefetch(src, 1) and a one-worker engine
+// that lingers on the first day, a 12-day columnar feed comes in
+// exactly two stores — the day the engine holds and the one decoded
+// ahead. (The pool's stream.pool.misses counter would say the same, but
+// feeds, a leaf package, imports no obs; see scripts/obs_check.sh.)
+func TestFeedReplayWindowIsTwoStores(t *testing.T) {
+	var all []timegrid.SimDay
+	for d := timegrid.SimDay(0); d < 12; d++ {
+		all = append(all, d)
+	}
+	src, err := OpenDir(encodedDir(t, FormatCol, writeAlignDir(all, all)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	c := &storeCounter{src: src, stores: map[stream.Recycler]bool{}}
+	e := stream.NewEngine(stream.Config{Workers: 1})
+	e.AddTraceConsumer(&holdFirstDay{})
+	if err := e.Run(context.Background(), stream.Prefetch(c, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(c.stores); got != 2 {
+		t.Errorf("12 days replayed in %d stores, want 2", got)
 	}
 }
 

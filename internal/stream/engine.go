@@ -37,7 +37,8 @@ type Config struct {
 	// ahead of consumption (backpressure window); the replay commands
 	// also pass it as their Prefetch depth. <= 0 means 1: with the day
 	// the consumer holds, a SimSource's window is Workers+1 day stores,
-	// one in production per producer plus the consumer's. A larger
+	// one in production per producer plus the consumer's, and a feed
+	// replay's is Buffer+1, as one producer's. A larger
 	// window changes no output (days are re-sequenced) and measured no
 	// faster; each extra store costs a day's traces and cells (≈5.3 MB
 	// at 50k users). See PERFORMANCE.md, "Day window: Workers+1 stores".

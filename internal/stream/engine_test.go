@@ -7,7 +7,9 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/mobsim"
 	"repro/internal/popsim"
@@ -512,5 +514,50 @@ func TestPrefetchDeliversInOrder(t *testing.T) {
 	}
 	if _, err := src.Next(); err == nil {
 		t.Fatal("want EOF")
+	}
+}
+
+// producedSource counts the batches its inner source has produced.
+type producedSource struct {
+	src      Source
+	produced atomic.Int64
+}
+
+func (s *producedSource) Next() (DayBatch, error) {
+	b, err := s.src.Next()
+	if err == nil {
+		s.produced.Add(1)
+	}
+	return b, err
+}
+
+// TestPrefetchWindowIsN pins Prefetch's window: with the consumer
+// holding each batch while it asks for the next, the producer runs
+// exactly n batches ahead of what Next has returned, the one it decodes
+// while the consumer works included — never n+1, and at n = 1 still one.
+func TestPrefetchWindowIsN(t *testing.T) {
+	for _, n := range []int{1, 2, 3} {
+		src := &producedSource{src: NewSliceSource(syntheticBatches(12, 1))}
+		p := Prefetch(src, n)
+		var held DayBatch
+		for got := int64(1); got <= 6; got++ {
+			b, err := p.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			held.Release()
+			held = b
+			// Let the producer run as far ahead as the window allows.
+			deadline := time.Now().Add(time.Second)
+			for src.produced.Load()-got < int64(n) && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			time.Sleep(10 * time.Millisecond)
+			if ahead := src.produced.Load() - got; ahead != int64(n) {
+				t.Fatalf("Prefetch(src, %d): %d batches ahead after day %d, want %d", n, ahead, got-1, n)
+			}
+		}
+		held.Release()
+		stopSource(p)
 	}
 }

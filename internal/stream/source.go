@@ -413,19 +413,23 @@ func (s *SimSource) run(ctx context.Context, sim *mobsim.Simulator, eng *traffic
 	}
 }
 
-// Prefetch wraps a source with a decode-ahead goroutine: up to n day
-// batches are produced before the consumer asks for them, so e.g. CSV
-// feed decoding overlaps with analytics. The bounded channel is the
-// backpressure: a slow consumer stalls the producer after n batches.
-// The wrapper is a Stopper: stopping it ends the decode goroutine,
-// releases the prefetched batches and stops the wrapped source.
+// Prefetch wraps a source with a decode-ahead goroutine, so e.g. feed
+// decoding overlaps with analytics: at most n day batches are ahead of
+// the consumer, the one being decoded included. The channel holds n-1
+// of them (at n = 1 it is unbuffered: day d+1 is decoded while the
+// consumer works on day d, then waits for it to be taken), and it is
+// the backpressure: a slow consumer stalls the producer. Behind a
+// consumer that releases each day before it asks for the next, as
+// stream.Engine does, a pooled source has n+1 stores out. The wrapper
+// is a Stopper: stopping it ends the decode goroutine, releases the
+// prefetched batches and stops the wrapped source.
 func Prefetch(src Source, n int) Source {
 	if n < 1 {
 		n = 1
 	}
 	p := &prefetchSource{
 		src:  src,
-		ch:   make(chan DayBatch, n),
+		ch:   make(chan DayBatch, n-1),
 		errc: make(chan error, 1),
 		done: make(chan struct{}),
 	}

@@ -20,7 +20,9 @@
 # seconds to build — set BENCH to exclude it for quick local loops),
 # FeedReplay, PopulationSynthesis (the subscriber base at 8k/50k),
 # PickTower (one active-site draw), PartitionDir (a cold 2-shard
-# split of a two-week 8k-user columnar feed), KPIAnalyzerFork (one
+# split of a two-week 8k-user columnar feed), ShardReplay (a cold
+# one-worker replay of that feed into a partial recorder, as each
+# replay shard runs), KPIAnalyzerFork (one
 # KPI fold fork, as a shared-prefix sweep's checkpoints take),
 # StreamHomes (the February home pass on an 8-shard stream.Homes),
 # TopologyBuild (deploying the radio estate), SimulatorNew (binding a
@@ -52,7 +54,7 @@ if [ "$sha" != nogit ] && [ -n "$(git status --porcelain 2>/dev/null)" ]; then
   sha="${sha}-dirty"
 fi
 benchtime="${BENCHTIME:-1x}"
-pattern="${BENCH:-SimDayInto|EngineDay|DayMetrics|MergeVisits|StreamWorkers1\$|SweepSerial|SweepParallel|SweepSharedPrefix|SweepUnsharedRegistry|ScaleLadder|FeedReplay|PopulationSynthesis|PickTower|PartitionDir|KPIAnalyzerFork|StreamHomes|TopologyBuild|SimulatorNew|ReselectionNeighbor}"
+pattern="${BENCH:-SimDayInto|EngineDay|DayMetrics|MergeVisits|StreamWorkers1\$|SweepSerial|SweepParallel|SweepSharedPrefix|SweepUnsharedRegistry|ScaleLadder|FeedReplay|PopulationSynthesis|PickTower|PartitionDir|ShardReplay|KPIAnalyzerFork|StreamHomes|TopologyBuild|SimulatorNew|ReselectionNeighbor}"
 
 # Runner metadata: numbers are only comparable between snapshots taken on
 # similar hardware, so record what ran them. benchdiff warns when the two
