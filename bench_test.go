@@ -1037,7 +1037,9 @@ func BenchmarkPartitionDir(b *testing.B) {
 // partitionDays days at the 8k rung the way each shard of the
 // replay-15k benchmark workload is replayed: feeds.OpenDir, then
 // stream.Prefetch(src, 1) into a one-worker engine that feeds a
-// partial.Recorder. Its allocation is the replay's day window.
+// partial.Recorder. Its allocation is the replay's day window: the
+// recorder spills each closed day block to an unlinked temp file and
+// holds no block itself.
 func BenchmarkShardReplay(b *testing.B) {
 	d, dir := writeStudyFeed(b)
 	meta := feeds.Meta{Users: d.Config.TargetUsers, Seed: d.Config.Seed}

@@ -22,7 +22,9 @@
 // -partition N`, replay each shard in its own process with -partial,
 // then fold the files with `feedmerge`: the merged table is
 // bit-identical to a single-process replay of the whole directory (KPI
-// sketch merges are exact; mobility is re-folded in user order).
+// sketch merges are exact; mobility is re-folded in user order). While
+// it replays, -partial spills the day blocks to an unlinked temp file
+// (TMPDIR) about the size of the partial.
 //
 // Engine sizing: -workers bounds the goroutines producing days and
 // running shard tasks, -shards the logical partitions. Summaries do not
@@ -94,7 +96,7 @@ func main() {
 		days       = flag.Int("days", timegrid.SimDays, "days to stream in inline mode")
 		noSig      = flag.Bool("nosignaling", false, "skip control-plane generation in inline mode")
 		faultSpec  = flag.String("fault", "", "deterministic fault injection spec: site:kind:key[:delay][,...] (see internal/fault)")
-		partialOut = flag.String("partial", "", "write the replay's mergeable partial (internal/partial binary format) to FILE; -feeds mode only — merge shard partials with feedmerge")
+		partialOut = flag.String("partial", "", "write the replay's mergeable partial (internal/partial binary format) to FILE; -feeds mode only — merge shard partials with feedmerge. The replay uses temp space (TMPDIR) about the size of the partial")
 		of         = obs.Flags()
 	)
 	flag.Parse()

@@ -452,7 +452,7 @@ func TestTraceReadSteadyStateAllocs(t *testing.T) {
 	buf := mobsim.NewDayBuffer()
 	warm := func() {
 		br.Reset(data)
-		if err := r.b.init(br, r.b.opt, KindTraces, "trace feed"); err != nil {
+		if err := r.Reset(br, r.b.opt); err != nil {
 			t.Fatal(err)
 		}
 		for {

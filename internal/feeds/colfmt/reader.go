@@ -182,10 +182,18 @@ type TraceReader struct {
 // with the given failure options (Options{} is strict).
 func NewTraceReaderOpts(r io.Reader, opt Options) (*TraceReader, error) {
 	t := &TraceReader{}
-	if err := t.b.init(r, opt, KindTraces, "trace feed"); err != nil {
+	if err := t.Reset(r, opt); err != nil {
 		return nil, err
 	}
 	return t, nil
+}
+
+// Reset points the reader at a new trace feed, r read from its start,
+// under opt, and validates the file header as NewTraceReaderOpts does.
+// The skip count restarts; the scratch is kept, so a warm reader reads
+// the new feed without allocating.
+func (t *TraceReader) Reset(r io.Reader, opt Options) error {
+	return t.b.init(r, opt, KindTraces, "trace feed")
 }
 
 // Skipped returns the number of damaged blocks skipped so far (always 0

@@ -25,6 +25,7 @@
 package feeds
 
 import (
+	"bufio"
 	"encoding/csv"
 	"errors"
 	"fmt"
@@ -58,6 +59,7 @@ type Options = colfmt.Options
 // strict/lenient handling of corrupt rows, the skip count, and a
 // one-row push-back for the readers that group rows by day.
 type rows[T any] struct {
+	br      *bufio.Reader
 	r       *csv.Reader
 	opt     Options
 	parse   func([]string) (T, error)
@@ -66,15 +68,23 @@ type rows[T any] struct {
 	peek    bool
 }
 
-// init reads and checks the header. kind ("trace", "KPI" or "event")
-// names the feed in errors when opt.Name is empty.
+// init (re)binds the row reader to in, read from its start, and reads
+// and checks the header. kind ("trace", "KPI" or "event") names the
+// feed in errors when opt.Name is empty. The skip count and push-back
+// restart; the read buffer is kept.
 func (r *rows[T]) init(in io.Reader, header []string, kind string, opt Options, parse func([]string) (T, error)) error {
-	r.r = csv.NewReader(in)
+	if r.br == nil {
+		r.br = bufio.NewReader(in)
+	} else {
+		r.br.Reset(in)
+	}
+	r.r = csv.NewReader(r.br) // wraps r.br itself: it is large enough
 	r.r.FieldsPerRecord = len(header)
 	if opt.Name == "" {
 		opt.Name = kind + " feed"
 	}
 	r.opt, r.parse = opt, parse
+	r.skipped, r.peek = 0, false
 	hdr, err := r.r.Read()
 	if err != nil {
 		return fmt.Errorf("feeds: reading %s header of %s: %w", kind, opt.Name, err)
@@ -198,10 +208,17 @@ type traceRow struct {
 // given failure options (Options{}: strict).
 func NewTraceReaderOpts(r io.Reader, opt Options) (*TraceReader, error) {
 	t := new(TraceReader)
-	if err := t.init(r, traceHeader, "trace", opt, parseTraceRow); err != nil {
+	if err := t.Reset(r, opt); err != nil {
 		return nil, err
 	}
 	return t, nil
+}
+
+// Reset points the reader at a new trace feed, r read from its start,
+// under opt, and checks the header as NewTraceReaderOpts does. The skip
+// count restarts; the read buffer is kept.
+func (t *TraceReader) Reset(r io.Reader, opt Options) error {
+	return t.init(r, traceHeader, "trace", opt, parseTraceRow)
 }
 
 // ReadDayInto reads the next full day of traces into buf, reusing its

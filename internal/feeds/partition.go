@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/grow"
 	"repro/internal/mobsim"
-	"repro/internal/stream"
 	"repro/internal/traffic"
 )
 
@@ -39,9 +38,10 @@ func ShardDirName(s int) string { return fmt.Sprintf("shard-%02d", s) }
 // range stamped into the traces.col header. The returned metas
 // describe the shards in shard order.
 //
-// The input is read twice. Pass 1 (userRange) decodes the trace feed
-// alone for the user ID range; pass 2 routes every record. opt applies
-// to the input readers of both passes, except that pass 1 never calls
+// The input is read twice, through one source. Pass 1 (userRange)
+// decodes the trace feed alone for the user ID range; the trace reader
+// is then rewound, and pass 2 routes every record. opt applies to the
+// input readers of both passes, except that pass 1 never calls
 // opt.OnSkip: a lenient run skips the same damaged rows in both passes,
 // so each skip is reported once, by pass 2. In strict mode a damaged
 // trace feed fails in pass 1, before anything is written; a damaged KPI
@@ -53,14 +53,14 @@ func PartitionDir(in, out string, parts int, opt Options) ([]Meta, error) {
 		return nil, fmt.Errorf("feeds: cannot partition into %d parts", parts)
 	}
 
-	// Pass 2's source is opened first, so pass 1 decodes into a store
-	// from its pool and pass 2 starts on that warm store.
+	// Pass 1 runs on pass 2's source, so pass 2 starts on a warm trace
+	// reader and a warm store from the source's pool.
 	src, err := OpenDirOpts(in, opt)
 	if err != nil {
 		return nil, err
 	}
 	defer src.Close()
-	lo, hi, err := userRange(in, opt, src.pool)
+	lo, hi, err := userRange(src, in, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -163,29 +163,26 @@ func PartitionDir(in, out string, parts int, opt Options) ([]Meta, error) {
 	return metas, nil
 }
 
-// userRange is PartitionDir's pass 1: it scans dir's trace feed for the
-// lowest and highest user ID. IDs are dense (popsim assigns them
-// sequentially), so equal ID spans give near-equal shard populations.
-// Only the trace feed is opened, with opt.OnSkip dropped (pass 2
-// reports the skips), and every day is decoded into one store drawn
-// from pool, which goes back to pool on return.
-func userRange(dir string, opt Options, pool *stream.BufferPool) (lo, hi uint32, err error) {
-	opt.OnSkip = nil
-	var files []io.Closer
-	traces, err := openTraces(&files, dir, opt)
-	for _, f := range files {
-		defer f.Close()
-	}
-	if err != nil {
+// userRange is PartitionDir's pass 1: it scans the trace feed of src,
+// opened on dir, for the lowest and highest user ID. IDs are dense
+// (popsim assigns them sequentially), so equal ID spans give near-equal
+// shard populations. The trace reader reads the feed from the start
+// with opt.OnSkip dropped (pass 2 reports the skips), decoding every
+// day into one store drawn from src's pool, and is rewound under opt
+// for pass 2; the store goes back to the pool on return.
+func userRange(src *FeedSource, dir string, opt Options) (lo, hi uint32, err error) {
+	pass1 := opt
+	pass1.OnSkip = nil
+	if err := src.rewindTraces(pass1); err != nil {
 		return 0, 0, err
 	}
 	lo, hi = math.MaxUint32, 0
 	seen := false
-	st := pool.Draw()
+	st := src.pool.Draw()
 	b := st.Batch()
 	defer b.Release()
 	for {
-		if _, err := traces.ReadDayInto(st.Buf); err == io.EOF {
+		if _, err := src.traces.ReadDayInto(st.Buf); err == io.EOF {
 			break
 		} else if err != nil {
 			return 0, 0, err
@@ -198,5 +195,5 @@ func userRange(dir string, opt Options, pool *stream.BufferPool) (lo, hi uint32,
 	if !seen {
 		return 0, 0, fmt.Errorf("feeds: cannot partition %s: trace feed has no users", dir)
 	}
-	return lo, hi, nil
+	return lo, hi, src.rewindTraces(opt)
 }

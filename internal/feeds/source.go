@@ -36,10 +36,12 @@ const (
 
 // TraceDayReader is the day-granular trace decoding surface FeedSource
 // replays from; the CSV TraceReader and the columnar
-// colfmt.TraceReader both satisfy it.
+// colfmt.TraceReader both satisfy it. Reset points a reader at a feed
+// of its own format, read from the start, keeping its scratch.
 type TraceDayReader interface {
 	ReadDayInto(buf *mobsim.DayBuffer) (timegrid.SimDay, error)
 	Skipped() int64
+	Reset(r io.Reader, opt Options) error
 }
 
 // KPIDayReader is the day-granular KPI decoding surface FeedSource
@@ -74,9 +76,10 @@ const feedPoolSize = 8
 // after the merge stage) replay the whole feed with a bounded number of
 // live buffers.
 type FeedSource struct {
-	traces TraceDayReader
-	kpi    KPIDayReader
-	events *EventReader
+	traces    TraceDayReader
+	traceFile *os.File
+	kpi       KPIDayReader
+	events    *EventReader
 
 	pool *stream.BufferPool
 
@@ -120,6 +123,7 @@ func OpenDirOpts(dir string, opt Options) (*FeedSource, error) {
 	var err error
 	s.traces, err = openTraces(&s.closers, dir, opt)
 	if err == nil {
+		s.traceFile = s.closers[0].(*os.File) // the first file opened
 		s.kpi, err = openFeed(&s.closers, dir, opt, newKPIDayReader, KPIColFeedName, KPIFeedName)
 	}
 	if err == nil {
@@ -141,6 +145,17 @@ func openTraces(closers *[]io.Closer, dir string, opt Options) (TraceDayReader, 
 		err = fmt.Errorf("feeds: opening trace feed: no %s or %s in %s", TraceColFeedName, TraceFeedName, dir)
 	}
 	return r, err
+}
+
+// rewindTraces points the trace reader back at the start of its feed
+// under opt (Name set to the file's path), keeping the reader's
+// scratch.
+func (s *FeedSource) rewindTraces(opt Options) error {
+	if _, err := s.traceFile.Seek(0, io.SeekStart); err != nil {
+		return err
+	}
+	opt.Name = s.traceFile.Name()
+	return s.traces.Reset(s.traceFile, opt)
 }
 
 // openFeed opens the first of names that dir holds, adds the file to

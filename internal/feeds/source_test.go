@@ -449,3 +449,61 @@ func TestMetaReadsPreScenarioSidecar(t *testing.T) {
 		t.Fatal("truncated meta header accepted")
 	}
 }
+
+// TestRewindTracesRereadsFeed pins PartitionDir's reader reuse: a
+// source's trace reader, rewound, reads its feed again from the start,
+// in either encoding, and a warm columnar reader does so without
+// allocating.
+func TestRewindTracesRereadsFeed(t *testing.T) {
+	for _, format := range []string{FormatCSV, FormatCol} {
+		src, err := OpenDir(encodedDir(t, format, writeFeedDir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer src.Close()
+		buf := mobsim.NewDayBuffer()
+		read := func() (days []timegrid.SimDay, users []popsim.UserID) {
+			for {
+				day, err := src.traces.ReadDayInto(buf)
+				if err == io.EOF {
+					return days, users
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				days = append(days, day)
+				for _, tr := range buf.Traces() {
+					users = append(users, tr.User)
+				}
+			}
+		}
+		days, users := read()
+		if len(days) != 3 {
+			t.Fatalf("%s: first pass read %d days, want 3", format, len(days))
+		}
+		if err := src.rewindTraces(Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if d, u := read(); !slices.Equal(d, days) || !slices.Equal(u, users) {
+			t.Fatalf("%s: rewound pass read days %v users %v, want %v %v", format, d, u, days, users)
+		}
+		if format != FormatCol {
+			continue
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := src.rewindTraces(Options{}); err != nil {
+				t.Fatal(err)
+			}
+			for {
+				if _, err := src.traces.ReadDayInto(buf); err == io.EOF {
+					return
+				} else if err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("rewinding and rereading a warm columnar trace feed allocates %.1f times, want 0", allocs)
+		}
+	}
+}

@@ -59,11 +59,13 @@ func (e *BlockError) Error() string {
 func (e *BlockError) Unwrap() error { return e.Err }
 
 // WriteFile persists a Partial: the file magic and version, the header
-// block, then the day blocks as they are. A Recorder's blocks are
-// written from memory; a read partial's are copied from its file, which
-// must still be the one ReadFile verified (see Merge), and so must not
-// be path. Metrics are stored as raw IEEE-754 bits and sketch bins as
-// exact counts, so ReadFile reproduces every value bit for bit.
+// block, then the day blocks as they are, copied from a Recorder's
+// spill or a read partial's file and CRC-checked on the way. A read
+// partial's file must still be the one ReadFile verified (see Merge),
+// and so must not be path. A Recorder's spill error fails WriteFile
+// before path is created. Metrics are stored as raw IEEE-754 bits and
+// sketch bins as exact counts, so ReadFile reproduces every value bit
+// for bit.
 func WriteFile(path string, p *Partial) (err error) {
 	if p.Version != Version || p.days > timegrid.SimDays {
 		return fmt.Errorf("partial: writing %s: version %d with %d days (this build writes version %d, at most %d days)",
@@ -303,24 +305,31 @@ func checkBlock(b []byte, fn func(*cursor)) error {
 	return c.err
 }
 
-// dayReader reads a partial's day blocks in order, decoding each on
-// request into one reused Day: a Recorder's blocks from memory, or a
-// read partial's from its file, reopened and verified as strictly as
-// ReadFile verified it.
+// dayReader reads a partial's day blocks in order through a verifying
+// decoder, CRC-checking each and decoding it on request into one reused
+// Day: a Recorder's blocks from its spill, or a read partial's from its
+// file, reopened and verified as strictly as ReadFile verified it.
 type dayReader struct {
 	p   *Partial
-	i   int
 	f   *os.File
 	dec decoder
 	day Day
 }
 
-// openDays starts reading p's day blocks. For a read partial it opens
-// the file and checks its magic, version and header block; close the
-// reader when done.
+// openDays starts reading p's day blocks: a Recorder's through a
+// section reader over its spill (positioned reads, so readers do not
+// share a file offset), or a read partial's from its file, whose magic,
+// version and header block it checks first. A spill error is returned
+// as it is. Close the reader when done.
 func (p *Partial) openDays() (*dayReader, error) {
+	if p.err != nil {
+		return nil, p.err
+	}
 	r := &dayReader{p: p}
 	if p.path == "" {
+		// A Recorder that closed no day has no spill, and the reader
+		// never reads: its section is empty.
+		r.dec = decoder{r: io.NewSectionReader(p.spill, 0, p.size), path: "recorded partial"}
 		return r, nil
 	}
 	f, err := os.Open(p.path)
@@ -345,28 +354,14 @@ func (r *dayReader) next(decode bool) ([]byte, error) {
 	if decode {
 		fn = func(c *cursor) { c.day(&r.day) }
 	}
-	if r.f != nil {
-		err := r.dec.block(fn)
-		return r.dec.buf, err
-	}
-	// A Recorder's blocks are its own encoding: only decoding reads them.
-	b := r.p.blocks[r.i]
-	r.i++
-	if decode {
-		if err := checkBlock(b, fn); err != nil {
-			return nil, fmt.Errorf("partial: recorded day block %d: %w", r.i-1, err)
-		}
-	}
-	return b, nil
+	err := r.dec.block(fn)
+	return r.dec.buf, err
 }
 
-// finish ends a read of every day block and closes the file, which
-// must end there, with the size and whole-file CRC ReadFile saw, or the
-// read fails with ErrChanged.
+// finish ends a read of every day block and closes the reader. The
+// input must end there, with the size and CRC-32C that ReadFile saw or
+// the Recorder wrote, or the read fails with ErrChanged.
 func (r *dayReader) finish() error {
-	if r.f == nil {
-		return nil
-	}
 	defer r.close()
 	d := &r.dec
 	if d.more() || d.off != r.p.size || d.crc != r.p.crc {

@@ -40,10 +40,11 @@ type Result struct {
 // slice.
 //
 // The parts' day blocks are read in lockstep, one day per part at a
-// time, from a Recorder's memory or from the files ReadFile verified,
+// time, from a Recorder's spill or from the files ReadFile verified,
 // which are reopened and verified again: a damaged block fails with the
 // usual *BlockError, and a file that is no longer the one ReadFile saw
-// (another size or whole-file CRC-32C) with ErrChanged. On any failure
+// (another size or whole-file CRC-32C) with ErrChanged. A Recorder's
+// spill error fails Merge before any block is read. On any failure
 // Merge returns no Result.
 //
 // Mobility averages are bit-identical to a single-process replay: the

@@ -25,12 +25,15 @@
 // unpartitioned run — into the final rows. cmd/feedmerge is the CLI
 // over this package.
 //
-// The encoded day block is the only form a partial's days take. A
-// Recorder's Partial holds one exactly sized block per closed day; a
-// Partial from ReadFile holds no days at all, only the header and what
-// identifies the verified file. Merge and WriteFile read the days back
-// one block at a time, decoding each into one reused Day, so no process
-// holds more than one decoded day per part.
+// The encoded day block is the only form a partial's days take, and no
+// Partial holds its days in memory. A Recorder appends each closed day's
+// block to a spill: a temp file (in os.TempDir) that is unlinked as soon
+// as it is created, so nothing is left behind even after a crash. A
+// Partial from ReadFile holds only the header and what identifies the
+// verified file. Merge and WriteFile read the days back from the spill
+// or the file one block at a time, CRC-checking every block and
+// decoding each into one reused Day, so no process holds more than one
+// decoded day per part.
 //
 // # File format (Version 2)
 //
@@ -59,7 +62,9 @@
 package partial
 
 import (
-	"bytes"
+	"fmt"
+	"hash/crc32"
+	"os"
 	"slices"
 	"sync/atomic"
 
@@ -100,10 +105,13 @@ type Day struct {
 
 // Partial is the result of one process replaying one feed directory (a
 // partition shard, or a whole unpartitioned feed): its provenance and
-// partition header, and its days as encoded day blocks. A Recorder's
-// Partial holds the blocks in memory. A Partial from ReadFile holds
-// none; Merge and WriteFile read them from its file again and fail with
+// partition header, and where its encoded day blocks are. A Recorder's
+// Partial has them in its spill, an unlinked temp file that closes when
+// the Partial is garbage collected. A Partial from ReadFile has them in
+// its file; Merge and WriteFile read them from it again and fail with
 // ErrChanged if the file is no longer the one ReadFile verified.
+// Concurrent WriteFile and Merge calls on one Partial are safe: each
+// reads through its own reader.
 type Partial struct {
 	Version  int
 	Users    int
@@ -117,14 +125,17 @@ type Partial struct {
 	UserLo uint32
 	UserHi uint32
 
-	days   int      // number of day blocks
-	blocks [][]byte // a Recorder's day blocks: length, payload, CRC
+	days int // number of day blocks
 
-	// A read partial's file, with its size and whole-file CRC-32C at
-	// read time; path is empty for a Recorder's partial.
-	path string
-	size int64
-	crc  uint32
+	// A Recorder's spill (nil until its first day closes) and the first
+	// error writing it, which WriteFile and Merge return; or a read
+	// partial's path. size and crc cover what a reader checks: the day
+	// blocks of a spill, the whole of a read file (CRC-32C, fileTable).
+	spill *os.File
+	err   error
+	path  string
+	size  int64
+	crc   uint32
 }
 
 // Partitioned reports whether the partial covers a partition shard.
@@ -146,9 +157,9 @@ func (p *Partial) Partitioned() bool { return p.Parts > 0 }
 // reused from day to day. Days arrive in ascending order (the
 // stream.Source contract), so the open day closes when a view call for
 // the next day arrives, or when Partial is called. Closing encodes the
-// day into a reused block buffer and keeps one exactly sized copy of
-// the block: the recorder holds its partial's file image, day by day,
-// and nothing else that grows with the run.
+// day into a reused block buffer and appends the block to the partial's
+// spill, so nothing the recorder holds grows with the run; the spill
+// takes temp space about the size of the partial file.
 type Recorder struct {
 	topo   *radio.Topology
 	topN   int
@@ -208,8 +219,7 @@ func (r *Recorder) dayRow(day timegrid.SimDay) *Day {
 	return d
 }
 
-// closeDay snapshots the open day's sketches, encodes the day and keeps
-// an exactly sized copy of its block.
+// closeDay snapshots the open day's sketches and spills the day.
 func (r *Recorder) closeDay() {
 	if !r.open {
 		return
@@ -223,16 +233,41 @@ func (r *Recorder) closeDay() {
 			q.StateInto(&d.Sketches[m])
 		}
 	}
-	r.blk = endBlock(appendDay(beginBlock(r.blk), d))
-	r.p.blocks = append(r.p.blocks, bytes.Clone(r.blk))
+	r.spillDay(d)
+}
+
+// spillDay encodes d into the block buffer and appends the block to the
+// spill, which the first call creates and unlinks at once. The first
+// error sticks in the partial and ends the spilling; the days are
+// still counted.
+func (r *Recorder) spillDay(d *Day) {
+	p := &r.p
+	p.days++
+	if p.err != nil {
+		return
+	}
+	if p.spill == nil {
+		if p.spill, p.err = os.CreateTemp("", "mnop-*"); p.err == nil {
+			p.err = os.Remove(p.spill.Name())
+		}
+	}
+	if p.err == nil {
+		r.blk = endBlock(appendDay(beginBlock(r.blk), d))
+		_, p.err = p.spill.Write(r.blk)
+		p.size += int64(len(r.blk))
+		p.crc = crc32.Update(p.crc, fileTable, r.blk)
+	}
+	if p.err != nil {
+		p.err = fmt.Errorf("partial: spilling day blocks: %w", p.err)
+	}
 }
 
 // Partial closes the open day and returns the recorded result. Call
 // after the engine run completes; the returned value aliases the
-// recorder's state.
+// recorder's state. A failure to spill the days does not show here:
+// WriteFile and Merge return it.
 func (r *Recorder) Partial() *Partial {
 	r.closeDay()
-	r.p.days = len(r.p.blocks)
 	return &r.p
 }
 

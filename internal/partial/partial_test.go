@@ -282,24 +282,14 @@ func TestMergeKeepsCallerOrder(t *testing.T) {
 }
 
 func TestMergeValidation(t *testing.T) {
-	// The parts hold day blocks encoded as a Recorder encodes them.
-	block := func(d Day) []byte { return endBlock(appendDay(beginBlock(nil), &d)) }
-	mk := func(part, parts int, lo, hi uint32, days ...timegrid.SimDay) *Partial {
-		p := &Partial{Version: Version, Users: 10, Seed: 1, Part: part, Parts: parts, UserLo: lo, UserHi: hi, days: len(days)}
-		for _, d := range days {
-			p.blocks = append(p.blocks, block(Day{Day: d}))
-		}
-		return p
+	// The parts are recorded through a Recorder's spill.
+	mk := func(part, parts int, lo, hi uint32, days ...Day) *Partial {
+		return spilled(feeds.Meta{Users: 10, Seed: 1, Part: part, Parts: parts, UserLo: lo, UserHi: hi}, days...)
 	}
-	withUsers := func(p *Partial, users ...uint32) *Partial {
-		var d Day
-		if err := checkBlock(p.blocks[0], func(c *cursor) { c.day(&d) }); err != nil {
-			t.Fatal(err)
-		}
-		d.Users, d.Entropy, d.Gyration = users, make([]float64, len(users)), make([]float64, len(users))
-		p.blocks[0] = block(d)
-		return p
+	day := func(d timegrid.SimDay, users ...uint32) Day {
+		return Day{Day: d, Users: users, Entropy: make([]float64, len(users)), Gyration: make([]float64, len(users))}
 	}
+	d0 := day(0)
 	cases := []struct {
 		name  string
 		parts []*Partial
@@ -307,14 +297,14 @@ func TestMergeValidation(t *testing.T) {
 	}{
 		{"empty", nil, ""},
 		{"bad version", []*Partial{{Version: Version + 1}}, ""},
-		{"incomplete shard set", []*Partial{mk(0, 2, 0, 4, 0)}, ""},
-		{"duplicate part", []*Partial{mk(0, 2, 0, 4, 0), mk(0, 2, 0, 4, 0)}, ""},
-		{"overlapping ranges", []*Partial{mk(0, 2, 0, 5, 0), mk(1, 2, 5, 9, 0)}, ""},
-		{"diverging days", []*Partial{mk(0, 2, 0, 4, 0, 1), mk(1, 2, 5, 9, 0, 2)}, ""},
-		{"users not ascending", []*Partial{withUsers(mk(0, 0, 0, 0, 3), 2, 5, 5)}, "part 0 day 3"},
-		{"user outside part range", []*Partial{withUsers(mk(0, 2, 0, 4, 0), 4), withUsers(mk(1, 2, 5, 9, 0), 5, 10)}, "part 1 day 0"},
+		{"incomplete shard set", []*Partial{mk(0, 2, 0, 4, d0)}, ""},
+		{"duplicate part", []*Partial{mk(0, 2, 0, 4, d0), mk(0, 2, 0, 4, d0)}, ""},
+		{"overlapping ranges", []*Partial{mk(0, 2, 0, 5, d0), mk(1, 2, 5, 9, d0)}, ""},
+		{"diverging days", []*Partial{mk(0, 2, 0, 4, d0, day(1)), mk(1, 2, 5, 9, d0, day(2))}, ""},
+		{"users not ascending", []*Partial{mk(0, 0, 0, 0, day(3, 2, 5, 5))}, "part 0 day 3"},
+		{"user outside part range", []*Partial{mk(0, 2, 0, 4, day(0, 4)), mk(1, 2, 5, 9, day(0, 5, 10))}, "part 1 day 0"},
 		{"mixed provenance", func() []*Partial {
-			a, b := mk(0, 2, 0, 4, 0), mk(1, 2, 5, 9, 0)
+			a, b := mk(0, 2, 0, 4, d0), mk(1, 2, 5, 9, d0)
 			b.Seed = 2
 			return []*Partial{a, b}
 		}(), ""},
@@ -329,7 +319,7 @@ func TestMergeValidation(t *testing.T) {
 		}
 	}
 	// The valid counterpart merges cleanly.
-	if _, err := Merge([]*Partial{withUsers(mk(0, 2, 0, 4, 0), 0, 4), withUsers(mk(1, 2, 5, 9, 0), 5, 9)}); err != nil {
+	if _, err := Merge([]*Partial{mk(0, 2, 0, 4, day(0, 0, 4)), mk(1, 2, 5, 9, day(0, 5, 9))}); err != nil {
 		t.Errorf("valid shard set rejected: %v", err)
 	}
 }
