@@ -645,8 +645,8 @@ func sweepBenchFixture(b *testing.B) (*experiments.World, experiments.Config, []
 	return sweepBenchWorld, sweepBenchCfg, sweepBenchScens
 }
 
-// benchmarkSweepParallel sweeps the four scenarios from day 0 (no
-// shared prefixes) with up to parallel runs in flight. Output is
+// benchmarkSweepParallel sweeps the four scenarios, sharing their
+// prefixes, with up to parallel runs in flight. Output is
 // bit-identical at every count (asserted by the parity tests); what
 // varies is wall clock, which on multi-core hardware should approach
 // serial/min(parallel, cores, scenarios).
@@ -673,15 +673,13 @@ func BenchmarkSweepParallel4(b *testing.B) { benchmarkSweepParallel(b, 4) }
 
 // sweepAllFixture builds the full 7-scenario registry set over its own
 // world at the default popsim.ScaleSmall scale (the scale the streaming
-// benchmarks quote) — the copy-on-divergence headline
-// pair runs here rather than on the small sweepBenchFixture world. At
-// 1000 users the per-cell engine reduction and KPI fold, which do not
-// scale with users, dominate each day and flatten the relative win of
-// the shared prefix; at the production scale the per-user simulation
-// work and the streaming pipeline overhead the forked path avoids are
-// proportionally larger, so this pair reflects what mnosweep users
-// actually see. February home detection is warmed so the pair
-// measures only the study passes.
+// benchmarks quote) — the copy-on-divergence headline benchmark runs
+// here rather than on the small sweepBenchFixture world. At 1000 users
+// the per-cell engine reduction and KPI fold, which do not scale with
+// users, dominate each day; at the production scale the per-user
+// simulation work the forked path avoids is proportionally larger, so
+// this benchmark reflects what mnosweep users actually see. February
+// home detection is warmed so it measures only the study passes.
 var (
 	sweepAllOnce   sync.Once
 	sweepAllWorld  *experiments.World
@@ -706,17 +704,14 @@ func sweepAllFixture(b *testing.B) (*experiments.World, experiments.Config, []ex
 	return sweepAllWorld, sweepAllCfg, sweepAllScens_
 }
 
-// benchmarkSweepRegistry sweeps the whole registry through the public
-// executor with copy-on-divergence on or off — exactly the two sides of
-// the mnosweep -share-prefix flag. Output is bit-identical either way
-// (asserted by TestSharedPrefixSweepMatchesUnshared); what varies is
-// wall clock: the shared path simulates each shared scenario prefix
-// once and forks checkpoints at the divergence days (see PERFORMANCE.md,
-// "Copy-on-divergence sweeps" for the expected gap decomposition).
-func benchmarkSweepRegistry(b *testing.B, share bool) {
+// BenchmarkSweepSharedPrefix sweeps the whole registry through the
+// public executor on one worker, as mnosweep -parallel 1 does: each
+// shared scenario prefix is simulated once and checkpoints fork at the
+// divergence days (see PERFORMANCE.md, "Copy-on-divergence sweeps").
+func BenchmarkSweepSharedPrefix(b *testing.B) {
 	w, cfg, scens := sweepAllFixture(b)
 	scfg := stream.Config{Workers: 1}
-	opt := experiments.SweepOptions{Parallel: 1, SharePrefix: share}
+	opt := experiments.SweepOptions{Parallel: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -725,9 +720,6 @@ func benchmarkSweepRegistry(b *testing.B, share bool) {
 		}
 	}
 }
-
-func BenchmarkSweepSharedPrefix(b *testing.B)     { benchmarkSweepRegistry(b, true) }
-func BenchmarkSweepUnsharedRegistry(b *testing.B) { benchmarkSweepRegistry(b, false) }
 
 // BenchmarkQSketch measures the streaming quantile sketch hot path.
 func BenchmarkQSketch(b *testing.B) {

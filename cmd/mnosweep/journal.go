@@ -33,11 +33,10 @@ type journalHeader struct {
 	Users int    `json:"users"`
 	Seed  uint64 `json:"seed"`
 	NoKPI bool   `json:"nokpi"`
-	// SharePrefix records whether the sweep ran copy-on-divergence.
-	// Results are bit-identical either way, but a journal must not stitch
-	// runs recorded under differing settings — the setting changes which
-	// simulation path produced the entries, and a resume that silently
-	// mixes paths would mask any parity regression between them.
+	// SharePrefix records that the sweep ran copy-on-divergence. Every
+	// sweep now does, so the writer always sets it; a journal recorded
+	// by the deleted unshared mode (false) is refused as foreign rather
+	// than stitched to runs from another simulation path.
 	SharePrefix bool     `json:"share_prefix"`
 	Scenarios   []string `json:"scenarios"`
 }

@@ -13,7 +13,7 @@ import (
 func testHeader() journalHeader {
 	return journalHeader{
 		V: journalVersion, Kind: "mnosweep-journal",
-		Users: 600, Seed: 42, NoKPI: true,
+		Users: 600, Seed: 42, NoKPI: true, SharePrefix: true,
 		Scenarios: []string{"default-covid", "no-pandemic"},
 	}
 }
@@ -105,6 +105,7 @@ func TestJournalRefusesForeignHeader(t *testing.T) {
 		func(h *journalHeader) { h.Users = 601 },
 		func(h *journalHeader) { h.Seed = 43 },
 		func(h *journalHeader) { h.NoKPI = false },
+		func(h *journalHeader) { h.SharePrefix = false },                                  // the deleted unshared mode
 		func(h *journalHeader) { h.Scenarios = []string{"no-pandemic", "default-covid"} }, // order matters
 		func(h *journalHeader) { h.Scenarios = h.Scenarios[:1] },
 	} {

@@ -9,20 +9,20 @@
 // files (the SCENARIOS.md schema); "all" expands to every registry
 // built-in.
 //
-// -share-prefix (default on) runs the sweep copy-on-divergence: the
-// scenarios are grouped by the first day their behaviour can differ
-// (pandemic.Scenario.DivergenceFrom), each shared prefix is simulated
-// once, checkpointed at the fork day and forked per scenario: a forked
-// run starts as soon as its parent has captured the checkpoint, while
-// the parent goes on. Output is bit-identical to -share-prefix=false;
-// the journal records which runs were forked and how many days they
-// skipped. See PERFORMANCE.md, "Copy-on-divergence sweeps".
+// The sweep runs copy-on-divergence: the scenarios are grouped by the
+// first day their behaviour can differ (pandemic.Scenario.DivergenceFrom),
+// each shared prefix is simulated once, checkpointed at the fork day and
+// forked per scenario: a forked run starts as soon as its parent has
+// captured the checkpoint, while the parent goes on. Output is
+// bit-identical to running each scenario alone; the journal records
+// which runs were forked and how many days they skipped. See
+// PERFORMANCE.md, "Copy-on-divergence sweeps".
 //
 // -parallel N executes up to N scenario runs concurrently
 // (experiments.RunSweepParallelOpts); it defaults to GOMAXPROCS, one
 // run per core. Output is bit-identical at every N, re-sequenced to the
 // input order. It is the only parallelism axis: every run is one serial
-// day loop, with or without -share-prefix.
+// day loop.
 //
 // -baseline NAME additionally prints a differential table — every
 // scenario's per-day KPI and mobility series against the named run:
@@ -48,9 +48,8 @@
 // Usage:
 //
 //	mnosweep [-list] [-scenarios NAMES|all] [-users N] [-seed S] [-nokpi]
-//	         [-parallel P] [-share-prefix=BOOL]
-//	         [-baseline NAME] [-journal FILE] [-resume] [-fault SPEC]
-//	         [-metrics ADDR] [-metrics-out FILE]
+//	         [-parallel P] [-baseline NAME] [-journal FILE] [-resume]
+//	         [-fault SPEC] [-metrics ADDR] [-metrics-out FILE]
 //	         [-cpuprofile F] [-memprofile F]
 package main
 
@@ -81,7 +80,6 @@ func main() {
 		seed        = flag.Uint64("seed", 42, "master random seed (shared by every scenario: paired draws)")
 		noKPI       = flag.Bool("nokpi", false, "skip the traffic engine (mobility headlines only, ~3× faster)")
 		parallel    = flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent scenario runs, GOMAXPROCS by default (1: serial; output is identical at every count)")
-		sharePrefix = flag.Bool("share-prefix", true, "simulate shared scenario prefixes once and fork at the divergence day (bit-identical output; =false re-simulates every scenario from day 0)")
 		baseline    = flag.String("baseline", "", "scenario name to difference every other run against (prints the delta table)")
 		journalPath = flag.String("journal", "", "record completed runs to this JSON-lines file as they finish")
 		resume      = flag.Bool("resume", false, "skip runs already recorded in the -journal file (requires -journal)")
@@ -99,7 +97,7 @@ func main() {
 	defer stop()
 
 	err := of.Run(func() error {
-		return run(ctx, *names, *users, *seed, *noKPI, *parallel, *sharePrefix, *baseline, *journalPath, *resume, *faultSpec, of.Registry())
+		return run(ctx, *names, *users, *seed, *noKPI, *parallel, *baseline, *journalPath, *resume, *faultSpec, of.Registry())
 	})
 	cli.Exit("mnosweep", err)
 }
@@ -146,7 +144,7 @@ func resolve(names string) ([]experiments.SweepScenario, error) {
 	return out, nil
 }
 
-func run(ctx context.Context, names string, users int, seed uint64, noKPI bool, parallel int, sharePrefix bool, baseline, journalPath string, resume bool, faultSpec string, reg *obs.Registry) error {
+func run(ctx context.Context, names string, users int, seed uint64, noKPI bool, parallel int, baseline, journalPath string, resume bool, faultSpec string, reg *obs.Registry) error {
 	scens, err := resolve(names)
 	if err != nil {
 		return err
@@ -189,7 +187,7 @@ func run(ctx context.Context, names string, users int, seed uint64, noKPI bool, 
 	var (
 		jnl  *journal
 		done map[string][]experiments.Headline
-		opt  = experiments.SweepOptions{Parallel: parallel, SharePrefix: sharePrefix}
+		opt  = experiments.SweepOptions{Parallel: parallel}
 	)
 	if journalPath != "" {
 		labels := make([]string, len(scens))
@@ -197,7 +195,7 @@ func run(ctx context.Context, names string, users int, seed uint64, noKPI bool, 
 			labels[i] = sc.Name
 		}
 		hdr := journalHeader{V: journalVersion, Kind: "mnosweep-journal",
-			Users: users, Seed: seed, NoKPI: noKPI, SharePrefix: sharePrefix, Scenarios: labels}
+			Users: users, Seed: seed, NoKPI: noKPI, SharePrefix: true, Scenarios: labels}
 		jnl, done, err = openJournal(journalPath, hdr, resume)
 		if err != nil {
 			return err

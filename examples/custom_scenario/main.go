@@ -65,7 +65,7 @@ func main() {
 	cfg.SkipKPI = true
 	world := experiments.NewWorld(cfg)
 	runs, err := experiments.RunSweepParallelOpts(context.Background(), world, cfg, stream.Config{}, scens,
-		experiments.SweepOptions{Parallel: 2, SharePrefix: true})
+		experiments.SweepOptions{Parallel: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

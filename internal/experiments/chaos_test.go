@@ -259,7 +259,7 @@ func TestSweepPanicMidStudyKeepsPoolClean(t *testing.T) {
 	}
 
 	runs, err := RunSweepParallelOpts(context.Background(), w, cfg, stream.Config{Workers: 1, Fault: fi}, scens,
-		SweepOptions{Parallel: 1, SharePrefix: true})
+		SweepOptions{Parallel: 1})
 	if !errors.As(err, &wp) {
 		t.Fatalf("joined error does not carry the sweep panic: %v", err)
 	}

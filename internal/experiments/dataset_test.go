@@ -17,18 +17,19 @@ import (
 // KPI records (nil before the study window and without an engine), and
 // attaching a tap — one that even drives the dataset's own engine
 // before the study window, as cmd/mnosim's feed tap does — leaves the
-// Results bit-identical. The oracle runs on a second dataset: the study
-// pass produces on d.Engine while the taps run.
+// Results bit-identical to an untapped run, which is computed once per
+// SkipKPI value (the results do not depend on the worker count). The
+// oracle runs on a second dataset: the study pass produces on d.Engine
+// while the taps run.
 func TestRunStreamingOnTaps(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		for _, skipKPI := range []bool{false, true} {
+	for _, skipKPI := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.TargetUsers = 500
+		cfg.SkipKPI = skipKPI
+		plain := mustStreamingConfig(t, cfg, stream.Config{Workers: 1})
+		for _, workers := range []int{1, 2} {
 			t.Run(fmt.Sprintf("workers=%d/SkipKPI=%v", workers, skipKPI), func(t *testing.T) {
-				cfg := DefaultConfig()
-				cfg.TargetUsers = 500
-				cfg.SkipKPI = skipKPI
 				scfg := stream.Config{Workers: workers}
-				plain := mustStreamingConfig(t, cfg, scfg)
-
 				d, oracle := NewDataset(cfg), NewDataset(cfg)
 				buf := mobsim.NewDayBuffer()
 				next := timegrid.SimDay(0)

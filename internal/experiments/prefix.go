@@ -36,21 +36,6 @@ type prefixPlan struct {
 	rider []bool
 }
 
-// planRoots is the fork tree of an unshared sweep: every scenario is a
-// root run from day 0, with no checkpoints and no riders.
-func planRoots(n int) prefixPlan {
-	p := prefixPlan{
-		parent:   make([]int, n),
-		forkDay:  make([]int, n),
-		children: make([][]int, n),
-		rider:    make([]bool, n),
-	}
-	for i := range p.parent {
-		p.parent[i] = -1
-	}
-	return p
-}
-
 // planPrefix builds the fork tree greedily: each scenario forks from
 // the earlier-indexed scenario it shares the most leading days with
 // (ties to the smallest index). The earliest-index tie-break makes the
@@ -64,7 +49,12 @@ func planRoots(n int) prefixPlan {
 // re-simulate nothing).
 func planPrefix(scens []SweepScenario) prefixPlan {
 	n := len(scens)
-	p := planRoots(n)
+	p := prefixPlan{
+		parent:   make([]int, n),
+		forkDay:  make([]int, n),
+		children: make([][]int, n),
+		rider:    make([]bool, n),
+	}
 	compiled := make([]*pandemic.Scenario, n)
 	for i := range scens {
 		if compiled[i] = scens[i].Scenario; compiled[i] == nil {
@@ -73,6 +63,7 @@ func planPrefix(scens []SweepScenario) prefixPlan {
 	}
 	for i := 0; i < n; i++ {
 		best := 0
+		p.parent[i] = -1
 		for j := 0; j < i; j++ {
 			if shared := sharedPrefixDays(compiled[i], compiled[j]); shared > best {
 				best, p.parent[i] = shared, j

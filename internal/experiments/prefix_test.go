@@ -25,28 +25,18 @@ func headlinesJSON(t *testing.T, hs []Headline) string {
 	return string(data)
 }
 
-// registrySweep loads every registry scenario, in registry order.
-func registrySweep(t *testing.T) []SweepScenario {
-	t.Helper()
-	var scens []SweepScenario
-	for _, name := range scenario.Names() {
-		scens = append(scens, *loadScenario(t, name))
-	}
-	return scens
-}
-
 // TestSharedPrefixSweepMatchesUnshared is the copy-on-divergence
-// correctness gate: the SharePrefix executor — serial and parallel —
-// must reproduce the unshared serial sweep bit for bit over the whole
-// registry (JSON float64 encoding is shortest-round-trip, so any drift
-// in any headline fails), while actually forking: the expected fork
-// tree and the sweep.prefix_days_saved / sweep.checkpoint_forks
-// counters are pinned.
+// correctness gate: the sweep — serial and parallel — must reproduce
+// every registry scenario run alone, with no prefix shared
+// (streamingReference), bit for bit (JSON float64 encoding is
+// shortest-round-trip, so any drift in any headline fails), while
+// actually forking: the expected fork tree and the
+// sweep.prefix_days_saved / sweep.checkpoint_forks counters are pinned.
 func TestSharedPrefixSweepMatchesUnshared(t *testing.T) {
 	cfg := goldenConfig()
-	scens := registrySweep(t)
+	scens := sweepScenarios(t, scenario.Names()...)
 	w := NewWorld(cfg)
-	ref := mustSweep(t, w, cfg, scens, SweepOptions{Parallel: 2})
+	ref := streamingReference(t, w, cfg, scens)
 
 	// The expected fork tree over the registry order: each scenario's
 	// parent and the study days it skips (pandemic.Scenario.DivergenceFrom
@@ -70,10 +60,9 @@ func TestSharedPrefixSweepMatchesUnshared(t *testing.T) {
 	for _, parallel := range []int{1, 4} {
 		reg := obs.New()
 		runs, err := RunSweepParallelOpts(context.Background(), w, cfg,
-			stream.Config{Workers: 1, Metrics: reg}, scens,
-			SweepOptions{Parallel: parallel, SharePrefix: true})
+			stream.Config{Workers: 1, Metrics: reg}, scens, SweepOptions{Parallel: parallel})
 		if err != nil {
-			t.Fatalf("shared sweep (parallel=%d): %v", parallel, err)
+			t.Fatalf("sweep (parallel=%d): %v", parallel, err)
 		}
 		for i := range runs {
 			if runs[i].Name != ref[i].Name {
@@ -81,7 +70,7 @@ func TestSharedPrefixSweepMatchesUnshared(t *testing.T) {
 			}
 			got, want := headlinesJSON(t, runs[i].Headlines), headlinesJSON(t, ref[i].Headlines)
 			if got != want {
-				t.Errorf("parallel=%d %s: shared-prefix headlines diverge from unshared sweep\n got: %s\nwant: %s",
+				t.Errorf("parallel=%d %s: sweep headlines diverge from the scenario run alone\n got: %s\nwant: %s",
 					parallel, runs[i].Name, got, want)
 			}
 			f, forked := wantFork[runs[i].Name]
@@ -128,8 +117,8 @@ func runFromCheckpoint(t *testing.T, w *World, cfg Config, sc SweepScenario, sta
 // 29 and pairwise differ from day 30, so the first hosts both others
 // from one capture at day 30. Each child must continue from a
 // checkpoint of its own — children handed one shared checkpoint would
-// fold both suffixes into the same analyzers — so the shared sweep must
-// match the unshared one bit for bit at Parallel 1 and 2.
+// fold both suffixes into the same analyzers — so the sweep must match
+// each scenario run alone bit for bit at Parallel 1 and 2.
 func TestSweepForksTwoChildrenAtOneDay(t *testing.T) {
 	const forkDay = 30
 	var scens []SweepScenario
@@ -150,9 +139,9 @@ func TestSweepForksTwoChildrenAtOneDay(t *testing.T) {
 	cfg := checkpointConfig()
 	cfg.SkipKPI = true // a shared checkpoint shows in the mobility folds already
 	w := NewWorld(cfg)
-	ref := mustSweep(t, w, cfg, scens, SweepOptions{Parallel: 1})
+	ref := streamingReference(t, w, cfg, scens)
 	for _, parallel := range []int{1, 2} {
-		runs := mustSweep(t, w, cfg, scens, SweepOptions{Parallel: parallel, SharePrefix: true})
+		runs := mustSweep(t, w, cfg, scens, SweepOptions{Parallel: parallel})
 		for _, c := range []int{1, 2} {
 			if runs[c].ForkedFrom != scens[0].Name || runs[c].PrefixDays != forkDay {
 				t.Errorf("parallel=%d %s: forked from %q after %d days, want %q after %d",
@@ -218,7 +207,7 @@ func TestSweepChildStartsAtCapture(t *testing.T) {
 	)
 	var parentDone, childBeforeParent bool
 	runs, err := RunSweepParallelOpts(context.Background(), w, cfg, stream.Config{Workers: 1, Fault: fi}, scens,
-		SweepOptions{Parallel: 2, SharePrefix: true, OnRun: func(i int, run SweepRun) {
+		SweepOptions{Parallel: 2, OnRun: func(i int, run SweepRun) {
 			switch i {
 			case 0:
 				parentDone = true

@@ -39,12 +39,12 @@ type SweepRun struct {
 	Headlines []Headline
 	Err       error
 
-	// ForkedFrom and PrefixDays record copy-on-divergence provenance
-	// (SweepOptions.SharePrefix): when the run was forked from another
-	// scenario's checkpoint instead of simulating from day 0, ForkedFrom
-	// names that scenario and PrefixDays counts the shared study days it
-	// skipped. Zero values mean a standalone day-0 run. Provenance only
-	// — the results are bit-identical either way.
+	// ForkedFrom and PrefixDays record copy-on-divergence provenance:
+	// when the run was forked from another scenario's checkpoint instead
+	// of simulating from day 0, ForkedFrom names that scenario and
+	// PrefixDays counts the shared study days it skipped. Zero values
+	// mean a day-0 run. Provenance only — the results are bit-identical
+	// to a standalone run of the scenario.
 	ForkedFrom string
 	PrefixDays int
 }
@@ -61,15 +61,7 @@ type SweepOptions struct {
 	// index in scens. cmd/mnosweep journals completed runs through this
 	// hook so an interrupted sweep can resume.
 	OnRun func(i int, run SweepRun)
-	// SharePrefix plans the sweep copy-on-divergence (planPrefix):
-	// scenarios are grouped by divergence day
-	// (pandemic.Scenario.DivergenceFrom), each shared prefix is
-	// simulated once, checkpointed at the fork day and forked per
-	// scenario, and trace-equal leaves ride their host's day loop.
-	// Without it every scenario runs from day 0 (planRoots), which makes
-	// the unshared sweep the verification mode for the shared one.
-	// Results are bit-identical either way; shared runs gain
-	// ForkedFrom/PrefixDays provenance.
+	// Deprecated: ignored; every sweep shares prefixes. Removed once bench/ stops setting it.
 	SharePrefix bool
 }
 
@@ -81,7 +73,7 @@ type sweepMetrics struct {
 	queueNs *obs.Histogram // sweep.queue_wait_ns: how long each day loop queued behind the workers
 	builds  *obs.Gauge     // sweep.world_builds: process-wide World builds (should stay at 1 per sweep)
 
-	// Copy-on-divergence counters (SharePrefix sweeps only).
+	// Copy-on-divergence counters.
 	prefixSaved *obs.Counter // sweep.prefix_days_saved: study days skipped by forking checkpoints
 	forks       *obs.Counter // sweep.checkpoint_forks: runs started from a forked checkpoint
 }
@@ -114,16 +106,19 @@ func newSweepMetrics(r *obs.Registry, parallel int) *sweepMetrics {
 // draws: every agent keeps its home, anchors, device and relocation
 // candidacy across runs, and only the behavioural response differs.
 //
-// The sweep is a fork tree (prefixPlan) executed by up to opt.Parallel
-// workers over a ready queue: roots are ready immediately, and a
-// scenario becomes ready as soon as the run it forks from has captured
-// its checkpoint, while that run goes on with its later days.
-// Scheduling order cannot influence results — every run is
-// deterministic in (world, scenario, start checkpoint) and checkpoints
-// are deterministic in (world, parent scenario, day) — so the output is
-// bit-identical at any worker count and with or without
-// opt.SharePrefix (asserted by TestParallelSweepMatchesSerial under
-// -race).
+// The sweep is planned copy-on-divergence (planPrefix): scenarios are
+// grouped by divergence day (pandemic.Scenario.DivergenceFrom), each
+// shared prefix is simulated once, checkpointed at the fork day and
+// forked per scenario, and trace-equal leaves ride their host's day
+// loop. The fork tree is executed by up to opt.Parallel workers over a
+// ready queue: roots are ready immediately, and a scenario becomes
+// ready as soon as the run it forks from has captured its checkpoint,
+// while that run goes on with its later days. Scheduling order cannot
+// influence results — every run is deterministic in (world, scenario,
+// start checkpoint) and checkpoints are deterministic in (world, parent
+// scenario, day) — so the output is bit-identical at any worker count
+// and to each scenario run alone (asserted by
+// TestParallelSweepMatchesSerial under -race).
 //
 // Failures are isolated per run: a scenario that panics or hits an
 // injected fault gets its Err set while the others complete. A failed
@@ -147,10 +142,7 @@ func RunSweepParallelOpts(ctx context.Context, w *World, cfg Config, scfg stream
 		return nil, nil
 	}
 	parallel := min(max(opt.Parallel, 1), len(scens))
-	plan := planRoots(len(scens))
-	if opt.SharePrefix {
-		plan = planPrefix(scens)
-	}
+	plan := planPrefix(scens)
 	// The February pass simulates into a day buffer that then joins the
 	// pool, so the first run reuses it.
 	pool := &scratchPool{}

@@ -39,29 +39,27 @@ func assertSweepRunsEqual(t *testing.T, want, got []SweepRun) {
 	}
 }
 
-// assertSweepModesMatch runs the sweep through the one executor in both
-// planning modes (every scenario from day 0, and the copy-on-divergence
-// fork tree) at sweep worker counts 1, 2, 4 and 8, and requires every
-// sweep to be bit-identical to the per-scenario streaming reference,
-// re-sequenced to the input order.
+// assertSweepModesMatch runs the copy-on-divergence sweep at worker
+// counts 1, 2, 4 and 8, and requires every sweep to be bit-identical to
+// the per-scenario streaming reference, re-sequenced to the input
+// order. The subtests keep their shared=true label, so their names
+// match the earlier runs that also swept without sharing.
 func assertSweepModesMatch(t *testing.T, w *World, cfg Config, scens []SweepScenario) []SweepRun {
 	t.Helper()
 	ref := streamingReference(t, w, cfg, scens)
 	var last []SweepRun
-	for _, shared := range []bool{false, true} {
-		for _, parallel := range []int{1, 2, 4, 8} {
-			t.Run(fmt.Sprintf("shared=%v/parallel=%d", shared, parallel), func(t *testing.T) {
-				last = mustSweep(t, w, cfg, scens, SweepOptions{Parallel: parallel, SharePrefix: shared})
-				assertSweepRunsEqual(t, ref, last)
-			})
-		}
+	for _, parallel := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("shared=true/parallel=%d", parallel), func(t *testing.T) {
+			last = mustSweep(t, w, cfg, scens, SweepOptions{Parallel: parallel})
+			assertSweepRunsEqual(t, ref, last)
+		})
 	}
 	return last
 }
 
-// TestParallelSweepMatchesSerial asserts the executor invariant: shared
-// and unshared sweeps are bit-identical to running each scenario alone
-// through the streaming pipeline, at every sweep worker count, while
+// TestParallelSweepMatchesSerial asserts the executor invariant: the
+// sweep is bit-identical to running each scenario alone through the
+// streaming pipeline, at every sweep worker count, while
 // building zero additional Worlds (counter-verified). Run under -race
 // this also exercises the cross-worker synchronization (the shared
 // immutable World, the shared homes map, the checkpoints handed from
@@ -81,7 +79,7 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 
 // TestParallelSweepMatchesSerialKPI covers the engine-reuse path: with
 // KPI enabled, runs draw warm traffic engines from the sweep's pool
-// (Engine.Rebind) and the shared sweep carries voice-surge as a rider on
+// (Engine.Rebind) and the sweep carries voice-surge as a rider on
 // default-covid's day loop, yet the KPI series must still be
 // bit-identical to the reference's freshly constructed engines.
 func TestParallelSweepMatchesSerialKPI(t *testing.T) {
@@ -119,13 +117,10 @@ func TestParallelSweepDegradesToSerial(t *testing.T) {
 }
 
 // TestParallelSweepEmpty pins the empty-sweep contract: no scenarios, no
-// runs, no error, at any worker count and sharing mode.
+// runs, no error.
 func TestParallelSweepEmpty(t *testing.T) {
-	for _, shared := range []bool{false, true} {
-		runs, err := RunSweepParallelOpts(context.Background(), nil, Config{}, stream.Config{}, nil,
-			SweepOptions{Parallel: 2, SharePrefix: shared})
-		if err != nil || len(runs) != 0 {
-			t.Fatalf("shared=%v: got %d runs, err %v; want none", shared, len(runs), err)
-		}
+	runs, err := RunSweepParallelOpts(context.Background(), nil, Config{}, stream.Config{}, nil, SweepOptions{Parallel: 2})
+	if err != nil || len(runs) != 0 {
+		t.Fatalf("got %d runs, err %v; want none", len(runs), err)
 	}
 }

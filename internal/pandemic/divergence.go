@@ -8,11 +8,11 @@ import (
 
 // This file locates the first study day on which two scenarios can
 // produce different simulated behaviour — the fork point of the
-// copy-on-divergence sweep (experiments.RunSweepParallelOpts with
-// SharePrefix). The contract is conservative: DivergenceFrom may return
-// a day earlier than the true divergence, never later, so simulating a
-// shared prefix up to (but excluding) the returned day and forking
-// per-scenario is bit-identical to running each scenario from day 0.
+// copy-on-divergence sweep (experiments.RunSweepParallelOpts). The
+// contract is conservative: DivergenceFrom may return a day earlier
+// than the true divergence, never later, so simulating a shared prefix
+// up to (but excluding) the returned day and forking per-scenario is
+// bit-identical to running each scenario from day 0.
 //
 // The rule leans on two facts about how the simulators consume a
 // scenario:

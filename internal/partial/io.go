@@ -158,6 +158,18 @@ func appendDay(b []byte, d *Day) []byte {
 	return binary.AppendVarint(b, d.Failures)
 }
 
+// dayBlockBound is an upper bound on the size of d's block: length and
+// CRC, every varint at its widest (a user ID delta fits in 5 bytes), 16
+// bytes per user for the two float columns, and two varints per sketch
+// bin.
+func dayBlockBound(d *Day) int {
+	n := 8 + 8*binary.MaxVarintLen64 + len(d.Users)*(5+16)
+	for i := range d.Sketches {
+		n += 4*binary.MaxVarintLen64 + len(d.Sketches[i].Bins)*2*binary.MaxVarintLen64
+	}
+	return n
+}
+
 // ReadFile verifies a partial written by WriteFile and returns its
 // header. Reading is strict: a bad header, a damaged, missing or
 // over-long block, or bytes after the last day fail with a *BlockError

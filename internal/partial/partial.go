@@ -236,10 +236,10 @@ func (r *Recorder) closeDay() {
 	r.spillDay(d)
 }
 
-// spillDay encodes d into the block buffer and appends the block to the
-// spill, which the first call creates and unlinks at once. The first
-// error sticks in the partial and ends the spilling; the days are
-// still counted.
+// spillDay encodes d into the block buffer, sized on the first day by
+// dayBlockBound, and appends the block to the spill, which the first
+// call creates and unlinks at once. The first error sticks in the
+// partial and ends the spilling; the days are still counted.
 func (r *Recorder) spillDay(d *Day) {
 	p := &r.p
 	p.days++
@@ -252,6 +252,9 @@ func (r *Recorder) spillDay(d *Day) {
 		}
 	}
 	if p.err == nil {
+		if cap(r.blk) == 0 {
+			r.blk = make([]byte, 0, dayBlockBound(d))
+		}
 		r.blk = endBlock(appendDay(beginBlock(r.blk), d))
 		_, p.err = p.spill.Write(r.blk)
 		p.size += int64(len(r.blk))

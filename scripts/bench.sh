@@ -14,8 +14,8 @@
 # The default set covers the per-day hot path on its arena forms
 # (SimDayInto, the EngineDay pattern's DayAppend benchmarks with and
 # without instrumentation, DayMetricsMerger, MergeVisits), the
-# end-to-end serial/streaming pipelines, the registry sweep with
-# copy-on-divergence on/off (SweepSharedPrefix vs SweepUnsharedRegistry),
+# end-to-end serial/streaming pipelines, the copy-on-divergence
+# registry sweep (SweepSharedPrefix),
 # the ScaleLadder rungs (8k/100k/1M users; the 1M rung takes tens of
 # seconds to build — set BENCH to exclude it for quick local loops),
 # FeedReplay, PopulationSynthesis (the subscriber base at 8k/50k),
@@ -54,7 +54,7 @@ if [ "$sha" != nogit ] && [ -n "$(git status --porcelain 2>/dev/null)" ]; then
   sha="${sha}-dirty"
 fi
 benchtime="${BENCHTIME:-1x}"
-pattern="${BENCH:-SimDayInto|EngineDay|DayMetrics|MergeVisits|StreamWorkers1\$|SweepSerial|SweepParallel|SweepSharedPrefix|SweepUnsharedRegistry|ScaleLadder|FeedReplay|PopulationSynthesis|PickTower|PartitionDir|ShardReplay|KPIAnalyzerFork|StreamHomes|TopologyBuild|SimulatorNew|ReselectionNeighbor}"
+pattern="${BENCH:-SimDayInto|EngineDay|DayMetrics|MergeVisits|StreamWorkers1\$|SweepSerial|SweepParallel|SweepSharedPrefix|ScaleLadder|FeedReplay|PopulationSynthesis|PickTower|PartitionDir|ShardReplay|KPIAnalyzerFork|StreamHomes|TopologyBuild|SimulatorNew|ReselectionNeighbor}"
 
 # Runner metadata: numbers are only comparable between snapshots taken on
 # similar hardware, so record what ran them. benchdiff warns when the two
