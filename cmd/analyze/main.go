@@ -3,13 +3,15 @@
 // counterpart of `mnosim -raw`. It prints the home-detection census fit
 // (Fig. 2) and the national gyration and entropy table. The replay runs
 // on the streaming engine, as `mnostream -feeds` does, so CSV and
-// columnar feeds print identical output. The seed and user count MUST
-// match the run that produced the feed — traces carry tower and user
-// IDs that are only meaningful against the same synthetic UK build; a
-// mismatch with the directory's meta sidecar is a usage error.
+// columnar feeds print identical output. The seed and user count come
+// from the directory's meta sidecar (feed_meta.csv) — traces carry
+// tower and user IDs that are only meaningful against the synthetic UK
+// build that wrote them. -users and -seed, when given, must match the
+// sidecar (a mismatch is a usage error); a directory without a sidecar
+// replays at their defaults.
 //
 //	mnosim  -out data -users 4000 -seed 7 -raw [-format col]
-//	analyze -feeds data -users 4000 -seed 7 [-lenient]
+//	analyze -feeds data [-lenient]
 //
 // Corrupt feed rows abort the replay with file:line context by
 // default; -lenient skips and reports them instead (still exit 0).
@@ -39,11 +41,14 @@ import (
 func main() {
 	var (
 		feedDir = flag.String("feeds", "", "feed directory to replay (from mnosim -raw)")
-		users   = flag.Int("users", popsim.ScaleSmall, "user count of the original run")
-		seed    = flag.Uint64("seed", 42, "seed of the original run")
+		users   = flag.Int("users", popsim.ScaleSmall, "user count of the original run (read from the feed's sidecar; when given, must match it)")
+		seed    = flag.Uint64("seed", 42, "seed of the original run (read from the feed's sidecar; when given, must match it)")
 		lenient = flag.Bool("lenient", false, "skip corrupt feed rows (reported on stderr) instead of failing the replay")
 	)
 	flag.Parse()
+	if *feedDir != "" {
+		sidecarDefaults(*feedDir, users, seed)
+	}
 	ctx, stop := cli.SignalContext()
 	defer stop()
 	cli.Exit("analyze", run(ctx, *feedDir, *users, *seed, *lenient))
@@ -122,4 +127,23 @@ func weekCols() []string {
 		out = append(out, fmt.Sprintf("w%d", int(w)))
 	}
 	return out
+}
+
+// sidecarDefaults replaces -users and -seed, where the command line
+// leaves them unset, with the values dir's meta sidecar records. A
+// directory without a sidecar keeps the flag defaults; an unreadable
+// one is left for run's ReadMetaFor to report.
+func sidecarDefaults(dir string, users *int, seed *uint64) {
+	m, ok, _ := feeds.ReadMeta(dir)
+	if !ok {
+		return
+	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if !set["users"] {
+		*users = m.Users
+	}
+	if !set["seed"] {
+		*seed = m.Seed
+	}
 }

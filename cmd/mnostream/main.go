@@ -8,10 +8,13 @@
 //	mnostream -feeds ./data [...]   replay a feed directory written by
 //	                                `mnosim -raw` (traces.csv required;
 //	                                kpi.csv / events.csv used if present).
-//	                                Pass the same -users/-seed the feeds
-//	                                were generated with: feeds carry tower
-//	                                and user IDs that are only meaningful
-//	                                relative to that synthetic stack.
+//	                                The user count and seed come from the
+//	                                directory's feed_meta.csv: feeds carry
+//	                                tower and user IDs that are only
+//	                                meaningful relative to that synthetic
+//	                                stack. -users/-seed, when given, must
+//	                                match it (exit 2 otherwise); without a
+//	                                sidecar their defaults apply.
 //	mnostream [...]                 run the simulator inline (KPI engine
 //	                                and control-plane generation included)
 //	                                and stream it straight into analytics.
@@ -88,8 +91,8 @@ func main() {
 	var (
 		feedDir    = flag.String("feeds", "", "feed directory to replay (empty: run the simulator inline)")
 		lenient    = flag.Bool("lenient", false, "skip corrupt feed rows (reported on stderr) instead of failing the replay")
-		users      = flag.Int("users", popsim.ScaleSmall, "synthetic native smartphone users (must match the feed's value in -feeds mode)")
-		seed       = flag.Uint64("seed", 42, "master random seed (must match the feed's value in -feeds mode)")
+		users      = flag.Int("users", popsim.ScaleSmall, "synthetic native smartphone users (-feeds mode: read from the feed's sidecar; when given, must match it)")
+		seed       = flag.Uint64("seed", 42, "master random seed (-feeds mode: read from the feed's sidecar; when given, must match it)")
 		scen       = flag.String("scenario", "", "behavioural scenario for inline mode: registry name or JSON spec file (empty: the calibrated default)")
 		workers    = flag.Int("workers", 0, "worker goroutines (0: GOMAXPROCS)")
 		shards     = flag.Int("shards", 0, "logical shards (0: default)")
@@ -100,6 +103,9 @@ func main() {
 		of         = obs.Flags()
 	)
 	flag.Parse()
+	if *feedDir != "" {
+		sidecarDefaults(*feedDir, users, seed)
+	}
 
 	ctx, stop := cli.SignalContext()
 	defer stop()
@@ -120,10 +126,18 @@ func run(ctx context.Context, feedDir string, lenient bool, users int, seed uint
 	cfg := experiments.DefaultConfig()
 	cfg.TargetUsers = users
 	cfg.Seed = seed
+	var meta feeds.Meta
 	if feedDir != "" {
 		cfg.SkipKPI = true // KPI records come from the feed, if at all
 		if scenName != "" {
 			return cli.Usagef("-scenario only applies to inline mode; the feed in %s was generated under its own scenario", feedDir)
+		}
+		meta, err = feeds.ReadMetaFor(feedDir, users, seed)
+		if errors.Is(err, feeds.ErrStackMismatch) {
+			return cli.Usagef("%w", err)
+		}
+		if err != nil {
+			return err
 		}
 	} else if scenName != "" {
 		s, err := scenario.Load(scenName)
@@ -153,13 +167,6 @@ func run(ctx context.Context, feedDir string, lenient bool, users int, seed uint
 	var writePartial func() error
 	switch {
 	case feedDir != "":
-		meta, err := feeds.ReadMetaFor(feedDir, users, seed)
-		if errors.Is(err, feeds.ErrStackMismatch) {
-			return cli.Usagef("%w", err)
-		}
-		if err != nil {
-			return err
-		}
 		if partialOut != "" {
 			rec := partial.NewRecorder(d.Topology, cfg.TopN, meta)
 			eng.AddTraceConsumer(rec.Traces())
@@ -265,4 +272,23 @@ func (p *printer) ConsumeDay(day timegrid.SimDay, _ []mobsim.DayTrace) {
 	fmt.Printf("%s %3d %6d %7.3f %6.2f %6d %9.2f %8.3f %8d %8.3f\n",
 		timegrid.DateOfSimDay(day).Format("2006-01-02"), int(day), m.Users,
 		m.AvgEntropy, m.AvgGyration, cells, dlMed, connMed, dayEvents, failPct)
+}
+
+// sidecarDefaults replaces -users and -seed, where the command line
+// leaves them unset, with the values dir's meta sidecar records. A
+// directory without a sidecar keeps the flag defaults; an unreadable
+// one is left for run's ReadMetaFor to report.
+func sidecarDefaults(dir string, users *int, seed *uint64) {
+	m, ok, _ := feeds.ReadMeta(dir)
+	if !ok {
+		return
+	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if !set["users"] {
+		*users = m.Users
+	}
+	if !set["seed"] {
+		*seed = m.Seed
+	}
 }

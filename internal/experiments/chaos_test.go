@@ -206,17 +206,14 @@ func TestSweepIsolatesPoisonedRun(t *testing.T) {
 		}
 	}
 
-	// The healthy runs must be bit-identical to a clean sweep — a
+	// The healthy runs must be bit-identical to their reference runs — a
 	// poisoned neighbor cannot perturb them (its engine never returns to
 	// the sweep's pool).
-	clean := mustSweep(t, w, cfg, scens, SweepOptions{Parallel: 2})
+	ref := referenceRuns(t, cfg, scens)
 	for _, i := range []int{0, 2} {
-		if runs[i].Headlines == nil {
-			continue // already reported above
+		if runs[i].Headlines != nil { // a failed run is already reported above
+			assertSweepRunsEqual(t, ref[i:i+1], runs[i:i+1])
 		}
-		assertSweepRunsEqual(t,
-			[]SweepRun{{Name: clean[i].Name, Results: clean[i].Results, Headlines: clean[i].Headlines}},
-			[]SweepRun{{Name: runs[i].Name, Results: runs[i].Results, Headlines: runs[i].Headlines}})
 	}
 	settleGoroutines(t, base)
 	assertNoBufferAbuse(t, dr)
@@ -268,7 +265,7 @@ func TestSweepPanicMidStudyKeepsPoolClean(t *testing.T) {
 			t.Errorf("run %s: want a failed run, got err=%v", runs[i].Name, runs[i].Err)
 		}
 	}
-	assertSweepRunsEqual(t, streamingReference(t, w, cfg, scens[2:]), runs[2:])
+	assertSweepRunsEqual(t, referenceRuns(t, cfg, scens[2:]), runs[2:])
 }
 
 // TestSweepSerialPathIsolatesPoisonedRun pins the same isolation at

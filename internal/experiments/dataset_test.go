@@ -17,8 +17,8 @@ import (
 // KPI records (nil before the study window and without an engine), and
 // attaching a tap — one that even drives the dataset's own engine
 // before the study window, as cmd/mnosim's feed tap does — leaves the
-// Results bit-identical to an untapped run, which is computed once per
-// SkipKPI value (the results do not depend on the worker count). The
+// Results bit-identical to the untapped reference run of each SkipKPI
+// value (the results do not depend on the worker count). The per-day
 // oracle runs on a second dataset: the study pass produces on d.Engine
 // while the taps run.
 func TestRunStreamingOnTaps(t *testing.T) {
@@ -26,7 +26,7 @@ func TestRunStreamingOnTaps(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.TargetUsers = 500
 		cfg.SkipKPI = skipKPI
-		plain := mustStreamingConfig(t, cfg, stream.Config{Workers: 1})
+		plain := reference(t, cfg, defaultScenario)
 		for _, workers := range []int{1, 2} {
 			t.Run(fmt.Sprintf("workers=%d/SkipKPI=%v", workers, skipKPI), func(t *testing.T) {
 				scfg := stream.Config{Workers: workers}

@@ -146,40 +146,23 @@ func TestRunStreamingOnPopulatesEverything(t *testing.T) {
 	}
 }
 
+// TestDeterministicAcrossRuns requires a second run of one config to
+// repeat its reference run bit for bit, in every compared aggregate.
 func TestDeterministicAcrossRuns(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TargetUsers = 800
 	cfg.SkipKPI = true
-	a := mustStreamingConfig(t, cfg, stream.Config{})
-	b := mustStreamingConfig(t, cfg, stream.Config{})
-	sa := a.Mobility.NationalSeries(core.MetricGyration)
-	sb := b.Mobility.NationalSeries(core.MetricGyration)
-	for i := range sa.Values {
-		if sa.Values[i] != sb.Values[i] {
-			t.Fatalf("gyration series differs at day %d across identical runs", i)
-		}
-	}
-	if len(a.Homes) != len(b.Homes) {
-		t.Error("home detection differs across identical runs")
-	}
+	assertResultsEqual(t, reference(t, cfg, defaultScenario), mustStreamingConfig(t, cfg, stream.Config{}))
 }
 
 func TestSeedChangesDetails(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TargetUsers = 800
 	cfg.SkipKPI = true
-	a := mustStreamingConfig(t, cfg, stream.Config{})
+	a := reference(t, cfg, defaultScenario)
 	cfg.Seed++
 	b := mustStreamingConfig(t, cfg, stream.Config{})
-	sa := a.Mobility.NationalSeries(core.MetricGyration)
-	sb := b.Mobility.NationalSeries(core.MetricGyration)
-	same := 0
-	for i := range sa.Values {
-		if sa.Values[i] == sb.Values[i] {
-			same++
-		}
-	}
-	if same == len(sa.Values) {
+	if slices.Equal(a.Mobility.NationalSeries(core.MetricGyration).Values, b.Mobility.NationalSeries(core.MetricGyration).Values) {
 		t.Error("different seeds produced identical series")
 	}
 }

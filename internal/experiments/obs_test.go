@@ -13,13 +13,14 @@ import (
 
 // TestStreamingInstrumentedBitIdentical pins the end-to-end observability
 // contract at the pipeline level: running the streaming pipeline with a
-// live metrics registry yields results bit-identical to an
-// uninstrumented one-worker run, and the registry comes back populated with the core stage
-// metrics — worker busy time, pool hit/miss accounting, per-day produce
-// latency and the traffic engine's day timings.
+// live metrics registry yields results bit-identical to the
+// uninstrumented one-worker reference run, and the registry comes back
+// populated with the core stage metrics — worker busy time, pool
+// hit/miss accounting, per-day produce latency and the traffic engine's
+// day timings.
 func TestStreamingInstrumentedBitIdentical(t *testing.T) {
 	cfg := streamingTestConfig()
-	serial := mustStreamingConfig(t, cfg, stream.Config{Workers: 1})
+	serial := reference(t, cfg, defaultScenario)
 
 	reg := obs.New()
 	got := mustStreamingConfig(t, cfg, stream.Config{Workers: 3, Metrics: reg})

@@ -2,41 +2,30 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/obs"
 	"repro/internal/pandemic"
 	"repro/internal/scenario"
 	"repro/internal/stream"
 )
 
-func headlinesJSON(t *testing.T, hs []Headline) string {
-	t.Helper()
-	data, err := json.Marshal(hs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(data)
-}
-
 // TestSharedPrefixSweepMatchesUnshared is the copy-on-divergence
-// correctness gate: the sweep — serial and parallel — must reproduce
-// every registry scenario run alone, with no prefix shared
-// (streamingReference), bit for bit (JSON float64 encoding is
+// correctness gate: the registry sweep must reproduce every scenario run
+// alone, with no prefix shared — the committed fixtures, which -update
+// writes from RunStreamingOn — bit for bit (JSON float64 encoding is
 // shortest-round-trip, so any drift in any headline fails), while
 // actually forking: the expected fork tree and the
 // sweep.prefix_days_saved / sweep.checkpoint_forks counters are pinned.
+// TestGoldenHeadlines checks the same sweep; TestParallelSweepMatchesSerial
+// runs the registry at Parallel 1 and against live references.
 func TestSharedPrefixSweepMatchesUnshared(t *testing.T) {
-	cfg := goldenConfig()
-	scens := sweepScenarios(t, scenario.Names()...)
-	w := NewWorld(cfg)
-	ref := streamingReference(t, w, cfg, scens)
+	runs, reg := registrySweep(t)
 
 	// The expected fork tree over the registry order: each scenario's
 	// parent and the study days it skips (pandemic.Scenario.DivergenceFrom
@@ -57,34 +46,19 @@ func TestSharedPrefixSweepMatchesUnshared(t *testing.T) {
 		wantSaved += f.Days
 	}
 
-	for _, parallel := range []int{1, 4} {
-		reg := obs.New()
-		runs, err := RunSweepParallelOpts(context.Background(), w, cfg,
-			stream.Config{Workers: 1, Metrics: reg}, scens, SweepOptions{Parallel: parallel})
-		if err != nil {
-			t.Fatalf("sweep (parallel=%d): %v", parallel, err)
+	for _, run := range runs {
+		assertGolden(t, run)
+		f, forked := wantFork[run.Name]
+		if forked != (run.ForkedFrom != "") || (forked && (run.ForkedFrom != f.From || run.PrefixDays != f.Days)) {
+			t.Errorf("%s: forked from %q after %d days, want %q after %d days",
+				run.Name, run.ForkedFrom, run.PrefixDays, f.From, f.Days)
 		}
-		for i := range runs {
-			if runs[i].Name != ref[i].Name {
-				t.Fatalf("parallel=%d run %d: name %q, want %q", parallel, i, runs[i].Name, ref[i].Name)
-			}
-			got, want := headlinesJSON(t, runs[i].Headlines), headlinesJSON(t, ref[i].Headlines)
-			if got != want {
-				t.Errorf("parallel=%d %s: sweep headlines diverge from the scenario run alone\n got: %s\nwant: %s",
-					parallel, runs[i].Name, got, want)
-			}
-			f, forked := wantFork[runs[i].Name]
-			if forked != (runs[i].ForkedFrom != "") || (forked && (runs[i].ForkedFrom != f.From || runs[i].PrefixDays != f.Days)) {
-				t.Errorf("parallel=%d %s: forked from %q after %d days, want %q after %d days",
-					parallel, runs[i].Name, runs[i].ForkedFrom, runs[i].PrefixDays, f.From, f.Days)
-			}
-		}
-		if got := reg.Counter("sweep.checkpoint_forks").Value(); got != int64(len(wantFork)) {
-			t.Errorf("parallel=%d: sweep.checkpoint_forks = %d, want %d", parallel, got, len(wantFork))
-		}
-		if got := reg.Counter("sweep.prefix_days_saved").Value(); got != int64(wantSaved) {
-			t.Errorf("parallel=%d: sweep.prefix_days_saved = %d, want %d", parallel, got, wantSaved)
-		}
+	}
+	if got := reg.Counter("sweep.checkpoint_forks").Value(); got != int64(len(wantFork)) {
+		t.Errorf("sweep.checkpoint_forks = %d, want %d", got, len(wantFork))
+	}
+	if got := reg.Counter("sweep.prefix_days_saved").Value(); got != int64(wantSaved) {
+		t.Errorf("sweep.prefix_days_saved = %d, want %d", got, wantSaved)
 	}
 }
 
@@ -94,22 +68,28 @@ func checkpointConfig() Config {
 	return Config{Seed: 42, TargetUsers: 300, PopPerTower: 40_000, TopN: core.DefaultTopN}
 }
 
-// runFromCheckpoint resumes one scenario from start (nil = day 0),
-// optionally checkpointing at the snap days through its publish, and
-// fails the test on any run error.
-func runFromCheckpoint(t *testing.T, w *World, cfg Config, sc SweepScenario, start *Checkpoint, snapAt map[int]bool) (SweepRun, map[int]*Checkpoint) {
+// runFromCheckpoint resumes one scenario from start (nil = day 0) and,
+// when snapAt > 0, returns its checkpoint at that study day; with stop
+// the run ends right after that capture. Any other run error fails the
+// test.
+func runFromCheckpoint(t *testing.T, w *World, cfg Config, sc SweepScenario, start *Checkpoint, snapAt int, stop bool) (SweepRun, *Checkpoint) {
 	t.Helper()
-	snaps := make(map[int]*Checkpoint, len(snapAt))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var snap *Checkpoint
 	publish := func(sd int, r *Results) {
-		if snapAt[sd] {
-			snaps[sd] = captureCheckpoint(r, sd)
+		if snapAt > 0 && sd == snapAt {
+			snap = captureCheckpoint(r, sd)
+			if stop {
+				cancel()
+			}
 		}
 	}
-	run := runPrefixScenario(context.Background(), w, cfg, nil, sc, 0, w.Homes(nil), start, publish, nil, &scratchPool{})
-	if run.Err != nil {
+	run := runPrefixScenario(ctx, w, cfg, nil, sc, 0, w.Homes(nil), start, publish, nil, &scratchPool{})
+	if run.Err != nil && !(stop && snap != nil) {
 		t.Fatalf("run %s: %v", sc.Name, run.Err)
 	}
-	return run, snaps
+	return run, snap
 }
 
 // TestSweepForksTwoChildrenAtOneDay covers a fork day with two
@@ -139,7 +119,7 @@ func TestSweepForksTwoChildrenAtOneDay(t *testing.T) {
 	cfg := checkpointConfig()
 	cfg.SkipKPI = true // a shared checkpoint shows in the mobility folds already
 	w := NewWorld(cfg)
-	ref := streamingReference(t, w, cfg, scens)
+	ref := referenceRuns(t, cfg, scens)
 	for _, parallel := range []int{1, 2} {
 		runs := mustSweep(t, w, cfg, scens, SweepOptions{Parallel: parallel})
 		for _, c := range []int{1, 2} {
@@ -154,35 +134,34 @@ func TestSweepForksTwoChildrenAtOneDay(t *testing.T) {
 
 // TestCheckpointForkNoAliasing advances a fork to the end of the study
 // window — under a different scenario — and requires the original
-// checkpoint to be untouched (snapshot-identical) and still usable:
-// resuming it must still reproduce the uninterrupted run.
+// checkpoint to be untouched (identical to a second run's capture of
+// the same day, which stops there) and still usable: resuming it must
+// still reproduce the uninterrupted run.
 func TestCheckpointForkNoAliasing(t *testing.T) {
 	cfg := checkpointConfig()
 	w := NewWorld(cfg)
 	base := *loadScenario(t, scenario.DefaultCovid)
 	other := *loadScenario(t, scenario.NoPandemic)
 
-	full, snaps := runFromCheckpoint(t, w, cfg, base, nil, map[int]bool{20: true})
-	ck := snaps[20]
+	full, ck := runFromCheckpoint(t, w, cfg, base, nil, 20, false)
 	// The reference snapshot is an independent capture of the same day
 	// boundary, not ck.Fork(): a fork taken here would share whatever a
 	// faulty Fork shares, and so change along with ck. Fresh forks carry
 	// no per-call scratch, so it compares deeply equal to a fork of an
-	// untouched ck.
-	_, again := runFromCheckpoint(t, w, cfg, base, nil, map[int]bool{20: true})
-	before := again[20]
+	// untouched ck. Only the capture is read, so that run stops there.
+	_, before := runFromCheckpoint(t, w, cfg, base, nil, 20, true)
 
-	forked, _ := runFromCheckpoint(t, w, cfg, other, ck.Fork(), nil)
+	forked, _ := runFromCheckpoint(t, w, cfg, other, ck.Fork(), 0, false)
 
 	if after := ck.Fork(); !reflect.DeepEqual(before, after) {
 		t.Error("advancing a fork mutated the original checkpoint")
 	}
-	if got, want := headlinesJSON(t, forked.Headlines), headlinesJSON(t, full.Headlines); got == want {
+	if slices.Equal(forked.Headlines, full.Headlines) {
 		t.Error("fork advanced under a different scenario reproduced the base scenario exactly; fork is not independent")
 	}
-	resumed, _ := runFromCheckpoint(t, w, cfg, base, ck, nil)
-	if got, want := headlinesJSON(t, resumed.Headlines), headlinesJSON(t, full.Headlines); got != want {
-		t.Errorf("original checkpoint no longer reproduces the uninterrupted run after its fork was advanced\n got: %s\nwant: %s", got, want)
+	resumed, _ := runFromCheckpoint(t, w, cfg, base, ck, 0, false)
+	if got, want := resumed.Headlines, full.Headlines; !slices.Equal(got, want) {
+		t.Errorf("original checkpoint no longer reproduces the uninterrupted run after its fork was advanced\n got: %v\nwant: %v", got, want)
 	}
 }
 
@@ -231,9 +210,9 @@ func TestSweepChildStartsAtCapture(t *testing.T) {
 // host's own engine and record buffer. Run on an empty pool, the host
 // leaves exactly one day scratch behind, carrying the one engine the
 // three scenarios shared; no rider result holds an engine; and the
-// host's and each rider's headlines match a standalone run of that
-// scenario bit for bit (a host that read a rider's records, or an engine
-// left bound to a rider, would drift).
+// host's and each rider's headlines match that scenario's reference run
+// bit for bit (a host that read a rider's records, or an engine left
+// bound to a rider, would drift).
 func TestRidersFoldOnHostEngine(t *testing.T) {
 	cfg := streamingTestConfig() // busy enough cells that KPI headlines see the scenario
 	scens := sweepScenarios(t, scenario.DefaultCovid, scenario.DeepOffload, scenario.VoiceSurge)
@@ -268,9 +247,8 @@ func TestRidersFoldOnHostEngine(t *testing.T) {
 		runs[riders[k].idx] = rr
 	}
 	for i, r := range runs {
-		alone, _ := runFromCheckpoint(t, w, cfg, scens[i], nil, nil)
-		if got, want := headlinesJSON(t, r.Headlines), headlinesJSON(t, alone.Headlines); got != want {
-			t.Errorf("%s diverges from its standalone run\n got: %s\nwant: %s", r.Name, got, want)
+		if want := Headlines(reference(t, cfg, scens[i])); !slices.Equal(r.Headlines, want) {
+			t.Errorf("%s diverges from its reference run\n got: %v\nwant: %v", r.Name, r.Headlines, want)
 		}
 	}
 }

@@ -101,12 +101,7 @@ func TestReplayTracesMatchesLive(t *testing.T) {
 				t.Fatalf("replayed %d homes, live %d: detections differ", len(got), len(wantHomes))
 			}
 			for _, m := range []core.MobilityMetric{core.MetricGyration, core.MetricEntropy} {
-				a, b := live.NationalSeries(m), replayed.NationalSeries(m)
-				for i := range a.Values {
-					if a.Values[i] != b.Values[i] {
-						t.Fatalf("%v study day %d: live %v vs replayed %v", m, i, a.Values[i], b.Values[i])
-					}
-				}
+				assertSeriesEqual(t, "replayed national "+m.String(), live.NationalSeries(m), replayed.NationalSeries(m))
 			}
 		})
 	}
@@ -134,12 +129,7 @@ func TestReplayKPIMatchesLive(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, m := range []traffic.Metric{0, 4, 9} {
-				a, b := live.NationalSeries(m), replayed.NationalSeries(m)
-				for i := range a.Values {
-					if a.Values[i] != b.Values[i] {
-						t.Fatalf("metric %d study day %d: live %v vs replayed %v", m, i, a.Values[i], b.Values[i])
-					}
-				}
+				assertSeriesEqual(t, "replayed kpi national "+m.String(), live.NationalSeries(m), replayed.NationalSeries(m))
 			}
 		})
 	}

@@ -24,12 +24,12 @@ func streamingTestConfig() Config {
 
 // TestStreamingMatchesSerial asserts the streaming pipeline's worker
 // and shard invariance: every worker and shard count is bit-identical
-// to a one-worker run at the same seed (and a second one-worker run
-// repeats the first). Run under -race this also exercises the engine's
-// synchronization.
+// to the one-worker reference run at the same seed (and a second
+// one-worker run repeats it). Run under -race this also exercises the
+// engine's synchronization.
 func TestStreamingMatchesSerial(t *testing.T) {
 	cfg := streamingTestConfig()
-	serial := mustStreamingConfig(t, cfg, stream.Config{Workers: 1})
+	serial := reference(t, cfg, defaultScenario)
 	for _, tc := range []struct {
 		name    string
 		workers int
@@ -51,12 +51,7 @@ func TestStreamingMatchesSerial(t *testing.T) {
 func TestStreamingMatchesSerialMobilityOnly(t *testing.T) {
 	cfg := streamingTestConfig()
 	cfg.SkipKPI = true
-	serial := mustStreamingConfig(t, cfg, stream.Config{Workers: 1})
-	got, err := RunStreamingOn(context.Background(), NewDataset(cfg), stream.Config{Workers: 3})
-	if err != nil {
-		t.Fatalf("RunStreamingOn: %v", err)
-	}
-	assertResultsEqual(t, serial, got)
+	assertResultsEqual(t, reference(t, cfg, defaultScenario), mustStreamingConfig(t, cfg, stream.Config{Workers: 3}))
 }
 
 // assertResultsEqual compares every externally observable aggregate of

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/scenario"
-	"repro/internal/stream"
 )
 
 // sweepConfig is a tiny mobility-only config for sweep tests.
@@ -27,11 +26,7 @@ func loadScenario(t *testing.T, name string) *SweepScenario {
 
 func TestSweepBuildsWorldExactlyOnce(t *testing.T) {
 	cfg := sweepConfig()
-	scens := []SweepScenario{
-		*loadScenario(t, scenario.DefaultCovid),
-		*loadScenario(t, scenario.NoPandemic),
-		*loadScenario(t, scenario.EarlyLockdown),
-	}
+	scens := sweepScenarios(t, scenario.DefaultCovid, scenario.NoPandemic, scenario.EarlyLockdown)
 	before := WorldBuildCount()
 	w := NewWorld(cfg)
 	runs := mustSweep(t, w, cfg, scens, SweepOptions{Parallel: 1})
@@ -74,13 +69,14 @@ func TestSweepBuildsWorldExactlyOnce(t *testing.T) {
 
 // TestDefaultCovidSpecBitIdenticalToDefaultPath is the acceptance gate
 // of the scenario subsystem: a one-scenario sweep of the default-covid
-// spec loaded from its JSON form must reproduce, bit for bit, a
-// one-worker RunStreamingOn of the legacy pandemic.Default() path. It
-// also pins the two executors to each other: the sweep's serial study
-// loop (runStudy) against the streaming engine.
+// spec loaded from its JSON form must reproduce, bit for bit, the
+// one-worker RunStreamingOn reference of the legacy pandemic.Default()
+// path, which reference also serves for the spec. It also pins the two executors to
+// each other: the sweep's serial study loop (runStudy) against the
+// streaming engine.
 func TestDefaultCovidSpecBitIdenticalToDefaultPath(t *testing.T) {
 	cfg := sweepConfig()
-	want := mustStreamingConfig(t, cfg, stream.Config{Workers: 1}) // cfg.Scenario == nil → pandemic.Default()
+	want := reference(t, cfg, defaultScenario) // nil Scenario → pandemic.Default()
 
 	sp, ok := scenario.Get(scenario.DefaultCovid)
 	if !ok {
@@ -104,8 +100,9 @@ func TestDefaultCovidSpecBitIdenticalToDefaultPath(t *testing.T) {
 
 // TestWorldHomesScenarioInvariant backs the sweep runner's shared
 // February pass: homes detected once on the world (under the default
-// scenario) must be identical to a full per-scenario run's — February
-// precedes the study window, so no scenario factor can touch it.
+// scenario) must be identical to the no-pandemic reference run's —
+// February precedes the study window, so no scenario factor can touch
+// it.
 func TestWorldHomesScenarioInvariant(t *testing.T) {
 	cfg := sweepConfig()
 	w := NewWorld(cfg)
@@ -113,9 +110,7 @@ func TestWorldHomesScenarioInvariant(t *testing.T) {
 	if len(homes) == 0 {
 		t.Fatal("no homes detected on the world")
 	}
-	nullCfg := cfg
-	nullCfg.Scenario = loadScenario(t, scenario.NoPandemic).Scenario
-	r := mustStreamingConfig(t, nullCfg, stream.Config{})
+	r := reference(t, cfg, *loadScenario(t, scenario.NoPandemic))
 	if len(r.Homes) != len(homes) {
 		t.Fatalf("home counts differ: world %d vs null run %d", len(homes), len(r.Homes))
 	}

@@ -41,12 +41,12 @@ func assertSweepRunsEqual(t *testing.T, want, got []SweepRun) {
 
 // assertSweepModesMatch runs the copy-on-divergence sweep at worker
 // counts 1, 2, 4 and 8, and requires every sweep to be bit-identical to
-// the per-scenario streaming reference, re-sequenced to the input
-// order. The subtests keep their shared=true label, so their names
-// match the earlier runs that also swept without sharing.
+// the scenarios' reference runs, re-sequenced to the input order. The
+// subtests keep their shared=true label, so their names match the
+// earlier runs that also swept without sharing.
 func assertSweepModesMatch(t *testing.T, w *World, cfg Config, scens []SweepScenario) []SweepRun {
 	t.Helper()
-	ref := streamingReference(t, w, cfg, scens)
+	ref := referenceRuns(t, cfg, scens)
 	var last []SweepRun
 	for _, parallel := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("shared=true/parallel=%d", parallel), func(t *testing.T) {
@@ -58,18 +58,19 @@ func assertSweepModesMatch(t *testing.T, w *World, cfg Config, scens []SweepScen
 }
 
 // TestParallelSweepMatchesSerial asserts the executor invariant: the
-// sweep is bit-identical to running each scenario alone through the
-// streaming pipeline, at every sweep worker count, while
-// building zero additional Worlds (counter-verified). Run under -race
-// this also exercises the cross-worker synchronization (the shared
-// immutable World, the shared homes map, the checkpoints handed from
-// parent to child through the ready queue and the scratch pool).
+// registry sweep — its whole fork tree, a grandchild fork and two
+// riders included — is bit-identical to running each scenario alone
+// through the streaming pipeline, at every sweep worker count, one
+// included, while building zero additional Worlds (counter-verified).
+// Run under -race this also exercises the cross-worker synchronization
+// (the shared immutable World, the shared homes map, the checkpoints
+// handed from parent to child through the ready queue and the scratch
+// pool).
 func TestParallelSweepMatchesSerial(t *testing.T) {
 	cfg := sweepConfig()
-	scens := sweepScenarios(t,
-		scenario.DefaultCovid, scenario.NoPandemic, scenario.EarlyLockdown,
-		scenario.SecondWave, scenario.VoiceSurge)
+	scens := sweepScenarios(t, scenario.Names()...)
 	w := NewWorld(cfg)
+	referenceRuns(t, cfg, scens) // each reference builds a world of its own
 	before := WorldBuildCount()
 	assertSweepModesMatch(t, w, cfg, scens)
 	if extra := WorldBuildCount() - before; extra != 0 {

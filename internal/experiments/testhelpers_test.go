@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/scenario"
 	"repro/internal/stats"
 	"repro/internal/stream"
 )
@@ -44,19 +45,55 @@ func mustSweep(t testing.TB, w *World, cfg Config, scens []SweepScenario, opt Sw
 	return runs
 }
 
-// streamingReference is the sweep parity reference, independent of the
-// sweep executor: each scenario instantiated on w and run alone through
-// the streaming pipeline, February home detection included.
-func streamingReference(t testing.TB, w *World, cfg Config, scens []SweepScenario) []SweepRun {
+// defaultScenario is the calibrated default run: a nil Scenario, which
+// Config and reference read as pandemic.Default().
+var defaultScenario = SweepScenario{Name: scenario.DefaultCovid}
+
+// refRuns holds the reference runs by config (its Scenario nil) and
+// scenario name. The tests of this package run one at a time, so the
+// map needs no lock.
+var refRuns = map[refKey]*Results{}
+
+type refKey struct {
+	cfg  Config
+	name string
+}
+
+// reference is the parity oracle, independent of the sweep executor: sc
+// run alone through RunStreamingOn on one worker, February home
+// detection included. It runs once per (config, scenario name) per test
+// binary and is shared, read only, by every test that asks; cfg's own
+// Scenario is ignored. default-covid runs as
+// the nil-scenario default path, so the loaded spec and defaultScenario
+// share one run (TestDefaultCovidSpecBitIdenticalToDefaultPath pins the
+// two equal).
+func reference(t testing.TB, cfg Config, sc SweepScenario) *Results {
+	t.Helper()
+	cfg.Scenario = nil
+	if sc.Name == scenario.DefaultCovid {
+		sc.Scenario = nil
+	}
+	k := refKey{cfg, sc.Name}
+	if r := refRuns[k]; r != nil {
+		return r
+	}
+	c := cfg
+	c.Scenario = sc.Scenario
+	r, err := RunStreamingOn(context.Background(), NewDataset(c), stream.Config{Workers: 1})
+	if err != nil {
+		t.Fatalf("reference %s: %v", sc.Name, err)
+	}
+	refRuns[k] = r
+	return r
+}
+
+// referenceRuns is reference over a scenario list, in the shape of the
+// sweep runs it is compared against.
+func referenceRuns(t testing.TB, cfg Config, scens []SweepScenario) []SweepRun {
 	t.Helper()
 	out := make([]SweepRun, len(scens))
 	for i, sc := range scens {
-		c := cfg
-		c.Scenario = sc.Scenario
-		r, err := RunStreamingOn(context.Background(), w.Instantiate(c), stream.Config{Workers: 2})
-		if err != nil {
-			t.Fatalf("RunStreamingOn(%s): %v", sc.Name, err)
-		}
+		r := reference(t, cfg, sc)
 		out[i] = SweepRun{Name: sc.Name, Results: r, Headlines: Headlines(r)}
 	}
 	return out

@@ -85,15 +85,13 @@ func TestRunStreamingOnWindowIsWorkersPlusOne(t *testing.T) {
 // TestRunStreamingOnSharesOneWindow pins the shared window of the two
 // passes: one RunStreamingOn grows at most Workers+Buffer day stores
 // over both February and the study window, draws once per simulated
-// day of each, and still returns results bit-identical to a one-worker
-// run without metrics. Repeated, because store reuse depends on scheduling; run it
-// under -race.
+// day of each, and still returns results bit-identical to the
+// one-worker reference run, which has no metrics. Repeated, because
+// store reuse depends on scheduling; run it under -race.
 func TestRunStreamingOnSharesOneWindow(t *testing.T) {
-	d := NewDataset(streamingTestConfig())
-	serial, err := RunStreamingOn(context.Background(), d, stream.Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := streamingTestConfig()
+	d := NewDataset(cfg)
+	serial := reference(t, cfg, defaultScenario)
 	const draws = timegrid.FebruaryDays + timegrid.SimDays - timegrid.StudyDayOffset
 	for _, workers := range []int{1, 2, 3} {
 		for run := 0; run < 10; run++ {
